@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build test race bench bench-micro bench-contended bench-conformance bench-gate baseline smoke fuzz chaos record-corpus clean FORCE
+.PHONY: all check fmt vet vet-json build test race bench-selftest bench bench-micro bench-contended bench-conformance bench-gate baseline smoke fuzz chaos record-corpus clean FORCE
 
 all: check
 
@@ -43,6 +43,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench/ is a nested module (BENCHMARK.json's harness) that `./...` does
+# not reach: vet and test it against this checkout's packages.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -82,12 +87,12 @@ baseline:
 smoke:
 	$(GO) run ./cmd/gmacbench -small -json /tmp/gmacbench-smoke.json fig8
 
-# Native fuzzing of the interval tree, the manager op stream, the oplog
+# Native fuzzing of the registry's span set, the manager op stream, the oplog
 # wire decoder, and the race analyser, FUZZTIME per target (see
 # docs/testing.md). The decoder and race-check fuzzers seed from the
 # recorded corpus in testdata/corpus/.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzRBTree$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanSet$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzManagerOps$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogDecode$$' -fuzztime $(FUZZTIME) ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzRaceCheck$$' -fuzztime $(FUZZTIME) ./internal/racecheck

@@ -504,3 +504,44 @@ func TestSessionAPIPipeline(t *testing.T) {
 		t.Fatalf("pipeline result = %v, want 4", got)
 	}
 }
+
+// TestAsyncKernelsShareOneSync: two asynchronous calls, each on an object
+// bound to its own kernel (ForKernels), then one Sync. Under batch-update
+// the Sync must fetch both objects back, not only those of the kernel
+// launched last; a second Sync with nothing launched since must then leave
+// the host's newer writes alone.
+func TestAsyncKernelsShareOneSync(t *testing.T) {
+	ctx := newCtx(t, BatchUpdate)
+	var objs [2]Ptr
+	var views [2]Uint32View
+	for i, k := range []string{"bumpA", "bumpB"} {
+		registerBump(ctx, k)
+		var err error
+		if objs[i], err = ctx.Alloc(4096, ForKernels(k)); err != nil {
+			t.Fatal(err)
+		}
+		if views[i], err = ctx.Uint32s(objs[i], 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Call(k, []uint64{uint64(objs[i]), 1, 4096}, Async()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ctx.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		if got := v.At(0); got != 1 {
+			t.Fatalf("object %d counter = %d after the shared Sync, want 1", i, got)
+		}
+		v.Set(0, 7)
+	}
+	if err := ctx.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		if got := v.At(0); got != 7 {
+			t.Fatalf("object %d = %d after an idle Sync, want the host's 7", i, got)
+		}
+	}
+}

@@ -21,8 +21,7 @@ var requiredAnnotations = map[string][]string{
 		"(*registry).objectAt",
 		"(*registry).blockAt",
 		"regShardOf",
-		"(*spanIndex).search",
-		"(*indexSnapshot).find",
+		"(*spanSet).find",
 		"(*rollingCache).push",
 		"resolveFault",
 		"(*Manager).record",

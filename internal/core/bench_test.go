@@ -36,54 +36,23 @@ func benchRig(b *testing.B, cfg Config) *rig {
 	return &rig{clock: clock, bd: bd, mmu: mmu, va: va, dev: dev, mgr: mgr}
 }
 
-// BenchmarkBlockTreeLookup measures the fault handler's O(log n) search
-// over a large population of blocks (the §5.2 overhead).
-func BenchmarkBlockTreeLookup(b *testing.B) {
-	tr := &rbTree{}
-	const blocks = 1 << 14
-	for i := 0; i < blocks; i++ {
-		if err := tr.insert(mem.Addr(i)<<12, 4096, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tr.lookup(mem.Addr(i%blocks)<<12+128) == nil {
-			b.Fatal("lookup miss")
-		}
-	}
-}
-
-// BenchmarkBlockLookup compares the two registry read paths at several
-// populations: the red-black tree (writer-side structure, lock aside) and
-// the RCU span index the fault handler actually searches.
+// BenchmarkBlockLookup times the registry read path the fault handler
+// searches, one shard's published spans, at several populations.
 func BenchmarkBlockLookup(b *testing.B) {
 	for _, objects := range []int{16, 1 << 10, 64 << 10} {
-		tr := &rbTree{}
-		for i := 0; i < objects; i++ {
-			if err := tr.insert(mem.Addr(i)<<12, 4096, i); err != nil {
-				b.Fatal(err)
-			}
+		var sh regShard
+		run := make([]span[Block], objects)
+		for i := range run {
+			run[i] = span[Block]{mem.Addr(i) << 12, mem.Addr(i+1) << 12, &Block{}}
 		}
-		var ix spanIndex
-		ix.rebuild(tr, ix.gen.Load(), 0)
-		name := func(kind string) string {
-			return fmt.Sprintf("%s/%dobjects", kind, objects)
+		if err := sh.blocks.insert(run); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name("rbtree"), func(b *testing.B) {
+		b.Run(fmt.Sprintf("spanset/%dobjects", objects), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if tr.lookup(mem.Addr(i%objects)<<12+128) == nil {
+				if v, _ := sh.blocks.find(&sh, mem.Addr(i%objects)<<12+128); v == nil {
 					b.Fatal("lookup miss")
-				}
-			}
-		})
-		b.Run(name("spanindex"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				v, _, ok := ix.search(mem.Addr(i%objects)<<12 + 128)
-				if !ok || v == nil {
-					b.Fatal("search miss")
 				}
 			}
 		})

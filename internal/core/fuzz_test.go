@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -11,19 +13,22 @@ import (
 	"repro/internal/sim"
 )
 
-// FuzzRBTree drives the interval tree with an encoded op stream and checks
-// every observable result against a flat map oracle, then verifies the
-// red-black properties. Each op is 3 bytes: opcode, address selector,
-// size selector; addresses are deliberately compressed into a small range
-// so overlapping inserts, exact-match removes and containing-interval
-// lookups all occur frequently.
-func FuzzRBTree(f *testing.F) {
+// FuzzSpanSet drives the registry's span set with an encoded op stream and
+// checks every observable result against a flat map oracle. Each op is 3
+// bytes: opcode, address selector, size selector; addresses are
+// deliberately compressed into a small range so overlapping inserts,
+// exact-match removes and containing-interval lookups all occur frequently.
+func FuzzSpanSet(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 0, 9, 4, 2, 1, 0, 1, 1, 0})
 	f.Add([]byte{0, 0, 31, 0, 8, 31, 0, 16, 31, 1, 8, 0, 3, 4, 0})
 	f.Add(bytes.Repeat([]byte{0, 7, 3, 1, 7, 0, 2, 7, 1}, 20))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		type ival struct{ size, val int64 }
-		tree := &rbTree{}
+		type ival struct {
+			size int64
+			val  *int64
+		}
+		var sh regShard // lends its mutex to the set under test
+		var set spanSet[int64]
 		oracle := map[mem.Addr]ival{}
 		find := func(a mem.Addr) (mem.Addr, ival, bool) {
 			for base, iv := range oracle {
@@ -41,103 +46,73 @@ func FuzzRBTree(f *testing.F) {
 			}
 			return false
 		}
-		val := int64(0)
+		// edit runs one insert or remove and checks that the clone readers
+		// held before it is byte-for-byte what it was.
+		edit := func(do func()) {
+			set.find(&sh, 0)
+			held := *set.pub.Load()
+			want := slices.Clone(held)
+			do()
+			if !slices.Equal(held, want) {
+				t.Fatalf("an edit wrote to a published clone: %v, was %v", held, want)
+			}
+		}
 		for i := 0; i+3 <= len(data); i += 3 {
 			op := data[i] % 4
 			addr := mem.Addr(data[i+1]) * 8
 			size := int64(data[i+2]%32) + 1
 			switch op {
 			case 0: // insert
-				err := tree.insert(addr, size, val)
+				val := new(int64)
+				var err error
+				edit(func() { err = set.insert([]span[int64]{{addr, addr + mem.Addr(size), val}}) })
 				if wantErr := overlaps(addr, size); (err != nil) != wantErr {
 					t.Fatalf("insert(%#x,+%d) err=%v, overlap oracle says %v", uint64(addr), size, err, wantErr)
 				}
 				if err == nil {
 					oracle[addr] = ival{size, val}
 				}
-				val++
 			case 1: // remove (exact start address)
-				got := tree.remove(addr)
-				iv, ok := oracle[addr]
-				if ok != (got != nil) {
-					t.Fatalf("remove(%#x) = %v, oracle has-entry %v", uint64(addr), got, ok)
+				var got int
+				edit(func() { got = set.remove(addr, addr+1) })
+				_, ok := oracle[addr]
+				if ok != (got == 1) {
+					t.Fatalf("remove(%#x) removed %d spans, oracle has-entry %v", uint64(addr), got, ok)
 				}
-				if ok {
-					if got.(int64) != iv.val {
-						t.Fatalf("remove(%#x) = %v, want %d", uint64(addr), got, iv.val)
-					}
-					delete(oracle, addr)
+				delete(oracle, addr)
+			case 2, 3: // lookup (containing interval) with probe accounting
+				got, probes := set.find(&sh, addr)
+				_, iv, _ := find(addr)
+				if got != iv.val {
+					t.Fatalf("find(%#x) = %v, oracle %v", uint64(addr), got, iv.val)
 				}
-			case 2: // lookup (containing interval)
-				got := tree.lookup(addr)
-				_, iv, ok := find(addr)
-				if ok != (got != nil) {
-					t.Fatalf("lookup(%#x) = %v, oracle contains %v", uint64(addr), got, ok)
-				}
-				if ok && got.(int64) != iv.val {
-					t.Fatalf("lookup(%#x) = %v, want %d", uint64(addr), got, iv.val)
-				}
-			case 3: // search (lookup + visit accounting)
-				got, visits := tree.search(addr)
-				if _, iv, ok := find(addr); ok {
-					if got == nil || got.(int64) != iv.val {
-						t.Fatalf("search(%#x) = %v, want %d", uint64(addr), got, iv.val)
-					}
-					if visits <= 0 {
-						t.Fatalf("search(%#x) hit with %d visits", uint64(addr), visits)
-					}
-				} else if got != nil {
-					t.Fatalf("search(%#x) = %v, oracle says absent", uint64(addr), got)
+				if n := len(set.spans); probes < 1 || probes > int64(max(1, bits.Len(uint(n)))) {
+					t.Fatalf("find(%#x) charged %d probes over %d spans", uint64(addr), probes, n)
 				}
 			}
 		}
-		if err := tree.checkInvariants(); err != nil {
-			t.Fatalf("red-black invariants: %v", err)
-		}
-		if tree.Len() != len(oracle) {
-			t.Fatalf("tree has %d intervals, oracle %d", tree.Len(), len(oracle))
+		if len(set.spans) != len(oracle) {
+			t.Fatalf("set has %d intervals, oracle %d", len(set.spans), len(oracle))
 		}
 		prevEnd := mem.Addr(0)
-		first := true
-		tree.each(func(addr mem.Addr, size int64, value any) {
-			if !first && addr < prevEnd {
-				t.Fatalf("each() out of order at %#x", uint64(addr))
+		for _, sp := range set.spans {
+			if sp.addr < prevEnd || sp.end <= sp.addr {
+				t.Fatalf("spans unsorted or overlapping at [%#x,%#x)", uint64(sp.addr), uint64(sp.end))
 			}
-			first = false
-			prevEnd = addr + mem.Addr(size)
-			iv, ok := oracle[addr]
-			if !ok || iv.size != size || iv.val != value.(int64) {
-				t.Fatalf("each() visited [%#x,+%d)=%v, oracle %+v (present %v)", uint64(addr), size, value, iv, ok)
-			}
-		})
-
-		// The fault path no longer searches the tree directly: it binary-
-		// searches an RCU snapshot built from it (index.go). Cross-check the
-		// snapshot against the same oracle over the whole address range the
-		// ops could touch, including gaps and the interval edges.
-		var ix spanIndex
-		ix.invalidate()
-		ix.rebuild(tree, ix.gen.Load(), 0)
-		for a := mem.Addr(0); a <= 256*8; a++ {
-			got, probes, ok := ix.search(a)
-			if !ok {
-				t.Fatalf("snapshot stale immediately after rebuild at %#x", uint64(a))
-			}
-			if probes <= 0 {
-				t.Fatalf("search(%#x) charged %d probes", uint64(a), probes)
-			}
-			if _, iv, hit := find(a); hit {
-				if got == nil || got.(int64) != iv.val {
-					t.Fatalf("index find(%#x) = %v, oracle %d", uint64(a), got, iv.val)
-				}
-			} else if got != nil {
-				t.Fatalf("index find(%#x) = %v, oracle says absent", uint64(a), got)
+			prevEnd = sp.end
+			if iv, ok := oracle[sp.addr]; !ok || mem.Addr(iv.size) != sp.end-sp.addr || iv.val != sp.val {
+				t.Fatalf("spans hold [%#x,%#x)=%v, oracle %+v (present %v)",
+					uint64(sp.addr), uint64(sp.end), sp.val, iv, ok)
 			}
 		}
-		// Invalidation must force the slow path.
-		ix.invalidate()
-		if _, _, ok := ix.search(0); ok {
-			t.Fatal("search succeeded against an invalidated snapshot")
+		// Cross-check the published clone against the oracle over the whole
+		// address range the ops could touch, including gaps and the interval
+		// edges.
+		for a := mem.Addr(0); a <= 256*8; a++ {
+			got, _ := set.find(&sh, a)
+			if _, iv, _ := find(a); got != iv.val {
+				t.Fatalf("find(%#x) = %v, oracle %v", uint64(a), got, iv.val)
+			}
 		}
 
 		// Cross-check the sharded registry against the same oracle. The
@@ -168,8 +143,8 @@ func FuzzRBTree(f *testing.F) {
 		if want := int64(len(oracle)); reg.nobjects.Load() != want {
 			t.Fatalf("registry holds %d objects, oracle %d", reg.nobjects.Load(), want)
 		}
-		// Remove every other object and re-verify: stale snapshots must
-		// invalidate shard by shard.
+		// Remove every other object and re-verify: each edited shard must
+		// drop its published clone.
 		removed := map[mem.Addr]bool{}
 		i := 0
 		for base, o := range byAddr {

@@ -55,9 +55,8 @@ func (m *Manager) checkInvariants() error {
 				return
 			}
 			off += b.size
-			got := m.reg.blockLookup(b.addr)
-			if got != any(b) {
-				err = fmt.Errorf("core: block tree disagrees at %#x", uint64(b.addr))
+			if got, _ := m.reg.blockAt(b.addr); got != b {
+				err = fmt.Errorf("core: block registry disagrees at %#x", uint64(b.addr))
 				return
 			}
 			if e := m.checkBlockProt(b); e != nil {

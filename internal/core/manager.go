@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -141,12 +142,12 @@ type Config struct {
 //   - Object.mu: taken first by every host-access path; faults on
 //     different objects are serviced fully in parallel.
 //   - callMu: serialises Invoke/Sync (one call/return window at a time per
-//     accelerator) and guards invokeKernel. Never held with an Object.mu
-//     already held.
-//   - treeMu: the per-shard RWMutexes of the sharded registry
+//     accelerator) and guards invokeKernel and launched. Never held with
+//     an Object.mu already held.
+//   - treeMu: the per-shard mutexes of the sharded registry
 //     (registry.go). Shards are locked one at a time, never nested, and
-//     may be taken for reading while holding Object.mu (the fault path's
-//     snapshot rebuild); no code path acquires Object.mu while holding a
+//     may be taken while holding Object.mu (the fault path republishing a
+//     shard's spans); no code path acquires Object.mu while holding a
 //     shard lock, so the order Object.mu → treeMu is acyclic.
 //   - flushMu, evictMu, rollingCache.mu, and the MMU/device/clock locks
 //     are leaves: nothing else is acquired under them. The aggregate stats
@@ -171,8 +172,7 @@ type Manager struct {
 	moded       atomic.Int64
 	rollingObjs atomic.Int64
 	// reg is the sharded object/block registry (registry.go): per-shard
-	// interval trees with RCU span indexes over them, so concurrent lanes
-	// fault, rebuild and allocate without contending on one write lock.
+	// sorted span sets that faulting lanes search without a lock.
 	reg     registry
 	rolling *rollingCache
 	// stats are the aggregate counters, one atomic per counter
@@ -192,7 +192,7 @@ type Manager struct {
 	evictMu sync.Mutex
 	evictQ  []evictRun
 	// callMu serialises kernel invocation and synchronisation and guards
-	// invokeKernel.
+	// invokeKernel and launched.
 	//
 	//adsm:lock callMu 10
 	callMu sync.Mutex
@@ -203,17 +203,19 @@ type Manager struct {
 	mets *metricSet
 	// id is the process-wide construction sequence number.
 	id int
-	// intro indexes live objects for the introspection endpoint, and
-	// retired keeps the final rows of recently freed ones; both guarded by
-	// introMu because HTTP handlers read them from other goroutines.
+	// retired keeps the final introspection rows of recently freed
+	// objects, guarded by introMu because HTTP handlers read them from
+	// other goroutines.
 	//
 	//adsm:lock introMu 46 nowait
 	introMu sync.Mutex
-	intro   map[mem.Addr]*Object
 	retired []ObjectSnapshot
-	// invokeKernel is the kernel currently being dispatched; protocols use
-	// it to honour §3.3 object-to-kernel bindings. Guarded by callMu.
+	// invokeKernel is the kernel currently being dispatched; the release
+	// sweep uses it to honour §3.3 object-to-kernel bindings. launched are
+	// the distinct kernels invoked since the last Sync, whose objects that
+	// Sync acquires. Both guarded by callMu.
 	invokeKernel string
+	launched     []string
 	// lost latches once the accelerator is declared lost (fault escalation,
 	// recover.go); objects then degrade to host-resident semantics.
 	lost atomic.Bool
@@ -255,7 +257,6 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		dev:     dev,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0, !cfg.DisableCoalescing),
 		mets:    newMetricSet(metrics.Default(), cfg.Protocol),
-		intro:   make(map[mem.Addr]*Object),
 	}
 	switch cfg.Protocol {
 	case BatchUpdate, LazyUpdate, RollingUpdate:
@@ -318,11 +319,11 @@ func (m *Manager) Objects() int {
 	return int(m.reg.nobjects.Load())
 }
 
-// IndexRebuilds returns how many span-index snapshots the registry has
+// IndexRebuilds returns how many span-set clones the registry has
 // published since construction, summed over shards. Exposed for the
 // rebuild-storm regression test: under churn the count must track the
-// invalidation generations, not the (much larger) number of stale
-// lookups.
+// Allocs and Frees, not the (much larger) number of lookups that follow
+// them.
 func (m *Manager) IndexRebuilds() int64 { return m.reg.rebuilds() }
 
 // SetTracer installs (or removes, with nil) an event log recording every
@@ -567,7 +568,6 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 	}
 	m.stats.Allocs.Add(1)
 	m.mets.allocs.Inc()
-	m.introAdd(o)
 	m.emit(trace.Event{Kind: trace.EvAlloc, Addr: o.addr, Size: o.size})
 	var flags uint8
 	if o.safe {
@@ -618,6 +618,9 @@ func (m *Manager) Free(addr mem.Addr) error {
 	}
 
 	m.rolling.forget(o)
+	// Retire the introspection row first, so /adsm/objects never shows o as
+	// neither live nor freed.
+	m.introRetire(o)
 	m.reg.removeObject(o)
 	m.mmu.Unmap(o.addr, m.pageAlignedSize(o.size))
 	if err := m.va.Unmap(o.addr); err != nil {
@@ -635,27 +638,25 @@ func (m *Manager) Free(addr mem.Addr) error {
 	m.book(sim.CatCudaFree, m.clock.Now()-t0)
 	m.stats.Frees.Add(1)
 	m.mets.frees.Inc()
-	m.introRemove(o)
 	m.emit(trace.Event{Kind: trace.EvFree, Addr: o.addr, Size: o.size})
 	m.record(oplog.Op{Kind: oplog.OpFree, Obj: o.seq, Addr: o.addr, Size: o.size})
 	return err
 }
 
-// objectAt returns the shared object containing addr, or nil. The common
-// case is a lock-free binary search of the owning shard's current object
-// snapshot; a stale snapshot (shard changed since it was built) is rebuilt
-// under that shard's read lock, then searched.
+// objectAt returns the shared object containing addr, or nil: a lock-free
+// binary search of the owning shard's published object spans, which the
+// first lookup after an Alloc or Free re-clones under that shard's mutex.
 //
 //adsm:noalloc
 func (m *Manager) objectAt(addr mem.Addr) *Object {
 	return m.reg.objectAt(addr)
 }
 
-// blockAt resolves the fault handler's block lookup: the payload containing
+// blockAt resolves the fault handler's block lookup: the block containing
 // addr (nil if unshared) and the probe count charged as §5.2 search cost.
 //
 //adsm:noalloc
-func (m *Manager) blockAt(addr mem.Addr) (any, int64) {
+func (m *Manager) blockAt(addr mem.Addr) (*Block, int64) {
 	return m.reg.blockAt(addr)
 }
 
@@ -844,6 +845,9 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 	}
 	m.record(oplog.Op{Kind: oplog.OpInvoke, Flags: invokeFlags, Note: oplog.NoteID(kernel)})
 	m.invokeKernel = kernel
+	if !slices.Contains(m.launched, kernel) {
+		m.launched = append(m.launched, kernel)
+	}
 	if err := m.releaseAll(&ih); err != nil {
 		return err
 	}
@@ -910,7 +914,7 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		m.mets.faultNs.Observe(int64(m.clock.Now() - t0))
 		m.endSpan(sp)
 	}()
-	v, visits := m.blockAt(f.Addr)
+	b, visits := m.blockAt(f.Addr)
 	m.mets.searchDepth.Observe(visits)
 	search := sim.Time(visits) * m.cfg.TreeNodeCost
 	m.stats.Faults.Add(1)
@@ -927,10 +931,9 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		m.mets.readFaults.Inc()
 	}
 	m.charge(sim.CatSignal, search)
-	if v == nil {
+	if b == nil {
 		return errUnsharedFault(f.Addr)
 	}
-	b := v.(*Block)
 	b.obj.counters.faults.Add(1)
 	if f.Access == hostmmu.AccessWrite {
 		b.obj.counters.writeFaults.Add(1)
@@ -1470,15 +1473,14 @@ func (m *Manager) eachObject(f func(o *Object)) {
 	}
 }
 
-// eachInvokeObject visits the objects affected by the in-flight kernel
-// invocation: those bound to the kernel, or unbound (used by all kernels).
-// Each callback runs under the object's lock; objects freed since the
-// snapshot are skipped.
-func (m *Manager) eachInvokeObject(f func(o *Object)) {
-	kernel := m.invokeKernel
+// eachInvokeObject visits the objects a release or acquire sweep for the
+// given kernels affects: those bound to any of them, or unbound (used by
+// all kernels). Each callback runs under the object's lock; objects freed
+// since the snapshot are skipped.
+func (m *Manager) eachInvokeObject(kernels []string, f func(o *Object)) {
 	m.eachObject(func(o *Object) {
 		o.mu.Lock()
-		if !o.dead && o.UsedBy(kernel) {
+		if !o.dead && slices.ContainsFunc(kernels, o.UsedBy) {
 			f(o)
 		}
 		o.mu.Unlock()

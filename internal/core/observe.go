@@ -113,12 +113,16 @@ func snapshotObject(o *Object) ObjectSnapshot {
 // SnapshotObjects returns the live objects' static facts and counters plus
 // the most recently freed objects' final rows, ranked by fault/transfer
 // traffic (heaviest first). It is safe to call from any goroutine while
-// the run is in flight: the indexes are mutated only under introMu on
-// alloc/free, and the per-object counters are atomic.
+// the run is in flight: the live objects come from a registry snapshot, the
+// retired ring is guarded by introMu, and the per-object counters are
+// atomic. Free retires an object's row before unregistering it and the
+// live set is read first here, so an object freed meanwhile may show up
+// both live and freed, but never as neither.
 func (m *Manager) SnapshotObjects() []ObjectSnapshot {
+	live := m.reg.snapshot()
 	m.introMu.Lock()
-	out := make([]ObjectSnapshot, 0, len(m.intro)+len(m.retired))
-	for _, o := range m.intro {
+	out := make([]ObjectSnapshot, 0, len(live)+len(m.retired))
+	for _, o := range live {
 		out = append(out, snapshotObject(o))
 	}
 	out = append(out, m.retired...)
@@ -132,17 +136,9 @@ func (m *Manager) SnapshotObjects() []ObjectSnapshot {
 	return out
 }
 
-// introAdd registers o with the introspection index.
-func (m *Manager) introAdd(o *Object) {
+// introRetire appends o's final row to the retired ring.
+func (m *Manager) introRetire(o *Object) {
 	m.introMu.Lock()
-	m.intro[o.addr] = o
-	m.introMu.Unlock()
-}
-
-// introRemove moves o from the live index to the retired ring.
-func (m *Manager) introRemove(o *Object) {
-	m.introMu.Lock()
-	delete(m.intro, o.addr)
 	s := snapshotObject(o)
 	s.Freed = true
 	m.retired = append(m.retired, s)

@@ -120,7 +120,7 @@ func (m *Manager) releaseAll(ih *invokeHints) error {
 		}
 	}
 	var err error
-	m.eachInvokeObject(func(o *Object) {
+	m.eachInvokeObject([]string{m.invokeKernel}, func(o *Object) {
 		if err != nil || o.degraded.Load() {
 			return
 		}
@@ -239,17 +239,22 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 	return nil
 }
 
-// acquireAll runs the acquire actions after kernel completion. Under the
+// acquireAll runs the acquire actions after kernel completion, on the
+// objects used by any kernel launched since the previous Sync: several
+// asynchronous calls may share one Sync, and a Sync with nothing launched
+// before it must not re-fetch objects over the host's writes. Under the
 // default modes only batch-update has acquire work, so the sweep is skipped
 // entirely — with zero allocations — unless the configured protocol is
 // batch-update or some object carries a non-default access mode. The caller
 // holds callMu.
 func (m *Manager) acquireAll() error {
-	if m.cfg.Protocol != BatchUpdate && m.moded.Load() == 0 {
+	launched := m.launched
+	m.launched = m.launched[:0]
+	if len(launched) == 0 || (m.cfg.Protocol != BatchUpdate && m.moded.Load() == 0) {
 		return nil
 	}
 	var err error
-	m.eachInvokeObject(func(o *Object) {
+	m.eachInvokeObject(launched, func(o *Object) {
 		if err != nil || o.degraded.Load() {
 			return
 		}

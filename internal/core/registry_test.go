@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -35,6 +36,128 @@ func TestRegShardMaskCoversEveryGranule(t *testing.T) {
 	}
 }
 
+// TestSpanSet walks the span set through its edit and lookup contract:
+// what insert rejects, what remove matches, what find reports and charges.
+func TestSpanSet(t *testing.T) {
+	type step struct {
+		op   byte     // 'i' insert, 'r' remove, 'f' find
+		addr mem.Addr // first span's start / range start / probe address
+		size int64    // bytes per span / range length
+		n    int      // 'i': spans in the run (0 means 1)
+		want int64    // 'i': 1 if rejected; 'r': spans removed; 'f': start of the span found, 0 for none
+	}
+	var fill, drain, pages []step
+	for i := 0; i < 500; i++ {
+		fill = append(fill, step{op: 'i', addr: mem.Addr(0x100 + i*0x100), size: 0x100})
+		drain = append(drain, step{op: 'r', addr: mem.Addr(0x100 + i*0x100), size: 0x100, want: 1})
+	}
+	for i := 1023; i >= 0; i-- { // descending: every insert lands at the front
+		pages = append(pages, step{op: 'i', addr: mem.Addr(0x1000 + i*0x1000), size: 0x1000})
+	}
+	cases := []struct {
+		name    string
+		steps   []step
+		wantLen int
+	}{
+		{"insert-lookup", []step{
+			{op: 'i', addr: 0x1000, size: 0x100},
+			{op: 'i', addr: 0x3000, size: 0x100},
+			{op: 'i', addr: 0x2000, size: 0x100},
+			{op: 'f', addr: 0x1080, want: 0x1000}, // interior
+			{op: 'f', addr: 0x10ff, want: 0x1000}, // last byte
+			{op: 'f', addr: 0x1100},               // one past the end
+			{op: 'f', addr: 0x2000, want: 0x2000}, // start
+			{op: 'f', addr: 0x5000},               // outside
+		}, 3},
+		{"overlap-rejected-against-either-neighbour", []step{
+			{op: 'i', addr: 0x1000, size: 0x1000},
+			{op: 'i', addr: 0x1800, size: 0x100, want: 1},      // inside
+			{op: 'i', addr: 0x0800, size: 0x1000, want: 1},     // straddles the start of the span after it
+			{op: 'i', addr: 0x1fff, size: 0x10, want: 1},       // straddles the end of the span before it
+			{op: 'i', addr: 0x1000, size: 0x1000, want: 1},     // exact duplicate
+			{op: 'i', addr: 0x2000, size: 0x100},               // adjacent above is fine
+			{op: 'i', addr: 0x0f00, size: 0x100},               // adjacent below is fine
+			{op: 'i', addr: 0x0e00, size: 0x80, n: 3, want: 1}, // a run whose tail reaches 0x0f00
+		}, 3},
+		{"size-rejected", []step{
+			{op: 'i', addr: 0x1000, size: 0, want: 1},
+			{op: 'i', addr: 0x1000, size: -8, want: 1},
+			{op: 'f', addr: 0x1000}, // the empty set still charges one probe
+		}, 0},
+		{"remove-by-exact-start", []step{
+			{op: 'i', addr: 0x1000, size: 0x100},
+			{op: 'i', addr: 0x2000, size: 0x100},
+			{op: 'r', addr: 0x1000, size: 0x100, want: 1},
+			{op: 'r', addr: 0x1000, size: 0x100}, // already gone
+			{op: 'r', addr: 0x2080, size: 0x80},  // an interior address matches nothing
+			{op: 'f', addr: 0x1050},
+			{op: 'f', addr: 0x2050, want: 0x2000},
+		}, 1},
+		{"run-splice-and-range-remove", []step{
+			{op: 'i', addr: 0x1000, size: 0x100},
+			{op: 'i', addr: 0x9000, size: 0x100},
+			{op: 'i', addr: 0x4000, size: 0x1000, n: 4}, // one object's four blocks
+			{op: 'f', addr: 0x6fff, want: 0x6000},
+			{op: 'r', addr: 0x4000, size: 0x4000, want: 4},
+			{op: 'f', addr: 0x6fff},
+			{op: 'f', addr: 0x9000, want: 0x9000},
+		}, 2},
+		{"in-order-walk", []step{
+			{op: 'i', addr: 0x5000, size: 0x100},
+			{op: 'i', addr: 0x1000, size: 0x100},
+			{op: 'i', addr: 0x3000, size: 0x100},
+			{op: 'i', addr: 0x2000, size: 0x100},
+			{op: 'i', addr: 0x4000, size: 0x100},
+		}, 5},
+		{"delete-all", append(fill, drain...), 0},
+		{"probe-count", append(pages,
+			step{op: 'f', addr: 0x200500, want: 0x200000},
+			step{op: 'f', addr: 0x1000_0000},
+		), 1024},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var sh regShard // lends its mutex to the set under test
+			var set spanSet[mem.Addr]
+			for i, st := range c.steps {
+				switch st.op {
+				case 'i':
+					run := make([]span[mem.Addr], max(st.n, 1))
+					for j := range run {
+						start := st.addr + mem.Addr(int64(j)*st.size)
+						run[j] = span[mem.Addr]{start, start + mem.Addr(st.size), &start}
+					}
+					if err := set.insert(run); (err != nil) != (st.want == 1) {
+						t.Fatalf("step %d: insert [%#x,+%d)x%d: err = %v", i, uint64(st.addr), st.size, len(run), err)
+					}
+				case 'r':
+					if got := set.remove(st.addr, st.addr+mem.Addr(st.size)); int64(got) != st.want {
+						t.Fatalf("step %d: remove [%#x,+%d) removed %d spans, want %d", i, uint64(st.addr), st.size, got, st.want)
+					}
+				case 'f':
+					got, probes := set.find(&sh, st.addr)
+					if (got == nil) != (st.want == 0) || got != nil && int64(*got) != st.want {
+						t.Fatalf("step %d: find(%#x) = %v, want span at %#x", i, uint64(st.addr), got, st.want)
+					}
+					// A binary search of n spans probes at most ceil(log2(n+1)) of them.
+					if n := len(set.spans); probes < 1 || probes > int64(max(1, bits.Len(uint(n)))) {
+						t.Fatalf("step %d: find(%#x) charged %d probes over %d spans", i, uint64(st.addr), probes, n)
+					}
+				}
+			}
+			if len(set.spans) != c.wantLen {
+				t.Fatalf("set holds %d spans, want %d", len(set.spans), c.wantLen)
+			}
+			for i := 1; i < len(set.spans); i++ {
+				if set.spans[i].addr < set.spans[i-1].end {
+					t.Fatalf("spans out of order at %d: %#x after %#x", i,
+						uint64(set.spans[i].addr), uint64(set.spans[i-1].end))
+				}
+			}
+		})
+	}
+}
+
 // TestRegistryConcurrentLanes hammers the registry from several goroutines —
 // disjoint per-lane address ranges, each lane inserting, looking up and
 // removing its own objects while every lane also probes the others' ranges —
@@ -66,7 +189,7 @@ func TestRegistryConcurrentLanes(t *testing.T) {
 					return
 				}
 				mine = append(mine, o)
-				// Re-read everything inserted so far through the RCU path.
+				// Re-read everything inserted so far through the lock-free path.
 				for j, p := range mine {
 					if got := reg.objectAt(p.addr + objSize/2); got != p {
 						t.Errorf("lane %d: objectAt(obj %d) = %v, want %v", l, j, got, p)
@@ -101,12 +224,11 @@ func TestRegistryConcurrentLanes(t *testing.T) {
 	}
 }
 
-// TestIndexRebuildStorm is the regression test for unbounded snapshot
-// rebuilds: before the single-flight generation backoff, every goroutine
-// that lost the publish race rebuilt the whole snapshot again, so a lookup
-// storm after an Alloc caused O(goroutines × lookups) rebuilds. Now at most
-// one rebuild per (shard, index, generation) publishes; losers fall back to
-// a direct tree search of that one lookup.
+// TestIndexRebuildStorm is the regression test for unbounded republishing:
+// a lookup storm after an Alloc must clone each touched span set once — the
+// first reader to find no clone publishes it under the shard mutex, and
+// everyone queued behind it re-checks and reuses that clone — not once per
+// goroutine or per lookup.
 func TestIndexRebuildStorm(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	const nObjs = 8
@@ -136,15 +258,14 @@ func TestIndexRebuildStorm(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
-	// The allocations above invalidated each touched shard's two indexes
-	// once; the storm may rebuild each at most once per generation. With
-	// no churn during the storm, the ceiling is one rebuild per index per
+	// The allocations above dropped each touched shard's two clones; with
+	// no churn during the storm, the ceiling is one clone per set per
 	// shard — not per goroutine, not per lookup.
 	delta := r.mgr.IndexRebuilds() - before
 	if max := int64(2 * regShards); delta > max {
-		t.Fatalf("lookup storm caused %d snapshot rebuilds, want <= %d", delta, max)
+		t.Fatalf("lookup storm published %d clones, want <= %d", delta, max)
 	}
 	if delta == 0 {
-		t.Fatal("storm hit no rebuild at all; test is not exercising the slow path")
+		t.Fatal("storm published no clone at all; test is not exercising the slow path")
 	}
 }

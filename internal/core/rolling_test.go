@@ -109,8 +109,8 @@ func TestRollingCacheProperties(t *testing.T) {
 					rc.onAlloc()
 				default:
 					_ = rc.Len()
+					capMu.Lock() // before the read: readers must compare in the order they read
 					c := rc.Capacity()
-					capMu.Lock()
 					if c < lastCap {
 						t.Errorf("capacity shrank: %d after %d", c, lastCap)
 					}

@@ -257,7 +257,8 @@ func TestRingReset(t *testing.T) {
 }
 
 // TestRingConcurrent hammers the ring from many goroutines while snapshots
-// run; correctness here is "no race, no torn op, snapshot ordered by seq".
+// run; correctness here is "no race, no torn op, Total exact, and every
+// slot left holding one distinct op".
 // Run under -race for the interesting guarantee.
 func TestRingConcurrent(t *testing.T) {
 	r := NewRing(1 << 10)
@@ -297,8 +298,32 @@ func TestRingConcurrent(t *testing.T) {
 	if got := r.Total(); got != writers*perWriter {
 		t.Fatalf("Total = %d, want %d", got, writers*perWriter)
 	}
-	if c := r.Collisions(); c > writers {
-		t.Fatalf("implausible collision count %d", c)
+	// With the writers done, every slot holds one whole op. A writer
+	// pre-empted mid-store is lapped many times and each lap drops one op,
+	// so the collision count depends on scheduling: it is logged, and only
+	// its consistency with Total is checked.
+	for i := range r.slots {
+		// A seq that maps back to its own slot is unique across slots.
+		seq := r.slots[i].seq.Load()
+		if seq == 0 || seq > r.Total() || (seq-1)&r.mask != uint64(i) {
+			t.Fatalf("slot %d holds seq %d (Total %d)", i, seq, r.Total())
+		}
+	}
+	ops := r.Ops()
+	if len(ops) != len(r.slots) {
+		t.Fatalf("%d ops survive in a quiescent ring of %d slots", len(ops), len(r.slots))
+	}
+	ids := make(map[int64]bool, len(ops))
+	for _, op := range ops {
+		if op.Size != int64(op.Mgr)*perWriter+int64(op.Obj) || ids[op.Size] {
+			t.Fatalf("torn or duplicated op: %+v", op)
+		}
+		ids[op.Size] = true
+	}
+	c := r.Collisions()
+	t.Logf("%d collisions in %d records", c, r.Total())
+	if uint64(len(ops))+c > r.Total() {
+		t.Fatalf("%d surviving ops + %d collisions exceed Total %d", len(ops), c, r.Total())
 	}
 }
 
