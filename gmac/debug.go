@@ -48,8 +48,10 @@ type Snapshot struct {
 	Breakdown       map[sim.Category]sim.Time `json:"breakdown"`
 }
 
-// Snapshot captures the context's current state. Call it from the
-// goroutine driving the context (it reads the plain Stats counters).
+// Snapshot captures the context's current state. Every piece is safe to
+// read from any goroutine (the Stats counters are atomics), but the pieces
+// are read one after another and Time is the calling goroutine's lane
+// clock, so only the goroutine driving the context gets a consistent cut.
 func (c *Context) Snapshot() Snapshot {
 	return Snapshot{
 		Protocol:        c.mgr.Protocol().String(),

@@ -377,7 +377,7 @@ func (d *Device) MemcpyD2HAsync(dst []byte, src mem.Addr) sim.Completion {
 // TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync; see
 // TryMemcpyH2DAsync for the failure semantics (here KindCorrupt scribbles
 // the host destination buffer). It is on the demand-fetch hot path
-// (fetchBlockSync), so the fault-only branches format through cold
+// (fetchRunSync), so the fault-only branches format through cold
 // helpers.
 //
 //adsm:noalloc

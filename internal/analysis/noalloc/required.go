@@ -13,7 +13,6 @@ var requiredAnnotations = map[string][]string{
 		"(*Manager).handleFault",
 		"(*Manager).blockAt",
 		"(*Manager).objectAt",
-		"(*Manager).fetchBlockSync",
 		"(*Manager).fetchRunSync",
 		"(*Manager).faultRunLen",
 		"(*Manager).setProt",
@@ -24,7 +23,8 @@ var requiredAnnotations = map[string][]string{
 		"(*spanSet).find",
 		"(*rollingCache).push",
 		"resolveFault",
-		"(*Manager).record",
+		"(*Manager).emit",
+		"(*statsCounters).apply",
 	},
 	"repro/internal/sim": {
 		"(*Breakdown).Add",

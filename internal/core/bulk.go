@@ -32,7 +32,7 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 	if o.dead {
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpBulkRead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
+	m.emit(oplog.Op{Kind: oplog.OpBulkRead, Addr: addr, Size: int64(len(dst))}, o)
 	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
 		// Batch (and degraded objects) keep the host copy authoritative
 		// between kernel calls.
@@ -61,7 +61,7 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 				// cannot be satisfied.
 				return m.escalateLocked(o, "bulk read", err)
 			}
-			m.recordD2H(o, n)
+			m.emit(oplog.Op{Kind: oplog.OpFetch, Addr: addr, Size: n}, o)
 		} else {
 			o.mapping.Space.Read(addr, dst[:n])
 		}
@@ -86,7 +86,7 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 		o.mu.Unlock()
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpBulkWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
+	m.emit(oplog.Op{Kind: oplog.OpBulkWrite, Addr: addr, Size: int64(len(src))}, o)
 	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
 		// The host copy is authoritative (re-sent wholesale at the next
 		// invoke under batch; never transferred again when degraded).
@@ -121,7 +121,7 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 				m.drainEvictions()
 				return werr
 			}
-			m.recordH2D(o, n)
+			m.emit(oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: addr, Size: n}, o)
 			// Leave the rolling bookkeeping consistent: the block is no
 			// longer dirty on the host.
 			m.rolling.forgetBlock(b)
@@ -154,7 +154,7 @@ func (m *Manager) BulkSet(addr mem.Addr, val byte, n int64) error {
 		o.mu.Unlock()
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpBulkSet, Obj: o.seq, Addr: addr, Size: n, Arg: int64(val)})
+	m.emit(oplog.Op{Kind: oplog.OpBulkSet, Addr: addr, Size: n, Arg: int64(val)}, o)
 	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
 		o.mapping.Space.Memset(addr, val, n)
 		o.mu.Unlock()

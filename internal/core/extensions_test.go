@@ -237,6 +237,40 @@ func TestVirtualMemoryManyObjects(t *testing.T) {
 	}
 }
 
+// TestVirtualMemoryAllocMapVAFailureReleases: when the device refuses the
+// virtual mapping, Alloc must give back the host mapping and the device
+// memory it had already taken.
+func TestVirtualMemoryAllocMapVAFailureReleases(t *testing.T) {
+	r := newVMRig(t, defaultCfg(LazyUpdate))
+	const size = 256 << 10
+	// MapAnywhere is next-fit, so the host range Alloc will pick starts
+	// where a probe mapping ends; occupy it in the device page table.
+	probe, err := r.va.MapAnywhere(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.va.Unmap(probe.Addr); err != nil {
+		t.Fatal(err)
+	}
+	phys, err := r.dev.Malloc(testPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.dev.MapVA(probe.Addr+size, phys, testPage); err != nil {
+		t.Fatal(err)
+	}
+	mappings, allocs := r.va.Mappings(), r.dev.LiveAllocs()
+	if _, err := r.mgr.Alloc(size); err == nil {
+		t.Fatal("Alloc succeeded over a conflicting device VA mapping")
+	}
+	if got := r.va.Mappings(); got != mappings {
+		t.Errorf("host mappings = %d after the failed Alloc, want %d", got, mappings)
+	}
+	if got := r.dev.LiveAllocs(); got != allocs {
+		t.Errorf("live device allocations = %d after the failed Alloc, want %d", got, allocs)
+	}
+}
+
 func TestPeerWriteReadRoundTrip(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	ptr, _ := r.mgr.Alloc(192 << 10) // 3 blocks

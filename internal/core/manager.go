@@ -176,7 +176,8 @@ type Manager struct {
 	reg     registry
 	rolling *rollingCache
 	// stats are the aggregate counters, one atomic per counter
-	// (statsCounters); per-object counters are atomic too.
+	// (statsCounters); per-object counters are atomic too. Both are folded
+	// from the op stream by emit (event.go).
 	stats statsCounters
 	// flushMu guards the eager-eviction double buffer: the completion
 	// times of the last two H2D transfers issued by flushRunEager
@@ -199,7 +200,7 @@ type Manager struct {
 	tracer *trace.Log
 	// spans is the optional span tracer; nil disables span recording.
 	spans *trace.Tracer
-	// mets are the cached metric-registry handles for the hot paths.
+	// mets are the cached histogram and gauge handles for the hot paths.
 	mets *metricSet
 	// id is the process-wide construction sequence number.
 	id int
@@ -225,13 +226,10 @@ type Manager struct {
 	rec    atomic.Pointer[oplog.Ring]
 	objSeq atomic.Uint32
 	// race is the optional online race detector (Config.RaceDetect), fed
-	// from record; nil when disabled so the hot path pays one nil check.
-	// racesDetected mirrors the detector's count for Stats (atomic — the
-	// detector reports under its own leaf lock in the hierarchy);
+	// from emit; nil when disabled so the hot path pays one nil check.
 	// raceDumped latches the one flight dump per manager.
-	race          *racecheck.Detector
-	racesDetected atomic.Int64
-	raceDumped    atomic.Bool
+	race       *racecheck.Detector
+	raceDumped atomic.Bool
 }
 
 // NewManager wires a manager to the host MMU, the host virtual address
@@ -256,8 +254,8 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		va:      va,
 		dev:     dev,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0, !cfg.DisableCoalescing),
-		mets:    newMetricSet(metrics.Default(), cfg.Protocol),
 	}
+	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
 	switch cfg.Protocol {
 	case BatchUpdate, LazyUpdate, RollingUpdate:
 	default:
@@ -272,12 +270,11 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 	return m, nil
 }
 
-// onRace reacts to each race the online detector reports: it bumps the
-// stats mirror and the metrics counter, and the first race triggers a
-// flight dump (gated by ADSM_FLIGHT_DIR like every auto dump).
+// onRace reacts to each race the online detector reports: it counts it,
+// and the first race triggers a flight dump (gated by ADSM_FLIGHT_DIR like
+// every auto dump).
 func (m *Manager) onRace(racecheck.Race) {
-	m.racesDetected.Add(1)
-	m.mets.races.Inc()
+	m.stats.RacesDetected.Add(1)
 	if m.raceDumped.CompareAndSwap(false, true) {
 		oplog.AutoDump("race-detected")
 	}
@@ -302,11 +299,7 @@ func (m *Manager) Protocol() ProtocolKind { return m.cfg.Protocol }
 func (m *Manager) Device() *accel.Device { return m.dev }
 
 // Stats returns a copy of the activity counters.
-func (m *Manager) Stats() Stats {
-	s := m.stats.load()
-	s.RacesDetected = m.racesDetected.Load()
-	return s
-}
+func (m *Manager) Stats() Stats { return m.stats.load() }
 
 // RollingCapacity returns the current rolling size (0 for other protocols).
 func (m *Manager) RollingCapacity() int { return m.rolling.Capacity() }
@@ -356,14 +349,6 @@ func (m *Manager) beginSpan(name, note string) trace.SpanID {
 func (m *Manager) endSpan(id trace.SpanID) {
 	if m.spans != nil && id != 0 {
 		m.spans.End(id, m.clock.Now())
-	}
-}
-
-// emit records a trace event if tracing is enabled.
-func (m *Manager) emit(e trace.Event) {
-	if m.tracer != nil {
-		e.At = m.clock.Now()
-		m.tracer.Append(e)
 	}
 }
 
@@ -475,7 +460,7 @@ func (m *Manager) alloc(spec AllocSpec) (mem.Addr, error) {
 			return 0, err
 		}
 		if err := m.dev.MapVA(mapping.Addr, devAddr, size); err != nil {
-			return 0, err
+			return 0, errors.Join(err, m.va.Unmap(mapping.Addr), m.dev.Free(devAddr))
 		}
 		o := &Object{addr: mapping.Addr, devAddr: mapping.Addr, size: size,
 			mapping: mapping, vm: true, vmPhys: devAddr,
@@ -566,16 +551,12 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 	if o.proto == RollingUpdate {
 		m.rollingObjs.Add(1)
 	}
-	m.stats.Allocs.Add(1)
-	m.mets.allocs.Inc()
-	m.emit(trace.Event{Kind: trace.EvAlloc, Addr: o.addr, Size: o.size})
 	var flags uint8
 	if o.safe {
 		flags = oplog.FlagSafe
 	}
-	m.record(oplog.Op{Kind: oplog.OpAlloc, Flags: flags, Obj: o.seq,
-		Addr: o.addr, Size: o.size, Arg: int64(o.mode),
-		Note: oplog.NoteID(kernelNote(o.kernels))})
+	m.emit(oplog.Op{Kind: oplog.OpAlloc, Flags: flags, Addr: o.addr, Size: o.size,
+		Arg: int64(o.mode), Note: oplog.NoteID(kernelNote(o.kernels))}, o)
 	return o.addr, nil
 }
 
@@ -636,10 +617,7 @@ func (m *Manager) Free(addr mem.Addr) error {
 	}
 	err := m.dev.Free(phys)
 	m.book(sim.CatCudaFree, m.clock.Now()-t0)
-	m.stats.Frees.Add(1)
-	m.mets.frees.Inc()
-	m.emit(trace.Event{Kind: trace.EvFree, Addr: o.addr, Size: o.size})
-	m.record(oplog.Op{Kind: oplog.OpFree, Obj: o.seq, Addr: o.addr, Size: o.size})
+	m.emit(oplog.Op{Kind: oplog.OpFree, Addr: o.addr, Size: o.size}, o)
 	return err
 }
 
@@ -798,15 +776,6 @@ func (m *Manager) InvokeHinted(kernel string, h CallHints, args ...uint64) error
 	return m.invoke(kernel, h, args)
 }
 
-// seqAt resolves an address to its object's stable sequence number for the
-// op stream (0 for unshared addresses).
-func (m *Manager) seqAt(addr mem.Addr) uint32 {
-	if o := m.objectAt(addr); o != nil {
-		return o.seq
-	}
-	return 0
-}
-
 // invoke dispatches a kernel. The hint addresses are recorded in argument
 // order — the resolved objectSet's map order is not reproducible.
 func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
@@ -824,26 +793,23 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 	}
 	sp := m.beginSpan("invoke", kernel)
 	defer m.endSpan(sp)
-	m.emit(trace.Event{Kind: trace.EvInvoke, Note: kernel})
 	var invokeFlags uint8
 	if h.Annotated {
 		invokeFlags = oplog.FlagAnnotated
 		for _, addr := range h.Writes {
-			m.record(oplog.Op{Kind: oplog.OpAnnotate, Obj: m.seqAt(addr), Addr: addr})
+			m.emit(oplog.Op{Kind: oplog.OpAnnotate, Addr: addr}, m.objectAt(addr))
 		}
 	}
 	for _, addr := range h.ReadOnly {
-		m.record(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead,
-			Obj: m.seqAt(addr), Addr: addr})
+		m.emit(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead, Addr: addr}, m.objectAt(addr))
 	}
 	for _, addr := range h.WriteOnly {
-		m.record(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly,
-			Obj: m.seqAt(addr), Addr: addr})
+		m.emit(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly, Addr: addr}, m.objectAt(addr))
 	}
 	for _, a := range args {
-		m.record(oplog.Op{Kind: oplog.OpArg, Arg: int64(a)})
+		m.emit(oplog.Op{Kind: oplog.OpArg, Arg: int64(a)}, nil)
 	}
-	m.record(oplog.Op{Kind: oplog.OpInvoke, Flags: invokeFlags, Note: oplog.NoteID(kernel)})
+	m.emit(oplog.Op{Kind: oplog.OpInvoke, Flags: invokeFlags, Note: oplog.NoteID(kernel)}, nil)
 	m.invokeKernel = kernel
 	if !slices.Contains(m.launched, kernel) {
 		m.launched = append(m.launched, kernel)
@@ -869,8 +835,6 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 		// is gone. Objects degrade lazily at the next entry point.
 		err = m.escalateDevice("launch "+kernel, err)
 	}
-	m.stats.Invokes.Add(1)
-	m.mets.invokes.Inc()
 	return err
 }
 
@@ -884,12 +848,9 @@ func (m *Manager) Sync() error {
 	}
 	sp := m.beginSpan("sync", "")
 	defer m.endSpan(sp)
-	m.record(oplog.Op{Kind: oplog.OpSync})
+	m.emit(oplog.Op{Kind: oplog.OpSync}, nil)
 	stall := m.dev.Synchronize()
 	m.book(sim.CatGPU, stall)
-	m.stats.Syncs.Add(1)
-	m.mets.syncs.Inc()
-	m.emit(trace.Event{Kind: trace.EvSync})
 	return m.acquireAll()
 }
 
@@ -917,39 +878,18 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 	b, visits := m.blockAt(f.Addr)
 	m.mets.searchDepth.Observe(visits)
 	search := sim.Time(visits) * m.cfg.TreeNodeCost
-	m.stats.Faults.Add(1)
-	if f.Access == hostmmu.AccessWrite {
-		m.stats.WriteFaults.Add(1)
-	} else {
-		m.stats.ReadFaults.Add(1)
-	}
 	m.stats.SearchTime.Add(int64(search))
-	m.mets.faults.Inc()
-	if f.Access == hostmmu.AccessWrite {
-		m.mets.writeFaults.Inc()
-	} else {
-		m.mets.readFaults.Inc()
-	}
 	m.charge(sim.CatSignal, search)
+	op := oplog.Op{Kind: oplog.OpFault, Addr: f.Addr}
+	if f.Access == hostmmu.AccessWrite {
+		op.Flags = oplog.FlagWrite
+	}
 	if b == nil {
+		m.emit(op, nil)
 		return errUnsharedFault(f.Addr)
 	}
-	b.obj.counters.faults.Add(1)
-	if f.Access == hostmmu.AccessWrite {
-		b.obj.counters.writeFaults.Add(1)
-	} else {
-		b.obj.counters.readFaults.Add(1)
-	}
-	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFault, Addr: b.addr, Size: b.size,
-			Note: faultNote(f.Access, b.state)})
-	}
-	var faultFlags uint8
-	if f.Access == hostmmu.AccessWrite {
-		faultFlags = oplog.FlagWrite
-	}
-	m.record(oplog.Op{Kind: oplog.OpFault, Flags: faultFlags, Obj: b.obj.seq,
-		Addr: b.addr, Size: b.size, Arg: int64(b.state)})
+	op.Addr, op.Size, op.Arg = b.addr, b.size, int64(b.state)
+	m.emit(op, b.obj)
 	if err := m.checkModeFault(b, f.Access); err != nil {
 		return err
 	}
@@ -965,30 +905,6 @@ func errUnsharedFault(addr mem.Addr) error {
 	return fmt.Errorf("%w: fault at %#x", ErrNotShared, uint64(addr))
 }
 
-// faultNotes are the precomputed trace annotations for fault events, so the
-// traced path concatenates no strings (and the untraced path never reaches
-// here at all).
-var faultNotes = [2][3]string{
-	{"read in Invalid", "read in ReadOnly", "read in Dirty"},
-	{"write in Invalid", "write in ReadOnly", "write in Dirty"},
-}
-
-// faultNote resolves the note for a fault event: precomputed strings for
-// the in-range states, concatenation (cold, by design) for out-of-range
-// ones that only a corrupted state machine could produce.
-//
-//adsm:cold
-func faultNote(access hostmmu.Access, s State) string {
-	a := 0
-	if access == hostmmu.AccessWrite {
-		a = 1
-	}
-	if int(s) < len(faultNotes[a]) {
-		return faultNotes[a][s]
-	}
-	return access.String() + " in " + s.String()
-}
-
 // HostRead performs a CPU read of [addr, addr+len(dst)) through the MMU,
 // faulting and fetching as the protocol dictates, then copies the bytes.
 func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
@@ -999,9 +915,9 @@ func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
 	o.mu.Lock()
 	if o.dead {
 		o.mu.Unlock()
-		return fmt.Errorf("%w: access at %#x", ErrNotShared, uint64(addr))
+		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpHostRead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
+	m.emit(oplog.Op{Kind: oplog.OpHostRead, Addr: addr, Size: int64(len(dst))}, o)
 	if err := m.mmu.CheckRead(addr, int64(len(dst))); err != nil {
 		o.mu.Unlock()
 		return err
@@ -1026,9 +942,9 @@ func (m *Manager) HostWrite(addr mem.Addr, src []byte) error {
 	o.mu.Lock()
 	if o.dead {
 		o.mu.Unlock()
-		return fmt.Errorf("%w: access at %#x", ErrNotShared, uint64(addr))
+		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpHostWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
+	m.emit(oplog.Op{Kind: oplog.OpHostWrite, Addr: addr, Size: int64(len(src))}, o)
 	err = m.hostWriteLocked(o, addr, src)
 	o.mu.Unlock()
 	m.drainEvictions()
@@ -1069,13 +985,13 @@ func (m *Manager) HostBytes(addr mem.Addr, n int64, access hostmmu.Access) ([]by
 	o.mu.Lock()
 	if o.dead {
 		o.mu.Unlock()
-		return nil, fmt.Errorf("%w: access at %#x", ErrNotShared, uint64(addr))
+		return nil, errDead(addr)
 	}
 	var accFlags uint8
 	if access == hostmmu.AccessWrite {
 		accFlags = oplog.FlagWrite
 	}
-	m.record(oplog.Op{Kind: oplog.OpHostAccess, Flags: accFlags, Obj: o.seq, Addr: addr, Size: n})
+	m.emit(oplog.Op{Kind: oplog.OpHostAccess, Flags: accFlags, Addr: addr, Size: n}, o)
 	if access == hostmmu.AccessWrite {
 		err = m.mmu.CheckWrite(addr, n)
 	} else {
@@ -1186,11 +1102,7 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 			return m.escalateLocked(o, "flush", ferr)
 		}
 	}
-	m.recordH2D(o, size)
-	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFlush, Addr: first.addr, Size: size, Note: "eager"})
-	}
-	m.record(oplog.Op{Kind: oplog.OpFlush, Obj: o.seq, Addr: first.addr, Size: size})
+	m.emit(oplog.Op{Kind: oplog.OpFlush, Addr: first.addr, Size: size}, o)
 	return nil
 }
 
@@ -1215,64 +1127,33 @@ func (m *Manager) flushBlockSync(b *Block) error {
 			return m.escalateLocked(b.obj, "flush", ferr)
 		}
 	}
-	m.recordH2D(b.obj, b.size)
-	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFlush, Addr: b.addr, Size: b.size, Note: "sync"})
-	}
-	m.record(oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync,
-		Obj: b.obj.seq, Addr: b.addr, Size: b.size})
+	m.emit(oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: b.addr, Size: b.size}, b.obj)
 	return nil
 }
 
-// fetchBlockSync transfers a block from the accelerator to host memory,
-// stalling the CPU (the faulting access needs the data now). Faults are
-// retried — a corrupt attempt scribbles the host block, so the retry's
-// full-block copy must overwrite it — and escalate like flushBlockEager.
-// The caller holds b.obj.mu.
-//
-//adsm:noalloc
-func (m *Manager) fetchBlockSync(b *Block) error {
-	sp := m.beginSpan("fetch", "")
-	defer m.endSpan(sp)
-	for attempt := 0; ; attempt++ {
-		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyD2H(b.hostBytes(), b.devAddr())
-		d := m.clock.Now() - t0
-		m.stats.D2HWait.Add(int64(d))
-		m.book(sim.CatCopy, d)
-		if terr == nil {
-			break
-		}
-		again, ferr := m.retryStep(sim.CatCopy, "fetch", attempt, terr)
-		if !again {
-			return m.escalateLocked(b.obj, "fetch", ferr)
-		}
-	}
-	m.recordD2H(b.obj, b.size)
-	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFetch, Addr: b.addr, Size: b.size})
-	}
-	m.record(oplog.Op{Kind: oplog.OpFetch, Obj: b.obj.seq, Addr: b.addr, Size: b.size})
-	return nil
-}
-
-// fetchRunSync is fetchBlockSync over n consecutive Invalid blocks with a
-// single DMA transfer: the span-fault service that mirrors eviction
-// coalescing on the fetch side. One stall, one recorded transfer of the
-// run's total bytes, one OpFetch carrying the block count in Arg. Retries
-// re-copy the whole run (a corrupt attempt scribbles the host span) and
-// escalate like fetchBlockSync. The caller holds first.obj.mu and has
-// verified every block of the run is StateInvalid.
+// fetchRunSync transfers n consecutive Invalid blocks from the accelerator
+// to host memory with a single DMA, stalling the CPU (the faulting access
+// needs the data now): one block for a plain fault, the whole run for the
+// span-fault service that mirrors eviction coalescing on the fetch side.
+// One stall, one OpFetch of the run's total bytes, carrying the block count
+// in Arg when it is a batch (n > 1). Faults are retried — a corrupt attempt
+// scribbles the host span, so the retry's full copy must overwrite it — and
+// escalate like flushBlockEager. The caller holds first.obj.mu and, for a
+// batch, has verified every block of the run is StateInvalid.
 //
 //adsm:noalloc
 func (m *Manager) fetchRunSync(first *Block, n int) error {
-	sp := m.beginSpan("fetch", "run")
-	defer m.endSpan(sp)
 	o := first.obj
-	size := runSize(first, n)
+	op := oplog.Op{Kind: oplog.OpFetch, Addr: first.addr, Size: runSize(first, n)}
+	note := ""
+	if n > 1 {
+		op.Arg, note = int64(n), "run"
+	}
+	sp := m.beginSpan("fetch", note)
+	defer m.endSpan(sp)
 	for attempt := 0; ; attempt++ {
 		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyD2H(o.mapping.Space.Bytes(first.addr, size), first.devAddr())
+		_, terr := m.dev.TryMemcpyD2H(o.mapping.Space.Bytes(first.addr, op.Size), first.devAddr())
 		d := m.clock.Now() - t0
 		m.stats.D2HWait.Add(int64(d))
 		m.book(sim.CatCopy, d)
@@ -1284,41 +1165,8 @@ func (m *Manager) fetchRunSync(first *Block, n int) error {
 			return m.escalateLocked(o, "fetch", ferr)
 		}
 	}
-	m.recordD2H(o, size)
-	m.stats.FaultBatches.Add(1)
-	m.stats.PrefetchedBlocks.Add(int64(n - 1))
-	m.mets.faultBatches.Inc()
-	m.mets.prefetchedBlocks.Add(int64(n - 1))
-	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvFetch, Addr: first.addr, Size: size, Note: "run"})
-	}
-	m.record(oplog.Op{Kind: oplog.OpFetch, Obj: o.seq, Addr: first.addr, Size: size, Arg: int64(n)})
+	m.emit(op, o)
 	return nil
-}
-
-// recordH2D books one host-to-device transfer of n bytes against the
-// manager totals, the metrics registry, and the owning object.
-func (m *Manager) recordH2D(o *Object, n int64) {
-	m.stats.BytesH2D.Add(n)
-	m.stats.TransfersH2D.Add(1)
-	m.mets.bytesH2D.Add(n)
-	m.mets.transfersH2D.Inc()
-	if o != nil {
-		o.counters.bytesH2D.Add(n)
-		o.counters.transfersH2D.Add(1)
-	}
-}
-
-// recordD2H books one device-to-host transfer of n bytes.
-func (m *Manager) recordD2H(o *Object, n int64) {
-	m.stats.BytesD2H.Add(n)
-	m.stats.TransfersD2H.Add(1)
-	m.mets.bytesD2H.Add(n)
-	m.mets.transfersD2H.Inc()
-	if o != nil {
-		o.counters.bytesD2H.Add(n)
-		o.counters.transfersD2H.Add(1)
-	}
 }
 
 // --- cross-object eviction machinery ---
@@ -1330,24 +1178,6 @@ func (m *Manager) recordD2H(o *Object, n int64) {
 type evictRun struct {
 	first *Block
 	n     int
-}
-
-// noteEviction books a run of rolling-cache evictions (n blocks, one DMA)
-// against the victims' object and the manager totals. Evictions count
-// blocks, not transfers, so the counter stays comparable whether or not
-// coalescing is enabled.
-func (m *Manager) noteEviction(first *Block, n int) {
-	m.stats.Evictions.Add(int64(n))
-	m.mets.evictions.Add(int64(n))
-	first.obj.counters.evictions.Add(int64(n))
-	m.record(oplog.Op{Kind: oplog.OpEvict, Obj: first.obj.seq,
-		Addr: first.addr, Size: runSize(first, n), Arg: int64(n)})
-	if m.tracer != nil {
-		for i := 0; i < n; i++ {
-			b := first.obj.blocks[first.index+i]
-			m.emit(trace.Event{Kind: trace.EvEvict, Addr: b.addr, Size: b.size})
-		}
-	}
 }
 
 // flushEvicted writes a run of evicted rolling-cache victims back to the
@@ -1433,27 +1263,18 @@ func (m *Manager) drainEvictions() {
 // setProt changes a block's protection, charging the mprotect cost.
 //
 //adsm:noalloc
-func (m *Manager) setProt(b *Block, prot hostmmu.Prot) {
-	m.charge(sim.CatSignal, m.cfg.MprotectCost)
-	if err := m.mmu.Mprotect(b.addr, b.size, prot); err != nil {
-		// Blocks are always mapped while their object lives; failure here
-		// is a manager bug, not a recoverable condition.
-		mprotectFailed("block", err)
-	}
-}
+func (m *Manager) setProt(b *Block, prot hostmmu.Prot) { m.setProtRun(b, 1, prot) }
 
 // setProtRun changes the protection of n consecutive blocks with a single
 // mprotect call (one charge for the whole run).
 //
 //adsm:noalloc
 func (m *Manager) setProtRun(first *Block, n int, prot hostmmu.Prot) {
-	if n == 1 {
-		m.setProt(first, prot)
-		return
-	}
 	m.charge(sim.CatSignal, m.cfg.MprotectCost)
 	if err := m.mmu.Mprotect(first.addr, runSize(first, n), prot); err != nil {
-		mprotectFailed("block run", err)
+		// Blocks are always mapped while their object lives; failure here
+		// is a manager bug, not a recoverable condition.
+		mprotectFailed(err)
 	}
 }
 
@@ -1461,8 +1282,8 @@ func (m *Manager) setProtRun(first *Block, n int, prot hostmmu.Prot) {
 // off the //adsm:noalloc protection-change path.
 //
 //adsm:cold
-func mprotectFailed(what string, err error) {
-	panic(fmt.Sprintf("core: mprotect of live %s failed: %v", what, err))
+func mprotectFailed(err error) {
+	panic(fmt.Sprintf("core: mprotect of live block run failed: %v", err))
 }
 
 // eachObject visits live objects in address order. The registry is

@@ -7,7 +7,6 @@ import (
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
-	"repro/internal/trace"
 )
 
 // AccessMode declares how an object is accessed over its lifetime, in the
@@ -204,7 +203,7 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 		if b.state == StateInvalid && to == BatchUpdate {
 			// Batch-update has no protection to catch the next access, so
 			// Invalid blocks must be made host-valid on entry.
-			if err := m.fetchBlockSync(b); err != nil {
+			if err := m.fetchRunSync(b, 1); err != nil {
 				return err
 			}
 			b.state = StateReadOnly
@@ -234,13 +233,7 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 		m.rollingObjs.Add(1)
 	}
 	o.proto = to
-	m.stats.ModeMigrations.Add(1)
-	m.mets.modeMigrations.Inc()
-	m.record(oplog.Op{Kind: oplog.OpModeMigrate, Obj: o.seq, Addr: o.addr,
-		Size: o.size, Arg: int64(from)<<8 | int64(to)})
-	if m.tracer != nil {
-		m.emit(trace.Event{Kind: trace.EvTransition, Addr: o.addr, Size: o.size,
-			From: from.String(), To: to.String(), Note: "mode-migrate"})
-	}
+	m.emit(oplog.Op{Kind: oplog.OpModeMigrate, Addr: o.addr, Size: o.size,
+		Arg: int64(from)<<8 | int64(to)}, o)
 	return nil
 }

@@ -15,60 +15,54 @@ import (
 // of recent managers that lets a debug server find live runtimes without
 // any plumbing through the experiment harnesses.
 
-// metricSet caches the registry handles for one manager. Handles are
-// resolved once in NewManager; the record path is pure atomics. Counter
-// families that depend on protocol behaviour carry a {protocol=...} label
-// so runs under different protocols stay distinguishable; managers with
-// the same protocol share (aggregate into) the same metrics.
+// metricSet caches the registry handles one manager observes into
+// directly: the distributions and the gauge, which no op carries. The
+// adsm_*_total counter families are not here — newMetricSet wires each to
+// the Stats counter of the same meaning, whose every Add feeds it. Families
+// carry a {protocol=...} label so runs under different protocols stay
+// distinguishable; managers with the same protocol share (aggregate into)
+// the same metrics.
 type metricSet struct {
-	faults, readFaults, writeFaults *metrics.Counter
-	bytesH2D, bytesD2H              *metrics.Counter
-	transfersH2D, transfersD2H      *metrics.Counter
-	evictions                       *metrics.Counter
-	allocs, frees, invokes, syncs   *metrics.Counter
-	retries, retryGiveups           *metrics.Counter
-	degraded, deviceLost            *metrics.Counter
-	modeMigrations                  *metrics.Counter
-	fetchElisions, flushElisions    *metrics.Counter
-	faultBatches, prefetchedBlocks  *metrics.Counter
-	races                           *metrics.Counter
-
 	faultNs     *metrics.Histogram
 	searchDepth *metrics.Histogram
 	rollingOcc  *metrics.Gauge
 	rollingHist *metrics.Histogram
 }
 
-func newMetricSet(r *metrics.Registry, proto ProtocolKind) *metricSet {
+// newMetricSet resolves a manager's registry handles once, at construction:
+// the returned histograms and gauge, and the family of every published
+// counter of c — so the fold in event.go, or one of the direct exception
+// writes, moves Stats and /adsm/metrics together.
+func newMetricSet(r *metrics.Registry, proto ProtocolKind, c *statsCounters) *metricSet {
 	p := proto.String()
 	lbl := func(name string) string { return metrics.Label(name, "protocol", p) }
+	c.Faults.family = r.Counter(lbl("adsm_faults_total"))
+	c.ReadFaults.family = r.Counter(lbl("adsm_read_faults_total"))
+	c.WriteFaults.family = r.Counter(lbl("adsm_write_faults_total"))
+	c.BytesH2D.family = r.Counter(lbl("adsm_bytes_h2d_total"))
+	c.BytesD2H.family = r.Counter(lbl("adsm_bytes_d2h_total"))
+	c.TransfersH2D.family = r.Counter(lbl("adsm_transfers_h2d_total"))
+	c.TransfersD2H.family = r.Counter(lbl("adsm_transfers_d2h_total"))
+	c.Evictions.family = r.Counter(lbl("adsm_evictions_total"))
+	c.Allocs.family = r.Counter(lbl("adsm_allocs_total"))
+	c.Frees.family = r.Counter(lbl("adsm_frees_total"))
+	c.Invokes.family = r.Counter(lbl("adsm_invokes_total"))
+	c.Syncs.family = r.Counter(lbl("adsm_syncs_total"))
+	c.Retries.family = r.Counter(lbl("adsm_retries_total"))
+	c.RetryGiveups.family = r.Counter(lbl("adsm_retry_giveups_total"))
+	c.DegradedObjects.family = r.Counter(lbl("adsm_degraded_objects_total"))
+	c.DeviceLostEvents.family = r.Counter(lbl("adsm_device_lost_total"))
+	c.ModeMigrations.family = r.Counter(lbl("adsm_mode_migrations_total"))
+	c.FetchElisions.family = r.Counter(lbl("adsm_fetch_elisions_total"))
+	c.FlushElisions.family = r.Counter(lbl("adsm_flush_elisions_total"))
+	c.FaultBatches.family = r.Counter(lbl("adsm_fault_batches_total"))
+	c.PrefetchedBlocks.family = r.Counter(lbl("adsm_prefetched_blocks_total"))
+	c.RacesDetected.family = r.Counter(lbl("adsm_races_detected_total"))
 	return &metricSet{
-		faults:           r.Counter(lbl("adsm_faults_total")),
-		readFaults:       r.Counter(lbl("adsm_read_faults_total")),
-		writeFaults:      r.Counter(lbl("adsm_write_faults_total")),
-		bytesH2D:         r.Counter(lbl("adsm_bytes_h2d_total")),
-		bytesD2H:         r.Counter(lbl("adsm_bytes_d2h_total")),
-		transfersH2D:     r.Counter(lbl("adsm_transfers_h2d_total")),
-		transfersD2H:     r.Counter(lbl("adsm_transfers_d2h_total")),
-		evictions:        r.Counter(lbl("adsm_evictions_total")),
-		allocs:           r.Counter(lbl("adsm_allocs_total")),
-		frees:            r.Counter(lbl("adsm_frees_total")),
-		invokes:          r.Counter(lbl("adsm_invokes_total")),
-		syncs:            r.Counter(lbl("adsm_syncs_total")),
-		retries:          r.Counter(lbl("adsm_retries_total")),
-		retryGiveups:     r.Counter(lbl("adsm_retry_giveups_total")),
-		degraded:         r.Counter(lbl("adsm_degraded_objects_total")),
-		deviceLost:       r.Counter(lbl("adsm_device_lost_total")),
-		modeMigrations:   r.Counter(lbl("adsm_mode_migrations_total")),
-		fetchElisions:    r.Counter(lbl("adsm_fetch_elisions_total")),
-		flushElisions:    r.Counter(lbl("adsm_flush_elisions_total")),
-		faultBatches:     r.Counter(lbl("adsm_fault_batches_total")),
-		prefetchedBlocks: r.Counter(lbl("adsm_prefetched_blocks_total")),
-		races:            r.Counter(lbl("adsm_races_detected_total")),
-		faultNs:          r.Histogram(lbl("adsm_fault_service_ns"), metrics.LatencyBuckets),
-		searchDepth:      r.Histogram(lbl("adsm_search_depth_nodes"), metrics.DepthBuckets),
-		rollingOcc:       r.Gauge(lbl("adsm_rolling_occupancy")),
-		rollingHist:      r.Histogram(lbl("adsm_rolling_occupancy_blocks"), metrics.DepthBuckets),
+		faultNs:     r.Histogram(lbl("adsm_fault_service_ns"), metrics.LatencyBuckets),
+		searchDepth: r.Histogram(lbl("adsm_search_depth_nodes"), metrics.DepthBuckets),
+		rollingOcc:  r.Gauge(lbl("adsm_rolling_occupancy")),
+		rollingHist: r.Histogram(lbl("adsm_rolling_occupancy_blocks"), metrics.DepthBuckets),
 	}
 }
 

@@ -27,7 +27,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 	if o.dead {
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpIOWrite, Obj: o.seq, Addr: addr, Size: int64(len(src))})
+	m.emit(oplog.Op{Kind: oplog.OpIOWrite, Addr: addr, Size: int64(len(src))}, o)
 	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
 		// Batch (and degraded objects) keep the host copy authoritative;
 		// peer DMA cannot help.
@@ -79,7 +79,7 @@ func (m *Manager) PeerRead(addr mem.Addr, dst []byte) error {
 	if o.dead {
 		return errDead(addr)
 	}
-	m.record(oplog.Op{Kind: oplog.OpIORead, Obj: o.seq, Addr: addr, Size: int64(len(dst))})
+	m.emit(oplog.Op{Kind: oplog.OpIORead, Addr: addr, Size: int64(len(dst))}, o)
 	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
 		o.mapping.Space.Read(addr, dst)
 		return nil

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
+	"repro/internal/oplog"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -82,7 +83,8 @@ func (m *Manager) rollingFault(b *Block, access hostmmu.Access) error {
 	}
 	if b.state == StateDirty && !b.obj.degraded.Load() {
 		if victim, run := m.rolling.push(b); victim != nil {
-			m.noteEviction(victim, run)
+			m.emit(oplog.Op{Kind: oplog.OpEvict, Addr: victim.addr,
+				Size: runSize(victim, run), Arg: int64(run)}, victim.obj)
 			if victim.obj == b.obj {
 				// Same object: this fault already holds its lock. The run's
 				// blocks were just popped and cannot have been re-queued, so
@@ -271,7 +273,7 @@ func (m *Manager) acquireObject(o *Object) error {
 		// Replicated once: both copies are identical forever, so nothing
 		// travels. Under batch-update every block's return fetch is elided.
 		if o.proto == BatchUpdate {
-			m.noteFetchElisions(int64(len(o.blocks)))
+			m.stats.FetchElisions.Add(int64(len(o.blocks)))
 		}
 		return nil
 	}
@@ -284,7 +286,7 @@ func (m *Manager) acquireObject(o *Object) error {
 			for _, b := range o.blocks {
 				b.state = StateDirty
 			}
-			m.noteFetchElisions(int64(len(o.blocks)))
+			m.stats.FetchElisions.Add(int64(len(o.blocks)))
 			break
 		}
 		// Transfer every block of the call's scope back and mark it dirty,
@@ -292,7 +294,7 @@ func (m *Manager) acquireObject(o *Object) error {
 		// other kernels never went to the device for this call, so fetching
 		// them would clobber the host's authoritative copy.
 		for _, b := range o.blocks {
-			if err := m.fetchBlockSync(b); err != nil {
+			if err := m.fetchRunSync(b, 1); err != nil {
 				return err
 			}
 			b.state = StateDirty
@@ -329,7 +331,7 @@ func (m *Manager) sealReadOnly(o *Object) error {
 		case StateInvalid:
 			// Unreachable today — read-only objects are never invalidated —
 			// but fetch defensively so the seal never publishes stale bytes.
-			if err := m.fetchBlockSync(b); err != nil {
+			if err := m.fetchRunSync(b, 1); err != nil {
 				return err
 			}
 		case StateReadOnly:
@@ -353,29 +355,11 @@ func (m *Manager) invalidateUnflushed(o *Object) error {
 		}
 		b.state = StateInvalid
 	}
-	if elided > 0 {
-		m.noteFlushElisions(elided)
-	}
+	m.stats.FlushElisions.Add(elided)
 	if o.proto != BatchUpdate {
 		m.setProtObject(o, hostmmu.ProtNone)
 	}
 	return nil
-}
-
-// noteFetchElisions books n elided device-to-host block transfers: fetches
-// the object's access mode proved unnecessary.
-//
-//adsm:noalloc
-func (m *Manager) noteFetchElisions(n int64) {
-	m.stats.FetchElisions.Add(n)
-	m.mets.fetchElisions.Add(n)
-}
-
-// noteFlushElisions books n elided host-to-device block transfers: flushes
-// of dirty data a write-only declaration proved dead.
-func (m *Manager) noteFlushElisions(n int64) {
-	m.stats.FlushElisions.Add(n)
-	m.mets.flushElisions.Add(n)
 }
 
 // maxFaultRun caps a span-fault batch, mirroring maxEvictRun on the
@@ -438,32 +422,17 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 	switch b.state {
 	case StateInvalid:
 		if access == hostmmu.AccessWrite && b.obj.mode == ModeWriteOnly {
-			m.noteFetchElisions(1)
+			m.stats.FetchElisions.Add(1)
 			b.state = StateDirty
 			m.setProt(b, hostmmu.ProtReadWrite)
 			m.emitTransition(b, before)
 			return nil
 		}
+		// Fetch the Invalid run the streak detector sized (one block, or a
+		// span batch) in one DMA. Prefetched blocks land ReadOnly — both
+		// copies match, and the next CPU write still faults — while the
+		// faulting block itself transitions by access kind.
 		n := m.faultRunLen(b)
-		if n == 1 {
-			if err := m.fetchBlockSync(b); err != nil {
-				m.emitTransition(b, before)
-				return err
-			}
-			if access == hostmmu.AccessWrite {
-				b.state = StateDirty
-				m.setProt(b, hostmmu.ProtReadWrite)
-			} else {
-				b.state = StateReadOnly
-				m.setProt(b, hostmmu.ProtRead)
-			}
-			m.emitTransition(b, before)
-			return nil
-		}
-		// Span batch: fetch the whole Invalid run in one DMA. Prefetched
-		// blocks land ReadOnly — both copies match, and the next CPU write
-		// still faults — while the faulting block itself transitions by
-		// access kind exactly as the single-block path does.
 		if err := m.fetchRunSync(b, n); err != nil {
 			m.emitTransition(b, before)
 			return err
@@ -475,7 +444,9 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		if access == hostmmu.AccessWrite {
 			b.state = StateDirty
 			m.setProt(b, hostmmu.ProtReadWrite)
-			m.setProtRun(o.blocks[b.index+1], n-1, hostmmu.ProtRead)
+			if n > 1 {
+				m.setProtRun(o.blocks[b.index+1], n-1, hostmmu.ProtRead)
+			}
 		} else {
 			b.state = StateReadOnly
 			m.setProtRun(b, n, hostmmu.ProtRead)
@@ -520,6 +491,6 @@ func (m *Manager) emitTransition(b *Block, before State) {
 	if m.tracer == nil || b.state == before {
 		return
 	}
-	m.emit(trace.Event{Kind: trace.EvTransition, Addr: b.addr, Size: b.size,
-		From: before.String(), To: b.state.String()})
+	m.tracer.Append(trace.Event{At: m.clock.Now(), Kind: trace.EvTransition,
+		Addr: b.addr, Size: b.size, From: before.String(), To: b.state.String()})
 }

@@ -6,10 +6,10 @@
 // whole run for the record/replay workflow (cmd/adsmtrace -record,
 // gmacbench -record, the replay conformance tests).
 //
-// The record path runs inside the fault handler and the host-access fast
-// paths, so it is allocation-free: an op is a plain value, the rings store
-// it with atomic word writes, and all string context is interned ahead of
-// time (oplog.NoteID) on cold paths.
+// The record path (emit, event.go) runs inside the fault handler and the
+// host-access fast paths, so it is allocation-free: an op is a plain value,
+// the rings store it with atomic word writes, and all string context is
+// interned ahead of time (oplog.NoteID) on cold paths.
 
 package core
 
@@ -33,26 +33,8 @@ func init() {
 	})
 }
 
-// record stamps op with the current virtual time, this manager's id and the
-// calling goroutine's host lane, and appends it to the flight ring, the
-// capture ring (if capturing), and the online race detector (if enabled).
-//
-//adsm:noalloc
-func (m *Manager) record(op oplog.Op) {
-	op.At = m.clock.Now()
-	op.Mgr = uint16(m.id)
-	op.Lane = m.clock.LaneID()
-	oplog.Flight().Record(op)
-	if r := m.rec.Load(); r != nil {
-		r.Record(op)
-	}
-	if d := m.race; d != nil {
-		d.Feed(op)
-	}
-}
-
 // SetRecorder installs (or removes, with nil) a capture ring receiving
-// every op this manager records. The caller sizes the ring to the expected
+// every op this manager emits. The caller sizes the ring to the expected
 // run length; FinishOpLog fails if it wrapped.
 func (m *Manager) SetRecorder(r *oplog.Ring) {
 	if r != nil {

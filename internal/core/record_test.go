@@ -164,19 +164,29 @@ func TestFinishOpLogWithoutRecorder(t *testing.T) {
 	}
 }
 
-// TestRecordHotPathAllocs is the acceptance criterion: the manager's record
-// path — as called from the fault handler — must not allocate, with and
-// without a capture recorder installed.
+// TestRecordHotPathAllocs is the acceptance criterion: emit — the one
+// booking call, as made from the fault handler with the tracer off — must
+// not allocate, with and without a capture recorder installed, and with
+// the race detector off and on (the detector ignores derived ops).
 func TestRecordHotPathAllocs(t *testing.T) {
-	r := newRig(t, defaultCfg(RollingUpdate))
-	op := oplog.Op{Kind: oplog.OpFault, Flags: oplog.FlagWrite,
-		Obj: 3, Addr: 0x1234000, Size: 65536, Arg: int64(StateInvalid)}
-	if n := testing.AllocsPerRun(1000, func() { r.mgr.record(op) }); n != 0 {
-		t.Fatalf("record allocates %.1f times per op without a recorder, want 0", n)
-	}
-	r.mgr.EnableRecorder(1 << 12)
-	if n := testing.AllocsPerRun(1000, func() { r.mgr.record(op) }); n != 0 {
-		t.Fatalf("record allocates %.1f times per op with a recorder, want 0", n)
+	for _, detect := range []bool{false, true} {
+		cfg := defaultCfg(RollingUpdate)
+		cfg.RaceDetect = detect
+		r := newRig(t, cfg)
+		ptr, err := r.mgr.Alloc(64 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := r.mgr.ObjectAt(ptr)
+		op := oplog.Op{Kind: oplog.OpFault, Flags: oplog.FlagWrite,
+			Addr: ptr, Size: 65536, Arg: int64(StateInvalid)}
+		if n := testing.AllocsPerRun(1000, func() { r.mgr.emit(op, o) }); n != 0 {
+			t.Fatalf("detector %v: emit allocates %.1f times per op without a recorder, want 0", detect, n)
+		}
+		r.mgr.EnableRecorder(1 << 12)
+		if n := testing.AllocsPerRun(1000, func() { r.mgr.emit(op, o) }); n != 0 {
+			t.Fatalf("detector %v: emit allocates %.1f times per op with a recorder, want 0", detect, n)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/oplog"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // This file is the manager's fault-recovery policy, exercised by the chaos
@@ -81,8 +80,8 @@ func (m *Manager) retry(cat sim.Category, what string, op func() error) error {
 // backoff), or returns the error to propagate (wrapped when the budget is
 // exhausted). The transfer hot paths loop inline with retryStep instead of
 // passing a closure to retry, keeping the per-fault path free of func
-// values. Everything it books (charge, counters, record) runs only after
-// an injected fault, so the whole step is //adsm:cold.
+// values. Everything it does (charge, emit) runs only after an injected
+// fault, so the whole step is //adsm:cold.
 //
 //adsm:cold
 func (m *Manager) retryStep(cat sim.Category, what string, attempt int, err error) (again bool, _ error) {
@@ -90,19 +89,14 @@ func (m *Manager) retryStep(cat sim.Category, what string, attempt int, err erro
 		return false, err
 	}
 	if attempt >= m.maxRetries() {
-		m.stats.RetryGiveups.Add(1)
-		m.mets.retryGiveups.Inc()
-		m.record(oplog.Op{Kind: oplog.OpRetry, Flags: oplog.FlagGiveup,
-			Arg: int64(attempt), Note: oplog.NoteID(what)})
+		m.emit(oplog.Op{Kind: oplog.OpRetry, Flags: oplog.FlagGiveup,
+			Arg: int64(attempt), Note: oplog.NoteID(what)}, nil)
 		oplog.AutoDump("retry-giveup")
 		return false, fmt.Errorf("core: %s failed after %d retries: %w", what, attempt, err)
 	}
 	backoff := m.retryBase() << uint(attempt)
 	m.charge(cat, backoff)
-	m.stats.Retries.Add(1)
-	m.mets.retries.Inc()
-	m.emit(trace.Event{Kind: trace.EvRetry, Note: what})
-	m.record(oplog.Op{Kind: oplog.OpRetry, Arg: int64(attempt), Note: oplog.NoteID(what)})
+	m.emit(oplog.Op{Kind: oplog.OpRetry, Arg: int64(attempt), Note: oplog.NoteID(what)}, nil)
 	return true, nil
 }
 
@@ -111,12 +105,9 @@ func (m *Manager) markDeviceLost(cause error) {
 	if m.lost.Swap(true) {
 		return
 	}
-	m.stats.DeviceLostEvents.Add(1)
-	m.mets.deviceLost.Inc()
-	m.emit(trace.Event{Kind: trace.EvDeviceLost, Note: cause.Error()})
-	// Cause strings carry addresses and attempt counts — unbounded
-	// cardinality, so they are not interned into the note table.
-	m.record(oplog.Op{Kind: oplog.OpDeviceLost})
+	// The cause is interned as the op's note — once per manager, and the
+	// note table is bounded — so the flight dump names it.
+	m.emit(oplog.Op{Kind: oplog.OpDeviceLost, Note: oplog.NoteID(cause.Error())}, nil)
 	oplog.AutoDump("device-lost")
 }
 
@@ -138,10 +129,7 @@ func (m *Manager) degradeObjectLocked(o *Object) {
 		m.setProtObject(o, hostmmu.ProtReadWrite)
 	}
 	o.degraded.Store(true)
-	m.stats.DegradedObjects.Add(1)
-	m.mets.degraded.Inc()
-	m.emit(trace.Event{Kind: trace.EvDegrade, Addr: o.addr, Size: o.size})
-	m.record(oplog.Op{Kind: oplog.OpDegrade, Obj: o.seq, Addr: o.addr, Size: o.size})
+	m.emit(oplog.Op{Kind: oplog.OpDegrade, Addr: o.addr, Size: o.size}, o)
 }
 
 // degradeAll degrades every live object; called once the device is lost.

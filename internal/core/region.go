@@ -47,7 +47,6 @@ func (m *Manager) AcquireRegion(addrs ...mem.Addr) error {
 			return err
 		}
 	}
-	m.stats.RegionAcquires.Add(1)
 	return nil
 }
 
@@ -78,7 +77,6 @@ func (m *Manager) ReleaseRegion(addrs ...mem.Addr) error {
 			return err
 		}
 	}
-	m.stats.RegionReleases.Add(1)
 	return nil
 }
 
@@ -105,13 +103,13 @@ func (m *Manager) regionObjects(addrs []mem.Addr) ([]*Object, error) {
 	return objs, nil
 }
 
-// recordRegion records a region op: one OpRegionPtr per pointer, then the
+// recordRegion emits a region op: one OpRegionPtr per pointer, then the
 // scope op carrying the pointer count.
 func (m *Manager) recordRegion(kind oplog.Kind, addrs []mem.Addr) {
 	for _, addr := range addrs {
-		m.record(oplog.Op{Kind: oplog.OpRegionPtr, Obj: m.seqAt(addr), Addr: addr})
+		m.emit(oplog.Op{Kind: oplog.OpRegionPtr, Addr: addr}, m.objectAt(addr))
 	}
-	m.record(oplog.Op{Kind: kind, Arg: int64(len(addrs))})
+	m.emit(oplog.Op{Kind: kind, Arg: int64(len(addrs))}, nil)
 }
 
 // acquireRegionObject fetches o's Invalid blocks so the host copy is valid.
@@ -120,16 +118,14 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 	if o.mode == ModeWriteOnly {
 		// The host never reads o: fetching would DMA data the host is about
 		// to overwrite.
-		if n := int64(o.countState(StateInvalid)); n > 0 {
-			m.noteFetchElisions(n)
-		}
+		m.stats.FetchElisions.Add(int64(o.countState(StateInvalid)))
 		return nil
 	}
 	for _, b := range o.blocks {
 		if b.state != StateInvalid {
 			continue
 		}
-		if err := m.fetchBlockSync(b); err != nil {
+		if err := m.fetchRunSync(b, 1); err != nil {
 			return err
 		}
 		if o.proto == BatchUpdate {

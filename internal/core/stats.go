@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -66,6 +67,24 @@ type Stats struct {
 	RacesDetected int64
 }
 
+// counter is one Stats counter: the manager's own count and, for the
+// counters published as adsm_*_total{protocol=...} families (newMetricSet,
+// in observe.go), the process-wide family every Add also feeds. A nil family
+// is an unpublished counter — and the zero statsCounters is a valid
+// accumulator, which is how tests fold a recorded stream.
+type counter struct {
+	v      atomic.Int64
+	family *metrics.Counter
+}
+
+// Add adds n to the counter and to the family it is published under.
+func (c *counter) Add(n int64) {
+	c.v.Add(n)
+	if c.family != nil {
+		c.family.Add(n)
+	}
+}
+
 // statsCounters is the lock-free backing store for Stats: one atomic per
 // counter, field names identical to Stats so load can copy by name. The
 // mutation sites sit on the fault hot path of every concurrent lane, so a
@@ -73,35 +92,37 @@ type Stats struct {
 // registry lets proceed in parallel; plain atomic adds keep the counters
 // race-free with no critical section at all. TestStatsCountersParity pins
 // the field-name correspondence (and load panics on any divergence, so a
-// counter added to one struct but not the other cannot ship).
+// counter added to one struct but not the other cannot ship). The event
+// counters are written only by apply (event.go), the fold over the op
+// stream.
 type statsCounters struct {
-	BytesH2D, BytesD2H         atomic.Int64
-	TransfersH2D, TransfersD2H atomic.Int64
+	BytesH2D, BytesD2H         counter
+	TransfersH2D, TransfersD2H counter
 
-	Faults, ReadFaults, WriteFaults atomic.Int64
+	Faults, ReadFaults, WriteFaults counter
 
-	Evictions atomic.Int64
+	Evictions counter
 
-	H2DWait, D2HWait atomic.Int64
-	H2DDrain         atomic.Int64
+	H2DWait, D2HWait counter
+	H2DDrain         counter
 
-	SearchTime atomic.Int64
+	SearchTime counter
 
-	PeerBytesIn, PeerBytesOut atomic.Int64
+	PeerBytesIn, PeerBytesOut counter
 
-	Allocs, Frees, Invokes, Syncs atomic.Int64
+	Allocs, Frees, Invokes, Syncs counter
 
-	Retries, RetryGiveups             atomic.Int64
-	DegradedObjects, DeviceLostEvents atomic.Int64
+	Retries, RetryGiveups             counter
+	DegradedObjects, DeviceLostEvents counter
 
-	ModeMigrations                 atomic.Int64
-	FetchElisions, FlushElisions   atomic.Int64
-	RegionAcquires, RegionReleases atomic.Int64
+	ModeMigrations                 counter
+	FetchElisions, FlushElisions   counter
+	RegionAcquires, RegionReleases counter
 
-	FaultBatches, PrefetchedBlocks atomic.Int64
-	SpanPromotions, SpanDemotions  atomic.Int64
+	FaultBatches, PrefetchedBlocks counter
+	SpanPromotions, SpanDemotions  counter
 
-	RacesDetected atomic.Int64
+	RacesDetected counter
 }
 
 // load snapshots the atomic counters into a Stats value, matching fields
@@ -117,7 +138,7 @@ func (c *statsCounters) load() Stats {
 		if !f.IsValid() {
 			panic(fmt.Sprintf("core: statsCounters field %s has no Stats counterpart", name))
 		}
-		f.SetInt(cv.Field(i).Addr().Interface().(*atomic.Int64).Load())
+		f.SetInt(cv.Field(i).Addr().Interface().(*counter).v.Load())
 	}
 	return out
 }
