@@ -1,6 +1,6 @@
 // Multigpu: two accelerators, one application — demonstrating the §4.2
-// address-conflict fallback (adsmSafeAlloc/adsmSafe) and the kernel
-// scheduler policies of GMAC's top layer.
+// address-conflict fallback (adsmSafeAlloc/adsmSafe) and data-affinity
+// kernel routing in GMAC's top layer.
 //
 // Part 1 attaches two GPUs whose on-board memories report the same
 // address window (exactly what cudaMalloc on two devices does): the
@@ -9,9 +9,9 @@
 // must be translated for kernels. This is the case for which the paper
 // argues accelerators need virtual memory.
 //
-// Part 2 attaches two GPUs with disjoint windows and shows the
-// data-affinity scheduling policy routing each kernel to the device that
-// hosts its operand.
+// Part 2 runs the full runtime over two GPUs (gmac.MultiContext): objects
+// are placed round-robin and each call is routed to the device that hosts
+// its operand.
 //
 //	go run ./examples/multigpu
 package main
@@ -24,7 +24,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/machine"
 )
@@ -49,7 +48,7 @@ func doubleOne(s gmac.Session, p gmac.Ptr, seed byte) (byte, error) {
 }
 
 func gpu(name string, base mem.Addr, clock *sim.Clock) *accel.Device {
-	d := accel.New(accel.Config{
+	return accel.New(accel.Config{
 		Name:    name,
 		MemBase: base,
 		MemSize: 256 << 20,
@@ -58,17 +57,6 @@ func gpu(name string, base mem.Addr, clock *sim.Clock) *accel.Device {
 		H2D:     interconnect.PCIe2x16H2D(),
 		D2H:     interconnect.PCIe2x16D2H(),
 	}, clock)
-	d.Register(&accel.Kernel{
-		Name: "scale2x",
-		Run: func(devmem *mem.Space, args []uint64) {
-			p, cnt := mem.Addr(args[0]), int64(args[1])
-			for i := int64(0); i < cnt; i++ {
-				devmem.SetFloat32(p+mem.Addr(i*4), 2*devmem.Float32(p+mem.Addr(i*4)))
-			}
-		},
-		Cost: accel.FixedCost(1e6, 1<<20),
-	})
-	return d
 }
 
 func main() {
@@ -104,40 +92,10 @@ func main() {
 		log.Fatal("second allocation should have conflicted")
 	}
 
-	fmt.Println("\n--- part 2: data-affinity scheduling over disjoint windows ---")
-	clock2 := sim.NewClock()
-	far0 := gpu("gpu0", 0x2_0000_0000, clock2)
-	far1 := gpu("gpu1", 0x3_0000_0000, clock2)
-	devs := []*accel.Device{far0, far1}
+	fmt.Println("\nwith overlapping windows, data affinity is undecidable from the address:")
+	fmt.Println("the paper's case for virtual memory on accelerators (§4.2).")
 
-	ptrs := make([]mem.Addr, 2)
-	for i, d := range devs {
-		p, err := d.Malloc(n * 4)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d.Memset(p, 0x3f, n*4)
-		ptrs[i] = p
-	}
-	s, err := sched.New(devs, sched.DataAffinity{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		operand := ptrs[i%2]
-		d, err := s.Launch("scale2x", uint64(operand), n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("kernel %d, operand %#x -> %s\n", i, uint64(operand), d.Name())
-	}
-	s.SynchronizeAll()
-	fmt.Printf("\nkernels per device: %v (affinity keeps data local)\n", s.Counts())
-	fmt.Printf("virtual time: %v\n", clock2.Now())
-	fmt.Println("\nwith overlapping windows (part 1), affinity is undecidable: the paper's")
-	fmt.Println("case for virtual memory on accelerators (§4.2).")
-
-	fmt.Println("\n--- part 3: the full runtime view (gmac.MultiContext) ---")
+	fmt.Println("\n--- part 2: the full runtime view (gmac.MultiContext) ---")
 	mm := machine.DualGPUTestbed(false)
 	mc, err := gmac.NewMultiContext(mm, gmac.Config{Protocol: gmac.RollingUpdate})
 	if err != nil {

@@ -123,11 +123,6 @@ type Config struct {
 	// results are byte-identical either way; the knob exists for A/B
 	// comparison. See docs/performance.md.
 	DisableFaultBatching bool
-	// DisableEvictionOverlap turns off double-buffered eager eviction:
-	// eviction DMA then waits for the transfer engine to go fully idle
-	// instead of overlapping the fault service that triggered it.
-	// Timing-only.
-	DisableEvictionOverlap bool
 }
 
 // DefaultBlockSize is the rolling-update block size used when Config leaves
@@ -142,19 +137,18 @@ func managerConfig(cfg Config) core.Config {
 		cfg.RollingDelta = 2
 	}
 	return core.Config{
-		Protocol:               cfg.Protocol,
-		BlockSize:              cfg.BlockSize,
-		RollingDelta:           cfg.RollingDelta,
-		FixedRolling:           cfg.FixedRolling,
-		MallocCost:             2 * sim.Microsecond,
-		FreeCost:               1 * sim.Microsecond,
-		LaunchCost:             2 * sim.Microsecond,
-		TreeNodeCost:           30 * sim.Nanosecond,
-		MprotectCost:           300 * sim.Nanosecond,
-		MaxRetries:             cfg.MaxRetries,
-		RaceDetect:             cfg.RaceDetect,
-		DisableFaultBatching:   cfg.DisableFaultBatching,
-		DisableEvictionOverlap: cfg.DisableEvictionOverlap,
+		Protocol:             cfg.Protocol,
+		BlockSize:            cfg.BlockSize,
+		RollingDelta:         cfg.RollingDelta,
+		FixedRolling:         cfg.FixedRolling,
+		MallocCost:           2 * sim.Microsecond,
+		FreeCost:             1 * sim.Microsecond,
+		LaunchCost:           2 * sim.Microsecond,
+		TreeNodeCost:         30 * sim.Nanosecond,
+		MprotectCost:         300 * sim.Nanosecond,
+		MaxRetries:           cfg.MaxRetries,
+		RaceDetect:           cfg.RaceDetect,
+		DisableFaultBatching: cfg.DisableFaultBatching,
 	}
 }
 

@@ -15,8 +15,9 @@ var requiredAnnotations = map[string][]string{
 		"(*Manager).objectAt",
 		"(*Manager).fetchRunSync",
 		"(*Manager).faultRunLen",
-		"(*Manager).setProt",
+		"(*Manager).setState",
 		"(*Manager).setProtRun",
+		"(*Manager).dmaSync",
 		"(*registry).objectAt",
 		"(*registry).blockAt",
 		"regShardOf",

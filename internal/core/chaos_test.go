@@ -98,7 +98,7 @@ func TestChaosCoherenceMatrix(t *testing.T) {
 				r := newRig(t, pc.cfg)
 				inj := fault.NewInjector(seed, r.clock, sched.rules...)
 				r.dev.SetFaultInjector(inj)
-				if err := runModelOn(r, seed, objSize); err != nil {
+				if err := runModelOn(r, ModeReadWrite, seed, objSize); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				if inj.Total() == 0 {
@@ -139,7 +139,7 @@ func TestFaultInjectionReplay(t *testing.T) {
 			fault.EveryK(fault.OpLaunch, 4, fault.KindTransient),
 		)
 		r.dev.SetFaultInjector(inj)
-		if err := runModelOn(r, seed, 64<<10); err != nil {
+		if err := runModelOn(r, ModeReadWrite, seed, 64<<10); err != nil {
 			t.Fatal(err)
 		}
 		return inj.Log(), r.clock.Now(), r.mgr.Stats()

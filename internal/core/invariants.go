@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
 )
@@ -13,9 +12,9 @@ import (
 // concurrency stress tests call it once the storm quiesces) and is the
 // executable statement of the Figure 6 design:
 //
-//  1. Block state and page protection agree: Dirty blocks are read/write,
-//     ReadOnly blocks are read-only, Invalid blocks are inaccessible
-//     (except under batch-update, which never uses protection).
+//  1. Block state and page protection agree (protFor): Dirty blocks are
+//     read/write, ReadOnly blocks are read-only, Invalid blocks are
+//     inaccessible — on every object that detects accesses (detects).
 //  2. Every Dirty block under rolling-update sits in the rolling cache,
 //     and the cache never exceeds its capacity.
 //  3. The block tree and the per-object block lists agree.
@@ -111,21 +110,12 @@ func (m *Manager) checkInvariants() error {
 // checkBlockProt verifies the state <-> protection correspondence for
 // every page of the block.
 func (m *Manager) checkBlockProt(b *Block) error {
-	if b.obj.proto == BatchUpdate && !(b.obj.mode == ModeReadOnly && b.obj.sealed) {
-		// Batch-update never changes protection — except for sealed
-		// read-only objects, which sit behind read-only pages so a host
-		// write is caught as a mode violation.
+	if !b.obj.detects() {
 		return nil
 	}
-	want := hostmmu.ProtNone
-	switch b.state {
-	case StateInvalid:
-		// Invalid blocks stay ProtNone so every host touch faults.
-	case StateReadOnly:
-		want = hostmmu.ProtRead
-	case StateDirty:
-		want = hostmmu.ProtReadWrite
-	}
+	// The same rule setState applies, so the invariant and the transition
+	// cannot disagree.
+	want := protFor[b.state]
 	ps := m.mmu.PageSize()
 	end := int64(b.addr) + b.size
 	for page := int64(b.addr) &^ (ps - 1); page < end; page += ps {

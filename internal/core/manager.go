@@ -83,12 +83,6 @@ type Config struct {
 	RollingDelta int
 	// FixedRolling pins the rolling size for the Figure 12 experiment.
 	FixedRolling int
-	// DisableCoalescing turns off batched eviction DMA: every evicted
-	// block is flushed with its own transfer instead of merging
-	// address-contiguous victims into one. For A/B comparison in
-	// experiments; the default (coalescing on) reduces the interconnect
-	// transfer count on streaming write patterns.
-	DisableCoalescing bool
 	// DisableFaultBatching turns off span-fault service: every host fault
 	// fetches exactly its own block, the paper's one-slow-path-per-block
 	// behaviour. The default (batching on) resolves the whole
@@ -97,14 +91,6 @@ type Config struct {
 	// coalescing. For A/B comparison; data results are byte-identical
 	// either way.
 	DisableFaultBatching bool
-	// DisableEvictionOverlap turns off double-buffered eager eviction:
-	// every eviction DMA then waits for the H2D engine to go fully idle
-	// before issuing (§5.2's "evictions must wait for the previous
-	// transfer to finish"). The default (overlap on) admits one in-flight
-	// transfer behind the one being issued, so eviction DMA overlaps the
-	// fault service that triggered it. Timing-only: transfer counts and
-	// bytes are identical either way.
-	DisableEvictionOverlap bool
 
 	// Host-side costs of the GMAC API entry points.
 	MallocCost, FreeCost, LaunchCost sim.Time
@@ -132,7 +118,7 @@ type Config struct {
 
 // Manager is the GMAC shared-memory manager: it owns the shared address
 // space, the object/block registry, and drives the coherence protocol from
-// the CPU side. One Manager manages one accelerator; package sched
+// the CPU side. One Manager manages one accelerator; gmac.MultiContext
 // composes several.
 //
 // The manager is safe for concurrent use by many host goroutines — the
@@ -253,7 +239,7 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		mmu:     mmu,
 		va:      va,
 		dev:     dev,
-		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0, !cfg.DisableCoalescing),
+		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0),
 	}
 	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
 	switch cfg.Protocol {
@@ -406,16 +392,60 @@ type AllocSpec struct {
 }
 
 // AllocObject allocates one shared object as described by spec. It is the
-// single allocation entry point; Alloc/AllocFor/SafeAlloc/SafeAllocFor are
-// thin wrappers over it.
+// single allocation body; Alloc/AllocFor/SafeAlloc/SafeAllocFor are thin
+// wrappers over it. Accelerator memory comes first, then the host mapping,
+// whose placement (§4.2) is the only branch; if the host side fails the
+// accelerator allocation is given back.
 func (m *Manager) AllocObject(spec AllocSpec) (mem.Addr, error) {
 	if !spec.Mode.Valid() {
 		return 0, fmt.Errorf("core: unknown access mode %v", spec.Mode)
 	}
-	if spec.Safe {
-		return m.safeAlloc(spec)
+	if err := m.checkDeviceLost("alloc"); err != nil {
+		return 0, err
 	}
-	return m.alloc(spec)
+	m.charge(sim.CatMalloc, m.cfg.MallocCost)
+
+	t0 := m.clock.Now()
+	devAddr, err := m.dev.Malloc(spec.Size)
+	m.book(sim.CatCudaMalloc, m.clock.Now()-t0)
+	if err != nil {
+		return 0, err
+	}
+
+	o := &Object{devAddr: devAddr, size: spec.Size, safe: spec.Safe,
+		kernels: kernelSet(spec.Kernels), mode: spec.Mode}
+	aligned := m.pageAlignedSize(spec.Size)
+	switch {
+	case spec.Safe:
+		// adsmSafeAlloc: the OS places the host mapping, so the pointer is
+		// host-only and kernel arguments go through Translate.
+		o.mapping, err = m.va.MapAnywhere(aligned)
+	case m.dev.HasVirtualMemory():
+		// With a device MMU there is never an address conflict: the host
+		// picks any free virtual range and the device maps the same range
+		// onto its physical allocation (§4.2's "good solution").
+		if o.mapping, err = m.va.MapAnywhere(aligned); err == nil {
+			o.vm, o.vmPhys, o.devAddr = true, devAddr, o.mapping.Addr
+			if err = m.dev.MapVA(o.mapping.Addr, devAddr, spec.Size); err != nil {
+				err = errors.Join(err, m.va.Unmap(o.mapping.Addr))
+			}
+		}
+	default:
+		// adsmAlloc: mirror the accelerator's address range on the host, so
+		// a single pointer serves both processors.
+		o.mapping, err = m.va.MapFixed(devAddr, aligned)
+		if errors.Is(err, mem.ErrAddrInUse) {
+			err = fmt.Errorf("%w: %v", ErrAddrConflict, err)
+		}
+	}
+	if err != nil {
+		if freeErr := m.dev.Free(devAddr); freeErr != nil {
+			return 0, fmt.Errorf("core: %w (and device free failed: %v)", err, freeErr)
+		}
+		return 0, err
+	}
+	o.addr = o.mapping.Addr
+	return m.finishAlloc(o)
 }
 
 // Alloc implements adsmAlloc: it allocates accelerator memory and mirrors
@@ -433,56 +463,6 @@ func (m *Manager) AllocFor(size int64, kernels ...string) (mem.Addr, error) {
 	return m.AllocObject(AllocSpec{Size: size, Kernels: kernels})
 }
 
-// alloc is the identity-mapped (adsmAlloc) allocation path.
-func (m *Manager) alloc(spec AllocSpec) (mem.Addr, error) {
-	size, kernels := spec.Size, spec.Kernels
-	if err := m.checkDeviceLost("alloc"); err != nil {
-		return 0, err
-	}
-	m.charge(sim.CatMalloc, m.cfg.MallocCost)
-
-	t0 := m.clock.Now()
-	devAddr, err := m.dev.Malloc(size)
-	m.book(sim.CatCudaMalloc, m.clock.Now()-t0)
-	if err != nil {
-		return 0, err
-	}
-
-	if m.dev.HasVirtualMemory() {
-		// With a device MMU there is never an address conflict: the host
-		// picks any free virtual range and the device maps the same range
-		// onto its physical allocation (§4.2's "good solution").
-		mapping, err := m.va.MapAnywhere(m.pageAlignedSize(size))
-		if err != nil {
-			if freeErr := m.dev.Free(devAddr); freeErr != nil {
-				return 0, fmt.Errorf("core: %w (and device free failed: %v)", err, freeErr)
-			}
-			return 0, err
-		}
-		if err := m.dev.MapVA(mapping.Addr, devAddr, size); err != nil {
-			return 0, errors.Join(err, m.va.Unmap(mapping.Addr), m.dev.Free(devAddr))
-		}
-		o := &Object{addr: mapping.Addr, devAddr: mapping.Addr, size: size,
-			mapping: mapping, vm: true, vmPhys: devAddr,
-			kernels: kernelSet(kernels), mode: spec.Mode}
-		return m.finishAlloc(o)
-	}
-
-	mapping, err := m.va.MapFixed(devAddr, m.pageAlignedSize(size))
-	if err != nil {
-		if freeErr := m.dev.Free(devAddr); freeErr != nil {
-			return 0, fmt.Errorf("core: %w (and device free failed: %v)", err, freeErr)
-		}
-		if errors.Is(err, mem.ErrAddrInUse) {
-			return 0, fmt.Errorf("%w: %v", ErrAddrConflict, err)
-		}
-		return 0, err
-	}
-	o := &Object{addr: devAddr, devAddr: devAddr, size: size,
-		mapping: mapping, kernels: kernelSet(kernels), mode: spec.Mode}
-	return m.finishAlloc(o)
-}
-
 // SafeAlloc implements adsmSafeAlloc: the host mapping is placed wherever
 // the OS finds room, so the returned pointer is only valid on the CPU and
 // kernel arguments must be translated with Translate.
@@ -493,32 +473,6 @@ func (m *Manager) SafeAlloc(size int64) (mem.Addr, error) {
 // SafeAllocFor is SafeAlloc with a §3.3 kernel binding.
 func (m *Manager) SafeAllocFor(size int64, kernels ...string) (mem.Addr, error) {
 	return m.AllocObject(AllocSpec{Size: size, Safe: true, Kernels: kernels})
-}
-
-// safeAlloc is the OS-placed (adsmSafeAlloc) allocation path.
-func (m *Manager) safeAlloc(spec AllocSpec) (mem.Addr, error) {
-	size, kernels := spec.Size, spec.Kernels
-	if err := m.checkDeviceLost("alloc"); err != nil {
-		return 0, err
-	}
-	m.charge(sim.CatMalloc, m.cfg.MallocCost)
-
-	t0 := m.clock.Now()
-	devAddr, err := m.dev.Malloc(size)
-	m.book(sim.CatCudaMalloc, m.clock.Now()-t0)
-	if err != nil {
-		return 0, err
-	}
-	mapping, err := m.va.MapAnywhere(m.pageAlignedSize(size))
-	if err != nil {
-		if freeErr := m.dev.Free(devAddr); freeErr != nil {
-			return 0, fmt.Errorf("core: %w (and device free failed: %v)", err, freeErr)
-		}
-		return 0, err
-	}
-	o := &Object{addr: mapping.Addr, devAddr: devAddr, size: size,
-		mapping: mapping, safe: true, kernels: kernelSet(kernels), mode: spec.Mode}
-	return m.finishAlloc(o)
 }
 
 // finishAlloc initialises o's blocks, protection and protocol state, then
@@ -905,27 +859,54 @@ func errUnsharedFault(addr mem.Addr) error {
 	return fmt.Errorf("%w: fault at %#x", ErrNotShared, uint64(addr))
 }
 
-// HostRead performs a CPU read of [addr, addr+len(dst)) through the MMU,
-// faulting and fetching as the protocol dictates, then copies the bytes.
-func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
-	o, err := m.boundsCheck(addr, int64(len(dst)))
-	if err != nil {
-		return err
+// enter is the one prologue of the host-side entry points: it checks
+// [op.Addr, op.Addr+op.Size) against the shared object containing op.Addr,
+// takes that object's lock, rejects an object freed since the lookup, and
+// emits op. On success the caller holds o.mu and must finish with leave.
+func (m *Manager) enter(op oplog.Op) (*Object, error) {
+	if op.Size < 0 {
+		return nil, fmt.Errorf("core: negative access size %d", op.Size)
+	}
+	o := m.objectAt(op.Addr)
+	if o == nil {
+		return nil, errDead(op.Addr)
+	}
+	if end := o.addr + mem.Addr(o.size); op.Addr+mem.Addr(op.Size) > end {
+		return nil, fmt.Errorf("%w: [%#x,+%d) beyond object end %#x",
+			ErrSpansObjects, uint64(op.Addr), op.Size, uint64(end))
 	}
 	o.mu.Lock()
 	if o.dead {
 		o.mu.Unlock()
-		return errDead(addr)
+		return nil, errDead(op.Addr)
 	}
-	m.emit(oplog.Op{Kind: oplog.OpHostRead, Addr: addr, Size: int64(len(dst))}, o)
-	if err := m.mmu.CheckRead(addr, int64(len(dst))); err != nil {
-		o.mu.Unlock()
-		return err
-	}
-	o.mapping.Space.Read(addr, dst)
+	m.emit(op, o)
+	return o, nil
+}
+
+// leave is the one epilogue: it releases the lock enter took, then settles
+// the cross-object evictions the access deferred (and, once the device is
+// lost, degrades whatever is not degraded yet). The per-access entry points
+// (HostRead, HostWrite, HostBytes) call it explicitly rather than deferring
+// it: a defer costs a fifth of a non-faulting access.
+func (m *Manager) leave(o *Object) {
 	o.mu.Unlock()
 	m.drainEvictions()
-	return nil
+}
+
+// HostRead performs a CPU read of [addr, addr+len(dst)) through the MMU,
+// faulting and fetching as the protocol dictates, then copies the bytes.
+func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
+	o, err := m.enter(oplog.Op{Kind: oplog.OpHostRead, Addr: addr, Size: int64(len(dst))})
+	if err != nil {
+		return err
+	}
+	err = m.mmu.CheckRead(addr, int64(len(dst)))
+	if err == nil {
+		o.mapping.Space.Read(addr, dst)
+	}
+	m.leave(o)
+	return err
 }
 
 // HostWrite performs a CPU write of src to [addr, addr+len(src)) through
@@ -935,31 +916,19 @@ func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
 // faults up front would let a rolling-cache eviction flush a block the CPU
 // has not written yet and then miss the write entirely.
 func (m *Manager) HostWrite(addr mem.Addr, src []byte) error {
-	o, err := m.boundsCheck(addr, int64(len(src)))
+	o, err := m.enter(oplog.Op{Kind: oplog.OpHostWrite, Addr: addr, Size: int64(len(src))})
 	if err != nil {
 		return err
 	}
-	o.mu.Lock()
-	if o.dead {
-		o.mu.Unlock()
-		return errDead(addr)
-	}
-	m.emit(oplog.Op{Kind: oplog.OpHostWrite, Addr: addr, Size: int64(len(src))}, o)
 	err = m.hostWriteLocked(o, addr, src)
-	o.mu.Unlock()
-	m.drainEvictions()
+	m.leave(o)
 	return err
 }
 
 // hostWriteLocked is HostWrite's block-by-block walk; the caller holds o.mu.
 func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
 	for len(src) > 0 {
-		n := int64(len(src))
-		if b := o.BlockAt(addr); b != nil {
-			if rem := int64(b.addr) + b.size - int64(addr); rem < n {
-				n = rem
-			}
-		}
+		_, n := o.chunk(addr, int64(len(src)))
 		if err := m.mmu.CheckWrite(addr, n); err != nil {
 			return err
 		}
@@ -978,48 +947,25 @@ func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
 // HostWrite for multi-block stores. The returned slice is live memory: the
 // caller must not use it concurrently with other accessors of the object.
 func (m *Manager) HostBytes(addr mem.Addr, n int64, access hostmmu.Access) ([]byte, error) {
-	o, err := m.boundsCheck(addr, n)
+	op := oplog.Op{Kind: oplog.OpHostAccess, Addr: addr, Size: n}
+	if access == hostmmu.AccessWrite {
+		op.Flags = oplog.FlagWrite
+	}
+	o, err := m.enter(op)
 	if err != nil {
 		return nil, err
 	}
-	o.mu.Lock()
-	if o.dead {
-		o.mu.Unlock()
-		return nil, errDead(addr)
-	}
-	var accFlags uint8
-	if access == hostmmu.AccessWrite {
-		accFlags = oplog.FlagWrite
-	}
-	m.emit(oplog.Op{Kind: oplog.OpHostAccess, Flags: accFlags, Addr: addr, Size: n}, o)
 	if access == hostmmu.AccessWrite {
 		err = m.mmu.CheckWrite(addr, n)
 	} else {
 		err = m.mmu.CheckRead(addr, n)
 	}
-	if err != nil {
-		o.mu.Unlock()
-		return nil, err
+	var bytes []byte
+	if err == nil {
+		bytes = o.mapping.Space.Bytes(addr, n)
 	}
-	bytes := o.mapping.Space.Bytes(addr, n)
-	o.mu.Unlock()
-	m.drainEvictions()
-	return bytes, nil
-}
-
-func (m *Manager) boundsCheck(addr mem.Addr, n int64) (*Object, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("core: negative access size %d", n)
-	}
-	o := m.objectAt(addr)
-	if o == nil {
-		return nil, fmt.Errorf("%w: access at %#x", ErrNotShared, uint64(addr))
-	}
-	if addr+mem.Addr(n) > o.addr+mem.Addr(o.size) {
-		return nil, fmt.Errorf("%w: [%#x,+%d) beyond object end %#x",
-			ErrSpansObjects, uint64(addr), n, uint64(o.addr+mem.Addr(o.size)))
-	}
-	return o, nil
+	m.leave(o)
+	return bytes, err
 }
 
 // --- transfer helpers used by the protocols ---
@@ -1034,21 +980,14 @@ func runSize(first *Block, n int) int64 {
 
 // waitH2DSlot stalls until the eager-eviction path may issue its next H2D
 // transfer, booking the wait (the eager-transfer overlap cost plotted in
-// Figure 11). With the double buffer disabled this is §5.2's "evictions
-// must wait for the previous transfer to finish before continuing": the
-// engine must be fully idle. With it enabled (the default) one transfer
-// may still be in flight — the wait target is the completion of the
-// transfer before last — so eviction DMA overlaps the fault service that
-// triggered it instead of serialising behind it.
+// Figure 11). The eviction path is double-buffered: one transfer may still
+// be in flight — the wait target is the completion of the transfer before
+// last — so eviction DMA overlaps the fault service that triggered it
+// instead of serialising behind it.
 func (m *Manager) waitH2DSlot() {
-	var target sim.Time
-	if m.cfg.DisableEvictionOverlap {
-		target = m.dev.H2DFreeAt()
-	} else {
-		m.flushMu.Lock()
-		target = m.prevFlush
-		m.flushMu.Unlock()
-	}
+	m.flushMu.Lock()
+	target := m.prevFlush
+	m.flushMu.Unlock()
 	wait := target - m.clock.Now()
 	if wait <= 0 {
 		return
@@ -1070,19 +1009,13 @@ func (m *Manager) noteFlushIssued(done sim.Time) {
 	m.flushMu.Unlock()
 }
 
-// flushBlockEager transfers a dirty block to the accelerator without
-// blocking on the transfer itself, but waiting first for the DMA engine to
-// be free. Injected faults are retried (inline, no closure — this runs on
-// the fault path); an unrecoverable failure escalates (device lost, b's
-// object degraded) and is returned. The caller holds b.obj.mu.
-func (m *Manager) flushBlockEager(b *Block) error {
-	return m.flushRunEager(b, 1)
-}
-
-// flushRunEager is flushBlockEager over n consecutive dirty blocks with a
-// single DMA transfer: one engine wait, one recorded transfer of the run's
-// total bytes. Coalesced rolling evictions come through here. The caller
-// holds first.obj.mu.
+// flushRunEager is the one asynchronous DMA: it transfers n consecutive
+// dirty blocks to the accelerator with a single transfer, without blocking
+// on the transfer itself but waiting first for a slot in the H2D double
+// buffer. Coalesced rolling evictions come through here with n > 1.
+// Injected faults are retried (inline, no closure — this runs on the fault
+// path); an unrecoverable failure escalates (device lost, the object
+// degraded) and is returned. The caller holds first.obj.mu.
 //
 //adsm:noalloc
 func (m *Manager) flushRunEager(first *Block, n int) error {
@@ -1106,28 +1039,51 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 	return nil
 }
 
+// dmaSync is the one stalling DMA: it moves buf between host memory and
+// devAddr — host to device for an OpFlush, device to host for an OpFetch —
+// and stalls the CPU until the transfer completes, booking the stall as
+// copy time. Injected faults are retried inline (a corrupt fetch attempt
+// scribbles buf, so the retry's full copy must overwrite it); op is emitted
+// once the transfer succeeds. An unrecoverable failure is returned for the
+// caller to escalate. The caller holds o.mu.
+//
+//adsm:noalloc
+func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, what string) error {
+	for attempt := 0; ; attempt++ {
+		t0 := m.clock.Now()
+		var terr error
+		wait := &m.stats.H2DWait
+		if op.Kind == oplog.OpFetch {
+			_, terr = m.dev.TryMemcpyD2H(buf, devAddr)
+			wait = &m.stats.D2HWait
+		} else {
+			_, terr = m.dev.TryMemcpyH2D(devAddr, buf)
+		}
+		d := m.clock.Now() - t0
+		wait.Add(int64(d))
+		m.book(sim.CatCopy, d)
+		if terr == nil {
+			m.emit(op, o)
+			return nil
+		}
+		again, ferr := m.retryStep(sim.CatCopy, what, attempt, terr)
+		if !again {
+			return ferr
+		}
+	}
+}
+
 // flushBlockSync transfers a dirty block to the accelerator and stalls the
-// CPU until it completes (batch-update's conservative behaviour). Faults
-// are retried and escalate like flushBlockEager. The caller holds
+// CPU until it completes (batch-update's conservative behaviour). An
+// unrecoverable failure escalates like flushRunEager. The caller holds
 // b.obj.mu.
 func (m *Manager) flushBlockSync(b *Block) error {
 	sp := m.beginSpan("flush", "sync")
 	defer m.endSpan(sp)
-	for attempt := 0; ; attempt++ {
-		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyH2D(b.devAddr(), b.hostBytes())
-		d := m.clock.Now() - t0
-		m.stats.H2DWait.Add(int64(d))
-		m.book(sim.CatCopy, d)
-		if terr == nil {
-			break
-		}
-		again, ferr := m.retryStep(sim.CatCopy, "flush", attempt, terr)
-		if !again {
-			return m.escalateLocked(b.obj, "flush", ferr)
-		}
+	op := oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: b.addr, Size: b.size}
+	if err := m.dmaSync(b.obj, op, b.devAddr(), b.hostBytes(), "flush"); err != nil {
+		return m.escalateLocked(b.obj, "flush", err)
 	}
-	m.emit(oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: b.addr, Size: b.size}, b.obj)
 	return nil
 }
 
@@ -1136,10 +1092,9 @@ func (m *Manager) flushBlockSync(b *Block) error {
 // needs the data now): one block for a plain fault, the whole run for the
 // span-fault service that mirrors eviction coalescing on the fetch side.
 // One stall, one OpFetch of the run's total bytes, carrying the block count
-// in Arg when it is a batch (n > 1). Faults are retried — a corrupt attempt
-// scribbles the host span, so the retry's full copy must overwrite it — and
-// escalate like flushBlockEager. The caller holds first.obj.mu and, for a
-// batch, has verified every block of the run is StateInvalid.
+// in Arg when it is a batch (n > 1). An unrecoverable failure escalates
+// like flushRunEager. The caller holds first.obj.mu and, for a batch, has
+// verified every block of the run is StateInvalid.
 //
 //adsm:noalloc
 func (m *Manager) fetchRunSync(first *Block, n int) error {
@@ -1151,21 +1106,9 @@ func (m *Manager) fetchRunSync(first *Block, n int) error {
 	}
 	sp := m.beginSpan("fetch", note)
 	defer m.endSpan(sp)
-	for attempt := 0; ; attempt++ {
-		t0 := m.clock.Now()
-		_, terr := m.dev.TryMemcpyD2H(o.mapping.Space.Bytes(first.addr, op.Size), first.devAddr())
-		d := m.clock.Now() - t0
-		m.stats.D2HWait.Add(int64(d))
-		m.book(sim.CatCopy, d)
-		if terr == nil {
-			break
-		}
-		again, ferr := m.retryStep(sim.CatCopy, "fetch", attempt, terr)
-		if !again {
-			return m.escalateLocked(o, "fetch", ferr)
-		}
+	if err := m.dmaSync(o, op, first.devAddr(), o.mapping.Space.Bytes(first.addr, op.Size), "fetch"); err != nil {
+		return m.escalateLocked(o, "fetch", err)
 	}
-	m.emit(op, o)
 	return nil
 }
 
@@ -1206,10 +1149,7 @@ func (m *Manager) flushEvicted(first *Block, n int, checkQueued bool) error {
 		if err := m.flushRunEager(sub, j-i); err != nil {
 			return err
 		}
-		for k := i; k < j; k++ {
-			o.blocks[k].state = StateReadOnly
-		}
-		m.setProtRun(sub, j-i, hostmmu.ProtRead)
+		m.setState(sub, j-i, StateReadOnly)
 		i = j
 	}
 	return nil
@@ -1260,13 +1200,8 @@ func (m *Manager) drainEvictions() {
 	}
 }
 
-// setProt changes a block's protection, charging the mprotect cost.
-//
-//adsm:noalloc
-func (m *Manager) setProt(b *Block, prot hostmmu.Prot) { m.setProtRun(b, 1, prot) }
-
 // setProtRun changes the protection of n consecutive blocks with a single
-// mprotect call (one charge for the whole run).
+// mprotect call (one charge for the whole run). Only setState calls it.
 //
 //adsm:noalloc
 func (m *Manager) setProtRun(first *Block, n int, prot hostmmu.Prot) {

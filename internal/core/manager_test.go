@@ -762,3 +762,93 @@ func TestFaultOnUnsharedPageFails(t *testing.T) {
 		t.Fatal("fault on unshared page resolved")
 	}
 }
+
+// TestSetStateTransition pins the one Figure 6 transition: setState moves
+// every block of the run, and costs exactly one mprotect (one MprotectCost
+// on the clock) iff the object detects accesses — never under plain
+// batch-update, always under lazy and rolling, and under batch-update once
+// a read-only replica is sealed. The pages then carry protFor[to], which
+// checkBlockProt — written on the same detects/protFor — must agree with.
+func TestSetStateTransition(t *testing.T) {
+	cases := []struct {
+		name   string
+		kind   ProtocolKind
+		sealed bool
+		detect bool
+	}{
+		{"batch", BatchUpdate, false, false},
+		{"lazy", LazyUpdate, false, true},
+		{"rolling", RollingUpdate, false, true},
+		{"sealed-read-only-on-batch", BatchUpdate, true, true},
+	}
+	for _, tc := range cases {
+		for _, to := range []State{StateInvalid, StateReadOnly, StateDirty} {
+			t.Run(tc.name+"/"+to.String(), func(t *testing.T) {
+				cfg := defaultCfg(tc.kind)
+				r := newRig(t, cfg)
+				spec := AllocSpec{Size: 4 * cfg.BlockSize}
+				if tc.sealed {
+					spec.Mode = ModeReadOnly
+				}
+				ptr, err := r.mgr.AllocObject(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := r.mgr.objectAt(ptr)
+				if tc.sealed {
+					r.registerNop(t)
+					if err := r.mgr.Invoke("nop"); err != nil {
+						t.Fatal(err)
+					}
+					if !o.Sealed() {
+						t.Fatal("read-only object not sealed by its first release")
+					}
+				}
+				o.mu.Lock()
+				defer o.mu.Unlock()
+				if got := o.detects(); got != tc.detect {
+					t.Fatalf("detects() = %v, want %v", got, tc.detect)
+				}
+				// A strict sub-run where the object has blocks to spare, so
+				// the neighbours prove the transition stays inside its run.
+				first, n := o.blocks[0], len(o.blocks)
+				if n > 2 {
+					first, n = o.blocks[1], 2
+				}
+				outside := o.blocks[len(o.blocks)-1].state
+				mprotects, now := r.mmu.Stats().Mprotects, r.clock.Now()
+				r.mgr.setState(first, n, to)
+				want := int64(0)
+				if tc.detect {
+					want = 1
+				}
+				if got := r.mmu.Stats().Mprotects - mprotects; got != want {
+					t.Errorf("%d mprotect calls, want %d", got, want)
+				}
+				if got := r.clock.Now() - now; got != sim.Time(want)*cfg.MprotectCost {
+					t.Errorf("clock moved %v, want %v", got, sim.Time(want)*cfg.MprotectCost)
+				}
+				for _, b := range o.blocks {
+					in := b.index >= first.index && b.index < first.index+n
+					if in && b.state != to {
+						t.Errorf("block %d is %v after the transition, want %v", b.index, b.state, to)
+					}
+					if !in && b.state != outside {
+						t.Errorf("block %d outside the run moved to %v", b.index, b.state)
+					}
+					if err := r.mgr.checkBlockProt(b); err != nil {
+						t.Error(err)
+					}
+					if !in || !tc.detect {
+						continue
+					}
+					for off := int64(0); off < b.size; off += testPage {
+						if got, _ := r.mmu.Protection(b.addr + mem.Addr(off)); got != protFor[to] {
+							t.Errorf("block %d page +%d has protection %v, want %v", b.index, off, got, protFor[to])
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -176,55 +176,39 @@ func (m *Manager) autoStep(o *Object) error {
 	return m.migrate(o, vote)
 }
 
-// migrate moves o to a new protocol at an acquire boundary. The caller
-// holds o.mu. The object is first normalised to the clean cross-protocol
-// state — rolling-cache membership dropped, dirty blocks flushed, every
-// block ReadOnly with read-only protection — which is a valid starting
-// state for all three protocols. A failed flush has already escalated
-// (object degraded, data host-resident) and aborts the migration.
+// migrate moves o to lazy- or rolling-update at an acquire boundary
+// (batch-update is never a target, see autoVote). The caller holds o.mu.
+// The object is first normalised to the clean cross-protocol state —
+// rolling-cache membership dropped, dirty blocks flushed — then resumes
+// under the new protocol all ReadOnly behind read-only pages, its Invalid
+// blocks still faulting on first touch as usual. A failed flush has already
+// escalated (object degraded, data host-resident) and aborts the migration.
 func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 	from := o.proto
-	if from == to {
+	if from == to || to == BatchUpdate {
 		return nil
 	}
 	if from == RollingUpdate {
 		m.rolling.forget(o)
 	}
+	var invalid []*Block
 	for _, b := range o.blocks {
-		if b.state != StateDirty {
-			continue
-		}
-		if err := m.flushBlockEager(b); err != nil {
-			return err
-		}
-		b.state = StateReadOnly
-	}
-	for _, b := range o.blocks {
-		if b.state == StateInvalid && to == BatchUpdate {
-			// Batch-update has no protection to catch the next access, so
-			// Invalid blocks must be made host-valid on entry.
-			if err := m.fetchRunSync(b, 1); err != nil {
+		switch b.state {
+		case StateDirty:
+			if err := m.flushRunEager(b, 1); err != nil {
 				return err
 			}
-			b.state = StateReadOnly
+		case StateInvalid:
+			invalid = append(invalid, b)
+		case StateReadOnly:
 		}
 	}
-	if to == BatchUpdate {
-		// Batch-update never faults: every block conservatively Dirty and
-		// the whole object writable.
-		for _, b := range o.blocks {
-			b.state = StateDirty
-		}
-		m.setProtObject(o, hostmmu.ProtReadWrite)
-	} else {
-		// Lazy/rolling resume from the all-ReadOnly protected state; any
-		// Invalid blocks keep faulting on first touch as usual.
-		m.setProtObject(o, hostmmu.ProtRead)
-		for _, b := range o.blocks {
-			if b.state == StateInvalid {
-				m.setProt(b, hostmmu.ProtNone)
-			}
-		}
+	// The new protocol governs the transitions below: an object leaving
+	// batch-update starts detecting accesses here.
+	o.proto = to
+	m.setState(o.blocks[0], len(o.blocks), StateReadOnly)
+	for _, b := range invalid {
+		m.setState(b, 1, StateInvalid)
 	}
 	if from == RollingUpdate {
 		m.rollingObjs.Add(-1)
@@ -232,7 +216,6 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 	if to == RollingUpdate {
 		m.rollingObjs.Add(1)
 	}
-	o.proto = to
 	m.emit(oplog.Op{Kind: oplog.OpModeMigrate, Addr: o.addr, Size: o.size,
 		Arg: int64(from)<<8 | int64(to)}, o)
 	return nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/fault"
 	"repro/internal/mem"
 )
 
@@ -461,4 +462,115 @@ func TestReadOnlyReplicaStress(t *testing.T) {
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAutoOffBatchFollowsObjectProtocol: an Auto object on a batch-update
+// manager probes out to lazy-update, and from then on the bulk, peer and
+// degrade paths must ask the object — not the manager — which protocol
+// governs it. Each case starts from the same state: the object migrated, a
+// kernel wrote 0xBB over it, so every block is Invalid over stale 0xAA host
+// bytes.
+func TestAutoOffBatchFollowsObjectProtocol(t *testing.T) {
+	const blocks, bs = 4, 64 << 10
+	setup := func(t *testing.T) (*rig, mem.Addr) {
+		t.Helper()
+		r := newRig(t, defaultCfg(BatchUpdate))
+		r.registerNop(t)
+		r.dev.Register(&accel.Kernel{Name: "fill-bb", Run: func(dev *mem.Space, args []uint64) {
+			dev.Memset(mem.Addr(args[0]), 0xBB, int64(args[1]))
+		}})
+		ptr, err := r.mgr.AllocObject(AllocSpec{Size: blocks * bs, Mode: ModeAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mgr.HostWrite(ptr, bytes.Repeat([]byte{0xAA}, blocks*bs)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < autoWindow*autoHysteresis; i++ {
+			if err := r.mgr.Invoke("nop"); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.mgr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := r.mgr.objectAt(ptr).Proto(); got != LazyUpdate {
+			t.Fatalf("after %d boundaries the object runs %v, want lazy-update", autoWindow*autoHysteresis, got)
+		}
+		if err := r.mgr.Invoke("fill-bb", uint64(ptr), blocks*bs); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mgr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return r, ptr
+	}
+	// wantBlock reads one whole block through the faulting path.
+	wantBlock := func(t *testing.T, r *rig, ptr mem.Addr, block int, want []byte) {
+		t.Helper()
+		got := make([]byte, bs)
+		if err := r.mgr.HostRead(ptr+mem.Addr(block*bs), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d reads %#x…%#x, want %#x…%#x", block, got[0], got[bs-1], want[0], want[bs-1])
+		}
+	}
+	half := func(lo, hi byte) []byte {
+		return append(bytes.Repeat([]byte{lo}, bs/2), bytes.Repeat([]byte{hi}, bs/2)...)
+	}
+
+	t.Run("BulkWrite", func(t *testing.T) {
+		r, ptr := setup(t)
+		// One whole block and the leading half of the next.
+		if err := r.mgr.BulkWrite(ptr+bs, bytes.Repeat([]byte{0xCC}, bs+bs/2)); err != nil {
+			t.Fatal(err)
+		}
+		wantBlock(t, r, ptr, 1, half(0xCC, 0xCC))
+		wantBlock(t, r, ptr, 2, half(0xCC, 0xBB))
+		wantBlock(t, r, ptr, 3, half(0xBB, 0xBB))
+	})
+	t.Run("BulkSet", func(t *testing.T) {
+		r, ptr := setup(t)
+		if err := r.mgr.BulkSet(ptr+bs, 0xDD, bs+bs/2); err != nil {
+			t.Fatal(err)
+		}
+		wantBlock(t, r, ptr, 1, half(0xDD, 0xDD))
+		wantBlock(t, r, ptr, 2, half(0xDD, 0xBB))
+	})
+	t.Run("BulkRead", func(t *testing.T) {
+		r, ptr := setup(t)
+		got := make([]byte, bs)
+		if err := r.mgr.BulkRead(ptr+bs, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, half(0xBB, 0xBB)) {
+			t.Fatalf("BulkRead returned stale host bytes %#x, want the kernel's 0xBB", got[0])
+		}
+	})
+	t.Run("PeerRead", func(t *testing.T) {
+		r, ptr := setup(t)
+		got := make([]byte, bs)
+		if err := r.mgr.PeerRead(ptr+bs, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, half(0xBB, 0xBB)) {
+			t.Fatalf("PeerRead returned stale host bytes %#x, want the kernel's 0xBB", got[0])
+		}
+	})
+	t.Run("degrade", func(t *testing.T) {
+		r, ptr := setup(t)
+		r.dev.SetFaultInjector(fault.NewInjector(1, r.clock,
+			fault.After(fault.OpLaunch, 1, fault.KindDeviceLost)))
+		if err := r.mgr.Invoke("nop"); !errors.Is(err, fault.ErrDeviceLost) {
+			t.Fatalf("Invoke on the dying device: %v, want ErrDeviceLost", err)
+		}
+		// The degraded object is host-resident: its pages must be writable.
+		if err := r.mgr.HostWrite(ptr+bs, []byte("still-writable")); err != nil {
+			t.Fatalf("post-loss HostWrite: %v", err)
+		}
+		if err := r.mgr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -23,46 +23,54 @@ func TestCoherenceAgainstReferenceModel(t *testing.T) {
 	configs := []struct {
 		name string
 		cfg  Config
+		mode AccessMode
 	}{
-		{"batch", defaultCfg(BatchUpdate)},
-		{"lazy", defaultCfg(LazyUpdate)},
-		{"rolling-64k", defaultCfg(RollingUpdate)},
+		{"batch", defaultCfg(BatchUpdate), ModeReadWrite},
+		{"lazy", defaultCfg(LazyUpdate), ModeReadWrite},
+		{"rolling-64k", defaultCfg(RollingUpdate), ModeReadWrite},
 		{"rolling-4k-rs1", func() Config {
 			c := defaultCfg(RollingUpdate)
 			c.BlockSize = 4 << 10
 			c.FixedRolling = 1
 			return c
-		}()},
+		}(), ModeReadWrite},
 		{"rolling-16k-rs3", func() Config {
 			c := defaultCfg(RollingUpdate)
 			c.BlockSize = 16 << 10
 			c.FixedRolling = 3
 			return c
-		}()},
+		}(), ModeReadWrite},
+		// Auto objects leave the configured protocol mid-run: every data
+		// path must follow the object's protocol, not the manager's. The
+		// batch row is the sharp one — batch-update is signal-free, so the
+		// object always probes out to lazy-update.
+		{"auto-on-batch", defaultCfg(BatchUpdate), ModeAuto},
+		{"auto-on-lazy", defaultCfg(LazyUpdate), ModeAuto},
+		{"auto-on-rolling", defaultCfg(RollingUpdate), ModeAuto},
 	}
 	for _, tc := range configs {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range testutil.Seeds(t, 1, 6) {
-				if err := runModel(t, tc.cfg, seed, objSize); err != nil {
+				r := newRig(t, tc.cfg)
+				if err := runModelOn(r, tc.mode, seed, objSize); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
+				}
+				// 120 ops carry ~26 call/sync pairs, far past the 8-boundary
+				// probe-out; a run that never migrated tested nothing new.
+				if tc.mode == ModeAuto && tc.cfg.Protocol == BatchUpdate && r.mgr.Stats().ModeMigrations < 1 {
+					t.Fatalf("seed %d: the Auto object never left batch-update", seed)
 				}
 			}
 		})
 	}
 }
 
-// runModel executes one random schedule against one manager configuration.
-func runModel(t *testing.T, cfg Config, seed int64, objSize int64) error {
-	t.Helper()
-	return runModelOn(newRig(t, cfg), seed, objSize)
-}
-
 // runModelOn executes one random schedule against a pre-built rig, so the
 // chaos suite can arm the rig's device with a fault injector first. The
 // flat reference model is fault-free by construction: a run under a
 // recoverable fault schedule must still match it byte for byte.
-func runModelOn(r *rig, seed int64, objSize int64) error {
+func runModelOn(r *rig, mode AccessMode, seed int64, objSize int64) error {
 	rng := rand.New(rand.NewSource(seed))
 
 	// The device kernel XORs a pattern over a range of the object:
@@ -80,7 +88,7 @@ func runModelOn(r *rig, seed int64, objSize int64) error {
 		Cost: accel.FixedCost(1e5, 1<<16),
 	})
 
-	ptr, err := r.mgr.Alloc(objSize)
+	ptr, err := r.mgr.AllocObject(AllocSpec{Size: objSize, Mode: mode})
 	if err != nil {
 		return err
 	}

@@ -274,6 +274,17 @@ func (o *Object) BlockAt(addr mem.Addr) *Block {
 	return b
 }
 
+// chunk is the one step of a block-by-block walk over [addr, addr+n): the
+// block containing addr, and how many of the n bytes fall inside it. addr
+// must lie inside the object.
+func (o *Object) chunk(addr mem.Addr, n int64) (*Block, int64) {
+	b := o.BlockAt(addr)
+	if rem := int64(b.addr) + b.size - int64(addr); rem < n {
+		n = rem
+	}
+	return b, n
+}
+
 // makeBlocks divides the object into blocks of at most blockSize bytes.
 func (o *Object) makeBlocks(blockSize int64) {
 	o.nextFaultIdx = -1 // no streak until the first fault lands

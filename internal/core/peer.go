@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
 )
@@ -18,33 +17,23 @@ import (
 // [addr, addr+len(src)), invalidating the host copy of the covered blocks.
 // Dirty blocks are flushed first so their unwritten bytes are not lost.
 func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
-	o, err := m.boundsCheck(addr, int64(len(src)))
+	o, err := m.enter(oplog.Op{Kind: oplog.OpIOWrite, Addr: addr, Size: int64(len(src))})
 	if err != nil {
 		return err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.dead {
-		return errDead(addr)
-	}
-	m.emit(oplog.Op{Kind: oplog.OpIOWrite, Addr: addr, Size: int64(len(src))}, o)
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
-		// Batch (and degraded objects) keep the host copy authoritative;
-		// peer DMA cannot help.
+	defer m.leave(o)
+	if m.hostAuthoritative(o) {
+		// Peer DMA cannot help: the bytes belong in the host copy.
 		o.mapping.Space.Write(addr, src)
 		return nil
 	}
 	for len(src) > 0 {
-		b := o.BlockAt(addr)
-		n := int64(b.addr) + b.size - int64(addr)
-		if n > int64(len(src)) {
-			n = int64(len(src))
-		}
+		b, n := o.chunk(addr, int64(len(src)))
 		if b.state == StateDirty {
 			// Preserve host bytes outside the written range. A permanent
 			// flush failure degrades o to host-resident mode: land the
 			// remaining peer bytes in the authoritative host copy instead.
-			if err := m.flushBlockEager(b); err != nil {
+			if err := m.flushRunEager(b, 1); err != nil {
 				o.mapping.Space.Write(addr, src)
 				return nil
 			}
@@ -55,8 +44,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 		m.dev.WriteBytes(o.devAddr+(addr-o.addr), src[:n])
 		m.stats.PeerBytesIn.Add(n)
 		if b.state != StateInvalid {
-			b.state = StateInvalid
-			m.setProt(b, hostmmu.ProtNone)
+			m.setState(b, 1, StateInvalid)
 		}
 		addr += mem.Addr(n)
 		src = src[n:]
@@ -70,26 +58,17 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 // untouched: like the interposed memcpy, peer I/O does not warm the CPU
 // copy.
 func (m *Manager) PeerRead(addr mem.Addr, dst []byte) error {
-	o, err := m.boundsCheck(addr, int64(len(dst)))
+	o, err := m.enter(oplog.Op{Kind: oplog.OpIORead, Addr: addr, Size: int64(len(dst))})
 	if err != nil {
 		return err
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.dead {
-		return errDead(addr)
-	}
-	m.emit(oplog.Op{Kind: oplog.OpIORead, Addr: addr, Size: int64(len(dst))}, o)
-	if m.cfg.Protocol == BatchUpdate || m.degradedLocked(o) {
+	defer m.leave(o)
+	if m.hostAuthoritative(o) {
 		o.mapping.Space.Read(addr, dst)
 		return nil
 	}
 	for len(dst) > 0 {
-		b := o.BlockAt(addr)
-		n := int64(b.addr) + b.size - int64(addr)
-		if n > int64(len(dst)) {
-			n = int64(len(dst))
-		}
+		b, n := o.chunk(addr, int64(len(dst)))
 		if b.state == StateDirty {
 			o.mapping.Space.Read(addr, dst[:n])
 		} else {

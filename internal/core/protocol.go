@@ -6,7 +6,6 @@ import (
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -24,36 +23,61 @@ import (
 // elide flushes and invalidations the kernel's declaration proves
 // unnecessary.
 
-// setProtObject changes the protection of a whole object with a single
-// mprotect call (one charge, covering all pages).
-func (m *Manager) setProtObject(o *Object, prot hostmmu.Prot) {
-	m.charge(sim.CatSignal, m.cfg.MprotectCost)
-	if err := m.mmu.Mprotect(o.addr, m.pageAlignedSize(o.size), prot); err != nil {
-		panic(fmt.Sprintf("core: mprotect of live object failed: %v", err))
+// protFor is the page protection each Figure 6 state sits behind, on the
+// objects whose pages detect accesses at all (detects).
+var protFor = [...]hostmmu.Prot{
+	StateInvalid:  hostmmu.ProtNone,
+	StateReadOnly: hostmmu.ProtRead,
+	StateDirty:    hostmmu.ProtReadWrite,
+}
+
+// detects reports whether o's page protections track its block states.
+// Batch-update never takes faults and leaves its pages read/write — except
+// for a sealed read-only replica, which sits behind read-only pages so a
+// host write is caught as a mode violation. The caller holds o.mu.
+func (o *Object) detects() bool { return o.proto != BatchUpdate || o.sealed }
+
+// setState is the Figure 6 transition and the only writer of Block.state:
+// it moves the n consecutive blocks starting at first to state to and, when
+// their object detects accesses, re-protects the run's pages to match with
+// a single mprotect (one charge). The caller holds first.obj.mu.
+//
+//adsm:noalloc
+func (m *Manager) setState(first *Block, n int, to State) {
+	o := first.obj
+	for _, b := range o.blocks[first.index : first.index+n] {
+		b.state = to
 	}
+	if o.detects() {
+		m.setProtRun(first, n, protFor[to])
+	}
+}
+
+// hostAuthoritative reports whether o's host copy is the current version of
+// every byte between kernel calls, so bulk and peer operations act on host
+// memory alone: under batch-update (re-sent wholesale at the next invoke)
+// and once o is degraded (never transferred again). It is asked of the
+// object, not the manager — a ModeAuto object leaves the configured
+// protocol. The caller holds o.mu.
+func (m *Manager) hostAuthoritative(o *Object) bool {
+	return o.proto == BatchUpdate || m.degradedLocked(o)
 }
 
 // protoAlloc sets the initial state and protection of a new object, by its
 // governing protocol.
 func (m *Manager) protoAlloc(o *Object) {
-	switch o.proto {
-	case BatchUpdate:
+	// Lazy-update detects CPU accesses with the memory protection hardware
+	// at object granularity; rolling-update refines it with fixed-size
+	// blocks and a bounded rolling cache of dirty blocks.
+	to := StateReadOnly
+	if o.proto == BatchUpdate {
 		// Pages stay read/write: batch-update never takes faults. Every
 		// object crosses the bus in both directions at every call/return
 		// boundary, with no access detection at all — what programmers tend
 		// to write first (Section 5.1 measures slowdowns of up to 65x).
-		for _, b := range o.blocks {
-			b.state = StateDirty
-		}
-	case LazyUpdate, RollingUpdate:
-		// Lazy-update detects CPU accesses with the memory protection
-		// hardware at object granularity; rolling-update refines it with
-		// fixed-size blocks and a bounded rolling cache of dirty blocks.
-		for _, b := range o.blocks {
-			b.state = StateReadOnly
-		}
-		m.setProtObject(o, hostmmu.ProtRead)
+		to = StateDirty
 	}
+	m.setState(o.blocks[0], len(o.blocks), to)
 }
 
 // protoFault resolves a protection fault on a block (the Figure 6 edges)
@@ -146,11 +170,9 @@ func (m *Manager) releaseRollingCache(ih *invokeHints) error {
 		// a run: streaming writers fill the cache in address order, so the
 		// invocation flush collapses into a few large DMA transfers.
 		j := i + 1
-		if !m.cfg.DisableCoalescing {
-			for j < len(drained) && drained[j].obj == drained[j-1].obj &&
-				drained[j].index == drained[j-1].index+1 {
-				j++
-			}
+		for j < len(drained) && drained[j].obj == drained[j-1].obj &&
+			drained[j].index == drained[j-1].index+1 {
+			j++
 		}
 		first := drained[i]
 		o := first.obj
@@ -193,50 +215,37 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 	if ih.wo[o] {
 		return m.invalidateUnflushed(o)
 	}
+	// Flush every dirty block. Batch-update transfers synchronously and keeps
+	// a non-written object Dirty: with no access detection it cannot know
+	// whether the CPU will modify the object and must conservatively re-send
+	// every call. Lazy and rolling flush eagerly (under rolling the cache
+	// drain has already flushed the queued blocks; a dirty block here is the
+	// normal case under lazy) and, both copies now matching, downgrade the
+	// block to catch the next CPU write.
 	written := ih.written(o)
-	switch o.proto {
-	case BatchUpdate:
-		// Transfer every dirty block synchronously, then invalidate the host
-		// copy ("system memory gets invalidated on kernel calls"). Blocks
-		// already invalidated by a preceding call in the same call/return
-		// window are not re-sent — re-sending would clobber in-flight kernel
-		// output.
-		for _, b := range o.blocks {
-			if b.state == StateDirty {
-				if err := m.flushBlockSync(b); err != nil {
-					return err
-				}
-			}
-			// Non-written objects keep their Dirty state: batch-update has
-			// no access detection, so it cannot know whether the CPU will
-			// modify them and must conservatively re-send every call.
-			if written {
-				b.state = StateInvalid
-			}
+	for _, b := range o.blocks {
+		if b.state != StateDirty {
+			continue
 		}
-	case LazyUpdate, RollingUpdate:
-		// Under rolling-update the cache drain has already flushed queued
-		// blocks; a dirty block here would be a bookkeeping bug under
-		// rolling, and is the normal case under lazy. Flush eagerly either
-		// way.
-		for _, b := range o.blocks {
-			if b.state == StateDirty {
-				if err := m.flushBlockEager(b); err != nil {
-					return err
-				}
-				b.state = StateReadOnly
-				if !written {
-					// Both copies now match; catch the next CPU write.
-					m.setProt(b, hostmmu.ProtRead)
-				}
+		if o.proto == BatchUpdate {
+			if err := m.flushBlockSync(b); err != nil {
+				return err
 			}
-			if written {
-				b.state = StateInvalid
-			}
+			continue
 		}
-		if written {
-			m.setProtObject(o, hostmmu.ProtNone)
+		if err := m.flushRunEager(b, 1); err != nil {
+			return err
 		}
+		if !written {
+			m.setState(b, 1, StateReadOnly)
+		}
+	}
+	if written {
+		// "System memory gets invalidated on kernel calls." Blocks already
+		// invalidated by a preceding call in the same call/return window were
+		// not Dirty, so they are not re-sent — re-sending would clobber
+		// in-flight kernel output.
+		m.setState(o.blocks[0], len(o.blocks), StateInvalid)
 	}
 	return nil
 }
@@ -283,9 +292,7 @@ func (m *Manager) acquireObject(o *Object) error {
 			// The host only writes o: fetching kernel output it will never
 			// read is pure waste. Leave every block Dirty so the next
 			// release re-sends whatever the host produces.
-			for _, b := range o.blocks {
-				b.state = StateDirty
-			}
+			m.setState(o.blocks[0], len(o.blocks), StateDirty)
 			m.stats.FetchElisions.Add(int64(len(o.blocks)))
 			break
 		}
@@ -297,7 +304,7 @@ func (m *Manager) acquireObject(o *Object) error {
 			if err := m.fetchRunSync(b, 1); err != nil {
 				return err
 			}
-			b.state = StateDirty
+			m.setState(b, 1, StateDirty)
 		}
 	case LazyUpdate, RollingUpdate:
 		// Nothing: blocks stay invalid until the CPU actually touches them.
@@ -325,7 +332,7 @@ func (m *Manager) sealReadOnly(o *Object) error {
 	for _, b := range o.blocks {
 		switch b.state {
 		case StateDirty:
-			if err := m.flushBlockEager(b); err != nil {
+			if err := m.flushRunEager(b, 1); err != nil {
 				return err
 			}
 		case StateInvalid:
@@ -336,10 +343,11 @@ func (m *Manager) sealReadOnly(o *Object) error {
 			}
 		case StateReadOnly:
 		}
-		b.state = StateReadOnly
 	}
-	m.setProtObject(o, hostmmu.ProtRead)
+	// Sealed first: from here on the object detects accesses under every
+	// protocol, so the transition protects a batch-governed replica too.
 	o.sealed = true
+	m.setState(o.blocks[0], len(o.blocks), StateReadOnly)
 	return nil
 }
 
@@ -348,17 +356,8 @@ func (m *Manager) sealReadOnly(o *Object) error {
 // the host-dirty bytes are dead and the write-back DMA is elided. The
 // caller holds o.mu.
 func (m *Manager) invalidateUnflushed(o *Object) error {
-	elided := int64(0)
-	for _, b := range o.blocks {
-		if b.state == StateDirty {
-			elided++
-		}
-		b.state = StateInvalid
-	}
-	m.stats.FlushElisions.Add(elided)
-	if o.proto != BatchUpdate {
-		m.setProtObject(o, hostmmu.ProtNone)
-	}
+	m.stats.FlushElisions.Add(int64(o.countState(StateDirty)))
+	m.setState(o.blocks[0], len(o.blocks), StateInvalid)
 	return nil
 }
 
@@ -423,8 +422,7 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 	case StateInvalid:
 		if access == hostmmu.AccessWrite && b.obj.mode == ModeWriteOnly {
 			m.stats.FetchElisions.Add(1)
-			b.state = StateDirty
-			m.setProt(b, hostmmu.ProtReadWrite)
+			m.setState(b, 1, StateDirty)
 			m.emitTransition(b, before)
 			return nil
 		}
@@ -437,19 +435,13 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 			m.emitTransition(b, before)
 			return err
 		}
-		o := b.obj
-		for i := 1; i < n; i++ {
-			o.blocks[b.index+i].state = StateReadOnly
-		}
 		if access == hostmmu.AccessWrite {
-			b.state = StateDirty
-			m.setProt(b, hostmmu.ProtReadWrite)
+			m.setState(b, 1, StateDirty)
 			if n > 1 {
-				m.setProtRun(o.blocks[b.index+1], n-1, hostmmu.ProtRead)
+				m.setState(b.obj.blocks[b.index+1], n-1, StateReadOnly)
 			}
 		} else {
-			b.state = StateReadOnly
-			m.setProtRun(b, n, hostmmu.ProtRead)
+			m.setState(b, n, StateReadOnly)
 		}
 		m.emitTransition(b, before)
 		return nil
@@ -457,8 +449,7 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		if access != hostmmu.AccessWrite {
 			return errReadFaultOnReadOnly(b.addr)
 		}
-		b.state = StateDirty
-		m.setProt(b, hostmmu.ProtReadWrite)
+		m.setState(b, 1, StateDirty)
 		m.emitTransition(b, before)
 		return nil
 	default: // StateDirty

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
 	"repro/internal/sim"
@@ -122,12 +121,7 @@ func (m *Manager) degradeObjectLocked(o *Object) {
 		return
 	}
 	m.rolling.forget(o)
-	for _, b := range o.blocks {
-		b.state = StateDirty
-	}
-	if m.cfg.Protocol != BatchUpdate {
-		m.setProtObject(o, hostmmu.ProtReadWrite)
-	}
+	m.setState(o.blocks[0], len(o.blocks), StateDirty)
 	o.degraded.Store(true)
 	m.emit(oplog.Op{Kind: oplog.OpDegrade, Addr: o.addr, Size: o.size}, o)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
 	"repro/internal/sim"
@@ -128,14 +127,13 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 		if err := m.fetchRunSync(b, 1); err != nil {
 			return err
 		}
+		to := StateReadOnly
 		if o.proto == BatchUpdate {
 			// Batch-update has no protection to observe the next host write,
 			// so the refreshed block must stay conservatively Dirty.
-			b.state = StateDirty
-		} else {
-			b.state = StateReadOnly
-			m.setProt(b, hostmmu.ProtRead)
+			to = StateDirty
 		}
+		m.setState(b, 1, to)
 	}
 	return nil
 }
@@ -160,11 +158,10 @@ func (m *Manager) releaseRegionObject(o *Object) error {
 			}
 			continue
 		}
-		if err := m.flushBlockEager(b); err != nil {
+		if err := m.flushRunEager(b, 1); err != nil {
 			return err
 		}
-		b.state = StateReadOnly
-		m.setProt(b, hostmmu.ProtRead)
+		m.setState(b, 1, StateReadOnly)
 	}
 	return nil
 }

@@ -22,7 +22,6 @@ type rollingCache struct {
 	capacity int
 	delta    int
 	fixed    bool // capacity pinned by the experiment, no adaptation
-	coalesce bool // batch address-contiguous victims into one eviction run
 }
 
 // maxEvictRun bounds how many address-contiguous victims one eviction may
@@ -32,11 +31,11 @@ type rollingCache struct {
 // collapsing the transfer count by an order of magnitude.
 const maxEvictRun = 16
 
-func newRollingCache(start, delta int, fixed, coalesce bool) *rollingCache {
+func newRollingCache(start, delta int, fixed bool) *rollingCache {
 	if delta <= 0 {
 		delta = 2
 	}
-	return &rollingCache{capacity: start, delta: delta, fixed: fixed, coalesce: coalesce}
+	return &rollingCache{capacity: start, delta: delta, fixed: fixed}
 }
 
 // onAlloc grows the rolling size, unless it is pinned.
@@ -92,14 +91,12 @@ func (rc *rollingCache) push(b *Block) (victim *Block, run int) {
 	}
 	victim = rc.queue[0]
 	run = 1
-	if rc.coalesce {
-		for run < len(rc.queue) && run < maxEvictRun {
-			next, prev := rc.queue[run], rc.queue[run-1]
-			if next == b || next.obj != prev.obj || next.index != prev.index+1 {
-				break
-			}
-			run++
+	for run < len(rc.queue) && run < maxEvictRun {
+		next, prev := rc.queue[run], rc.queue[run-1]
+		if next == b || next.obj != prev.obj || next.index != prev.index+1 {
+			break
 		}
+		run++
 	}
 	for _, q := range rc.queue[:run] {
 		q.queued = false

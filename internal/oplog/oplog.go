@@ -204,7 +204,9 @@ const (
 	// HdrFlight marks a flight-recorder dump: a bounded window that may
 	// start mid-run, so replayers must use lenient mode.
 	HdrFlight uint32 = 1 << iota
-	// HdrNoCoalesce mirrors core.Config.DisableCoalescing.
+	// HdrNoCoalesce is reserved: it marked streams recorded with eviction
+	// coalescing off, a knob that no longer exists. The bit keeps its place
+	// so the flags after it keep their values and old streams decode.
 	HdrNoCoalesce
 	// HdrRaceDetect marks a stream recorded with the online race detector
 	// enabled (core.Config.RaceDetect): a replayer re-enables detection so
