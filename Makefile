@@ -1,12 +1,13 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build test race bench-selftest bench bench-micro bench-contended bench-conformance bench-gate baseline smoke fuzz chaos record-corpus clean FORCE
+.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-gate baseline smoke fuzz chaos record-corpus clean FORCE
 
 all: check
 
-# The CI gate: formatting, static checks, build, and the race-enabled suite.
-check: fmt vet build race
+# The CI gate: formatting, static checks, build (and the cross-build of the
+# platform fallback), and the race-enabled suite.
+check: fmt vet build build-fallback race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -36,6 +37,12 @@ FORCE:
 
 build:
 	$(GO) build ./...
+
+# Device memory is an OS mapping on unix and a heap slice elsewhere
+# (internal/mem/lazy_heap.go, also what -race builds use). No CI machine is
+# "elsewhere", so cross-compile for one; it needs only GOROOT.
+build-fallback:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

@@ -83,6 +83,7 @@ func main() {
 	}
 
 	m := machine.PaperTestbed()
+	defer m.Close()
 	ctx, err := gmac.NewContext(m, gmac.Config{
 		Protocol:     proto,
 		BlockSize:    *blockSize,
@@ -267,7 +268,9 @@ func replay(path string) error {
 	fmt.Printf("%s: %s %q, %d ops, protocol %d, block %d\n",
 		path, kind, l.Header.Label, len(l.Ops), l.Header.Protocol, l.Header.BlockSize)
 
-	ctx, err := gmac.NewContext(machine.PaperTestbed(), gmac.ReplayConfig(l.Header))
+	m := machine.PaperTestbed()
+	defer m.Close()
+	ctx, err := gmac.NewContext(m, gmac.ReplayConfig(l.Header))
 	if err != nil {
 		return err
 	}

@@ -64,6 +64,7 @@ func runHostThreads(threads int, small bool) error {
 	if err != nil {
 		return err
 	}
+	defer m.Close()
 	mc, err := gmac.NewMultiContext(m, gmac.Config{
 		Protocol:  gmac.RollingUpdate,
 		BlockSize: blockSize,

@@ -21,6 +21,7 @@ import (
 
 func main() {
 	m := machine.PaperTestbed()
+	defer m.Close()
 	ctx, err := gmac.NewContext(m, gmac.Config{Protocol: gmac.RollingUpdate})
 	if err != nil {
 		log.Fatal(err)

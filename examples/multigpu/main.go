@@ -65,6 +65,8 @@ func main() {
 	va := mem.NewVASpace(0x7f00_0000_0000, 0x7f80_0000_0000)
 	same0 := gpu("gpu0", 0x2_0000_0000, clock)
 	same1 := gpu("gpu1", 0x2_0000_0000, clock) // same window, like real cudaMalloc
+	defer same0.Close()
+	defer same1.Close()
 
 	allocate := func(d *accel.Device) (host, dev mem.Addr) {
 		devPtr, err := d.Malloc(n * 4)
@@ -97,6 +99,7 @@ func main() {
 
 	fmt.Println("\n--- part 2: the full runtime view (gmac.MultiContext) ---")
 	mm := machine.DualGPUTestbed(false)
+	defer mm.Close()
 	mc, err := gmac.NewMultiContext(mm, gmac.Config{Protocol: gmac.RollingUpdate})
 	if err != nil {
 		log.Fatal(err)

@@ -24,6 +24,7 @@ func main() {
 	// Build the paper's evaluation platform: a 3 GHz Opteron host and a
 	// simulated G280 behind PCIe 2.0 x16, sharing one virtual clock.
 	m := machine.PaperTestbed()
+	defer m.Close() // gives the simulated gigabyte of device memory back
 	ctx, err := gmac.NewContext(m, gmac.Config{Protocol: gmac.RollingUpdate})
 	if err != nil {
 		log.Fatal(err)

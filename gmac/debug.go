@@ -100,8 +100,9 @@ type DebugServer = introspect.Server
 
 // EnableDebugServer starts the opt-in introspection endpoint on addr
 // (":0" picks an ephemeral port; read it back with Addr). It serves
-// /adsm/stats, /adsm/objects, /adsm/trace and /adsm/statsz for every
-// recently built context in the process, and runs until Close.
+// /adsm/stats, /adsm/objects, /adsm/trace and /adsm/statsz for the most
+// recent contexts built in the process while it runs (start it before
+// them: nothing retains a context that no endpoint serves), until Close.
 func EnableDebugServer(addr string) (*DebugServer, error) {
 	return introspect.Start(addr)
 }

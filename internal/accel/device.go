@@ -113,7 +113,9 @@ type Stats struct {
 	DMAFaults, LaunchFaults int64
 }
 
-// New creates a device bound to the host virtual clock.
+// New creates a device bound to the host virtual clock. Its on-board
+// memory is demand-paged (mem.NewLazySpace): the owner should Close the
+// device when done with it.
 func New(cfg Config, clock *sim.Clock) *Device {
 	if cfg.MemSize <= 0 {
 		panic(fmt.Sprintf("accel: device %q has no memory", cfg.Name))
@@ -124,7 +126,7 @@ func New(cfg Config, clock *sim.Clock) *Device {
 	d := &Device{
 		cfg:    cfg,
 		clock:  clock,
-		memory: mem.NewSpace(cfg.Name+" GDDR", cfg.MemBase, cfg.MemSize),
+		memory: mem.NewLazySpace(cfg.Name+" GDDR", cfg.MemBase, cfg.MemSize),
 		alloc:  mem.NewAllocator(cfg.MemBase, cfg.MemSize, cfg.AllocAlign),
 		dmaH2D: sim.NewResource(cfg.Name+" DMA H2D", clock),
 		dmaD2H: sim.NewResource(cfg.Name+" DMA D2H", clock),
@@ -137,6 +139,18 @@ func New(cfg Config, clock *sim.Clock) *Device {
 		d.memory.SetTranslator(d.pt.translate)
 	}
 	return d
+}
+
+// Close powers the device off and gives its on-board memory back. From
+// then on it behaves as a lost device: the fault-aware entry points fail
+// with fault.ErrDeviceLost, and any other access to device memory is a
+// machine check. Close is idempotent. Like closing a file that is still
+// being written, calling it while another goroutine is inside the device
+// is the caller's bug; it takes no lock, so that a deferred Close still
+// lets a machine check raised under the device lock reach the top.
+func (d *Device) Close() {
+	d.lost.Store(true)
+	d.memory.Close()
 }
 
 // Name returns the device name.

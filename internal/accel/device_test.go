@@ -2,8 +2,11 @@ package accel
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -301,5 +304,60 @@ func TestDeviceWithoutVMRejectsMapVA(t *testing.T) {
 	}
 	if d.HasVirtualMemory() || d.VAMappings() != 0 {
 		t.Fatal("non-VM device reports VM state")
+	}
+}
+
+// closedDevice returns a device that held data and was then closed twice,
+// and the address of its one allocation.
+func closedDevice(t *testing.T) (*Device, mem.Addr) {
+	t.Helper()
+	d, _ := testDevice(t)
+	d.Register(&Kernel{Name: "touch", Run: func(dev *mem.Space, args []uint64) { dev.SetUint32(mem.Addr(args[0]), 1) }})
+	p, err := d.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.MemcpyH2D(p, []byte{1, 2, 3, 4})
+	d.Close()
+	d.Close()
+	return d, p
+}
+
+// TestUseAfterClose: a closed device fails the way a lost one does, and
+// the entry points that cannot return an error take the machine check
+// naming the device's memory, not a memory fault.
+func TestUseAfterClose(t *testing.T) {
+	d, p := closedDevice(t)
+	if !d.Lost() {
+		t.Fatal("closed device does not report itself lost")
+	}
+	buf := make([]byte, 4)
+	if _, err := d.TryMemcpyH2D(p, buf); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("TryMemcpyH2D on a closed device: %v, want ErrDeviceLost", err)
+	}
+	if _, err := d.TryMemcpyD2H(buf, p); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("TryMemcpyD2H on a closed device: %v, want ErrDeviceLost", err)
+	}
+	if _, err := d.Launch("touch", uint64(p)); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("Launch on a closed device: %v, want ErrDeviceLost", err)
+	}
+	if _, err := d.NewStream("s").Launch("touch", uint64(p)); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("Stream.Launch on a closed device: %v, want ErrDeviceLost", err)
+	}
+	for name, access := range map[string]func(*Device, mem.Addr){
+		"MemcpyH2D": func(d *Device, p mem.Addr) { d.MemcpyH2D(p, buf) },
+		"MemcpyD2H": func(d *Device, p mem.Addr) { d.MemcpyD2H(buf, p) },
+		"Memset":    func(d *Device, p mem.Addr) { d.Memset(p, 0, 4) },
+		"ReadBytes": func(d *Device, p mem.Addr) { d.ReadBytes(p, buf) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "outside space testgpu GDDR") {
+					t.Fatalf("%s on a closed device: panic %q, want the machine check naming its memory", name, msg)
+				}
+			}()
+			access(closedDevice(t)) // a fresh one: the machine check leaves the device lock held
+		}()
 	}
 }

@@ -12,8 +12,8 @@ import (
 // This file wires the manager into the observability layer: the metric
 // handles it records into on hot paths, the per-object snapshot used by
 // the introspection endpoint's object table, and the process-wide registry
-// of recent managers that lets a debug server find live runtimes without
-// any plumbing through the experiment harnesses.
+// of recent managers that lets a running debug server find live runtimes
+// without any plumbing through the experiment harnesses.
 
 // metricSet caches the registry handles one manager observes into
 // directly: the distributions and the gauge, which no op carries. The
@@ -144,23 +144,29 @@ func (m *Manager) introRetire(o *Object) {
 
 // --- process-wide manager registry ---
 
-// maxRecentManagers bounds how many managers the registry retains.
-// Experiment harnesses construct managers in a loop; keeping only the most
-// recent ones caps the memory pinned by introspection.
+// maxRecentManagers bounds how many managers the registry retains while an
+// introspection endpoint is serving. Experiment harnesses construct
+// managers in a loop; keeping only the most recent ones caps what a
+// long-lived endpoint pins, and is the window /adsm/stats shows.
 const maxRecentManagers = 16
 
 var mgrReg struct {
 	//adsm:lock mgrRegMu 50 nowait
-	mu   sync.Mutex
-	seq  int
-	mgrs []*Manager
+	mu  sync.Mutex
+	seq int
+	// serving counts the running introspection endpoints. Managers are
+	// retained only while it is positive: a process that serves nothing
+	// pins none of them, nor the machines behind them.
+	serving int
+	mgrs    []*Manager
 	// autoTrace, when positive, installs a span tracer of that capacity on
 	// every newly built manager.
 	autoTrace int
 }
 
-// registerManager assigns the manager an ID and retains it for
-// introspection, evicting the oldest beyond maxRecentManagers.
+// registerManager assigns the manager an ID and, while an introspection
+// endpoint is serving, retains it, evicting the oldest beyond
+// maxRecentManagers.
 func registerManager(m *Manager) {
 	mgrReg.mu.Lock()
 	defer mgrReg.mu.Unlock()
@@ -171,14 +177,34 @@ func registerManager(m *Manager) {
 		m.spans = t
 		m.tracer = t.Log()
 	}
+	if mgrReg.serving == 0 {
+		return
+	}
 	mgrReg.mgrs = append(mgrReg.mgrs, m)
 	if len(mgrReg.mgrs) > maxRecentManagers {
 		mgrReg.mgrs = append(mgrReg.mgrs[:0:0], mgrReg.mgrs[len(mgrReg.mgrs)-maxRecentManagers:]...)
 	}
 }
 
-// RecentManagers returns the most recently constructed managers, oldest
-// first. The introspection endpoint serves its object tables from them.
+// RetainManagers is called with true by an introspection endpoint when it
+// starts serving and with false when it stops. Managers built in between
+// are retained for RecentManagers; the last endpoint to stop releases them.
+func RetainManagers(serving bool) {
+	mgrReg.mu.Lock()
+	defer mgrReg.mu.Unlock()
+	if serving {
+		mgrReg.serving++
+		return
+	}
+	mgrReg.serving--
+	if mgrReg.serving == 0 {
+		mgrReg.mgrs = nil
+	}
+}
+
+// RecentManagers returns the most recent managers constructed while an
+// introspection endpoint was serving, oldest first. The endpoint serves
+// its object tables from them.
 func RecentManagers() []*Manager {
 	mgrReg.mu.Lock()
 	defer mgrReg.mu.Unlock()

@@ -28,6 +28,7 @@ func AblationAnnotations() (*Table, error) {
 	)
 	run := func(annotated bool) (sim.Time, int64, error) {
 		m := machine.PaperTestbed()
+		defer m.Close()
 		ctx, err := gmac.NewContext(m, gmac.Config{Protocol: gmac.RollingUpdate})
 		if err != nil {
 			return 0, 0, err
@@ -170,6 +171,7 @@ func AblationVirtualMemory() (*Table, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
+		defer m.Close()
 		// Adversarial host layout: a shared library mapped exactly over
 		// the device's physical window (the multi-GPU overlap of §4.2).
 		devCfg := cfg.Accelerators[0]

@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -192,7 +193,9 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 // NewHandler returns the introspection handler, for embedding into an
-// existing server.
+// existing server. The embedder brackets its serving with
+// core.RetainManagers, as Start and Close do, or the object tables and
+// /adsm/trace stay empty.
 func NewHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/adsm/stats", handleStats)
@@ -208,18 +211,22 @@ func NewHandler() http.Handler {
 
 // Server is a running introspection endpoint.
 type Server struct {
-	ln  net.Listener
-	srv *http.Server
+	ln     net.Listener
+	srv    *http.Server
+	closed sync.Once
 }
 
 // Start listens on addr (e.g. "localhost:6060", ":0" for an ephemeral
-// port) and serves the introspection endpoints until Close.
+// port) and serves the introspection endpoints until Close. Managers built
+// while it serves are retained (core.RetainManagers) for the object tables
+// and /adsm/trace; ones built before Start are not visible.
 func Start(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("introspect: %w", err)
 	}
 	s := &Server{ln: ln, srv: &http.Server{Handler: NewHandler()}}
+	core.RetainManagers(true)
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
@@ -227,5 +234,8 @@ func Start(addr string) (*Server, error) {
 // Addr returns the server's listen address (with the resolved port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close shuts the server down.
-func (s *Server) Close() error { return s.srv.Close() }
+// Close shuts the server down and lets go of the managers it retained.
+func (s *Server) Close() error {
+	s.closed.Do(func() { core.RetainManagers(false) })
+	return s.srv.Close()
+}

@@ -80,7 +80,6 @@ func get(t *testing.T, url string) []byte {
 func TestStatsEndpoint(t *testing.T) {
 	core.SetAutoTrace(1024)
 	defer core.SetAutoTrace(0)
-	driveWorkload(t)
 
 	srv, err := introspect.Start("localhost:0")
 	if err != nil {
@@ -88,6 +87,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
+	driveWorkload(t) // after Start: only a serving endpoint retains managers
 
 	body := get(t, base+"/adsm/stats")
 	var doc struct {

@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -48,21 +51,29 @@ func TestSpaceScalars(t *testing.T) {
 	}
 }
 
+// mustMachineCheck runs access and requires the out-of-range panic of
+// panicOutOfRange naming the space, not a runtime bounds or memory fault.
+func mustMachineCheck(t *testing.T, name string, access func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "mem: access") || !strings.Contains(msg, "outside space "+name) {
+			t.Fatalf("want the machine check naming space %q, got panic %q", name, msg)
+		}
+	}()
+	access()
+}
+
 func TestSpaceOutOfRangePanics(t *testing.T) {
 	s := NewSpace("dev", 0x1000, 16)
 	for _, access := range []func(){
 		func() { s.Bytes(0xfff, 1) },
 		func() { s.Bytes(0x1000, 17) },
 		func() { s.Bytes(0x100f, 2) },
+		func() { s.Bytes(0x1008, math.MaxInt64) }, // off+n wraps negative
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-range access did not panic")
-				}
-			}()
-			access()
-		}()
+		mustMachineCheck(t, "dev", access)
 	}
 }
 
@@ -70,6 +81,72 @@ func TestSpaceContains(t *testing.T) {
 	s := NewSpace("dev", 0x1000, 16)
 	if !s.Contains(0x1000, 16) || s.Contains(0x1000, 17) || s.Contains(0x1000, -1) {
 		t.Fatal("Contains boundary conditions wrong")
+	}
+	if !s.Contains(0x1010, 0) || s.Contains(0x1011, 0) || s.Contains(0x1008, math.MaxInt64) {
+		t.Fatal("Contains wrong at the end of the space or for a length that overflows")
+	}
+}
+
+// TestLazySpace checks the device-memory backing behind the Space API:
+// zero-filled wherever it is first touched, aliased by Bytes, translated
+// like any other space.
+func TestLazySpace(t *testing.T) {
+	const base, size, page = Addr(0x2_0000_0000), int64(1 << 30), int64(4096)
+	s := NewLazySpace("gddr", base, size)
+	defer s.Close()
+	if s.Base() != base || s.Size() != size || s.Name() != "gddr" {
+		t.Fatalf("space metadata wrong: %#x %d %s", uint64(s.Base()), s.Size(), s.Name())
+	}
+	got := make([]byte, page)
+	for _, off := range []int64{0, size / 2, size - page} {
+		for i := range got {
+			got[i] = 0xff
+		}
+		s.Read(base+Addr(off), got)
+		if !bytes.Equal(got, make([]byte, page)) {
+			t.Fatalf("fresh page at offset %#x is not zero", off)
+		}
+	}
+	copy(s.Bytes(base+Addr(size-page), 3), []byte{1, 2, 3})
+	s.Read(base+Addr(size-page), got[:3])
+	if !bytes.Equal(got[:3], []byte{1, 2, 3}) {
+		t.Fatalf("Bytes is not a live view: read back %v", got[:3])
+	}
+	mustMachineCheck(t, "gddr", func() { s.Bytes(base+Addr(size-1), 2) })
+
+	s.SetTranslator(func(addr Addr, n int64) (Addr, bool) {
+		if addr >= 0x9000 && addr+Addr(n) <= 0x9000+Addr(page) {
+			return base + Addr(size-page) + (addr - 0x9000), true
+		}
+		return 0, false
+	})
+	if s.Uint32(0x9000) != 0x030201 {
+		t.Fatalf("translated read = %#x, want the bytes written physically", s.Uint32(0x9000))
+	}
+	s.SetUint32(base, 7) // untranslated addresses stay physical
+	if s.Uint32(base) != 7 {
+		t.Fatal("identity access broken under a translator")
+	}
+}
+
+// TestSpaceUseAfterClose: a closed space is empty, so every access is the
+// machine check and none reaches the memory that went back.
+func TestSpaceUseAfterClose(t *testing.T) {
+	for _, s := range []*Space{NewLazySpace("gddr", 0x1000, 1<<20), NewSpace("anon", 0x1000, 1<<20)} {
+		s.Write(0x1000, []byte{1})
+		s.Close()
+		s.Close() // idempotent
+		if s.Size() != 0 || s.Contains(0x1000, 1) {
+			t.Fatalf("closed space %s still has %d bytes", s.Name(), s.Size())
+		}
+		for _, access := range []func(){
+			func() { s.Bytes(0x1000, 1) },
+			func() { s.Read(0x1000, make([]byte, 8)) },
+			func() { s.Write(0x1000, []byte{1}) },
+			func() { s.Memset(0x1000, 0, 4096) },
+		} {
+			mustMachineCheck(t, s.Name(), access)
+		}
 	}
 }
 
@@ -302,6 +379,46 @@ func TestVASpaceUnmapUnknown(t *testing.T) {
 	v := NewVASpace(0x1000, 0x10000)
 	if err := v.Unmap(0x4000); err == nil {
 		t.Fatal("Unmap of unmapped address succeeded")
+	}
+}
+
+// TestVASpaceAgainstFlatModel drives MapFixed and Unmap at random page
+// granularity and checks every verdict against a page-occupancy array: the
+// binary searches over the sorted mappings must agree with it at every
+// edge (a range ending where a mapping starts, starting where one ends,
+// swallowing several, an Unmap inside a mapping).
+func TestVASpaceAgainstFlatModel(t *testing.T) {
+	const pages, page = 64, 0x1000
+	rng := rand.New(rand.NewSource(1))
+	v := NewVASpace(0, pages*page)
+	owner := make([]int, pages) // first page of the mapping covering each page, +1; 0 = free
+	for i := 0; i < 4000; i++ {
+		first, n := rng.Intn(pages), 1+rng.Intn(6)
+		if first+n > pages {
+			n = pages - first
+		}
+		addr := Addr(first * page)
+		if rng.Intn(3) == 0 {
+			err := v.Unmap(addr)
+			if starts := owner[first] == first+1; starts != (err == nil) {
+				t.Fatalf("step %d: Unmap(%#x) = %v, model says a mapping starts there: %v", i, uint64(addr), err, starts)
+			}
+			for p := first; err == nil && p < pages && owner[p] == first+1; p++ {
+				owner[p] = 0
+			}
+			continue
+		}
+		free := true
+		for p := first; p < first+n; p++ {
+			free = free && owner[p] == 0
+		}
+		_, err := v.MapFixed(addr, int64(n*page))
+		if free != (err == nil) {
+			t.Fatalf("step %d: MapFixed(%#x, %d pages) = %v, model says free: %v", i, uint64(addr), n, err, free)
+		}
+		for p := first; err == nil && p < first+n; p++ {
+			owner[p] = first + 1
+		}
 	}
 }
 

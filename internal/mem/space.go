@@ -1,15 +1,29 @@
 // Package mem provides the physical and virtual memory substrates of the
 // simulated heterogeneous machine: byte-addressable memory spaces backed by
-// real Go buffers (so kernels genuinely compute), a first-fit allocator
+// real bytes (so kernels genuinely compute), a first-fit allocator
 // used by the simulated accelerator, and a host virtual-address-space
 // manager that reproduces the mmap-at-fixed-address trick GMAC uses to
 // build its shared address space (Section 4.2 of the paper).
+//
+// A Space's backing follows its role. The accelerator's on-board memory
+// (NewLazySpace) is a gigabyte of which a run touches a few per cent, so
+// it is demand-paged: an anonymous private OS mapping whose pages cost
+// nothing until they are first touched, as on the paper's testbed, and
+// which Close (or, for callers that never close, a finalizer) hands back.
+// Host mappings (NewSpace, through VASpace.MapFixed/MapAnywhere) are small,
+// short-lived and made by the thousand, where a system call and a
+// first-touch fault per page cost more than zeroing does; they are Go heap
+// slices and the garbage collector owns them. Platforms without such
+// mappings and -race builds (the race detector does not instrument
+// addresses outside the Go heap) back both kinds with make; lazy_heap.go
+// is that one fallback.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Addr is an address in the simulated machine. Device and host addresses
@@ -33,14 +47,53 @@ type Space struct {
 	base  Addr
 	data  []byte
 	xlate Translator
+	// release returns data to the operating system; nil when the garbage
+	// collector owns it.
+	release func([]byte) error
 }
 
-// NewSpace allocates a zeroed memory space of the given size at base.
+// NewSpace allocates a zeroed memory space of the given size at base on
+// the Go heap.
 func NewSpace(name string, base Addr, size int64) *Space {
 	if size < 0 {
 		panic(fmt.Sprintf("mem: negative space size %d", size))
 	}
 	return &Space{name: name, base: base, data: make([]byte, size)}
+}
+
+// NewLazySpace returns a zeroed memory space of the given size at base
+// that pays only for the pages it touches (see the package comment). The
+// owner should Close it; a space dropped unclosed is closed by a
+// finalizer, which a slice obtained from Bytes does not hold off.
+func NewLazySpace(name string, base Addr, size int64) *Space {
+	if size < 0 {
+		panic(fmt.Sprintf("mem: negative space size %d", size))
+	}
+	data, release, err := lazyBytes(size)
+	if err != nil {
+		// As fatal as make running out of memory, which this replaces.
+		panic(fmt.Sprintf("mem: cannot back space %s with %d bytes: %v", name, size, err))
+	}
+	s := &Space{name: name, base: base, data: data, release: release}
+	if release != nil {
+		runtime.SetFinalizer(s, (*Space).Close)
+	}
+	return s
+}
+
+// Close gives the space's memory back. Every later access of one byte or
+// more is out of range, a machine check naming the space. Close is
+// idempotent, and must not run concurrently with an access.
+func (s *Space) Close() {
+	data, release := s.data, s.release
+	s.data, s.release = nil, nil
+	if release == nil {
+		return
+	}
+	runtime.SetFinalizer(s, nil)
+	if err := release(data); err != nil {
+		panic(fmt.Sprintf("mem: releasing space %s: %v", s.name, err)) // the mapping is ours, so only a bug gets here
+	}
 }
 
 // Name returns the diagnostic name of the space.
@@ -58,7 +111,7 @@ func (s *Space) Contains(addr Addr, n int64) bool {
 		return false
 	}
 	off := int64(addr) - int64(s.base)
-	return off >= 0 && off+n <= s.Size()
+	return off >= 0 && n <= s.Size()-off
 }
 
 // SetTranslator installs (or clears, with nil) the virtual-memory

@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -58,10 +59,14 @@ func (v *VASpace) Reserve(addr Addr, size int64) error {
 
 func (v *VASpace) overlaps(addr Addr, size int64) bool {
 	end := addr + Addr(size)
-	for _, m := range v.mappings {
-		if addr < m.Addr+Addr(m.Size) && m.Addr < end {
-			return true
-		}
+	// The mappings are sorted and disjoint, so only the first one that
+	// ends above addr can intersect the range.
+	i := sort.Search(len(v.mappings), func(i int) bool {
+		m := v.mappings[i]
+		return m.Addr+Addr(m.Size) > addr
+	})
+	if i < len(v.mappings) && v.mappings[i].Addr < end {
+		return true
 	}
 	for _, r := range v.reserved {
 		if addr < r.addr+Addr(r.size) && r.addr < end {
@@ -145,22 +150,19 @@ func (v *VASpace) nextObstacleEnd(addr Addr, size int64) Addr {
 
 func (v *VASpace) insert(m *Mapping) {
 	i := sort.Search(len(v.mappings), func(i int) bool { return v.mappings[i].Addr > m.Addr })
-	v.mappings = append(v.mappings, nil)
-	copy(v.mappings[i+1:], v.mappings[i:])
-	v.mappings[i] = m
+	v.mappings = slices.Insert(v.mappings, i, m)
 }
 
 // Unmap removes the mapping that begins at addr.
 func (v *VASpace) Unmap(addr Addr) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for i, m := range v.mappings {
-		if m.Addr == addr {
-			v.mappings = append(v.mappings[:i], v.mappings[i+1:]...)
-			return nil
-		}
+	i := sort.Search(len(v.mappings), func(i int) bool { return v.mappings[i].Addr >= addr })
+	if i == len(v.mappings) || v.mappings[i].Addr != addr {
+		return fmt.Errorf("mem: unmap of unmapped address %#x", uint64(addr))
 	}
-	return fmt.Errorf("mem: unmap of unmapped address %#x", uint64(addr))
+	v.mappings = slices.Delete(v.mappings, i, i+1) // clears the vacated slot, which would pin the mapping's bytes
+	return nil
 }
 
 // Lookup returns the mapping containing addr, or nil.

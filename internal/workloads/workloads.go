@@ -115,7 +115,8 @@ type Options struct {
 	// DisableFaultBatching turns off span-fault batching for the GMAC
 	// variant (the batched/unbatched conformance comparison).
 	DisableFaultBatching bool
-	// Machine builds the testbed (default machine.PaperTestbed).
+	// Machine builds the testbed (default machine.PaperTestbed). The run
+	// owns the machine it gets and closes it.
 	Machine func() *machine.Machine
 }
 
@@ -126,9 +127,11 @@ func (o Options) machine() *machine.Machine {
 	return machine.PaperTestbed()
 }
 
-// RunCUDA executes the baseline variant of b on a fresh machine.
+// RunCUDA executes the baseline variant of b on a fresh machine, which it
+// closes before returning.
 func RunCUDA(b Benchmark, opt Options) (Report, error) {
 	m := opt.machine()
+	defer m.Close()
 	b.Register(m.Device())
 	if err := b.Prepare(m); err != nil {
 		return Report{}, fmt.Errorf("%s: prepare: %w", b.Name(), err)
@@ -149,9 +152,11 @@ func RunCUDA(b Benchmark, opt Options) (Report, error) {
 	}, nil
 }
 
-// RunGMAC executes the ADSM variant of b on a fresh machine.
+// RunGMAC executes the ADSM variant of b on a fresh machine, which it
+// closes before returning.
 func RunGMAC(b Benchmark, opt Options) (Report, error) {
 	m := opt.machine()
+	defer m.Close()
 	b.Register(m.Device())
 	if err := b.Prepare(m); err != nil {
 		return Report{}, fmt.Errorf("%s: prepare: %w", b.Name(), err)

@@ -87,6 +87,17 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
+// Close powers the machine off, giving its accelerators' on-board memories
+// back (accel.Device.Close). Results already read from the machine — the
+// clock, the breakdown, device statistics — stay readable. Close is
+// idempotent; a machine dropped without it is cleaned up by a finalizer,
+// later and only when the garbage collector gets to it.
+func (m *Machine) Close() {
+	for _, d := range m.Devices {
+		d.Close()
+	}
+}
+
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 

@@ -19,6 +19,21 @@ func TestPaperTestbed(t *testing.T) {
 	}
 }
 
+func TestClose(t *testing.T) {
+	m := DualGPUTestbed(false)
+	m.CPUCompute(3e9)
+	m.Close()
+	m.Close() // idempotent
+	for _, d := range m.Devices {
+		if !d.Lost() || d.Memory().Size() != 0 {
+			t.Fatalf("%s still powered after Close: lost=%v, %d bytes", d.Name(), d.Lost(), d.Memory().Size())
+		}
+	}
+	if m.Elapsed() == 0 || m.Breakdown.Get(sim.CatCPU) != m.Elapsed() {
+		t.Fatal("results of a closed machine are no longer readable")
+	}
+}
+
 func TestCPUCostModel(t *testing.T) {
 	m := PaperTestbed()
 	m.CPUCompute(3e9) // 3 GFLOP at 3 GFLOPS = 1s
