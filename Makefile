@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-gate baseline smoke fuzz chaos record-corpus clean FORCE
+.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance smoke fuzz chaos record-corpus clean FORCE
 
 all: check
 
@@ -58,37 +58,29 @@ bench-selftest:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Hot-path microbenchmarks (fault service, span batching, eviction,
-# registry lookup), repeated so benchstat can tell noise from signal.
+# Wall-clock ns/op of the fault-path scenarios TestCostModel pins exactly
+# (internal/core/cost_test.go) and of the registry lookup, repeated so
+# benchstat can tell noise from signal.
 bench-micro:
-	$(GO) test -bench 'BenchmarkFault|BenchmarkStreamingFaults|BenchmarkRollingEvict|BenchmarkBlockLookup' \
-		-benchmem -benchtime=100x -count=3 -run '^$$' ./internal/benchgate ./internal/core
+	$(GO) test -bench 'BenchmarkCostModel|BenchmarkBlockLookup' -skip 'BenchmarkCostModel/ContendedFaults' \
+		-benchmem -benchtime=100x -count=3 -run '^$$' ./internal/core
 
 # The contended-lane sweep: N host lanes faulting on disjoint objects
 # through the sharded registry/MMU. Run without -race (the detector's
 # overhead drowns the wall-clock signal; the -race interleaving coverage
 # lives in bench-conformance).
 bench-contended:
-	$(GO) test -bench 'BenchmarkContendedFaults' \
-		-benchmem -benchtime=100x -count=3 -run '^$$' ./internal/benchgate
+	$(GO) test -bench 'BenchmarkCostModel/ContendedFaults' \
+		-benchmem -benchtime=100x -count=3 -run '^$$' ./internal/core
 
-# The conformance half of the bench gate, under the race detector:
-# batched runs byte-identical to the unbatched oracle on every workload,
-# replay round trip, and the sharded registry/MMU lane stress.
+# The conformance suite under the race detector: batched runs byte-identical
+# to the unbatched oracle on every workload, replay round trip, and the
+# sharded registry/MMU lane stress.
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
 		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
 		./internal/core ./internal/hostmmu
-
-# The benchmark-regression gate: re-run the micro + figure suites and
-# compare against the committed baseline (see docs/performance.md).
-bench-gate:
-	$(GO) run ./cmd/gmacbench -small -benchtime 0.3s -check BENCH_PR9.json
-
-# Refresh the committed baseline after an intentional model change.
-baseline:
-	$(GO) run ./cmd/gmacbench -small -benchtime 0.5s -baseline BENCH_PR9.json
 
 # Fast end-to-end sanity: one small figure run with the JSON summary.
 smoke:

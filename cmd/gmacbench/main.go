@@ -3,22 +3,19 @@
 //
 // Usage:
 //
-//	gmacbench [-small] [-json FILE] [-debug.addr ADDR] <experiment>...
+//	gmacbench [-small] [-json FILE] [-debug.addr ADDR [-debug.hold]] <experiment>...
+//	gmacbench [-small] [-hostthreads N] [-faults [-faults.seed N]] [-record DIR] [<experiment>...]
 //
 // where experiment is one of: fig2, table2, porting, fig7, fig8, fig10,
 // fig9, fig11, fig12, ablations, modes, all. The -small flag runs the
 // unit-test scale (fast smoke run); the default is evaluation scale.
+// -hostthreads, -faults and -record run before any experiments, which
+// they make optional.
 //
 // -json FILE writes a machine-readable summary of the evaluation runs
 // (workload, protocol, virtual time, key counters) so the performance
 // trajectory can be tracked across changes; if no evaluation experiment
 // was requested, the evaluation sweep is run for the summary alone.
-//
-// -baseline FILE runs the benchmark-regression suite (hot-path
-// microbenchmarks plus the evaluation sweep) and writes a benchgate
-// summary; -check FILE runs the same suite and compares against a
-// committed baseline, exiting non-zero on any tolerance violation. See
-// docs/performance.md.
 //
 // -debug.addr ADDR starts the live introspection endpoint (see
 // docs/observability.md): curl ADDR/adsm/stats while the run is in
@@ -38,7 +35,6 @@ import (
 	"strings"
 
 	"repro/gmac"
-	"repro/internal/benchgate"
 	"repro/internal/figures"
 	"repro/internal/workloads"
 )
@@ -50,13 +46,10 @@ func main() {
 	hostThreads := flag.Int("hostthreads", 0, "run the concurrent fault-throughput benchmark with `N` host goroutines")
 	jsonOut := flag.String("json", "", "write a machine-readable benchmark summary to `file`")
 	recordDir := flag.String("record", "", "record the workloads' op streams as .oplog files into `dir` (the chaos-replay corpus; honours -small)")
-	baseline := flag.String("baseline", "", "run the regression suite and write a benchgate baseline to `file`")
-	check := flag.String("check", "", "run the regression suite and compare against the baseline in `file`")
-	benchtime := flag.String("benchtime", "", "benchmarking `duration` per microbenchmark for -baseline/-check (e.g. 1s, 100x; default 1s)")
 	debugAddr := flag.String("debug.addr", "", "serve live introspection endpoints on `addr` (e.g. localhost:6060)")
 	debugHold := flag.Bool("debug.hold", false, "with -debug.addr: keep serving after the run finishes")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gmacbench [-small] [-json file] [-debug.addr addr] [-hostthreads N] <fig2|table2|porting|fig7|fig8|fig10|fig9|fig11|fig12|ablations|modes|all>...\n")
+		fmt.Fprintf(os.Stderr, "usage: gmacbench [-small] [-json file] [-debug.addr addr [-debug.hold]] [-hostthreads N] [-faults [-faults.seed N]] [-record dir] <fig2|table2|porting|fig7|fig8|fig10|fig9|fig11|fig12|ablations|modes|all>...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -81,15 +74,6 @@ func main() {
 	}
 	if *hostThreads > 0 {
 		if err := runHostThreads(*hostThreads, *small); err != nil {
-			fmt.Fprintln(os.Stderr, "gmacbench:", err)
-			os.Exit(1)
-		}
-		if len(args) == 0 {
-			return
-		}
-	}
-	if *baseline != "" || *check != "" {
-		if err := runGate(*baseline, *check, *small, *benchtime); err != nil {
 			fmt.Fprintln(os.Stderr, "gmacbench:", err)
 			os.Exit(1)
 		}
@@ -217,43 +201,6 @@ func writeBenchJSON(path string, small bool, entries []benchEntry) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runGate runs the benchmark-regression suite: microbenchmarks (wall clock,
-// allocations, per-op virtual metrics) plus the figure-level evaluation
-// sweep. With baselinePath it writes the summary for committing; with
-// checkPath it compares against the committed baseline and fails on any
-// tolerance violation.
-func runGate(baselinePath, checkPath string, small bool, benchtime string) error {
-	sum, err := benchgate.BuildSummary(small, benchtime)
-	if err != nil {
-		return err
-	}
-	if baselinePath != "" {
-		if err := sum.WriteFile(baselinePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "gmacbench: wrote benchmark baseline to %s\n", baselinePath)
-	}
-	if checkPath != "" {
-		base, err := benchgate.ReadSummary(checkPath)
-		if err != nil {
-			return err
-		}
-		if base.Scale != sum.Scale {
-			return fmt.Errorf("baseline %s is %q scale but this run is %q; pass matching -small", checkPath, base.Scale, sum.Scale)
-		}
-		regs := benchgate.Compare(base, sum, benchgate.DefaultTolerance)
-		if len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "gmacbench: REGRESSION:", r)
-			}
-			return fmt.Errorf("%d benchmark regression(s) against %s", len(regs), checkPath)
-		}
-		fmt.Fprintf(os.Stderr, "gmacbench: benchmark check passed against %s (%d micro, %d figure entries)\n",
-			checkPath, len(sum.Micro), len(sum.Figures))
-	}
-	return nil
 }
 
 func run(want map[string]bool, small bool, jsonOut string) error {

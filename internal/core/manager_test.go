@@ -26,18 +26,22 @@ const (
 	testDevBase = mem.Addr(0x2_0000_0000)
 )
 
-func newRig(t *testing.T, cfg Config) *rig {
-	t.Helper()
+// newRig builds the testbed BENCH_PR9.json was recorded on, which the cost
+// pins (cost_test.go) price faults on. The launch and alloc overheads are the
+// core tests' own (TestBreakdownCategoriesPopulated needs both charged), and
+// the device is sized for the pins' 64 MiB sweeps.
+func newRig(tb testing.TB, cfg Config) *rig {
+	tb.Helper()
 	clock := sim.NewClock()
 	bd := sim.NewBreakdown()
-	mmu := hostmmu.New(hostmmu.Config{PageSize: testPage, SignalCost: 4 * sim.Microsecond}, clock, bd)
+	mmu := hostmmu.New(hostmmu.Config{PageSize: testPage, SignalCost: 1500 * sim.Nanosecond}, clock, bd)
 	va := mem.NewVASpace(0x1000_0000, 0x4_0000_0000)
 	dev := accel.New(accel.Config{
 		Name:           "sim-g280",
 		MemBase:        testDevBase,
-		MemSize:        64 << 20,
+		MemSize:        128 << 20,
 		AllocAlign:     testPage,
-		GFLOPS:         600,
+		GFLOPS:         933,
 		MemLink:        interconnect.G280Memory(),
 		H2D:            interconnect.PCIe2x16H2D(),
 		D2H:            interconnect.PCIe2x16D2H(),
@@ -46,7 +50,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	}, clock)
 	mgr, err := NewManager(cfg, clock, bd, mmu, va, dev)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &rig{clock: clock, bd: bd, mmu: mmu, va: va, dev: dev, mgr: mgr}
 }

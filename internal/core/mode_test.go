@@ -11,8 +11,8 @@ import (
 	"repro/internal/mem"
 )
 
-func (r *rig) registerNop(t *testing.T) {
-	t.Helper()
+func (r *rig) registerNop(tb testing.TB) {
+	tb.Helper()
 	r.dev.Register(&accel.Kernel{Name: "nop", Run: func(*mem.Space, []uint64) {}})
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // rollingCache is the bounded FIFO of Dirty blocks at the heart of the
 // rolling-update protocol (§4.3). At most `capacity` blocks may be Dirty on
@@ -17,11 +20,15 @@ import "sync"
 // read or written while holding rc.mu.
 type rollingCache struct {
 	//adsm:lock rollingMu 44 nowait
-	mu       sync.Mutex
-	queue    []*Block
-	capacity int
-	delta    int
-	fixed    bool // capacity pinned by the experiment, no adaptation
+	mu sync.Mutex
+	// queue is the FIFO, oldest first, and a window into buf: evictions
+	// vacate buf's front, push moves the window back over it, and drain
+	// keeps buf, so a steady state never reallocates. Slots of buf outside
+	// the window are nil, so buf keeps no freed object reachable.
+	queue, buf []*Block
+	capacity   int
+	delta      int
+	fixed      bool // capacity pinned by the experiment, no adaptation
 }
 
 // maxEvictRun bounds how many address-contiguous victims one eviction may
@@ -83,9 +90,18 @@ func (rc *rollingCache) push(b *Block) (victim *Block, run int) {
 		return nil, 0
 	}
 	b.queued = true
-	// Amortized: the FIFO reuses capacity freed by evictions, so steady
-	// state never grows the backing array (rolling_test.go proves it).
-	rc.queue = append(rc.queue, b) //adsm:allow noalloc: amortized; evictions return capacity to the FIFO, so steady state never grows it (rolling_test.go)
+	grow := len(rc.queue) == cap(rc.queue)
+	if vacated := cap(rc.buf) - cap(rc.queue); grow && vacated > 0 && vacated >= len(rc.queue) {
+		// The window reached the end of buf, and evictions vacated at least
+		// as much in front of it: slide it back instead of reallocating.
+		rc.queue = rc.buf[:copy(rc.buf[:cap(rc.buf)], rc.queue)]
+		clear(rc.buf[len(rc.queue):cap(rc.buf)])
+		grow = false
+	}
+	rc.queue = append(rc.queue, b) //adsm:allow noalloc: amortized; grows buf only past its high-water mark, so a steady state allocates nothing (TestCostModel)
+	if grow {
+		rc.buf = rc.queue
+	}
 	if len(rc.queue) <= rc.capacity {
 		return nil, 0
 	}
@@ -101,16 +117,19 @@ func (rc *rollingCache) push(b *Block) (victim *Block, run int) {
 	for _, q := range rc.queue[:run] {
 		q.queued = false
 	}
+	clear(rc.queue[:run])
 	rc.queue = rc.queue[run:]
 	return victim, run
 }
 
-// drain removes and returns all queued blocks (kernel invocation flush).
+// drain removes and returns all queued blocks (kernel invocation flush). The
+// caller walks the copy after rc.mu is released, while faults push into buf.
 func (rc *rollingCache) drain() []*Block {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	out := rc.queue
-	rc.queue = nil
+	out := slices.Clone(rc.queue)
+	clear(rc.queue)
+	rc.queue = rc.buf[:0]
 	for _, b := range out {
 		b.queued = false
 	}
@@ -125,11 +144,8 @@ func (rc *rollingCache) forgetBlock(b *Block) {
 	if !b.queued {
 		return
 	}
-	for i, q := range rc.queue {
-		if q == b {
-			rc.queue = append(rc.queue[:i], rc.queue[i+1:]...)
-			break
-		}
+	if i := slices.Index(rc.queue, b); i >= 0 {
+		rc.queue = slices.Delete(rc.queue, i, i+1)
 	}
 	b.queued = false
 }
@@ -146,5 +162,6 @@ func (rc *rollingCache) forget(obj *Object) {
 		}
 		kept = append(kept, b)
 	}
+	clear(rc.queue[len(kept):])
 	rc.queue = kept
 }

@@ -24,14 +24,23 @@ func newTestBlocks(objs, perObj int) [][]*Block {
 
 // checkInvariants asserts, under rc.mu, the structural invariants of the
 // rolling cache: occupancy never exceeds capacity, the queue holds no
-// duplicates, and the queued flag on every known block agrees exactly with
-// queue membership.
+// duplicates, the queued flag on every known block agrees exactly with
+// queue membership, and the backing array holds nothing but the queue.
 func checkInvariants(t *testing.T, rc *rollingCache, all [][]*Block) {
 	t.Helper()
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if len(rc.queue) > rc.capacity {
 		t.Fatalf("queue length %d exceeds capacity %d", len(rc.queue), rc.capacity)
+	}
+	held := 0
+	for _, b := range rc.buf[:cap(rc.buf)] {
+		if b != nil {
+			held++
+		}
+	}
+	if held != len(rc.queue) {
+		t.Fatalf("backing array holds %d blocks, queue %d", held, len(rc.queue))
 	}
 	member := make(map[*Block]bool, len(rc.queue))
 	for _, b := range rc.queue {

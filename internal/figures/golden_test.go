@@ -99,11 +99,15 @@ func evalEntryLines(runs []EvalRun) []string {
 			if !ok {
 				continue
 			}
+			// The device's own byte counts: the CUDA variant has no GMAC stats.
 			out = append(out, fmt.Sprintf(
-				"%s/%s time_ns=%d h2d=%d d2h=%d xfers_h2d=%d xfers_d2h=%d faults=%d evictions=%d checksum=%g",
+				"%s/%s time_ns=%d h2d=%d d2h=%d xfers_h2d=%d xfers_d2h=%d faults=%d evictions=%d checksum=%g"+
+					" dev_h2d=%d dev_d2h=%d retries=%d retry_giveups=%d degraded=%d",
 				r.Benchmark, v, int64(rep.Time), rep.GMAC.BytesH2D, rep.GMAC.BytesD2H,
 				rep.GMAC.TransfersH2D, rep.GMAC.TransfersD2H,
-				rep.GMAC.Faults, rep.GMAC.Evictions, rep.Checksum))
+				rep.GMAC.Faults, rep.GMAC.Evictions, rep.Checksum,
+				rep.Dev.BytesH2D, rep.Dev.BytesD2H,
+				rep.GMAC.Retries, rep.GMAC.RetryGiveups, rep.GMAC.DegradedObjects))
 		}
 	}
 	return out

@@ -12,8 +12,8 @@ import (
 // paper's one-fault-per-block oracle), move the same flush traffic, and never
 // issue more fault-service DMAs than the oracle.
 //
-// CI runs this file under the race detector (the conformance half of the
-// bench-gate matrix, see .github/workflows/ci.yml).
+// CI runs this file under the race detector (`make bench-conformance`, the
+// conformance job in .github/workflows/ci.yml).
 
 // TestBatchingConformanceAllWorkloads diffs a batched run against the
 // unbatched oracle for all eleven workloads under both fine-grained
