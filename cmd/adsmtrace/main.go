@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func main() {
 	flag.Parse()
 
 	if *racesPath != "" {
-		nraces, err := races(*racesPath, *racesJSON)
+		nraces, err := races(os.Stdout, *racesPath, *racesJSON)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func main() {
 	}
 
 	if *replayFile != "" {
-		if err := replay(*replayFile); err != nil {
+		if err := replay(os.Stdout, *replayFile); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -188,9 +189,9 @@ func main() {
 }
 
 // races runs the offline race detector over one .oplog file, or over every
-// .oplog in a directory, printing each report and optionally writing the
-// JSON aggregate. It returns the total race count.
-func races(path, jsonOut string) (int64, error) {
+// .oplog in a directory, printing each report to w and optionally writing
+// the JSON aggregate. It returns the total race count.
+func races(w io.Writer, path, jsonOut string) (int64, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return 0, err
@@ -226,14 +227,14 @@ func races(path, jsonOut string) (int64, error) {
 		if rep.Label == "" {
 			rep.Label = filepath.Base(f)
 		}
-		if err := rep.WriteText(os.Stdout); err != nil {
+		if err := rep.WriteText(w); err != nil {
 			return total, err
 		}
 		total += rep.Count
 		reports = append(reports, fileReport{File: f, RaceReport: rep})
 	}
 	if len(files) > 1 {
-		fmt.Printf("total: %d race(s) across %d streams\n", total, len(files))
+		fmt.Fprintf(w, "total: %d race(s) across %d streams\n", total, len(files))
 	}
 
 	if jsonOut != "" {
@@ -244,14 +245,15 @@ func races(path, jsonOut string) (int64, error) {
 		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
 			return total, err
 		}
-		fmt.Printf("wrote JSON race report to %s\n", jsonOut)
+		fmt.Fprintf(w, "wrote JSON race report to %s\n", jsonOut)
 	}
 	return total, nil
 }
 
 // replay re-executes a recorded op stream against a fresh context derived
-// from the stream's header and verifies the replayed counters.
-func replay(path string) error {
+// from the stream's header, verifies the replayed counters, and prints the
+// outcome to w.
+func replay(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -265,7 +267,7 @@ func replay(path string) error {
 	if flight {
 		kind = "flight dump"
 	}
-	fmt.Printf("%s: %s %q, %d ops, protocol %d, block %d\n",
+	fmt.Fprintf(w, "%s: %s %q, %d ops, protocol %d, block %d\n",
 		path, kind, l.Header.Label, len(l.Ops), l.Header.Protocol, l.Header.BlockSize)
 
 	m := machine.PaperTestbed()
@@ -278,19 +280,19 @@ func replay(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d/%d input ops (%d skipped, %d errors)\n",
+	fmt.Fprintf(w, "replayed %d/%d input ops (%d skipped, %d errors)\n",
 		report.Replayed, report.Input, report.Skipped, report.Errors)
 	st := ctx.Stats()
-	fmt.Printf("totals: %d faults, %d evictions, %d KB to device, %d KB back\n",
+	fmt.Fprintf(w, "totals: %d faults, %d evictions, %d KB to device, %d KB back\n",
 		st.Faults, st.Evictions, st.BytesH2D>>10, st.BytesD2H>>10)
 
 	if flight {
-		fmt.Println("flight dump: bounded window, counter conformance not checked")
+		fmt.Fprintln(w, "flight dump: bounded window, counter conformance not checked")
 		return nil
 	}
 	if err := gmac.CompareTotals(l.Totals, ctx.Stats().Counters()); err != nil {
 		return err
 	}
-	fmt.Println("replay conformance: all recorded counter totals reproduced")
+	fmt.Fprintln(w, "replay conformance: all recorded counter totals reproduced")
 	return nil
 }

@@ -11,6 +11,7 @@ import "strings"
 var requiredAnnotations = map[string][]string{
 	"repro/internal/core": {
 		"(*Manager).handleFault",
+		"(*Manager).protoFault",
 		"(*Manager).blockAt",
 		"(*Manager).objectAt",
 		"(*Manager).fetchRunSync",

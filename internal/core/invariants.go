@@ -77,7 +77,7 @@ func (m *Manager) checkInvariants() error {
 				continue
 			}
 			if b.state == StateDirty {
-				if o.proto == RollingUpdate {
+				if o.pol.rolls {
 					dirty++
 					if !m.rolling.isQueued(b) {
 						err = fmt.Errorf("core: dirty block %#x outside the rolling cache", uint64(b.addr))
@@ -96,13 +96,11 @@ func (m *Manager) checkInvariants() error {
 	if err != nil {
 		return err
 	}
-	if m.haveRollingWork() {
-		if m.rolling.Len() != dirty {
-			return fmt.Errorf("core: rolling cache holds %d blocks but %d are dirty", m.rolling.Len(), dirty)
-		}
-		if m.rolling.Len() > m.rolling.Capacity() {
-			return fmt.Errorf("core: rolling cache %d over capacity %d", m.rolling.Len(), m.rolling.Capacity())
-		}
+	if m.rolling.Len() != dirty {
+		return fmt.Errorf("core: rolling cache holds %d blocks but %d are dirty", m.rolling.Len(), dirty)
+	}
+	if m.rolling.Len() > m.rolling.Capacity() {
+		return fmt.Errorf("core: rolling cache %d over capacity %d", m.rolling.Len(), m.rolling.Capacity())
 	}
 	return nil
 }

@@ -151,12 +151,10 @@ type Manager struct {
 	va    *mem.VASpace
 	dev   *accel.Device
 
-	// moded counts live objects with a non-default access mode, and
-	// rollingObjs counts live objects currently governed by rolling-update.
-	// Both gate the release/acquire sweeps so default-mode runs skip the
-	// mode machinery entirely (protocol.go).
-	moded       atomic.Int64
-	rollingObjs atomic.Int64
+	// moded counts live objects with a non-default access mode; it gates
+	// the acquire sweep so default-mode runs skip the mode machinery
+	// entirely (protocol.go).
+	moded atomic.Int64
 	// reg is the sharded object/block registry (registry.go): per-shard
 	// sorted span sets that faulting lanes search without a lock.
 	reg     registry
@@ -223,8 +221,11 @@ type Manager struct {
 func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 	mmu *hostmmu.MMU, va *mem.VASpace, dev *accel.Device) (*Manager, error) {
 
-	if cfg.Protocol == RollingUpdate && cfg.BlockSize <= 0 {
-		return nil, fmt.Errorf("core: rolling-update requires a block size")
+	if uint(cfg.Protocol) >= uint(len(policies)) {
+		return nil, fmt.Errorf("core: unknown protocol %v", cfg.Protocol)
+	}
+	if policies[cfg.Protocol].blocked && cfg.BlockSize <= 0 {
+		return nil, fmt.Errorf("core: %v requires a block size", cfg.Protocol)
 	}
 	// ModeAuto objects may migrate onto rolling-update under any configured
 	// protocol, so a non-zero block size must always be page-granular.
@@ -242,11 +243,6 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0),
 	}
 	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
-	switch cfg.Protocol {
-	case BatchUpdate, LazyUpdate, RollingUpdate:
-	default:
-		return nil, fmt.Errorf("core: unknown protocol %v", cfg.Protocol)
-	}
 	if cfg.RaceDetect {
 		m.race = racecheck.New(m.OpLogHeader())
 		m.race.OnRace(m.onRace)
@@ -480,19 +476,26 @@ func (m *Manager) SafeAllocFor(size int64, kernels ...string) (mem.Addr, error) 
 // either misses the object entirely or sees it fully initialised.
 func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 	o.seq = m.objSeq.Add(1)
-	o.proto = m.cfg.Protocol
-	blockSize := int64(0) // one block per object for batch/lazy
-	if m.cfg.Protocol == RollingUpdate {
-		blockSize = m.cfg.BlockSize
-	} else if o.mode == ModeAuto && m.cfg.BlockSize > 0 {
+	o.pol = policies[m.cfg.Protocol]
+	blockSize := int64(0) // one block spanning the object
+	if o.pol.blocked || o.mode == ModeAuto {
 		// Auto objects may migrate onto rolling-update, which needs block
-		// structure; carve it now — block geometry is immutable.
+		// structure; carve it now — block geometry is immutable. A zero
+		// BlockSize (allowed off rolling-update) still means one block.
 		blockSize = m.cfg.BlockSize
 	}
 	o.makeBlocks(blockSize)
 
 	m.mmu.Map(o.addr, m.pageAlignedSize(o.size), hostmmu.ProtReadWrite)
-	m.protoAlloc(o)
+	// A detecting object starts ReadOnly, so its first CPU write faults. A
+	// host-authoritative one starts Dirty behind read/write pages and
+	// crosses the bus both ways at every call/return boundary (Section 5.1
+	// measures slowdowns of up to 65x).
+	to := StateReadOnly
+	if o.pol.hostAuth {
+		to = StateDirty
+	}
+	m.setState(o.blocks[0], len(o.blocks), to)
 	m.rolling.onAlloc()
 
 	if err := m.reg.insertObject(o); err != nil {
@@ -501,9 +504,6 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 
 	if o.mode != ModeReadWrite {
 		m.moded.Add(1)
-	}
-	if o.proto == RollingUpdate {
-		m.rollingObjs.Add(1)
 	}
 	var flags uint8
 	if o.safe {
@@ -543,13 +543,9 @@ func (m *Manager) Free(addr mem.Addr) error {
 		return fmt.Errorf("%w: free of %#x", ErrNotShared, uint64(addr))
 	}
 	o.dead = true
-	proto := o.proto
 	o.mu.Unlock()
 	if o.mode != ModeReadWrite {
 		m.moded.Add(-1)
-	}
-	if proto == RollingUpdate {
-		m.rollingObjs.Add(-1)
 	}
 
 	m.rolling.forget(o)

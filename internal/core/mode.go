@@ -103,7 +103,7 @@ func (m *Manager) checkModeFault(b *Block, access hostmmu.Access) error {
 	case ModeReadWrite, ModeAuto:
 		return nil
 	case ModeReadOnly:
-		if b.obj.sealed && access == hostmmu.AccessWrite {
+		if b.obj.pol.sealed && access == hostmmu.AccessWrite {
 			return errModeViolation(ModeReadOnly, access, b.addr)
 		}
 	case ModeWriteOnly:
@@ -121,8 +121,8 @@ func (m *Manager) checkModeFault(b *Block, access hostmmu.Access) error {
 // migrate between lazy and rolling on the fault/eviction signal.
 func autoVote(o *Object, dFaults, dWrites, dEvicts int64) ProtocolKind {
 	switch {
-	case o.proto == BatchUpdate:
-		// No fault signal under batch: probe out to lazy-update, which
+	case !o.pol.detects:
+		// No fault signal without detection: probe out to lazy-update, which
 		// observes the access pattern at the cost of protection faults.
 		return LazyUpdate
 	case dEvicts > 0:
@@ -135,7 +135,7 @@ func autoVote(o *Object, dFaults, dWrites, dEvicts int64) ProtocolKind {
 		return RollingUpdate
 	case dFaults == 0:
 		// No host activity: no signal, keep the current protocol.
-		return o.proto
+		return o.pol.kind
 	default:
 		// Light host traffic: lazy-update's object-granularity detection
 		// is the cheapest fit.
@@ -160,7 +160,7 @@ func (m *Manager) autoStep(o *Object) error {
 	e := o.counters.evictions.Load()
 	vote := autoVote(o, f-o.autoFaults, w-o.autoWrites, e-o.autoEvicts)
 	o.autoFaults, o.autoWrites, o.autoEvicts = f, w, e
-	if vote == o.proto {
+	if vote == o.pol.kind {
 		o.autoStreak = 0
 		return nil
 	}
@@ -177,20 +177,19 @@ func (m *Manager) autoStep(o *Object) error {
 }
 
 // migrate moves o to lazy- or rolling-update at an acquire boundary
-// (batch-update is never a target, see autoVote). The caller holds o.mu.
-// The object is first normalised to the clean cross-protocol state —
-// rolling-cache membership dropped, dirty blocks flushed — then resumes
-// under the new protocol all ReadOnly behind read-only pages, its Invalid
-// blocks still faulting on first touch as usual. A failed flush has already
-// escalated (object degraded, data host-resident) and aborts the migration.
+// (batch-update is never a target, see autoVote) by swapping its policy.
+// The caller holds o.mu. The object is first normalised to the clean
+// cross-protocol state — rolling-cache membership dropped, dirty blocks
+// flushed — then resumes under the new policy all ReadOnly behind
+// read-only pages, its Invalid blocks still faulting on first touch as
+// usual. A failed flush has already escalated (object degraded, data
+// host-resident) and aborts the migration.
 func (m *Manager) migrate(o *Object, to ProtocolKind) error {
-	from := o.proto
-	if from == to || to == BatchUpdate {
+	from := o.pol.kind
+	if from == to || policies[to].hostAuth {
 		return nil
 	}
-	if from == RollingUpdate {
-		m.rolling.forget(o)
-	}
+	m.rolling.forget(o)
 	var invalid []*Block
 	for _, b := range o.blocks {
 		switch b.state {
@@ -203,18 +202,12 @@ func (m *Manager) migrate(o *Object, to ProtocolKind) error {
 		case StateReadOnly:
 		}
 	}
-	// The new protocol governs the transitions below: an object leaving
+	// The new policy governs the transitions below: an object leaving
 	// batch-update starts detecting accesses here.
-	o.proto = to
+	o.pol = policies[to]
 	m.setState(o.blocks[0], len(o.blocks), StateReadOnly)
 	for _, b := range invalid {
 		m.setState(b, 1, StateInvalid)
-	}
-	if from == RollingUpdate {
-		m.rollingObjs.Add(-1)
-	}
-	if to == RollingUpdate {
-		m.rollingObjs.Add(1)
 	}
 	m.emit(oplog.Op{Kind: oplog.OpModeMigrate, Addr: o.addr, Size: o.size,
 		Arg: int64(from)<<8 | int64(to)}, o)

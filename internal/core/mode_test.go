@@ -129,9 +129,11 @@ func TestWriteOnlyElidesFetch(t *testing.T) {
 }
 
 // TestAutoMigratesWithHysteresis drives one ModeAuto object through a
-// streaming-write phase and a sparse-read phase and checks the protocol
+// streaming-write phase and a sparse-access phase and checks the protocol
 // follows — but only after the hysteresis threshold, never on the first
-// window.
+// window. While the object rolls under the lazy-configured manager, every
+// kernel boundary must drain the blocks it queued: the rolling FIFO is not
+// the manager's, it is whichever objects roll.
 func TestAutoMigratesWithHysteresis(t *testing.T) {
 	r := newRig(t, defaultCfg(LazyUpdate))
 	r.registerNop(t)
@@ -141,8 +143,8 @@ func TestAutoMigratesWithHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := r.mgr.objectAt(ptr)
-	if o.proto != LazyUpdate {
-		t.Fatalf("auto object starts on %v, want configured lazy", o.proto)
+	if got := o.Proto(); got != LazyUpdate {
+		t.Fatalf("auto object starts on %v, want configured lazy", got)
 	}
 	cycle := func(annotated bool) {
 		t.Helper()
@@ -158,6 +160,15 @@ func TestAutoMigratesWithHysteresis(t *testing.T) {
 		if err := r.mgr.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		if o.Proto() != RollingUpdate {
+			return
+		}
+		if err := r.mgr.CheckInvariants(); err != nil {
+			t.Fatalf("mid-migration: %v", err)
+		}
+		if n := r.mgr.RollingLen(); n != 0 {
+			t.Fatalf("rolling FIFO holds %d blocks after a kernel boundary", n)
+		}
 	}
 	// Streaming-write phase: every block dirtied between calls.
 	for i := 0; i < 2*autoWindow; i++ {
@@ -170,21 +181,29 @@ func TestAutoMigratesWithHysteresis(t *testing.T) {
 	if got := r.mgr.Stats().ModeMigrations; got != 1 {
 		t.Fatalf("after streaming phase: %d migrations, want 1", got)
 	}
-	if o.proto != RollingUpdate {
-		t.Fatalf("streaming writes migrated to %v, want rolling", o.proto)
+	if got := o.Proto(); got != RollingUpdate {
+		t.Fatalf("streaming writes migrated to %v, want rolling", got)
 	}
-	// Sparse-read phase: one read fault per call window.
+	// Sparse phase: one read fault and one write fault per call, far below
+	// the streaming rate. The write queues its block while the object rolls.
 	for i := 0; i < 2*autoWindow; i++ {
-		if err := r.mgr.HostRead(ptr+mem.Addr(int64(i%blocks)*(64<<10)), make([]byte, 1)); err != nil {
+		addr := ptr + mem.Addr(int64(i%blocks)*(64<<10))
+		if err := r.mgr.HostRead(addr, make([]byte, 1)); err != nil {
 			t.Fatal(err)
+		}
+		if err := r.mgr.HostWrite(addr, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if o.Proto() == RollingUpdate && r.mgr.RollingLen() != 1 {
+			t.Fatalf("rolling FIFO holds %d blocks after one write, want 1", r.mgr.RollingLen())
 		}
 		cycle(false)
 	}
 	if got := r.mgr.Stats().ModeMigrations; got != 2 {
-		t.Fatalf("after sparse-read phase: %d migrations, want 2", got)
+		t.Fatalf("after sparse phase: %d migrations, want 2", got)
 	}
-	if o.proto != LazyUpdate {
-		t.Fatalf("sparse reads migrated to %v, want lazy", o.proto)
+	if got := o.Proto(); got != LazyUpdate {
+		t.Fatalf("sparse accesses migrated to %v, want lazy", got)
 	}
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)

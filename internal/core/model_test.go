@@ -45,22 +45,38 @@ func TestCoherenceAgainstReferenceModel(t *testing.T) {
 		// batch row is the sharp one — batch-update is signal-free, so the
 		// object always probes out to lazy-update.
 		{"auto-on-batch", defaultCfg(BatchUpdate), ModeAuto},
-		{"auto-on-lazy", defaultCfg(LazyUpdate), ModeAuto},
+		{"auto-on-lazy", func() Config {
+			c := defaultCfg(LazyUpdate)
+			c.BlockSize = 4 << 10
+			return c
+		}(), ModeAuto},
 		{"auto-on-rolling", defaultCfg(RollingUpdate), ModeAuto},
 	}
 	for _, tc := range configs {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, seed := range testutil.Seeds(t, 1, 6) {
+			seeds := testutil.Seeds(t, 1, 6)
+			migrated := 0
+			for _, seed := range seeds {
 				r := newRig(t, tc.cfg)
 				if err := runModelOn(r, tc.mode, seed, objSize); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
+				n := r.mgr.Stats().ModeMigrations
+				if n > 0 {
+					migrated++
+				}
 				// 120 ops carry ~26 call/sync pairs, far past the 8-boundary
 				// probe-out; a run that never migrated tested nothing new.
-				if tc.mode == ModeAuto && tc.cfg.Protocol == BatchUpdate && r.mgr.Stats().ModeMigrations < 1 {
+				if tc.mode == ModeAuto && tc.cfg.Protocol == BatchUpdate && n < 1 {
 					t.Fatalf("seed %d: the Auto object never left batch-update", seed)
 				}
+			}
+			// Off lazy-update an object migrates only after two consecutive
+			// windows of streaming writes, which no seed guarantees; the 4 KB
+			// blocks make most of the sweep stream.
+			if tc.mode == ModeAuto && tc.cfg.Protocol == LazyUpdate && migrated == 0 {
+				t.Fatalf("no seed of %v moved the Auto object off lazy-update", seeds)
 			}
 		})
 	}

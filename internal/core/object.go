@@ -52,9 +52,9 @@ func stateStringSlow(s State) string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Block is the unit of coherence bookkeeping. Under batch- and lazy-update
-// each object has exactly one block spanning it; under rolling-update
-// objects are divided into fixed-size blocks (the last one may be short).
+// Block is the unit of coherence bookkeeping. An object has exactly one
+// block spanning it, unless its policy (or ModeAuto) carves it into
+// fixed-size blocks (the last one may be short).
 type Block struct {
 	obj   *Object
 	index int
@@ -166,14 +166,10 @@ type Object struct {
 	// mode is the declared access mode (mode.go). Immutable after
 	// publication; ModeReadWrite (the zero value) is the paper's default.
 	mode AccessMode
-	// proto is the coherence protocol governing this object. It equals the
-	// manager's configured protocol except for ModeAuto objects, which
-	// migrate online; mutated only under mu at acquire boundaries.
-	proto ProtocolKind
-	// sealed marks a ModeReadOnly object past its first kernel release:
-	// replicated once, read-only protected, never flushed, fetched or
-	// invalidated again. Guarded by mu.
-	sealed bool
+	// pol is the coherence policy governing this object (protocol.go): the
+	// manager's configured protocol, until a ModeAuto object migrates or a
+	// ModeReadOnly object seals. Guarded by mu.
+	pol policy
 	// Auto-migration decision state (mode.go), guarded by mu: the acquire
 	// boundaries seen, the counter snapshots at the last closed window,
 	// and the pending vote with its consecutive-window streak.
@@ -208,7 +204,7 @@ func (o *Object) Mode() AccessMode { return o.mode }
 func (o *Object) Proto() ProtocolKind {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.proto
+	return o.pol.kind
 }
 
 // Sealed reports whether a ModeReadOnly object has been replicated and
@@ -216,7 +212,7 @@ func (o *Object) Proto() ProtocolKind {
 func (o *Object) Sealed() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.sealed
+	return o.pol.sealed
 }
 
 // Degraded reports whether the object has fallen back to host-resident

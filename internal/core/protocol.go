@@ -9,12 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the coherence-protocol engine. The protocol is a per-object
-// property (Object.proto): most objects run the manager's configured
-// protocol, but ModeAuto objects migrate between protocols online (mode.go),
-// so every dispatch switches on the object rather than the manager. All
-// actions run on the CPU timeline; the accelerator performs no coherence
-// work.
+// This file is the coherence-protocol engine. The paper's three protocols
+// are one machine (§4.3): rolling-update is lazy-update with fixed-size
+// blocks and a bounded FIFO of dirty blocks, and batch-update is the same
+// object with access detection off. So a protocol is not a branch but a
+// per-object policy value (Object.pol) read on one path: most objects run
+// the manager's configured protocol, ModeAuto objects swap policies online
+// (mode.go), and sealing a ModeReadOnly object swaps in a sealed policy.
+// All actions run on the CPU timeline; the accelerator performs no
+// coherence work.
 //
 // The release sweep (releaseAll, before a kernel launch) and the acquire
 // sweep (acquireAll, after kernel completion) also honour the declared
@@ -22,6 +25,27 @@ import (
 // objects skip fetches of data the host will overwrite, and per-call hints
 // elide flushes and invalidations the kernel's declaration proves
 // unnecessary.
+
+// policy is a coherence protocol as a value: the choices its edges read.
+type policy struct {
+	kind    ProtocolKind // user-facing name: Proto, metrics labels, OpModeMigrate
+	detects bool         // page protections track block states (protFor)
+	blocked bool         // carved into Config.BlockSize blocks, not one block
+	rolls   bool         // a newly dirty block joins the bounded rolling FIFO
+	// hostAuth: with no access detection, the host copy is current between
+	// kernel calls. The object starts Dirty, a flush is synchronous and
+	// leaves it Dirty, every acquire fetches all of it back Dirty, and bulk
+	// and peer operations act on host memory.
+	hostAuth bool
+	sealed   bool // a ModeReadOnly replica past its first release (sealReadOnly)
+}
+
+// policies maps each protocol kind to its policy.
+var policies = [...]policy{
+	BatchUpdate:   {kind: BatchUpdate, hostAuth: true},
+	LazyUpdate:    {kind: LazyUpdate, detects: true},
+	RollingUpdate: {kind: RollingUpdate, detects: true, blocked: true, rolls: true},
+}
 
 // protFor is the page protection each Figure 6 state sits behind, on the
 // objects whose pages detect accesses at all (detects).
@@ -31,11 +55,10 @@ var protFor = [...]hostmmu.Prot{
 	StateDirty:    hostmmu.ProtReadWrite,
 }
 
-// detects reports whether o's page protections track its block states.
-// Batch-update never takes faults and leaves its pages read/write — except
-// for a sealed read-only replica, which sits behind read-only pages so a
-// host write is caught as a mode violation. The caller holds o.mu.
-func (o *Object) detects() bool { return o.proto != BatchUpdate || o.sealed }
+// detects reports whether o's page protections track its block states:
+// false only for an unsealed batch-update object, whose pages stay
+// read/write. The caller holds o.mu.
+func (o *Object) detects() bool { return o.pol.detects }
 
 // setState is the Figure 6 transition and the only writer of Block.state:
 // it moves the n consecutive blocks starting at first to state to and, when
@@ -55,95 +78,61 @@ func (m *Manager) setState(first *Block, n int, to State) {
 
 // hostAuthoritative reports whether o's host copy is the current version of
 // every byte between kernel calls, so bulk and peer operations act on host
-// memory alone: under batch-update (re-sent wholesale at the next invoke)
-// and once o is degraded (never transferred again). It is asked of the
-// object, not the manager — a ModeAuto object leaves the configured
-// protocol. The caller holds o.mu.
+// memory alone: under a host-authoritative policy (re-sent wholesale at the
+// next invoke) and once o is degraded (never transferred again). The
+// caller holds o.mu.
 func (m *Manager) hostAuthoritative(o *Object) bool {
-	return o.proto == BatchUpdate || m.degradedLocked(o)
-}
-
-// protoAlloc sets the initial state and protection of a new object, by its
-// governing protocol.
-func (m *Manager) protoAlloc(o *Object) {
-	// Lazy-update detects CPU accesses with the memory protection hardware
-	// at object granularity; rolling-update refines it with fixed-size
-	// blocks and a bounded rolling cache of dirty blocks.
-	to := StateReadOnly
-	if o.proto == BatchUpdate {
-		// Pages stay read/write: batch-update never takes faults. Every
-		// object crosses the bus in both directions at every call/return
-		// boundary, with no access detection at all — what programmers tend
-		// to write first (Section 5.1 measures slowdowns of up to 65x).
-		to = StateDirty
-	}
-	m.setState(o.blocks[0], len(o.blocks), to)
+	return o.pol.hostAuth || m.degradedLocked(o)
 }
 
 // protoFault resolves a protection fault on a block (the Figure 6 edges)
-// per the faulted object's governing protocol. The caller holds b.obj.mu.
+// under the faulted object's policy: resolve the transition, then enqueue a
+// newly dirty block of a rolling object in the rolling FIFO, flushing the
+// eviction run that falls out. The caller holds b.obj.mu.
 //
 //adsm:noalloc
 func (m *Manager) protoFault(b *Block, access hostmmu.Access) error {
-	switch b.obj.proto {
-	case BatchUpdate:
-		// Batch-update leaves pages read/write; a fault can only mean a
-		// manager bug (mode violations were vetted before dispatch).
+	o := b.obj
+	if !o.detects() {
+		// Pages stay read/write; a fault can only mean a manager bug (mode
+		// violations were vetted before dispatch).
 		return errBatchFault(access, b.addr)
-	case LazyUpdate:
-		return resolveFault(m, b, access)
-	case RollingUpdate:
-		return m.rollingFault(b, access)
 	}
-	return errBatchFault(access, b.addr) // unreachable: proto is validated
-}
-
-// rollingFault is the rolling-update fault edge: resolve like lazy-update,
-// then enqueue newly dirty blocks in the rolling cache, flushing the
-// eviction run that falls out. The caller holds b.obj.mu.
-func (m *Manager) rollingFault(b *Block, access hostmmu.Access) error {
 	if err := resolveFault(m, b, access); err != nil {
 		return err
 	}
-	if b.state == StateDirty && !b.obj.degraded.Load() {
-		if victim, run := m.rolling.push(b); victim != nil {
-			m.emit(oplog.Op{Kind: oplog.OpEvict, Addr: victim.addr,
-				Size: runSize(victim, run), Arg: int64(run)}, victim.obj)
-			if victim.obj == b.obj {
-				// Same object: this fault already holds its lock. The run's
-				// blocks were just popped and cannot have been re-queued, so
-				// skip the queued re-check.
-				if err := m.flushEvicted(victim, run, false); err != nil {
-					return err
-				}
-			} else {
-				// Flushing now would need a second Object.mu; defer to the
-				// entry point, which drains after releasing its own lock.
-				m.deferEviction(victim, run)
-			}
-		}
-		occ := int64(m.rolling.Len())
-		m.mets.rollingOcc.Set(occ)
-		m.mets.rollingHist.Observe(occ)
+	if !o.pol.rolls || b.state != StateDirty || o.degraded.Load() {
+		return nil
 	}
+	if victim, run := m.rolling.push(b); victim != nil {
+		m.emit(oplog.Op{Kind: oplog.OpEvict, Addr: victim.addr,
+			Size: runSize(victim, run), Arg: int64(run)}, victim.obj)
+		if victim.obj == o {
+			// Same object: this fault already holds its lock. The run's
+			// blocks were just popped and cannot have been re-queued, so
+			// skip the queued re-check.
+			if err := m.flushEvicted(victim, run, false); err != nil {
+				return err
+			}
+		} else {
+			// Flushing now would need a second Object.mu; defer to the entry
+			// point, which drains after releasing its own lock.
+			m.deferEviction(victim, run)
+		}
+	}
+	occ := int64(m.rolling.Len())
+	m.mets.rollingOcc.Set(occ)
+	m.mets.rollingHist.Observe(occ)
 	return nil
 }
 
-// haveRollingWork reports whether the release sweep must drain the rolling
-// cache: always under a rolling-update manager, and whenever auto-mode
-// migration has moved any object onto rolling-update.
-func (m *Manager) haveRollingWork() bool {
-	return m.cfg.Protocol == RollingUpdate || m.rollingObjs.Load() > 0
-}
-
 // releaseAll runs the release actions of a kernel invocation: the rolling
-// cache is drained first, then every object in the call's scope is released
-// under its own protocol and access mode. The caller holds callMu.
+// cache is drained first (it is empty unless some object rolls), then every
+// object in the call's scope is released under its own policy and access
+// mode. The caller holds callMu.
 func (m *Manager) releaseAll(ih *invokeHints) error {
-	if m.haveRollingWork() {
-		if err := m.releaseRollingCache(ih); err != nil {
-			return err
-		}
+	if err := m.releaseRollingCache(ih); err != nil {
+		return err
 	}
 	var err error
 	m.eachInvokeObject([]string{m.invokeKernel}, func(o *Object) {
@@ -156,7 +145,7 @@ func (m *Manager) releaseAll(ih *invokeHints) error {
 }
 
 // releaseRollingCache flushes the rolling cache (the remaining dirty blocks
-// of rolling-governed objects). Out-of-scope dirty blocks (objects bound to
+// of rolling objects). Out-of-scope dirty blocks (objects bound to
 // other kernels, §3.3) are flushed too — flushing early is always safe and
 // keeps the cache bookkeeping simple — but they are not invalidated by the
 // release sweep. Blocks of objects the call hints as fully overwritten are
@@ -215,19 +204,18 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 	if ih.wo[o] {
 		return m.invalidateUnflushed(o)
 	}
-	// Flush every dirty block. Batch-update transfers synchronously and keeps
-	// a non-written object Dirty: with no access detection it cannot know
+	// Flush every dirty block. A host-authoritative object transfers
+	// synchronously and stays Dirty: with no access detection it cannot know
 	// whether the CPU will modify the object and must conservatively re-send
-	// every call. Lazy and rolling flush eagerly (under rolling the cache
-	// drain has already flushed the queued blocks; a dirty block here is the
-	// normal case under lazy) and, both copies now matching, downgrade the
-	// block to catch the next CPU write.
+	// every call. A detecting object flushes eagerly (a rolling one's cache
+	// drain has already flushed the queued blocks) and, both copies now
+	// matching, downgrades the block to catch the next CPU write.
 	written := ih.written(o)
 	for _, b := range o.blocks {
 		if b.state != StateDirty {
 			continue
 		}
-		if o.proto == BatchUpdate {
+		if o.pol.hostAuth {
 			if err := m.flushBlockSync(b); err != nil {
 				return err
 			}
@@ -254,14 +242,14 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 // objects used by any kernel launched since the previous Sync: several
 // asynchronous calls may share one Sync, and a Sync with nothing launched
 // before it must not re-fetch objects over the host's writes. Under the
-// default modes only batch-update has acquire work, so the sweep is skipped
-// entirely — with zero allocations — unless the configured protocol is
-// batch-update or some object carries a non-default access mode. The caller
-// holds callMu.
+// default modes only host-authoritative objects have acquire work, so the
+// sweep is skipped entirely — with zero allocations — unless the configured
+// policy is host-authoritative or some object carries a non-default access
+// mode. The caller holds callMu.
 func (m *Manager) acquireAll() error {
 	launched := m.launched
 	m.launched = m.launched[:0]
-	if len(launched) == 0 || (m.cfg.Protocol != BatchUpdate && m.moded.Load() == 0) {
+	if len(launched) == 0 || (!policies[m.cfg.Protocol].hostAuth && m.moded.Load() == 0) {
 		return nil
 	}
 	var err error
@@ -274,28 +262,29 @@ func (m *Manager) acquireAll() error {
 	return err
 }
 
-// acquireObject performs one object's acquire actions: the protocol's
+// acquireObject performs one object's acquire actions: the policy's
 // Figure 6 return edge, narrowed by the access mode, then the auto-mode
 // migration step. The caller holds o.mu; o is live and not degraded.
 func (m *Manager) acquireObject(o *Object) error {
-	if o.mode == ModeReadOnly && o.sealed {
+	if o.pol.sealed {
 		// Replicated once: both copies are identical forever, so nothing
-		// travels. Under batch-update every block's return fetch is elided.
-		if o.proto == BatchUpdate {
+		// travels. A host-authoritative replica books every block's return
+		// fetch as elided.
+		if o.pol.hostAuth {
 			m.stats.FetchElisions.Add(int64(len(o.blocks)))
 		}
 		return nil
 	}
-	switch o.proto {
-	case BatchUpdate:
-		if o.mode == ModeWriteOnly {
-			// The host only writes o: fetching kernel output it will never
-			// read is pure waste. Leave every block Dirty so the next
-			// release re-sends whatever the host produces.
-			m.setState(o.blocks[0], len(o.blocks), StateDirty)
-			m.stats.FetchElisions.Add(int64(len(o.blocks)))
-			break
-		}
+	switch {
+	case !o.pol.hostAuth:
+		// Nothing: blocks stay invalid until the CPU actually touches them.
+	case o.mode == ModeWriteOnly:
+		// The host only writes o: fetching kernel output it will never read
+		// is pure waste. Leave every block Dirty so the next release re-sends
+		// whatever the host produces.
+		m.setState(o.blocks[0], len(o.blocks), StateDirty)
+		m.stats.FetchElisions.Add(int64(len(o.blocks)))
+	default:
 		// Transfer every block of the call's scope back and mark it dirty,
 		// implicitly invalidating the accelerator copy. Objects bound to
 		// other kernels never went to the device for this call, so fetching
@@ -306,8 +295,6 @@ func (m *Manager) acquireObject(o *Object) error {
 			}
 			m.setState(b, 1, StateDirty)
 		}
-	case LazyUpdate, RollingUpdate:
-		// Nothing: blocks stay invalid until the CPU actually touches them.
 	}
 	if o.mode == ModeAuto {
 		return m.autoStep(o)
@@ -322,13 +309,11 @@ func (m *Manager) acquireObject(o *Object) error {
 // Host writes after the seal fault and fail with ErrModeViolation
 // (checkModeFault). The caller holds o.mu.
 func (m *Manager) sealReadOnly(o *Object) error {
-	if o.sealed {
+	if o.pol.sealed {
 		return nil
 	}
-	if o.proto == RollingUpdate {
-		// Queued dirty blocks are flushed right here; drop the cache's claim.
-		m.rolling.forget(o)
-	}
+	// Queued dirty blocks are flushed right here; drop the cache's claim.
+	m.rolling.forget(o)
 	for _, b := range o.blocks {
 		switch b.state {
 		case StateDirty:
@@ -344,9 +329,10 @@ func (m *Manager) sealReadOnly(o *Object) error {
 		case StateReadOnly:
 		}
 	}
-	// Sealed first: from here on the object detects accesses under every
-	// protocol, so the transition protects a batch-governed replica too.
-	o.sealed = true
+	// Seal first: from here on the object detects accesses under every
+	// protocol, so the transition protects a host-authoritative replica too.
+	// The sealed policy keeps its kind, geometry and host authority.
+	o.pol.detects, o.pol.rolls, o.pol.sealed = true, false, true
 	m.setState(o.blocks[0], len(o.blocks), StateReadOnly)
 	return nil
 }
@@ -402,8 +388,8 @@ func (m *Manager) faultRunLen(b *Block) int {
 	return n
 }
 
-// resolveFault implements the shared Figure 6(b) transitions for lazy- and
-// rolling-update: Invalid data is fetched from the accelerator; the block
+// resolveFault implements the Figure 6(b) transitions of every detecting
+// policy: Invalid data is fetched from the accelerator; the block
 // lands in ReadOnly after a read fault or Dirty after a write fault.
 // Write-only objects skip the fetch on a write fault — the host promised to
 // overwrite the block, so Invalid bytes never DMA host-ward.

@@ -128,9 +128,9 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 			return err
 		}
 		to := StateReadOnly
-		if o.proto == BatchUpdate {
-			// Batch-update has no protection to observe the next host write,
-			// so the refreshed block must stay conservatively Dirty.
+		if o.pol.hostAuth {
+			// No protection observes the next host write, so the refreshed
+			// block must stay conservatively Dirty.
 			to = StateDirty
 		}
 		m.setState(b, 1, to)
@@ -141,18 +141,16 @@ func (m *Manager) acquireRegionObject(o *Object) error {
 // releaseRegionObject flushes o's dirty blocks so the device copy is
 // current. The caller holds o.mu.
 func (m *Manager) releaseRegionObject(o *Object) error {
-	if o.proto == RollingUpdate {
-		// Every dirty block is flushed right here; drop the cache's claim.
-		m.rolling.forget(o)
-	}
+	// Every dirty block is flushed right here; drop the cache's claim.
+	m.rolling.forget(o)
 	for _, b := range o.blocks {
 		if b.state != StateDirty {
 			continue
 		}
-		if o.proto == BatchUpdate {
-			// Publish now, but keep the block Dirty: batch-update has no
-			// access detection and must conservatively re-send at the next
-			// kernel call.
+		if o.pol.hostAuth {
+			// Publish now, but keep the block Dirty: with no access
+			// detection it must conservatively re-send at the next kernel
+			// call.
 			if err := m.flushBlockSync(b); err != nil {
 				return err
 			}
