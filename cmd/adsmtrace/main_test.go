@@ -2,10 +2,11 @@ package main
 
 import (
 	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // The golden tests pin what -races and -replay print for one committed
@@ -21,24 +22,7 @@ const stream = "../../testdata/corpus/cp-gmac-rolling.oplog"
 
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", name+".golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("%s differs (rerun with -update if the change is intentional):\n--- golden\n%s--- current\n%s",
-			path, want, got)
-	}
+	testutil.CheckGolden(t, *update, filepath.Join("testdata", name+".golden"), got)
 }
 
 func TestRacesGolden(t *testing.T) {

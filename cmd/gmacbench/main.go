@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -108,7 +109,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gmacbench: introspection at http://%s/adsm/stats\n", srv.Addr())
 	}
 
-	if err := run(want, *small, *jsonOut); err != nil {
+	if err := run(os.Stdout, want, *small, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "gmacbench:", err)
 		os.Exit(1)
 	}
@@ -203,7 +204,9 @@ func writeBenchJSON(path string, small bool, entries []benchEntry) error {
 	return f.Close()
 }
 
-func run(want map[string]bool, small bool, jsonOut string) error {
+// run prints the requested experiments to w and, with jsonOut set, writes
+// the evaluation summary there.
+func run(w io.Writer, want map[string]bool, small bool, jsonOut string) error {
 	known := map[string]bool{
 		"fig2": true, "table2": true, "porting": true, "fig7": true,
 		"fig8": true, "fig10": true, "fig9": true, "fig11": true,
@@ -216,18 +219,18 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 	}
 
 	if want["fig2"] {
-		fmt.Println(figures.Fig2())
-		fmt.Println(figures.Fig2Plot().Render())
+		fmt.Fprintln(w, figures.Fig2())
+		fmt.Fprintln(w, figures.Fig2Plot().Render())
 	}
 	if want["table2"] {
-		fmt.Println(figures.Table2())
+		fmt.Fprintln(w, figures.Table2())
 	}
 	if want["porting"] {
 		rows, err := figures.Porting()
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.PortingTable(rows))
+		fmt.Fprintln(w, figures.PortingTable(rows))
 	}
 	if want["fig7"] || want["fig8"] || want["fig10"] || jsonOut != "" {
 		runs, err := figures.RunEvaluation(small)
@@ -235,13 +238,13 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 			return err
 		}
 		if want["fig7"] {
-			fmt.Println(figures.Fig7(runs))
+			fmt.Fprintln(w, figures.Fig7(runs))
 		}
 		if want["fig8"] {
-			fmt.Println(figures.Fig8(runs))
+			fmt.Fprintln(w, figures.Fig8(runs))
 		}
 		if want["fig10"] {
-			fmt.Println(figures.Fig10(runs))
+			fmt.Fprintln(w, figures.Fig10(runs))
 		}
 		if jsonOut != "" {
 			if err := writeBenchJSON(jsonOut, small, entriesFromRuns(runs)); err != nil {
@@ -256,8 +259,8 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.Fig9TableFrom(rows, blocks))
-		fmt.Println(figures.Fig9PlotFrom(rows, blocks).Render())
+		fmt.Fprintln(w, figures.Fig9TableFrom(rows, blocks))
+		fmt.Fprintln(w, figures.Fig9PlotFrom(rows, blocks).Render())
 	}
 	if want["fig11"] {
 		n, blocks := figures.Fig11Params(small)
@@ -265,8 +268,8 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.Fig11Table(rows))
-		fmt.Println(figures.Fig11Plot(rows).Render())
+		fmt.Fprintln(w, figures.Fig11Table(rows))
+		fmt.Fprintln(w, figures.Fig11Plot(rows).Render())
 	}
 	if want["fig12"] {
 		bench, blocks, sizes := figures.Fig12Params(small)
@@ -274,8 +277,8 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.Fig12Table(rows))
-		fmt.Println(figures.Fig12Plot(rows).Render())
+		fmt.Fprintln(w, figures.Fig12Table(rows))
+		fmt.Fprintln(w, figures.Fig12Plot(rows).Render())
 	}
 	if want["ablations"] {
 		for _, ab := range []func() (*figures.Table, error){
@@ -287,7 +290,7 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(tab)
+			fmt.Fprintln(w, tab)
 		}
 	}
 	if want["modes"] {
@@ -295,7 +298,7 @@ func run(want map[string]bool, small bool, jsonOut string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.ModesTable(rows))
+		fmt.Fprintln(w, figures.ModesTable(rows))
 	}
 	return nil
 }

@@ -436,13 +436,12 @@ func (d *Device) TryMemcpyD2H(dst []byte, src mem.Addr) (sim.Time, error) {
 	return done.Wait(d.clock), err
 }
 
-// MemcpyD2D copies within device memory (cudaMemcpyDeviceToDevice).
+// MemcpyD2D copies within device memory (cudaMemcpyDeviceToDevice). The
+// ranges may overlap; the result is that of memmove.
 func (d *Device) MemcpyD2D(dst, src mem.Addr, n int64) sim.Completion {
-	buf := make([]byte, n)
 	dur := d.cfg.MemLink.TransferTime(2 * n) // read + write of on-board memory
 	d.mu.Lock()
-	d.memory.Read(src, buf)
-	d.memory.Write(dst, buf)
+	d.memory.Copy(dst, src, n)
 	done := d.engine.SubmitNow(dur)
 	d.pending = sim.MaxCompletion(d.pending, done)
 	d.mu.Unlock()

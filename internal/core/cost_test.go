@@ -60,7 +60,7 @@ type costCase struct {
 
 // laneMallocs leaves a window's allocations unpinned. Only the contended
 // cases use it: with a lane active, every clock read boxes the goroutine id
-// into a sync.Map key (sim/lane.go, ROADMAP item 2), about nine allocations
+// into a sync.Map key (sim/lane.go, ROADMAP item 1), about nine allocations
 // per fault, and how many more the map and the goroutines take varies from
 // run to run.
 const laneMallocs = -1

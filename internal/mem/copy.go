@@ -1,0 +1,121 @@
+package mem
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
+
+// Every byte of simulated memory that moves — a DMA in either direction, a
+// device-to-device copy, a bulk access, a memset — goes through copyBytes
+// or fillBytes. Below splitMin they are copy and fill on the caller: one
+// length compare more, no allocation, so the 4 KiB transfers of the fault
+// path cost what they always did. From splitMin up (batch-update's MiB-sized
+// call-boundary DMAs) the work is cut into splitChunk pieces that every
+// core pulls from a shared cursor, the caller among them.
+const (
+	// splitMin is the smallest length worth a second core. Up to about
+	// 1 MiB a copy runs from the caches at ~30 GB/s and splitting it is
+	// slower; from 2 MiB it runs at ~14 GB/s on one core and two cores take
+	// 60-80 % of the time (docs/performance.md, "Large copies on the idle
+	// core").
+	splitMin = 2 << 20
+	// splitChunk is the unit of work a core claims at a time: small enough
+	// that a helper which starts late still finds work, large enough that
+	// the cursor is touched once per 15 µs of copying.
+	splitChunk = 256 << 10
+)
+
+// copyBytes is copy(dst, src) for len(dst) == len(src).
+//
+//adsm:noalloc
+func copyBytes(dst, src []byte) {
+	if len(src) < splitMin {
+		copy(dst, src)
+		return
+	}
+	copyLarge(dst, src)
+}
+
+// fillBytes sets every byte of buf to b.
+//
+//adsm:noalloc
+func fillBytes(buf []byte, b byte) {
+	if len(buf) < splitMin {
+		fill(buf, b)
+		return
+	}
+	fillLarge(buf, b)
+}
+
+// fill is fillBytes on one core: clear for zero, else one byte doubled by
+// copy until buf is full.
+func fill(buf []byte, b byte) {
+	if b == 0 {
+		clear(buf)
+		return
+	}
+	if len(buf) == 0 {
+		return
+	}
+	buf[0] = b
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
+}
+
+// copyLarge is copyBytes from splitMin up. It starts goroutines and so
+// allocates, which is why only copies of at least splitMin reach it.
+//
+//adsm:cold
+func copyLarge(dst, src []byte) {
+	if overlap(dst, src) {
+		copy(dst, src) // a memmove; chunks copied in any order are not
+		return
+	}
+	split(len(src), func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
+}
+
+// fillLarge is fillBytes from splitMin up; see copyLarge.
+//
+//adsm:cold
+func fillLarge(buf []byte, b byte) {
+	split(len(buf), func(lo, hi int) { fill(buf[lo:hi], b) })
+}
+
+// overlap reports whether a and b share any byte of memory.
+func overlap(a, b []byte) bool {
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// split runs do over [0, n) in splitChunk pieces on up to GOMAXPROCS
+// cores. The caller works too, and waits only for pieces a helper has
+// already claimed, never for a helper to be scheduled: a helper that starts
+// after the cursor ran out claims nothing. So on a host with no idle core
+// the cost is a serial copy plus starting the helpers.
+func split(n int, do func(lo, hi int)) {
+	chunks := (n + splitChunk - 1) / splitChunk
+	var next, done atomic.Int64
+	var last sync.WaitGroup // released by whoever finishes the last piece
+	last.Add(1)
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= chunks {
+				return
+			}
+			lo := i * splitChunk
+			do(lo, min(lo+splitChunk, n))
+			if done.Add(1) == int64(chunks) {
+				last.Done()
+			}
+		}
+	}
+	for range min(runtime.GOMAXPROCS(0), chunks) - 1 {
+		go work()
+	}
+	work()
+	last.Wait()
+}

@@ -147,14 +147,22 @@ func (s *Space) Bytes(addr Addr, n int64) []byte {
 	return s.data[off : off+n : off+n]
 }
 
-// Read copies len(dst) bytes starting at addr into dst.
+// Read copies len(dst) bytes starting at addr into dst. Reads of a few MiB
+// and more run on every core (copy.go).
 func (s *Space) Read(addr Addr, dst []byte) {
-	copy(dst, s.Bytes(addr, int64(len(dst))))
+	copyBytes(dst, s.Bytes(addr, int64(len(dst))))
 }
 
-// Write copies src into the space starting at addr.
+// Write copies src into the space starting at addr. Like Read, large
+// writes run on every core.
 func (s *Space) Write(addr Addr, src []byte) {
-	copy(s.Bytes(addr, int64(len(src))), src)
+	copyBytes(s.Bytes(addr, int64(len(src))), src)
+}
+
+// Copy copies n bytes from src to dst inside the space. The two ranges may
+// overlap: the result is that of memmove.
+func (s *Space) Copy(dst, src Addr, n int64) {
+	copyBytes(s.Bytes(dst, n), s.Bytes(src, n))
 }
 
 // Float32 reads a little-endian float32 at addr.
@@ -189,8 +197,5 @@ func (s *Space) SetUint64(addr Addr, v uint64) {
 
 // Memset fills [addr, addr+n) with b.
 func (s *Space) Memset(addr Addr, b byte, n int64) {
-	buf := s.Bytes(addr, n)
-	for i := range buf {
-		buf[i] = b
-	}
+	fillBytes(s.Bytes(addr, n), b)
 }
