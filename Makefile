@@ -14,8 +14,8 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Static analysis: the standard go vet suite, then adsmvet — the ADSM
-# multichecker (allowcheck, coherence, lanepair, lockorder, modecheck,
-# noalloc, statecase; see docs/static-analysis.md) — driven through
+# multichecker (allowcheck, lanepair, lockorder, modecheck, noalloc,
+# statecase; see docs/static-analysis.md) — driven through
 # `go vet -vettool` so every package, its _test.go files, and the cmd/
 # mains are analyzed, and results land in the build cache (keyed on the
 # tool's -V=full version, which folds in the Go toolchain version, so a

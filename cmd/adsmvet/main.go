@@ -46,7 +46,9 @@ import (
 
 // version is the build identifier reported to cmd/go. It must not look
 // like a devel version or the go command refuses to cache vet results.
-const version = "v1.1.0"
+// cmd/go keys cached results on it, so bump it whenever what an analyzer
+// reports changes.
+const version = "v1.2.0"
 
 func main() {
 	if err := analyzers.Validate(); err != nil {

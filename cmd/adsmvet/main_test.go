@@ -94,6 +94,27 @@ func TestVettoolProtocol(t *testing.T) {
 	}
 }
 
+// TestModecheckOnRealGmac vets testdata/modeprobe, which uses the real
+// repro/gmac: its Ptr is an alias of mem.Addr, not the golden stub's, and
+// modecheck must report all three broken contracts through it.
+func TestModecheckOnRealGmac(t *testing.T) {
+	vet := exec.Command("go", "vet", "-vettool="+buildTool(t), "./cmd/adsmvet/testdata/modeprobe")
+	vet.Dir = filepath.Join("..", "..")
+	out, err := vet.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet passed the probe, want modecheck findings:\n%s", out)
+	}
+	for _, want := range []string{
+		"HostWrite writes ro, which is allocated gmac.ReadOnly at probe.go:",
+		"HostRead reads wo, which is allocated gmac.WriteOnly at probe.go:",
+		"HostRead reads p while the async kernel launched at probe.go:",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("go vet output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // buildTool compiles adsmvet once per test into a temp dir.
 func buildTool(t *testing.T) string {
 	t.Helper()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/coherence"
 	"repro/internal/analysis/lanepair"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/modecheck"
@@ -21,7 +20,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		analysis.AllowCheck,
-		coherence.Analyzer,
 		lanepair.Analyzer,
 		lockorder.Analyzer,
 		modecheck.Analyzer,

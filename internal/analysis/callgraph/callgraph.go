@@ -2,8 +2,8 @@
 // adsmvet analyzers.
 //
 // The repository's invariants — the allocation-free fault hot path, the
-// core lock hierarchy, EnterLane/ExitLane pairing, and the PR 7 access-mode
-// contracts — were originally enforced intra-procedurally, so any violation
+// core lock hierarchy, EnterLane/ExitLane pairing, and the gmac host
+// contract — were originally enforced intra-procedurally, so any violation
 // hidden behind one helper call escaped `make vet`. This package makes the
 // analyzers see through calls:
 //
@@ -76,6 +76,7 @@ type Info struct {
 	local   map[string]*FuncSummary // keyed by types.Func FullName
 	impls   map[string][]*types.Func
 	depMemo map[string]*PkgSummary // dependency package summaries
+	gmacPtr types.Type             // what gmac.Ptr denotes here (nil: no gmac in sight)
 }
 
 // Of returns the engine's Info for the pass's package, building it on
@@ -103,6 +104,7 @@ func build(unit *analysis.Unit) (*Info, error) {
 		local:   map[string]*FuncSummary{},
 		impls:   implementations(unit),
 		depMemo: map[string]*PkgSummary{},
+		gmacPtr: gmacPtrType(unit.Pkg),
 	}
 	info.Locks = collectLocks(unit)
 	for _, file := range unit.Files {

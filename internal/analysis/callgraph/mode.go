@@ -3,35 +3,91 @@ package callgraph
 import (
 	"go/ast"
 	"go/types"
+
+	"repro/internal/analysis"
 )
 
-// The gmac Session host-access methods, mapped to the index of the
-// gmac.Ptr argument they touch. The modecheck analyzer and the summary
-// engine share these tables so "what counts as a host write" has one
-// definition.
-var (
-	hostWriteMethods = map[string]int{
-		"HostWrite":      0, // HostWrite(p Ptr, src []byte)
-		"Memset":         0, // Memset(p Ptr, b byte, n int64)
-		"MemcpyToShared": 0, // MemcpyToShared(dst Ptr, src []byte)
-		"MemcpyShared":   0, // MemcpyShared(dst, src Ptr, n int64): dst written
-	}
-	hostReadMethods = map[string]int{
-		"HostRead":         0, // HostRead(p Ptr, ...)
-		"MemcpyFromShared": 1, // MemcpyFromShared(dst []byte, src Ptr)
-		"MemcpyShared":     1, // src read
-	}
-)
+// ptrAccess is one host access a gmac session method performs.
+type ptrAccess struct {
+	arg   int  // index of the gmac.Ptr argument touched
+	write bool // host write (else host read)
+}
 
-// IsGmacPtr reports whether t is the shared-pointer type gmac.Ptr (keyed
-// on the package *name* so the analyzers' golden-test stub qualifies).
-func IsGmacPtr(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
+// hostAccess is the one table of the gmac host contract: each session
+// method that touches shared memory, with the gmac.Ptr arguments it reads
+// and writes. The summary engine and the modecheck analyzer both read it,
+// so "what counts as a host write" has one definition; mode_test.go fails
+// when a gmac.Context method with a Ptr parameter is missing from it.
+var hostAccess = map[string][]ptrAccess{
+	"HostRead":         {{arg: 0}},                        // HostRead(p Ptr, dst []byte)
+	"HostWrite":        {{arg: 0, write: true}},           // HostWrite(p Ptr, src []byte)
+	"Memset":           {{arg: 0, write: true}},           // Memset(p Ptr, b byte, n int64)
+	"MemcpyToShared":   {{arg: 0, write: true}},           // MemcpyToShared(dst Ptr, src []byte)
+	"MemcpyFromShared": {{arg: 1}},                        // MemcpyFromShared(dst []byte, src Ptr)
+	"MemcpyShared":     {{arg: 0, write: true}, {arg: 1}}, // MemcpyShared(dst, src Ptr, n int64)
+	"ReadFile":         {{arg: 1, write: true}},           // ReadFile(f, p Ptr, n): read(2) into shared memory
+	"WriteFile":        {{arg: 1}},                        // WriteFile(f, p Ptr, n): write(2) from shared memory
+}
+
+// GmacMethod returns the name of the method a call invokes when that
+// method is declared in a package named gmac — the real one or the
+// golden-test stub — and "" otherwise.
+func GmacMethod(info *types.Info, call *ast.CallExpr) string {
+	if fn := gmacCallee(info, call); fn != nil && fn.Type().(*types.Signature).Recv() != nil {
+		return fn.Name()
 	}
-	obj := named.Obj()
-	return obj.Name() == "Ptr" && obj.Pkg() != nil && obj.Pkg().Name() == "gmac"
+	return ""
+}
+
+// GmacFunc is GmacMethod for package-level gmac functions (the Alloc and
+// Call options: Mode, Writes, Async, ...).
+func GmacFunc(info *types.Info, call *ast.CallExpr) string {
+	if fn := gmacCallee(info, call); fn != nil && fn.Type().(*types.Signature).Recv() == nil {
+		return fn.Name()
+	}
+	return ""
+}
+
+func gmacCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := analysis.CalleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "gmac" {
+		return nil
+	}
+	return fn
+}
+
+// gmacPtrType returns the type gmac.Ptr denotes, aliases resolved, when pkg
+// is the gmac package or imports it (directly or, where the importer
+// recorded them, transitively); nil otherwise. The real gmac.Ptr is an
+// alias of mem.Addr, so the answer is the aliased type, not a type named
+// Ptr.
+func gmacPtrType(pkg *types.Package) types.Type {
+	seen := map[*types.Package]bool{}
+	var find func(p *types.Package) types.Type
+	find = func(p *types.Package) types.Type {
+		if seen[p] {
+			return nil
+		}
+		seen[p] = true
+		if p.Name() == "gmac" {
+			if tn, ok := p.Scope().Lookup("Ptr").(*types.TypeName); ok {
+				return types.Unalias(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			if t := find(imp); t != nil {
+				return t
+			}
+		}
+		return nil
+	}
+	return find(pkg)
+}
+
+// IsGmacPtr reports whether t is the shared-pointer type gmac.Ptr, spelled
+// either way: as gmac.Ptr or as the type it aliases.
+func (in *Info) IsGmacPtr(t types.Type) bool {
+	return in.gmacPtr != nil && t != nil && types.Identical(types.Unalias(t), in.gmacPtr)
 }
 
 // PtrEffect is one host access a call performs on a gmac.Ptr argument.
@@ -44,26 +100,18 @@ type PtrEffect struct {
 }
 
 // PtrEffects classifies one call's host accesses to gmac.Ptr arguments:
-// direct Session methods (HostWrite, Memset, ...) by name, and calls to
+// direct gmac session methods through the hostAccess table, and calls to
 // helpers whose summaries declare PtrWrites/PtrReads on a parameter.
 func (in *Info) PtrEffects(call *ast.CallExpr) []PtrEffect {
 	var out []PtrEffect
 	info := in.Unit.TypesInfo
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		name := sel.Sel.Name
-		if i, ok := hostWriteMethods[name]; ok {
-			if arg := ptrArgAt(info, call, i); arg != nil {
-				out = append(out, PtrEffect{Arg: arg, Write: true, What: name, Pos: short(in.Unit.Fset, call.Pos())})
+	if name := GmacMethod(info, call); name != "" {
+		for _, a := range hostAccess[name] {
+			if arg := in.ptrArgAt(call, a.arg); arg != nil {
+				out = append(out, PtrEffect{Arg: arg, Write: a.write, What: name, Pos: short(in.Unit.Fset, call.Pos())})
 			}
 		}
-		if i, ok := hostReadMethods[name]; ok {
-			if arg := ptrArgAt(info, call, i); arg != nil {
-				out = append(out, PtrEffect{Arg: arg, Write: false, What: name, Pos: short(in.Unit.Fset, call.Pos())})
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
+		return out
 	}
 	for _, e := range in.resolve(call) {
 		s := in.Summary(e.Callee)
@@ -72,13 +120,13 @@ func (in *Info) PtrEffects(call *ast.CallExpr) []PtrEffect {
 		}
 		frame := in.Frame(e.Callee, call.Pos())
 		for _, pe := range s.PtrWrites {
-			if arg := ptrArgAt(info, call, pe.Index); arg != nil {
+			if arg := in.ptrArgAt(call, pe.Index); arg != nil {
 				out = append(out, PtrEffect{Arg: arg, Write: true, What: pe.What,
 					Chain: PrependFrame(frame, pe.Chain), Pos: pe.Pos})
 			}
 		}
 		for _, pe := range s.PtrReads {
-			if arg := ptrArgAt(info, call, pe.Index); arg != nil {
+			if arg := in.ptrArgAt(call, pe.Index); arg != nil {
 				out = append(out, PtrEffect{Arg: arg, Write: false, What: pe.What,
 					Chain: PrependFrame(frame, pe.Chain), Pos: pe.Pos})
 			}
@@ -91,12 +139,12 @@ func (in *Info) PtrEffects(call *ast.CallExpr) []PtrEffect {
 }
 
 // ptrArgAt returns call.Args[i] when it exists and is gmac.Ptr-typed.
-func ptrArgAt(info *types.Info, call *ast.CallExpr, i int) ast.Expr {
+func (in *Info) ptrArgAt(call *ast.CallExpr, i int) ast.Expr {
 	if i < 0 || i >= len(call.Args) {
 		return nil
 	}
 	arg := call.Args[i]
-	if t := info.TypeOf(arg); t != nil && IsGmacPtr(t) {
+	if in.IsGmacPtr(in.Unit.TypesInfo.TypeOf(arg)) {
 		return arg
 	}
 	return nil
@@ -104,7 +152,7 @@ func ptrArgAt(info *types.Info, call *ast.CallExpr, i int) ast.Expr {
 
 // ptrParams maps a function's gmac.Ptr-typed parameter objects to their
 // signature indices (methods count parameters only, not the receiver).
-func ptrParams(fn *types.Func) map[types.Object]int {
+func (in *Info) ptrParams(fn *types.Func) map[types.Object]int {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return nil
@@ -112,7 +160,7 @@ func ptrParams(fn *types.Func) map[types.Object]int {
 	out := map[types.Object]int{}
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
-		if IsGmacPtr(p.Type()) {
+		if in.IsGmacPtr(p.Type()) {
 			out[p] = i
 		}
 	}

@@ -344,7 +344,7 @@ func (in *Info) laneFacts(n *Node, s *FuncSummary) {
 // modeFacts: which gmac.Ptr parameters this function host-writes or
 // host-reads, directly or through callees.
 func (in *Info) modeFacts(n *Node, s *FuncSummary) {
-	params := ptrParams(n.Fn)
+	params := in.ptrParams(n.Fn)
 	if len(params) == 0 {
 		return
 	}

@@ -1,34 +1,35 @@
-// Package modecheck enforces the PR 7 access-mode contracts at vet time.
+// Package modecheck is the vet-time analyzer of the gmac host contract.
 //
-// An allocation's AccessMode is a promise about host behaviour for the
-// object's whole lifetime: ReadOnly objects are sealed at their first
-// kernel release (a later host write fails with ErrModeViolation),
-// WriteOnly objects elide every device-to-host fetch (a host read of
-// device-written data fails the same way). The runtime enforces both —
-// but at run time, on the inputs that happen to execute. This analyzer
-// moves the common shapes of those failures to `make vet`:
+// ADSM keeps memory coherent only at kernel call and return (Gelado et al.,
+// ASPLOS 2010, §3.1); interposed memcpy/memset/read/write (§4.4) are host
+// accesses like any other; and an allocation's AccessMode is a promise about
+// host behaviour for the object's whole lifetime. The runtime enforces all
+// of it, but only on the inputs that happen to execute. modecheck moves the
+// common failure shapes to `make vet`:
 //
 //   - a host write (HostWrite, Memset, MemcpyToShared, MemcpyShared dst,
-//     or a kernel Call annotated Writes) reaching a pointer allocated
-//     with gmac.Mode(gmac.ReadOnly);
-//   - a host read (HostRead, MemcpyFromShared, MemcpyShared src) of a
-//     pointer allocated gmac.Mode(gmac.WriteOnly) before any write has
+//     ReadFile, or a kernel Call annotated Writes) reaching a pointer
+//     allocated with gmac.Mode(gmac.ReadOnly): once sealed at its first
+//     kernel release the object rejects it with ErrModeViolation;
+//   - a host read (HostRead, MemcpyFromShared, MemcpyShared src, WriteFile)
+//     of a pointer allocated gmac.Mode(gmac.WriteOnly) before any write has
 //     populated it;
-//   - a host read, through a helper, of a pointer an async kernel
-//     (Call with Writes and Async) may still be writing, before a Sync.
-//     Direct reads of async results are the coherence analyzer's
-//     diagnostic; modecheck adds the interprocedural case it cannot see.
+//   - a host read of an Async() kernel's output before Sync: after a call
+//     annotated Writes(p...) the reads of those pointers, after an
+//     unannotated async call every read;
+//   - a Safe(p) device address used after a later Call, which may have
+//     migrated the object.
 //
-// Host accesses are resolved through the callgraph engine's summaries, so
-// a write buried two helpers deep is flagged at the outer call with the
-// chain down to the access. The tracking itself is deliberately local and
-// linear: a pointer is followed from its `p, err := s.Alloc(...)` site
-// through the statements of that function in source order, and tracking
-// stops — silently, never reporting — as soon as the pointer is
-// reassigned, aliased, taken by address, returned, or passed to a
-// function the engine has no summary for. Within those bounds every
-// diagnostic corresponds to a run-time ErrModeViolation (or a stale
-// read) on the path that executes the flagged statements in order.
+// Which method reads or writes which gmac.Ptr argument is the callgraph
+// engine's one host-access table, and helper summaries carry the same
+// effects, so an access buried two helpers deep — or in a sibling package —
+// is flagged at the outer call with the chain down to it. Every function
+// and function literal is checked on its own, in source order. A pointer's
+// mode is followed from its `p, err := s.Alloc(...)` site, and that tracking
+// stops silently as soon as the pointer is reassigned, aliased, taken by
+// address, returned, or passed to a function the engine has no summary for.
+// Sync and Call are barriers for every session the function uses: sessions
+// are not told apart.
 package modecheck
 
 import (
@@ -45,7 +46,7 @@ import (
 // Analyzer is the modecheck analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "modecheck",
-	Doc:  "flag host accesses that violate gmac access-mode contracts (ReadOnly/WriteOnly/Async), through helpers",
+	Doc:  "flag host accesses that break the gmac contract: ReadOnly/WriteOnly modes, async reads before Sync, stale Safe pointers",
 	Run:  run,
 }
 
@@ -54,13 +55,22 @@ func run(pass *analysis.Pass) error {
 	if err != nil {
 		return err
 	}
-	for _, n := range info.Nodes {
-		if n.Decl.Body == nil {
-			continue
-		}
-		c := &collector{pass: pass, info: info}
-		c.visit(n.Decl.Body, false)
-		process(pass, c.events)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				body = fn.Body
+			case *ast.FuncLit:
+				body = fn.Body
+			}
+			if body != nil {
+				c := &collector{pass: pass, info: info}
+				c.visit(body, false)
+				process(pass, c.events)
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -68,29 +78,34 @@ func run(pass *analysis.Pass) error {
 type evKind int
 
 const (
-	evDefine      evKind = iota // p, err := s.Alloc(..., gmac.Mode(...))
-	evAccess                    // host write/read of a tracked pointer
-	evKernelWrite               // Call(..., gmac.Writes(p), [gmac.Async()])
-	evSync                      // s.Sync(): every pending async write lands
-	evKill                      // tracking ends: reassigned, aliased, escaped
+	evDefine evKind = iota // p, err := s.Alloc(..., gmac.Mode(...))
+	evSafe                 // d, err := s.Safe(p): valid until the next Call
+	evAccess               // host write/read through a gmac method or helper
+	evUse                  // the pointer's value is read, with no host access
+	evKill                 // read, and mode tracking ends: aliased, escaped
+	evAssign               // the pointer variable is overwritten
+	evCall                 // s.Call(kernel, args, opts...)
+	evSync                 // s.Sync()
 )
 
-// event is one mode-relevant occurrence in source order.
+// event is one contract-relevant occurrence in source order.
 type event struct {
 	pos       token.Pos
 	kind      evKind
-	obj       types.Object
-	mode      string // evDefine: "ReadOnly", "WriteOnly", or ""
-	write     bool   // evAccess
-	what      string // evAccess: underlying method name
-	accessPos string // evAccess: where the underlying access sits
+	obj       types.Object // the pointer variable (nil for a non-identifier access)
+	mode      string       // evDefine: "ReadOnly", "WriteOnly", or ""
+	name      string       // evAccess: the argument, as source text
+	write     bool         // evAccess
+	what      string       // evAccess: underlying method name
+	accessPos string       // evAccess: where the underlying access sits
 	chain     []callgraph.SummaryFrame
-	async     bool // evKernelWrite
+	async     bool           // evCall
+	writes    []types.Object // evCall: Writes/WriteOnlyHint pointers
 }
 
-// collector walks one function body emitting events. The walk mirrors
-// callgraph.InspectInline's literal policy: nested function literals run
-// on their own schedule and are not part of this function's event order.
+// collector walks one function body emitting events in evaluation order.
+// Nested function literals run on their own schedule: they are checked as
+// functions of their own, not as part of this one.
 type collector struct {
 	pass   *analysis.Pass
 	info   *callgraph.Info
@@ -166,20 +181,20 @@ func (c *collector) killAllUnder(n ast.Node) {
 	})
 }
 
-// assign handles p, err := s.Alloc(...) defines, and kills tracking on any
-// other assignment touching a pointer.
+// assign handles the Alloc and Safe defines, and marks every other
+// pointer assigned to as overwritten.
 func (c *collector) assign(n *ast.AssignStmt) {
-	if obj, mode, ok := c.allocDefine(n); ok {
-		c.add(event{pos: n.Pos(), kind: evDefine, obj: obj, mode: mode})
-		return
-	}
 	for _, rhs := range n.Rhs {
 		c.visit(rhs, false)
+	}
+	if obj, kind, mode := c.define(n); obj != nil {
+		c.add(event{pos: n.Pos(), kind: kind, obj: obj, mode: mode})
+		return
 	}
 	for _, lhs := range n.Lhs {
 		if id, ok := lhs.(*ast.Ident); ok {
 			if c.isPtrIdent(id) && n.Tok == token.ASSIGN {
-				c.add(event{pos: id.Pos(), kind: evKill, obj: c.pass.TypesInfo.Uses[id]})
+				c.add(event{pos: id.Pos(), kind: evAssign, obj: c.pass.TypesInfo.Uses[id]})
 			}
 			continue
 		}
@@ -187,47 +202,47 @@ func (c *collector) assign(n *ast.AssignStmt) {
 	}
 }
 
-// allocDefine recognizes `p, err := sess.Alloc(size, opts...)` with p
-// gmac.Ptr-typed, returning p's object and the declared mode ("" when no
-// gmac.Mode option is present — the pointer is still tracked for async
-// bookkeeping).
-func (c *collector) allocDefine(n *ast.AssignStmt) (types.Object, string, bool) {
+// define recognizes `p, err := sess.Alloc(size, opts...)`, returning p's
+// object with evDefine and the declared mode ("" when no gmac.Mode option
+// is present), and `d, err := sess.Safe(p)`, returning d with evSafe.
+func (c *collector) define(n *ast.AssignStmt) (types.Object, evKind, string) {
 	if len(n.Rhs) != 1 || len(n.Lhs) == 0 {
-		return nil, "", false
+		return nil, 0, ""
 	}
 	call, ok := n.Rhs[0].(*ast.CallExpr)
 	if !ok {
-		return nil, "", false
+		return nil, 0, ""
 	}
-	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "Alloc" {
-		return nil, "", false
+	kind := evDefine
+	switch callgraph.GmacMethod(c.pass.TypesInfo, call) {
+	case "Alloc":
+	case "Safe":
+		kind = evSafe
+	default:
+		return nil, 0, ""
 	}
 	id, ok := n.Lhs[0].(*ast.Ident)
 	if !ok || id.Name == "_" {
-		return nil, "", false
+		return nil, 0, ""
 	}
-	var obj types.Object
-	if n.Tok == token.DEFINE {
-		obj = c.pass.TypesInfo.Defs[id]
-	} else {
+	obj := c.pass.TypesInfo.Defs[id]
+	if obj == nil {
 		obj = c.pass.TypesInfo.Uses[id]
 	}
-	if obj == nil || !callgraph.IsGmacPtr(obj.Type()) {
-		return nil, "", false
+	if obj == nil || !c.info.IsGmacPtr(obj.Type()) {
+		return nil, 0, ""
 	}
-	return obj, c.allocModeOf(call), true
+	if kind == evSafe {
+		return obj, evSafe, ""
+	}
+	return obj, evDefine, c.allocModeOf(call)
 }
 
 // allocModeOf extracts the gmac.Mode(...) option's constant, if any.
 func (c *collector) allocModeOf(call *ast.CallExpr) string {
 	for _, arg := range call.Args {
 		oc, ok := arg.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		ofn := analysis.CalleeFunc(c.pass.TypesInfo, oc)
-		if ofn == nil || ofn.Name() != "Mode" || ofn.Pkg() == nil || ofn.Pkg().Name() != "gmac" || len(oc.Args) != 1 {
+		if !ok || callgraph.GmacFunc(c.pass.TypesInfo, oc) != "Mode" || len(oc.Args) != 1 {
 			continue
 		}
 		var sel *ast.Ident
@@ -240,7 +255,7 @@ func (c *collector) allocModeOf(call *ast.CallExpr) string {
 		if sel == nil {
 			continue
 		}
-		switch name := sel.Name; name {
+		switch sel.Name {
 		case "ReadOnly", "ModeReadOnly":
 			return "ReadOnly"
 		case "WriteOnly", "ModeWriteOnly":
@@ -250,177 +265,186 @@ func (c *collector) allocModeOf(call *ast.CallExpr) string {
 	return ""
 }
 
-// call classifies one call: host-access effects (direct methods or helper
-// summaries), kernel launches with Writes annotations, Sync barriers, and
-// pointer escapes into unsummarized callees.
+// call classifies one call in evaluation order: its arguments first
+// (pointer uses, and escapes into callees without a summary), then its
+// host accesses (direct gmac methods or helper summaries), then its effect
+// as a kernel launch or a Sync barrier.
 func (c *collector) call(call *ast.CallExpr) {
 	info := c.pass.TypesInfo
-	consumed := map[ast.Expr]bool{}
-
-	for _, eff := range c.info.PtrEffects(call) {
-		id, ok := ast.Unparen(eff.Arg).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		c.add(event{pos: call.Pos(), kind: evAccess, obj: info.Uses[id],
-			write: eff.Write, what: eff.What, accessPos: eff.Pos, chain: eff.Chain})
-		consumed[eff.Arg] = true
-	}
-
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		switch sel.Sel.Name {
-		case "Sync":
-			if len(call.Args) == 0 {
-				c.add(event{pos: call.Pos(), kind: evSync})
-			}
-		case "Call", "CallSync":
-			c.kernelCall(call, sel.Sel.Name == "CallSync", consumed)
-		}
-	}
-
-	// Any pointer passed to a callee without a summary may be written,
-	// read, or retained there: stop tracking it. Callees the engine does
-	// know (module-local helpers, the gmac session API itself) already
-	// had their effects applied above.
+	// A pointer passed to a callee without a summary may be written, read
+	// or retained there: stop tracking it. Callees the engine does know
+	// (module-local helpers, the gmac API itself) have their effects
+	// applied below.
 	neutral := false
 	if fn := analysis.CalleeFunc(info, call); fn != nil {
-		if fn.Pkg() != nil && fn.Pkg().Name() == "gmac" {
-			neutral = true
-		} else if c.info.Summary(fn) != nil {
-			neutral = true
-		}
+		neutral = fn.Pkg() != nil && fn.Pkg().Name() == "gmac" || c.info.Summary(fn) != nil
 	}
 	for _, arg := range call.Args {
-		if consumed[arg] {
-			continue
-		}
-		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-			if c.isPtrIdent(id) && !neutral {
-				c.add(event{pos: arg.Pos(), kind: evKill, obj: info.Uses[id]})
+		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && c.isPtrIdent(id) {
+			kind := evKill
+			if neutral {
+				kind = evUse
 			}
+			c.add(event{pos: arg.Pos(), kind: kind, obj: info.Uses[id]})
 			continue
 		}
 		c.visit(arg, true)
 	}
+
+	for _, eff := range c.info.PtrEffects(call) {
+		var obj types.Object
+		if id, ok := ast.Unparen(eff.Arg).(*ast.Ident); ok {
+			obj = info.Uses[id]
+		}
+		c.add(event{pos: call.Pos(), kind: evAccess, obj: obj, name: types.ExprString(eff.Arg),
+			write: eff.Write, what: eff.What, accessPos: eff.Pos, chain: eff.Chain})
+	}
+
+	switch callgraph.GmacMethod(info, call) {
+	case "Sync":
+		if len(call.Args) == 0 {
+			c.add(event{pos: call.Pos(), kind: evSync})
+		}
+	case "Call":
+		c.add(c.kernelCall(call))
+	}
 }
 
-// kernelCall handles sess.Call(kernel, args, opts...): a Writes(p) option
-// is a kernel write of p — immediate for synchronous calls, pending until
-// Sync when Async() is present.
-func (c *collector) kernelCall(call *ast.CallExpr, syncing bool, consumed map[ast.Expr]bool) {
-	info := c.pass.TypesInfo
-	async := false
-	var written []*ast.Ident
+// kernelCall reads sess.Call(kernel, args, opts...)'s options: Async(),
+// and the pointers a Writes(...) or WriteOnlyHint(...) option declares
+// kernel-written.
+func (c *collector) kernelCall(call *ast.CallExpr) event {
+	ev := event{pos: call.Pos(), kind: evCall}
 	for _, arg := range call.Args {
 		oc, ok := arg.(*ast.CallExpr)
 		if !ok {
 			continue
 		}
-		ofn := analysis.CalleeFunc(info, oc)
-		if ofn == nil || ofn.Pkg() == nil || ofn.Pkg().Name() != "gmac" {
-			continue
-		}
-		switch ofn.Name() {
+		switch callgraph.GmacFunc(c.pass.TypesInfo, oc) {
 		case "Async":
-			async = true
-			consumed[arg] = true
+			ev.async = true
 		case "Writes", "WriteOnlyHint":
 			for _, wa := range oc.Args {
 				if id, ok := ast.Unparen(wa).(*ast.Ident); ok && c.isPtrIdent(id) {
-					written = append(written, id)
+					ev.writes = append(ev.writes, c.pass.TypesInfo.Uses[id])
 				}
 			}
-			consumed[arg] = true
-		case "ReadOnlyHint":
-			consumed[arg] = true // kernel-side read: no host access
 		}
 	}
-	if syncing {
-		async = false
-	}
-	for _, id := range written {
-		c.add(event{pos: call.Pos(), kind: evKernelWrite, obj: info.Uses[id], async: async})
-	}
-	if syncing {
-		c.add(event{pos: call.End(), kind: evSync})
-	}
+	return ev
 }
 
 // isPtrIdent reports whether id names a gmac.Ptr-typed object.
 func (c *collector) isPtrIdent(id *ast.Ident) bool {
 	obj := c.pass.TypesInfo.Uses[id]
-	return obj != nil && callgraph.IsGmacPtr(obj.Type())
+	return obj != nil && c.info.IsGmacPtr(obj.Type())
 }
 
-// state is the per-pointer tracking record.
+// state is the mode-tracking record of one allocated pointer.
 type state struct {
-	name     string
 	mode     string
 	allocPos string
-	wrote    bool   // some write (host or kernel) has reached it
-	asyncAt  string // pending async kernel write's launch position
+	wrote    bool // some write (host or kernel) has reached it
 }
 
-// process replays the events in source order, reporting contract
-// violations.
+// process replays one function's events in source order, reporting
+// contract violations.
 func process(pass *analysis.Pass, events []event) {
-	vars := map[types.Object]*state{}
 	shortPos := func(p token.Pos) string {
 		pos := pass.Fset.Position(p)
 		return filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line)
 	}
+	vars := map[types.Object]*state{}
+	safe := map[types.Object]string{}    // Safe() results: the Call that staled each ("" while fresh)
+	asyncAt := map[types.Object]string{} // pointers a pending Async() call declared written
+	asyncAll := ""                       // a pending unannotated Async() call: every read is suspect
+
+	// use reports a stale Safe pointer the first time it is read.
+	use := func(obj types.Object, pos token.Pos) {
+		if at := safe[obj]; at != "" {
+			pass.Reportf(pos,
+				"%s holds a Safe() pointer acquired before the Call at %s; kernel launches may migrate the object — re-acquire with Safe()",
+				obj.Name(), at)
+			delete(safe, obj)
+		}
+	}
 	for _, e := range events {
 		switch e.kind {
-		case evDefine:
-			vars[e.obj] = &state{name: e.obj.Name(), mode: e.mode, allocPos: shortPos(e.pos)}
+		case evDefine, evSafe, evAssign:
+			// A new value: nothing known about the old one carries over.
+			delete(vars, e.obj)
+			delete(safe, e.obj)
+			delete(asyncAt, e.obj)
+			switch e.kind {
+			case evDefine:
+				vars[e.obj] = &state{mode: e.mode, allocPos: shortPos(e.pos)}
+			case evSafe:
+				safe[e.obj] = ""
+			}
+		case evUse:
+			use(e.obj, e.pos)
 		case evKill:
+			use(e.obj, e.pos)
 			delete(vars, e.obj)
 		case evSync:
-			for _, st := range vars {
-				st.asyncAt = ""
+			asyncAll = ""
+			clear(asyncAt)
+		case evCall:
+			at := shortPos(e.pos)
+			if !e.async {
+				// A synchronous Call ends in Sync: it completes every
+				// earlier async launch too.
+				asyncAll = ""
+				clear(asyncAt)
+			} else if len(e.writes) == 0 {
+				asyncAll = at
 			}
-		case evKernelWrite:
-			st := vars[e.obj]
-			if st == nil {
-				break
+			for _, w := range e.writes {
+				if st := vars[w]; st != nil {
+					if st.mode == "ReadOnly" {
+						pass.Reportf(e.pos,
+							"kernel declares Writes(%s), but %s is allocated gmac.ReadOnly at %s; ReadOnly objects are sealed after their first release (ErrModeViolation at run time)",
+							w.Name(), w.Name(), st.allocPos)
+					}
+					st.wrote = true
+				}
+				if e.async {
+					asyncAt[w] = at
+				}
 			}
-			if st.mode == "ReadOnly" {
-				pass.Reportf(e.pos,
-					"kernel declares Writes(%s), but %s is allocated gmac.ReadOnly at %s; ReadOnly objects are sealed after their first release (ErrModeViolation at run time)",
-					st.name, st.name, st.allocPos)
-			}
-			st.wrote = true
-			if e.async {
-				st.asyncAt = shortPos(e.pos)
+			for obj, staled := range safe {
+				if staled == "" {
+					safe[obj] = at
+				}
 			}
 		case evAccess:
+			chain := callgraph.ChainStrings(e.chain, e.what+" "+e.name, e.accessPos)
+			via := callgraph.ViaSuffix(e.chain)
 			st := vars[e.obj]
-			if st == nil {
-				break
-			}
 			if e.write {
-				if st.mode == "ReadOnly" {
-					pass.ReportChainf(e.pos,
-						callgraph.ChainStrings(e.chain, e.what+" "+st.name, e.accessPos),
-						"%s writes %s, which is allocated gmac.ReadOnly at %s; writes to ReadOnly objects fail with ErrModeViolation%s",
-						e.what, st.name, st.allocPos, callgraph.ViaSuffix(e.chain))
+				if st != nil {
+					if st.mode == "ReadOnly" {
+						pass.ReportChainf(e.pos, chain,
+							"%s writes %s, which is allocated gmac.ReadOnly at %s; writes to ReadOnly objects fail with ErrModeViolation%s",
+							e.what, e.name, st.allocPos, via)
+					}
+					st.wrote = true
 				}
-				st.wrote = true
 				break
 			}
-			if st.mode == "WriteOnly" && !st.wrote {
-				pass.ReportChainf(e.pos,
-					callgraph.ChainStrings(e.chain, e.what+" "+st.name, e.accessPos),
+			if st != nil && st.mode == "WriteOnly" && !st.wrote {
+				pass.ReportChainf(e.pos, chain,
 					"%s reads %s, which is allocated gmac.WriteOnly at %s and not yet written; reads of WriteOnly objects fail with ErrModeViolation%s",
-					e.what, st.name, st.allocPos, callgraph.ViaSuffix(e.chain))
+					e.what, e.name, st.allocPos, via)
 			}
-			if st.asyncAt != "" && len(e.chain) > 0 {
-				// Direct async reads are the coherence analyzer's
-				// diagnostic; only the helper-mediated read is new here.
-				pass.ReportChainf(e.pos,
-					callgraph.ChainStrings(e.chain, e.what+" "+st.name, e.accessPos),
+			at := asyncAll
+			if at == "" {
+				at = asyncAt[e.obj]
+			}
+			if at != "" {
+				pass.ReportChainf(e.pos, chain,
 					"%s reads %s while the async kernel launched at %s may still be writing it; Sync first%s",
-					e.what, st.name, st.asyncAt, callgraph.ViaSuffix(e.chain))
+					e.what, e.name, at, via)
 			}
 		}
 	}

@@ -1,13 +1,17 @@
-// Package gmac is a minimal stand-in for repro/gmac used by the coherence
-// analyzer's golden tests: the analyzer keys on the package *name* "gmac"
-// and on method/option names, so this stub carries just those shapes.
+// Package gmac is a minimal stand-in for repro/gmac used by the modecheck
+// analyzer's golden tests. It has the real API's shape where the analyzer
+// looks: Ptr is an alias of a type declared in another package, the
+// session methods carry their real parameter lists, and the options are
+// package-level functions.
 package gmac
 
-// Ptr is a shared-object host pointer.
-type Ptr uintptr
+import "mem"
 
-// Kernel is an accelerator kernel registration.
-type Kernel struct{ Name string }
+// Ptr is a shared-object host pointer.
+type Ptr = mem.Addr
+
+// File stands in for the interposed I/O layer's file handle.
+type File struct{ fd int }
 
 // CallOption configures a Call.
 type CallOption struct{ kind int }
@@ -46,11 +50,17 @@ const (
 // Mode declares the object's access mode at allocation.
 func Mode(m AccessMode) AllocOption { return AllocOption{kind: 2} }
 
+// Safe forces the host-only mapping at allocation.
+func Safe() AllocOption { return AllocOption{kind: 3} }
+
 // Context is one host session against one accelerator.
 type Context struct{ last Ptr }
 
 // Alloc allocates a shared object.
 func (c *Context) Alloc(size int64, opts ...AllocOption) (Ptr, error) { return c.last, nil }
+
+// Free releases a shared object.
+func (c *Context) Free(p Ptr) error { return nil }
 
 // Call launches a kernel.
 func (c *Context) Call(kernel string, args []uint64, opts ...CallOption) error { return nil }
@@ -62,7 +72,7 @@ func (c *Context) Sync() error { return nil }
 func (c *Context) Safe(p Ptr) (Ptr, error) { return p, nil }
 
 // HostRead copies shared bytes into host memory.
-func (c *Context) HostRead(p Ptr, n int64) ([]byte, error) { return nil, nil }
+func (c *Context) HostRead(p Ptr, dst []byte) error { return nil }
 
 // HostWrite copies host memory into a shared object.
 func (c *Context) HostWrite(p Ptr, src []byte) error { return nil }
@@ -79,10 +89,8 @@ func (c *Context) MemcpyToShared(dst Ptr, src []byte) error { return nil }
 // MemcpyShared copies between shared objects (dst written, src read).
 func (c *Context) MemcpyShared(dst, src Ptr, n int64) error { return nil }
 
-// CallSync was removed from the real gmac API; the stub keeps the shape so
-// the analyzer's removed-name check is exercised against call sites.
-func (c *Context) CallSync(kernel string, args ...uint64) error { return nil }
+// ReadFile reads from f into shared memory (the interposed read(2)).
+func (c *Context) ReadFile(f *File, p Ptr, n int64) (int64, error) { return n, nil }
 
-// SafeAlloc was removed from the real gmac API; kept here for the same
-// reason as CallSync.
-func (c *Context) SafeAlloc(size int64) (Ptr, error) { return c.last, nil }
+// WriteFile writes shared memory to f (the interposed write(2)).
+func (c *Context) WriteFile(f *File, p Ptr, n int64) (int64, error) { return n, nil }

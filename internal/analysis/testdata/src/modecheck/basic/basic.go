@@ -1,6 +1,7 @@
 // Package basic exercises the modecheck analyzer: host accesses that
-// violate the declared gmac access mode, directly, through local helper
-// chains, and through a sibling-package helper.
+// violate the declared gmac access mode, async host reads before Sync, and
+// stale Safe pointers — directly, through local helper chains, and through
+// a sibling-package helper.
 package basic
 
 import (
@@ -15,6 +16,13 @@ func hostWriteReadOnly(s *gmac.Context, src []byte) {
 	s.HostWrite(p, src) // want `HostWrite writes p, which is allocated gmac\.ReadOnly at basic\.go:\d+; writes to ReadOnly objects fail with ErrModeViolation`
 }
 
+// readFileReadOnly lands an interposed read(2) in a ReadOnly object: a
+// host write like any other.
+func readFileReadOnly(s *gmac.Context, f *gmac.File) {
+	p, _ := s.Alloc(64, gmac.Mode(gmac.ReadOnly))
+	s.ReadFile(f, p, 64) // want `ReadFile writes p, which is allocated gmac\.ReadOnly at basic\.go:\d+; writes to ReadOnly objects fail with ErrModeViolation`
+}
+
 // kernelWritesReadOnly declares a kernel write of a ReadOnly object.
 func kernelWritesReadOnly(s *gmac.Context) {
 	p, _ := s.Alloc(64, gmac.Mode(gmac.ReadOnly))
@@ -23,17 +31,24 @@ func kernelWritesReadOnly(s *gmac.Context) {
 
 // readWriteOnlyUnwritten reads a WriteOnly object before anything has
 // written it.
-func readWriteOnlyUnwritten(s *gmac.Context) {
+func readWriteOnlyUnwritten(s *gmac.Context, buf []byte) {
 	p, _ := s.Alloc(64, gmac.Mode(gmac.WriteOnly))
-	s.HostRead(p, 64) // want `HostRead reads p, which is allocated gmac\.WriteOnly at basic\.go:\d+ and not yet written; reads of WriteOnly objects fail with ErrModeViolation`
+	s.HostRead(p, buf) // want `HostRead reads p, which is allocated gmac\.WriteOnly at basic\.go:\d+ and not yet written; reads of WriteOnly objects fail with ErrModeViolation`
+}
+
+// writeFileWriteOnlyUnwritten writes an unwritten WriteOnly object to a
+// file: the interposed write(2) reads it.
+func writeFileWriteOnlyUnwritten(s *gmac.Context, f *gmac.File) {
+	p, _ := s.Alloc(64, gmac.Mode(gmac.WriteOnly))
+	s.WriteFile(f, p, 64) // want `WriteFile reads p, which is allocated gmac\.WriteOnly at basic\.go:\d+ and not yet written; reads of WriteOnly objects fail with ErrModeViolation`
 }
 
 // readWriteOnlyWritten is the fixed variant: a kernel write populates the
 // object before the host read.
-func readWriteOnlyWritten(s *gmac.Context) {
+func readWriteOnlyWritten(s *gmac.Context, buf []byte) {
 	p, _ := s.Alloc(64, gmac.Mode(gmac.WriteOnly))
 	s.Call("fill", nil, gmac.Writes(p))
-	s.HostRead(p, 64)
+	s.HostRead(p, buf)
 }
 
 // scrubReadOnly reaches a Memset of a ReadOnly object through two local
@@ -64,9 +79,35 @@ func fillDefault(s *gmac.Context) {
 	helper.Fill(s, p, 1)
 }
 
+// asyncThenRead: after an unannotated async launch every host read may
+// observe stale data, whichever pointer it reads, until Sync.
+func asyncThenRead(ctx *gmac.Context, p gmac.Ptr, buf []byte, f *gmac.File) {
+	_ = ctx.Call("saxpy", nil, gmac.Async())
+	_ = ctx.HostRead(p, buf)           // want `HostRead reads p while the async kernel launched at basic\.go:\d+ may still be writing it; Sync first`
+	_, _ = ctx.WriteFile(f, p, 4)      // want `WriteFile reads p while the async kernel launched at basic\.go:\d+ may still be writing it; Sync first`
+	_ = ctx.MemcpyFromShared(buf, p+4) // want `MemcpyFromShared reads p \+ 4 while the async kernel launched`
+	_ = ctx.HostWrite(p, buf)          // a write is no read: fine
+	_ = ctx.Sync()
+	_ = ctx.HostRead(p, buf) // after Sync: fine
+}
+
+// asyncWithWrites: only the annotated written pointers taint reads.
+func asyncWithWrites(ctx *gmac.Context, p, q gmac.Ptr, buf []byte) {
+	_ = ctx.Call("saxpy", nil, gmac.Async(), gmac.Writes(p))
+	_ = ctx.HostRead(q, buf) // q is not written: fine
+	_ = ctx.HostRead(p, buf) // want `HostRead reads p while the async kernel launched at basic\.go:\d+ may still be writing it; Sync first`
+}
+
+// syncCallIsBarrier: a synchronous Call ends in Sync, completing earlier
+// async launches.
+func syncCallIsBarrier(ctx *gmac.Context, p gmac.Ptr, buf []byte) {
+	_ = ctx.Call("saxpy", nil, gmac.Async())
+	_ = ctx.Call("saxpy", nil)
+	_ = ctx.HostRead(p, buf) // fine: the synchronous Call drained the queue
+}
+
 // asyncReadViaHelper reads, through a helper, an object an async kernel
-// may still be writing. Direct async reads are the coherence analyzer's
-// diagnostic; the helper-mediated one is modecheck's.
+// may still be writing.
 func asyncReadViaHelper(s *gmac.Context) {
 	p, _ := s.Alloc(64)
 	s.Call("k", nil, gmac.Writes(p), gmac.Async())
@@ -83,12 +124,40 @@ func asyncReadSynced(s *gmac.Context) {
 }
 
 func checksum(s *gmac.Context, p gmac.Ptr) byte {
-	b, _ := s.HostRead(p, 64)
+	b := make([]byte, 64)
+	s.HostRead(p, b)
 	var x byte
 	for _, c := range b {
 		x ^= c
 	}
 	return x
+}
+
+// staleSafe: a Safe pointer saved across a launch must be re-acquired.
+// Passing dp *into* the Call is fine (arguments are read before the launch
+// takes effect); using it afterwards is not.
+func staleSafe(ctx *gmac.Context, p gmac.Ptr) uint64 {
+	dp, _ := ctx.Safe(p)
+	_ = ctx.Call("saxpy", []uint64{uint64(dp)})
+	return uint64(dp) // want `dp holds a Safe\(\) pointer acquired before the Call at basic\.go:\d+; kernel launches may migrate the object — re-acquire with Safe\(\)`
+}
+
+// reacquiredSafe: re-acquiring after the launch resets tracking.
+func reacquiredSafe(ctx *gmac.Context, p gmac.Ptr) uint64 {
+	dp, _ := ctx.Safe(p)
+	_ = ctx.Call("saxpy", []uint64{uint64(dp)})
+	dp, _ = ctx.Safe(p)
+	return uint64(dp) // fine: fresh translation
+}
+
+// staleSafeInClosure: function literals are checked as functions of their
+// own.
+func staleSafeInClosure(ctx *gmac.Context, p gmac.Ptr) func() uint64 {
+	return func() uint64 {
+		dp, _ := ctx.Safe(p)
+		_ = ctx.Call("saxpy", nil, gmac.Async())
+		return uint64(dp) // want `dp holds a Safe\(\) pointer acquired before the Call`
+	}
 }
 
 // reassigned aliases the pointer before the write: tracking stops and

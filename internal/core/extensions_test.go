@@ -436,7 +436,7 @@ func TestAllocForScopesInvocations(t *testing.T) {
 			r.registerFill(t)
 			r.dev.Register(&accel.Kernel{Name: "other", Run: func(*mem.Space, []uint64) {}})
 
-			bound, err := r.mgr.AllocFor(256<<10, "fill")
+			bound, err := r.mgr.AllocObject(AllocSpec{Size: 256 << 10, Kernels: []string{"fill"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -508,7 +508,7 @@ func TestAllocForDrainedBlockStillFaults(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	r.dev.Register(&accel.Kernel{Name: "reader", Run: func(*mem.Space, []uint64) {}})
 	r.dev.Register(&accel.Kernel{Name: "other", Run: func(*mem.Space, []uint64) {}})
-	bound, err := r.mgr.AllocFor(64<<10, "reader")
+	bound, err := r.mgr.AllocObject(AllocSpec{Size: 64 << 10, Kernels: []string{"reader"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ var ErrSpansObjects = errors.New("core: access crosses a shared object boundary"
 
 // ErrAddrConflict is returned by Alloc when the accelerator-chosen address
 // range is already occupied in the host address space: the §4.2 conflict
-// that requires the SafeAlloc fallback.
+// that requires the Safe (adsmSafeAlloc) fallback.
 var ErrAddrConflict = errors.New("core: shared address range conflicts with host mapping")
 
 // errDead formats the ErrNotShared error for accesses racing with Free.
@@ -388,10 +388,10 @@ type AllocSpec struct {
 }
 
 // AllocObject allocates one shared object as described by spec. It is the
-// single allocation body; Alloc/AllocFor/SafeAlloc/SafeAllocFor are thin
-// wrappers over it. Accelerator memory comes first, then the host mapping,
-// whose placement (§4.2) is the only branch; if the host side fails the
-// accelerator allocation is given back.
+// single allocation body; Alloc is a thin wrapper over it. Accelerator
+// memory comes first, then the host mapping, whose placement (§4.2) is the
+// only branch; if the host side fails the accelerator allocation is given
+// back.
 func (m *Manager) AllocObject(spec AllocSpec) (mem.Addr, error) {
 	if !spec.Mode.Valid() {
 		return 0, fmt.Errorf("core: unknown access mode %v", spec.Mode)
@@ -447,28 +447,9 @@ func (m *Manager) AllocObject(spec AllocSpec) (mem.Addr, error) {
 // Alloc implements adsmAlloc: it allocates accelerator memory and mirrors
 // the same address range in host memory, so a single pointer serves both
 // processors. If the range is already taken on the host it returns
-// ErrAddrConflict and the caller should use SafeAlloc.
+// ErrAddrConflict and the caller should allocate with AllocSpec.Safe.
 func (m *Manager) Alloc(size int64) (mem.Addr, error) {
 	return m.AllocObject(AllocSpec{Size: size})
-}
-
-// AllocFor implements the §3.3 "more elaborate scheme": the object is
-// assigned to the given kernels, so invocations of other kernels neither
-// flush nor invalidate it — the CPU keeps working on it undisturbed.
-func (m *Manager) AllocFor(size int64, kernels ...string) (mem.Addr, error) {
-	return m.AllocObject(AllocSpec{Size: size, Kernels: kernels})
-}
-
-// SafeAlloc implements adsmSafeAlloc: the host mapping is placed wherever
-// the OS finds room, so the returned pointer is only valid on the CPU and
-// kernel arguments must be translated with Translate.
-func (m *Manager) SafeAlloc(size int64) (mem.Addr, error) {
-	return m.AllocObject(AllocSpec{Size: size, Safe: true})
-}
-
-// SafeAllocFor is SafeAlloc with a §3.3 kernel binding.
-func (m *Manager) SafeAllocFor(size int64, kernels ...string) (mem.Addr, error) {
-	return m.AllocObject(AllocSpec{Size: size, Safe: true, Kernels: kernels})
 }
 
 // finishAlloc initialises o's blocks, protection and protocol state, then
@@ -857,8 +838,9 @@ func errUnsharedFault(addr mem.Addr) error {
 
 // enter is the one prologue of the host-side entry points: it checks
 // [op.Addr, op.Addr+op.Size) against the shared object containing op.Addr,
-// takes that object's lock, rejects an object freed since the lookup, and
-// emits op. On success the caller holds o.mu and must finish with leave.
+// takes that object's lock, rejects an object freed since the lookup and a
+// host write to a sealed ReadOnly object, and emits op. On success the
+// caller holds o.mu and must finish with leave.
 func (m *Manager) enter(op oplog.Op) (*Object, error) {
 	if op.Size < 0 {
 		return nil, fmt.Errorf("core: negative access size %d", op.Size)
@@ -875,6 +857,12 @@ func (m *Manager) enter(op oplog.Op) (*Object, error) {
 	if o.dead {
 		o.mu.Unlock()
 		return nil, errDead(op.Addr)
+	}
+	if o.pol.sealed {
+		if _, write := op.HostAccess(); write {
+			o.mu.Unlock()
+			return nil, errModeViolation(ModeReadOnly, hostmmu.AccessWrite, op.Addr)
+		}
 	}
 	m.emit(op, o)
 	return o, nil

@@ -129,7 +129,7 @@ func TestAllocConflictFallsBackToSafeAlloc(t *testing.T) {
 	if r.dev.LiveAllocs() != 0 {
 		t.Fatalf("leaked device allocation after conflict")
 	}
-	ptr, err := r.mgr.SafeAlloc(4096)
+	ptr, err := r.mgr.AllocObject(AllocSpec{Size: 4096, Safe: true})
 	if err != nil {
 		t.Fatal(err)
 	}

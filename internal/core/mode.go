@@ -94,22 +94,15 @@ const (
 )
 
 // checkModeFault vets a protection fault against the faulted object's
-// declared access mode before the protocol resolves it. The caller holds
-// b.obj.mu.
+// declared access mode before the protocol resolves it: a read of Invalid
+// data in a WriteOnly object would observe the fetch the mode elides. A
+// host write to a sealed ReadOnly object never gets this far; enter
+// rejects it. The caller holds b.obj.mu.
 //
 //adsm:noalloc
 func (m *Manager) checkModeFault(b *Block, access hostmmu.Access) error {
-	switch b.obj.mode {
-	case ModeReadWrite, ModeAuto:
-		return nil
-	case ModeReadOnly:
-		if b.obj.pol.sealed && access == hostmmu.AccessWrite {
-			return errModeViolation(ModeReadOnly, access, b.addr)
-		}
-	case ModeWriteOnly:
-		if access != hostmmu.AccessWrite && b.state == StateInvalid {
-			return errModeViolation(ModeWriteOnly, access, b.addr)
-		}
+	if b.obj.mode == ModeWriteOnly && access != hostmmu.AccessWrite && b.state == StateInvalid {
+		return errModeViolation(ModeWriteOnly, access, b.addr)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/fault"
+	"repro/internal/hostmmu"
 	"repro/internal/mem"
 )
 
@@ -82,6 +83,67 @@ func TestReadOnlySealZeroDMA(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSealRejectsEveryHostWrite: after the seal, a write of the whole object
+// through any host entry point — interposed memset and memcpy, peer DMA, the
+// faulting store, a writable view — fails with ErrModeViolation before it
+// touches either copy. Both copies keep the sealed bytes, nothing faults or
+// moves, and the invariants hold, under every protocol.
+func TestSealRejectsEveryHostWrite(t *testing.T) {
+	const size = 4 * (64 << 10)
+	writes := []struct {
+		name  string
+		write func(m *Manager, p mem.Addr, src []byte) error
+	}{
+		{"BulkSet", func(m *Manager, p mem.Addr, src []byte) error { return m.BulkSet(p, src[0], size) }},
+		{"BulkWrite", (*Manager).BulkWrite},
+		{"PeerWrite", (*Manager).PeerWrite},
+		{"HostWrite", (*Manager).HostWrite},
+		{"HostBytes", func(m *Manager, p mem.Addr, src []byte) error {
+			_, err := m.HostBytes(p, size, hostmmu.AccessWrite)
+			return err
+		}},
+	}
+	sealed := bytes.Repeat([]byte{0x5E}, size)
+	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
+		for _, w := range writes {
+			t.Run(kind.String()+"/"+w.name, func(t *testing.T) {
+				r := newRig(t, defaultCfg(kind))
+				r.registerNop(t)
+				ptr, err := r.mgr.AllocObject(AllocSpec{Size: size, Mode: ModeReadOnly})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.mgr.HostWrite(ptr, sealed); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.mgr.Invoke("nop"); err != nil { // first release: flush and seal
+					t.Fatal(err)
+				}
+				if err := r.mgr.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				base := r.mgr.Stats()
+				if err := w.write(r.mgr, ptr, bytes.Repeat([]byte{0x77}, size)); !errors.Is(err, ErrModeViolation) {
+					t.Fatalf("%s after the seal: got %v, want ErrModeViolation", w.name, err)
+				}
+				if d := r.mgr.Stats().Sub(base); d != (Stats{}) {
+					t.Errorf("rejected %s still counted activity: %+v", w.name, d)
+				}
+				o := r.mgr.ObjectAt(ptr)
+				host, dev := make([]byte, size), make([]byte, size)
+				o.mapping.Space.Read(ptr, host)
+				r.dev.Memory().Read(o.devAddr, dev)
+				if !bytes.Equal(host, sealed) || !bytes.Equal(dev, sealed) {
+					t.Errorf("rejected %s changed the object: host[0]=%#x dev[0]=%#x, want %#x", w.name, host[0], dev[0], sealed[0])
+				}
+				if err := r.mgr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -130,7 +130,8 @@ func (c *objCounters) load() ObjStats {
 // Object is one shared data structure allocated through adsmAlloc. It owns
 // a host mapping and a device allocation; in the common case both live at
 // the same numeric address (the shared-address-space trick of §4.2), while
-// SafeAlloc objects carry distinct addresses and require translation.
+// Safe allocations (AllocSpec.Safe) carry distinct addresses and require
+// translation.
 type Object struct {
 	// mu is the paper's per-object lock (§4): every host access to the
 	// object's bytes — and every coherence action on its blocks — runs
@@ -149,7 +150,7 @@ type Object struct {
 	addr    mem.Addr // host virtual address
 	devAddr mem.Addr // accelerator address
 	size    int64
-	safe    bool // allocated via SafeAlloc (addr != devAddr possible)
+	safe    bool // allocated with AllocSpec.Safe (addr != devAddr possible)
 	// vmPhys is the physical device allocation backing a virtual-memory
 	// mapping (devices with an MMU, §4.2); zero when identity-mapped.
 	vmPhys  mem.Addr
@@ -232,7 +233,7 @@ func (o *Object) DevAddr() mem.Addr { return o.devAddr }
 // Size returns the object's length in bytes.
 func (o *Object) Size() int64 { return o.size }
 
-// Safe reports whether the object was allocated through SafeAlloc.
+// Safe reports whether the object was allocated with AllocSpec.Safe.
 func (o *Object) Safe() bool { return o.safe }
 
 // UsedBy reports whether kernel operates on this object: true for every

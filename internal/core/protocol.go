@@ -306,8 +306,9 @@ func (m *Manager) acquireObject(o *Object) error {
 // initialisation data is flushed, every block lands ReadOnly behind
 // read-only pages, and from here on the object is never flushed, fetched or
 // invalidated again — zero fault-service DMA for the rest of its life.
-// Host writes after the seal fault and fail with ErrModeViolation
-// (checkModeFault). The caller holds o.mu.
+// Host writes after the seal, through any entry point, fail with
+// ErrModeViolation before they touch either copy (enter). The caller holds
+// o.mu.
 func (m *Manager) sealReadOnly(o *Object) error {
 	if o.pol.sealed {
 		return nil

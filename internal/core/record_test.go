@@ -16,11 +16,11 @@ func driveWorkload(t *testing.T, r *rig) {
 	t.Helper()
 	r.registerFill(t)
 	const size = 256 << 10 // 4 blocks of 64 KiB
-	a, err := r.mgr.AllocFor(size, "fill")
+	a, err := r.mgr.AllocObject(AllocSpec{Size: size, Kernels: []string{"fill"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.mgr.SafeAlloc(64 << 10)
+	b, err := r.mgr.AllocObject(AllocSpec{Size: 64 << 10, Safe: true})
 	if err != nil {
 		t.Fatal(err)
 	}

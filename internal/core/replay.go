@@ -54,7 +54,7 @@ type replayer struct {
 	// objBase/objAddr map a recorded object seq to its recorded base
 	// address and its live replayed base address: recorded addresses are
 	// rebased object-relative, because a fresh manager's allocator will not
-	// reproduce them (SafeAlloc in particular).
+	// reproduce them (Safe allocations in particular).
 	objBase map[uint32]mem.Addr
 	objAddr map[uint32]mem.Addr
 	// scratch is the reused host-access buffer, grown to the largest access.

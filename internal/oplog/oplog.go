@@ -42,7 +42,7 @@ const (
 	opInvalid Kind = iota
 
 	// Input ops: the recorded application behaviour.
-	OpAlloc      // Alloc/AllocFor (FlagSafe for SafeAlloc); Note = kernel binding; Arg = access mode
+	OpAlloc      // AllocObject (FlagSafe for a Safe allocation); Note = kernel binding; Arg = access mode
 	OpFree       // Free
 	OpHostRead   // HostRead of Size bytes at Addr
 	OpHostWrite  // HostWrite of Size bytes at Addr
@@ -111,7 +111,7 @@ func (k Kind) String() string {
 const (
 	// FlagWrite marks a write access (OpHostAccess, OpFault).
 	FlagWrite uint8 = 1 << iota
-	// FlagSafe marks a SafeAlloc allocation (OpAlloc).
+	// FlagSafe marks a Safe allocation, adsmSafeAlloc (OpAlloc).
 	FlagSafe
 	// FlagSync marks a flush the CPU stalled on (OpFlush).
 	FlagSync
@@ -160,6 +160,21 @@ type Op struct {
 	// (internal/racecheck) models as vector-clock components. Format v2;
 	// v1 streams decode with Lane 0.
 	Lane uint32
+}
+
+// HostAccess reports whether op is a host-side access to shared memory —
+// an op a host entry point of the runtime records — and whether that
+// access writes it.
+func (op Op) HostAccess() (access, write bool) {
+	switch op.Kind {
+	case OpHostRead, OpBulkRead, OpIORead:
+		return true, false
+	case OpHostWrite, OpBulkWrite, OpBulkSet, OpIOWrite:
+		return true, true
+	case OpHostAccess:
+		return true, op.Flags&FlagWrite != 0
+	}
+	return false, false
 }
 
 func (op Op) String() string {

@@ -188,12 +188,10 @@ func (d *Detector) Feed(op oplog.Op) {
 		ls := d.lane(op.Lane)
 		ls.advance(op.Lane)
 		ls.vc.merge(&d.mgr(op.Mgr).join)
-	case oplog.OpHostRead, oplog.OpBulkRead, oplog.OpIORead:
-		d.hostAccess(op, false)
-	case oplog.OpHostWrite, oplog.OpBulkWrite, oplog.OpBulkSet, oplog.OpIOWrite:
-		d.hostAccess(op, true)
-	case oplog.OpHostAccess:
-		d.hostAccess(op, op.Flags&oplog.FlagWrite != 0)
+	default:
+		if access, write := op.HostAccess(); access {
+			d.hostAccess(op, write)
+		}
 	}
 	// OpRegionRelease, OpRegionPtr, OpArg and every derived op carry no
 	// access and no new ordering edge.
