@@ -86,12 +86,13 @@ bench-conformance:
 smoke:
 	$(GO) run ./cmd/gmacbench -small -json /tmp/gmacbench-smoke.json fig8
 
-# Native fuzzing of the registry's span set, the manager op stream, the oplog
-# wire decoder, and the race analyser, FUZZTIME per target (see
-# docs/testing.md). The decoder and race-check fuzzers seed from the
+# Native fuzzing of the registry's span set and block lookup, the manager op
+# stream, the oplog wire decoder, and the race analyser, FUZZTIME per target
+# (see docs/testing.md). The decoder and race-check fuzzers seed from the
 # recorded corpus in testdata/corpus/.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanSet$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockAt$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzManagerOps$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogDecode$$' -fuzztime $(FUZZTIME) ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzRaceCheck$$' -fuzztime $(FUZZTIME) ./internal/racecheck

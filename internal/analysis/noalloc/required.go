@@ -23,6 +23,8 @@ var requiredAnnotations = map[string][]string{
 		"(*registry).blockAt",
 		"regShardOf",
 		"(*spanSet).find",
+		"searchDepth",
+		"(*Object).rank",
 		"(*rollingCache).push",
 		"resolveFault",
 		"(*Manager).emit",

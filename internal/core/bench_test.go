@@ -12,25 +12,32 @@ import (
 // fault paths are timed by BenchmarkCostModel (cost_test.go).
 
 // BenchmarkBlockLookup times the registry read path the fault handler
-// searches, one shard's published spans, at several populations.
+// takes, registry.blockAt, over N 4 KiB blocks laid out as one N-block
+// object and as N one-block objects.
 func BenchmarkBlockLookup(b *testing.B) {
-	for _, objects := range []int{16, 1 << 10, 64 << 10} {
-		var sh regShard
-		run := make([]span[Block], objects)
-		for i := range run {
-			run[i] = span[Block]{mem.Addr(i) << 12, mem.Addr(i+1) << 12, &Block{}}
-		}
-		if err := sh.blocks.insert(run); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("spanset/%dobjects", objects), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if v, _ := sh.blocks.find(&sh, mem.Addr(i%objects)<<12+128); v == nil {
-					b.Fatal("lookup miss")
+	for _, blocks := range []int{16, 1 << 10, 64 << 10} {
+		for _, layout := range []string{"1obj", "objs"} {
+			var reg registry
+			per := blocks // blocks per object
+			if layout == "objs" {
+				per = 1
+			}
+			for base := 0; base < blocks; base += per {
+				o := &Object{addr: mem.Addr(1<<30 + base<<12), size: int64(per) << 12}
+				o.makeBlocks(1 << 12)
+				if err := reg.insertObject(o); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
+			b.Run(fmt.Sprintf("%dblocks/%s", blocks, layout), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if v, _ := reg.blockAt(mem.Addr(1<<30+(i%blocks)<<12) + 128); v == nil {
+						b.Fatal("lookup miss")
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math/bits"
 	"slices"
 	"testing"
 
@@ -23,28 +22,42 @@ func FuzzSpanSet(f *testing.F) {
 	f.Add([]byte{0, 0, 31, 0, 8, 31, 0, 16, 31, 1, 8, 0, 3, 4, 0})
 	f.Add(bytes.Repeat([]byte{0, 7, 3, 1, 7, 0, 2, 7, 1}, 20))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		type ival struct {
-			size int64
-			val  *int64
-		}
 		var sh regShard // lends its mutex to the set under test
-		var set spanSet[int64]
-		oracle := map[mem.Addr]ival{}
-		find := func(a mem.Addr) (mem.Addr, ival, bool) {
-			for base, iv := range oracle {
-				if a >= base && a < base+mem.Addr(iv.size) {
-					return base, iv, true
+		var set spanSet
+		oracle := map[mem.Addr]*Object{} // by start; each object's size is its extent
+		find := func(a mem.Addr) (mem.Addr, *Object) {
+			for base, o := range oracle {
+				if a >= base && a < base+mem.Addr(o.size) {
+					return base, o
 				}
 			}
-			return 0, ival{}, false
+			return 0, nil
 		}
 		overlaps := func(a mem.Addr, s int64) bool {
-			for base, iv := range oracle {
-				if a < base+mem.Addr(iv.size) && base < a+mem.Addr(s) {
+			for base, o := range oracle {
+				if a < base+mem.Addr(o.size) && base < a+mem.Addr(s) {
 					return true
 				}
 			}
 			return false
+		}
+		// lookup finds a through the set and checks the index it reports:
+		// the containing span on a hit, the first span above a on a miss.
+		lookup := func(a mem.Addr) *Object {
+			spans, j, hit := set.find(&sh, a)
+			below := 0
+			for _, sp := range spans {
+				if sp.end <= a {
+					below++
+				}
+			}
+			if hit && (a < spans[j].addr || a >= spans[j].end) || !hit && j != below {
+				t.Fatalf("find(%#x) = (%d, %v) over %d spans, %d of them below", uint64(a), j, hit, len(spans), below)
+			}
+			if hit {
+				return spans[j].obj
+			}
+			return nil
 		}
 		// edit runs one insert or remove and checks that the clone readers
 		// held before it is byte-for-byte what it was.
@@ -63,14 +76,14 @@ func FuzzSpanSet(f *testing.F) {
 			size := int64(data[i+2]%32) + 1
 			switch op {
 			case 0: // insert
-				val := new(int64)
+				o := &Object{addr: addr, size: size}
 				var err error
-				edit(func() { err = set.insert([]span[int64]{{addr, addr + mem.Addr(size), val}}) })
+				edit(func() { err = set.insert(span{addr: addr, end: addr + mem.Addr(size), obj: o}) })
 				if wantErr := overlaps(addr, size); (err != nil) != wantErr {
 					t.Fatalf("insert(%#x,+%d) err=%v, overlap oracle says %v", uint64(addr), size, err, wantErr)
 				}
 				if err == nil {
-					oracle[addr] = ival{size, val}
+					oracle[addr] = o
 				}
 			case 1: // remove (exact start address)
 				var got int
@@ -80,14 +93,9 @@ func FuzzSpanSet(f *testing.F) {
 					t.Fatalf("remove(%#x) removed %d spans, oracle has-entry %v", uint64(addr), got, ok)
 				}
 				delete(oracle, addr)
-			case 2, 3: // lookup (containing interval) with probe accounting
-				got, probes := set.find(&sh, addr)
-				_, iv, _ := find(addr)
-				if got != iv.val {
-					t.Fatalf("find(%#x) = %v, oracle %v", uint64(addr), got, iv.val)
-				}
-				if n := len(set.spans); probes < 1 || probes > int64(max(1, bits.Len(uint(n)))) {
-					t.Fatalf("find(%#x) charged %d probes over %d spans", uint64(addr), probes, n)
+			case 2, 3: // lookup (containing interval)
+				if _, want := find(addr); lookup(addr) != want {
+					t.Fatalf("find(%#x) disagrees with the oracle's %v", uint64(addr), want)
 				}
 			}
 		}
@@ -100,18 +108,16 @@ func FuzzSpanSet(f *testing.F) {
 				t.Fatalf("spans unsorted or overlapping at [%#x,%#x)", uint64(sp.addr), uint64(sp.end))
 			}
 			prevEnd = sp.end
-			if iv, ok := oracle[sp.addr]; !ok || mem.Addr(iv.size) != sp.end-sp.addr || iv.val != sp.val {
-				t.Fatalf("spans hold [%#x,%#x)=%v, oracle %+v (present %v)",
-					uint64(sp.addr), uint64(sp.end), sp.val, iv, ok)
+			if o := oracle[sp.addr]; o == nil || mem.Addr(o.size) != sp.end-sp.addr || o != sp.obj {
+				t.Fatalf("spans hold [%#x,%#x)=%v, oracle %v", uint64(sp.addr), uint64(sp.end), sp.obj, o)
 			}
 		}
 		// Cross-check the published clone against the oracle over the whole
 		// address range the ops could touch, including gaps and the interval
 		// edges.
 		for a := mem.Addr(0); a <= 256*8; a++ {
-			got, _ := set.find(&sh, a)
-			if _, iv, _ := find(a); got != iv.val {
-				t.Fatalf("find(%#x) = %v, oracle %v", uint64(a), got, iv.val)
+			if _, want := find(a); lookup(a) != want {
+				t.Fatalf("find(%#x) disagrees with the oracle's %v", uint64(a), want)
 			}
 		}
 
@@ -122,8 +128,8 @@ func FuzzSpanSet(f *testing.F) {
 		const scale = regGranuleBits
 		reg := &registry{}
 		byAddr := map[mem.Addr]*Object{}
-		for base, iv := range oracle {
-			o := &Object{addr: base << scale, size: iv.size << scale}
+		for base, fo := range oracle {
+			o := &Object{addr: base << scale, size: fo.size << scale}
 			if err := reg.insertObject(o); err != nil {
 				t.Fatalf("registry insert [%#x,+%d): %v", uint64(o.addr), o.size, err)
 			}
@@ -131,7 +137,7 @@ func FuzzSpanSet(f *testing.F) {
 		}
 		for a := mem.Addr(0); a <= 256*8; a++ {
 			got := reg.objectAt(a << scale)
-			if base, _, hit := find(a); hit {
+			if base, fo := find(a); fo != nil {
 				if got != byAddr[base] {
 					t.Fatalf("registry objectAt(%#x) = %v, want object at %#x",
 						uint64(a<<scale), got, uint64(base<<scale))
@@ -156,8 +162,8 @@ func FuzzSpanSet(f *testing.F) {
 		}
 		for a := mem.Addr(0); a <= 256*8; a++ {
 			got := reg.objectAt(a << scale)
-			base, _, hit := find(a)
-			if hit && !removed[base] {
+			base, fo := find(a)
+			if fo != nil && !removed[base] {
 				if got != byAddr[base] {
 					t.Fatalf("after remove: objectAt(%#x) = %v, want object at %#x",
 						uint64(a<<scale), got, uint64(base<<scale))

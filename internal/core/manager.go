@@ -294,11 +294,11 @@ func (m *Manager) Objects() int {
 	return int(m.reg.nobjects.Load())
 }
 
-// IndexRebuilds returns how many span-set clones the registry has
-// published since construction, summed over shards. Exposed for the
-// rebuild-storm regression test: under churn the count must track the
-// Allocs and Frees, not the (much larger) number of lookups that follow
-// them.
+// IndexRebuilds returns how many clones of their object span sets the
+// registry's shards have published since construction, summed over shards
+// (the shards hold no other set). Exposed for the rebuild-storm regression
+// test: under churn the count must track the Allocs and Frees, not the
+// (much larger) number of lookups that follow them.
 func (m *Manager) IndexRebuilds() int64 { return m.reg.rebuilds() }
 
 // SetTracer installs (or removes, with nil) an event log recording every
@@ -554,7 +554,7 @@ func (m *Manager) Free(addr mem.Addr) error {
 
 // objectAt returns the shared object containing addr, or nil: a lock-free
 // binary search of the owning shard's published object spans, which the
-// first lookup after an Alloc or Free re-clones under that shard's mutex.
+// first lookup after an Alloc or Free re-clones (IndexRebuilds counts them).
 //
 //adsm:noalloc
 func (m *Manager) objectAt(addr mem.Addr) *Object {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -139,8 +140,8 @@ type Object struct {
 	// while accesses to one object serialise. Block states, host byte
 	// contents, page protections of the object's range, and dead are all
 	// guarded by mu. The immutable identity fields (addr, devAddr, size,
-	// safe, vm, vmPhys, mapping, blocks slice, kernels) are set before the
-	// object is published to the registry and never change.
+	// safe, vm, vmPhys, mapping, blocks slice, ranks, kernels) are set
+	// before the object is published to the registry and never change.
 	//
 	//adsm:lock objectMu 20
 	mu sync.Mutex
@@ -157,6 +158,9 @@ type Object struct {
 	vm      bool
 	mapping *mem.Mapping
 	blocks  []*Block
+	// ranks places blocks among the registry shard's blocks for an object
+	// on several shards (rankShards); nil for a one-shard object.
+	ranks []int
 	// kernels restricts which accelerator kernels use this object (§3.3's
 	// "more elaborate scheme"); nil means every kernel (the minimal API).
 	kernels map[string]bool
@@ -269,6 +273,41 @@ func (o *Object) BlockAt(addr mem.Addr) *Block {
 		return nil
 	}
 	return b
+}
+
+// rankShards returns how many of o's blocks lie on each shard of mask, o's
+// shard mask. An object on several shards also gets ranks: per granule, the
+// rank on its shard of the block holding its first byte (o's, in the first
+// granule), less that block's index. The blocks from there to any address
+// in the granule overlap it too, so rank need only add the index back.
+func (o *Object) rankShards(mask uint32) (counts [regShards]int) {
+	if bits.OnesCount32(mask) == 1 {
+		counts[bits.TrailingZeros32(mask)] = len(o.blocks)
+		return counts
+	}
+	g0 := uint64(o.addr) >> regGranuleBits
+	o.ranks = make([]int, (uint64(o.addr)+uint64(o.size)-1)>>regGranuleBits-g0+1)
+	g := 0
+	for _, b := range o.blocks {
+		for end := uint64(b.addr) + uint64(b.size); g < len(o.ranks) && (g0+uint64(g))<<regGranuleBits < end; g++ {
+			o.ranks[g] = counts[regShardOf(mem.Addr((g0+uint64(g))<<regGranuleBits))] - b.index
+		}
+		for m := regShardMask(b.addr, b.size); m != 0; m &= m - 1 {
+			counts[bits.TrailingZeros32(m)]++
+		}
+	}
+	return counts
+}
+
+// rank returns b's position among o's blocks on the registry shard of addr,
+// a byte of b.
+//
+//adsm:noalloc
+func (o *Object) rank(addr mem.Addr, b *Block) int {
+	if o.ranks == nil {
+		return b.index
+	}
+	return o.ranks[uint64(addr)>>regGranuleBits-uint64(o.addr)>>regGranuleBits] + b.index
 }
 
 // chunk is the one step of a block-by-block walk over [addr, addr+n): the

@@ -13,7 +13,8 @@ import (
 // This file is the object/block registry: the paper's one lookup structure
 // (§5.2), split into regShards address-range shards so host lanes working
 // on disjoint objects neither search nor edit the same data. Each shard
-// keeps its objects and its blocks in one spanSet apiece.
+// keeps its objects in one spanSet; a block is found by arithmetic inside
+// the object that set returns.
 //
 // Sharding is by address granule: the shard of an address is a
 // multiplicative hash of its 1 MiB granule number, so consecutive granules
@@ -66,40 +67,42 @@ func regShardMask(addr mem.Addr, size int64) uint32 {
 	return mask
 }
 
-// span is one [addr, end) interval carrying its registry payload.
-type span[T any] struct {
-	addr, end mem.Addr
-	val       *T
+// span is one object's [addr, end) interval on a shard. blocks counts the
+// object's blocks on that shard; before, set only in a published clone,
+// counts the blocks of the spans ahead of it. A published clone ends in an
+// empty span above every address, whose before is the shard's block count.
+type span struct {
+	addr, end      mem.Addr
+	obj            *Object
+	blocks, before int
 }
 
-// spanSet is a set of non-overlapping intervals in address order. Writers
-// edit spans in place under the owning shard's mutex and drop pub; readers
-// binary-search pub, an immutable clone of spans, without a lock. The first
-// reader to find no clone publishes one (republish). A published clone is
-// never written again, so a reader still holding an older one sees the
-// registry as of that clone — Object.dead under Object.mu is what fences a
-// freed object, not the registry.
-type spanSet[T any] struct {
-	spans []span[T]
-	pub   atomic.Pointer[[]span[T]]
+// spanSet is a set of non-overlapping object intervals in address order.
+// Writers edit spans in place under the owning shard's mutex and drop pub;
+// readers binary-search pub, an immutable clone of spans, without a lock.
+// The first reader to find no clone publishes one (republish). A published
+// clone is never written again, so a reader still holding an older one sees
+// the registry as of that clone — Object.dead under Object.mu is what
+// fences a freed object, not the registry.
+type spanSet struct {
+	spans []span
+	pub   atomic.Pointer[[]span]
 }
 
-// find returns the payload of the span containing addr (nil if none) and
-// the number of binary-search probes, which the fault handler charges as
-// the §5.2 O(log2 n) search cost. sh is the shard owning s.
+// find binary-searches the published spans for addr and returns them with
+// the index of the span containing addr (hit) or, on a miss, of the first
+// span above it. sh is the shard owning s.
 //
 //adsm:noalloc
-func (s *spanSet[T]) find(sh *regShard, addr mem.Addr) (*T, int64) {
+func (s *spanSet) find(sh *regShard, addr mem.Addr) (spans []span, i int, hit bool) {
 	pub := s.pub.Load()
 	if pub == nil {
 		pub = s.republish(sh)
 	}
-	spans := *pub
+	spans = *pub
 	lo, hi := 0, len(spans)
-	probes := int64(0)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		probes++
 		sp := &spans[mid]
 		switch {
 		case addr < sp.addr:
@@ -107,64 +110,60 @@ func (s *spanSet[T]) find(sh *regShard, addr mem.Addr) (*T, int64) {
 		case addr >= sp.end:
 			lo = mid + 1
 		default:
-			return sp.val, probes
+			return spans, mid, true
 		}
 	}
-	if probes == 0 {
-		probes = 1 // even the empty registry costs one probe to miss
-	}
-	return nil, probes
+	return spans, lo, false
 }
 
-// republish clones spans for the lock-free readers, unless a racing reader
-// already has. The allocation is amortised over every lookup until the next
-// Alloc or Free touching the shard.
+// republish publishes a clone of spans, with each span's before and the end
+// span, unless a racing reader already has. The allocation is amortised over
+// every lookup until the next Alloc or Free touching the shard.
 //
 //adsm:cold
-func (s *spanSet[T]) republish(sh *regShard) *[]span[T] {
+func (s *spanSet) republish(sh *regShard) *[]span {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if pub := s.pub.Load(); pub != nil {
 		return pub
 	}
-	clone := slices.Clone(s.spans)
+	clone := slices.Concat(s.spans, []span{{addr: ^mem.Addr(0), end: ^mem.Addr(0)}})
+	n := 0
+	for i := range clone {
+		clone[i].before = n
+		n += clone[i].blocks
+	}
 	s.pub.Store(&clone)
 	sh.clones.Add(1)
 	return &clone
 }
 
 // lowerBound returns the index of the first span starting at or after addr.
-func (s *spanSet[T]) lowerBound(addr mem.Addr) int {
+func (s *spanSet) lowerBound(addr mem.Addr) int {
 	return sort.Search(len(s.spans), func(i int) bool { return s.spans[i].addr >= addr })
 }
 
-// insert splices run, a non-empty address-ordered run of spans, into the
-// set in one move. Nothing already in the set may overlap the range the run
-// covers: shared objects never overlap. The caller holds the shard mutex.
-func (s *spanSet[T]) insert(run []span[T]) error {
-	prev := run[0].addr
-	for _, sp := range run {
-		if sp.end <= sp.addr || sp.addr < prev {
-			return fmt.Errorf("core: invalid interval [%#x,%#x)", uint64(sp.addr), uint64(sp.end))
-		}
-		prev = sp.end
+// insert adds sp to the set. Nothing already in the set may overlap it:
+// shared objects never overlap. The caller holds the shard mutex.
+func (s *spanSet) insert(sp span) error {
+	if sp.end <= sp.addr {
+		return fmt.Errorf("core: invalid interval [%#x,%#x)", uint64(sp.addr), uint64(sp.end))
 	}
-	addr, end := run[0].addr, prev
-	i := s.lowerBound(addr)
+	i := s.lowerBound(sp.addr)
 	for _, n := range s.spans[max(i-1, 0):min(i+1, len(s.spans))] {
-		if addr < n.end && n.addr < end {
+		if sp.addr < n.end && n.addr < sp.end {
 			return fmt.Errorf("core: interval [%#x,%#x) overlaps [%#x,%#x)",
-				uint64(addr), uint64(end), uint64(n.addr), uint64(n.end))
+				uint64(sp.addr), uint64(sp.end), uint64(n.addr), uint64(n.end))
 		}
 	}
-	s.spans = slices.Insert(s.spans, i, run...)
+	s.spans = slices.Insert(s.spans, i, sp)
 	s.pub.Store(nil)
 	return nil
 }
 
 // remove deletes every span starting inside [addr, end) and returns how
 // many there were. The caller holds the shard mutex.
-func (s *spanSet[T]) remove(addr, end mem.Addr) int {
+func (s *spanSet) remove(addr, end mem.Addr) int {
 	i, j := s.lowerBound(addr), s.lowerBound(end)
 	if i == j {
 		return 0
@@ -176,14 +175,13 @@ func (s *spanSet[T]) remove(addr, end mem.Addr) int {
 
 // regShard is one slice of the registry.
 type regShard struct {
-	// mu guards both sets' spans and the publication of their clones.
-	// Shards are locked one at a time, never nested, so all shards share
-	// the treeMu level of the hierarchy.
+	// mu guards the set's spans and the publication of its clones. Shards
+	// are locked one at a time, never nested, so all shards share the
+	// treeMu level of the hierarchy.
 	//
 	//adsm:lock treeMu 30
 	mu      sync.Mutex
-	objects spanSet[Object] // Object intervals, host VA order
-	blocks  spanSet[Block]  // Block intervals: the fault handler's search set
+	objects spanSet // object intervals in host VA order: the shard's one lookup structure
 	// clones counts published clones. Deliberately not a Stats counter: the
 	// count depends on scheduling, so it would break replay conformance.
 	clones atomic.Int64
@@ -195,31 +193,20 @@ type registry struct {
 	nobjects atomic.Int64
 }
 
-// insertObject publishes o (and its blocks) to every shard its address
-// range overlaps. Insert failures can only come from overlapping
-// intervals — a manager bug, since the VA space never double-allocates —
-// and are returned with the registry partially updated.
+// insertObject publishes o to every shard its address range overlaps.
+// Insert failures can only come from overlapping intervals — a manager
+// bug, since the VA space never double-allocates — and are returned with
+// the registry partially updated.
 func (r *registry) insertObject(o *Object) error {
 	mask := regShardMask(o.addr, o.size)
-	var run []span[Block]
+	blocks := o.rankShards(mask)
 	for s := 0; s < regShards; s++ {
 		if mask&(1<<s) == 0 {
 			continue
 		}
-		// Nothing else can sit inside o's range, so o's blocks on this shard
-		// are adjacent in the shard's block set and go in as one splice.
-		run = run[:0]
-		for _, b := range o.blocks {
-			if regShardMask(b.addr, b.size)&(1<<s) != 0 {
-				run = append(run, span[Block]{b.addr, b.addr + mem.Addr(b.size), b})
-			}
-		}
 		sh := &r.shards[s]
 		sh.mu.Lock()
-		err := sh.objects.insert([]span[Object]{{o.addr, o.addr + mem.Addr(o.size), o}})
-		if err == nil && len(run) > 0 {
-			err = sh.blocks.insert(run)
-		}
+		err := sh.objects.insert(span{addr: o.addr, end: o.addr + mem.Addr(o.size), obj: o, blocks: blocks[s]})
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -240,7 +227,6 @@ func (r *registry) removeObject(o *Object) {
 		sh := &r.shards[s]
 		sh.mu.Lock()
 		sh.objects.remove(o.addr, end)
-		sh.blocks.remove(o.addr, end)
 		sh.mu.Unlock()
 	}
 	r.nobjects.Add(-1)
@@ -251,18 +237,60 @@ func (r *registry) removeObject(o *Object) {
 //adsm:noalloc
 func (r *registry) objectAt(addr mem.Addr) *Object {
 	sh := &r.shards[regShardOf(addr)]
-	o, _ := sh.objects.find(sh, addr)
-	return o
+	if spans, i, hit := sh.objects.find(sh, addr); hit {
+		return spans[i].obj
+	}
+	return nil
 }
 
 // blockAt resolves the fault handler's block lookup against addr's shard:
-// the block containing addr (nil if unshared) and the probe count charged
-// as §5.2 search cost.
+// the block containing addr (nil if unshared), found inside its object by
+// arithmetic, and the §5.2 search cost: the probes of a binary search over
+// the shard's blocks, which depend only on their count and addr's place.
 //
 //adsm:noalloc
 func (r *registry) blockAt(addr mem.Addr) (*Block, int64) {
 	sh := &r.shards[regShardOf(addr)]
-	return sh.blocks.find(sh, addr)
+	spans, j, hit := sh.objects.find(sh, addr)
+	i := spans[j].before // addr's position among the shard's blocks
+	var b *Block
+	if hit {
+		o := spans[j].obj
+		if b = o.BlockAt(addr); b != nil {
+			i += o.rank(addr, b)
+		}
+	}
+	return b, searchDepth(spans[len(spans)-1].before, i, b != nil)
+}
+
+// searchDepth replays, on indices alone, a binary search of n sorted
+// blocks for the one at index i (hit) or for an address falling just below
+// index i (miss), and returns its probe count. Even an empty search costs
+// one probe to miss.
+//
+//adsm:noalloc
+func searchDepth(n, i int, hit bool) int64 {
+	key := 2 * i // doubled, so that a miss falls between two blocks
+	if !hit {
+		key--
+	}
+	lo, hi := 0, n
+	probes := int64(0)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		probes++
+		if key == 2*mid {
+			return probes
+		}
+		// Written for a conditional move: the direction is data-dependent
+		// and a mispredicted branch costs more than the whole step.
+		nlo, nhi := mid+1, hi
+		if key < 2*mid {
+			nlo, nhi = lo, mid
+		}
+		lo, hi = nlo, nhi
+	}
+	return max(probes, 1)
 }
 
 // snapshot returns the live objects in address order. Each object is
@@ -276,7 +304,7 @@ func (r *registry) snapshot() []*Object {
 		sh.mu.Lock()
 		for _, sp := range sh.objects.spans {
 			if regShardOf(sp.addr) == s {
-				objs = append(objs, sp.val)
+				objs = append(objs, sp.obj)
 			}
 		}
 		sh.mu.Unlock()

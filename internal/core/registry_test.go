@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sort"
 	"sync"
 	"testing"
 
@@ -37,14 +38,14 @@ func TestRegShardMaskCoversEveryGranule(t *testing.T) {
 }
 
 // TestSpanSet walks the span set through its edit and lookup contract:
-// what insert rejects, what remove matches, what find reports and charges.
+// what insert rejects, what remove matches, what find reports.
 func TestSpanSet(t *testing.T) {
 	type step struct {
 		op   byte     // 'i' insert, 'r' remove, 'f' find
-		addr mem.Addr // first span's start / range start / probe address
-		size int64    // bytes per span / range length
-		n    int      // 'i': spans in the run (0 means 1)
-		want int64    // 'i': 1 if rejected; 'r': spans removed; 'f': start of the span found, 0 for none
+		addr mem.Addr // span start / range start / probe address
+		size int64    // span / range length
+		n    int      // 'i': adjacent spans inserted one by one (0 means 1)
+		want int64    // 'i': 1 if the last is rejected; 'r': spans removed; 'f': start of the span found, 0 for none
 	}
 	var fill, drain, pages []step
 	for i := 0; i < 500; i++ {
@@ -77,12 +78,12 @@ func TestSpanSet(t *testing.T) {
 			{op: 'i', addr: 0x1000, size: 0x1000, want: 1},     // exact duplicate
 			{op: 'i', addr: 0x2000, size: 0x100},               // adjacent above is fine
 			{op: 'i', addr: 0x0f00, size: 0x100},               // adjacent below is fine
-			{op: 'i', addr: 0x0e00, size: 0x80, n: 3, want: 1}, // a run whose tail reaches 0x0f00
-		}, 3},
+			{op: 'i', addr: 0x0e00, size: 0x80, n: 3, want: 1}, // the third of a run reaches 0x0f00
+		}, 5},
 		{"size-rejected", []step{
 			{op: 'i', addr: 0x1000, size: 0, want: 1},
 			{op: 'i', addr: 0x1000, size: -8, want: 1},
-			{op: 'f', addr: 0x1000}, // the empty set still charges one probe
+			{op: 'f', addr: 0x1000}, // the empty set
 		}, 0},
 		{"remove-by-exact-start", []step{
 			{op: 'i', addr: 0x1000, size: 0x100},
@@ -96,7 +97,7 @@ func TestSpanSet(t *testing.T) {
 		{"run-splice-and-range-remove", []step{
 			{op: 'i', addr: 0x1000, size: 0x100},
 			{op: 'i', addr: 0x9000, size: 0x100},
-			{op: 'i', addr: 0x4000, size: 0x1000, n: 4}, // one object's four blocks
+			{op: 'i', addr: 0x4000, size: 0x1000, n: 4}, // four adjacent objects
 			{op: 'f', addr: 0x6fff, want: 0x6000},
 			{op: 'r', addr: 0x4000, size: 0x4000, want: 4},
 			{op: 'f', addr: 0x6fff},
@@ -118,30 +119,34 @@ func TestSpanSet(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var sh regShard // lends its mutex to the set under test
-			var set spanSet[mem.Addr]
+			var set spanSet
 			for i, st := range c.steps {
 				switch st.op {
 				case 'i':
-					run := make([]span[mem.Addr], max(st.n, 1))
-					for j := range run {
+					for j := range max(st.n, 1) {
 						start := st.addr + mem.Addr(int64(j)*st.size)
-						run[j] = span[mem.Addr]{start, start + mem.Addr(st.size), &start}
-					}
-					if err := set.insert(run); (err != nil) != (st.want == 1) {
-						t.Fatalf("step %d: insert [%#x,+%d)x%d: err = %v", i, uint64(st.addr), st.size, len(run), err)
+						err := set.insert(span{addr: start, end: start + mem.Addr(st.size), obj: &Object{addr: start}})
+						if last := j == max(st.n, 1)-1; (err != nil) != (last && st.want == 1) {
+							t.Fatalf("step %d: insert [%#x,+%d) #%d: err = %v", i, uint64(st.addr), st.size, j, err)
+						}
 					}
 				case 'r':
 					if got := set.remove(st.addr, st.addr+mem.Addr(st.size)); int64(got) != st.want {
 						t.Fatalf("step %d: remove [%#x,+%d) removed %d spans, want %d", i, uint64(st.addr), st.size, got, st.want)
 					}
 				case 'f':
-					got, probes := set.find(&sh, st.addr)
-					if (got == nil) != (st.want == 0) || got != nil && int64(*got) != st.want {
-						t.Fatalf("step %d: find(%#x) = %v, want span at %#x", i, uint64(st.addr), got, st.want)
+					spans, j, hit := set.find(&sh, st.addr)
+					if hit != (st.want != 0) || hit && spans[j].addr != mem.Addr(st.want) {
+						t.Fatalf("step %d: find(%#x) = (%d, %v), want span at %#x", i, uint64(st.addr), j, hit, st.want)
 					}
-					// A binary search of n spans probes at most ceil(log2(n+1)) of them.
-					if n := len(set.spans); probes < 1 || probes > int64(max(1, bits.Len(uint(n)))) {
-						t.Fatalf("step %d: find(%#x) charged %d probes over %d spans", i, uint64(st.addr), probes, n)
+					// A miss reports where addr would go: after every span below it.
+					if below := sort.Search(len(spans), func(k int) bool { return spans[k].end > st.addr }); !hit && j != below {
+						t.Fatalf("step %d: find(%#x) missed at %d, want %d", i, uint64(st.addr), j, below)
+					}
+					// Were each span one block, a binary search of the n of them
+					// probes at most ceil(log2(n+1)).
+					if n, probes := len(spans), searchDepth(len(spans), j, hit); probes < 1 || probes > int64(max(1, bits.Len(uint(n)))) {
+						t.Fatalf("step %d: find(%#x) would charge %d probes over %d spans", i, uint64(st.addr), probes, n)
 					}
 				}
 			}
@@ -225,7 +230,7 @@ func TestRegistryConcurrentLanes(t *testing.T) {
 }
 
 // TestIndexRebuildStorm is the regression test for unbounded republishing:
-// a lookup storm after an Alloc must clone each touched span set once — the
+// a lookup storm after an Alloc must clone each touched shard's set once — the
 // first reader to find no clone publishes it under the shard mutex, and
 // everyone queued behind it re-checks and reuses that clone — not once per
 // goroutine or per lookup.
@@ -258,14 +263,185 @@ func TestIndexRebuildStorm(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
-	// The allocations above dropped each touched shard's two clones; with
-	// no churn during the storm, the ceiling is one clone per set per
-	// shard — not per goroutine, not per lookup.
+	// The allocations above dropped each touched shard's clone; with no
+	// churn during the storm, the ceiling is one clone per shard — not per
+	// goroutine, not per lookup.
 	delta := r.mgr.IndexRebuilds() - before
-	if max := int64(2 * regShards); delta > max {
+	if max := int64(regShards); delta > max {
 		t.Fatalf("lookup storm published %d clones, want <= %d", delta, max)
 	}
 	if delta == 0 {
 		t.Fatal("storm published no clone at all; test is not exercising the slow path")
 	}
+}
+
+// flatSearch is the block lookup as it was before shards kept objects only:
+// a binary search of blocks, every block on one shard in address order,
+// with its probe count.
+func flatSearch(blocks []*Block, addr mem.Addr) (*Block, int64) {
+	lo, hi, probes := 0, len(blocks), int64(0)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		probes++
+		switch b := blocks[mid]; {
+		case addr < b.addr:
+			hi = mid
+		case addr >= b.addr+mem.Addr(b.size):
+			lo = mid + 1
+		default:
+			return b, probes
+		}
+	}
+	return nil, max(probes, 1)
+}
+
+// checkBlockAt compares reg.blockAt, block and probe count, with flatSearch
+// over a per-shard list of every block of objs (in address order) whose
+// shard mask has that shard. It probes each block's first and last byte,
+// both sides of each object's edges and granule boundaries, and one
+// address on every shard far above the layout.
+func checkBlockAt(t *testing.T, reg *registry, objs []*Object) {
+	t.Helper()
+	var flat [regShards][]*Block
+	var probes []mem.Addr
+	for _, o := range objs {
+		for _, b := range o.blocks {
+			for m := regShardMask(b.addr, b.size); m != 0; m &= m - 1 {
+				s := bits.TrailingZeros32(m)
+				flat[s] = append(flat[s], b)
+			}
+			probes = append(probes, b.addr, b.addr+mem.Addr(b.size)-1)
+		}
+		end := o.addr + mem.Addr(o.size)
+		probes = append(probes, o.addr-1, end)
+		for g := o.addr >> regGranuleBits; g <= end>>regGranuleBits; g++ {
+			probes = append(probes, g<<regGranuleBits-1, g<<regGranuleBits)
+		}
+	}
+	var seen uint32
+	for g := mem.Addr(1) << (40 - regGranuleBits); seen != 1<<regShards-1; g++ {
+		if s := regShardOf(g << regGranuleBits); seen&(1<<s) == 0 {
+			seen |= 1 << s
+			probes = append(probes, g<<regGranuleBits+5)
+		}
+	}
+	for _, a := range probes {
+		wantB, wantP := flatSearch(flat[regShardOf(a)], a)
+		if gotB, gotP := reg.blockAt(a); gotB != wantB || gotP != wantP {
+			t.Fatalf("blockAt(%#x) = (%p, %d probes), flat search (%p, %d) over the %d blocks of shard %d",
+				uint64(a), gotB, gotP, wantB, wantP, len(flat[regShardOf(a)]), regShardOf(a))
+		}
+	}
+}
+
+// blockLayout is one object of a registry layout: where it starts, its
+// size, and its block size (0: one block spanning it).
+type blockLayout struct {
+	addr         mem.Addr
+	size, blocks int64
+}
+
+// checkLayout inserts the layout's objects into a fresh registry and checks
+// blockAt against the flat search with all of them, after removing every
+// other one, and after removing the rest (every shard empty).
+func checkLayout(t *testing.T, layout []blockLayout) {
+	t.Helper()
+	var reg registry
+	var objs []*Object
+	for _, l := range layout {
+		o := &Object{addr: l.addr, size: l.size}
+		o.makeBlocks(l.blocks)
+		if err := reg.insertObject(o); err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	sort.Slice(objs, func(i, j int) bool { return objs[i].addr < objs[j].addr })
+	checkBlockAt(t, &reg, objs)
+	var kept []*Object
+	for i, o := range objs {
+		if i%2 == 0 {
+			reg.removeObject(o)
+		} else {
+			kept = append(kept, o)
+		}
+	}
+	checkBlockAt(t, &reg, kept)
+	for _, o := range kept {
+		reg.removeObject(o)
+	}
+	checkBlockAt(t, &reg, nil)
+}
+
+// TestBlockAtAgainstFlatSearch: the shards keep objects only, and blockAt
+// finds the block inside its object and computes the probe count. Both must
+// be exactly what a binary search over every block on the shard returns,
+// since that count is the §5.2 cost every fault charges to virtual time.
+func TestBlockAtAgainstFlatSearch(t *testing.T) {
+	const (
+		kib = 1 << 10
+		mib = 1 << 20
+		g   = mem.Addr(0x4000_0000) // a granule boundary
+	)
+	cases := []struct {
+		name   string
+		layout []blockLayout
+	}{
+		{"multi-granule-4k-blocks", []blockLayout{
+			{g + 0x7000, 5*mib + 0x3000, 4 * kib},
+			{g + 12*mib, 17 * mib, 4 * kib},
+		}},
+		{"straddling-2m-and-3m-blocks", []blockLayout{
+			{g + 0x8_0000, 13 * mib, 2 * mib},
+			{g + 15*mib + 0x4_0000, 20*mib + 0x1234, 3 * mib},
+			{g + 40*mib + 0xf_f000, 9 * mib, 3 * mib},
+		}},
+		{"short-tails-and-gaps", []blockLayout{
+			{g + 0x1000, 0x2345, 4 * kib},
+			{g + 0x8000, 3*mib + 100, 64 * kib},
+			{g + 4*mib, 0x1000, 4 * kib},
+			{g + 4*mib + 0x1000, 70 * kib, 64 * kib}, // adjacent to the one before
+			{g + 9*mib + 0x800, 2*mib - 0x800, 4 * kib},
+			{g + 30*mib, 5*mib + 1, mib},
+		}},
+		{"one-block-objects", []blockLayout{
+			{g + 0x1000, 4 * kib, 0},
+			{g + 0x3000, 3*mib + 0x500, 0}, // one block over four granules
+			{g + 5*mib, 64 * kib, 0},
+			{g + 5*mib + 64*kib, 64 * kib, 0},
+			{g + 8*mib + 0xa000, 20 * mib, 4 * kib}, // a many-block neighbour
+		}},
+		{"many-small-objects", func() []blockLayout {
+			var l []blockLayout
+			for i := range 300 {
+				l = append(l, blockLayout{g + mem.Addr(i)*96*kib, 64*kib + int64(i%7)*kib, 4 * kib})
+			}
+			return l
+		}()},
+		{"empty", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkLayout(t, c.layout) })
+	}
+}
+
+// FuzzBlockAt checks blockAt against the flat search on layouts decoded
+// from the input: 4 bytes per object (gap before it in 64 KiB units, size
+// in 64 KiB units, bytes short of that in 16-byte units, block size
+// selector), up to 12 objects.
+func FuzzBlockAt(f *testing.F) {
+	f.Add([]byte{1, 80, 3, 1, 0, 16, 0, 4, 5, 200, 9, 5})
+	f.Add([]byte{0, 0, 0, 0, 0, 47, 1, 3, 16, 30, 200, 2, 0, 3, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sizes := []int64{0, 4 << 10, 64 << 10, 1 << 20, 2 << 20, 3 << 20}
+		var layout []blockLayout
+		addr := mem.Addr(0x1_0000_5000)
+		for i := 0; i+4 <= len(data) && len(layout) < 12; i += 4 {
+			addr += mem.Addr(data[i]) << 16
+			size := (int64(data[i+1])+1)<<16 - int64(data[i+2])*16
+			layout = append(layout, blockLayout{addr, size, sizes[int(data[i+3])%len(sizes)]})
+			addr += mem.Addr(size)
+		}
+		checkLayout(t, layout)
+	})
 }
