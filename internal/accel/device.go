@@ -291,11 +291,47 @@ func (d *Device) launchFault() error {
 // to fully overwrite it show up as byte mismatches in the chaos oracle.
 const corruptPattern = 0xDB
 
-// memcpyH2DAsyncAt lands an H2D copy whose link duration has already been
-// computed (and booked) by the caller.
-func (d *Device) memcpyH2DAsyncAt(dst mem.Addr, src []byte, dur sim.Time) sim.Completion {
+// PageMask selects the pages of an H2D write-back that actually land in
+// device memory: page i of src (PageSize bytes at offset i*PageSize; the
+// last page may be short) lands iff bit First+i of Bits is set. The zero
+// PageMask lands every page. The transfer is timed and counted in full
+// either way: a mask changes which bytes the simulator copies, never what
+// the simulated link does.
+type PageMask struct {
+	Bits     []uint64
+	First    int
+	PageSize int64
+}
+
+// has reports whether page i of the transfer lands.
+func (p PageMask) has(i int64) bool {
+	b := p.First + int(i)
+	return p.Bits[b>>6]&(1<<uint(b&63)) != 0
+}
+
+// memcpyH2DAsyncAt lands the pages of an H2D copy that mask selects, one
+// copy per run of consecutive selected pages; the link duration has
+// already been computed (and booked) by the caller.
+func (d *Device) memcpyH2DAsyncAt(dst mem.Addr, src []byte, mask PageMask, dur sim.Time) sim.Completion {
 	d.mu.Lock()
-	d.memory.Write(dst, src)
+	if mask.Bits == nil {
+		d.memory.Write(dst, src)
+	} else {
+		n := (int64(len(src)) + mask.PageSize - 1) / mask.PageSize
+		for i := int64(0); i < n; {
+			if !mask.has(i) {
+				i++
+				continue
+			}
+			j := i + 1
+			for j < n && mask.has(j) {
+				j++
+			}
+			lo, hi := i*mask.PageSize, min(j*mask.PageSize, int64(len(src)))
+			d.memory.Write(dst+mem.Addr(lo), src[lo:hi])
+			i = j
+		}
+	}
 	done := d.dmaH2D.SubmitNow(dur)
 	d.stats.BytesH2D += int64(len(src))
 	d.stats.CopiesH2D++
@@ -310,25 +346,28 @@ func (d *Device) memcpyH2DAsyncAt(dst mem.Addr, src []byte, dur sim.Time) sim.Co
 // host. Data moves immediately (the simulation is sequential), but the
 // virtual completion time respects DMA queueing and link bandwidth.
 func (d *Device) MemcpyH2DAsync(dst mem.Addr, src []byte) sim.Completion {
-	return d.memcpyH2DAsyncAt(dst, src, d.cfg.H2D.TransferTime(int64(len(src))))
+	return d.memcpyH2DAsyncAt(dst, src, PageMask{}, d.cfg.H2D.TransferTime(int64(len(src))))
 }
 
-// TryMemcpyH2DAsync is the fault-aware MemcpyH2DAsync. On an injected
-// fault the attempt still occupies the DMA engine for its duration
-// (returned in the completion) but no data lands — except under
-// KindCorrupt, which scribbles the destination range — and the error
+// TryMemcpyH2DAsync is the fault-aware MemcpyH2DAsync, and the one H2D
+// entry point that takes a page mask: the attempt is timed, injected,
+// counted and observed on all of src, but only the pages mask selects are
+// copied (the caller vouches that the device already holds the others).
+// On an injected fault the attempt still occupies the DMA engine for its
+// duration (returned in the completion) but no data lands — except under
+// KindCorrupt, which scribbles the whole destination range — and the error
 // describes the fault. The caller owns retrying. Like TryMemcpyD2HAsync
 // it sits on a //adsm:noalloc path (the eviction flush), so the
 // fault-only branches carry line suppressions or cold helpers.
 //
 //adsm:noalloc
-func (d *Device) TryMemcpyH2DAsync(dst mem.Addr, src []byte) (sim.Completion, error) {
+func (d *Device) TryMemcpyH2DAsync(dst mem.Addr, src []byte, mask PageMask) (sim.Completion, error) {
 	if err := d.checkLost(); err != nil {
 		return sim.Completion{At: d.clock.Now()}, err
 	}
 	dur, ferr := d.cfg.H2D.Transfer(int64(len(src))) //adsm:allow noalloc: Transfer allocates only when injecting a fault or lazily registering its metrics; the steady-state cost model is alloc-free
 	if ferr == nil {
-		return d.memcpyH2DAsyncAt(dst, src, dur), nil
+		return d.memcpyH2DAsyncAt(dst, src, mask, dur), nil
 	}
 	d.noteFault(ferr, true)
 	d.mu.Lock()
@@ -358,14 +397,6 @@ func (d *Device) errH2DCopy(ferr error) error {
 func (d *Device) MemcpyH2D(dst mem.Addr, src []byte) sim.Time {
 	done := d.MemcpyH2DAsync(dst, src)
 	return done.Wait(d.clock)
-}
-
-// TryMemcpyH2D is the fault-aware synchronous H2D copy: the host waits
-// out even a failed attempt (the engine was occupied) before seeing the
-// error.
-func (d *Device) TryMemcpyH2D(dst mem.Addr, src []byte) (sim.Time, error) {
-	done, err := d.TryMemcpyH2DAsync(dst, src)
-	return done.Wait(d.clock), err
 }
 
 // memcpyD2HAsyncAt lands a D2H copy whose link duration has already been

@@ -71,6 +71,47 @@ func TestMemcpyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMaskedH2DTimesAllCopiesSelected: a masked write-back is timed and
+// counted on all of src, but lands only the selected pages (the short last
+// page included) and leaves the others as they were.
+func TestMaskedH2DTimesAllCopiesSelected(t *testing.T) {
+	const page, n = 64, 5*64 - 10
+	full, _ := testDevice(t)
+	masked, _ := testDevice(t)
+	src := bytes.Repeat([]byte{0xab}, n)
+	var done [2]sim.Completion
+	for i, d := range []*Device{full, masked} {
+		p, err := d.Malloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := PageMask{}
+		if d == masked {
+			// Bits 2, 4 and 6 of the bitmap are pages 0, 2 and 4 of src.
+			mask = PageMask{Bits: []uint64{1<<2 | 1<<4 | 1<<6}, First: 2, PageSize: page}
+		}
+		if done[i], err = d.TryMemcpyH2DAsync(p, src, mask); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.Stats(); st.BytesH2D != n || st.CopiesH2D != 1 {
+			t.Fatalf("stats %+v, want %d bytes in one copy", st, n)
+		}
+	}
+	if done[0] != done[1] {
+		t.Fatalf("masked copy completes at %v, full copy at %v", done[1], done[0])
+	}
+	got := masked.Memory().Bytes(masked.Config().MemBase, n)
+	for i, b := range got {
+		want := byte(0)
+		if pg := i / page; pg%2 == 0 {
+			want = 0xab
+		}
+		if b != want {
+			t.Fatalf("byte %d (page %d) = %#x, want %#x", i, i/page, b, want)
+		}
+	}
+}
+
 func TestAsyncCopyOverlapsCPU(t *testing.T) {
 	d, clock := testDevice(t)
 	p, _ := d.Malloc(1 << 20)
@@ -363,8 +404,8 @@ func TestUseAfterClose(t *testing.T) {
 		t.Fatal("closed device does not report itself lost")
 	}
 	buf := make([]byte, 4)
-	if _, err := d.TryMemcpyH2D(p, buf); !errors.Is(err, fault.ErrDeviceLost) {
-		t.Fatalf("TryMemcpyH2D on a closed device: %v, want ErrDeviceLost", err)
+	if _, err := d.TryMemcpyH2DAsync(p, buf, PageMask{}); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("TryMemcpyH2DAsync on a closed device: %v, want ErrDeviceLost", err)
 	}
 	if _, err := d.TryMemcpyD2H(buf, p); !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("TryMemcpyD2H on a closed device: %v, want ErrDeviceLost", err)

@@ -4,7 +4,8 @@ import "strings"
 
 // requiredAnnotations lists, per package, the functions that constitute the
 // ADSM fault hot path (the 0 allocs/op property measured by the
-// AllocsPerRun tests in internal/core and internal/sim). These must carry
+// AllocsPerRun tests in internal/core and internal/sim) and its write-back
+// DMA. These must carry
 // the //adsm:noalloc directive: removing the annotation — not just
 // violating it — is a diagnostic, so the static and dynamic checks can
 // never silently name different function sets.
@@ -25,10 +26,16 @@ var requiredAnnotations = map[string][]string{
 		"(*spanSet).find",
 		"searchDepth",
 		"(*Object).rank",
+		"(*Object).markWritten",
+		"(*Object).settle",
+		"(*Object).writeBackMask",
 		"(*rollingCache).push",
 		"resolveFault",
 		"(*Manager).emit",
 		"(*statsCounters).apply",
+	},
+	"repro/internal/accel": {
+		"(*Device).TryMemcpyH2DAsync",
 	},
 	"repro/internal/sim": {
 		"(*Breakdown).Add",

@@ -24,7 +24,7 @@ func BenchmarkBlockLookup(b *testing.B) {
 			}
 			for base := 0; base < blocks; base += per {
 				o := &Object{addr: mem.Addr(1<<30 + base<<12), size: int64(per) << 12}
-				o.makeBlocks(1 << 12)
+				o.makeBlocks(1<<12, testPage)
 				if err := reg.insertObject(o); err != nil {
 					b.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 
+	"repro/internal/accel"
 	"repro/internal/mem"
 	"repro/internal/oplog"
 )
@@ -36,7 +37,7 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 		b, n := o.chunk(addr, int64(len(dst)))
 		if b.state == StateInvalid {
 			fetch := oplog.Op{Kind: oplog.OpFetch, Addr: addr, Size: n}
-			if err := m.dmaSync(o, fetch, o.devAddr+(addr-o.addr), dst[:n], "bulk read"); err != nil {
+			if err := m.dmaSync(o, fetch, o.devAddr+(addr-o.addr), dst[:n], accel.PageMask{}, "bulk read"); err != nil {
 				// The only valid copy was on the lost device; the read
 				// cannot be satisfied.
 				return m.escalateLocked(o, "bulk read", err)
@@ -63,6 +64,7 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 	defer m.leave(o)
 	if m.hostAuthoritative(o) {
 		o.mapping.Space.Write(addr, src)
+		o.markWritten(addr, int64(len(src)))
 		return nil
 	}
 	for len(src) > 0 {
@@ -70,7 +72,7 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 		if addr == b.addr && n == b.size {
 			// Whole block: device write + host invalidation.
 			flush := oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: addr, Size: n}
-			if err := m.dmaSync(o, flush, b.devAddr(), src[:n], "bulk write"); err != nil {
+			if err := m.dmaSync(o, flush, b.devAddr(), src[:n], accel.PageMask{}, "bulk write"); err != nil {
 				// Escalate (degrading o to host-resident mode) and land the
 				// remaining bytes in host memory: the write still succeeds,
 				// just against the now-authoritative host copy.
@@ -100,6 +102,7 @@ func (m *Manager) BulkSet(addr mem.Addr, val byte, n int64) error {
 	defer m.leave(o)
 	if m.hostAuthoritative(o) {
 		o.mapping.Space.Memset(addr, val, n)
+		o.markWritten(addr, n)
 		return nil
 	}
 	for n > 0 {

@@ -305,6 +305,9 @@ func FuzzManagerOps(f *testing.F) {
 				}
 				copy(ref[off:], fill(n, pat))
 			}
+			if err := checkCleanPages(r.mgr); err != nil {
+				t.Fatalf("after op %d: %v", ops, err)
+			}
 			if ops%8 == 0 {
 				if err := r.mgr.CheckInvariants(); err != nil {
 					t.Fatalf("after op %d: %v", ops, err)

@@ -171,11 +171,14 @@ type Manager struct {
 	//adsm:lock flushMu 41 nowait
 	flushMu              sync.Mutex
 	lastFlush, prevFlush sim.Time
-	// evictMu guards evictQ, the deferred cross-object eviction victim runs.
+	// evictMu guards evictQ, the deferred cross-object eviction victim runs;
+	// evictN mirrors len(evictQ), stored under evictMu, so a drain of an
+	// empty queue takes no lock.
 	//
 	//adsm:lock evictMu 42 nowait
 	evictMu sync.Mutex
 	evictQ  []evictRun
+	evictN  atomic.Int64
 	// callMu serialises kernel invocation and synchronisation and guards
 	// invokeKernel and launched.
 	//
@@ -465,7 +468,7 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 		// BlockSize (allowed off rolling-update) still means one block.
 		blockSize = m.cfg.BlockSize
 	}
-	o.makeBlocks(blockSize)
+	o.makeBlocks(blockSize, m.mmu.PageSize())
 
 	m.mmu.Map(o.addr, m.pageAlignedSize(o.size), hostmmu.ProtReadWrite)
 	// A detecting object starts ReadOnly, so its first CPU write faults. A
@@ -917,6 +920,7 @@ func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
 			return err
 		}
 		o.mapping.Space.Write(addr, src[:n])
+		o.markWritten(addr, n)
 		addr += mem.Addr(n)
 		src = src[n:]
 	}
@@ -940,7 +944,9 @@ func (m *Manager) HostBytes(addr mem.Addr, n int64, access hostmmu.Access) ([]by
 		return nil, err
 	}
 	if access == hostmmu.AccessWrite {
-		err = m.mmu.CheckWrite(addr, n)
+		if err = m.mmu.CheckWrite(addr, n); err == nil {
+			o.markWritten(addr, n)
+		}
 	} else {
 		err = m.mmu.CheckRead(addr, n)
 	}
@@ -1007,32 +1013,37 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 	defer m.endSpan(sp)
 	o := first.obj
 	size := runSize(first, n)
+	mask := o.writeBackMask(first, n)
 	for attempt := 0; ; attempt++ {
 		m.waitH2DSlot()
-		done, terr := m.dev.TryMemcpyH2DAsync(first.devAddr(), o.mapping.Space.Bytes(first.addr, size))
+		done, terr := m.dev.TryMemcpyH2DAsync(first.devAddr(), o.mapping.Space.Bytes(first.addr, size), mask)
 		if terr == nil {
 			m.noteFlushIssued(done.At)
 			break
 		}
+		// The failed attempt may have scribbled the device range.
+		mask = accel.PageMask{}
 		again, ferr := m.retryStep(sim.CatCopy, "flush", attempt, terr)
 		if !again {
 			return m.escalateLocked(o, "flush", ferr)
 		}
 	}
+	o.settle(first, n)
 	m.emit(oplog.Op{Kind: oplog.OpFlush, Addr: first.addr, Size: size}, o)
 	return nil
 }
 
 // dmaSync is the one stalling DMA: it moves buf between host memory and
-// devAddr — host to device for an OpFlush, device to host for an OpFetch —
-// and stalls the CPU until the transfer completes, booking the stall as
-// copy time. Injected faults are retried inline (a corrupt fetch attempt
-// scribbles buf, so the retry's full copy must overwrite it); op is emitted
+// devAddr — host to device for an OpFlush, of which only the pages mask
+// selects are copied, device to host for an OpFetch — and stalls the CPU
+// until the transfer completes, booking the stall as copy time. Injected
+// faults are retried inline with a full copy (a corrupt attempt scribbles
+// its destination, so the retry must overwrite all of it); op is emitted
 // once the transfer succeeds. An unrecoverable failure is returned for the
 // caller to escalate. The caller holds o.mu.
 //
 //adsm:noalloc
-func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, what string) error {
+func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, mask accel.PageMask, what string) error {
 	for attempt := 0; ; attempt++ {
 		t0 := m.clock.Now()
 		var terr error
@@ -1041,7 +1052,10 @@ func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, 
 			_, terr = m.dev.TryMemcpyD2H(buf, devAddr)
 			wait = &m.stats.D2HWait
 		} else {
-			_, terr = m.dev.TryMemcpyH2D(devAddr, buf)
+			var done sim.Completion
+			done, terr = m.dev.TryMemcpyH2DAsync(devAddr, buf, mask)
+			done.Wait(m.clock)
+			mask = accel.PageMask{} // a retry copies everything
 		}
 		d := m.clock.Now() - t0
 		wait.Add(int64(d))
@@ -1065,9 +1079,10 @@ func (m *Manager) flushBlockSync(b *Block) error {
 	sp := m.beginSpan("flush", "sync")
 	defer m.endSpan(sp)
 	op := oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: b.addr, Size: b.size}
-	if err := m.dmaSync(b.obj, op, b.devAddr(), b.hostBytes(), "flush"); err != nil {
+	if err := m.dmaSync(b.obj, op, b.devAddr(), b.hostBytes(), b.obj.writeBackMask(b, 1), "flush"); err != nil {
 		return m.escalateLocked(b.obj, "flush", err)
 	}
+	b.obj.settle(b, 1)
 	return nil
 }
 
@@ -1090,9 +1105,10 @@ func (m *Manager) fetchRunSync(first *Block, n int) error {
 	}
 	sp := m.beginSpan("fetch", note)
 	defer m.endSpan(sp)
-	if err := m.dmaSync(o, op, first.devAddr(), o.mapping.Space.Bytes(first.addr, op.Size), "fetch"); err != nil {
+	if err := m.dmaSync(o, op, first.devAddr(), o.mapping.Space.Bytes(first.addr, op.Size), accel.PageMask{}, "fetch"); err != nil {
 		return m.escalateLocked(o, "fetch", err)
 	}
+	o.settle(first, n)
 	return nil
 }
 
@@ -1152,6 +1168,7 @@ func (m *Manager) flushable(b *Block, checkQueued bool) bool {
 func (m *Manager) deferEviction(first *Block, n int) {
 	m.evictMu.Lock()
 	m.evictQ = append(m.evictQ, evictRun{first, n}) //adsm:allow noalloc: cross-object victims are rare, and the drainer takes the queue wholesale (evictQ = nil), so the occasional regrow buys lock-free iteration
+	m.evictN.Store(int64(len(m.evictQ)))
 	m.evictMu.Unlock()
 }
 
@@ -1160,7 +1177,9 @@ func (m *Manager) deferEviction(first *Block, n int) {
 // the release sweep. A victim that was re-dirtied and re-queued since
 // deferral is left alone (the cache owns it again); one flushed by a racing
 // drain is skipped via the state check. Both cases are handled per block
-// inside flushEvicted, splitting the run as needed.
+// inside flushEvicted, splitting the run as needed. A goroutine that
+// deferred a run drains it itself after its own unlock, so reading an
+// empty queue without the lock strands nothing.
 func (m *Manager) drainEvictions() {
 	if m.lost.Load() {
 		// The device is gone: deferred flushes are moot, and any object not
@@ -1168,9 +1187,13 @@ func (m *Manager) drainEvictions() {
 		// entry point passes through.
 		m.degradeAll()
 	}
+	if m.evictN.Load() == 0 {
+		return
+	}
 	m.evictMu.Lock()
 	runs := m.evictQ
 	m.evictQ = nil
+	m.evictN.Store(0)
 	m.evictMu.Unlock()
 	for _, r := range runs {
 		o := r.first.obj

@@ -222,6 +222,9 @@ func runModelOn(r *rig, mode AccessMode, seed int64, objSize int64) error {
 				ref[i] ^= pat
 			}
 		}
+		if err := checkCleanPages(r.mgr); err != nil {
+			return fmt.Errorf("after op %d: %w", op, err)
+		}
 		if op%10 == 9 {
 			if err := r.mgr.CheckInvariants(); err != nil {
 				return fmt.Errorf("after op %d: %w", op, err)
@@ -306,6 +309,9 @@ func TestCoherenceModelMultiObject(t *testing.T) {
 			for k := off; k < off+16; k++ {
 				refs[i][k] ^= pat
 			}
+		}
+		if err := checkCleanPages(r.mgr); err != nil {
+			t.Fatalf("op %d: %v", op, err)
 		}
 	}
 	for i, p := range ptrs {

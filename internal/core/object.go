@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/accel"
 	"repro/internal/mem"
 )
 
@@ -63,6 +64,12 @@ type Block struct {
 	size  int64
 	// state is guarded by obj.mu.
 	state State
+	// current means the device copy equals the host copy on every page of
+	// the block whose bit in obj.dirty is clear, so a write-back need only
+	// move the set ones. A completed fetch or flush sets it (settle);
+	// StateInvalid, which every kernel call that may write the block sets,
+	// and a fresh block leave it clear. Guarded by obj.mu.
+	current bool
 	// queued marks blocks currently held in the rolling cache; it is owned
 	// by the rollingCache and only touched under its lock.
 	queued bool
@@ -189,6 +196,12 @@ type Object struct {
 	// holds, reset to 1 on a non-sequential fault).
 	nextFaultIdx int
 	fetchSpan    int
+	// dirty has one bit per host page of the object, set by every host write
+	// (markWritten) and cleared when the page's block is settled; pageShift
+	// is log2 of the page size. The bitmap is allocated with the blocks and
+	// guarded by mu.
+	dirty     []uint64
+	pageShift uint8
 	// degraded marks an object that fell back to host-resident batch-update
 	// semantics after its device was lost: all blocks Dirty and writable,
 	// never transferred again. Set under mu; atomic because introspection
@@ -321,10 +334,13 @@ func (o *Object) chunk(addr mem.Addr, n int64) (*Block, int64) {
 	return b, n
 }
 
-// makeBlocks divides the object into blocks of at most blockSize bytes.
-func (o *Object) makeBlocks(blockSize int64) {
+// makeBlocks divides the object into blocks of at most blockSize bytes, a
+// multiple of pageSize, and allocates the dirty-page bitmap.
+func (o *Object) makeBlocks(blockSize, pageSize int64) {
 	o.nextFaultIdx = -1 // no streak until the first fault lands
 	o.fetchSpan = 1
+	o.pageShift = uint8(bits.TrailingZeros64(uint64(pageSize)))
+	o.dirty = make([]uint64, ((o.size+pageSize-1)/pageSize+63)/64)
 	if blockSize <= 0 || blockSize > o.size {
 		blockSize = o.size
 	}
@@ -342,6 +358,58 @@ func (o *Object) makeBlocks(blockSize int64) {
 			size:  size,
 		})
 	}
+}
+
+// pages returns the index range [lo, hi] of the host pages that
+// [addr, addr+n) touches, n > 0.
+func (o *Object) pages(addr mem.Addr, n int64) (lo, hi uint64) {
+	off := uint64(addr - o.addr)
+	return off >> o.pageShift, (off + uint64(n) - 1) >> o.pageShift
+}
+
+// markWritten records a host write of [addr, addr+n): every page it
+// touches is dirty until its block is next settled. Every write into the
+// host copy of a shared object calls it. The caller holds o.mu.
+//
+//adsm:noalloc
+func (o *Object) markWritten(addr mem.Addr, n int64) {
+	if n <= 0 {
+		return
+	}
+	lo, hi := o.pages(addr, n)
+	for p := lo; p <= hi; p++ {
+		o.dirty[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// settle records that a fetch or flush of the n blocks from first has
+// completed: host and device hold the same bytes on every page of the run,
+// so its blocks are current and its pages clean. The caller holds o.mu.
+//
+//adsm:noalloc
+func (o *Object) settle(first *Block, n int) {
+	lo, hi := o.pages(first.addr, runSize(first, n))
+	for p := lo; p <= hi; p++ {
+		o.dirty[p>>6] &^= 1 << (p & 63)
+	}
+	for _, b := range o.blocks[first.index : first.index+n] {
+		b.current = true
+	}
+}
+
+// writeBackMask selects what a write-back of the n blocks from first must
+// copy: only the pages written since the run was last settled, or all of
+// it when some block is not current. The caller holds o.mu.
+//
+//adsm:noalloc
+func (o *Object) writeBackMask(first *Block, n int) accel.PageMask {
+	for _, b := range o.blocks[first.index : first.index+n] {
+		if !b.current {
+			return accel.PageMask{}
+		}
+	}
+	lo, _ := o.pages(first.addr, 1)
+	return accel.PageMask{Bits: o.dirty, First: int(lo), PageSize: 1 << o.pageShift}
 }
 
 // countState returns how many blocks are in the given state.

@@ -25,6 +25,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 	if m.hostAuthoritative(o) {
 		// Peer DMA cannot help: the bytes belong in the host copy.
 		o.mapping.Space.Write(addr, src)
+		o.markWritten(addr, int64(len(src)))
 		return nil
 	}
 	for len(src) > 0 {
@@ -35,6 +36,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 			// remaining peer bytes in the authoritative host copy instead.
 			if err := m.flushRunEager(b, 1); err != nil {
 				o.mapping.Space.Write(addr, src)
+				o.markWritten(addr, int64(len(src)))
 				return nil
 			}
 			m.rolling.forgetBlock(b)

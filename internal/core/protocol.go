@@ -63,13 +63,16 @@ func (o *Object) detects() bool { return o.pol.detects }
 // setState is the Figure 6 transition and the only writer of Block.state:
 // it moves the n consecutive blocks starting at first to state to and, when
 // their object detects accesses, re-protects the run's pages to match with
-// a single mprotect (one charge). The caller holds first.obj.mu.
+// a single mprotect (one charge). An Invalid block is no longer current:
+// the device copy is the one that may now change. The caller holds
+// first.obj.mu.
 //
 //adsm:noalloc
 func (m *Manager) setState(first *Block, n int, to State) {
 	o := first.obj
 	for _, b := range o.blocks[first.index : first.index+n] {
 		b.state = to
+		b.current = b.current && to != StateInvalid
 	}
 	if o.detects() {
 		m.setProtRun(first, n, protFor[to])

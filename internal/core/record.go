@@ -87,9 +87,6 @@ func (m *Manager) FinishOpLog(label string) (*oplog.Log, error) {
 		return nil, fmt.Errorf("core: op log wrapped: %d ops recorded into a %d-op ring; raise the capture capacity",
 			r.Total(), r.Capacity())
 	}
-	if c := r.Collisions(); c != 0 {
-		return nil, fmt.Errorf("core: op log dropped %d ops to write collisions", c)
-	}
 	l := r.Snapshot()
 	l.Header.Label = label
 	l.Totals = m.Stats().Counters()

@@ -350,7 +350,7 @@ func checkLayout(t *testing.T, layout []blockLayout) {
 	var objs []*Object
 	for _, l := range layout {
 		o := &Object{addr: l.addr, size: l.size}
-		o.makeBlocks(l.blocks)
+		o.makeBlocks(l.blocks, testPage)
 		if err := reg.insertObject(o); err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@
 //	               replayable with `adsmtrace -replay`
 //
 // Everything served here is read from atomic counters, mutex-guarded
-// indexes, lock-free op rings and mutex-guarded trace rings, so handlers
+// indexes, and mutex-guarded op and trace rings, so handlers
 // are safe to hit while a run is in flight on other goroutines.
 package introspect
 
@@ -124,11 +124,10 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // oplogDoc is the /adsm/oplog response body: the flight recorder's current
 // window rendered readably (kinds and notes resolved to strings).
 type oplogDoc struct {
-	Capacity   int       `json:"capacity"`
-	Total      uint64    `json:"total"`
-	Wrapped    bool      `json:"wrapped"`
-	Collisions uint64    `json:"collisions"`
-	Ops        []oplogOp `json:"ops"`
+	Capacity int       `json:"capacity"`
+	Total    uint64    `json:"total"`
+	Wrapped  bool      `json:"wrapped"`
+	Ops      []oplogOp `json:"ops"`
 }
 
 type oplogOp struct {
@@ -147,11 +146,10 @@ func handleOpLog(w http.ResponseWriter, _ *http.Request) {
 	f := oplog.Flight()
 	ops := f.Ops()
 	doc := oplogDoc{
-		Capacity:   f.Capacity(),
-		Total:      f.Total(),
-		Wrapped:    f.Wrapped(),
-		Collisions: f.Collisions(),
-		Ops:        make([]oplogOp, len(ops)),
+		Capacity: f.Capacity(),
+		Total:    f.Total(),
+		Wrapped:  f.Wrapped(),
+		Ops:      make([]oplogOp, len(ops)),
 	}
 	for i, op := range ops {
 		doc.Ops[i] = oplogOp{

@@ -12,7 +12,7 @@
 //   - a capture recorder (Ring installed via core.(*Manager).SetRecorder)
 //     that turns any application run into a reusable benchmark and chaos
 //     corpus, serialised by Encode/Decode;
-//   - the always-on flight recorder (Flight), a fixed-size lock-free ring
+//   - the always-on flight recorder (Flight), a fixed-size mutex-guarded ring
 //     of the most recent ops that is dumped to a file — ops, metrics
 //     snapshot and config — when something goes wrong (flight.go);
 //   - the introspection endpoint's /adsm/oplog view.

@@ -1,51 +1,29 @@
 package oplog
 
 import (
-	"sort"
+	"sync"
 	"sync/atomic"
-
-	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
-// Ring is a fixed-size lock-free op ring. It serves both recorder roles:
+// Ring is a fixed-size op ring. It serves both recorder roles:
 //
 //   - the always-on flight recorder, where concurrent host goroutines
 //     record while the ring silently keeps only the most recent ops;
 //   - capture mode, where the ring is sized to hold a whole run and the
 //     harness asserts afterwards that nothing wrapped (core.FinishOpLog).
 //
-// The record path is wait-free and allocation-free: one fetch-add to claim
-// a slot, one swap to take ownership, seven plain atomic stores. Readers
-// (Ops, the introspection endpoint, flight dumps) run concurrently with
-// writers and discard slots they observe mid-write. A writer that laps the
-// ring onto a slot still being written by a slower lapped writer drops its
-// op and counts a collision rather than tearing the slot — with a ring
-// several orders of magnitude larger than the writer count, collisions are
-// vanishingly rare and only matter under deliberate overload.
+// One mutex guards plain Op slots. The record path is allocation-free: a
+// lock, one slot write and an unlock, two locked instructions on amd64
+// where storing an op as atomic words would take one per word. Readers
+// (Ops, the introspection endpoint, flight dumps) copy the slots out under
+// the same lock, so they never see a torn or dropped op.
 type Ring struct {
-	slots      []slot
-	mask       uint64
-	pos        atomic.Uint64
-	collisions atomic.Uint64
-	header     atomic.Pointer[Header]
+	mu     sync.Mutex
+	slots  []Op
+	mask   uint64
+	pos    uint64 // ops ever recorded; guarded by mu
+	header atomic.Pointer[Header]
 }
-
-// slot holds one Op as seven atomic words, so readers and writers can
-// interleave without locks and without tripping the race detector. seq is
-// the claim ticket: 0 = never written, slotWriting = store in progress,
-// anything else = the 1-based global sequence number of the op it holds.
-type slot struct {
-	seq  atomic.Uint64
-	at   atomic.Uint64
-	kfmo atomic.Uint64 // kind<<56 | flags<<48 | mgr<<32 | obj
-	addr atomic.Uint64
-	size atomic.Uint64
-	arg  atomic.Uint64
-	note atomic.Uint64 // lane<<32 | note
-}
-
-const slotWriting = ^uint64(0)
 
 // DefaultRingCapacity is used when NewRing is given a non-positive
 // capacity.
@@ -61,47 +39,34 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{slots: make([]slot, n), mask: uint64(n) - 1}
+	return &Ring{slots: make([]Op, n), mask: uint64(n) - 1}
 }
 
 // Record appends one op, overwriting the oldest once the ring is full.
-// Safe for any number of concurrent writers; wait-free; never allocates.
+// Safe for any number of concurrent writers; never allocates.
 //
 //adsm:noalloc
 func (r *Ring) Record(op Op) {
-	i := r.pos.Add(1) // 1-based global sequence number
-	s := &r.slots[(i-1)&r.mask]
-	if s.seq.Swap(slotWriting) == slotWriting {
-		// A lapped writer is still mid-store in this slot. Dropping this
-		// op preserves the other's integrity; the collision is counted so
-		// overloads are visible.
-		r.collisions.Add(1)
-		return
-	}
-	s.at.Store(uint64(op.At))
-	s.kfmo.Store(uint64(op.Kind)<<56 | uint64(op.Flags)<<48 |
-		uint64(op.Mgr)<<32 | uint64(op.Obj))
-	s.addr.Store(uint64(op.Addr))
-	s.size.Store(uint64(op.Size))
-	s.arg.Store(uint64(op.Arg))
-	s.note.Store(uint64(op.Lane)<<32 | uint64(op.Note))
-	s.seq.Store(i)
+	r.mu.Lock()
+	r.slots[r.pos&r.mask] = op
+	r.pos++
+	r.mu.Unlock()
 }
 
 // Capacity returns the number of ops the ring retains.
 func (r *Ring) Capacity() int { return len(r.slots) }
 
-// Total returns the number of ops ever recorded (including dropped ones).
-func (r *Ring) Total() uint64 { return r.pos.Load() }
+// Total returns the number of ops ever recorded.
+func (r *Ring) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pos
+}
 
 // Wrapped reports whether the ring has overwritten old ops: in capture
 // mode this means the stream is incomplete and the capacity must be
 // raised.
-func (r *Ring) Wrapped() bool { return r.pos.Load() > uint64(len(r.slots)) }
-
-// Collisions returns how many ops were dropped because a lapped writer
-// still owned their slot.
-func (r *Ring) Collisions() uint64 { return r.collisions.Load() }
+func (r *Ring) Wrapped() bool { return r.Total() > uint64(len(r.slots)) }
 
 // SetHeader attaches the replay header describing the recorded
 // configuration.
@@ -115,63 +80,23 @@ func (r *Ring) Header() Header {
 	return Header{}
 }
 
-// Reset discards all recorded ops. It must not race with writers; it
-// exists for harnesses that reuse the process-wide flight ring across
-// isolated runs.
+// Reset discards all recorded ops; it exists for harnesses that reuse the
+// process-wide flight ring across isolated runs.
 func (r *Ring) Reset() {
-	r.pos.Store(0)
-	r.collisions.Store(0)
-	for i := range r.slots {
-		s := &r.slots[i]
-		s.seq.Store(0)
-		s.at.Store(0)
-		s.kfmo.Store(0)
-		s.addr.Store(0)
-		s.size.Store(0)
-		s.arg.Store(0)
-		s.note.Store(0)
-	}
+	r.mu.Lock()
+	r.pos = 0
+	clear(r.slots)
+	r.mu.Unlock()
 }
 
-// Ops returns a consistent snapshot of the retained ops, oldest first.
-// Slots observed mid-write are skipped.
+// Ops returns a snapshot of the retained ops, oldest first.
 func (r *Ring) Ops() []Op {
-	type rec struct {
-		seq uint64
-		op  Op
-	}
-	recs := make([]rec, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		seq := s.seq.Load()
-		if seq == 0 || seq == slotWriting {
-			continue
-		}
-		kfmo := s.kfmo.Load()
-		lanenote := s.note.Load()
-		op := Op{
-			At:    sim.Time(s.at.Load()),
-			Kind:  Kind(kfmo >> 56),
-			Flags: uint8(kfmo >> 48),
-			Mgr:   uint16(kfmo >> 32),
-			Obj:   uint32(kfmo),
-			Addr:  mem.Addr(s.addr.Load()),
-			Size:  int64(s.size.Load()),
-			Arg:   int64(s.arg.Load()),
-			Note:  uint32(lanenote),
-			Lane:  uint32(lanenote >> 32),
-		}
-		// A writer may have reclaimed the slot while the fields were
-		// loading; re-checking seq rejects the torn read.
-		if s.seq.Load() != seq {
-			continue
-		}
-		recs = append(recs, rec{seq, op})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	out := make([]Op, len(recs))
-	for i, rc := range recs {
-		out[i] = rc.op
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	first := r.pos - min(r.pos, uint64(len(r.slots)))
+	out := make([]Op, 0, r.pos-first)
+	for i := first; i < r.pos; i++ {
+		out = append(out, r.slots[i&r.mask])
 	}
 	return out
 }
