@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance smoke fuzz chaos record-corpus clean FORCE
+.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs smoke fuzz chaos record-corpus clean FORCE
 
 all: check
 
@@ -82,12 +82,25 @@ bench-conformance:
 		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
 		./internal/core ./internal/hostmmu
 
+# Interleaved contract pairs of the harness at BASE against the working
+# tree: per-pair values, wins, medians and quartiles, and whether a claimed
+# gain in wall_s passes the 9-of-10 / median-gap-over-IQR rule
+# (scripts/benchpairs.sh).
+BASE ?= HEAD
+N ?= 10
+WORKLOAD ?= kernel-loop
+SECONDS ?= 20
+SEED ?= 5
+bench-pairs:
+	bash scripts/benchpairs.sh $(BASE) $(N) $(WORKLOAD) $(SECONDS) $(SEED)
+
 # Fast end-to-end sanity: one small figure run with the JSON summary.
 smoke:
 	$(GO) run ./cmd/gmacbench -small -json /tmp/gmacbench-smoke.json fig8
 
 # Native fuzzing of the registry's span set and block lookup, the manager op
-# stream, the oplog wire decoder, and the race analyser, FUZZTIME per target
+# stream, the oplog wire decoder, the race analyser, and the MMU's page
+# table, FUZZTIME per target
 # (see docs/testing.md). The decoder and race-check fuzzers seed from the
 # recorded corpus in testdata/corpus/.
 fuzz:
@@ -96,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManagerOps$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOpLogDecode$$' -fuzztime $(FUZZTIME) ./internal/oplog
 	$(GO) test -run '^$$' -fuzz '^FuzzRaceCheck$$' -fuzztime $(FUZZTIME) ./internal/racecheck
+	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime $(FUZZTIME) ./internal/hostmmu
 
 # Re-record the workload op-stream corpus (testdata/corpus/*.oplog): one
 # stream per (small Parboil workload, GMAC protocol). The chaos suite

@@ -102,7 +102,7 @@ var costCases = []costCase{
 	// on the 64-page object, migrate and the rolling-cache drain's copy.
 	{name: "ModeMigrate", cfg: costCfg(0), ops: 1 << 10, setup: modeChurn,
 		want: cost{Faults: 33280, FaultBatches: 3312, Prefetched: 28912, XfersH2D: 24576, BytesH2D: 128 << 20,
-			XfersD2H: 4608, BytesD2H: 137_297_920, Evictions: 15872, Migrations: 64, Virt: 452_196_448, Mallocs: 8960}},
+			XfersD2H: 4608, BytesD2H: 137_297_920, Evictions: 15872, Migrations: 64, Virt: 452_196_448, Mallocs: 7872}},
 	// N lanes write-fault through their own objects at once. Every lane's
 	// 256 faults take 730 100 ns on its own timeline and the lanes overlap,
 	// so the window takes one lane's time and N lanes fault N times as fast.

@@ -14,6 +14,7 @@ package hostmmu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -100,7 +101,7 @@ type Stats struct {
 // address-range shards — the same 1 MiB-granule Fibonacci hash the core
 // registry shards by, so a lane's working set and its neighbour's land on
 // different shards — and each protection check touches only the shard of
-// the page it probes.
+// the page it probes. A page larger than 1 MiB is its own granule.
 const (
 	mmuShardBits    = 4
 	mmuShardCount   = 1 << mmuShardBits
@@ -108,16 +109,44 @@ const (
 	mmuGranuleBytes = 1 << mmuGranuleBits
 )
 
-// mmuShard is one slice of the page table.
-type mmuShard struct {
-	mu    sync.RWMutex
-	pages map[mem.Addr]Prot
+// protUnmapped marks a page of a granule that is not mapped.
+const protUnmapped Prot = 0xff
+
+// granule is the page table of one granule: one protection per page, and
+// how many of them are mapped.
+type granule struct {
+	live int
+	prot []Prot
 }
 
-// shardOf returns the shard owning addr's 1 MiB granule.
-func (m *MMU) shardOf(addr mem.Addr) *mmuShard {
-	g := uint64(addr) >> mmuGranuleBits
-	return &m.shards[(g*0x9e3779b97f4a7c15)>>(64-mmuShardBits)]
+// mmuShard is one slice of the page table, keyed by granule base.
+type mmuShard struct {
+	mu       sync.RWMutex
+	granules map[mem.Addr]*granule
+}
+
+// run locates the granule run [p, min(end, granule end)): its shard, its
+// granule base, and the page indices [lo, hi) it covers. Pages past end's
+// page base are included, as the size of a range rounds up to whole pages.
+func (m *MMU) run(p, end mem.Addr) (sh *mmuShard, base mem.Addr, lo, hi int) {
+	base = p &^ (m.granuleSize - 1)
+	stop := min(end-base, m.granuleSize)
+	g := uint64(base) >> mmuGranuleBits
+	sh = &m.shards[(g*0x9e3779b97f4a7c15)>>(64-mmuShardBits)]
+	return sh, base, int((p - base) >> m.pageShift), int((stop + mem.Addr(m.pageSize) - 1) >> m.pageShift)
+}
+
+// mapped reports whether every page of [lo, hi) of g is mapped.
+func (g *granule) mapped(lo, hi int) bool {
+	if g == nil {
+		return false
+	}
+	for i := lo; i < hi && g.live < len(g.prot); i++ {
+		if g.prot[i] == protUnmapped {
+			return false
+		}
+	}
+	return true
 }
 
 // MMU is the software memory-protection unit. All times are charged to the
@@ -129,12 +158,14 @@ func (m *MMU) shardOf(addr mem.Addr) *mmuShard {
 // Mprotect), exactly as a real kernel delivers signals outside the
 // page-table spinlock. Shard locks are taken one at a time, never nested.
 type MMU struct {
-	pageSize   int64
-	shards     [mmuShardCount]mmuShard
-	handler    atomic.Pointer[FaultHandler]
-	clock      *sim.Clock
-	breakdown  *sim.Breakdown
-	signalCost sim.Time // cost of one fault delivery (kernel + user handler entry)
+	pageSize    int64
+	pageShift   uint8
+	granuleSize mem.Addr // max(1 MiB, page size)
+	shards      [mmuShardCount]mmuShard
+	handler     atomic.Pointer[FaultHandler]
+	clock       *sim.Clock
+	breakdown   *sim.Breakdown
+	signalCost  sim.Time // cost of one fault delivery (kernel + user handler entry)
 
 	// Counters are plain atomics: fault delivery is the hot path and must
 	// not serialise concurrent faulting goroutines on a stats lock.
@@ -157,13 +188,15 @@ func New(cfg Config, clock *sim.Clock, breakdown *sim.Breakdown) *MMU {
 		panic(fmt.Sprintf("hostmmu: page size %d is not a power of two", cfg.PageSize))
 	}
 	m := &MMU{
-		pageSize:   cfg.PageSize,
-		clock:      clock,
-		breakdown:  breakdown,
-		signalCost: cfg.SignalCost,
+		pageSize:    cfg.PageSize,
+		pageShift:   uint8(bits.TrailingZeros64(uint64(cfg.PageSize))),
+		granuleSize: mem.Addr(max(cfg.PageSize, mmuGranuleBytes)),
+		clock:       clock,
+		breakdown:   breakdown,
+		signalCost:  cfg.SignalCost,
 	}
 	for i := range m.shards {
-		m.shards[i].pages = make(map[mem.Addr]Prot)
+		m.shards[i].granules = make(map[mem.Addr]*granule)
 	}
 	return m
 }
@@ -195,12 +228,6 @@ func (m *MMU) pageBase(addr mem.Addr) mem.Addr {
 	return addr &^ mem.Addr(m.pageSize-1)
 }
 
-// granuleEnd returns the first page past addr's 1 MiB granule: the point
-// where the next page may hash to a different shard.
-func granuleEnd(addr mem.Addr) mem.Addr {
-	return (addr | (mmuGranuleBytes - 1)) + 1
-}
-
 // Map registers [addr, addr+size) with the given protection. Addr must be
 // page-aligned; size is rounded up to whole pages.
 func (m *MMU) Map(addr mem.Addr, size int64, prot Prot) {
@@ -209,18 +236,24 @@ func (m *MMU) Map(addr mem.Addr, size int64, prot Prot) {
 	}
 	end := addr + mem.Addr(size)
 	for p := addr; p < end; {
-		// Pages change shard only at granule boundaries: lock once per
-		// maximal same-shard run, not once per page.
-		stop := granuleEnd(p)
-		if stop > end {
-			stop = end
-		}
-		sh := m.shardOf(p)
+		sh, base, lo, hi := m.run(p, end)
 		sh.mu.Lock()
-		for ; p < stop; p += mem.Addr(m.pageSize) {
-			sh.pages[p] = prot
+		g := sh.granules[base]
+		if g == nil {
+			g = &granule{prot: make([]Prot, m.granuleSize>>m.pageShift)}
+			for i := range g.prot {
+				g.prot[i] = protUnmapped
+			}
+			sh.granules[base] = g
+		}
+		for i := lo; i < hi; i++ {
+			if g.prot[i] == protUnmapped {
+				g.live++
+			}
+			g.prot[i] = prot
 		}
 		sh.mu.Unlock()
+		p = base + mem.Addr(hi)<<m.pageShift
 	}
 }
 
@@ -231,83 +264,74 @@ func (m *MMU) Unmap(addr mem.Addr, size int64) {
 	}
 	end := addr + mem.Addr(size)
 	for p := addr; p < end; {
-		stop := granuleEnd(p)
-		if stop > end {
-			stop = end
-		}
-		sh := m.shardOf(p)
+		sh, base, lo, hi := m.run(p, end)
 		sh.mu.Lock()
-		for ; p < stop; p += mem.Addr(m.pageSize) {
-			delete(sh.pages, p)
+		if g := sh.granules[base]; g != nil {
+			for i := lo; i < hi; i++ {
+				if g.prot[i] != protUnmapped {
+					g.live--
+					g.prot[i] = protUnmapped
+				}
+			}
+			if g.live == 0 {
+				delete(sh.granules, base)
+			}
 		}
 		sh.mu.Unlock()
+		p = base + mem.Addr(hi)<<m.pageShift
 	}
 }
 
 // Mprotect changes the protection of [addr, addr+size). All pages in the
-// range must be mapped; on an unmapped page the whole call is undone and an
-// error returned. The common case (every page mapped) walks each same-shard
-// page run under one shard lock, saving old protections on the stack for
-// the cold rollback path.
+// range must be mapped; if one is not, no page changes and an error is
+// returned: a range over several granules is checked whole before any
+// page is written. The caller excludes a concurrent Unmap of the range
+// (GMAC holds the object's lock), so the check still holds at the write.
 //
 //adsm:noalloc
 func (m *MMU) Mprotect(addr mem.Addr, size int64, prot Prot) error {
 	base := m.pageBase(addr)
 	end := addr + mem.Addr(size)
-	var oldBuf [32]Prot
-	old := oldBuf[:0]
-	for p := base; p < end; {
-		stop := granuleEnd(p)
-		if stop > end {
-			stop = end
-		}
-		sh := m.shardOf(p)
-		sh.mu.Lock()
-		for ; p < stop; p += mem.Addr(m.pageSize) {
-			was, ok := sh.pages[p]
+	for write := (end-1)^base < m.granuleSize; ; write = true {
+		for p := base; p < end; {
+			sh, gb, lo, hi := m.run(p, end)
+			sh.mu.Lock()
+			g := sh.granules[gb]
+			ok := g.mapped(lo, hi)
+			for i := lo; ok && write && i < hi; i++ {
+				g.prot[i] = prot
+			}
+			sh.mu.Unlock()
 			if !ok {
-				sh.mu.Unlock()
-				m.rollbackProt(base, p, old)
 				return errMprotectUnmapped(p)
 			}
-			old = append(old, was) //adsm:allow noalloc: backed by the 32-entry stack buffer; block-sized spans fit, and only huge spans (off the fault path) spill
-			sh.pages[p] = prot
+			p = gb + mem.Addr(hi)<<m.pageShift
 		}
-		sh.mu.Unlock()
+		if write {
+			break
+		}
 	}
 	m.mprotects.Add(1)
 	return nil
 }
 
-// errMprotectUnmapped formats the rolled-back Mprotect error off the hot
-// path.
+// errMprotectUnmapped formats the failed Mprotect error off the hot path.
 //
 //adsm:cold
 func errMprotectUnmapped(p mem.Addr) error {
 	return fmt.Errorf("%w: mprotect %#x", ErrUnmapped, uint64(p))
 }
 
-// rollbackProt restores the saved protections of [base, stop) after a
-// failed Mprotect. Cold path: a per-page shard lock is fine here, and the
-// affected pages cannot concurrently change — the faulting object's lock is
-// held by the caller that is now erroring out.
-func (m *MMU) rollbackProt(base, stop mem.Addr, old []Prot) {
-	for q, i := base, 0; q < stop; q, i = q+mem.Addr(m.pageSize), i+1 {
-		sh := m.shardOf(q)
-		sh.mu.Lock()
-		sh.pages[q] = old[i]
-		sh.mu.Unlock()
-	}
-}
-
 // Protection returns the protection of the page containing addr, and
 // whether that page is mapped.
 func (m *MMU) Protection(addr mem.Addr) (Prot, bool) {
-	sh := m.shardOf(addr)
+	sh, base, lo, _ := m.run(m.pageBase(addr), m.pageBase(addr)+1)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	p, ok := sh.pages[m.pageBase(addr)]
-	return p, ok
+	if g := sh.granules[base]; g != nil && g.prot[lo] != protUnmapped {
+		return g.prot[lo], true
+	}
+	return ProtNone, false
 }
 
 // CheckRead walks the pages covering [addr, addr+size) and delivers a
@@ -322,43 +346,47 @@ func (m *MMU) CheckWrite(addr mem.Addr, size int64) error {
 	return m.check(addr, size, AccessWrite)
 }
 
-func (m *MMU) allows(prot Prot, access Access) bool {
-	switch access {
-	case AccessRead:
-		return prot == ProtRead || prot == ProtReadWrite
-	default:
-		return prot == ProtReadWrite
-	}
-}
-
 func (m *MMU) check(addr mem.Addr, size int64, access Access) error {
 	if size < 0 {
 		return fmt.Errorf("hostmmu: negative access size %d", size)
 	}
+	need := ProtRead
+	if access == AccessWrite {
+		need = ProtReadWrite
+	}
 	end := addr + mem.Addr(size)
-	for page := m.pageBase(addr); page < end; page += mem.Addr(m.pageSize) {
-		// A real CPU re-executes the faulting instruction after the
-		// handler returns, so loop until the page permits the access; the
-		// handler must make progress or we report a fault loop.
-		for tries := 0; ; tries++ {
-			sh := m.shardOf(page)
-			sh.mu.RLock()
-			prot, ok := sh.pages[page]
-			sh.mu.RUnlock()
-			if !ok {
-				return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(page))
+	// A real CPU re-executes the faulting instruction after the handler
+	// returns, so a denied page is retried until it permits the access;
+	// the handler must make progress or we report a fault loop.
+	for page, tries := m.pageBase(addr), 0; page < end; {
+		sh, base, lo, hi := m.run(page, end)
+		prot := protUnmapped
+		sh.mu.RLock()
+		i := lo
+		if g := sh.granules[base]; g != nil { // a Prot permits what those below it do
+			for i < hi && g.prot[i] >= need && g.prot[i] != protUnmapped {
+				i++
 			}
-			if m.allows(prot, access) {
-				break
-			}
-			if tries >= 2 {
-				return fmt.Errorf("%w: page %#x stuck at %s for %s",
-					ErrFaultLoop, uint64(page), prot, access)
-			}
-			if err := m.deliver(Fault{Addr: page, Access: access}); err != nil {
-				return err
+			if i < hi {
+				prot = g.prot[i]
 			}
 		}
+		sh.mu.RUnlock()
+		if i > lo {
+			page, tries = base+mem.Addr(i)<<m.pageShift, 0
+			continue
+		}
+		if prot == protUnmapped {
+			return fmt.Errorf("%w: %#x", ErrUnmapped, uint64(page))
+		}
+		if tries >= 2 {
+			return fmt.Errorf("%w: page %#x stuck at %s for %s",
+				ErrFaultLoop, uint64(page), prot, access)
+		}
+		if err := m.deliver(Fault{Addr: page, Access: access}); err != nil {
+			return err
+		}
+		tries++
 	}
 	return nil
 }
