@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs smoke fuzz chaos record-corpus clean FORCE
+.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs loc smoke fuzz chaos record-corpus clean FORCE
 
 all: check
 
@@ -14,8 +14,8 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Static analysis: the standard go vet suite, then adsmvet — the ADSM
-# multichecker (allowcheck, lanepair, lockorder, modecheck, noalloc,
-# statecase; see docs/static-analysis.md) — driven through
+# multichecker (allowcheck, lockorder, modecheck, noalloc, statecase; see
+# docs/static-analysis.md) — driven through
 # `go vet -vettool` so every package, its _test.go files, and the cmd/
 # mains are analyzed, and results land in the build cache (keyed on the
 # tool's -V=full version, which folds in the Go toolchain version, so a
@@ -93,6 +93,11 @@ SECONDS ?= 20
 SEED ?= 5
 bench-pairs:
 	bash scripts/benchpairs.sh $(BASE) $(N) $(WORKLOAD) $(SECONDS) $(SEED)
+
+# Go line counts per package at BASE and in the working tree (non-test,
+# test and testdata), with the net non-test difference (scripts/loc.sh).
+loc:
+	bash scripts/loc.sh $(BASE)
 
 # Fast end-to-end sanity: one small figure run with the JSON summary.
 smoke:

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/gmac"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/machine"
 )
 
@@ -23,7 +23,7 @@ import (
 // The headline metric is simulated throughput: faults serviced per second
 // of virtual time. The total amount of work is fixed across thread counts.
 // Each worker goroutine runs in its own virtual-time lane (sim.Clock
-// EnterLane), modelling one hardware thread of the paper's 4-core host:
+// Parallel), modelling one hardware thread of the paper's 4-core host:
 // its signal handling, mprotect calls and DMA stalls accumulate privately
 // and merge max-wise at the end, while its block transfers run on its own
 // device's PCIe link. With N threads the N independent fault storms
@@ -32,8 +32,37 @@ import (
 // printed too, but on a single-core runner it shows scheduler overhead,
 // not parallelism.
 func runHostThreads(threads int, small bool) error {
+	r, err := hostThreads(threads, small)
+	if err != nil {
+		return err
+	}
+	simPerSec := float64(r.stats.Faults) / r.virt.Seconds()
+	fmt.Printf("hostthreads: %d threads, %d rounds, %d objects x %d blocks of %d KiB (GOMAXPROCS=%d)\n",
+		threads, r.rounds, threads, r.blocks, r.blockSize>>10, runtime.GOMAXPROCS(0))
+	fmt.Printf("  faults serviced:     %d (%d read, %d write), %d evictions\n",
+		r.stats.Faults, r.stats.ReadFaults, r.stats.WriteFaults, r.stats.Evictions)
+	fmt.Printf("  virtual time:        %v\n", r.virt)
+	fmt.Printf("  simulated rate:      %.0f faults per virtual second\n", simPerSec)
+	fmt.Printf("  wall time:           %v (%.0f faults/s real)\n",
+		r.wall.Round(time.Millisecond), float64(r.stats.Faults)/r.wall.Seconds())
+	fmt.Fprintf(os.Stderr, "hostthreads-summary: threads=%d faults=%d virt_us=%d sim_faults_per_sec=%.0f wall_ms=%d\n",
+		threads, r.stats.Faults, int64(r.virt)/1000, simPerSec, r.wall.Milliseconds())
+	return nil
+}
+
+// hostThreadsResult is what one -hostthreads run measured: the storm's
+// shape, its counters and its virtual and wall durations.
+type hostThreadsResult struct {
+	rounds, blocks, blockSize int
+	stats                     gmac.Stats
+	virt                      sim.Time
+	wall                      time.Duration
+}
+
+// hostThreads runs the storm runHostThreads prints.
+func hostThreads(threads int, small bool) (hostThreadsResult, error) {
 	if threads < 1 {
-		return fmt.Errorf("hostthreads: need at least 1 thread, got %d", threads)
+		return hostThreadsResult{}, fmt.Errorf("hostthreads: need at least 1 thread, got %d", threads)
 	}
 	const (
 		blockSize = 64 << 10 // DMA-dominated fault service
@@ -62,7 +91,7 @@ func runHostThreads(threads int, small bool) error {
 	}
 	m, err := machine.New(cfg)
 	if err != nil {
-		return err
+		return hostThreadsResult{}, err
 	}
 	defer m.Close()
 	mc, err := gmac.NewMultiContext(m, gmac.Config{
@@ -70,7 +99,7 @@ func runHostThreads(threads int, small bool) error {
 		BlockSize: blockSize,
 	})
 	if err != nil {
-		return err
+		return hostThreadsResult{}, err
 	}
 
 	type worker struct {
@@ -98,7 +127,7 @@ func runHostThreads(threads int, small bool) error {
 		// goroutine's release/acquire sweep (§3.3).
 		p, err := mc.Alloc(objBytes, gmac.OnDevice(i), gmac.ForKernels(name))
 		if err != nil {
-			return err
+			return hostThreadsResult{}, err
 		}
 		workers[i] = worker{kernel: name, obj: p}
 	}
@@ -107,52 +136,39 @@ func runHostThreads(threads int, small bool) error {
 	virtBefore := m.Elapsed()
 	start := time.Now()
 
-	var wg sync.WaitGroup
-	errs := make([]error, threads)
-	base := m.Clock.Now()
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w worker) {
-			defer wg.Done()
-			// Each worker models one host hardware thread: its CPU and
-			// DMA-stall charges accumulate on a private timeline and merge
-			// back max-wise at exit, so independent fault storms overlap in
-			// virtual time exactly as they would on the paper's 4-core host.
-			m.Clock.EnterLaneAt(base)
-			defer m.Clock.ExitLane()
-			one := []byte{1}
-			buf := make([]byte, 1)
-			for r := 0; r < totalRounds/threads; r++ {
-				for b := int64(0); b < blocks; b++ {
-					// Write fault per block: Invalid/ReadOnly -> Dirty,
-					// with rolling-cache eviction traffic underneath.
-					if err := mc.HostWrite(w.obj+gmac.Ptr(b*blockSize+4), one); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-				// Release + launch + acquire on this worker's device only:
-				// flushes the dirty blocks and invalidates them for the
-				// next round's read faults.
-				if err := mc.Call(w.kernel, []uint64{uint64(w.obj)}); err != nil {
-					errs[i] = err
-					return
-				}
-				for b := int64(0); b < blocks; b++ {
-					// Read fault per block: Invalid -> ReadOnly fetch.
-					if err := mc.HostRead(w.obj+gmac.Ptr(b*blockSize), buf); err != nil {
-						errs[i] = err
-						return
-					}
+	// Each worker models one host hardware thread: its CPU and DMA-stall
+	// charges accumulate on a private timeline and merge back max-wise, so
+	// independent fault storms overlap in virtual time exactly as they
+	// would on the paper's 4-core host.
+	err = m.Clock.Parallel(threads, func(i int) error {
+		w := workers[i]
+		one := []byte{1}
+		buf := make([]byte, 1)
+		for r := 0; r < totalRounds/threads; r++ {
+			for b := int64(0); b < blocks; b++ {
+				// Write fault per block: Invalid/ReadOnly -> Dirty,
+				// with rolling-cache eviction traffic underneath.
+				if err := mc.HostWrite(w.obj+gmac.Ptr(b*blockSize+4), one); err != nil {
+					return err
 				}
 			}
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			// Release + launch + acquire on this worker's device only:
+			// flushes the dirty blocks and invalidates them for the
+			// next round's read faults.
+			if err := mc.Call(w.kernel, []uint64{uint64(w.obj)}); err != nil {
+				return err
+			}
+			for b := int64(0); b < blocks; b++ {
+				// Read fault per block: Invalid -> ReadOnly fetch.
+				if err := mc.HostRead(w.obj+gmac.Ptr(b*blockSize), buf); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return hostThreadsResult{}, err
 	}
 
 	wall := time.Since(start)
@@ -160,25 +176,17 @@ func runHostThreads(threads int, small bool) error {
 	st := mc.Stats().Sub(before)
 	for d := 0; d < mc.Devices(); d++ {
 		if err := mc.Manager(d).CheckInvariants(); err != nil {
-			return fmt.Errorf("hostthreads: invariants violated after storm: %w", err)
+			return hostThreadsResult{}, fmt.Errorf("hostthreads: invariants violated after storm: %w", err)
 		}
 	}
 	for _, w := range workers {
 		if err := mc.Free(w.obj); err != nil {
-			return err
+			return hostThreadsResult{}, err
 		}
 	}
 
-	simPerSec := float64(st.Faults) / virt.Seconds()
-	fmt.Printf("hostthreads: %d threads, %d rounds, %d objects x %d blocks of %d KiB (GOMAXPROCS=%d)\n",
-		threads, totalRounds, threads, blocks, blockSize>>10, runtime.GOMAXPROCS(0))
-	fmt.Printf("  faults serviced:     %d (%d read, %d write), %d evictions\n",
-		st.Faults, st.ReadFaults, st.WriteFaults, st.Evictions)
-	fmt.Printf("  virtual time:        %v\n", virt)
-	fmt.Printf("  simulated rate:      %.0f faults per virtual second\n", simPerSec)
-	fmt.Printf("  wall time:           %v (%.0f faults/s real)\n",
-		wall.Round(time.Millisecond), float64(st.Faults)/wall.Seconds())
-	fmt.Fprintf(os.Stderr, "hostthreads-summary: threads=%d faults=%d virt_us=%d sim_faults_per_sec=%.0f wall_ms=%d\n",
-		threads, st.Faults, int64(virt)/1000, simPerSec, wall.Milliseconds())
-	return nil
+	return hostThreadsResult{
+		rounds: totalRounds, blocks: blocks, blockSize: blockSize,
+		stats: st, virt: virt, wall: wall,
+	}, nil
 }

@@ -27,8 +27,10 @@ type Span = trace.Span
 type ObjectSnapshot = core.ObjectSnapshot
 
 // EnableTracer installs a span tracer retaining the most recent capacity
-// spans and events, and returns it. It supersedes EnableTrace: the
-// returned tracer's Log() is also installed as the event sink.
+// spans and events, and returns it. The returned tracer's Log() is also
+// installed as the event sink: it records every protocol action (faults,
+// state transitions, transfers, evictions, API events) with virtual
+// timestamps.
 func (c *Context) EnableTracer(capacity int) *Tracer {
 	t := trace.NewTracer(capacity)
 	c.mgr.SetSpanTracer(t)

@@ -37,7 +37,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/machine"
 )
 
@@ -55,12 +54,6 @@ type DeviceMemory = mem.Space
 
 // Stats exposes the runtime's transfer and fault counters.
 type Stats = core.Stats
-
-// TraceLog is the bounded protocol event log enabled by EnableTrace.
-type TraceLog = trace.Log
-
-// TraceEvent is one recorded protocol event.
-type TraceEvent = trace.Event
 
 // Protocol selects a coherence protocol (Figure 6 of the paper).
 type Protocol = core.ProtocolKind
@@ -196,15 +189,6 @@ func (c *Context) Protocol() Protocol { return c.mgr.Protocol() }
 
 // Manager exposes the shared-memory manager for experiment harnesses.
 func (c *Context) Manager() *core.Manager { return c.mgr }
-
-// EnableTrace records every protocol action (faults, state transitions,
-// transfers, evictions, API events) with virtual timestamps, keeping the
-// most recent capacity events, and returns the log.
-func (c *Context) EnableTrace(capacity int) *TraceLog {
-	l := trace.New(capacity)
-	c.mgr.SetTracer(l)
-	return l
-}
 
 // Register makes a kernel launchable through Call. The factory runs once
 // per managed device — exactly once for a Context.

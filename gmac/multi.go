@@ -3,12 +3,10 @@ package gmac
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hostmmu"
-	"repro/internal/sim"
 	"repro/machine"
 )
 
@@ -178,29 +176,12 @@ func (mc *MultiContext) Call(kernel string, args []uint64, opts ...CallOption) e
 }
 
 // Sync waits for every device and runs each manager's acquire actions. The
-// fan-out is concurrent, and each goroutine runs in its own virtual-time
-// lane seeded at the call time, so one device's DMA drain overlaps
-// another's kernel tail in virtual time instead of serialising behind it.
-// The caller's timeline then advances to the slowest device.
+// fan-out is concurrent, one simulated host thread per device (sim.Clock
+// Parallel), so one device's DMA drain overlaps another's kernel tail in
+// virtual time instead of serialising behind it. The caller's timeline
+// then advances to the slowest device.
 func (mc *MultiContext) Sync() error {
-	errs := make([]error, len(mc.mgrs))
-	ends := make([]sim.Time, len(mc.mgrs))
-	base := mc.m.Clock.Now()
-	var wg sync.WaitGroup
-	for i, mgr := range mc.mgrs {
-		wg.Add(1)
-		go func(i int, mgr *core.Manager) {
-			defer wg.Done()
-			mc.m.Clock.EnterLaneAt(base)
-			errs[i] = mgr.Sync()
-			ends[i] = mc.m.Clock.ExitLane()
-		}(i, mgr)
-	}
-	wg.Wait()
-	for _, t := range ends {
-		mc.m.Clock.AdvanceTo(t)
-	}
-	return errors.Join(errs...)
+	return mc.m.Clock.Parallel(len(mc.mgrs), func(i int) error { return mc.mgrs[i].Sync() })
 }
 
 // Stats aggregates all managers' counters.

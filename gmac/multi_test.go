@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/machine"
 )
 
@@ -162,5 +163,78 @@ func TestMultiContextErrors(t *testing.T) {
 	}
 	if mc.Owner(0x1) != -1 || mc.Identity(0x1) {
 		t.Fatal("unshared pointer misclassified")
+	}
+}
+
+// asyncPair builds a dual-GPU session with one 2 MiB object per device and
+// an asynchronous kernel in flight on each. Device 1's kernel scales twice
+// as many floats, so it ends later than device 0's.
+func asyncPair(t *testing.T) *MultiContext {
+	t.Helper()
+	mc := newMulti(t, true)
+	var ptrs [2]Ptr
+	for dev := range ptrs {
+		p, err := mc.Alloc(2<<20, OnDevice(dev))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptrs[dev] = p
+	}
+	for dev, n := range []uint64{256 << 10, 512 << 10} {
+		if err := mc.Call("scale", []uint64{uint64(ptrs[dev]), n, uint64(math.Float32bits(2))}, Async()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mc
+}
+
+// inLane runs f on its own goroutine inside a lane of c seeded at c's
+// current time, as one host thread among several, and waits for it.
+func inLane(c *sim.Clock, f func()) {
+	_ = c.Parallel(1, func(int) error { f(); return nil }) // f reports its own failures
+}
+
+// TestMultiContextSyncVirtualTime pins the virtual time of a Sync over two
+// devices whose kernels end at different times: the devices are waited
+// for in parallel, so the caller ends at the slower device's end, not at
+// the sum of both waits. Each device's wait is measured alone on a fresh
+// session first; the combined Sync is then pinned exactly, on the shared
+// timeline and again from inside a lane.
+func TestMultiContextSyncVirtualTime(t *testing.T) {
+	alone := func(dev int) sim.Time {
+		mc := asyncPair(t)
+		base := mc.m.Clock.Now()
+		if err := mc.Manager(dev).Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return mc.m.Clock.Now() - base
+	}
+	fast, slow := alone(0), alone(1)
+	const want sim.Time = 27_703
+	if slow != want || fast >= slow {
+		t.Fatalf("device waits alone = %d ns and %d ns, want device 1's (%d ns) the longer", int64(fast), int64(slow), int64(want))
+	}
+
+	mc := asyncPair(t)
+	base := mc.m.Clock.Now()
+	if err := mc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mc.m.Clock.Now() - base; got != want {
+		t.Errorf("Sync took %d ns, want the slower device's %d ns (the sum is %d ns)", int64(got), int64(want), int64(fast+slow))
+	}
+
+	mc = asyncPair(t)
+	c := mc.m.Clock
+	base = c.Now()
+	var onLane sim.Time
+	inLane(c, func() {
+		if err := mc.Sync(); err != nil {
+			t.Error(err)
+		}
+		onLane = c.Now() - base
+	})
+	if got := c.Now() - base; onLane != want || got != want {
+		t.Errorf("Sync inside a lane took %d ns on the lane and %d ns after it, want %d ns", int64(onLane), int64(got), int64(want))
 	}
 }

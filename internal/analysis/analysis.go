@@ -3,8 +3,8 @@
 //
 // The ADSM runtime's correctness rests on conventions the Go compiler
 // cannot check: coherence actions only at call/return boundaries (Gelado
-// et al., ASPLOS 2010, §3), a strict lock order in internal/core, an
-// allocation-free fault hot path, and EnterLane/ExitLane pairing. The
+// et al., ASPLOS 2010, §3), a strict lock order in internal/core, and an
+// allocation-free fault hot path. The
 // analyzers under internal/analysis/... turn those conventions into
 // mechanical checks, in the spirit of Shasta's compiler-inserted access
 // checks: tooling, not discipline.
@@ -47,7 +47,7 @@ type Pass struct {
 
 	// Unit is the loaded package under analysis; interprocedural analyzers
 	// reach the callgraph summary engine through it (callgraph.Of caches
-	// the per-package graph and summaries here so the four consumers share
+	// the per-package graph and summaries here so the three consumers share
 	// one computation).
 	Unit *Unit
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/lanepair"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/modecheck"
 	"repro/internal/analysis/noalloc"
@@ -20,7 +19,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		analysis.AllowCheck,
-		lanepair.Analyzer,
 		lockorder.Analyzer,
 		modecheck.Analyzer,
 		noalloc.Analyzer,

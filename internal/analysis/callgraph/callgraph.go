@@ -2,8 +2,7 @@
 // adsmvet analyzers.
 //
 // The repository's invariants — the allocation-free fault hot path, the
-// core lock hierarchy, EnterLane/ExitLane pairing, and the gmac host
-// contract — were originally enforced intra-procedurally, so any violation
+// core lock hierarchy and the gmac host contract — were originally enforced intra-procedurally, so any violation
 // hidden behind one helper call escaped `make vet`. This package makes the
 // analyzers see through calls:
 //
@@ -15,9 +14,8 @@
 //     fixpoint rather than unbounded descent;
 //   - a bottom-up fixpoint computing one FuncSummary per function:
 //     does it allocate (and through which call chain), may it block, which
-//     annotated locks does it transitively acquire, does calling it enter
-//     or exit a sim.Clock lane, and which gmac.Ptr parameters does it
-//     host-write or host-read.
+//     annotated locks does it transitively acquire, and which gmac.Ptr
+//     parameters does it host-write or host-read.
 //
 // Summaries cross package boundaries two ways. When a dependency's source
 // is loaded (standalone adsmvet, analysistest), its unit is summarized

@@ -45,9 +45,8 @@ type ParamEffect struct {
 // the function's own body.
 type FuncSummary struct {
 	// Annotations on the declaration.
-	NoAlloc     bool `json:"noalloc,omitempty"`     // //adsm:noalloc: trusted alloc-free
-	Cold        bool `json:"cold,omitempty"`        // //adsm:cold: allocating by design
-	LaneWrapper bool `json:"lanewrapper,omitempty"` // //adsm:lanewrapper
+	NoAlloc bool `json:"noalloc,omitempty"` // //adsm:noalloc: trusted alloc-free
+	Cold    bool `json:"cold,omitempty"`    // //adsm:cold: allocating by design
 
 	// Allocation behavior. NoAlloc functions summarize as non-allocating
 	// (their own bodies are checked at their definition); Cold functions
@@ -66,14 +65,6 @@ type FuncSummary struct {
 	// Annotated locks this function may acquire (even if it also releases
 	// them: the acquisition itself must respect the hierarchy).
 	Acquires []LockUse `json:"acquires,omitempty"`
-
-	// Lane discipline: calling this function enters a sim.Clock lane the
-	// caller must exit (LaneEnters), or exits one the caller entered
-	// (LaneExits).
-	LaneEnters bool           `json:"laneEnters,omitempty"`
-	LaneExits  bool           `json:"laneExits,omitempty"`
-	LanePos    string         `json:"lanePos,omitempty"`
-	LaneChain  []SummaryFrame `json:"laneChain,omitempty"`
 
 	// Host accesses to gmac.Ptr parameters.
 	PtrWrites []ParamEffect `json:"ptrWrites,omitempty"`

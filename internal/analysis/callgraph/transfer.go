@@ -62,8 +62,7 @@ func InspectInline(root ast.Node, f func(ast.Node) bool) {
 // condensation of the intra-package call graph, then bottom-up transfer
 // in reverse topological order, iterating inside each SCC until the
 // component's summaries stop changing (with a cap, so even a
-// non-monotone corner — e.g. lane pairing flipping as wrappers resolve —
-// terminates).
+// non-monotone corner terminates).
 func (in *Info) fixpoint() {
 	for _, n := range in.Nodes {
 		in.local[n.Fn.FullName()] = in.baseSummary(n)
@@ -155,7 +154,6 @@ func (in *Info) baseSummary(n *Node) *FuncSummary {
 	s := &FuncSummary{}
 	_, s.NoAlloc = analysis.FuncDirective(fset, n.File, n.Decl, "noalloc")
 	_, s.Cold = analysis.FuncDirective(fset, n.File, n.Decl, "cold")
-	_, s.LaneWrapper = analysis.FuncDirective(fset, n.File, n.Decl, "lanewrapper")
 	if s.Cold {
 		s.Allocates = true
 		s.AllocWhat = "//adsm:cold function allocates by design"
@@ -165,10 +163,6 @@ func (in *Info) baseSummary(n *Node) *FuncSummary {
 		s.Blocks = true
 		s.BlockWhat = "declared //adsm:blocking"
 		s.BlockPos = short(fset, n.Decl.Pos())
-	}
-	if s.LaneWrapper {
-		s.LaneEnters = true
-		s.LanePos = short(fset, n.Decl.Pos())
 	}
 	return s
 }
@@ -183,7 +177,6 @@ func (in *Info) summarizeNode(n *Node) *FuncSummary {
 	in.allocFacts(n, s)
 	in.blockFacts(n, s)
 	in.lockFacts(n, s)
-	in.laneFacts(n, s)
 	in.modeFacts(n, s)
 	return s
 }
@@ -307,38 +300,6 @@ func (in *Info) lockFacts(n *Node, s *FuncSummary) {
 				Chain: PrependFrame(frame, u.Chain)})
 		}
 	}
-}
-
-// laneFacts: calling this function enters a lane when it has an
-// EnterLane (direct or via a wrapper) with no dominated exit — the
-// deliberate shape for //adsm:lanewrapper helpers — and exits one when it
-// contains exit events and no enters.
-func (in *Info) laneFacts(n *Node, s *FuncSummary) {
-	enters, exits := in.laneUsage(n.Decl.Body)
-	if !s.LaneEnters {
-		if unpaired := in.UnpairedLaneEnters(n.Decl.Body); len(unpaired) > 0 {
-			le := unpaired[0]
-			s.LaneEnters = true
-			if le.Callee == nil {
-				s.LanePos = short(in.Unit.Fset, le.Pos)
-			} else {
-				s.LanePos = le.EnterPos
-				s.LaneChain = le.Chain
-			}
-		}
-	} else if s.LaneWrapper {
-		// Prefer pointing at the actual EnterLane over the declaration.
-		if unpaired := in.UnpairedLaneEnters(n.Decl.Body); len(unpaired) > 0 {
-			le := unpaired[0]
-			if le.Callee == nil {
-				s.LanePos = short(in.Unit.Fset, le.Pos)
-			} else {
-				s.LanePos = le.EnterPos
-				s.LaneChain = le.Chain
-			}
-		}
-	}
-	s.LaneExits = exits && !enters && !s.LaneEnters
 }
 
 // modeFacts: which gmac.Ptr parameters this function host-writes or

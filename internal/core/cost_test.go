@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -59,10 +58,11 @@ type costCase struct {
 }
 
 // laneMallocs leaves a window's allocations unpinned. Only the contended
-// cases use it: with a lane active, every clock read boxes the goroutine id
-// into a sync.Map key (sim/lane.go, ROADMAP item 1), about nine allocations
-// per fault, and how many more the map and the goroutines take varies from
-// run to run.
+// cases use it: with a lane active, every clock read finds its lane by
+// goroutine id, and sim.goid's runtime.Stack buffer escapes to the heap
+// (sim/lane.go, ROADMAP item 1), about nine allocations per fault; the
+// sync.Map lookup itself does not allocate. How many more the goroutines
+// take varies from run to run.
 const laneMallocs = -1
 
 const (
@@ -308,28 +308,17 @@ func contended(lanes int) func(testing.TB, *rig) (func(int), func()) {
 			ptrs[l] = r.alloc(tb, AllocSpec{Size: laneBlocks * testPage})
 		}
 		window := func(n int) {
-			base := r.clock.Now()
-			errs := make([]error, lanes)
-			var wg sync.WaitGroup
-			for l := range lanes {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					r.clock.EnterLaneAt(base)
-					defer r.clock.ExitLane()
-					src := []byte{byte(l)}
-					for i := l; i < n; i += lanes {
-						if errs[l] = r.mgr.HostWrite(blockAt(ptrs[l], i/lanes), src); errs[l] != nil {
-							return
-						}
+			err := r.clock.Parallel(lanes, func(l int) error {
+				src := []byte{byte(l)}
+				for i := l; i < n; i += lanes {
+					if err := r.mgr.HostWrite(blockAt(ptrs[l], i/lanes), src); err != nil {
+						return err
 					}
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					tb.Fatal(err)
 				}
+				return nil
+			})
+			if err != nil {
+				tb.Fatal(err)
 			}
 		}
 		return window, func() { r.call(tb, writesNothing) }

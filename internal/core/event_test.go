@@ -232,8 +232,9 @@ func TestTraceEventsAreRenderedOps(t *testing.T) {
 	cfg := defaultCfg(RollingUpdate)
 	cfg.FixedRolling = 2 // small cache: the workload's writes evict
 	r := newRig(t, cfg)
-	lg := trace.New(1 << 14)
-	r.mgr.SetTracer(lg)
+	tr := trace.NewTracer(1 << 14)
+	r.mgr.SetSpanTracer(tr)
+	lg := tr.Log()
 	r.mgr.EnableRecorder(1 << 16)
 	driveWorkload(t, r)
 	l, err := r.mgr.FinishOpLog("trace")

@@ -372,8 +372,9 @@ func TestPeerOpsBounds(t *testing.T) {
 func TestTraceRecordsProtocolLifecycle(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	r.registerFill(t)
-	lg := trace.New(256)
-	r.mgr.SetTracer(lg)
+	tr := trace.NewTracer(256)
+	r.mgr.SetSpanTracer(tr)
+	lg := tr.Log()
 
 	ptr, _ := r.mgr.Alloc(128 << 10) // 2 blocks of 64KB
 	if err := r.mgr.HostWrite(ptr, make([]byte, 128<<10)); err != nil {

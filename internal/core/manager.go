@@ -304,10 +304,6 @@ func (m *Manager) Objects() int {
 // (much larger) number of lookups that follow them.
 func (m *Manager) IndexRebuilds() int64 { return m.reg.rebuilds() }
 
-// SetTracer installs (or removes, with nil) an event log recording every
-// protocol action with virtual timestamps.
-func (m *Manager) SetTracer(l *trace.Log) { m.tracer = l }
-
 // SetSpanTracer installs (or removes, with nil) a span tracer. Its event
 // log becomes the manager's event sink, so one tracer captures both the
 // instantaneous protocol events and the timed spans around them.

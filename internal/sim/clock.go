@@ -63,7 +63,7 @@ type Clock struct {
 func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current virtual time: the calling goroutine's lane time
-// if it entered a lane (see EnterLane), the shared time otherwise.
+// if it runs in a lane (see Parallel), the shared time otherwise.
 func (c *Clock) Now() Time {
 	if l := c.lanes.current(); l != nil {
 		return Time(l.now)

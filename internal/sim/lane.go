@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,11 +13,12 @@ import (
 // goroutine's CPU charges onto one timeline. The paper's testbed, however,
 // is a four-core machine, and GMAC's fault handling runs on whichever core
 // touched the shared object — concurrent fault storms on different objects
-// overlap on real hardware. EnterLane opts the calling goroutine into that
-// model: its charges accumulate on a private cursor seeded from the shared
-// time, and only merge back (AdvanceTo-max, i.e. parallel composition) at
-// ExitLane. Goroutines that never call EnterLane keep the exact sequential
-// semantics, so existing deterministic experiments are unaffected.
+// overlap on real hardware. Parallel runs each simulated host thread in
+// that model: its charges accumulate on a private cursor seeded from the
+// caller's time, and only merge back (AdvanceTo-max, i.e. parallel
+// composition) when it returns. Goroutines that never run in a lane keep
+// the exact sequential semantics, so existing deterministic experiments
+// are unaffected.
 //
 // Lanes are keyed by goroutine, so the Clock API is unchanged for all
 // charging code: Manager, MMU, devices and engines charge the same Clock
@@ -67,29 +69,52 @@ func (s *laneSet) current() *lane {
 	return nil
 }
 
-// EnterLane gives the calling goroutine a private timeline seeded at the
-// current shared time, modelling one host hardware thread among several.
-// Until ExitLane, this goroutine's Advance/AdvanceTo charges accumulate on
-// the lane and its Now observes the lane, so independent goroutines'
-// charges compose in parallel rather than in series. Each EnterLane must
-// be paired with ExitLane on the same goroutine; lanes do not nest.
-//
-//adsm:lanewrapper
-func (c *Clock) EnterLane() { c.EnterLaneAt(Time(c.now.Load())) }
+// Parallel runs f(0), …, f(n-1) as n simulated host threads and waits for
+// them. Each runs on its own goroutine inside a lane seeded at the
+// caller's current time, so its Advance/AdvanceTo charges accumulate
+// privately and its Now observes its own timeline; the seed is captured
+// once, before any goroutine starts, which keeps every lane's timeline
+// independent of scheduling order. When all have returned, the caller's
+// timeline advances to the latest lane end: the threads composed in
+// parallel, not in series. Every f runs even if another fails, and
+// Parallel returns their errors joined. It may be called from inside a
+// lane; the new lanes then start at that lane's time.
+func (c *Clock) Parallel(n int, f func(i int) error) error {
+	base := c.Now()
+	errs := make([]error, n)
+	ends := make([]Time, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.EnterLaneAt(base)
+			defer func() { ends[i] = c.ExitLane() }()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, t := range ends {
+		c.AdvanceTo(t)
+	}
+	return errors.Join(errs...)
+}
 
-// EnterLaneAt is EnterLane with an explicit seed time, for spawners that
-// capture one common base before starting their workers — that makes the
-// workers' timelines independent of goroutine scheduling order, keeping
-// runs deterministic.
+// EnterLaneAt gives the calling goroutine a private timeline seeded at t,
+// until ExitLane on the same goroutine. Lanes do not nest.
+//
+// Deprecated: use Parallel, which pairs the enter and exit of every lane
+// and merges the lane ends into the caller's timeline.
 func (c *Clock) EnterLaneAt(t Time) {
 	c.lanes.lanes.Store(goid(), &lane{now: int64(t), id: c.lanes.seq.Add(1)})
 	c.lanes.nactive.Add(1)
 }
 
 // LaneID returns the calling goroutine's lane identity: a small dense id
-// assigned at EnterLane, or 0 when the goroutine runs on the shared
-// timeline. Goroutines that never enter a lane — the whole single-threaded
-// world — take the nactive fast path and never look up their goroutine id.
+// assigned when the lane is entered, or 0 when the goroutine runs on the
+// shared timeline. Goroutines that never enter a lane — the whole
+// single-threaded world — take the nactive fast path and never look up
+// their goroutine id.
 //
 //adsm:noalloc
 func (c *Clock) LaneID() uint32 {
@@ -105,6 +130,8 @@ func (c *Clock) LaneID() uint32 {
 // this goroutine revert to the shared timeline. It returns the lane's end
 // time so a coordinating goroutine can AdvanceTo the slowest worker on its
 // own timeline.
+//
+// Deprecated: use Parallel, which exits every lane it enters.
 func (c *Clock) ExitLane() Time {
 	v, ok := c.lanes.lanes.LoadAndDelete(goid())
 	if !ok {
