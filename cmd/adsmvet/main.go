@@ -48,7 +48,7 @@ import (
 // like a devel version or the go command refuses to cache vet results.
 // cmd/go keys cached results on it, so bump it whenever what an analyzer
 // reports changes.
-const version = "v1.4.0"
+const version = "v1.5.0"
 
 func main() {
 	if err := analyzers.Validate(); err != nil {

@@ -78,7 +78,8 @@ func hostThreads(threads int, small bool) (hostThreadsResult, error) {
 	}
 
 	// One accelerator per host thread, disjoint physical windows, each
-	// behind its own PCIe link — the §4.2 multi-accelerator configuration.
+	// with its own DMA engines on the shared PCIe link model — the §4.2
+	// multi-accelerator configuration.
 	cfg := machine.PaperTestbedConfig()
 	proto := cfg.Accelerators[0]
 	proto.MemSize = 64 << 20

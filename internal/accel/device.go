@@ -75,9 +75,10 @@ type Device struct {
 	// default-stream ordering.
 	pending sim.Completion
 	// inj, when set, is consulted by the fault-aware entry points
-	// (TryMemcpy*, Launch, Stream.Launch). The infallible Memcpy* methods
-	// never fault: the CUDA-baseline workloads use them and model a
-	// programmer who ignores errors.
+	// (TryMemcpy*, Launch); it is the only place a DMA or launch of this
+	// device can fail. The infallible Memcpy* methods never fault: the
+	// CUDA-baseline workloads use them and model a programmer who ignores
+	// errors.
 	inj *fault.Injector
 	// lost flips once a KindDeviceLost fault fires; from then on every
 	// fault-aware operation fails fast with fault.ErrDeviceLost.
@@ -177,13 +178,6 @@ func (d *Device) ResetStats() {
 	d.stats = Stats{}
 }
 
-// notePending folds a new completion into the default-stream ordering.
-func (d *Device) notePending(done sim.Completion) {
-	d.mu.Lock()
-	d.pending = sim.MaxCompletion(d.pending, done)
-	d.mu.Unlock()
-}
-
 // Malloc allocates device memory, charging the host-side overhead.
 func (d *Device) Malloc(size int64) (mem.Addr, error) {
 	d.clock.Advance(d.cfg.AllocOverhead)
@@ -216,14 +210,12 @@ func (d *Device) AllocSize(addr mem.Addr) int64 { return d.alloc.SizeOf(addr) }
 // LiveAllocs returns the number of live device allocations.
 func (d *Device) LiveAllocs() int { return d.alloc.Live() }
 
-// SetFaultInjector arms the device and both directions of its host
-// interconnect with a fault injector (chaos tests, gmacbench -faults).
-// Only the fault-aware entry points — TryMemcpy*, Launch and
-// Stream.Launch — consult it. Install before the run starts.
+// SetFaultInjector arms the device with a fault injector (chaos tests,
+// gmacbench -faults). Only the fault-aware entry points — TryMemcpy* and
+// Launch — consult it; the interconnect links are pure cost models and
+// may be shared with other devices. Install before the run starts.
 func (d *Device) SetFaultInjector(in *fault.Injector) {
 	d.inj = in
-	d.cfg.H2D.SetInjector(in, fault.OpDMAH2D)
-	d.cfg.D2H.SetInjector(in, fault.OpDMAD2H)
 }
 
 // Lost reports whether the device has been declared lost by a permanent
@@ -284,6 +276,36 @@ func (d *Device) launchFault() error {
 	}
 	d.noteFault(err, false)
 	return fmt.Errorf("accel %s: launch: %w", d.cfg.Name, err)
+}
+
+// dmaAttempt times a DMA of n bytes over link and asks the device's
+// injector whether the attempt, of class op, fails. A failed attempt still
+// crosses the wire: the returned duration covers it, plus a timeout's
+// Delay, and the data must not be considered delivered.
+//
+//adsm:noalloc
+func (d *Device) dmaAttempt(link *interconnect.Link, op fault.Op, n int64) (sim.Time, error) {
+	dur := link.TransferTime(n) //adsm:allow noalloc: TransferTime allocates only when lazily registering the link's metrics; the steady-state cost model is alloc-free
+	if d.inj == nil {
+		return dur, nil
+	}
+	err := d.inj.Decide(op) //adsm:allow noalloc: Decide allocates only the error of an injected fault; never reached without an injector
+	if err == nil {
+		return dur, nil
+	}
+	return dmaFailed(link, dur, err)
+}
+
+// dmaFailed charges a failed attempt's timeout penalty to its duration and
+// books the fault against the link, which names itself in the error.
+//
+//adsm:cold
+func dmaFailed(link *interconnect.Link, dur sim.Time, err error) (sim.Time, error) {
+	var fe *fault.Error
+	if errors.As(err, &fe) {
+		dur += fe.Delay
+	}
+	return dur, link.Failed(err)
 }
 
 // corruptPattern is the deterministic garbage a KindCorrupt fault
@@ -365,7 +387,7 @@ func (d *Device) TryMemcpyH2DAsync(dst mem.Addr, src []byte, mask PageMask) (sim
 	if err := d.checkLost(); err != nil {
 		return sim.Completion{At: d.clock.Now()}, err
 	}
-	dur, ferr := d.cfg.H2D.Transfer(int64(len(src))) //adsm:allow noalloc: Transfer allocates only when injecting a fault or lazily registering its metrics; the steady-state cost model is alloc-free
+	dur, ferr := d.dmaAttempt(d.cfg.H2D, fault.OpDMAH2D, int64(len(src)))
 	if ferr == nil {
 		return d.memcpyH2DAsyncAt(dst, src, mask, dur), nil
 	}
@@ -422,15 +444,15 @@ func (d *Device) MemcpyD2HAsync(dst []byte, src mem.Addr) sim.Completion {
 // TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync; see
 // TryMemcpyH2DAsync for the failure semantics (here KindCorrupt scribbles
 // the host destination buffer). It is on the demand-fetch hot path
-// (fetchRunSync), so the fault-only branches format through cold
-// helpers.
+// (fetchRunSync, and dmaSync, which waits on it for a synchronous copy),
+// so the fault-only branches format through cold helpers.
 //
 //adsm:noalloc
 func (d *Device) TryMemcpyD2HAsync(dst []byte, src mem.Addr) (sim.Completion, error) {
 	if err := d.checkLost(); err != nil {
 		return sim.Completion{At: d.clock.Now()}, err
 	}
-	dur, ferr := d.cfg.D2H.Transfer(int64(len(dst))) //adsm:allow noalloc: Transfer allocates only when injecting a fault or lazily registering its metrics; the steady-state cost model is alloc-free
+	dur, ferr := d.dmaAttempt(d.cfg.D2H, fault.OpDMAD2H, int64(len(dst)))
 	if ferr == nil {
 		return d.memcpyD2HAsyncAt(dst, src, dur), nil
 	}
@@ -459,12 +481,6 @@ func (d *Device) errD2HCopy(ferr error) error {
 func (d *Device) MemcpyD2H(dst []byte, src mem.Addr) sim.Time {
 	done := d.MemcpyD2HAsync(dst, src)
 	return done.Wait(d.clock)
-}
-
-// TryMemcpyD2H is the fault-aware synchronous D2H copy.
-func (d *Device) TryMemcpyD2H(dst []byte, src mem.Addr) (sim.Time, error) {
-	done, err := d.TryMemcpyD2HAsync(dst, src)
-	return done.Wait(d.clock), err
 }
 
 // MemcpyD2D copies within device memory (cudaMemcpyDeviceToDevice). The
@@ -564,9 +580,6 @@ func (d *Device) Launch(name string, args ...uint64) (sim.Completion, error) {
 // rolling-update protocol waits on it before submitting an eviction (queue
 // depth one, as the paper's §5.2 describes).
 func (d *Device) H2DFreeAt() sim.Time { return d.dmaH2D.FreeAt() }
-
-// D2HFreeAt reports when the device-to-host DMA engine becomes idle.
-func (d *Device) D2HFreeAt() sim.Time { return d.dmaD2H.FreeAt() }
 
 // Synchronize blocks the host until all enqueued device work completes and
 // returns the stall time (cudaThreadSynchronize).

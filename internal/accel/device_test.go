@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -407,14 +408,11 @@ func TestUseAfterClose(t *testing.T) {
 	if _, err := d.TryMemcpyH2DAsync(p, buf, PageMask{}); !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("TryMemcpyH2DAsync on a closed device: %v, want ErrDeviceLost", err)
 	}
-	if _, err := d.TryMemcpyD2H(buf, p); !errors.Is(err, fault.ErrDeviceLost) {
-		t.Fatalf("TryMemcpyD2H on a closed device: %v, want ErrDeviceLost", err)
+	if _, err := d.TryMemcpyD2HAsync(buf, p); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("TryMemcpyD2HAsync on a closed device: %v, want ErrDeviceLost", err)
 	}
 	if _, err := d.Launch("touch", uint64(p)); !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("Launch on a closed device: %v, want ErrDeviceLost", err)
-	}
-	if _, err := d.NewStream("s").Launch("touch", uint64(p)); !errors.Is(err, fault.ErrDeviceLost) {
-		t.Fatalf("Stream.Launch on a closed device: %v, want ErrDeviceLost", err)
 	}
 	for name, access := range map[string]func(*Device, mem.Addr){
 		"MemcpyH2D": func(d *Device, p mem.Addr) { d.MemcpyH2D(p, buf) },
@@ -431,5 +429,54 @@ func TestUseAfterClose(t *testing.T) {
 			}()
 			access(closedDevice(t)) // a fresh one: the machine check leaves the device lock held
 		}()
+	}
+}
+
+// TestDMAFaultChargesDelayAndLink: the device decides a DMA fault with its
+// own injector under the copy's direction. A timed-out attempt occupies
+// the DMA engine for its wire time plus the timeout's Delay, and the link
+// it crossed counts the failure and names itself in the error.
+func TestDMAFaultChargesDelayAndLink(t *testing.T) {
+	d, clock := testDevice(t)
+	const delay = 3 * sim.Millisecond
+	h2d := fault.Nth(fault.OpDMAH2D, 1, fault.KindTimeout)
+	d2h := fault.Nth(fault.OpDMAD2H, 1, fault.KindTimeout)
+	h2d.Delay, d2h.Delay = delay, delay
+	d.SetFaultInjector(fault.NewInjector(1, clock, h2d, d2h))
+	p, err := d.Malloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	for _, c := range []struct {
+		link *interconnect.Link
+		try  func() (sim.Completion, error)
+	}{
+		{d.Config().H2D, func() (sim.Completion, error) { return d.TryMemcpyH2DAsync(p, buf, PageMask{}) }},
+		{d.Config().D2H, func() (sim.Completion, error) { return d.TryMemcpyD2HAsync(buf, p) }},
+	} {
+		faults := metrics.Default().Counter(metrics.Label("link_faults_total", "link", c.link.Name))
+		before := faults.Value()
+		t0 := clock.Now()
+		failed, err := c.try()
+		if !errors.Is(err, fault.ErrInjected) || !strings.Contains(err.Error(), "interconnect "+c.link.Name+": ") {
+			t.Fatalf("%s: first copy: %v, want an injected fault naming the link", c.link.Name, err)
+		}
+		failed.Wait(clock)
+		t1 := clock.Now()
+		ok, err := c.try()
+		if err != nil {
+			t.Fatalf("%s: second copy: %v", c.link.Name, err)
+		}
+		ok.Wait(clock)
+		if wire := ok.At - t1; failed.At-t0 != wire+delay {
+			t.Fatalf("%s: failed attempt occupied the engine %v, want wire %v + delay %v", c.link.Name, failed.At-t0, wire, delay)
+		}
+		if got := faults.Value() - before; got != 1 {
+			t.Fatalf("%s: link_faults_total grew by %d, want 1", c.link.Name, got)
+		}
+	}
+	if st := d.Stats(); st.DMAFaults != 2 || d.Lost() {
+		t.Fatalf("DMAFaults=%d lost=%v, want 2 and false", st.DMAFaults, d.Lost())
 	}
 }

@@ -4,8 +4,8 @@ import "strings"
 
 // requiredAnnotations lists, per package, the functions that constitute the
 // ADSM fault hot path (the 0 allocs/op property measured by the
-// AllocsPerRun tests in internal/core and internal/sim) and its write-back
-// DMA. These must carry
+// AllocsPerRun tests in internal/core and internal/sim) and its DMAs,
+// fetch and write-back alike. These must carry
 // the //adsm:noalloc directive: removing the annotation — not just
 // violating it — is a diagnostic, so the static and dynamic checks can
 // never silently name different function sets.
@@ -36,6 +36,8 @@ var requiredAnnotations = map[string][]string{
 	},
 	"repro/internal/accel": {
 		"(*Device).TryMemcpyH2DAsync",
+		"(*Device).TryMemcpyD2HAsync",
+		"(*Device).dmaAttempt",
 	},
 	"repro/internal/sim": {
 		"(*Breakdown).Add",

@@ -1042,17 +1042,17 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, mask accel.PageMask, what string) error {
 	for attempt := 0; ; attempt++ {
 		t0 := m.clock.Now()
+		var done sim.Completion
 		var terr error
 		wait := &m.stats.H2DWait
 		if op.Kind == oplog.OpFetch {
-			_, terr = m.dev.TryMemcpyD2H(buf, devAddr)
+			done, terr = m.dev.TryMemcpyD2HAsync(buf, devAddr)
 			wait = &m.stats.D2HWait
 		} else {
-			var done sim.Completion
 			done, terr = m.dev.TryMemcpyH2DAsync(devAddr, buf, mask)
-			done.Wait(m.clock)
 			mask = accel.PageMask{} // a retry copies everything
 		}
+		done.Wait(m.clock)
 		d := m.clock.Now() - t0
 		wait.Add(int64(d))
 		m.book(sim.CatCopy, d)

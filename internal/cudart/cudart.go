@@ -23,7 +23,6 @@ type Runtime struct {
 	// hostAllocCost models malloc() for the host staging buffers baseline
 	// code must maintain.
 	hostAllocCost sim.Time
-	pending       []sim.Completion
 }
 
 // New returns a runtime for dev. The breakdown may be nil.
@@ -79,15 +78,15 @@ func (r *Runtime) MemcpyD2H(dst []byte, src mem.Addr) {
 	r.book(sim.CatCopy, r.clock.Now()-t0)
 }
 
-// MemcpyH2DAsync is cudaMemcpyAsync host-to-device: the copy is tracked and
-// completes no later than the next Synchronize.
+// MemcpyH2DAsync is cudaMemcpyAsync host-to-device: the copy completes no
+// later than the next Synchronize.
 func (r *Runtime) MemcpyH2DAsync(dst mem.Addr, src []byte) {
-	r.pending = append(r.pending, r.dev.MemcpyH2DAsync(dst, src))
+	r.dev.MemcpyH2DAsync(dst, src)
 }
 
 // MemcpyD2HAsync is cudaMemcpyAsync device-to-host.
 func (r *Runtime) MemcpyD2HAsync(dst []byte, src mem.Addr) {
-	r.pending = append(r.pending, r.dev.MemcpyD2HAsync(dst, src))
+	r.dev.MemcpyD2HAsync(dst, src)
 }
 
 // Memset is cudaMemset.
@@ -112,56 +111,4 @@ func (r *Runtime) Launch(kernel string, args ...uint64) error {
 func (r *Runtime) Synchronize() {
 	stall := r.dev.Synchronize()
 	r.book(sim.CatGPU, stall)
-	r.pending = r.pending[:0]
 }
-
-// Stream wraps an accelerator command queue in the CUDA-runtime style
-// (cudaStreamCreate): the §2.2 double-buffering baselines issue copies and
-// kernels on separate streams to overlap them by hand — the bookkeeping
-// GMAC's rolling-update performs automatically.
-type Stream struct {
-	rt *Runtime
-	s  *accel.Stream
-}
-
-// NewStream is cudaStreamCreate.
-func (r *Runtime) NewStream(name string) *Stream {
-	return &Stream{rt: r, s: r.dev.NewStream(name)}
-}
-
-// MemcpyH2DAsync enqueues a host-to-device copy on the stream.
-func (s *Stream) MemcpyH2DAsync(dst mem.Addr, src []byte) {
-	s.s.MemcpyH2DAsync(dst, src)
-}
-
-// MemcpyD2HAsync enqueues a device-to-host copy on the stream.
-func (s *Stream) MemcpyD2HAsync(dst []byte, src mem.Addr) {
-	s.s.MemcpyD2HAsync(dst, src)
-}
-
-// Launch enqueues a kernel on the stream.
-func (s *Stream) Launch(kernel string, args ...uint64) error {
-	t0 := s.rt.clock.Now()
-	_, err := s.s.Launch(kernel, args...)
-	s.rt.book(sim.CatCudaLaunch, s.rt.clock.Now()-t0)
-	if err != nil {
-		return fmt.Errorf("cudart: %w", err)
-	}
-	return nil
-}
-
-// WaitOther orders all future work on this stream behind everything
-// currently enqueued on other (cudaStreamWaitEvent on other's tail).
-func (s *Stream) WaitOther(other *Stream) {
-	s.s.WaitFor(sim.Completion{At: other.s.FreeAt()})
-}
-
-// Synchronize is cudaStreamSynchronize; the stall is booked as GPU time.
-func (s *Stream) Synchronize() {
-	t0 := s.rt.clock.Now()
-	s.s.Synchronize()
-	s.rt.book(sim.CatGPU, s.rt.clock.Now()-t0)
-}
-
-// Query is cudaStreamQuery.
-func (s *Stream) Query() bool { return s.s.Query() }

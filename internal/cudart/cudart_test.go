@@ -115,44 +115,3 @@ func TestLaunchUnknown(t *testing.T) {
 		t.Fatal("unknown kernel launch succeeded")
 	}
 }
-
-func TestStreamsDoubleBuffering(t *testing.T) {
-	// The §2.2 hand-tuned pattern in CUDA-runtime terms: an upload stream
-	// feeds a compute stream, with explicit cross-stream ordering.
-	rt, clock, _ := newRT(t)
-	rt.Device().Register(&accel.Kernel{
-		Name: "consume",
-		Run: func(dev *mem.Space, args []uint64) {
-			p := mem.Addr(args[0])
-			dev.SetUint32(p, dev.Uint32(p)+1)
-		},
-		Cost: accel.FixedCost(100e6, 0), // 1ms at 100 GFLOPS
-	})
-	p0, _ := rt.Malloc(1 << 20)
-	p1, _ := rt.Malloc(1 << 20)
-	up := rt.NewStream("upload")
-	run := rt.NewStream("compute")
-	chunk := make([]byte, 1<<20) // ~1ms at 1 GB/s
-	bufs := []mem.Addr{p0, p1}
-	for i := 0; i < 6; i++ {
-		up.MemcpyH2DAsync(bufs[i%2], chunk)
-		run.WaitOther(up)
-		if err := run.Launch("consume", uint64(bufs[i%2])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if up.Query() && run.Query() {
-		t.Fatal("streams drained before synchronisation")
-	}
-	run.Synchronize()
-	up.Synchronize()
-	// Pipelined: well under the 12ms serial estimate.
-	if clock.Now() >= 12*sim.Millisecond {
-		t.Fatalf("double buffering did not pipeline: %v", clock.Now())
-	}
-	out := make([]byte, 4)
-	rt.MemcpyD2H(out, p0)
-	if out[0] != 1 {
-		t.Fatalf("buffer consumed %d times after last upload, want 1", out[0])
-	}
-}

@@ -10,11 +10,9 @@
 package interconnect
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -35,19 +33,6 @@ type Link struct {
 	instrument         sync.Once
 	nTransfers, nBytes *metrics.Counter
 	nFaults            *metrics.Counter
-
-	// inj, when set via SetInjector, is consulted by Transfer (the
-	// fault-aware entry point); TransferTime stays infallible for the
-	// analytic cost-model paths. Installed once at machine setup.
-	inj   *fault.Injector
-	injOp fault.Op
-}
-
-// SetInjector arms the link with a fault injector; every Transfer call
-// consults it under the given operation class. Pass nil to disarm.
-func (l *Link) SetInjector(in *fault.Injector, op fault.Op) {
-	l.inj = in
-	l.injOp = op
 }
 
 // TransferTime returns the virtual time needed to move n bytes across the
@@ -65,25 +50,13 @@ func (l *Link) TransferTime(n int64) sim.Time {
 	return l.transferTime(n)
 }
 
-// Transfer is the fault-aware variant of TransferTime: it books the
-// transfer, consults the link's injector, and returns the attempt's
-// duration plus any injected error. A failed attempt still crosses the
-// wire — the returned duration covers it (plus the timeout penalty for
-// timeout faults) — but the data must not be considered delivered.
-func (l *Link) Transfer(n int64) (sim.Time, error) {
-	d := l.TransferTime(n)
-	if l.inj == nil {
-		return d, nil
-	}
-	if err := l.inj.Decide(l.injOp); err != nil {
-		var fe *fault.Error
-		if errors.As(err, &fe) {
-			d += fe.Delay
-		}
-		l.nFaults.Inc()
-		return d, fmt.Errorf("interconnect %s: %w", l.Name, err)
-	}
-	return d, nil
+// Failed books a failed attempt of a transfer already timed by
+// TransferTime against the link's fault counter and names the link in
+// err. The link never decides a fault: the device that owns the DMA
+// engine asks its own injector and reports the outcome here.
+func (l *Link) Failed(err error) error {
+	l.nFaults.Inc()
+	return fmt.Errorf("interconnect %s: %w", l.Name, err)
 }
 
 // transferTime is the pure cost model, shared with the analytic helpers

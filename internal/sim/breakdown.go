@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -85,16 +84,13 @@ var catAt = [numCategories]Category{
 	CatIORead, CatIOWrite, CatCPU,
 }
 
-// Breakdown accumulates virtual time per category. Charges to the known
-// categories land in a fixed array of atomics — the fault hot path charges
-// Signal several times per fault, so Add must not take a lock or hash a
-// string — while charges to caller-defined categories fall back to a
-// mutex-guarded overflow map. All methods are safe for concurrent use;
-// charges from several host goroutines accumulate without loss.
+// Breakdown accumulates virtual time per category in a fixed array of
+// atomics: the fault hot path charges Signal several times per fault, so
+// Add must not take a lock or hash a string. Only the categories listed by
+// Categories exist. All methods are safe for concurrent use; charges from
+// several host goroutines accumulate without loss.
 type Breakdown struct {
 	counts [numCategories]atomic.Int64
-	mu     sync.Mutex
-	extra  map[Category]Time // lazily allocated; unknown categories only
 }
 
 // NewBreakdown returns an empty breakdown.
@@ -102,32 +98,26 @@ func NewBreakdown() *Breakdown {
 	return &Breakdown{}
 }
 
-// Add charges d of virtual time to cat.
+// Add charges d of virtual time to cat, which must be one of the
+// categories listed by Categories.
 //
 //adsm:noalloc
 func (b *Breakdown) Add(cat Category, d Time) {
 	if d < 0 {
 		panicNegativeCharge(cat, d)
 	}
-	if i := catIndex(cat); i >= 0 {
-		b.counts[i].Add(int64(d))
-		return
+	i := catIndex(cat)
+	if i < 0 {
+		panicUnknownCategory(cat)
 	}
-	b.addExtra(cat, d)
+	b.counts[i].Add(int64(d))
 }
 
-// addExtra is the overflow-map path for caller-defined categories; it may
-// allocate, which is why it lives outside the //adsm:noalloc Add (the
-// fault path only ever charges the fixed categories).
+// panicUnknownCategory formats the misuse panic off the hot path.
 //
 //adsm:cold
-func (b *Breakdown) addExtra(cat Category, d Time) {
-	b.mu.Lock()
-	if b.extra == nil {
-		b.extra = make(map[Category]Time)
-	}
-	b.extra[cat] += d
-	b.mu.Unlock()
+func panicUnknownCategory(cat Category) {
+	panic(fmt.Sprintf("sim: breakdown charge to unknown category %q", cat))
 }
 
 // panicNegativeCharge formats the misuse panic off the hot path.
@@ -137,14 +127,12 @@ func panicNegativeCharge(cat Category, d Time) {
 	panic(fmt.Sprintf("sim: negative breakdown charge %d to %s", d, cat))
 }
 
-// Get returns the accumulated time for cat.
+// Get returns the accumulated time for cat (zero for an unknown one).
 func (b *Breakdown) Get(cat Category) Time {
 	if i := catIndex(cat); i >= 0 {
 		return Time(b.counts[i].Load())
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.extra[cat]
+	return 0
 }
 
 // Total returns the sum over all categories.
@@ -153,11 +141,6 @@ func (b *Breakdown) Total() Time {
 	for i := range b.counts {
 		t += Time(b.counts[i].Load())
 	}
-	b.mu.Lock()
-	for _, v := range b.extra {
-		t += v
-	}
-	b.mu.Unlock()
 	return t
 }
 
@@ -180,13 +163,6 @@ func (b *Breakdown) Map() map[Category]Time {
 			out[catAt[i]] = v
 		}
 	}
-	b.mu.Lock()
-	for cat, t := range b.extra {
-		if t != 0 {
-			out[cat] = t
-		}
-	}
-	b.mu.Unlock()
 	return out
 }
 
@@ -209,9 +185,6 @@ func (b *Breakdown) Reset() {
 	for i := range b.counts {
 		b.counts[i].Store(0)
 	}
-	b.mu.Lock()
-	b.extra = nil
-	b.mu.Unlock()
 }
 
 // String renders the non-zero buckets, largest first.

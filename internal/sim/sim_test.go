@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +211,15 @@ func TestBreakdownNegativePanics(t *testing.T) {
 		}
 	}()
 	NewBreakdown().Add(CatCPU, -1)
+}
+
+func TestBreakdownUnknownCategoryPanics(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, `"bogus"`) {
+			t.Fatalf("Add to an unknown category: panic %q, want one naming it", msg)
+		}
+	}()
+	NewBreakdown().Add(Category("bogus"), 1)
 }
 
 func TestBreakdownString(t *testing.T) {

@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/accel"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -31,6 +34,40 @@ func TestClose(t *testing.T) {
 	}
 	if m.Elapsed() == 0 || m.Breakdown.Get(sim.CatCPU) != m.Elapsed() {
 		t.Fatal("results of a closed machine are no longer readable")
+	}
+}
+
+// TestFaultInjectorArmsOnlyItsDevice: the two devices of DualGPUTestbed
+// share their PCIe Link values, so an injector armed on one device must
+// not fault the other's DMAs.
+func TestFaultInjectorArmsOnlyItsDevice(t *testing.T) {
+	m := DualGPUTestbed(false)
+	defer m.Close()
+	d0, d1 := m.Devices[0], m.Devices[1]
+	d1.SetFaultInjector(fault.NewInjector(1, m.Clock, fault.Nth(fault.OpDMAH2D, 1, fault.KindDeviceLost)))
+	buf := make([]byte, 4096)
+	for i, d := range m.Devices {
+		p, err := d.Malloc(int64(len(buf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = d.TryMemcpyH2DAsync(p, buf, accel.PageMask{})
+		if i == 1 {
+			if !errors.Is(err, fault.ErrDeviceLost) {
+				t.Fatalf("%s: first H2D copy: %v, want ErrDeviceLost", d.Name(), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: H2D copy faulted by the other device's injector: %v", d.Name(), err)
+		}
+	}
+	if d0.Lost() || d0.Stats().DMAFaults != 0 {
+		t.Fatalf("%s: lost=%v DMAFaults=%d after %s's fault, want false and 0",
+			d0.Name(), d0.Lost(), d0.Stats().DMAFaults, d1.Name())
+	}
+	if !d1.Lost() || d1.Stats().DMAFaults != 1 {
+		t.Fatalf("%s: lost=%v DMAFaults=%d, want true and 1", d1.Name(), d1.Lost(), d1.Stats().DMAFaults)
 	}
 }
 
