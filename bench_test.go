@@ -16,6 +16,7 @@ import (
 
 	"repro/gmac"
 	"repro/internal/figures"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 	"repro/machine"
 )
@@ -185,9 +186,9 @@ func BenchmarkFig10(b *testing.B) {
 		last = rep
 	}
 	b.StopTimer()
-	b.ReportMetric(100*last.Breakdown.Fraction("IORead"), "ioread-pct")
-	b.ReportMetric(100*last.Breakdown.Fraction("Signal"), "signal-pct")
-	b.ReportMetric(100*last.Breakdown.Fraction("GPU"), "gpu-pct")
+	b.ReportMetric(100*last.Breakdown.Fraction(sim.CatIORead), "ioread-pct")
+	b.ReportMetric(100*last.Breakdown.Fraction(sim.CatSignal), "signal-pct")
+	b.ReportMetric(100*last.Breakdown.Fraction(sim.CatGPU), "gpu-pct")
 }
 
 // BenchmarkFig11 sweeps three block sizes of the vector-addition

@@ -82,20 +82,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adsmtrace: unknown protocol %q\n", *protoName)
 		os.Exit(2)
 	}
-
-	m := machine.PaperTestbed()
-	defer m.Close()
-	ctx, err := gmac.NewContext(m, gmac.Config{
-		Protocol:     proto,
-		BlockSize:    *blockSize,
-		FixedRolling: *rolling,
+	err := demo(os.Stdout, demoConfig{
+		proto: proto, blockSize: *blockSize, rolling: *rolling,
+		traceJSON: *traceJSON, report: *report, record: *recordFile,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// demoConfig is the demo's flags.
+type demoConfig struct {
+	proto     gmac.Protocol
+	blockSize int64
+	rolling   int
+	traceJSON string // Chrome trace JSON file ("" = none)
+	report    bool
+	record    string // .oplog capture file ("" = none)
+}
+
+// demo runs the annotated scenario under c and prints its event trace,
+// totals and the files it wrote to w.
+func demo(w io.Writer, c demoConfig) error {
+	m := machine.PaperTestbed()
+	defer m.Close()
+	ctx, err := gmac.NewContext(m, gmac.Config{
+		Protocol:     c.proto,
+		BlockSize:    c.blockSize,
+		FixedRolling: c.rolling,
+	})
+	if err != nil {
+		return err
+	}
 	tracer := ctx.EnableTracer(4096)
-	events := tracer.Log()
-	if *recordFile != "" {
+	if c.record != "" {
 		ctx.EnableRecorder(1 << 16)
 	}
 
@@ -122,70 +142,74 @@ func main() {
 	const n = 16 << 10 // 64 KB = 4 blocks of 16 KB
 	p, err := ctx.Alloc(n * 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	v, err := ctx.Float32s(p, n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := v.Fill(1.0); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := ctx.Call("scale2x", []uint64{uint64(p), n}); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("element 0 after kernel: %v\n", v.At(0))
+	fmt.Fprintf(w, "element 0 after kernel: %v\n", v.At(0))
 	v.Set(n-1, 7)
 
 	// Snapshot before Free so the object table still has its one row.
 	snap := ctx.Snapshot()
 
 	if err := ctx.Free(p); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nprotocol %s, block %d, rolling size %d — %d events, %d spans:\n\n",
-		proto, *blockSize, *rolling, events.Total(), tracer.TotalSpans())
-	fmt.Print(events)
+	fmt.Fprintf(w, "\nprotocol %s, block %d, rolling size %d — %d events, %d spans:\n\n",
+		c.proto, c.blockSize, c.rolling, tracer.TotalEvents(), tracer.TotalSpans())
+	if err := tracer.WriteText(w); err != nil {
+		return err
+	}
 
 	st := ctx.Stats()
-	fmt.Printf("\ntotals: %d faults, %d evictions, %d KB to device, %d KB back\n",
+	fmt.Fprintf(w, "\ntotals: %d faults, %d evictions, %d KB to device, %d KB back\n",
 		st.Faults, st.Evictions, st.BytesH2D>>10, st.BytesD2H>>10)
 
-	if *report {
-		fmt.Println()
-		snap.WriteText(os.Stdout)
-		fmt.Println()
-		if err := gmac.Metrics().WriteText(os.Stdout); err != nil {
-			log.Fatal(err)
+	if c.report {
+		fmt.Fprintln(w)
+		snap.WriteText(w)
+		fmt.Fprintln(w)
+		if err := gmac.Metrics().WriteText(w); err != nil {
+			return err
 		}
 	}
 
-	if *traceJSON != "" {
-		f, err := os.Create(*traceJSON)
+	if c.traceJSON != "" {
+		f, err := os.Create(c.traceJSON)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := tracer.WriteJSON(f); err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrote Chrome trace to %s (load in chrome://tracing)\n", *traceJSON)
+		fmt.Fprintf(w, "\nwrote Chrome trace to %s (load in chrome://tracing)\n", c.traceJSON)
 	}
 
-	if *recordFile != "" {
+	if c.record != "" {
 		l, err := ctx.FinishOpLog("adsmtrace")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(*recordFile, l.Encode(), 0o644); err != nil {
-			log.Fatal(err)
+		if err := os.WriteFile(c.record, l.Encode(), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("\nrecorded %d ops to %s (replay with adsmtrace -replay)\n",
-			len(l.Ops), *recordFile)
+		fmt.Fprintf(w, "\nrecorded %d ops to %s (replay with adsmtrace -replay)\n",
+			len(l.Ops), c.record)
 	}
+	return nil
 }
 
 // races runs the offline race detector over one .oplog file, or over every

@@ -2,10 +2,12 @@ package main
 
 import (
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/gmac"
 	"repro/internal/testutil"
 )
 
@@ -43,4 +45,30 @@ func TestReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "replay", out.String())
+}
+
+// TestDemoGolden pins the demo's event listing and its Chrome trace JSON
+// for each protocol. -report is left out: it prints the process-wide
+// metrics registry, which accumulates across the tests of this binary.
+func TestDemoGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		proto gmac.Protocol
+	}{{"batch", gmac.BatchUpdate}, {"lazy", gmac.LazyUpdate}, {"rolling", gmac.RollingUpdate}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jsonPath := filepath.Join(dir, "trace.json")
+			var out strings.Builder
+			err := demo(&out, demoConfig{proto: tc.proto, blockSize: 16 << 10, rolling: 2, traceJSON: jsonPath})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(jsonPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "demo-"+tc.name, strings.ReplaceAll(out.String(), dir, "TMPDIR"))
+			checkGolden(t, "demo-"+tc.name+"-json", string(data))
+		})
+	}
 }

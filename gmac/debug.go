@@ -16,8 +16,9 @@ import (
 // endpoint.
 
 // Tracer records spans (timed Invoke/Sync/fault/transfer operations with
-// parent links) plus the instantaneous protocol events, and can export a
-// run as Chrome trace_event JSON via WriteJSON.
+// parent links) plus the instantaneous protocol events, as the ops the
+// runtime emitted. WriteText lists the events; WriteJSON exports the run as
+// Chrome trace_event JSON.
 type Tracer = trace.Tracer
 
 // Span is one completed timed operation recorded by a Tracer.
@@ -26,11 +27,10 @@ type Span = trace.Span
 // ObjectSnapshot is one row of a snapshot's per-object table.
 type ObjectSnapshot = core.ObjectSnapshot
 
-// EnableTracer installs a span tracer retaining the most recent capacity
-// spans and events, and returns it. The returned tracer's Log() is also
-// installed as the event sink: it records every protocol action (faults,
-// state transitions, transfers, evictions, API events) with virtual
-// timestamps.
+// EnableTracer installs a tracer retaining the most recent capacity spans
+// and events, and returns it. Besides the spans it records every protocol
+// action (faults, state transitions, transfers, evictions, API events)
+// with virtual timestamps.
 func (c *Context) EnableTracer(capacity int) *Tracer {
 	t := trace.NewTracer(capacity)
 	c.mgr.SetSpanTracer(t)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/machine"
 )
 
@@ -452,7 +453,7 @@ func TestVirtualTimeAdvancesWithWork(t *testing.T) {
 		t.Fatal("kernel charged no virtual time")
 	}
 	bd := ctx.Machine().Breakdown
-	if bd.Get("GPU") == 0 || bd.Get("CPU") == 0 {
+	if bd.Get(sim.CatGPU) == 0 || bd.Get(sim.CatCPU) == 0 {
 		t.Fatalf("breakdown missing slices: %s", bd)
 	}
 }

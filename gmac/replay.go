@@ -42,7 +42,7 @@ func DecodeOpLog(data []byte) (*OpLog, error) { return oplog.Decode(data) }
 // EnableRecorder starts capturing this context's op stream into a ring of
 // the given capacity (the default capacity if <= 0). The ring must hold
 // the whole run: FinishOpLog fails if it wrapped. Recording is
-// allocation-free and adds a few atomic stores per operation.
+// allocation-free and adds one mutex-guarded ring write per operation.
 func (c *Context) EnableRecorder(capacity int) { c.mgr.EnableRecorder(capacity) }
 
 // FinishOpLog stops capturing and returns the recorded stream, labelled

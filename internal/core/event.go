@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/oplog"
-	"repro/internal/trace"
-)
+import "repro/internal/oplog"
 
 // This file is the event spine. Every coherence event is emitted exactly
 // once, as an oplog.Op, through emit; the op log, the race detector, Stats
@@ -14,8 +11,9 @@ import (
 // emit stamps op with the current virtual time, this manager's id, the
 // calling goroutine's host lane and o's sequence number (o is the object
 // the op concerns, nil for none), appends it to the flight ring, the
-// capture ring (if capturing) and the online race detector (if enabled),
-// and folds it into every derived view.
+// capture ring (if capturing), the online race detector (if enabled) and,
+// for the traced kinds, the tracer (if installed), and folds it into every
+// derived view.
 //
 //adsm:noalloc
 func (m *Manager) emit(op oplog.Op, o *Object) {
@@ -35,8 +33,8 @@ func (m *Manager) emit(op oplog.Op, o *Object) {
 		d.Feed(op)
 	}
 	m.stats.apply(op, row)
-	if m.tracer != nil {
-		m.traceOp(op)
+	if t := m.tracer; t != nil && tracedKinds&(1<<op.Kind) != 0 {
+		t.Record(op)
 	}
 }
 
@@ -129,58 +127,44 @@ var unfoldedCounters = []string{
 	"RacesDetected", // the detector's verdicts on the stream, not an op in it
 }
 
-// faultNotes are the trace annotations of fault events, indexed by
-// FlagWrite and the block state at fault time.
-var faultNotes = [2][3]string{
-	{"read in Invalid", "read in ReadOnly", "read in Dirty"},
-	{"write in Invalid", "write in ReadOnly", "write in Dirty"},
-}
+// tracedKinds are the op kinds a tracer records: the protocol events of
+// the trace listing. Host accesses, kernel arguments, annotations and
+// region scopes stay out of it; block state transitions reach the tracer
+// from emitTransition.
+const tracedKinds uint32 = 1<<oplog.OpAlloc | 1<<oplog.OpFree | 1<<oplog.OpFault |
+	1<<oplog.OpFetch | 1<<oplog.OpFlush | 1<<oplog.OpEvict | 1<<oplog.OpInvoke |
+	1<<oplog.OpSync | 1<<oplog.OpRetry | 1<<oplog.OpDegrade | 1<<oplog.OpDeviceLost |
+	1<<oplog.OpModeMigrate
 
-// traceOp renders op as the trace event of its kind; kinds without one
-// (host accesses, annotations, region scopes) leave no event. Block state
-// transitions have no op and are the one event emitted directly
-// (emitTransition).
-//
-//adsm:cold
-func (m *Manager) traceOp(op oplog.Op) {
-	e := trace.Event{At: op.At, Addr: op.Addr, Size: op.Size}
+// renderOp is the trace rendering of an event op (a trace.Renderer,
+// installed by SetSpanTracer): its name, the from/to of a transition, and
+// a note. It runs when a trace is read, never on the emit path.
+func renderOp(op oplog.Op) (name, from, to, note string) {
+	name = op.Kind.String()
 	switch op.Kind {
-	case oplog.OpAlloc:
-		e.Kind = trace.EvAlloc
-	case oplog.OpFree:
-		e.Kind = trace.EvFree
 	case oplog.OpFault:
-		e.Kind = trace.EvFault
 		if op.Obj != 0 { // an unshared-address fault has no block state
-			e.Note = faultNotes[op.Flags&oplog.FlagWrite][op.Arg]
+			note = "read in " + State(op.Arg).String()
+			if op.Flags&oplog.FlagWrite != 0 {
+				note = "write in " + State(op.Arg).String()
+			}
 		}
 	case oplog.OpFetch:
-		e.Kind = trace.EvFetch
 		if op.Arg > 0 {
-			e.Note = "run"
+			note = "run"
 		}
 	case oplog.OpFlush:
-		e.Kind, e.Note = trace.EvFlush, "eager"
+		note = "eager"
 		if op.Flags&oplog.FlagSync != 0 {
-			e.Note = "sync"
+			note = "sync"
 		}
-	case oplog.OpEvict:
-		e.Kind = trace.EvEvict
-	case oplog.OpInvoke:
-		e.Kind, e.Note = trace.EvInvoke, oplog.NoteString(op.Note)
-	case oplog.OpSync:
-		e.Kind = trace.EvSync
-	case oplog.OpRetry:
-		e.Kind, e.Note = trace.EvRetry, oplog.NoteString(op.Note)
-	case oplog.OpDegrade:
-		e.Kind = trace.EvDegrade
-	case oplog.OpDeviceLost:
-		e.Kind, e.Note = trace.EvDeviceLost, oplog.NoteString(op.Note)
+	case oplog.OpInvoke, oplog.OpRetry, oplog.OpDeviceLost:
+		note = oplog.NoteString(op.Note)
+	case oplog.OpTransition:
+		from, to = State(op.Arg>>8).String(), State(op.Arg&0xff).String()
 	case oplog.OpModeMigrate:
-		e.Kind, e.Note = trace.EvTransition, "mode-migrate"
-		e.From, e.To = ProtocolKind(op.Arg>>8).String(), ProtocolKind(op.Arg&0xff).String()
-	default:
-		return
+		name, note = oplog.OpTransition.String(), "mode-migrate"
+		from, to = ProtocolKind(op.Arg>>8).String(), ProtocolKind(op.Arg&0xff).String()
 	}
-	m.tracer.Append(e)
+	return name, from, to, note
 }

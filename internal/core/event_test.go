@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/oplog"
 	"repro/internal/trace"
@@ -214,63 +215,99 @@ func TestMetricFamiliesTrackStats(t *testing.T) {
 	}
 }
 
-// traceKindOf is the test's statement of which op kinds have a trace event.
-var traceKindOf = map[oplog.Kind]trace.Kind{
-	oplog.OpAlloc: trace.EvAlloc, oplog.OpFree: trace.EvFree,
-	oplog.OpFault: trace.EvFault, oplog.OpFetch: trace.EvFetch,
-	oplog.OpFlush: trace.EvFlush, oplog.OpEvict: trace.EvEvict,
-	oplog.OpInvoke: trace.EvInvoke, oplog.OpSync: trace.EvSync,
-	oplog.OpRetry: trace.EvRetry, oplog.OpDegrade: trace.EvDegrade,
-	oplog.OpDeviceLost: trace.EvDeviceLost,
+// tracedKind is the test's statement of which op kinds have a trace event.
+var tracedKind = map[oplog.Kind]bool{
+	oplog.OpAlloc: true, oplog.OpFree: true, oplog.OpFault: true, oplog.OpFetch: true,
+	oplog.OpFlush: true, oplog.OpEvict: true, oplog.OpInvoke: true, oplog.OpSync: true,
+	oplog.OpRetry: true, oplog.OpDegrade: true, oplog.OpDeviceLost: true, oplog.OpModeMigrate: true,
 }
 
 // TestTraceEventsAreRenderedOps: with a tracer and a recorder both on, the
-// trace events other than block-state transitions are, one for one and in
-// order, the ops of the kinds that have an event, with the op's time and
-// range.
+// tracer's events other than block-state transitions are, one for one and
+// in order, the emitted ops of the traced kinds; the transitions are
+// OpTransitions from the state the block faulted in to another, recorded
+// nowhere else.
 func TestTraceEventsAreRenderedOps(t *testing.T) {
 	cfg := defaultCfg(RollingUpdate)
 	cfg.FixedRolling = 2 // small cache: the workload's writes evict
 	r := newRig(t, cfg)
 	tr := trace.NewTracer(1 << 14)
 	r.mgr.SetSpanTracer(tr)
-	lg := tr.Log()
 	r.mgr.EnableRecorder(1 << 16)
 	driveWorkload(t, r)
 	l, err := r.mgr.FinishOpLog("trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []trace.Event
-	for _, e := range lg.Events() {
-		if e.Kind != trace.EvTransition {
+	var events []oplog.Op
+	transitions := 0
+	faulted := map[mem.Addr]State{} // block state at each block's latest fault
+	for _, e := range tr.Events() {
+		if e.Kind != oplog.OpTransition {
+			if e.Kind == oplog.OpFault {
+				faulted[e.Addr] = State(e.Arg)
+			}
 			events = append(events, e)
+			continue
+		}
+		transitions++
+		from, to := State(e.Arg>>8), State(e.Arg&0xff)
+		if before, ok := faulted[e.Addr]; !ok || from != before || from == to || to > StateDirty {
+			t.Fatalf("transition %v: %v->%v, want one from the state at its fault (%v)", e, from, to, before)
 		}
 	}
-	seen := map[trace.Kind]bool{}
+	seen := map[oplog.Kind]bool{}
 	i := 0
 	for _, op := range l.Ops {
-		kind, ok := traceKindOf[op.Kind]
-		if !ok {
+		if op.Kind == oplog.OpTransition {
+			t.Fatalf("transition %v reached the capture ring", op)
+		}
+		if !tracedKind[op.Kind] {
 			continue
 		}
 		if i == len(events) {
 			t.Fatalf("op %v has no trace event (%d events)", op, len(events))
 		}
-		e := events[i]
-		i++
-		if e.Kind != kind || e.At != op.At || e.Addr != op.Addr || e.Size != op.Size {
-			t.Fatalf("event %d = %v, want the rendering of op %v", i-1, e, op)
+		if events[i] != op {
+			t.Fatalf("event %d = %v, want op %v", i, events[i], op)
 		}
-		seen[kind] = true
+		i++
+		seen[op.Kind] = true
 	}
 	if i != len(events) {
 		t.Fatalf("%d trace events beyond the ops: %v", len(events)-i, events[i])
 	}
-	for _, k := range []trace.Kind{trace.EvAlloc, trace.EvFree, trace.EvFault, trace.EvFetch,
-		trace.EvFlush, trace.EvEvict, trace.EvInvoke, trace.EvSync} {
+	if transitions == 0 {
+		t.Error("workload produced no transition event")
+	}
+	for _, k := range []oplog.Kind{oplog.OpAlloc, oplog.OpFree, oplog.OpFault, oplog.OpFetch,
+		oplog.OpFlush, oplog.OpEvict, oplog.OpInvoke, oplog.OpSync} {
 		if !seen[k] {
 			t.Errorf("workload produced no %v event", k)
 		}
+	}
+}
+
+// TestRemovedTracerRecordsNothing: SetSpanTracer(nil) stops event
+// recording as well as spans.
+func TestRemovedTracerRecordsNothing(t *testing.T) {
+	r := newRig(t, defaultCfg(RollingUpdate))
+	tr := trace.NewTracer(256)
+	r.mgr.SetSpanTracer(tr)
+	ptr, err := r.mgr.Alloc(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.mgr.SetSpanTracer(nil)
+	events, spans := tr.TotalEvents(), tr.TotalSpans()
+	if err := r.mgr.HostWrite(ptr, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if r.mgr.Stats().Faults == 0 {
+		t.Fatal("the write did not fault")
+	}
+	if tr.TotalEvents() != events || tr.TotalSpans() != spans {
+		t.Fatalf("removed tracer still records: events %d -> %d, spans %d -> %d",
+			events, tr.TotalEvents(), spans, tr.TotalSpans())
 	}
 }

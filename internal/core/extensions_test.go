@@ -8,6 +8,7 @@ import (
 	"repro/internal/hostmmu"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
+	"repro/internal/oplog"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -374,7 +375,6 @@ func TestTraceRecordsProtocolLifecycle(t *testing.T) {
 	r.registerFill(t)
 	tr := trace.NewTracer(256)
 	r.mgr.SetSpanTracer(tr)
-	lg := tr.Log()
 
 	ptr, _ := r.mgr.Alloc(128 << 10) // 2 blocks of 64KB
 	if err := r.mgr.HostWrite(ptr, make([]byte, 128<<10)); err != nil {
@@ -395,37 +395,46 @@ func TestTraceRecordsProtocolLifecycle(t *testing.T) {
 	}
 
 	// The lifecycle produces a deterministic event skeleton.
-	kinds := func(k trace.Kind) int { return len(lg.Filter(k)) }
-	if kinds(trace.EvAlloc) != 1 || kinds(trace.EvFree) != 1 {
-		t.Fatalf("alloc/free events: %d/%d", kinds(trace.EvAlloc), kinds(trace.EvFree))
+	evs := tr.Events()
+	filter := func(k oplog.Kind) []oplog.Op {
+		var out []oplog.Op
+		for _, e := range evs {
+			if e.Kind == k {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	kinds := func(k oplog.Kind) int { return len(filter(k)) }
+	if kinds(oplog.OpAlloc) != 1 || kinds(oplog.OpFree) != 1 {
+		t.Fatalf("alloc/free events: %d/%d", kinds(oplog.OpAlloc), kinds(oplog.OpFree))
 	}
 	// 2 write faults (init) + 1 read fault (after kernel).
-	if kinds(trace.EvFault) != 3 {
-		t.Fatalf("fault events = %d, want 3\n%s", kinds(trace.EvFault), lg)
+	if kinds(oplog.OpFault) != 3 {
+		t.Fatalf("fault events = %d, want 3\n%v", kinds(oplog.OpFault), evs)
 	}
-	if kinds(trace.EvInvoke) != 1 || kinds(trace.EvSync) != 1 {
-		t.Fatalf("invoke/sync events: %d/%d", kinds(trace.EvInvoke), kinds(trace.EvSync))
+	if kinds(oplog.OpInvoke) != 1 || kinds(oplog.OpSync) != 1 {
+		t.Fatalf("invoke/sync events: %d/%d", kinds(oplog.OpInvoke), kinds(oplog.OpSync))
 	}
 	// Both dirty blocks flushed at invoke — coalesced into one contiguous
 	// DMA covering the whole object; one block fetched after.
-	flushes := lg.Filter(trace.EvFlush)
-	if len(flushes) != 1 || kinds(trace.EvFetch) != 1 {
-		t.Fatalf("flush/fetch events: %d/%d\n%s", len(flushes), kinds(trace.EvFetch), lg)
+	flushes := filter(oplog.OpFlush)
+	if len(flushes) != 1 || kinds(oplog.OpFetch) != 1 {
+		t.Fatalf("flush/fetch events: %d/%d\n%v", len(flushes), kinds(oplog.OpFetch), evs)
 	}
 	if flushes[0].Size != 128<<10 {
 		t.Fatalf("coalesced flush size = %d, want %d", flushes[0].Size, 128<<10)
 	}
 	// Timestamps are monotone.
-	evs := lg.Events()
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("trace timestamps not monotone at %d", i)
 		}
 	}
-	// Transitions carry state names.
-	for _, e := range lg.Filter(trace.EvTransition) {
-		if e.From == "" || e.To == "" || e.From == e.To {
-			t.Fatalf("bad transition event: %+v", e)
+	// Transitions render as state names.
+	for _, e := range filter(oplog.OpTransition) {
+		if _, from, to, _ := renderOp(e); from == "" || to == "" || from == to {
+			t.Fatalf("bad transition event: %+v renders %q->%q", e, from, to)
 		}
 	}
 }

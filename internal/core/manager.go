@@ -104,9 +104,6 @@ type Config struct {
 	// launch faults: 0 selects DefaultMaxRetries, negative disables
 	// retrying (the first transient fault escalates).
 	MaxRetries int
-	// RetryBase is the backoff of the first retry in virtual time; attempt
-	// i backs off RetryBase<<i. 0 selects DefaultRetryBase.
-	RetryBase sim.Time
 
 	// RaceDetect enables the online vector-clock race detector
 	// (internal/racecheck): every recorded op is also fed to a detector,
@@ -184,9 +181,8 @@ type Manager struct {
 	//
 	//adsm:lock callMu 10
 	callMu sync.Mutex
-	tracer *trace.Log
-	// spans is the optional span tracer; nil disables span recording.
-	spans *trace.Tracer
+	// tracer is the optional tracer of events and spans; nil disables both.
+	tracer *trace.Tracer
 	// mets are the cached histogram and gauge handles for the hot paths.
 	mets *metricSet
 	// id is the process-wide construction sequence number.
@@ -304,32 +300,31 @@ func (m *Manager) Objects() int {
 // (much larger) number of lookups that follow them.
 func (m *Manager) IndexRebuilds() int64 { return m.reg.rebuilds() }
 
-// SetSpanTracer installs (or removes, with nil) a span tracer. Its event
-// log becomes the manager's event sink, so one tracer captures both the
-// instantaneous protocol events and the timed spans around them.
+// SetSpanTracer installs (or removes, with nil) the tracer. It captures
+// both the instantaneous protocol events and the timed spans around them.
 func (m *Manager) SetSpanTracer(t *trace.Tracer) {
-	m.spans = t
 	if t != nil {
-		m.tracer = t.Log()
+		t.SetRenderer(renderOp)
 	}
+	m.tracer = t
 }
 
-// SpanTracer returns the installed span tracer, or nil.
-func (m *Manager) SpanTracer() *trace.Tracer { return m.spans }
+// SpanTracer returns the installed tracer, or nil.
+func (m *Manager) SpanTracer() *trace.Tracer { return m.tracer }
 
 // beginSpan opens a span at the current virtual time if span tracing is
 // enabled; the zero SpanID means disabled.
 func (m *Manager) beginSpan(name, note string) trace.SpanID {
-	if m.spans == nil {
+	if m.tracer == nil {
 		return 0
 	}
-	return m.spans.Begin(name, note, m.clock.Now())
+	return m.tracer.Begin(name, note, m.clock.Now())
 }
 
 // endSpan closes a span opened by beginSpan.
 func (m *Manager) endSpan(id trace.SpanID) {
-	if m.spans != nil && id != 0 {
-		m.spans.End(id, m.clock.Now())
+	if m.tracer != nil && id != 0 {
+		m.tracer.End(id, m.clock.Now())
 	}
 }
 

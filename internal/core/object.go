@@ -30,27 +30,12 @@ const (
 	StateDirty
 )
 
-// String is called on the traced fault path (emitTransition), so the
-// known states return interned strings; only a corrupted state formats.
-//
-//adsm:noalloc
-func (s State) String() string {
-	switch s {
-	case StateInvalid:
-		return "Invalid"
-	case StateReadOnly:
-		return "ReadOnly"
-	case StateDirty:
-		return "Dirty"
-	default:
-		return stateStringSlow(s)
-	}
-}
+var stateNames = [...]string{StateInvalid: "Invalid", StateReadOnly: "ReadOnly", StateDirty: "Dirty"}
 
-// stateStringSlow formats an out-of-range State off the hot path.
-//
-//adsm:cold
-func stateStringSlow(s State) string {
+func (s State) String() string {
+	if int(s) < len(stateNames) {
+		return stateNames[s]
+	}
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 

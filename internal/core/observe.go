@@ -172,10 +172,8 @@ func registerManager(m *Manager) {
 	defer mgrReg.mu.Unlock()
 	mgrReg.seq++
 	m.id = mgrReg.seq
-	if mgrReg.autoTrace > 0 && m.spans == nil {
-		t := trace.NewTracer(mgrReg.autoTrace)
-		m.spans = t
-		m.tracer = t.Log()
+	if mgrReg.autoTrace > 0 && m.tracer == nil {
+		m.SetSpanTracer(trace.NewTracer(mgrReg.autoTrace))
 	}
 	if mgrReg.serving == 0 {
 		return

@@ -6,7 +6,6 @@ import (
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/oplog"
-	"repro/internal/trace"
 )
 
 // This file is the coherence-protocol engine. The paper's three protocols
@@ -466,12 +465,15 @@ func errFaultOnDirty(access hostmmu.Access, addr mem.Addr) error {
 	return fmt.Errorf("core: %v fault on Dirty block %#x", access, uint64(addr))
 }
 
-// emitTransition records a block state transition when tracing is on; the
-// hot path (no tracer) pays a single nil check and no deferred closure.
+// emitTransition records a block state transition as an OpTransition into
+// the tracer, and nowhere else: no counter, capture or flight ring sees
+// it. The hot path (no tracer) pays a single nil check.
 func (m *Manager) emitTransition(b *Block, before State) {
-	if m.tracer == nil || b.state == before {
+	t := m.tracer
+	if t == nil || b.state == before {
 		return
 	}
-	m.tracer.Append(trace.Event{At: m.clock.Now(), Kind: trace.EvTransition,
-		Addr: b.addr, Size: b.size, From: before.String(), To: b.state.String()})
+	t.Record(oplog.Op{At: m.clock.Now(), Kind: oplog.OpTransition, Mgr: uint16(m.id),
+		Lane: m.clock.LaneID(), Obj: b.obj.seq, Addr: b.addr, Size: b.size,
+		Arg: int64(before)<<8 | int64(b.state)})
 }

@@ -8,8 +8,8 @@
 //
 // The record path (emit, event.go) runs inside the fault handler and the
 // host-access fast paths, so it is allocation-free: an op is a plain value,
-// the rings store it with atomic word writes, and all string context is
-// interned ahead of time (oplog.NoteID) on cold paths.
+// a ring stores it with one slot copy under its mutex, and all string
+// context is interned ahead of time (oplog.NoteID) on cold paths.
 
 package core
 

@@ -30,10 +30,12 @@ import (
 // the lost device (StateInvalid): the host keeps its stale bytes. That is
 // inherent to losing a device, not a recovery bug.
 
-// Defaults for Config.MaxRetries and Config.RetryBase.
 const (
+	// DefaultMaxRetries is Config.MaxRetries' default.
 	DefaultMaxRetries = 4
-	DefaultRetryBase  = 25 * sim.Microsecond
+	// DefaultRetryBase is the virtual-time backoff of the first retry;
+	// attempt i backs off DefaultRetryBase<<i.
+	DefaultRetryBase = 25 * sim.Microsecond
 )
 
 // maxRetries resolves Config.MaxRetries: 0 means the default, negative
@@ -49,18 +51,10 @@ func (m *Manager) maxRetries() int {
 	}
 }
 
-// retryBase resolves Config.RetryBase.
-func (m *Manager) retryBase() sim.Time {
-	if m.cfg.RetryBase > 0 {
-		return m.cfg.RetryBase
-	}
-	return DefaultRetryBase
-}
-
 // retry runs op, transparently retrying injected transient faults with
 // exponential backoff charged to cat in virtual time (attempt i waits
-// RetryBase<<i). Non-injected errors and device-lost faults pass through
-// immediately; an exhausted budget returns the last fault wrapped.
+// DefaultRetryBase<<i). Non-injected errors and device-lost faults pass
+// through immediately; an exhausted budget returns the last fault wrapped.
 func (m *Manager) retry(cat sim.Category, what string, op func() error) error {
 	for attempt := 0; ; attempt++ {
 		err := op()
@@ -93,7 +87,7 @@ func (m *Manager) retryStep(cat sim.Category, what string, attempt int, err erro
 		oplog.AutoDump("retry-giveup")
 		return false, fmt.Errorf("core: %s failed after %d retries: %w", what, attempt, err)
 	}
-	backoff := m.retryBase() << uint(attempt)
+	backoff := DefaultRetryBase << uint(attempt)
 	m.charge(cat, backoff)
 	m.emit(oplog.Op{Kind: oplog.OpRetry, Arg: int64(attempt), Note: oplog.NoteID(what)}, nil)
 	return true, nil

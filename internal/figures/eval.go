@@ -116,7 +116,7 @@ func Fig10(runs []EvalRun) *Table {
 	cats := sim.Categories()
 	cols := []string{"benchmark"}
 	for _, c := range cats {
-		cols = append(cols, string(c))
+		cols = append(cols, c.String())
 	}
 	t := &Table{
 		Title:   "Figure 10: execution-time breakdown (%) under rolling-update",

@@ -1,7 +1,7 @@
 // Package introspect is the ADSM runtime's live debugging surface: an
 // opt-in net/http server exposing expvar-style JSON snapshots of the
 // metrics registry, the per-object activity tables of recent managers, and
-// Chrome trace_event exports of their span tracers.
+// Chrome trace_event exports of their tracers (spans and protocol events).
 //
 // Endpoints:
 //

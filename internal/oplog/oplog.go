@@ -73,6 +73,7 @@ const (
 	OpRegionPtr     // input: one pointer of the next region acquire/release
 	OpRegionAcquire // input: regional acquire scope; Arg = pointer count
 	OpRegionRelease // input: regional release scope; Arg = pointer count
+	OpTransition    // derived, tracer only: block state change; Arg = from<<8|to
 
 	nKinds
 )
@@ -98,6 +99,7 @@ var kindNames = [nKinds]string{
 	OpRetry: "retry", OpDegrade: "degrade", OpDeviceLost: "device-lost",
 	OpModeMigrate: "mode-migrate", OpRegionPtr: "region-ptr",
 	OpRegionAcquire: "region-acquire", OpRegionRelease: "region-release",
+	OpTransition: "state",
 }
 
 func (k Kind) String() string {
@@ -129,8 +131,8 @@ const (
 )
 
 // Op is one recorded operation. It is a plain value — no pointers, no
-// strings — so it can be stored in atomic ring slots and encoded without
-// reaching back into the runtime.
+// strings — so recording it into a Ring is one slot copy and encoding it
+// never reaches back into the runtime.
 type Op struct {
 	// At is the virtual time of the op.
 	At sim.Time

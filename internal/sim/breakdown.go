@@ -8,80 +8,52 @@ import (
 )
 
 // Category labels one slice of the execution-time breakdown reported in
-// Figure 10 of the paper. The names match the paper's legend.
-type Category string
+// Figure 10 of the paper. Its String, and its text form in JSON, is the
+// paper's legend name.
+type Category uint8
 
-// The breakdown categories used by the GMAC runtime and the CUDA baseline.
+// The breakdown categories used by the GMAC runtime and the CUDA baseline,
+// in the paper's legend order.
 const (
-	CatCopy       Category = "Copy"       // GMAC-initiated data transfers
-	CatMalloc     Category = "Malloc"     // adsmAlloc host-side work
-	CatFree       Category = "Free"       // adsmFree host-side work
-	CatLaunch     Category = "Launch"     // adsmCall host-side work
-	CatSync       Category = "Sync"       // adsmSync stall time
-	CatSignal     Category = "Signal"     // page-fault/signal delivery
-	CatCudaMalloc Category = "cudaMalloc" // device allocation
-	CatCudaFree   Category = "cudaFree"   // device release
-	CatCudaLaunch Category = "cudaLaunch" // device kernel dispatch
-	CatGPU        Category = "GPU"        // accelerator execution
-	CatIORead     Category = "IORead"     // file reads
-	CatIOWrite    Category = "IOWrite"    // file writes
-	CatCPU        Category = "CPU"        // application CPU computation
+	CatCopy       Category = iota // GMAC-initiated data transfers
+	CatMalloc                     // adsmAlloc host-side work
+	CatFree                       // adsmFree host-side work
+	CatLaunch                     // adsmCall host-side work
+	CatSync                       // adsmSync stall time
+	CatSignal                     // page-fault/signal delivery
+	CatCudaMalloc                 // device allocation
+	CatCudaFree                   // device release
+	CatCudaLaunch                 // device kernel dispatch
+	CatGPU                        // accelerator execution
+	CatIORead                     // file reads
+	CatIOWrite                    // file writes
+	CatCPU                        // application CPU computation
+
+	numCategories = iota
 )
+
+var categoryNames = [numCategories]string{
+	"Copy", "Malloc", "Free", "Launch", "Sync", "Signal",
+	"cudaMalloc", "cudaFree", "cudaLaunch", "GPU", "IORead", "IOWrite", "CPU",
+}
+
+func (c Category) String() string {
+	if c < numCategories {
+		return categoryNames[c]
+	}
+	return fmt.Sprintf("Category(%d)", uint8(c))
+}
+
+// MarshalText makes the legend name a breakdown map's JSON key.
+func (c Category) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
 
 // Categories lists every breakdown category in the paper's legend order.
 func Categories() []Category {
-	return []Category{
-		CatCopy, CatMalloc, CatFree, CatLaunch, CatSync, CatSignal,
-		CatCudaMalloc, CatCudaFree, CatCudaLaunch, CatGPU,
-		CatIORead, CatIOWrite, CatCPU,
+	cats := make([]Category, numCategories)
+	for i := range cats {
+		cats[i] = Category(i)
 	}
-}
-
-// numCategories is the size of the fixed charge array. The order below
-// must match catIndex.
-const numCategories = 13
-
-// catIndex maps a known category to its slot in the fixed array, or -1.
-// The fault handler charges the breakdown several times per fault, so this
-// is a compiled string switch rather than a map lookup.
-func catIndex(cat Category) int {
-	switch cat {
-	case CatCopy:
-		return 0
-	case CatMalloc:
-		return 1
-	case CatFree:
-		return 2
-	case CatLaunch:
-		return 3
-	case CatSync:
-		return 4
-	case CatSignal:
-		return 5
-	case CatCudaMalloc:
-		return 6
-	case CatCudaFree:
-		return 7
-	case CatCudaLaunch:
-		return 8
-	case CatGPU:
-		return 9
-	case CatIORead:
-		return 10
-	case CatIOWrite:
-		return 11
-	case CatCPU:
-		return 12
-	default:
-		return -1
-	}
-}
-
-// catAt is the inverse of catIndex.
-var catAt = [numCategories]Category{
-	CatCopy, CatMalloc, CatFree, CatLaunch, CatSync, CatSignal,
-	CatCudaMalloc, CatCudaFree, CatCudaLaunch, CatGPU,
-	CatIORead, CatIOWrite, CatCPU,
+	return cats
 }
 
 // Breakdown accumulates virtual time per category in a fixed array of
@@ -99,25 +71,15 @@ func NewBreakdown() *Breakdown {
 }
 
 // Add charges d of virtual time to cat, which must be one of the
-// categories listed by Categories.
+// categories listed by Categories: any other value panics with an index
+// out of range.
 //
 //adsm:noalloc
 func (b *Breakdown) Add(cat Category, d Time) {
 	if d < 0 {
 		panicNegativeCharge(cat, d)
 	}
-	i := catIndex(cat)
-	if i < 0 {
-		panicUnknownCategory(cat)
-	}
-	b.counts[i].Add(int64(d))
-}
-
-// panicUnknownCategory formats the misuse panic off the hot path.
-//
-//adsm:cold
-func panicUnknownCategory(cat Category) {
-	panic(fmt.Sprintf("sim: breakdown charge to unknown category %q", cat))
+	b.counts[cat].Add(int64(d))
 }
 
 // panicNegativeCharge formats the misuse panic off the hot path.
@@ -129,8 +91,8 @@ func panicNegativeCharge(cat Category, d Time) {
 
 // Get returns the accumulated time for cat (zero for an unknown one).
 func (b *Breakdown) Get(cat Category) Time {
-	if i := catIndex(cat); i >= 0 {
-		return Time(b.counts[i].Load())
+	if cat < numCategories {
+		return Time(b.counts[cat].Load())
 	}
 	return 0
 }
@@ -160,7 +122,7 @@ func (b *Breakdown) Map() map[Category]Time {
 	out := make(map[Category]Time, numCategories)
 	for i := range b.counts {
 		if v := Time(b.counts[i].Load()); v != 0 {
-			out[catAt[i]] = v
+			out[Category(i)] = v
 		}
 	}
 	return out
@@ -203,7 +165,7 @@ func (b *Breakdown) String() string {
 		if items[i].t != items[j].t {
 			return items[i].t > items[j].t
 		}
-		return items[i].cat < items[j].cat
+		return items[i].cat.String() < items[j].cat.String()
 	})
 	var sb strings.Builder
 	for i, it := range items {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,11 +217,23 @@ func TestBreakdownNegativePanics(t *testing.T) {
 
 func TestBreakdownUnknownCategoryPanics(t *testing.T) {
 	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, `"bogus"`) {
-			t.Fatalf("Add to an unknown category: panic %q, want one naming it", msg)
+		if err, _ := recover().(runtime.Error); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("Add to an unknown category: panic %v, want an index out of range", err)
 		}
 	}()
-	NewBreakdown().Add(Category("bogus"), 1)
+	NewBreakdown().Add(Category(numCategories), 1)
+}
+
+// TestCategoryJSONKeys: a breakdown map marshals with the legend names as
+// keys, as it did when Category was a string.
+func TestCategoryJSONKeys(t *testing.T) {
+	data, err := json.Marshal(map[Category]Time{CatCudaMalloc: 1, CatCPU: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(data), `{"CPU":2,"cudaMalloc":1}`; got != want {
+		t.Fatalf("JSON = %s, want %s", got, want)
+	}
 }
 
 func TestBreakdownString(t *testing.T) {

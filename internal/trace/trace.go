@@ -1,175 +1,265 @@
-// Package trace provides a bounded in-memory event log for the ADSM
-// runtime: page faults, block state transitions, transfers, evictions and
-// API events, each stamped with virtual time. It is the observability
+// Package trace is the ADSM runtime's debug view of a run: the protocol
+// events the manager emits (page faults, block state transitions,
+// transfers, evictions and API events, each an oplog.Op stamped with
+// virtual time) and the timed spans around them. It is the observability
 // surface the original GMAC exposed through its debug build — here it also
-// powers the cmd/adsmtrace demonstration and white-box protocol tests.
+// powers the cmd/adsmtrace demonstration, the introspection endpoint's
+// /adsm/trace and white-box protocol tests.
 package trace
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
-	"strings"
+	"io"
 	"sync"
 
-	"repro/internal/mem"
+	"repro/internal/oplog"
 	"repro/internal/sim"
 )
 
-// Kind classifies an event.
-type Kind uint8
+// SpanID identifies one span within a Tracer. Zero is "no span" — the
+// manager uses it as the disabled sentinel — so real IDs start at 1.
+type SpanID uint64
 
-// Event kinds, in rough lifecycle order.
-const (
-	EvAlloc Kind = iota
-	EvFree
-	EvFault
-	EvTransition
-	EvFlush
-	EvFetch
-	EvEvict
-	EvInvoke
-	EvSync
-	EvRetry
-	EvDegrade
-	EvDeviceLost
-)
-
-func (k Kind) String() string {
-	switch k {
-	case EvAlloc:
-		return "alloc"
-	case EvFree:
-		return "free"
-	case EvFault:
-		return "fault"
-	case EvTransition:
-		return "state"
-	case EvFlush:
-		return "flush"
-	case EvFetch:
-		return "fetch"
-	case EvEvict:
-		return "evict"
-	case EvInvoke:
-		return "invoke"
-	case EvSync:
-		return "sync"
-	case EvRetry:
-		return "retry"
-	case EvDegrade:
-		return "degrade"
-	case EvDeviceLost:
-		return "device-lost"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
+// Span is one completed timed operation: an API call (Invoke, Sync), a
+// fault resolution, or a block transfer nested inside one of those. Parent
+// links spans into a tree, so a run can be rendered as a flame chart.
+type Span struct {
+	ID     SpanID   `json:"id"`
+	Parent SpanID   `json:"parent,omitempty"`
+	Name   string   `json:"name"`
+	Note   string   `json:"note,omitempty"`
+	Start  sim.Time `json:"start_ns"`
+	End    sim.Time `json:"end_ns"`
 }
 
-// Event is one recorded runtime occurrence.
-type Event struct {
-	// At is the virtual time of the event.
-	At sim.Time
-	// Kind classifies it.
-	Kind Kind
-	// Addr and Size locate the block or object involved (zero for API
-	// events without a range).
-	Addr mem.Addr
-	Size int64
-	// From and To carry state names for transitions, or free-form detail.
-	From, To string
-	// Note carries the kernel name or other context.
-	Note string
+// Duration returns the span's virtual duration.
+func (s Span) Duration() sim.Time { return s.End - s.Start }
+
+// Renderer turns one recorded event op into its display form: the event
+// name, the from/to pair of a transition and a note, each "" when the op
+// has none. The runtime that records into a Tracer installs its renderer
+// (SetRenderer); without one an op shows as its kind name alone.
+type Renderer func(op oplog.Op) (name, from, to, note string)
+
+// Tracer keeps one run's instantaneous protocol events, as the oplog.Ops
+// the runtime emitted, in a bounded op ring, and brackets timed
+// operations into Spans with Begin/End. Spans may be opened from several
+// goroutines at once (one Context driven by several host threads): End
+// closes exactly the span it names, and a span's Parent is the innermost
+// span open at its Begin, whichever goroutine opened that one. The Tracer
+// is mutex-protected, so the introspection endpoint can read it while the
+// run is in flight.
+type Tracer struct {
+	events *oplog.Ring
+
+	mu       sync.Mutex
+	renderer Renderer
+	spans    []Span // bounded ring of completed spans
+	next     int
+	total    int64
+	nextID   SpanID
+	open     []Span // in-flight spans (End not yet seen), in Begin order
 }
 
-// String renders one event as a log line.
-func (e Event) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%12s  %-6s", e.At, e.Kind)
-	if e.Size > 0 {
-		fmt.Fprintf(&sb, " [%#x,+%d)", uint64(e.Addr), e.Size)
-	}
-	if e.From != "" || e.To != "" {
-		fmt.Fprintf(&sb, " %s->%s", e.From, e.To)
-	}
-	if e.Note != "" {
-		fmt.Fprintf(&sb, " %s", e.Note)
-	}
-	return sb.String()
-}
-
-// Log is a bounded ring of events. The zero value is unusable; use New.
-// All methods are safe for concurrent use: the introspection endpoint
-// reads the ring while the runtime appends to it.
-type Log struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	total int64
-}
-
-// New returns a log keeping the most recent capacity events.
-func New(capacity int) *Log {
+// NewTracer returns a tracer retaining the most recent capacity completed
+// spans and capacity events (rounded up to a power of two); a
+// non-positive capacity selects 1024.
+func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Log{ring: make([]Event, 0, capacity)}
+	return &Tracer{
+		events: oplog.NewRing(capacity),
+		spans:  make([]Span, 0, capacity),
+	}
 }
 
-// Append records an event, evicting the oldest if the ring is full.
+// SetRenderer installs the rendering WriteText and WriteJSON give events.
+func (t *Tracer) SetRenderer(r Renderer) {
+	t.mu.Lock()
+	t.renderer = r
+	t.mu.Unlock()
+}
+
+// Record appends one event op, evicting the oldest once the ring is full.
 //
 //adsm:noalloc
-func (l *Log) Append(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, e) //adsm:allow noalloc: guarded by len < cap, so the preallocated ring's backing array never grows
-	} else {
-		l.ring[l.next] = e
-		l.next = (l.next + 1) % len(l.ring)
+func (t *Tracer) Record(op oplog.Op) { t.events.Record(op) }
+
+// Events returns the retained event ops, oldest first.
+func (t *Tracer) Events() []oplog.Op { return t.events.Ops() }
+
+// TotalEvents returns the number of event ops ever recorded.
+func (t *Tracer) TotalEvents() uint64 { return t.events.Total() }
+
+// render is the installed Renderer, or the kind name alone.
+func (t *Tracer) render() Renderer {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.renderer != nil {
+		return t.renderer
 	}
-	l.total++
+	return func(op oplog.Op) (name, from, to, note string) { return op.Kind.String(), "", "", "" }
 }
 
-// Len returns the number of retained events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
+// Begin opens a span at virtual time `at`. Its parent is the innermost
+// span still open, if any.
+//
+//adsm:noalloc
+func (t *Tracer) Begin(name, note string, at sim.Time) SpanID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.nextID++
+	s := Span{ID: t.nextID, Name: name, Note: note, Start: at}
+	if n := len(t.open); n > 0 {
+		s.Parent = t.open[n-1].ID
+	}
+	t.open = append(t.open, s) //adsm:allow noalloc: amortized; the open-span stack keeps its capacity across spans, so steady state never grows it
+	return s.ID
 }
 
-// Total returns the number of events ever recorded.
-func (l *Log) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// Events returns the retained events, oldest first.
-func (l *Log) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
-}
-
-// Filter returns the retained events of the given kind, oldest first.
-func (l *Log) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
+// End closes the span with the given id at virtual time `at`. Spans opened
+// after it stay open until their own End.
+//
+//adsm:noalloc
+func (t *Tracer) End(id SpanID, at sim.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := len(t.open) - 1; i >= 0; i-- {
+		if s := t.open[i]; s.ID == id {
+			t.open = append(t.open[:i], t.open[i+1:]...) //adsm:allow noalloc: removal shifts within the existing backing array
+			s.End = at
+			t.record(s)
+			return
 		}
 	}
+}
+
+// record appends a completed span to the bounded ring. Caller holds t.mu.
+//
+//adsm:noalloc
+func (t *Tracer) record(s Span) {
+	if len(t.spans) < cap(t.spans) {
+		t.spans = append(t.spans, s) //adsm:allow noalloc: guarded by len < cap, so the preallocated ring's backing array never grows
+	} else {
+		t.spans[t.next] = s
+		t.next = (t.next + 1) % len(t.spans)
+	}
+	t.total++
+}
+
+// Spans returns the retained completed spans, oldest first.
+func (t *Tracer) Spans() []Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Span, 0, len(t.spans))
+	out = append(out, t.spans[t.next:]...)
+	out = append(out, t.spans[:t.next]...)
 	return out
 }
 
-// String renders the whole retained window.
-func (l *Log) String() string {
-	var sb strings.Builder
-	for _, e := range l.Events() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
+// TotalSpans returns the number of spans ever completed.
+func (t *Tracer) TotalSpans() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
+}
+
+// WriteText writes the retained events, oldest first, one line each: time,
+// name, range, from->to and note.
+func (t *Tracer) WriteText(w io.Writer) error {
+	render := t.render()
+	bw := bufio.NewWriter(w)
+	for _, op := range t.Events() {
+		name, from, to, note := render(op)
+		fmt.Fprintf(bw, "%12s  %-6s", op.At, name)
+		if op.Size > 0 {
+			fmt.Fprintf(bw, " [%#x,+%d)", uint64(op.Addr), op.Size)
+		}
+		if from != "" || to != "" {
+			fmt.Fprintf(bw, " %s->%s", from, to)
+		}
+		if note != "" {
+			fmt.Fprintf(bw, " %s", note)
+		}
+		bw.WriteByte('\n')
 	}
-	return sb.String()
+	return bw.Flush()
+}
+
+// WriteJSON exports the retained spans and events in the Chrome
+// trace_event format (the JSON Array Format with metadata wrapper), ready
+// to load into chrome://tracing or Perfetto. Spans become complete ("X")
+// events; protocol events become instant ("i") events. Virtual nanoseconds
+// map onto the format's microsecond timestamps.
+func (t *Tracer) WriteJSON(w io.Writer) error {
+	type chromeEvent struct {
+		Name  string         `json:"name"`
+		Cat   string         `json:"cat"`
+		Phase string         `json:"ph"`
+		TS    float64        `json:"ts"`
+		Dur   *float64       `json:"dur,omitempty"`
+		Scope string         `json:"s,omitempty"`
+		PID   int            `json:"pid"`
+		TID   int            `json:"tid"`
+		Args  map[string]any `json:"args,omitempty"`
+	}
+	us := func(d sim.Time) float64 { return float64(d) / 1e3 }
+
+	spans, ops, render := t.Spans(), t.Events(), t.render()
+	events := make([]chromeEvent, 0, len(spans)+len(ops))
+	for _, s := range spans {
+		dur := us(s.Duration())
+		args := map[string]any{"id": uint64(s.ID)}
+		if s.Parent != 0 {
+			args["parent"] = uint64(s.Parent)
+		}
+		if s.Note != "" {
+			args["note"] = s.Note
+		}
+		events = append(events, chromeEvent{
+			Name: s.Name, Cat: "adsm", Phase: "X",
+			TS: us(s.Start), Dur: &dur, PID: 1, TID: 1, Args: args,
+		})
+	}
+	for _, op := range ops {
+		name, from, to, note := render(op)
+		args := map[string]any{}
+		if op.Size > 0 {
+			args["addr"] = fmt.Sprintf("%#x", uint64(op.Addr))
+			args["size"] = op.Size
+		}
+		if from != "" || to != "" {
+			args["from"], args["to"] = from, to
+		}
+		if note != "" {
+			args["note"] = note
+		}
+		events = append(events, chromeEvent{
+			Name: name, Cat: "event", Phase: "i",
+			TS: us(op.At), Scope: "t", PID: 1, TID: 2, Args: args,
+		})
+	}
+
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if _, err := bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`); err != nil {
+		return err
+	}
+	for i, ev := range events {
+		if i > 0 {
+			if err := bw.WriteByte(','); err != nil {
+				return err
+			}
+		}
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.WriteString("]}\n"); err != nil {
+		return err
+	}
+	return bw.Flush()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/gmac"
+	"repro/internal/sim"
 	"repro/machine"
 )
 
@@ -208,9 +209,9 @@ func TestWorkloadStructuralProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Breakdown.Fraction("IORead") < 0.3 {
+		if rep.Breakdown.Fraction(sim.CatIORead) < 0.3 {
 			t.Fatalf("mri-q IORead share %.2f, want the dominant slice",
-				rep.Breakdown.Fraction("IORead"))
+				rep.Breakdown.Fraction(sim.CatIORead))
 		}
 	})
 
