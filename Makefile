@@ -74,25 +74,26 @@ bench-contended:
 		-benchmem -benchtime=100x -count=3 -run '^$$' ./internal/core
 
 # The conformance suite under the race detector: batched runs byte-identical
-# to the unbatched oracle on every workload, replay round trip, and the
-# sharded registry/MMU lane stress.
+# to the unbatched oracle on every workload, replay round trip, the sharded
+# registry/MMU lane stress, and the MMU's lock-free access check.
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
-		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|SpanFaultBatching' \
+		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching' \
 		./internal/core ./internal/hostmmu
 
 # Interleaved contract pairs of the harness at BASE against the working
 # tree: per-pair values, wins, medians and quartiles, and whether a claimed
-# gain in wall_s passes the 9-of-10 / median-gap-over-IQR rule
-# (scripts/benchpairs.sh).
+# gain in METRIC (a lower-is-better contract metric, default wall_s) passes
+# the 9-of-10 / median-gap-over-IQR rule (scripts/benchpairs.sh).
 BASE ?= HEAD
 N ?= 10
 WORKLOAD ?= kernel-loop
 SECONDS ?= 20
 SEED ?= 5
+METRIC ?= wall_s
 bench-pairs:
-	bash scripts/benchpairs.sh $(BASE) $(N) $(WORKLOAD) $(SECONDS) $(SEED)
+	bash scripts/benchpairs.sh $(BASE) $(N) $(WORKLOAD) $(SECONDS) $(SEED) $(METRIC)
 
 # Go line counts per package at BASE and in the working tree (non-test,
 # test and testdata), with the net non-test difference (scripts/loc.sh).

@@ -51,9 +51,10 @@ type Snapshot struct {
 }
 
 // Snapshot captures the context's current state. Every piece is safe to
-// read from any goroutine (the Stats counters are atomics), but the pieces
-// are read one after another and Time is the calling goroutine's lane
-// clock, so only the goroutine driving the context gets a consistent cut.
+// read from any goroutine (the Stats counters are atomics, and each object
+// row is read under its object's lock), but the pieces are read one after
+// another and Time is the calling goroutine's lane clock, so only the
+// goroutine driving the context gets a consistent cut.
 func (c *Context) Snapshot() Snapshot {
 	return Snapshot{
 		Protocol:        c.mgr.Protocol().String(),

@@ -60,16 +60,17 @@ type Device struct {
 	clock  *sim.Clock
 	memory *mem.Space
 	alloc  *mem.Allocator
+	pt     *pageTable
+	met    devMetrics
+	// mu guards kern, stats, pending and the three engines, which have no
+	// lock of their own; kernel bodies run under it so concurrent launches
+	// cannot race on device memory.
+	mu     sync.Mutex
 	dmaH2D *sim.Resource
 	dmaD2H *sim.Resource
 	engine *sim.Resource
-	pt     *pageTable
-	met    devMetrics
-	// mu guards kern, stats and pending; kernel bodies run under it so
-	// concurrent launches cannot race on device memory.
-	mu    sync.Mutex
-	kern  map[string]*Kernel
-	stats Stats
+	kern   map[string]*Kernel
+	stats  Stats
 	// pending tracks the last enqueued operation of the default stream so
 	// kernels launch after in-flight DMAs and vice versa, matching CUDA's
 	// default-stream ordering.
@@ -579,7 +580,11 @@ func (d *Device) Launch(name string, args ...uint64) (sim.Completion, error) {
 // H2DFreeAt reports when the host-to-device DMA engine becomes idle. The
 // rolling-update protocol waits on it before submitting an eviction (queue
 // depth one, as the paper's §5.2 describes).
-func (d *Device) H2DFreeAt() sim.Time { return d.dmaH2D.FreeAt() }
+func (d *Device) H2DFreeAt() sim.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dmaH2D.FreeAt()
+}
 
 // Synchronize blocks the host until all enqueued device work completes and
 // returns the stall time (cudaThreadSynchronize).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -144,6 +145,51 @@ func TestDMASerialisation(t *testing.T) {
 		t.Fatalf("D2H copy appears serialised behind H2D: %v", c3.At)
 	}
 	_ = clock
+}
+
+// TestConcurrentDMASerialises issues 4 KiB copies in both directions from
+// several goroutines at one virtual instant. Each direction's engine is
+// serial, so its completions must be exactly 1, 2, …, n transfer times:
+// a submission that escaped the device lock would lose an update (a
+// repeated completion) or, under -race, be reported.
+func TestConcurrentDMASerialises(t *testing.T) {
+	const lanes, copies, n = 4, 300, 4096
+	d, clock := testDevice(t)
+	p, err := d.Malloc(2 * lanes * n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := clock.Now() // the copies are asynchronous: every one is issued at t0
+	done := make([][2][]sim.Completion, lanes)
+	var wg sync.WaitGroup
+	for l := 0; l < lanes; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			buf := make([]byte, n)
+			dev := p + mem.Addr(2*l*n)
+			for i := 0; i < copies; i++ {
+				done[l][0] = append(done[l][0], d.MemcpyH2DAsync(dev, buf))
+				done[l][1] = append(done[l][1], d.MemcpyD2HAsync(buf, dev+n))
+			}
+		}(l)
+	}
+	wg.Wait()
+	per := [2]sim.Time{d.cfg.H2D.TransferTime(n), d.cfg.D2H.TransferTime(n)}
+	for dir, name := range []string{"H2D", "D2H"} {
+		seen := make(map[sim.Time]bool)
+		for l := range done {
+			for _, c := range done[l][dir] {
+				if k := c.At - t0; k%per[dir] != 0 || k <= 0 || k > lanes*copies*per[dir] || seen[c.At] {
+					t.Fatalf("%s completion at %v: not a fresh slot of the serial engine (%v per copy)", name, c.At, per[dir])
+				}
+				seen[c.At] = true
+			}
+		}
+	}
+	if got, want := d.Pending().At, t0+lanes*copies*max(per[0], per[1]); got != want {
+		t.Fatalf("last completion %v, want %v", got, want)
+	}
 }
 
 func TestKernelLaunchExecutesAndCharges(t *testing.T) {

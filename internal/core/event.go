@@ -57,11 +57,10 @@ func (c *statsCounters) apply(op oplog.Op, row *objCounters) {
 			c.ReadFaults.Add(1)
 		}
 		if row != nil {
-			row.faults.Add(1)
 			if write {
-				row.writeFaults.Add(1)
+				row.writeFaults++
 			} else {
-				row.readFaults.Add(1)
+				row.readFaults++
 			}
 		}
 	case oplog.OpFetch:
@@ -72,15 +71,15 @@ func (c *statsCounters) apply(op oplog.Op, row *objCounters) {
 			c.PrefetchedBlocks.Add(op.Arg - 1)
 		}
 		if row != nil {
-			row.bytesD2H.Add(op.Size)
-			row.transfersD2H.Add(1)
+			row.bytesD2H += op.Size
+			row.transfersD2H++
 		}
 	case oplog.OpFlush:
 		c.BytesH2D.Add(op.Size)
 		c.TransfersH2D.Add(1)
 		if row != nil {
-			row.bytesH2D.Add(op.Size)
-			row.transfersH2D.Add(1)
+			row.bytesH2D += op.Size
+			row.transfersH2D++
 		}
 	case oplog.OpEvict:
 		// Evictions count blocks, not transfers, so the counter stays

@@ -157,8 +157,9 @@ type Manager struct {
 	reg     registry
 	rolling *rollingCache
 	// stats are the aggregate counters, one atomic per counter
-	// (statsCounters); per-object counters are atomic too. Both are folded
-	// from the op stream by emit (event.go).
+	// (statsCounters); the per-object rows are guarded by their object's
+	// mu (objCounters). Both are folded from the op stream by emit
+	// (event.go).
 	stats statsCounters
 	// flushMu guards the eager-eviction double buffer: the completion
 	// times of the last two H2D transfers issued by flushRunEager
@@ -187,13 +188,15 @@ type Manager struct {
 	mets *metricSet
 	// id is the process-wide construction sequence number.
 	id int
-	// retired keeps the final introspection rows of recently freed
-	// objects, guarded by introMu because HTTP handlers read them from
-	// other goroutines.
+	// retired is a ring of the final introspection rows of the last
+	// maxRetiredObjects freed objects, retiredN how many were ever retired;
+	// both guarded by introMu because HTTP handlers read them from other
+	// goroutines.
 	//
 	//adsm:lock introMu 46 nowait
-	introMu sync.Mutex
-	retired []ObjectSnapshot
+	introMu  sync.Mutex
+	retired  [maxRetiredObjects]ObjectSnapshot
+	retiredN int
 	// invokeKernel is the kernel currently being dispatched; the release
 	// sweep uses it to honour §3.3 object-to-kernel bindings. launched are
 	// the distinct kernels invoked since the last Sync, whose objects that

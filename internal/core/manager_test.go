@@ -115,6 +115,46 @@ func TestAllocReturnsSharedPointer(t *testing.T) {
 	}
 }
 
+// TestRetiredRingKeepsLastFrees frees more objects than the retired ring
+// holds: SnapshotObjects must list exactly the last maxRetiredObjects
+// frees, each with the counters its object had when it was freed.
+func TestRetiredRingKeepsLastFrees(t *testing.T) {
+	r := newRig(t, defaultCfg(RollingUpdate))
+	const frees = maxRetiredObjects + 6
+	want := map[int64]ObjStats{} // by size: the object's counters at its Free
+	for i := int64(1); i <= frees; i++ {
+		ptr, err := r.mgr.Alloc(i * testPage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mgr.HostWrite(ptr, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if i > frees-maxRetiredObjects {
+			want[i*testPage] = r.mgr.ObjectAt(ptr).Stats()
+		}
+		if err := r.mgr.Free(ptr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := 0
+	for _, row := range r.mgr.SnapshotObjects() {
+		if !row.Freed {
+			t.Fatalf("live row %+v after every object was freed", row)
+		}
+		st, ok := want[row.Size]
+		if !ok || row.Stats != st || st.WriteFaults == 0 {
+			t.Fatalf("freed row of size %d: stats %+v, want one of the last %d frees (%+v, %v)",
+				row.Size, row.Stats, maxRetiredObjects, st, ok)
+		}
+		delete(want, row.Size)
+		got++
+	}
+	if got != maxRetiredObjects {
+		t.Fatalf("%d freed rows, want %d", got, maxRetiredObjects)
+	}
+}
+
 func TestAllocConflictFallsBackToSafeAlloc(t *testing.T) {
 	r := newRig(t, defaultCfg(LazyUpdate))
 	// Occupy the address range the device will hand out (the §4.2

@@ -148,8 +148,8 @@ func (m *Manager) autoStep(o *Object) error {
 	if o.autoSyncs%autoWindow != 0 {
 		return nil
 	}
-	f := o.counters.faults.Load()
-	w := o.counters.writeFaults.Load()
+	w := o.counters.writeFaults
+	f := o.counters.readFaults + w
 	e := o.counters.evictions.Load()
 	vote := autoVote(o, f-o.autoFaults, w-o.autoWrites, e-o.autoEvicts)
 	o.autoFaults, o.autoWrites, o.autoEvicts = f, w, e

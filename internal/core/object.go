@@ -96,26 +96,30 @@ type ObjStats struct {
 	Evictions    int64 `json:"evictions"`
 }
 
-// objCounters is the atomic backing store for ObjStats. The manager
-// mutates it on the simulation goroutine while the introspection endpoint
-// reads it from HTTP handlers, so every field is atomic.
+// objCounters is the backing store for ObjStats, folded by apply from the
+// ops emitted for the object. The object's lock serialises the fault, byte
+// and transfer rows: every OpFault, OpFetch and OpFlush of the object is
+// emitted under its mu, and load runs under it. evictions is atomic,
+// because a cross-object OpEvict is emitted under the faulting object's
+// lock, not the victim's. A fault is counted once, by access kind.
 type objCounters struct {
-	faults, readFaults, writeFaults atomic.Int64
-	bytesH2D, bytesD2H              atomic.Int64
-	transfersH2D, transfersD2H      atomic.Int64
-	evictions                       atomic.Int64
+	readFaults, writeFaults    int64
+	bytesH2D, bytesD2H         int64
+	transfersH2D, transfersD2H int64
+	evictions                  atomic.Int64
 }
 
-// load copies the counters into an ObjStats value.
+// load copies the counters into an ObjStats value. The caller holds the
+// object's mu.
 func (c *objCounters) load() ObjStats {
 	return ObjStats{
-		Faults:       c.faults.Load(),
-		ReadFaults:   c.readFaults.Load(),
-		WriteFaults:  c.writeFaults.Load(),
-		BytesH2D:     c.bytesH2D.Load(),
-		BytesD2H:     c.bytesD2H.Load(),
-		TransfersH2D: c.transfersH2D.Load(),
-		TransfersD2H: c.transfersD2H.Load(),
+		Faults:       c.readFaults + c.writeFaults,
+		ReadFaults:   c.readFaults,
+		WriteFaults:  c.writeFaults,
+		BytesH2D:     c.bytesH2D,
+		BytesD2H:     c.bytesD2H,
+		TransfersH2D: c.transfersH2D,
+		TransfersD2H: c.transfersD2H,
 		Evictions:    c.evictions.Load(),
 	}
 }
@@ -192,12 +196,17 @@ type Object struct {
 	// never transferred again. Set under mu; atomic because introspection
 	// snapshots read it from HTTP goroutines without the lock.
 	degraded atomic.Bool
-	// counters attribute faults, transfers and evictions to this object.
+	// counters attribute faults, transfers and evictions to this object;
+	// guarded by mu but for evictions (objCounters).
 	counters objCounters
 }
 
 // Stats returns a copy of the object's activity counters.
-func (o *Object) Stats() ObjStats { return o.counters.load() }
+func (o *Object) Stats() ObjStats {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.counters.load()
+}
 
 // Mode returns the object's declared access mode.
 func (o *Object) Mode() AccessMode { return o.mode }

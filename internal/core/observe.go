@@ -90,7 +90,8 @@ func (s ObjectSnapshot) traffic() int64 {
 	return s.Stats.BytesH2D + s.Stats.BytesD2H + s.Stats.Faults + s.Stats.Evictions
 }
 
-// snapshotObject builds one table row from a live object.
+// snapshotObject builds one table row from an object. It takes o.mu to
+// read the counters, so no caller may hold introMu.
 func snapshotObject(o *Object) ObjectSnapshot {
 	return ObjectSnapshot{
 		Addr:     o.addr,
@@ -100,26 +101,28 @@ func snapshotObject(o *Object) ObjectSnapshot {
 		Safe:     o.safe,
 		Kernels:  len(o.kernels),
 		Degraded: o.degraded.Load(),
-		Stats:    o.counters.load(),
+		Stats:    o.Stats(),
 	}
 }
 
 // SnapshotObjects returns the live objects' static facts and counters plus
 // the most recently freed objects' final rows, ranked by fault/transfer
 // traffic (heaviest first). It is safe to call from any goroutine while
-// the run is in flight: the live objects come from a registry snapshot, the
-// retired ring is guarded by introMu, and the per-object counters are
-// atomic. Free retires an object's row before unregistering it and the
-// live set is read first here, so an object freed meanwhile may show up
-// both live and freed, but never as neither.
+// the run is in flight: the live objects come from a registry snapshot, each
+// row is read under its object's lock before introMu is taken, and the
+// retired ring is guarded by introMu. Free retires an object's row before
+// unregistering it and the live set is read first here, so an object freed
+// meanwhile may show up both live and freed, but never as neither.
 func (m *Manager) SnapshotObjects() []ObjectSnapshot {
 	live := m.reg.snapshot()
-	m.introMu.Lock()
-	out := make([]ObjectSnapshot, 0, len(live)+len(m.retired))
+	out := make([]ObjectSnapshot, 0, len(live)+maxRetiredObjects)
 	for _, o := range live {
 		out = append(out, snapshotObject(o))
 	}
-	out = append(out, m.retired...)
+	m.introMu.Lock()
+	n, next := min(m.retiredN, maxRetiredObjects), m.retiredN%maxRetiredObjects
+	out = append(out, m.retired[next:n]...) // the oldest rows, once the ring has wrapped
+	out = append(out, m.retired[:next]...)
 	m.introMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if ti, tj := out[i].traffic(), out[j].traffic(); ti != tj {
@@ -130,15 +133,14 @@ func (m *Manager) SnapshotObjects() []ObjectSnapshot {
 	return out
 }
 
-// introRetire appends o's final row to the retired ring.
+// introRetire writes o's final row over the oldest slot of the retired
+// ring.
 func (m *Manager) introRetire(o *Object) {
-	m.introMu.Lock()
 	s := snapshotObject(o)
 	s.Freed = true
-	m.retired = append(m.retired, s)
-	if len(m.retired) > maxRetiredObjects {
-		m.retired = append(m.retired[:0:0], m.retired[len(m.retired)-maxRetiredObjects:]...)
-	}
+	m.introMu.Lock()
+	m.retired[m.retiredN%maxRetiredObjects] = s
+	m.retiredN++
 	m.introMu.Unlock()
 }
 

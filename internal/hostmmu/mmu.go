@@ -9,11 +9,19 @@
 // through accessor views (package gmac) which call CheckRead/CheckWrite
 // before touching backing memory. The fault points are identical: first
 // read of Invalid data, first write to ReadOnly data.
+//
+// The read contract: a page's protection changes only under its owner's
+// exclusion (GMAC holds the object's lock around every Mprotect and Unmap
+// of the object's pages, and around every access check of them), so
+// CheckRead and CheckWrite read the page table without a lock. What they
+// could otherwise race with — another owner's Map or Unmap adding or
+// dropping a granule — is published copy-on-write.
 package hostmmu
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -95,13 +103,11 @@ type Stats struct {
 	SignalTime  sim.Time // accumulated signal-delivery cost
 }
 
-// Page-table sharding. The page table used to be one map under one
-// RWMutex: every concurrent lane's protection check and every fault
-// handler's mprotect met on that lock. It is now split into mmuShards
+// Page-table sharding. The page table is split into mmuShards
 // address-range shards — the same 1 MiB-granule Fibonacci hash the core
 // registry shards by, so a lane's working set and its neighbour's land on
-// different shards — and each protection check touches only the shard of
-// the page it probes. A page larger than 1 MiB is its own granule.
+// different shards — and each writer locks only the shard of the pages it
+// changes. A page larger than 1 MiB is its own granule.
 const (
 	mmuShardBits    = 4
 	mmuShardCount   = 1 << mmuShardBits
@@ -119,10 +125,22 @@ type granule struct {
 	prot []Prot
 }
 
-// mmuShard is one slice of the page table, keyed by granule base.
+// mmuShard is one slice of the page table, keyed by granule base. Writers
+// (Map, Unmap, Mprotect) and Protection serialise on mu. The access check
+// takes no lock: it reads view, a copy of granules that a writer publishes
+// whenever it adds or drops a granule, and the granule's protections,
+// which only the pages' owner changes.
 type mmuShard struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	granules map[mem.Addr]*granule
+	view     atomic.Pointer[map[mem.Addr]*granule]
+}
+
+// publish makes the current granule set visible to the access check. The
+// caller holds sh.mu.
+func (sh *mmuShard) publish() {
+	v := maps.Clone(sh.granules)
+	sh.view.Store(&v)
 }
 
 // run locates the granule run [p, min(end, granule end)): its shard, its
@@ -152,11 +170,13 @@ func (g *granule) mapped(lo, hi int) bool {
 // MMU is the software memory-protection unit. All times are charged to the
 // virtual clock; the breakdown receives the Signal category.
 //
-// The MMU is safe for concurrent use: protection checks from several host
-// goroutines read the sharded page table under per-shard shared locks, and
-// fault delivery runs with no MMU lock held (the handler re-enters via
-// Mprotect), exactly as a real kernel delivers signals outside the
-// page-table spinlock. Shard locks are taken one at a time, never nested.
+// The MMU is safe for concurrent use under the package's read contract:
+// protection checks read the sharded page table without a lock while
+// another goroutine maps, re-protects or unmaps other owners' pages, even
+// in the same granule. Fault delivery runs with no MMU lock held (the
+// handler re-enters via Mprotect), exactly as a real kernel delivers
+// signals outside the page-table spinlock. Shard locks are taken one at a
+// time, never nested.
 type MMU struct {
 	pageSize    int64
 	pageShift   uint8
@@ -168,12 +188,12 @@ type MMU struct {
 	signalCost  sim.Time // cost of one fault delivery (kernel + user handler entry)
 
 	// Counters are plain atomics: fault delivery is the hot path and must
-	// not serialise concurrent faulting goroutines on a stats lock.
-	faults      atomic.Int64
+	// not serialise concurrent faulting goroutines on a stats lock. A fault
+	// is counted once, by access kind; the total and the signal time are
+	// derived from the two.
 	readFaults  atomic.Int64
 	writeFaults atomic.Int64
 	mprotects   atomic.Int64
-	signalTime  atomic.Int64
 }
 
 // Config parameterises the MMU.
@@ -197,6 +217,7 @@ func New(cfg Config, clock *sim.Clock, breakdown *sim.Breakdown) *MMU {
 	}
 	for i := range m.shards {
 		m.shards[i].granules = make(map[mem.Addr]*granule)
+		m.shards[i].publish()
 	}
 	return m
 }
@@ -215,13 +236,14 @@ func (m *MMU) SetHandler(h FaultHandler) {
 
 // Stats returns a copy of the accumulated counters.
 func (m *MMU) Stats() Stats {
-	return Stats{
-		Faults:      m.faults.Load(),
+	s := Stats{
 		ReadFaults:  m.readFaults.Load(),
 		WriteFaults: m.writeFaults.Load(),
 		Mprotects:   m.mprotects.Load(),
-		SignalTime:  sim.Time(m.signalTime.Load()),
 	}
+	s.Faults = s.ReadFaults + s.WriteFaults
+	s.SignalTime = sim.Time(s.Faults) * m.signalCost
+	return s
 }
 
 func (m *MMU) pageBase(addr mem.Addr) mem.Addr {
@@ -245,6 +267,7 @@ func (m *MMU) Map(addr mem.Addr, size int64, prot Prot) {
 				g.prot[i] = protUnmapped
 			}
 			sh.granules[base] = g
+			sh.publish()
 		}
 		for i := lo; i < hi; i++ {
 			if g.prot[i] == protUnmapped {
@@ -275,6 +298,7 @@ func (m *MMU) Unmap(addr mem.Addr, size int64) {
 			}
 			if g.live == 0 {
 				delete(sh.granules, base)
+				sh.publish()
 			}
 		}
 		sh.mu.Unlock()
@@ -326,8 +350,8 @@ func errMprotectUnmapped(p mem.Addr) error {
 // whether that page is mapped.
 func (m *MMU) Protection(addr mem.Addr) (Prot, bool) {
 	sh, base, lo, _ := m.run(m.pageBase(addr), m.pageBase(addr)+1)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if g := sh.granules[base]; g != nil && g.prot[lo] != protUnmapped {
 		return g.prot[lo], true
 	}
@@ -361,9 +385,8 @@ func (m *MMU) check(addr mem.Addr, size int64, access Access) error {
 	for page, tries := m.pageBase(addr), 0; page < end; {
 		sh, base, lo, hi := m.run(page, end)
 		prot := protUnmapped
-		sh.mu.RLock()
 		i := lo
-		if g := sh.granules[base]; g != nil { // a Prot permits what those below it do
+		if g := (*sh.view.Load())[base]; g != nil { // a Prot permits what those below it do
 			for i < hi && g.prot[i] >= need && g.prot[i] != protUnmapped {
 				i++
 			}
@@ -371,7 +394,6 @@ func (m *MMU) check(addr mem.Addr, size int64, access Access) error {
 				prot = g.prot[i]
 			}
 		}
-		sh.mu.RUnlock()
 		if i > lo {
 			page, tries = base+mem.Addr(i)<<m.pageShift, 0
 			continue
@@ -394,13 +416,11 @@ func (m *MMU) check(addr mem.Addr, size int64, access Access) error {
 // deliver runs the fault handler with no MMU lock held: the handler
 // re-enters the MMU through Mprotect to upgrade the page.
 func (m *MMU) deliver(f Fault) error {
-	m.faults.Add(1)
 	if f.Access == AccessWrite {
 		m.writeFaults.Add(1)
 	} else {
 		m.readFaults.Add(1)
 	}
-	m.signalTime.Add(int64(m.signalCost))
 	m.clock.Advance(m.signalCost)
 	if m.breakdown != nil {
 		m.breakdown.Add(sim.CatSignal, m.signalCost)

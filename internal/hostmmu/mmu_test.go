@@ -2,8 +2,11 @@ package hostmmu
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -291,5 +294,110 @@ func TestMMUConcurrentLanes(t *testing.T) {
 				t.Fatalf("lane %d page %d still mapped after Unmap", l, i)
 			}
 		}
+	}
+}
+
+// TestCheckTakesNoShardLock pins the lock-free access check: with the
+// page's shard lock held elsewhere, checking a mapped, permitted page still
+// returns.
+func TestCheckTakesNoShardLock(t *testing.T) {
+	m, _, _ := newMMU(t)
+	const addr = mem.Addr(0x10_0000)
+	m.Map(addr, 2*4096, ProtRead)
+	if err := m.Mprotect(addr+4096, 4096, ProtReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	sh, _, _, _ := m.run(addr, addr+1)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		err := m.CheckRead(addr, 2*4096)
+		if err == nil {
+			err = m.CheckWrite(addr+4096, 4096)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("CheckRead/CheckWrite waited for the shard lock")
+	}
+}
+
+// TestCheckBesideNeighbourMaps runs one owner checking and re-protecting
+// object A's pages while another maps, re-protects and unmaps object B's
+// pages in A's granules and in granules of their own, so the shards publish
+// new granule sets under A's checks. Under -race it is the test of the
+// lock-free read contract; A must never fault or find its pages unmapped.
+func TestCheckBesideNeighbourMaps(t *testing.T) {
+	m, _, _ := newMMU(t)
+	const (
+		g     = mem.Addr(mmuGranuleBytes)
+		aBase = 0x4000_0000 + g - 4*4096 // A straddles a granule boundary
+		aSize = 8 * 4096
+	)
+	m.Map(aBase, aSize, ProtReadWrite)
+	m.SetHandler(func(f Fault) error {
+		return fmt.Errorf("unexpected %s fault at %#x", f.Access, uint64(f.Addr))
+	})
+	// B's ranges: A's neighbours on both sides, and one page run in each of
+	// 32 granules of B's own.
+	var bRanges [][2]mem.Addr
+	bRanges = append(bRanges, [2]mem.Addr{aBase - 4*4096, 4 * 4096}, [2]mem.Addr{aBase + aSize, 4 * 4096})
+	for k := mem.Addr(2); k < 34; k++ {
+		bRanges = append(bRanges, [2]mem.Addr{0x4000_0000 + k*g, 4 * 4096})
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var bRounds atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ; ; bRounds.Add(1) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, r := range bRanges {
+				m.Map(r[0], int64(r[1]), ProtNone)
+			}
+			for _, r := range bRanges {
+				if err := m.Mprotect(r[0], int64(r[1]), ProtRead); err != nil {
+					t.Errorf("B mprotect: %v", err)
+					return
+				}
+			}
+			for _, r := range bRanges {
+				m.Unmap(r[0], int64(r[1]))
+			}
+		}
+	}()
+	for i := 0; i < 2000 || bRounds.Load() < 200; i++ {
+		prot := ProtRead
+		if i%2 == 1 {
+			prot = ProtReadWrite
+		}
+		if err := m.Mprotect(aBase, aSize, prot); err != nil {
+			t.Errorf("A mprotect: %v", err)
+			break
+		}
+		err := m.CheckRead(aBase, aSize)
+		if err == nil && prot == ProtReadWrite {
+			err = m.CheckWrite(aBase, aSize)
+		}
+		if err != nil {
+			t.Errorf("A check %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := m.Stats(); st.Faults != 0 {
+		t.Fatalf("A faulted %d times", st.Faults)
 	}
 }

@@ -2,7 +2,7 @@
 // dependency-free registry of named counters, gauges and fixed-bucket
 // histograms. The record path is built for the manager's hot paths (fault
 // handling, block transfers): handles are resolved once at wiring time,
-// after which every Inc/Add/Set/Observe is a handful of atomic operations
+// after which every Inc/Add/Set/Observe is one or two atomic operations
 // and performs no allocation.
 //
 // The conventions mirror the paper's evaluation: transfer volumes and
@@ -62,12 +62,13 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // (latencies in nanoseconds, sizes in bytes, tree depths in nodes).
 // Observation i lands in the first bucket whose upper bound is >= i; an
 // implicit +Inf bucket catches the rest. The record path is allocation
-// free: one linear scan over the (small, fixed) bound slice plus three
-// atomic adds.
+// free: one linear scan over the (small, fixed) bound slice plus two
+// atomic adds. There is no separate count: the number of observations is
+// the total of the buckets, so every reader's count agrees with the
+// buckets it read, even under concurrent Observe.
 type Histogram struct {
 	bounds []int64        // ascending upper bounds
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	count  atomic.Int64
 	sum    atomic.Int64
 }
 
@@ -78,12 +79,27 @@ func (h *Histogram) Observe(v int64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	_, n := h.load(nil)
+	return n
+}
+
+// load appends each bucket's count to dst[:0] and returns it with their
+// total, the histogram's count.
+func (h *Histogram) load(dst []int64) ([]int64, int64) {
+	dst = dst[:0]
+	total := int64(0)
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		dst = append(dst, c)
+		total += c
+	}
+	return dst, total
+}
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -186,12 +202,10 @@ func (s HistogramSnapshot) Sub(base HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// liveQuantile mirrors HistogramSnapshot.Quantile but walks the live
-// atomic buckets directly, so render paths (WriteText) can report
-// percentiles without snapshotting. count is the caller's loaded total;
-// concurrent observations may make the bucket walk slightly stale, which
-// is fine for a report.
-func (h *Histogram) liveQuantile(q float64, count int64) int64 {
+// loadedQuantile mirrors HistogramSnapshot.Quantile over bucket counts the
+// caller loaded (load), so render paths (WriteText) can report percentiles
+// without snapshotting. count is the total of counts.
+func (h *Histogram) loadedQuantile(q float64, counts []int64, count int64) int64 {
 	if count == 0 {
 		return 0
 	}
@@ -203,8 +217,8 @@ func (h *Histogram) liveQuantile(q float64, count int64) int64 {
 	}
 	rank := q * float64(count)
 	cum, lower := 0.0, 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
+	for i, c := range counts {
+		n := float64(c)
 		inf := i >= len(h.bounds)
 		var upper float64
 		if !inf {
@@ -224,22 +238,21 @@ func (h *Histogram) liveQuantile(q float64, count int64) int64 {
 	return int64(lower)
 }
 
-// Snapshot copies the histogram's current state.
+// Snapshot copies the histogram's current state. Its Count is the total
+// of its Buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count:   h.count.Load(),
-		Sum:     h.sum.Load(),
-		Buckets: make([]Bucket, len(h.counts)),
-	}
-	if s.Count > 0 {
-		s.Mean = float64(s.Sum) / float64(s.Count)
-	}
+	s := HistogramSnapshot{Buckets: make([]Bucket, len(h.counts))}
 	for i := range h.counts {
 		le := "+inf"
 		if i < len(h.bounds) {
 			le = strconv.FormatInt(h.bounds[i], 10)
 		}
 		s.Buckets[i] = Bucket{Le: le, Count: h.counts[i].Load()}
+		s.Count += s.Buckets[i].Count
+	}
+	s.Sum = h.sum.Load()
+	if s.Count > 0 {
+		s.Mean = float64(s.Sum) / float64(s.Count)
 	}
 	return s
 }
@@ -419,7 +432,6 @@ func (r *Registry) Reset() {
 		for i := range h.counts {
 			h.counts[i].Store(0)
 		}
-		h.count.Store(0)
 		h.sum.Store(0)
 	}
 }
@@ -440,6 +452,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	counters, gauges, histograms := r.namesLocked()
 	buf := make([]byte, 0, 256+64*(len(counters)+len(gauges))+512*len(histograms))
+	var counts []int64
 	if len(counters) > 0 {
 		buf = append(buf, "counters:\n"...)
 		for _, n := range counters {
@@ -454,7 +467,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	for _, n := range histograms {
 		h := r.histograms[n]
-		count, sum := h.count.Load(), h.sum.Load()
+		var count int64
+		counts, count = h.load(counts)
+		sum := h.sum.Load()
 		mean := 0.0
 		if count > 0 {
 			mean = float64(sum) / float64(count)
@@ -468,14 +483,13 @@ func (r *Registry) WriteText(w io.Writer) error {
 		buf = append(buf, " mean="...)
 		buf = strconv.AppendFloat(buf, mean, 'f', 1, 64)
 		buf = append(buf, " p50="...)
-		buf = strconv.AppendInt(buf, h.liveQuantile(0.50, count), 10)
+		buf = strconv.AppendInt(buf, h.loadedQuantile(0.50, counts, count), 10)
 		buf = append(buf, " p95="...)
-		buf = strconv.AppendInt(buf, h.liveQuantile(0.95, count), 10)
+		buf = strconv.AppendInt(buf, h.loadedQuantile(0.95, counts, count), 10)
 		buf = append(buf, " p99="...)
-		buf = strconv.AppendInt(buf, h.liveQuantile(0.99, count), 10)
+		buf = strconv.AppendInt(buf, h.loadedQuantile(0.99, counts, count), 10)
 		buf = append(buf, '\n')
-		for i := range h.counts {
-			c := h.counts[i].Load()
+		for i, c := range counts {
 			if c == 0 {
 				continue
 			}

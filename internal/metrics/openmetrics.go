@@ -6,7 +6,8 @@
 // is re-quoted into proper Prometheus label syntax (`name{key="value"}`),
 // one `# TYPE` line is emitted per metric family, histogram buckets become
 // the cumulative `_bucket{le="..."}` series with `+Inf`, and `_sum` /
-// `_count` close each distribution.
+// `_count` close each distribution; `_count` is the `+Inf` bucket's value,
+// as the format requires.
 package metrics
 
 import (
@@ -85,7 +86,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		buf = append(buf, "_count"...)
 		buf = append(buf, labels...)
 		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, h.count.Load(), 10)
+		buf = strconv.AppendInt(buf, cum, 10) // the +Inf bucket's value
 		buf = append(buf, '\n')
 	}
 	r.mu.Unlock()

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -90,4 +92,85 @@ func TestSanitizeIdent(t *testing.T) {
 	if got := sanitizeMetricName("ns:metric"); got != "ns:metric" {
 		t.Errorf("metric names may keep colons, got %q", got)
 	}
+}
+
+// TestHistogramExpositionConsistent renders a histogram while writers
+// observe into it. Every snapshot's Count must equal the total of its
+// buckets, every text report's count= its bucket lines' total, and every
+// exposition's _count its +Inf bucket, as OpenMetrics requires.
+func TestHistogramExpositionConsistent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", []int64{1, 10, 100})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for v := int64(w); ; v++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(v % 200)
+			}
+		}(w)
+	}
+	defer wg.Wait()
+	defer close(stop)
+	for round := 0; round < 500; round++ {
+		s := h.Snapshot()
+		total := int64(0)
+		for _, b := range s.Buckets {
+			total += b.Count
+		}
+		if s.Count != total {
+			t.Fatalf("round %d: snapshot count %d, buckets total %d", round, s.Count, total)
+		}
+
+		var txt bytes.Buffer
+		if err := r.WriteText(&txt); err != nil {
+			t.Fatal(err)
+		}
+		var count, lines int64 = -1, 0
+		for _, line := range strings.Split(txt.String(), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) > 2 && f[0] == "histogram":
+				count = fieldInt(t, strings.TrimPrefix(f[2], "count="))
+			case len(f) == 3 && f[0] == "le":
+				lines += fieldInt(t, f[2])
+			}
+		}
+		if count != lines {
+			t.Fatalf("round %d: text count=%d, bucket lines total %d:\n%s", round, count, lines, txt.String())
+		}
+
+		var om bytes.Buffer
+		if err := r.WriteOpenMetrics(&om); err != nil {
+			t.Fatal(err)
+		}
+		var inf, cnt int64 = -1, -2
+		for _, line := range strings.Split(om.String(), "\n") {
+			switch f := strings.Fields(line); {
+			case len(f) == 2 && f[0] == `h_bucket{le="+Inf"}`:
+				inf = fieldInt(t, f[1])
+			case len(f) == 2 && f[0] == "h_count":
+				cnt = fieldInt(t, f[1])
+			}
+		}
+		if inf != cnt {
+			t.Fatalf("round %d: _count %d, +Inf bucket %d:\n%s", round, cnt, inf, om.String())
+		}
+	}
+}
+
+func fieldInt(t *testing.T, s string) int64 {
+	t.Helper()
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatalf("%q: %v", s, err)
+	}
+	return v
 }

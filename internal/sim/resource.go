@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Resource models a serial hardware resource (a DMA engine, an accelerator
 // compute engine, a disk). Work items submitted to a Resource execute one
@@ -11,13 +8,14 @@ import (
 // is busy starts when the resource frees up. The submitting CPU is not
 // blocked — it receives a Completion and may continue doing other work.
 //
-// A Resource is safe for concurrent use: submissions from several host
-// goroutines serialise on the resource exactly as concurrent DMA requests
-// serialise on one hardware engine.
+// A Resource has no lock of its own: its owner serialises every call, as
+// accel.Device does by holding its device lock around each Submit and
+// FreeAt, so submissions from several host goroutines still serialise on
+// the resource exactly as concurrent DMA requests serialise on one
+// hardware engine.
 type Resource struct {
 	name   string
 	clock  *Clock
-	mu     sync.Mutex
 	freeAt Time // the resource is idle from this time on
 	busy   Time // cumulative busy time, for utilisation reporting
 	jobs   int64
@@ -43,8 +41,6 @@ func (r *Resource) Submit(earliest, d Time) Completion {
 	if d < 0 {
 		panicNegativeWork(d, r.name)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	start := earliest
 	if r.freeAt > start {
 		start = r.freeAt
@@ -69,30 +65,16 @@ func (r *Resource) SubmitNow(d Time) Completion {
 }
 
 // FreeAt reports the time at which all currently queued work completes.
-func (r *Resource) FreeAt() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.freeAt
-}
+func (r *Resource) FreeAt() Time { return r.freeAt }
 
 // BusyTime reports the cumulative time the resource has spent executing.
-func (r *Resource) BusyTime() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busy
-}
+func (r *Resource) BusyTime() Time { return r.busy }
 
 // Jobs reports how many work items have been submitted.
-func (r *Resource) Jobs() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.jobs
-}
+func (r *Resource) Jobs() int64 { return r.jobs }
 
 // Reset returns the resource to idle at time zero.
 func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.freeAt = 0
 	r.busy = 0
 	r.jobs = 0

@@ -3,15 +3,18 @@
 # a base commit against the same harness built from the working tree, on one
 # workload. Pair i runs both sides back to back, the base first in even
 # pairs and the working tree first in odd ones, so a slow spell of the host
-# lands on both sides alike. It then prints each pair's wall_s, how many
-# pairs the working tree won, each side's median and quartiles, and whether
-# the claim rule of the choosing-metrics guide holds: at least 9 wins in 10
-# pairs, and the medians further apart than the base's interquartile range.
+# lands on both sides alike. It then prints each pair's METRIC, how many
+# pairs the working tree won (read lower), each side's median and
+# quartiles, and whether the claim rule of the choosing-metrics guide
+# holds: at least 9 wins in 10 pairs, and the medians further apart than
+# the base's interquartile range.
 #
-#   scripts/benchpairs.sh [BASE [N [WORKLOAD [SECONDS [SEED]]]]]
-#   make bench-pairs BASE=HEAD~1 N=10 WORKLOAD=kernel-loop SECONDS=20 SEED=5
+#   scripts/benchpairs.sh [BASE [N [WORKLOAD [SECONDS [SEED [METRIC]]]]]]
+#   make bench-pairs BASE=HEAD~1 N=10 WORKLOAD=fault-storm SEED=7 METRIC=access_p50_us
 #
-# Defaults: BASE=HEAD N=10 WORKLOAD=kernel-loop SECONDS=20 SEED=5. Every
+# Defaults: BASE=HEAD N=10 WORKLOAD=kernel-loop SECONDS=20 SEED=5
+# METRIC=wall_s; METRIC names a lower-is-better metric of the contract
+# line (wall_s, setup_s, access_p50_us, access_p99_us, peak_rss_mb). Every
 # pair uses the one seed, so the simulated metrics (virt_s, pcie_bytes,
 # ok_ops_ratio) must be equal on both sides; a pair where they differ is
 # reported. Each run's contract line is kept in OUT (environment; default
@@ -25,13 +28,14 @@ n=${2:-10}
 workload=${3:-kernel-loop}
 seconds=${4:-20}
 seed=${5:-5}
+metric=${6:-wall_s}
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 out=${OUT:-$tmp/runs}
 mkdir -p "$tmp/base" "$out"
 git -C "$root" archive "$base" | tar -x -C "$tmp/base"
-echo "base $(git -C "$root" rev-parse --short "$base") vs working tree: $workload, $n pairs, --seconds $seconds --seed $seed" >&2
+echo "base $(git -C "$root" rev-parse --short "$base") vs working tree: $workload, $n pairs, --seconds $seconds --seed $seed, $metric" >&2
 
 # run SIDE DIR I: one contract run, its last line saved as OUT/SIDE-I.json.
 run() {
@@ -50,10 +54,10 @@ for ((i = 0; i < n; i++)); do
 	echo "pair $i done" >&2
 done
 
-python3 - "$out" "$n" <<'EOF'
+python3 - "$out" "$n" "$metric" <<'EOF'
 import json, statistics, sys
 
-out, n, metric = sys.argv[1], int(sys.argv[2]), "wall_s"
+out, n, metric = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 exact = ("virt_s", "pcie_bytes", "ok_ops_ratio")
 load = lambda side, i: json.load(open(f"{out}/{side}-{i}.json"))
 base, head, wins = [], [], 0
