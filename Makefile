@@ -14,7 +14,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Static analysis: the standard go vet suite, then adsmvet — the ADSM
-# multichecker (allowcheck, lockorder, modecheck, noalloc, statecase; see
+# multichecker (allowcheck, lockorder, noalloc, statecase; see
 # docs/static-analysis.md) — driven through
 # `go vet -vettool` so every package, its _test.go files, and the cmd/
 # mains are analyzed, and results land in the build cache (keyed on the
@@ -100,9 +100,14 @@ bench-pairs:
 loc:
 	bash scripts/loc.sh $(BASE)
 
-# Fast end-to-end sanity: one small figure run with the JSON summary.
+# Fast end-to-end sanity: one small figure run with the JSON summary, then
+# the four examples, the only gmac callers no test runs. Each exits non-zero
+# on an error; quickstart, multigpu and stencil3d also on a wrong result
+# (mri's workload is checked against CUDA by TestChecksumEquality).
+EXAMPLES = quickstart mri multigpu stencil3d
 smoke:
 	$(GO) run ./cmd/gmacbench -small -json /tmp/gmacbench-smoke.json fig8
+	for e in $(EXAMPLES); do echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; done
 
 # Native fuzzing of the registry's span set and block lookup, the manager op
 # stream, the oplog wire decoder, the race analyser, and the MMU's page

@@ -1,6 +1,6 @@
 // adsmvet is the ADSM static-analysis multichecker: the analyzer suite
-// that mechanically enforces the repository's coherence, locking,
-// access-mode, and hot-path conventions (see docs/static-analysis.md),
+// that mechanically enforces the repository's lock-order, hot-path and
+// protocol-state conventions (see docs/static-analysis.md),
 // interprocedurally via the callgraph summary engine.
 //
 // It runs two ways:
@@ -48,7 +48,7 @@ import (
 // like a devel version or the go command refuses to cache vet results.
 // cmd/go keys cached results on it, so bump it whenever what an analyzer
 // reports changes.
-const version = "v1.5.0"
+const version = "v1.6.0"
 
 func main() {
 	if err := analyzers.Validate(); err != nil {

@@ -133,6 +133,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("object %d on device %d: %d -> %d\n", i, mc.Owner(p), i+1, got)
+		if got != 2*byte(i+1) {
+			log.Fatalf("object %d: kernel left %d, want %d", i, got, 2*(i+1))
+		}
 	}
 	st := mc.Stats()
 	fmt.Printf("\naggregate: %d kernels, %d faults, %d KB moved\n",

@@ -77,7 +77,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("y[0] = %v (want 4), sum = %.0f (want %d)\n", yv.At(0), sum, n*4)
+	y0 := yv.At(0)
+	fmt.Printf("y[0] = %v (want 4), sum = %.0f (want %d)\n", y0, sum, n*4)
+	if y0 != 4 || sum != n*4 {
+		log.Fatal("saxpy produced the wrong result")
+	}
 
 	st := ctx.Stats()
 	fmt.Printf("virtual time: %v\n", m.Elapsed())

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/modecheck"
 	"repro/internal/analysis/noalloc"
 	"repro/internal/analysis/statecase"
 )
@@ -20,7 +19,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		analysis.AllowCheck,
 		lockorder.Analyzer,
-		modecheck.Analyzer,
 		noalloc.Analyzer,
 		statecase.Analyzer,
 	}

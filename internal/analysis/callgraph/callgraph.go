@@ -1,10 +1,10 @@
 // Package callgraph is the interprocedural summary engine under the
 // adsmvet analyzers.
 //
-// The repository's invariants — the allocation-free fault hot path, the
-// core lock hierarchy and the gmac host contract — were originally enforced intra-procedurally, so any violation
-// hidden behind one helper call escaped `make vet`. This package makes the
-// analyzers see through calls:
+// The repository's invariants — the allocation-free fault hot path and the
+// core lock hierarchy — were originally enforced intra-procedurally, so any
+// violation hidden behind one helper call escaped `make vet`. This package
+// makes the analyzers see through calls:
 //
 //   - a per-package call graph with static call resolution plus method-set
 //     (class-hierarchy) resolution of interface calls to their in-package
@@ -13,9 +13,8 @@
 //     so mutually recursive helpers are summarized by a terminating
 //     fixpoint rather than unbounded descent;
 //   - a bottom-up fixpoint computing one FuncSummary per function:
-//     does it allocate (and through which call chain), may it block, which
-//     annotated locks does it transitively acquire, and which gmac.Ptr
-//     parameters does it host-write or host-read.
+//     does it allocate (and through which call chain), may it block, and
+//     which annotated locks does it transitively acquire.
 //
 // Summaries cross package boundaries two ways. When a dependency's source
 // is loaded (standalone adsmvet, analysistest), its unit is summarized
@@ -74,7 +73,6 @@ type Info struct {
 	local   map[string]*FuncSummary // keyed by types.Func FullName
 	impls   map[string][]*types.Func
 	depMemo map[string]*PkgSummary // dependency package summaries
-	gmacPtr types.Type             // what gmac.Ptr denotes here (nil: no gmac in sight)
 }
 
 // Of returns the engine's Info for the pass's package, building it on
@@ -102,7 +100,6 @@ func build(unit *analysis.Unit) (*Info, error) {
 		local:   map[string]*FuncSummary{},
 		impls:   implementations(unit),
 		depMemo: map[string]*PkgSummary{},
-		gmacPtr: gmacPtrType(unit.Pkg),
 	}
 	info.Locks = collectLocks(unit)
 	for _, file := range unit.Files {
@@ -125,11 +122,6 @@ func build(unit *analysis.Unit) (*Info, error) {
 	}
 	info.fixpoint()
 	return info, nil
-}
-
-// Node returns the graph node declaring fn in this package, or nil.
-func (in *Info) Node(fn *types.Func) *Node {
-	return in.byFn[origin(fn)]
 }
 
 // edges collects the resolved call sites of a function body in source

@@ -10,7 +10,7 @@ import (
 // SummaryVersion is bumped whenever the FuncSummary wire shape changes, so
 // stale vetx blobs from an older adsmvet are discarded instead of
 // misdecoded.
-const SummaryVersion = 1
+const SummaryVersion = 2
 
 // SummaryFrame is one call-chain step: a callee and the file:line of the
 // call site (base name only, stable across checkouts).
@@ -27,15 +27,6 @@ type LockUse struct {
 	Nowait bool           `json:"nowait,omitempty"`
 	Pos    string         `json:"pos"`             // acquisition site
 	Chain  []SummaryFrame `json:"chain,omitempty"` // call path to it
-}
-
-// ParamEffect records that a gmac.Ptr parameter is host-written or
-// host-read somewhere under this function.
-type ParamEffect struct {
-	Index int            `json:"i"`    // parameter index in the signature
-	What  string         `json:"what"` // e.g. "HostWrite", "Memset"
-	Pos   string         `json:"pos"`
-	Chain []SummaryFrame `json:"chain,omitempty"`
 }
 
 // FuncSummary is the bottom-up dataflow fact set for one function: what
@@ -65,10 +56,6 @@ type FuncSummary struct {
 	// Annotated locks this function may acquire (even if it also releases
 	// them: the acquisition itself must respect the hierarchy).
 	Acquires []LockUse `json:"acquires,omitempty"`
-
-	// Host accesses to gmac.Ptr parameters.
-	PtrWrites []ParamEffect `json:"ptrWrites,omitempty"`
-	PtrReads  []ParamEffect `json:"ptrReads,omitempty"`
 }
 
 // PkgSummary is the serialized per-package summary set carried across

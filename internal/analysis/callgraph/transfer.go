@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
+	"slices"
+	"strings"
 
 	"repro/internal/analysis"
 )
@@ -61,8 +63,11 @@ func InspectInline(root ast.Node, f func(ast.Node) bool) {
 // fixpoint computes a FuncSummary for every local node: Tarjan SCC
 // condensation of the intra-package call graph, then bottom-up transfer
 // in reverse topological order, iterating inside each SCC until the
-// component's summaries stop changing (with a cap, so even a
-// non-monotone corner terminates).
+// component's summaries stop changing. The transfer is monotone — a fact,
+// once found, stays, and its witness chain only gets shorter (the nearest
+// witness wins) — so a component settles within len(scc)+1 passes, as a
+// shortest-path relaxation does; the cap only guards against a transfer
+// that breaks that. TestFixpointMatchesNaiveIteration checks both.
 func (in *Info) fixpoint() {
 	for _, n := range in.Nodes {
 		in.local[n.Fn.FullName()] = in.baseSummary(n)
@@ -177,7 +182,6 @@ func (in *Info) summarizeNode(n *Node) *FuncSummary {
 	in.allocFacts(n, s)
 	in.blockFacts(n, s)
 	in.lockFacts(n, s)
-	in.modeFacts(n, s)
 	return s
 }
 
@@ -185,7 +189,9 @@ func (in *Info) summarizeNode(n *Node) *FuncSummary {
 // construct, or it calls a callee that (transitively) allocates, or it
 // calls something whose behavior is unknown. //adsm:noalloc functions are
 // trusted alloc-free here — violations are reported at their definition
-// by the noalloc analyzer, not propagated to every caller.
+// by the noalloc analyzer, not propagated to every caller. The witness is
+// the nearest one: the shortest chain, the first call in source order on a
+// tie.
 func (in *Info) allocFacts(n *Node, s *FuncSummary) {
 	if s.NoAlloc || s.Cold {
 		return
@@ -201,26 +207,28 @@ func (in *Info) allocFacts(n *Node, s *FuncSummary) {
 			continue // sync mutex ops are alloc-free
 		}
 		cs := in.Summary(e.Callee)
-		frame := in.Frame(e.Callee, e.Call.Pos())
+		what, pos, chain := "", "", []SummaryFrame(nil)
 		switch {
 		case cs == nil:
-			s.Allocates = true
-			s.AllocWhat = unknownCallWhat(e.Callee)
-			s.AllocPos = short(in.Unit.Fset, e.Call.Pos())
-			s.AllocChain = []SummaryFrame{frame}
-			return
+			what, pos = unknownCallWhat(e.Callee), short(in.Unit.Fset, e.Call.Pos())
 		case cs.Allocates:
-			s.Allocates = true
-			s.AllocWhat = cs.AllocWhat
-			s.AllocPos = cs.AllocPos
-			s.AllocChain = PrependFrame(frame, cs.AllocChain)
-			return
+			what, pos, chain = cs.AllocWhat, cs.AllocPos, cs.AllocChain
+		default:
+			continue
 		}
+		if s.Allocates && len(chain) >= len(s.AllocChain)-1 {
+			continue
+		}
+		s.Allocates = true
+		s.AllocWhat = what
+		s.AllocPos = pos
+		s.AllocChain = PrependFrame(in.Frame(e.Callee, e.Call.Pos()), chain)
 	}
 }
 
 // blockFacts: a function may block if its body performs a channel
-// operation, or a callee (transitively) blocks.
+// operation, or a callee (transitively) blocks; the nearest witness wins,
+// as in allocFacts.
 func (in *Info) blockFacts(n *Node, s *FuncSummary) {
 	if s.Blocks {
 		return // declared //adsm:blocking
@@ -233,14 +241,13 @@ func (in *Info) blockFacts(n *Node, s *FuncSummary) {
 	}
 	for _, e := range n.Edges {
 		cs := in.Summary(e.Callee)
-		if cs == nil || !cs.Blocks {
+		if cs == nil || !cs.Blocks || s.Blocks && len(cs.BlockChain) >= len(s.BlockChain)-1 {
 			continue
 		}
 		s.Blocks = true
 		s.BlockWhat = cs.BlockWhat
 		s.BlockPos = cs.BlockPos
 		s.BlockChain = PrependFrame(in.Frame(e.Callee, e.Call.Pos()), cs.BlockChain)
-		return
 	}
 }
 
@@ -273,13 +280,18 @@ func directBlock(info *types.Info, body *ast.BlockStmt) (what string, pos token.
 }
 
 // lockFacts: the annotated locks this function may acquire — its own
-// acquire operations plus everything its callees acquire.
+// acquire operations plus everything its callees acquire, each lock once,
+// with its nearest acquisition as in allocFacts, sorted by name.
 func (in *Info) lockFacts(n *Node, s *FuncSummary) {
-	have := map[string]bool{}
+	at := map[string]int{} // lock name -> index in s.Acquires
 	add := func(u LockUse) {
-		if !have[u.Name] {
-			have[u.Name] = true
+		i, ok := at[u.Name]
+		switch {
+		case !ok:
+			at[u.Name] = len(s.Acquires)
 			s.Acquires = append(s.Acquires, u)
+		case len(u.Chain) < len(s.Acquires[i].Chain):
+			s.Acquires[i] = u
 		}
 	}
 	for _, e := range n.Edges {
@@ -300,40 +312,7 @@ func (in *Info) lockFacts(n *Node, s *FuncSummary) {
 				Chain: PrependFrame(frame, u.Chain)})
 		}
 	}
-}
-
-// modeFacts: which gmac.Ptr parameters this function host-writes or
-// host-reads, directly or through callees.
-func (in *Info) modeFacts(n *Node, s *FuncSummary) {
-	params := in.ptrParams(n.Fn)
-	if len(params) == 0 {
-		return
-	}
-	haveW := map[int]bool{}
-	haveR := map[int]bool{}
-	InspectInline(n.Decl.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, eff := range in.PtrEffects(call) {
-			id, ok := ast.Unparen(eff.Arg).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			idx, isParam := params[in.Unit.TypesInfo.Uses[id]]
-			if !isParam {
-				continue
-			}
-			pe := ParamEffect{Index: idx, What: eff.What, Pos: eff.Pos, Chain: eff.Chain}
-			if eff.Write && !haveW[idx] {
-				haveW[idx] = true
-				s.PtrWrites = append(s.PtrWrites, pe)
-			} else if !eff.Write && !haveR[idx] {
-				haveR[idx] = true
-				s.PtrReads = append(s.PtrReads, pe)
-			}
-		}
-		return true
-	})
+	// By name: an order of discovery would depend on where the iteration
+	// entered a cycle.
+	slices.SortFunc(s.Acquires, func(a, b LockUse) int { return strings.Compare(a.Name, b.Name) })
 }
