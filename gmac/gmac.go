@@ -95,9 +95,6 @@ type Config struct {
 	// BlockSize is the rolling-update block size (bytes, multiple of the
 	// machine page size). Defaults to 256 KiB, a good point in Figure 11.
 	BlockSize int64
-	// RollingDelta is the adaptive rolling-size increment per allocation
-	// (default 2, the paper's value).
-	RollingDelta int
 	// FixedRolling pins the rolling size instead of adapting it.
 	FixedRolling int
 	// MaxRetries bounds the runtime's transparent retries of injected
@@ -126,13 +123,9 @@ func managerConfig(cfg Config) core.Config {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = DefaultBlockSize
 	}
-	if cfg.RollingDelta == 0 {
-		cfg.RollingDelta = 2
-	}
 	return core.Config{
 		Protocol:             cfg.Protocol,
 		BlockSize:            cfg.BlockSize,
-		RollingDelta:         cfg.RollingDelta,
 		FixedRolling:         cfg.FixedRolling,
 		MallocCost:           2 * sim.Microsecond,
 		FreeCost:             1 * sim.Microsecond,
@@ -215,15 +208,14 @@ func (c *Context) Alloc(size int64, opts ...AllocOption) (Ptr, error) {
 // objects (per the active protocol), launches the kernel, and — unless the
 // Async option is given — waits for completion and re-acquires shared
 // objects for the CPU. The Writes option supplies the §4.3 write-set
-// annotation; ReadOnlyHint and WriteOnlyHint override objects' declared
-// access modes for this call.
+// annotation; ReadOnlyHint overrides objects' declared access modes for
+// this call.
 func (c *Context) Call(kernel string, args []uint64, opts ...CallOption) error {
 	o := resolveCallOptions(opts)
 	err := c.mgr.InvokeHinted(kernel, core.CallHints{
 		Writes:    o.writes,
 		Annotated: o.annotate,
 		ReadOnly:  o.ro,
-		WriteOnly: o.wo,
 	}, args...)
 	if err != nil || o.async {
 		return err

@@ -167,7 +167,6 @@ func (mc *MultiContext) Call(kernel string, args []uint64, opts ...CallOption) e
 		Writes:    o.writes,
 		Annotated: o.annotate,
 		ReadOnly:  o.ro,
-		WriteOnly: o.wo,
 	}, devArgs...)
 	if err != nil || o.async {
 		return err

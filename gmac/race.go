@@ -12,7 +12,7 @@ import (
 
 // Race is one detected data race: two accesses to the same coherence
 // block, at least one a write, unordered by any happens-before edge
-// (program order, kernel launch, Sync / regional acquire).
+// (program order, kernel launch, Sync).
 type Race = racecheck.Race
 
 // RaceSite is one of the two access sites of a race.

@@ -58,7 +58,6 @@ func ReplayConfig(h OpLogHeader) Config {
 	return Config{
 		Protocol:             Protocol(h.Protocol),
 		BlockSize:            h.BlockSize,
-		RollingDelta:         int(h.RollingDelta),
 		FixedRolling:         int(h.FixedRolling),
 		MaxRetries:           int(h.MaxRetries),
 		RaceDetect:           h.Flags&HdrRaceDetect != 0,

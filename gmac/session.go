@@ -47,12 +47,6 @@ type Session interface {
 	Call(kernel string, args []uint64, opts ...CallOption) error
 	// Sync implements adsmSync across every managed device.
 	Sync() error
-	// Region opens a regional acquire scope over the objects containing the
-	// listed pointers: it waits for their accelerators and makes exactly
-	// those objects host-valid, leaving everything else untouched. The
-	// returned handle's Release publishes the host's writes back without
-	// waiting for the next kernel call.
-	Region(ptrs ...Ptr) (*Region, error)
 	// Safe implements adsmSafe: the accelerator address of a shared byte.
 	Safe(p Ptr) (Ptr, error)
 	// IsShared reports whether p points into a live shared object.
@@ -129,9 +123,9 @@ func OnDevice(dev int) AllocOption {
 // replicate to the device once and are never re-fetched or invalidated,
 // WriteOnly objects skip every device-to-host fetch, and Auto objects watch
 // their own fault and eviction counters and migrate between protocols
-// online. The zero value ReadWrite is the unconstrained default. Per-call
-// hints (ReadOnlyHint, WriteOnlyHint) override the declared mode for one
-// kernel call; see docs/access-modes.md for the precedence rules.
+// online. The zero value ReadWrite is the unconstrained default. The
+// per-call ReadOnlyHint overrides the declared mode for one kernel call;
+// see docs/access-modes.md.
 func Mode(m AccessMode) AllocOption {
 	return func(o *allocOptions) { o.mode = m }
 }
@@ -148,7 +142,6 @@ func resolveAllocOptions(opts []AllocOption) allocOptions {
 type callOptions struct {
 	writes   []Ptr
 	ro       []Ptr
-	wo       []Ptr
 	annotate bool
 	async    bool
 }
@@ -160,8 +153,8 @@ type CallOption func(*callOptions)
 // objects containing the listed pointers are invalidated on the host, so
 // shared data the kernel merely reads stays CPU-valid across the call and
 // costs no transfer to read afterwards. It desugars into per-pointer
-// read-write access for this call; combine with ReadOnlyHint and
-// WriteOnlyHint for finer per-call modes.
+// read-write access for this call. An object may not be both in the write
+// set and hinted read-only (ErrModeViolation).
 func Writes(ptrs ...Ptr) CallOption {
 	return func(o *callOptions) {
 		o.annotate = true
@@ -177,19 +170,6 @@ func ReadOnlyHint(ptrs ...Ptr) CallOption {
 	return func(o *callOptions) { o.ro = append(o.ro, ptrs...) }
 }
 
-// WriteOnlyHint declares that the kernel overwrites the objects containing
-// the listed pointers without reading them, for this call: their dirty
-// host blocks need not be flushed to the device before the launch (the
-// kernel is about to clobber them), so the pre-kernel release elides those
-// transfers. A write-only hint implies membership in the kernel's write
-// set.
-func WriteOnlyHint(ptrs ...Ptr) CallOption {
-	return func(o *callOptions) {
-		o.annotate = true
-		o.wo = append(o.wo, ptrs...)
-	}
-}
-
 // Async makes Call return as soon as the kernel is dispatched, without the
 // implicit Sync; the caller pairs it with an explicit Session.Sync (the raw
 // adsmCall/adsmSync split, for overlapping CPU work with the kernel).
@@ -203,63 +183,6 @@ func resolveCallOptions(opts []CallOption) callOptions {
 		opt(&o)
 	}
 	return o
-}
-
-// Region is a held regional acquire scope (the regional-consistency
-// narrowing of Sync): between Session.Region and Release, the host copies
-// of the scoped objects are valid and everything outside the scope is
-// untouched. Release publishes the host's writes back to the accelerator
-// without waiting for the next kernel call. A Region is not itself safe
-// for concurrent use; open one per goroutine.
-type Region struct {
-	groups []regionGroup
-}
-
-// regionGroup is one manager's slice of the region's pointers, in argument
-// order, so a multi-device region acquires and releases per device.
-type regionGroup struct {
-	mgr  *core.Manager
-	ptrs []Ptr
-}
-
-// Release publishes the host's writes to the region's objects and closes
-// the scope. It may be called more than once; later calls re-publish.
-func (r *Region) Release() error {
-	for _, g := range r.groups {
-		if err := g.mgr.ReleaseRegion(g.ptrs...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Region opens a regional acquire scope over the objects containing the
-// listed pointers, grouping them by hosting device.
-func (s *sessionCore) Region(ptrs ...Ptr) (*Region, error) {
-	r := &Region{}
-	for _, p := range ptrs {
-		mgr := s.owner(p)
-		if mgr == nil {
-			return nil, fmt.Errorf("gmac: region pointer %#x is not shared", uint64(p))
-		}
-		found := false
-		for i := range r.groups {
-			if r.groups[i].mgr == mgr {
-				r.groups[i].ptrs = append(r.groups[i].ptrs, p)
-				found = true
-				break
-			}
-		}
-		if !found {
-			r.groups = append(r.groups, regionGroup{mgr: mgr, ptrs: []Ptr{p}})
-		}
-	}
-	for _, g := range r.groups {
-		if err := g.mgr.AcquireRegion(g.ptrs...); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
 }
 
 // sessionCore implements the pointer-routed half of Session once for both

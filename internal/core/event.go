@@ -96,10 +96,6 @@ func (c *statsCounters) apply(op oplog.Op, row *objCounters) {
 		c.Invokes.Add(1)
 	case oplog.OpSync:
 		c.Syncs.Add(1)
-	case oplog.OpRegionAcquire:
-		c.RegionAcquires.Add(1)
-	case oplog.OpRegionRelease:
-		c.RegionReleases.Add(1)
 	case oplog.OpRetry:
 		if op.Flags&oplog.FlagGiveup != 0 {
 			c.RetryGiveups.Add(1)
@@ -121,14 +117,14 @@ func (c *statsCounters) apply(op oplog.Op, row *objCounters) {
 // fold rule nor an entry here.
 var unfoldedCounters = []string{
 	"SpanPromotions", "SpanDemotions", // faultRunLen's granularity decisions
-	"FetchElisions", "FlushElisions", // transfers an access mode proved unnecessary
+	"FetchElisions",               // transfers an access mode proved unnecessary
 	"PeerBytesIn", "PeerBytesOut", // per-block sums inside one OpIOWrite/OpIORead
 	"RacesDetected", // the detector's verdicts on the stream, not an op in it
 }
 
 // tracedKinds are the op kinds a tracer records: the protocol events of
-// the trace listing. Host accesses, kernel arguments, annotations and
-// region scopes stay out of it; block state transitions reach the tracer
+// the trace listing. Host accesses, kernel arguments and annotations stay
+// out of it; block state transitions reach the tracer
 // from emitTransition.
 const tracedKinds uint32 = 1<<oplog.OpAlloc | 1<<oplog.OpFree | 1<<oplog.OpFault |
 	1<<oplog.OpFetch | 1<<oplog.OpFlush | 1<<oplog.OpEvict | 1<<oplog.OpInvoke |

@@ -148,13 +148,13 @@ func TestFoldReproducesTotals(t *testing.T) {
 	t.Run("chaos", func(t *testing.T) { check(t, recordChaos(t)) })
 }
 
-// counterFamilyNames are the adsm_*_total families /adsm/metrics has always
-// exported; the set is pinned.
+// counterFamilyNames are the adsm_*_total families /adsm/metrics exports;
+// the set is pinned.
 var counterFamilyNames = []string{
 	"adsm_allocs_total", "adsm_bytes_d2h_total", "adsm_bytes_h2d_total",
 	"adsm_degraded_objects_total", "adsm_device_lost_total", "adsm_evictions_total",
 	"adsm_fault_batches_total", "adsm_faults_total", "adsm_fetch_elisions_total",
-	"adsm_flush_elisions_total", "adsm_frees_total", "adsm_invokes_total",
+	"adsm_frees_total", "adsm_invokes_total",
 	"adsm_mode_migrations_total", "adsm_prefetched_blocks_total",
 	"adsm_races_detected_total", "adsm_read_faults_total", "adsm_retries_total",
 	"adsm_retry_giveups_total", "adsm_syncs_total", "adsm_transfers_d2h_total",

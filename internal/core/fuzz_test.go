@@ -206,11 +206,22 @@ func fuzzRig(t *testing.T, cfg Config) *rig {
 // and mirrors every mutation into a flat reference model: any coherence
 // divergence or invariant violation the fuzzer can provoke is a bug. The
 // first byte selects the protocol; each following 4-byte group encodes one
-// operation (opcode, 16-bit offset selector, payload byte).
+// operation (opcode, 16-bit offset selector, payload byte). The opcodes
+// reach every host entry point: HostRead/Write, Bulk*, PeerRead/Write,
+// HostBytes, and an unannotated, a write-annotated and a read-only-hinted
+// kernel call.
 func FuzzManagerOps(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 1, 5, 0, 16, 255, 1, 0, 32, 7})
 	f.Add([]byte{0, 2, 0, 0, 9, 3, 255, 255, 1, 5, 10, 0, 128})
 	f.Add(bytes.Repeat([]byte{1, 6, 0, 4, 2, 4, 0, 8, 170}, 12))
+	// One seed per later arm, each after a host write so it has dirty data
+	// to see: PeerRead, HostBytes read, HostBytes write, write-annotated
+	// call, read-only-hinted call.
+	f.Add([]byte{1, 0, 0, 16, 200, 7, 0, 16, 255})
+	f.Add([]byte{2, 0, 0, 16, 200, 8, 0, 16, 255})
+	f.Add([]byte{0, 0, 0, 16, 200, 9, 0, 16, 255, 1, 0, 16, 255})
+	f.Add([]byte{2, 0, 0, 16, 200, 10, 0, 16, 255, 1, 0, 16, 255})
+	f.Add([]byte{1, 0, 0, 16, 200, 11, 0, 16, 255, 1, 0, 16, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -229,6 +240,15 @@ func FuzzManagerOps(f *testing.F) {
 				for i := range buf {
 					buf[i] ^= byte(args[3])
 				}
+			},
+			Cost: accel.FixedCost(1e5, 1<<16),
+		})
+		// fuzz.peek only reads: it copies the device range into seen.
+		var seen []byte
+		r.dev.Register(&accel.Kernel{
+			Name: "fuzz.peek",
+			Run: func(dev *mem.Space, args []uint64) {
+				seen = append(seen[:0], dev.Bytes(mem.Addr(args[0])+mem.Addr(args[1]), int64(args[2]))...)
 			},
 			Cost: accel.FixedCost(1e5, 1<<16),
 		})
@@ -251,7 +271,7 @@ func FuzzManagerOps(f *testing.F) {
 		ops := 0
 		for i := 1; i+4 <= len(data) && ops < 64; i += 4 {
 			ops++
-			op := data[i] % 7
+			op := data[i] % 12
 			off := int64(uint16(data[i+1])|uint16(data[i+2])<<8) % objSize
 			n := int64(data[i+3])%(objSize-off) + 1
 			pat := data[i+3]
@@ -304,6 +324,52 @@ func FuzzManagerOps(f *testing.F) {
 					t.Fatal(err)
 				}
 				copy(ref[off:], fill(n, pat))
+			case 7:
+				got := make([]byte, n)
+				if err := r.mgr.PeerRead(ptr+mem.Addr(off), got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, ref[off:off+n]) {
+					t.Fatalf("op %d: PeerRead diverged at off %d len %d", ops, off, n)
+				}
+			case 8:
+				got, err := r.mgr.HostBytes(ptr+mem.Addr(off), n, hostmmu.AccessRead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, ref[off:off+n]) {
+					t.Fatalf("op %d: HostBytes read diverged at off %d len %d", ops, off, n)
+				}
+			case 9:
+				// A HostBytes write is safe only inside one block.
+				n = min(n, cfg.BlockSize-off%cfg.BlockSize)
+				live, err := r.mgr.HostBytes(ptr+mem.Addr(off), n, hostmmu.AccessWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(live, fill(n, pat))
+				copy(ref[off:], fill(n, pat))
+			case 10:
+				if err := r.mgr.InvokeAnnotated("fuzz.xor", []mem.Addr{ptr}, uint64(ptr), uint64(off), uint64(n), uint64(pat)); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.mgr.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				for k := off; k < off+n; k++ {
+					ref[k] ^= pat
+				}
+			case 11:
+				h := CallHints{ReadOnly: []mem.Addr{ptr}}
+				if err := r.mgr.InvokeHinted("fuzz.peek", h, uint64(ptr), uint64(off), uint64(n)); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.mgr.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(seen, ref[off:off+n]) {
+					t.Fatalf("op %d: read-only-hinted kernel saw stale device bytes at off %d len %d", ops, off, n)
+				}
 			}
 			if err := checkCleanPages(r.mgr); err != nil {
 				t.Fatalf("after op %d: %v", ops, err)

@@ -78,9 +78,6 @@ type Config struct {
 	// BlockSize is the rolling-update block size in bytes. It must be a
 	// multiple of the host page size. Ignored by batch and lazy.
 	BlockSize int64
-	// RollingDelta is the adaptive rolling-size increment per allocation
-	// (paper default: 2 blocks). Ignored when FixedRolling > 0.
-	RollingDelta int
 	// FixedRolling pins the rolling size for the Figure 12 experiment.
 	FixedRolling int
 	// DisableFaultBatching turns off span-fault service: every host fault
@@ -242,7 +239,7 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		mmu:     mmu,
 		va:      va,
 		dev:     dev,
-		rolling: newRollingCache(cfg.FixedRolling, cfg.RollingDelta, cfg.FixedRolling > 0),
+		rolling: newRollingCache(cfg.FixedRolling, cfg.FixedRolling > 0),
 	}
 	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
 	if cfg.RaceDetect {
@@ -596,9 +593,9 @@ func (s objectSet) contains(o *Object) bool {
 }
 
 // CallHints carries the per-call coherence declarations of one kernel
-// launch: the §4.3 write-set annotation plus the per-call access-mode
-// overrides (read-only and write-only hints). The zero value is an
-// unhinted, unannotated call — the conservative default.
+// launch: the §4.3 write-set annotation plus the per-call read-only hint.
+// The zero value is an unhinted, unannotated call — the conservative
+// default.
 type CallHints struct {
 	// Writes lists any address inside each object the kernel may write
 	// (§4.3). Meaningful only when Annotated is true.
@@ -608,12 +605,9 @@ type CallHints struct {
 	Annotated bool
 	// ReadOnly lists objects the kernel only reads during this call: they
 	// are never invalidated by the release sweep, even without a write-set
-	// annotation. It does not imply an annotation for other objects.
+	// annotation. It does not imply an annotation for other objects, and
+	// an object may not be in both Writes and ReadOnly.
 	ReadOnly []mem.Addr
-	// WriteOnly lists objects the kernel fully overwrites during this call:
-	// their dirty host data is dead (the flush is elided) and they are
-	// invalidated. Implies membership in the effective write set.
-	WriteOnly []mem.Addr
 }
 
 // invokeHints is a CallHints resolved against the registry for one release
@@ -621,7 +615,6 @@ type CallHints struct {
 type invokeHints struct {
 	writes objectSet // nil = "any object" (unannotated)
 	ro     objectSet // never invalidated this call
-	wo     objectSet // invalidated without the write-back
 }
 
 // written reports whether o must be invalidated by the release sweep.
@@ -633,11 +626,13 @@ func (ih *invokeHints) written(o *Object) bool {
 }
 
 // resolveHints validates h against the registry and the objects' declared
-// access modes, and builds the release sweep's object sets.
+// access modes, and builds the release sweep's object sets. An object both
+// in the write set and hinted read-only is a contradiction, rejected like a
+// ReadOnly-mode object in the write set.
 func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 	var ih invokeHints
 	if h.Annotated {
-		ih.writes = make(objectSet, len(h.Writes)+len(h.WriteOnly))
+		ih.writes = make(objectSet, len(h.Writes))
 		for _, addr := range h.Writes {
 			o := m.objectAt(addr)
 			if o == nil {
@@ -657,24 +652,11 @@ func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 			if o == nil {
 				return ih, fmt.Errorf("%w: read-only hint %#x", ErrNotShared, uint64(addr))
 			}
-			ih.ro[o] = true
-		}
-	}
-	if len(h.WriteOnly) > 0 {
-		ih.wo = make(objectSet, len(h.WriteOnly))
-		for _, addr := range h.WriteOnly {
-			o := m.objectAt(addr)
-			if o == nil {
-				return ih, fmt.Errorf("%w: write-only hint %#x", ErrNotShared, uint64(addr))
-			}
-			if o.mode == ModeReadOnly {
-				return ih, fmt.Errorf("%w: read-only object %#x in write-only hint",
+			if ih.writes[o] {
+				return ih, fmt.Errorf("%w: object %#x both in kernel write set and hinted read-only",
 					ErrModeViolation, uint64(o.addr))
 			}
-			ih.wo[o] = true
-			if ih.writes != nil {
-				ih.writes[o] = true
-			}
+			ih.ro[o] = true
 		}
 	}
 	return ih, nil
@@ -699,7 +681,7 @@ func (m *Manager) InvokeAnnotated(kernel string, writes []mem.Addr, args ...uint
 }
 
 // InvokeHinted is Invoke with the full per-call hint set: write-set
-// annotation plus read-only/write-only access overrides.
+// annotation plus read-only hints.
 func (m *Manager) InvokeHinted(kernel string, h CallHints, args ...uint64) error {
 	return m.invoke(kernel, h, args)
 }
@@ -730,9 +712,6 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 	}
 	for _, addr := range h.ReadOnly {
 		m.emit(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead, Addr: addr}, m.objectAt(addr))
-	}
-	for _, addr := range h.WriteOnly {
-		m.emit(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly, Addr: addr}, m.objectAt(addr))
 	}
 	for _, a := range args {
 		m.emit(oplog.Op{Kind: oplog.OpArg, Arg: int64(a)}, nil)

@@ -59,7 +59,6 @@ func defaultCfg(kind ProtocolKind) Config {
 	return Config{
 		Protocol:     kind,
 		BlockSize:    64 << 10,
-		RollingDelta: 2,
 		MallocCost:   2 * sim.Microsecond,
 		FreeCost:     1 * sim.Microsecond,
 		LaunchCost:   2 * sim.Microsecond,
@@ -895,4 +894,15 @@ func TestSetStateTransition(t *testing.T) {
 			})
 		}
 	}
+}
+
+// countState returns how many blocks are in the given state.
+func (o *Object) countState(s State) int {
+	n := 0
+	for _, b := range o.blocks {
+		if b.state == s {
+			n++
+		}
+	}
+	return n
 }

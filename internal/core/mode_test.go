@@ -272,66 +272,83 @@ func TestAutoMigratesWithHysteresis(t *testing.T) {
 	}
 }
 
-// TestRegionAcquireRelease: a region acquire makes exactly the listed
-// objects host-valid (later reads take no faults), and a region release
-// publishes host writes without waiting for a kernel call.
-func TestRegionAcquireRelease(t *testing.T) {
-	r := newRig(t, defaultCfg(LazyUpdate))
-	r.registerNop(t)
-	a, err := r.mgr.Alloc(128 << 10)
-	if err != nil {
-		t.Fatal(err)
+// TestReadOnlyHintKeepsHostCopy pins §4.3's per-call narrowing: across an
+// unannotated call, an object hinted read-only keeps its host copy valid,
+// so the next read takes no fault and no D2H transfer, while an unhinted
+// object is invalidated and faults its data back. Batch-update re-fetches
+// every object at Sync whatever the hint, so only the detecting protocols
+// can show the difference.
+func TestReadOnlyHintKeepsHostCopy(t *testing.T) {
+	for _, kind := range []ProtocolKind{LazyUpdate, RollingUpdate} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := newRig(t, defaultCfg(kind))
+			r.registerNop(t)
+			hinted := r.alloc(t, AllocSpec{Size: 64 << 10})
+			plain := r.alloc(t, AllocSpec{Size: 64 << 10})
+			r.fillObject(t, hinted, 1, 0x11)
+			r.fillObject(t, plain, 1, 0x22)
+			r.call(t, CallHints{ReadOnly: []mem.Addr{hinted}})
+
+			read := func(p mem.Addr, want byte) Stats {
+				t.Helper()
+				base := r.mgr.Stats()
+				got := make([]byte, 1)
+				if err := r.mgr.HostRead(p, got); err != nil {
+					t.Fatal(err)
+				}
+				if got[0] != want {
+					t.Fatalf("read %#x, want %#x", got[0], want)
+				}
+				return r.mgr.Stats().Sub(base)
+			}
+			if d := read(hinted, 0x11); d.Faults != 0 || d.BytesD2H != 0 {
+				t.Fatalf("hinted object: %d faults, %d B D2H after the call, want 0 and 0", d.Faults, d.BytesD2H)
+			}
+			if d := read(plain, 0x22); d.Faults != 1 || d.BytesD2H == 0 {
+				t.Fatalf("unhinted object: %d faults, %d B D2H after the call, want 1 fault and a fetch", d.Faults, d.BytesD2H)
+			}
+			if err := r.mgr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	b, err := r.mgr.Alloc(64 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.fillObject(t, a, 2, 0x11)
-	r.fillObject(t, b, 1, 0x22)
-	// Unannotated call invalidates both objects.
-	if err := r.mgr.Invoke("nop"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.mgr.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.mgr.AcquireRegion(a, b); err != nil {
-		t.Fatal(err)
-	}
-	base := r.mgr.Stats()
-	for _, p := range []mem.Addr{a, a + 64<<10, b} {
-		if err := r.mgr.HostRead(p, make([]byte, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := r.mgr.Stats().Sub(base); d.Faults != 0 {
-		t.Fatalf("reads after region acquire still faulted %d times", d.Faults)
-	}
-	// Region release publishes dirty host data over the bus.
-	if err := r.mgr.HostWrite(a, []byte{0x33}); err != nil {
-		t.Fatal(err)
-	}
-	base = r.mgr.Stats()
-	if err := r.mgr.ReleaseRegion(a); err != nil {
-		t.Fatal(err)
-	}
-	if d := r.mgr.Stats().Sub(base); d.BytesH2D == 0 {
-		t.Fatal("region release flushed nothing")
-	}
-	st := r.mgr.Stats()
-	if st.RegionAcquires != 1 || st.RegionReleases != 1 {
-		t.Fatalf("region counters %d/%d, want 1/1", st.RegionAcquires, st.RegionReleases)
-	}
-	if err := r.mgr.AcquireRegion(mem.Addr(0xdead)); !errors.Is(err, ErrNotShared) {
-		t.Fatalf("unshared region pointer: got %v, want ErrNotShared", err)
-	}
-	if err := r.mgr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+}
+
+// TestWritesAndReadOnlyHintContradict: a call that lists an object in its
+// write set and also hints it read-only is rejected with ErrModeViolation
+// before anything runs, under every protocol. Letting the hint win would
+// keep the host copy valid over the kernel's writes, so lazy- and
+// rolling-update would read the stale host value afterwards.
+func TestWritesAndReadOnlyHintContradict(t *testing.T) {
+	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := newRig(t, defaultCfg(kind))
+			r.registerFill(t)
+			p := r.alloc(t, AllocSpec{Size: 64 << 10})
+			if err := r.mgr.HostWrite(p, []byte{1, 0, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			base := r.mgr.Stats()
+			h := CallHints{Writes: []mem.Addr{p}, Annotated: true, ReadOnly: []mem.Addr{p}}
+			if err := r.mgr.InvokeHinted("fill", h, uint64(p), 1, 7); !errors.Is(err, ErrModeViolation) {
+				t.Fatalf("Writes and ReadOnlyHint on one object: got %v, want ErrModeViolation", err)
+			}
+			if err := r.mgr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, 1)
+			if err := r.mgr.HostRead(p, got); err != nil {
+				t.Fatal(err)
+			}
+			if d := r.mgr.Stats().Sub(base); d.Invokes != 0 || got[0] != 1 {
+				t.Fatalf("rejected call ran: %d invokes, host reads %d, want 0 and 1", d.Invokes, got[0])
+			}
+		})
 	}
 }
 
 // TestReplayAutoMigrationDeterminism records a run whose Auto object
-// migrates (plus region scopes), replays the stream on a fresh rig, and
+// migrates, replays the stream on a fresh rig, and
 // requires the replay to reproduce the counter totals exactly — including
 // the migration count.
 func TestReplayAutoMigrationDeterminism(t *testing.T) {
@@ -358,15 +375,6 @@ func TestReplayAutoMigrationDeterminism(t *testing.T) {
 			if err := r.mgr.Sync(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := r.mgr.AcquireRegion(ptr, ro); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.mgr.HostWrite(ptr, []byte{0xEE}); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.mgr.ReleaseRegion(ptr); err != nil {
-			t.Fatal(err)
 		}
 	}
 	drive(t, rec)

@@ -405,14 +405,3 @@ func (o *Object) writeBackMask(first *Block, n int) accel.PageMask {
 	lo, _ := o.pages(first.addr, 1)
 	return accel.PageMask{Bits: o.dirty, First: int(lo), PageSize: 1 << o.pageShift}
 }
-
-// countState returns how many blocks are in the given state.
-func (o *Object) countState(s State) int {
-	n := 0
-	for _, b := range o.blocks {
-		if b.state == s {
-			n++
-		}
-	}
-	return n
-}

@@ -150,8 +150,7 @@ func (m *Manager) releaseAll(ih *invokeHints) error {
 // of rolling objects). Out-of-scope dirty blocks (objects bound to
 // other kernels, §3.3) are flushed too — flushing early is always safe and
 // keeps the cache bookkeeping simple — but they are not invalidated by the
-// release sweep. Blocks of objects the call hints as fully overwritten are
-// left dirty for releaseObject to invalidate without the write-back.
+// release sweep.
 func (m *Manager) releaseRollingCache(ih *invokeHints) error {
 	defer m.mets.rollingOcc.Set(0)
 	var err error
@@ -167,13 +166,6 @@ func (m *Manager) releaseRollingCache(ih *invokeHints) error {
 		}
 		first := drained[i]
 		o := first.obj
-		if ih.wo[o] && o.UsedBy(m.invokeKernel) {
-			// The kernel declared it fully overwrites o: its dirty data is
-			// dead, so skip the write-back. releaseObject invalidates the
-			// blocks and books the elision.
-			i = j
-			continue
-		}
 		o.mu.Lock()
 		if !o.dead && !o.degraded.Load() {
 			// flushEvicted skips the stretches a racing drain already
@@ -196,15 +188,11 @@ func (m *Manager) releaseRollingCache(ih *invokeHints) error {
 
 // releaseObject performs one object's release actions, honouring its access
 // mode before its protocol: read-only objects seal (replicate once) instead
-// of travelling, objects hinted write-only for this call invalidate without
-// the flush, and everything else follows its protocol's release edge. The
-// caller holds o.mu; o is live and not degraded.
+// of travelling, and everything else follows its protocol's release edge.
+// The caller holds o.mu; o is live and not degraded.
 func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 	if o.mode == ModeReadOnly {
 		return m.sealReadOnly(o)
-	}
-	if ih.wo[o] {
-		return m.invalidateUnflushed(o)
 	}
 	// Flush every dirty block. A host-authoritative object transfers
 	// synchronously and stays Dirty: with no access detection it cannot know
@@ -337,16 +325,6 @@ func (m *Manager) sealReadOnly(o *Object) error {
 	// The sealed policy keeps its kind, geometry and host authority.
 	o.pol.detects, o.pol.rolls, o.pol.sealed = true, false, true
 	m.setState(o.blocks[0], len(o.blocks), StateReadOnly)
-	return nil
-}
-
-// invalidateUnflushed invalidates o without flushing its dirty data: the
-// kernel declared (WriteOnlyHint) that it fully overwrites the object, so
-// the host-dirty bytes are dead and the write-back DMA is elided. The
-// caller holds o.mu.
-func (m *Manager) invalidateUnflushed(o *Object) error {
-	m.stats.FlushElisions.Add(int64(o.countState(StateDirty)))
-	m.setState(o.blocks[0], len(o.blocks), StateInvalid)
 	return nil
 }
 

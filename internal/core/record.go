@@ -61,7 +61,7 @@ func (m *Manager) OpLogHeader() oplog.Header {
 	h := oplog.Header{
 		Protocol:     int32(m.cfg.Protocol),
 		BlockSize:    m.cfg.BlockSize,
-		RollingDelta: int32(m.cfg.RollingDelta),
+		RollingDelta: RollingDelta,
 		FixedRolling: int32(m.cfg.FixedRolling),
 		MaxRetries:   int32(m.cfg.MaxRetries),
 	}

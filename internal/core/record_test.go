@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hostmmu"
@@ -289,6 +291,50 @@ func TestReplayLenientSkipsUnknownObjects(t *testing.T) {
 	rep2 := newRig(t, defaultCfg(RollingUpdate))
 	if _, err := rep2.mgr.Replay(l, ReplayOptions{}); err == nil {
 		t.Fatal("strict replay accepted a window with unknown objects")
+	}
+}
+
+// TestReplayRefusesRetiredOps: a stream holding a region-scope kind or a
+// write-only hint, whose numbers stay reserved, still decodes, but Replay
+// fails on it in strict and lenient mode alike, with an error naming the
+// retired op rather than skipping it or blaming a missing allocation.
+func TestReplayRefusesRetiredOps(t *testing.T) {
+	rec := newRig(t, defaultCfg(LazyUpdate))
+	rec.mgr.EnableRecorder(1 << 16)
+	driveWorkload(t, rec)
+	l, err := rec.mgr.FinishOpLog("retired")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := slices.IndexFunc(l.Ops, func(op oplog.Op) bool { return op.Kind == oplog.OpAlloc })
+	if alloc < 0 {
+		t.Fatal("recorded stream has no allocation")
+	}
+	obj, addr := l.Ops[alloc].Obj, l.Ops[alloc].Addr
+	for _, tc := range []struct {
+		name string
+		op   oplog.Op
+	}{
+		{"region-ptr", oplog.Op{Kind: oplog.OpRegionPtr, Obj: obj, Addr: addr}},
+		{"region-acquire", oplog.Op{Kind: oplog.OpRegionAcquire, Arg: 1}},
+		{"region-release", oplog.Op{Kind: oplog.OpRegionRelease, Arg: 1}},
+		{"write-only hint", oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly, Obj: obj, Addr: addr}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *l
+			bad.Ops = slices.Insert(slices.Clone(l.Ops), alloc+1, tc.op)
+			decoded, err := oplog.Decode(bad.Encode())
+			if err != nil {
+				t.Fatalf("a stream with a reserved kind must still decode: %v", err)
+			}
+			for _, lenient := range []bool{false, true} {
+				rep := newRig(t, defaultCfg(LazyUpdate))
+				_, err := rep.mgr.Replay(decoded, ReplayOptions{Lenient: lenient})
+				if err == nil || !strings.Contains(err.Error(), "retired "+tc.name) {
+					t.Fatalf("lenient=%v: got %v, want an error naming the retired %s", lenient, err, tc.name)
+				}
+			}
+		})
 	}
 }
 

@@ -59,14 +59,11 @@ type replayer struct {
 	objAddr map[uint32]mem.Addr
 	// scratch is the reused host-access buffer, grown to the largest access.
 	scratch []byte
-	// pendingWrites/pendingRO/pendingWO/pendingArgs accumulate OpAnnotate
-	// (by hint flag) and OpArg runs until the OpInvoke they precede;
-	// pendingRegion accumulates OpRegionPtr runs until their scope op.
+	// pendingWrites/pendingRO/pendingArgs accumulate OpAnnotate (by hint
+	// flag) and OpArg runs until the OpInvoke they precede.
 	pendingWrites []mem.Addr
 	pendingRO     []mem.Addr
-	pendingWO     []mem.Addr
 	pendingArgs   []uint64
-	pendingRegion []mem.Addr
 }
 
 // Replay re-executes the input ops of l against m, a freshly constructed
@@ -74,6 +71,8 @@ type replayer struct {
 // builds one). Kernels named by the stream that are not registered on m's
 // device are stub-registered with a zero-cost body — the coherence
 // counters do not depend on what kernels compute, only on when they run.
+// A stream holding a retired op (oplog.Op.Retired) fails, lenient or not:
+// skipping it would replay a different program.
 func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) {
 	r := &replayer{
 		m:       m,
@@ -82,7 +81,10 @@ func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) 
 		objAddr: make(map[uint32]mem.Addr),
 	}
 	r.registerStubs(l)
-	for _, op := range l.Ops {
+	for i, op := range l.Ops {
+		if name := op.Retired(); name != "" {
+			return r.rep, fmt.Errorf("core: replay op %d: retired %s op; this runtime cannot replay it", i, name)
+		}
 		if !op.Kind.Input() {
 			continue
 		}
@@ -169,12 +171,9 @@ func (r *replayer) step(op oplog.Op) error {
 		if !ok {
 			return r.unknown(op)
 		}
-		switch {
-		case op.Flags&oplog.FlagHintRead != 0:
+		if op.Flags&oplog.FlagHintRead != 0 {
 			r.pendingRO = append(r.pendingRO, addr)
-		case op.Flags&oplog.FlagHintWriteOnly != 0:
-			r.pendingWO = append(r.pendingWO, addr)
-		default:
+		} else {
 			r.pendingWrites = append(r.pendingWrites, addr)
 		}
 		r.rep.Replayed++
@@ -188,22 +187,6 @@ func (r *replayer) step(op oplog.Op) error {
 	case oplog.OpSync:
 		r.rep.Replayed++
 		return r.m.Sync()
-	case oplog.OpRegionPtr:
-		addr, ok := r.addr(op)
-		if !ok {
-			return r.unknown(op)
-		}
-		r.pendingRegion = append(r.pendingRegion, addr)
-		r.rep.Replayed++
-		return nil
-	case oplog.OpRegionAcquire, oplog.OpRegionRelease:
-		region := r.pendingRegion
-		r.pendingRegion = nil
-		r.rep.Replayed++
-		if op.Kind == oplog.OpRegionAcquire {
-			return r.m.AcquireRegion(region...)
-		}
-		return r.m.ReleaseRegion(region...)
 	}
 
 	// Everything else addresses one object.
@@ -268,10 +251,9 @@ func (r *replayer) invoke(op oplog.Op) error {
 		Writes:    r.pendingWrites,
 		Annotated: op.Flags&oplog.FlagAnnotated != 0,
 		ReadOnly:  r.pendingRO,
-		WriteOnly: r.pendingWO,
 	}
 	args := r.pendingArgs
-	r.pendingWrites, r.pendingRO, r.pendingWO, r.pendingArgs = nil, nil, nil, nil
+	r.pendingWrites, r.pendingRO, r.pendingArgs = nil, nil, nil
 	r.rep.Replayed++
 	kernel := oplog.NoteString(op.Note)
 	return r.m.InvokeHinted(kernel, h, args...)

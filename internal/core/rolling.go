@@ -10,8 +10,8 @@ import (
 // the CPU; pushing one more evicts the oldest, which the manager flushes
 // eagerly (and asynchronously) to accelerator memory.
 //
-// The capacity ("rolling size") adapts: every adsmAlloc grows it by a fixed
-// delta (default 2 blocks), so each allocated object can keep at least one
+// The capacity ("rolling size") adapts: every adsmAlloc grows it by
+// RollingDelta blocks, so each allocated object can keep at least one
 // block dirty — the paper's heuristic for applications that touch all their
 // data structures concurrently. Experiments may pin it instead (Figure 12).
 //
@@ -27,9 +27,12 @@ type rollingCache struct {
 	// the window are nil, so buf keeps no freed object reachable.
 	queue, buf []*Block
 	capacity   int
-	delta      int
 	fixed      bool // capacity pinned by the experiment, no adaptation
 }
+
+// RollingDelta is the rolling size's growth per allocation, in blocks: the
+// paper's value, and the one recorded in every op-log header.
+const RollingDelta = 2
 
 // maxEvictRun bounds how many address-contiguous victims one eviction may
 // coalesce into a single DMA transfer. Streaming writers fill the cache in
@@ -38,11 +41,8 @@ type rollingCache struct {
 // collapsing the transfer count by an order of magnitude.
 const maxEvictRun = 16
 
-func newRollingCache(start, delta int, fixed bool) *rollingCache {
-	if delta <= 0 {
-		delta = 2
-	}
-	return &rollingCache{capacity: start, delta: delta, fixed: fixed}
+func newRollingCache(start int, fixed bool) *rollingCache {
+	return &rollingCache{capacity: start, fixed: fixed}
 }
 
 // onAlloc grows the rolling size, unless it is pinned.
@@ -50,7 +50,7 @@ func (rc *rollingCache) onAlloc() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if !rc.fixed {
-		rc.capacity += rc.delta
+		rc.capacity += RollingDelta
 	}
 }
 

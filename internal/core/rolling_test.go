@@ -72,7 +72,7 @@ func TestRollingCacheProperties(t *testing.T) {
 		objs       = 4
 		perObj     = 64
 	)
-	rc := newRollingCache(4, 2, false)
+	rc := newRollingCache(4, false)
 	all := newTestBlocks(objs, perObj)
 
 	var capMu sync.Mutex
@@ -152,7 +152,7 @@ func TestRollingCacheProperties(t *testing.T) {
 // operations (the concurrent storm can only check at the end without
 // serializing the whole test).
 func TestRollingCacheInvariantsSequential(t *testing.T) {
-	rc := newRollingCache(2, 2, false)
+	rc := newRollingCache(2, false)
 	all := newTestBlocks(3, 32)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
@@ -186,7 +186,7 @@ func TestRollingCacheCoalescing(t *testing.T) {
 
 	fresh()
 	t.Run("contiguous run", func(t *testing.T) {
-		rc := newRollingCache(4, 2, true)
+		rc := newRollingCache(4, true)
 		for i := 0; i < 4; i++ {
 			if v, _ := rc.push(a[i]); v != nil {
 				t.Fatalf("premature eviction at %d", i)
@@ -203,7 +203,7 @@ func TestRollingCacheCoalescing(t *testing.T) {
 
 	fresh()
 	t.Run("run excludes pushed block", func(t *testing.T) {
-		rc := newRollingCache(2, 2, true)
+		rc := newRollingCache(2, true)
 		rc.push(a[0])
 		rc.push(a[1])
 		// a[2] would extend the run a[0],a[1] — but it is the trigger.
@@ -218,7 +218,7 @@ func TestRollingCacheCoalescing(t *testing.T) {
 
 	fresh()
 	t.Run("object boundary splits run", func(t *testing.T) {
-		rc := newRollingCache(2, 2, true)
+		rc := newRollingCache(2, true)
 		rc.push(a[0])
 		rc.push(b[1])
 		if v, run := rc.push(a[5]); v != a[0] || run != 1 {
@@ -228,7 +228,7 @@ func TestRollingCacheCoalescing(t *testing.T) {
 
 	fresh()
 	t.Run("discontiguity splits run", func(t *testing.T) {
-		rc := newRollingCache(2, 2, true)
+		rc := newRollingCache(2, true)
 		rc.push(a[0])
 		rc.push(a[2])
 		if v, run := rc.push(a[5]); v != a[0] || run != 1 {
@@ -238,7 +238,7 @@ func TestRollingCacheCoalescing(t *testing.T) {
 
 	fresh()
 	t.Run("run bounded by maxEvictRun", func(t *testing.T) {
-		rc := newRollingCache(32, 2, true)
+		rc := newRollingCache(32, true)
 		for i := 0; i < 32; i++ {
 			rc.push(a[i])
 		}

@@ -47,12 +47,10 @@ type Stats struct {
 	Retries, RetryGiveups             int64
 	DegradedObjects, DeviceLostEvents int64
 
-	// Access-mode activity (mode.go): auto-mode protocol migrations, block
-	// fetches elided by read-only/write-only declarations, flushes elided by
-	// write-only hints, and regional acquire/release scopes.
-	ModeMigrations                 int64
-	FetchElisions, FlushElisions   int64
-	RegionAcquires, RegionReleases int64
+	// Access-mode activity (mode.go): auto-mode protocol migrations and
+	// block fetches elided by read-only/write-only declarations.
+	ModeMigrations int64
+	FetchElisions  int64
 
 	// Span-fault batching activity (protocol.go): multi-block fault-service
 	// DMAs (FaultBatches), blocks brought in by them beyond the faulting one
@@ -115,9 +113,8 @@ type statsCounters struct {
 	Retries, RetryGiveups             counter
 	DegradedObjects, DeviceLostEvents counter
 
-	ModeMigrations                 counter
-	FetchElisions, FlushElisions   counter
-	RegionAcquires, RegionReleases counter
+	ModeMigrations counter
+	FetchElisions  counter
 
 	FaultBatches, PrefetchedBlocks counter
 	SpanPromotions, SpanDemotions  counter

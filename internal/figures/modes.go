@@ -99,7 +99,7 @@ func modesPair(base, moded workloads.Benchmark, baseOpt, modedOpt workloads.Opti
 func ModesTable(rows []ModesRow) *Table {
 	t := &Table{
 		Title:   "Access modes: per-object protocol selection under rolling-update",
-		Columns: []string{"benchmark", "mode", "base time", "moded time", "speedup", "base D2H", "moded D2H", "fetch elided", "flush elided", "migrations"},
+		Columns: []string{"benchmark", "mode", "base time", "moded time", "speedup", "base D2H", "moded D2H", "fetch elided", "migrations"},
 		Notes: []string{
 			"Parboil/micro rows force gmac.Auto on every allocation; the runtime migrates per-object protocols online",
 			"ro-broadcast/wo-scatter rows compare the synthetic with its ModeReadOnly/ModeWriteOnly declaration off vs on",
@@ -112,7 +112,6 @@ func ModesTable(rows []ModesRow) *Table {
 			f("%.2fx", float64(r.Base.Time)/float64(r.Moded.Time)),
 			humanBytes(r.Base.GMAC.BytesD2H), humanBytes(r.Moded.GMAC.BytesD2H),
 			f("%d", r.Moded.GMAC.FetchElisions),
-			f("%d", r.Moded.GMAC.FlushElisions),
 			f("%d", r.Moded.GMAC.ModeMigrations))
 	}
 	return t

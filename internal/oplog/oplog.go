@@ -69,22 +69,24 @@ const (
 	// Format v1 appends only, so later input kinds land after the derived
 	// block; Input() enumerates them explicitly.
 
-	OpModeMigrate   // derived: auto-mode protocol migration; Arg = from<<8|to
-	OpRegionPtr     // input: one pointer of the next region acquire/release
-	OpRegionAcquire // input: regional acquire scope; Arg = pointer count
-	OpRegionRelease // input: regional release scope; Arg = pointer count
-	OpTransition    // derived, tracer only: block state change; Arg = from<<8|to
+	OpModeMigrate // derived: auto-mode protocol migration; Arg = from<<8|to
+
+	// OpRegionPtr, OpRegionAcquire and OpRegionRelease are reserved: they
+	// recorded region scopes, which no longer exist. The kinds keep their
+	// numbers so OpTransition keeps its value and old streams decode;
+	// Retired names them and core's replayer refuses them.
+	OpRegionPtr
+	OpRegionAcquire
+	OpRegionRelease
+
+	OpTransition // derived, tracer only: block state change; Arg = from<<8|to
 
 	nKinds
 )
 
-// Input reports whether k is an input op a replayer re-executes. The first
-// fourteen input kinds are contiguous (format v1); the regional-consistency
-// ops were appended after the derived block to keep the encoding stable.
-func (k Kind) Input() bool {
-	return (k >= OpAlloc && k <= OpSync) ||
-		k == OpRegionPtr || k == OpRegionAcquire || k == OpRegionRelease
-}
+// Input reports whether k is an input op a replayer re-executes: the
+// fourteen contiguous kinds of format v1.
+func (k Kind) Input() bool { return k >= OpAlloc && k <= OpSync }
 
 // Valid reports whether k is a known op kind.
 func (k Kind) Valid() bool { return k > opInvalid && k < nKinds }
@@ -125,10 +127,26 @@ const (
 	// FlagHintRead marks an OpAnnotate entry that is a per-call read-only
 	// hint (the kernel only reads the object) rather than a write-set entry.
 	FlagHintRead
-	// FlagHintWriteOnly marks an OpAnnotate entry that is a per-call
-	// write-only hint (the kernel fully overwrites the object).
+	// FlagHintWriteOnly is reserved: it marked an OpAnnotate entry that was
+	// a per-call write-only hint, which no longer exists. Retired names it
+	// and core's replayer refuses it.
 	FlagHintWriteOnly
 )
+
+// Retired names the reserved kind or flag op carries, or returns "" if it
+// carries none. A stream holding one was recorded by a runtime with region
+// scopes or write-only hints, and no replay of it can be faithful.
+func (op Op) Retired() string {
+	switch op.Kind {
+	case OpRegionPtr, OpRegionAcquire, OpRegionRelease:
+		return op.Kind.String()
+	case OpAnnotate:
+		if op.Flags&FlagHintWriteOnly != 0 {
+			return "write-only hint"
+		}
+	}
+	return ""
+}
 
 // Op is one recorded operation. It is a plain value — no pointers, no
 // strings — so recording it into a Ring is one slot copy and encoding it
@@ -204,7 +222,8 @@ func (op Op) String() string {
 type Header struct {
 	// Protocol is the core.ProtocolKind the run used.
 	Protocol int32 `json:"protocol"`
-	// BlockSize, RollingDelta and FixedRolling mirror core.Config.
+	// BlockSize and FixedRolling mirror core.Config; RollingDelta is the
+	// constant core.RollingDelta.
 	BlockSize    int64 `json:"block_size"`
 	RollingDelta int32 `json:"rolling_delta"`
 	FixedRolling int32 `json:"fixed_rolling"`

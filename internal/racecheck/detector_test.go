@@ -68,7 +68,7 @@ func TestWholeObjectGranularity(t *testing.T) {
 
 // TestSyncOrdersKernelFootprint: the Sync completion edge orders a kernel's
 // declared write against later host accesses; dropping the Sync makes the
-// same pair race. OpRegionAcquire creates the same edge.
+// same pair race.
 func TestSyncOrdersKernelFootprint(t *testing.T) {
 	prefix := []oplog.Op{
 		allocOp(1, testBlock),
@@ -81,7 +81,6 @@ func TestSyncOrdersKernelFootprint(t *testing.T) {
 		want  int64
 	}{
 		{"sync", []oplog.Op{{Kind: oplog.OpSync}, hostOp(oplog.OpHostWrite, 1, 0, 8, 0)}, 0},
-		{"region-acquire", []oplog.Op{{Kind: oplog.OpRegionAcquire, Obj: 1}, hostOp(oplog.OpHostWrite, 1, 0, 8, 0)}, 0},
 		{"missing-sync", []oplog.Op{hostOp(oplog.OpHostWrite, 1, 0, 8, 0)}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,7 @@
 //
 // The ADSM runtime observes every host access (through the MMU), every
 // kernel launch, and every kernel's declared footprint (the §4.3 write-set
-// annotations and the per-call read-only/write-only hints) — exactly the
+// annotations and the per-call read-only hints) — exactly the
 // visibility Butelle & Coti exploit to detect races from DSM coherence
 // events. The detector models three kinds of vector-clock components:
 //
@@ -13,19 +13,17 @@
 //     clock is always 1 and "did X observe kernel K" degenerates to a
 //     bitset membership test;
 //   - each accelerator context (manager), represented by a cumulative join
-//     clock: Sync and regional acquires wait for *all* kernels launched on
-//     the device (dev.Synchronize), so the acquiring lane joins the merge
-//     of every kernel launched so far on that manager.
+//     clock: Sync waits for *all* kernels launched on the device
+//     (dev.Synchronize), so the syncing lane joins the merge of every
+//     kernel launched so far on that manager.
 //
 // Happens-before edges:
 //
 //   - program order within a lane;
 //   - OpInvoke: the kernel component inherits the launching lane's clock
 //     (launch edge);
-//   - OpSync and OpRegionAcquire: the lane joins the manager's cumulative
-//     kernel clock (completion edge);
-//   - OpRegionRelease publishes host data but creates no ordering edge by
-//     itself (program order already orders it against later launches).
+//   - OpSync: the lane joins the manager's cumulative kernel clock
+//     (completion edge).
 //
 // Conflicting accesses — host read/write/bulk/IO ops against kernel
 // declared footprints, host vs. host on different lanes, and kernel vs.
@@ -182,8 +180,8 @@ func (d *Detector) Feed(op oplog.Op) {
 		d.annotate(op)
 	case oplog.OpInvoke:
 		d.invoke(op)
-	case oplog.OpSync, oplog.OpRegionAcquire:
-		// Both wait for every launched kernel (dev.Synchronize) before
+	case oplog.OpSync:
+		// Sync waits for every launched kernel (dev.Synchronize) before
 		// re-acquiring for the CPU: the lane joins the manager clock.
 		ls := d.lane(op.Lane)
 		ls.advance(op.Lane)
@@ -193,8 +191,7 @@ func (d *Detector) Feed(op oplog.Op) {
 			d.hostAccess(op, write)
 		}
 	}
-	// OpRegionRelease, OpRegionPtr, OpArg and every derived op carry no
-	// access and no new ordering edge.
+	// OpArg and every derived op carry no access and no new ordering edge.
 }
 
 func (d *Detector) lane(id uint32) *laneState {

@@ -151,25 +151,6 @@ var scenarios = []struct {
 		want: []raceExpect{{"read-write", "kernel-read", "host-write"}},
 	},
 	{
-		// The regional-consistency fix for the first scenario: the
-		// regional acquire waits for the in-flight kernel, so the host
-		// write is ordered. No race.
-		name: "region-scoped-access-no-race",
-		run: func(t *testing.T, s gmac.Session, p gmac.Ptr) {
-			call(t, s, "scale2x", p, gmac.Writes(p), gmac.Async())
-			r, err := s.Region(p)
-			if err != nil {
-				t.Fatalf("Region: %v", err)
-			}
-			hostWrite(t, s, p, 64)
-			if err := r.Release(); err != nil {
-				t.Fatalf("Release: %v", err)
-			}
-			syncAll(t, s)
-		},
-		want: nil,
-	},
-	{
 		// The Table 1 idiom: synchronous Call, then read back. No race.
 		name: "sync-before-readback-no-race",
 		run: func(t *testing.T, s gmac.Session, p gmac.Ptr) {
