@@ -19,7 +19,7 @@
 // built from the stream's header, and checks the replayed counters
 // against the recorded totals (capture logs; flight dumps replay
 // leniently and skip the check).
-// -races runs the offline vector-clock race detector over a recorded
+// -races runs the vector-clock race detector over a recorded
 // .oplog file — or over every .oplog in a directory (the committed
 // testdata/corpus, say) — printing both unordered access sites per race;
 // -races-json additionally writes the reports as JSON. The exit status is
@@ -48,7 +48,7 @@ func main() {
 	report := flag.Bool("report", false, "print the metrics registry and per-object report")
 	recordFile := flag.String("record", "", "record the run's op stream to `file` (binary .oplog)")
 	replayFile := flag.String("replay", "", "replay a recorded .oplog `file` instead of running the demo")
-	racesPath := flag.String("races", "", "run the offline race detector over an .oplog `file or directory` instead of running the demo")
+	racesPath := flag.String("races", "", "run the race detector over an .oplog `file or directory` instead of running the demo")
 	racesJSON := flag.String("races-json", "", "with -races, also write the reports as JSON to `file`")
 	flag.Parse()
 
@@ -212,7 +212,7 @@ func demo(w io.Writer, c demoConfig) error {
 	return nil
 }
 
-// races runs the offline race detector over one .oplog file, or over every
+// races runs the race detector over one .oplog file, or over every
 // .oplog in a directory, printing each report to w and optionally writing
 // the JSON aggregate. It returns the total race count.
 func races(w io.Writer, path, jsonOut string) (int64, error) {

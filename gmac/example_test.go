@@ -104,3 +104,44 @@ func ExampleContext_Call() {
 	// sum = 256
 	// table re-fetched: false
 }
+
+// ExampleAnalyzeRaces records a session and judges the recorded stream:
+// reading a kernel's output back without Sync races with the kernel's
+// declared write.
+func ExampleAnalyzeRaces() {
+	m := machine.SmallTestbed()
+	defer m.Close()
+	ctx, err := gmac.NewContext(m, gmac.Config{Protocol: gmac.RollingUpdate, BlockSize: 4 << 10})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx.EnableRecorder(1 << 12) // must hold the whole run
+	ctx.Register(func() *gmac.Kernel {
+		return &gmac.Kernel{Name: "fill", Run: func(*gmac.DeviceMemory, []uint64) {}}
+	})
+	p, err := ctx.Alloc(16 << 10)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := ctx.Call("fill", []uint64{uint64(p)}, gmac.Writes(p), gmac.Async()); err != nil {
+		log.Fatal(err)
+	}
+	if err := ctx.HostRead(p, make([]byte, 64)); err != nil { // no Sync before the read-back
+		log.Fatal(err)
+	}
+	if err := ctx.Sync(); err != nil {
+		log.Fatal(err)
+	}
+
+	l, err := ctx.FinishOpLog("readback")
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep := gmac.AnalyzeRaces(l)
+	fmt.Println("races:", rep.Count)
+	r := rep.Races[0]
+	fmt.Println(r.Kind, r.Prior.Op, r.Prior.Kernel, "->", r.Access.Op)
+	// Output:
+	// races: 1
+	// write-read kernel-write fill -> host-read
+}

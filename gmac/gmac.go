@@ -101,12 +101,6 @@ type Config struct {
 	// transfer/launch faults (chaos testing): 0 selects the core default,
 	// negative disables retrying.
 	MaxRetries int
-	// RaceDetect enables the online vector-clock race detector: the
-	// runtime's coherence events feed a happens-before checker, detected
-	// races land in Stats.RacesDetected and Races(), and the first race
-	// triggers a flight dump. Off by default; when off, the fault hot
-	// path is unchanged (one nil check). See docs/race-detection.md.
-	RaceDetect bool
 	// DisableFaultBatching turns off span-fault batching: every host
 	// fault then fetches exactly its own block instead of the whole
 	// contiguous invalid run the adaptive streak detector predicts. Data
@@ -133,7 +127,6 @@ func managerConfig(cfg Config) core.Config {
 		TreeNodeCost:         30 * sim.Nanosecond,
 		MprotectCost:         300 * sim.Nanosecond,
 		MaxRetries:           cfg.MaxRetries,
-		RaceDetect:           cfg.RaceDetect,
 		DisableFaultBatching: cfg.DisableFaultBatching,
 	}
 }

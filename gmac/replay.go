@@ -23,9 +23,6 @@ const (
 	// HdrFlight marks a flight-recorder dump: a bounded window of the most
 	// recent ops rather than a complete capture — replay it leniently.
 	HdrFlight = oplog.HdrFlight
-	// HdrRaceDetect marks a stream recorded with the online race detector
-	// enabled; ReplayConfig re-enables it so RacesDetected reproduces.
-	HdrRaceDetect = oplog.HdrRaceDetect
 	// HdrNoFaultBatch marks a stream recorded with span-fault batching
 	// disabled; ReplayConfig disables it again so fault and transfer
 	// counters reproduce.
@@ -60,7 +57,6 @@ func ReplayConfig(h OpLogHeader) Config {
 		BlockSize:            h.BlockSize,
 		FixedRolling:         int(h.FixedRolling),
 		MaxRetries:           int(h.MaxRetries),
-		RaceDetect:           h.Flags&HdrRaceDetect != 0,
 		DisableFaultBatching: h.Flags&HdrNoFaultBatch != 0,
 	}
 }

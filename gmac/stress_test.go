@@ -170,10 +170,11 @@ func TestConcurrentStormContext(t *testing.T) {
 }
 
 // TestConcurrentStormRaceDetect reruns the single-device storm with the
-// online race detector enabled. Under -race this gates the detector's own
-// thread-safety on the concurrent record path; and since every worker owns
-// its objects and every Call syncs, the detector must also stay silent —
-// its false-positive gate under real concurrency.
+// op-stream recorder on and analyses the recorded stream for races. Under
+// -race this gates the recorder on the concurrent emit path; and since
+// every worker owns its objects and every Call syncs, the analysis must
+// also stay silent — the detector's false-positive gate under real
+// concurrency.
 func TestConcurrentStormRaceDetect(t *testing.T) {
 	const (
 		goroutines = 8
@@ -183,10 +184,11 @@ func TestConcurrentStormRaceDetect(t *testing.T) {
 	)
 	base := testutil.Seed(t, 7)
 	m := machine.SmallTestbed()
-	ctx, err := NewContext(m, Config{Protocol: RollingUpdate, BlockSize: blockSize, RaceDetect: true})
+	ctx, err := NewContext(m, Config{Protocol: RollingUpdate, BlockSize: blockSize})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx.EnableRecorder(1 << 16)
 
 	objs := make([]Ptr, goroutines)
 	kernels := make([]string, goroutines)
@@ -221,17 +223,17 @@ func TestConcurrentStormRaceDetect(t *testing.T) {
 	if st.Invokes < goroutines*rounds {
 		t.Fatalf("storm did no work: %+v", st)
 	}
-	if st.RacesDetected != 0 {
-		t.Fatalf("detector flagged %d race(s) on a per-object storm:\n%v",
-			st.RacesDetected, ctx.Races())
-	}
-	if got := int64(len(ctx.Races())); got != st.RacesDetected {
-		t.Fatalf("Races() retained %d reports, Stats counted %d", got, st.RacesDetected)
-	}
 	for _, p := range objs {
 		if err := ctx.Free(p); err != nil {
 			t.Fatal(err)
 		}
+	}
+	l, err := ctx.FinishOpLog("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := AnalyzeRaces(l); rep.Count != 0 {
+		t.Fatalf("detector flagged %d race(s) on a per-object storm:\n%v", rep.Count, rep.Races)
 	}
 }
 

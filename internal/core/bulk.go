@@ -67,15 +67,16 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 		o.markWritten(addr, int64(len(src)))
 		return nil
 	}
-	for len(src) > 0 {
-		b, n := o.chunk(addr, int64(len(src)))
-		if addr == b.addr && n == b.size {
+	for a, s := addr, src; len(s) > 0; {
+		b, n := o.chunk(a, int64(len(s)))
+		if a == b.addr && n == b.size {
 			// Whole block: device write + host invalidation.
-			flush := oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: addr, Size: n}
-			if err := m.dmaSync(o, flush, b.devAddr(), src[:n], accel.PageMask{}, "bulk write"); err != nil {
+			flush := oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: a, Size: n}
+			if err := m.dmaSync(o, flush, b.devAddr(), s[:n], accel.PageMask{}, "bulk write"); err != nil {
 				// Escalate (degrading o to host-resident mode) and land the
-				// remaining bytes in host memory: the write still succeeds,
-				// just against the now-authoritative host copy.
+				// whole write in host memory: the blocks already sent to the
+				// lost device degraded to their old host copies. The write
+				// still succeeds, against the now-authoritative host copy.
 				_ = m.escalateLocked(o, "bulk write", err)
 				return m.hostWriteLocked(o, addr, src)
 			}
@@ -83,11 +84,11 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 			// longer dirty on the host.
 			m.rolling.forgetBlock(b)
 			m.setState(b, 1, StateInvalid)
-		} else if err := m.hostWriteLocked(o, addr, src[:n]); err != nil {
+		} else if err := m.hostWriteLocked(o, a, s[:n]); err != nil {
 			return err
 		}
-		addr += mem.Addr(n)
-		src = src[n:]
+		a += mem.Addr(n)
+		s = s[n:]
 	}
 	return nil
 }

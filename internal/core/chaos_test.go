@@ -327,3 +327,56 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 		})
 	}
 }
+
+// TestDeviceLostMidWriteWalk: a bulk or peer write that loses the
+// device partway through its block walk must still land every requested
+// byte. The blocks already sent to the device before the loss degrade to
+// their old host copies, so the escalation must write the whole range, not
+// just the part the walk had not reached.
+func TestDeviceLostMidWriteWalk(t *testing.T) {
+	const size = 4 * 64 << 10 // four default blocks
+	cases := []struct {
+		name  string
+		rule  fault.Rule
+		dirty bool // dirty block 1 first, so the walk must flush it
+		write func(m *Manager, p mem.Addr, src []byte) error
+	}{
+		// Block 0's DMA succeeds, block 1's loses the device.
+		{"BulkWrite", fault.After(fault.OpDMAH2D, 2, fault.KindDeviceLost), false, (*Manager).BulkWrite},
+		// Block 0 goes by peer DMA, block 1's pre-flush loses the device.
+		{"PeerWrite", fault.After(fault.OpDMAH2D, 1, fault.KindDeviceLost), true, (*Manager).PeerWrite},
+	}
+	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
+		for _, tc := range cases {
+			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) {
+				r := newRig(t, defaultCfg(kind))
+				r.dev.Register(&accel.Kernel{Name: "nop", Run: func(*mem.Space, []uint64) {}})
+				p, err := r.mgr.Alloc(size)
+				must(t, err)
+				must(t, r.mgr.HostWrite(p, bytes.Repeat([]byte{0x11}, size)))
+				must(t, r.mgr.Invoke("nop", uint64(p)))
+				must(t, r.mgr.Sync())
+				if tc.dirty {
+					must(t, r.mgr.HostWrite(p+64<<10, []byte{0x22}))
+				}
+				r.dev.SetFaultInjector(fault.NewInjector(1, r.clock, tc.rule))
+				want := wbPattern(size, 9)
+				if err := tc.write(r.mgr, p, want); err != nil {
+					t.Fatalf("%s across a device loss: %v", tc.name, err)
+				}
+				// Only rolling-update walks several blocks on the device:
+				// batch-update writes its host-authoritative copy, and a
+				// lazy-update object is one block.
+				if kind == RollingUpdate && !r.mgr.DeviceLost() {
+					t.Fatal("the schedule did not lose the device")
+				}
+				got := make([]byte, size)
+				must(t, r.mgr.HostRead(p, got))
+				if i := diffAt(got, want); i >= 0 {
+					t.Fatalf("byte %d: got %#x, want %#x", i, got[i], want[i])
+				}
+				must(t, r.mgr.CheckInvariants())
+			})
+		}
+	}
+}

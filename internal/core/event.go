@@ -3,17 +3,17 @@ package core
 import "repro/internal/oplog"
 
 // This file is the event spine. Every coherence event is emitted exactly
-// once, as an oplog.Op, through emit; the op log, the race detector, Stats
-// and the adsm_*_total families it feeds, the owning object's row and the
-// trace events are all views derived here from that one op. A call site
+// once, as an oplog.Op, through emit; the op log, Stats and the
+// adsm_*_total families it feeds, the owning object's row and the trace
+// events are all views derived here from that one op (the race verdict is
+// derived offline, from the recorded stream: internal/racecheck). A call site
 // says what happened and to which object, never which views care.
 
 // emit stamps op with the current virtual time, this manager's id, the
 // calling goroutine's host lane and o's sequence number (o is the object
 // the op concerns, nil for none), appends it to the flight ring, the
-// capture ring (if capturing), the online race detector (if enabled) and,
-// for the traced kinds, the tracer (if installed), and folds it into every
-// derived view.
+// capture ring (if capturing) and, for the traced kinds, the tracer (if
+// installed), and folds it into every derived view.
 //
 //adsm:noalloc
 func (m *Manager) emit(op oplog.Op, o *Object) {
@@ -28,9 +28,6 @@ func (m *Manager) emit(op oplog.Op, o *Object) {
 	oplog.Flight().Record(op)
 	if r := m.rec.Load(); r != nil {
 		r.Record(op)
-	}
-	if d := m.race; d != nil {
-		d.Feed(op)
 	}
 	m.stats.apply(op, row)
 	if t := m.tracer; t != nil && tracedKinds&(1<<op.Kind) != 0 {
@@ -119,7 +116,6 @@ var unfoldedCounters = []string{
 	"SpanPromotions", "SpanDemotions", // faultRunLen's granularity decisions
 	"FetchElisions",               // transfers an access mode proved unnecessary
 	"PeerBytesIn", "PeerBytesOut", // per-block sums inside one OpIOWrite/OpIORead
-	"RacesDetected", // the detector's verdicts on the stream, not an op in it
 }
 
 // tracedKinds are the op kinds a tracer records: the protocol events of

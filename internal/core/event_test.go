@@ -156,14 +156,14 @@ var counterFamilyNames = []string{
 	"adsm_fault_batches_total", "adsm_faults_total", "adsm_fetch_elisions_total",
 	"adsm_frees_total", "adsm_invokes_total",
 	"adsm_mode_migrations_total", "adsm_prefetched_blocks_total",
-	"adsm_races_detected_total", "adsm_read_faults_total", "adsm_retries_total",
+	"adsm_read_faults_total", "adsm_retries_total",
 	"adsm_retry_giveups_total", "adsm_syncs_total", "adsm_transfers_d2h_total",
 	"adsm_transfers_h2d_total", "adsm_write_faults_total",
 }
 
 // TestMetricFamiliesTrackStats: over a run, every adsm_*_total{protocol=p}
 // family moves by exactly what the manager's Stats counter feeding it
-// moved, and the families are today's 22 names.
+// moved, and the families are exactly counterFamilyNames.
 func TestMetricFamiliesTrackStats(t *testing.T) {
 	reg := metrics.Default()
 	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/oplog"
-	"repro/internal/racecheck"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -101,13 +100,6 @@ type Config struct {
 	// launch faults: 0 selects DefaultMaxRetries, negative disables
 	// retrying (the first transient fault escalates).
 	MaxRetries int
-
-	// RaceDetect enables the online vector-clock race detector
-	// (internal/racecheck): every recorded op is also fed to a detector,
-	// races land in Stats.RacesDetected and trigger a flight dump. Off by
-	// default — the disabled record path stays a nil check, so the
-	// //adsm:noalloc fault hot path is unaffected.
-	RaceDetect bool
 }
 
 // Manager is the GMAC shared-memory manager: it owns the shared address
@@ -208,11 +200,6 @@ type Manager struct {
 	// recorded streams identify them stably across record and replay.
 	rec    atomic.Pointer[oplog.Ring]
 	objSeq atomic.Uint32
-	// race is the optional online race detector (Config.RaceDetect), fed
-	// from emit; nil when disabled so the hot path pays one nil check.
-	// raceDumped latches the one flight dump per manager.
-	race       *racecheck.Detector
-	raceDumped atomic.Bool
 }
 
 // NewManager wires a manager to the host MMU, the host virtual address
@@ -242,35 +229,9 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.FixedRolling > 0),
 	}
 	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
-	if cfg.RaceDetect {
-		m.race = racecheck.New(m.OpLogHeader())
-		m.race.OnRace(m.onRace)
-	}
 	mmu.SetHandler(m.handleFault)
 	registerManager(m)
 	return m, nil
-}
-
-// onRace reacts to each race the online detector reports: it counts it,
-// and the first race triggers a flight dump (gated by ADSM_FLIGHT_DIR like
-// every auto dump).
-func (m *Manager) onRace(racecheck.Race) {
-	m.stats.RacesDetected.Add(1)
-	if m.raceDumped.CompareAndSwap(false, true) {
-		oplog.AutoDump("race-detected")
-	}
-}
-
-// RaceDetector returns the online race detector, or nil when disabled.
-func (m *Manager) RaceDetector() *racecheck.Detector { return m.race }
-
-// Races returns the online detector's race reports (nil when detection is
-// disabled or no race was found).
-func (m *Manager) Races() []racecheck.Race {
-	if m.race == nil {
-		return nil
-	}
-	return m.race.Races()
 }
 
 // Protocol returns the active protocol kind.

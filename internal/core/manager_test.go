@@ -55,6 +55,14 @@ func newRig(tb testing.TB, cfg Config) *rig {
 	return &rig{clock: clock, bd: bd, mmu: mmu, va: va, dev: dev, mgr: mgr}
 }
 
+// must fails the test on a non-nil error.
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func defaultCfg(kind ProtocolKind) Config {
 	return Config{
 		Protocol:     kind,

@@ -56,7 +56,6 @@ func newMetricSet(r *metrics.Registry, proto ProtocolKind, c *statsCounters) *me
 	c.FetchElisions.family = r.Counter(lbl("adsm_fetch_elisions_total"))
 	c.FaultBatches.family = r.Counter(lbl("adsm_fault_batches_total"))
 	c.PrefetchedBlocks.family = r.Counter(lbl("adsm_prefetched_blocks_total"))
-	c.RacesDetected.family = r.Counter(lbl("adsm_races_detected_total"))
 	return &metricSet{
 		faultNs:     r.Histogram(lbl("adsm_fault_service_ns"), metrics.LatencyBuckets),
 		searchDepth: r.Histogram(lbl("adsm_search_depth_nodes"), metrics.DepthBuckets),

@@ -28,12 +28,14 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 		o.markWritten(addr, int64(len(src)))
 		return nil
 	}
-	for len(src) > 0 {
-		b, n := o.chunk(addr, int64(len(src)))
+	for a, s := addr, src; len(s) > 0; {
+		b, n := o.chunk(a, int64(len(s)))
 		if b.state == StateDirty {
 			// Preserve host bytes outside the written range. A permanent
-			// flush failure degrades o to host-resident mode: land the
-			// remaining peer bytes in the authoritative host copy instead.
+			// flush failure degrades o to host-resident mode: land all the
+			// peer bytes in the authoritative host copy instead, since the
+			// blocks already written on the lost device degraded to their
+			// old host copies.
 			if err := m.flushRunEager(b, 1); err != nil {
 				o.mapping.Space.Write(addr, src)
 				o.markWritten(addr, int64(len(src)))
@@ -43,13 +45,13 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 		}
 		// The I/O device writes accelerator memory directly; the transfer
 		// rides under the (much slower) disk transfer already charged.
-		m.dev.WriteBytes(o.devAddr+(addr-o.addr), src[:n])
+		m.dev.WriteBytes(o.devAddr+(a-o.addr), s[:n])
 		m.stats.PeerBytesIn.Add(n)
 		if b.state != StateInvalid {
 			m.setState(b, 1, StateInvalid)
 		}
-		addr += mem.Addr(n)
-		src = src[n:]
+		a += mem.Addr(n)
+		s = s[n:]
 	}
 	return nil
 }

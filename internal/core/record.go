@@ -65,9 +65,6 @@ func (m *Manager) OpLogHeader() oplog.Header {
 		FixedRolling: int32(m.cfg.FixedRolling),
 		MaxRetries:   int32(m.cfg.MaxRetries),
 	}
-	if m.cfg.RaceDetect {
-		h.Flags |= oplog.HdrRaceDetect
-	}
 	if m.cfg.DisableFaultBatching {
 		h.Flags |= oplog.HdrNoFaultBatch
 	}

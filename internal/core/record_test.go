@@ -168,36 +168,29 @@ func TestFinishOpLogWithoutRecorder(t *testing.T) {
 
 // TestRecordHotPathAllocs is the acceptance criterion: emit — the one
 // booking call, as made from the fault handler with the tracer off — must
-// not allocate, with and without a capture recorder installed, and with
-// the race detector off and on (the detector ignores derived ops).
+// not allocate, with and without a capture recorder installed.
 func TestRecordHotPathAllocs(t *testing.T) {
-	for _, detect := range []bool{false, true} {
-		cfg := defaultCfg(RollingUpdate)
-		cfg.RaceDetect = detect
-		r := newRig(t, cfg)
-		ptr, err := r.mgr.Alloc(64 << 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := r.mgr.ObjectAt(ptr)
-		op := oplog.Op{Kind: oplog.OpFault, Flags: oplog.FlagWrite,
-			Addr: ptr, Size: 65536, Arg: int64(StateInvalid)}
-		if n := testing.AllocsPerRun(1000, func() { r.mgr.emit(op, o) }); n != 0 {
-			t.Fatalf("detector %v: emit allocates %.1f times per op without a recorder, want 0", detect, n)
-		}
-		r.mgr.EnableRecorder(1 << 12)
-		if n := testing.AllocsPerRun(1000, func() { r.mgr.emit(op, o) }); n != 0 {
-			t.Fatalf("detector %v: emit allocates %.1f times per op with a recorder, want 0", detect, n)
-		}
+	r := newRig(t, defaultCfg(RollingUpdate))
+	ptr, err := r.mgr.Alloc(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := r.mgr.ObjectAt(ptr)
+	op := oplog.Op{Kind: oplog.OpFault, Flags: oplog.FlagWrite,
+		Addr: ptr, Size: 65536, Arg: int64(StateInvalid)}
+	if n := testing.AllocsPerRun(1000, func() { r.mgr.emit(op, o) }); n != 0 {
+		t.Fatalf("emit allocates %.1f times per op without a recorder, want 0", n)
+	}
+	r.mgr.EnableRecorder(1 << 12)
+	if n := testing.AllocsPerRun(1000, func() { r.mgr.emit(op, o) }); n != 0 {
+		t.Fatalf("emit allocates %.1f times per op with a recorder, want 0", n)
 	}
 }
 
 // TestFaultPathAllocs pins the end-to-end fault service path — signal
 // delivery, span search, state transition, rolling-cache push, mprotect,
-// record with lane attribution — at zero allocations while the race
-// detector is disabled (the default). With Config.RaceDetect the detector's
-// shadow state allocates by design; the no-alloc guarantee is scoped to the
-// detector-off configuration the noalloc analyzer audits statically.
+// record with lane attribution — at zero allocations, the guarantee the
+// noalloc analyzer audits statically.
 func TestFaultPathAllocs(t *testing.T) {
 	cfg := defaultCfg(RollingUpdate)
 	cfg.BlockSize = 4 << 10
@@ -215,7 +208,7 @@ func TestFaultPathAllocs(t *testing.T) {
 		}
 		off += 4 << 10
 	}); n != 0 {
-		t.Fatalf("fault path allocates %.1f times per fault with the detector off, want 0", n)
+		t.Fatalf("fault path allocates %.1f times per fault, want 0", n)
 	}
 }
 

@@ -59,10 +59,6 @@ type Stats struct {
 	// it on non-sequential faults).
 	FaultBatches, PrefetchedBlocks int64
 	SpanPromotions, SpanDemotions  int64
-
-	// RacesDetected counts races reported by the online vector-clock
-	// detector (Config.RaceDetect; 0 when detection is disabled).
-	RacesDetected int64
 }
 
 // counter is one Stats counter: the manager's own count and, for the
@@ -118,8 +114,6 @@ type statsCounters struct {
 
 	FaultBatches, PrefetchedBlocks counter
 	SpanPromotions, SpanDemotions  counter
-
-	RacesDetected counter
 }
 
 // load snapshots the atomic counters into a Stats value, matching fields

@@ -94,12 +94,6 @@ func TestWriteBackSeesHostBytes(t *testing.T) {
 		}
 		return p, ref
 	}
-	must := func(t *testing.T, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	// wholeBlock returns the offset and host bytes of the block holding
 	// p+off: the cases that leave a block not current send it back whole,
 	// unwritten bytes included.

@@ -27,7 +27,8 @@ func corpusFiles(t *testing.T) []string {
 // runtime with a recoverable fault schedule armed on the device: every
 // real application op stream doubles as a chaos scenario. Transparent
 // retries must absorb each injection — the replay completes, the
-// invariants hold, and nothing escalates to device loss or degradation.
+// invariants hold, nothing escalates to device loss or degradation, and
+// the replay's own recorded stream analyses race-free.
 func TestChaosCorpusReplay(t *testing.T) {
 	files := corpusFiles(t)
 	if len(files) == 0 {
@@ -69,14 +70,16 @@ func TestChaosCorpusReplay(t *testing.T) {
 				}
 				cfg := gmac.ReplayConfig(l.Header)
 				cfg.MaxRetries = 6 // keep recoverable schedules inside the budget
-				// Run the online race detector throughout: injected faults
-				// and their retries are derived events, so even a chaos
-				// replay of a well-synchronised workload must stay silent.
-				cfg.RaceDetect = true
 				ctx, err := gmac.NewContext(m, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Record the replay and analyse it: injected faults and
+				// their retries are derived events, so even a chaos replay
+				// of a well-synchronised workload must stay race-free. The
+				// ring holds the input ops plus every derived op many
+				// times over, so FinishOpLog cannot wrap.
+				ctx.EnableRecorder(16 * (len(l.Ops) + 1024))
 				inj := fault.NewInjector(1, m.Clock, sched.rules...)
 				m.Device().SetFaultInjector(inj)
 				report, err := ctx.Replay(l, gmac.ReplayOptions{})
@@ -97,9 +100,13 @@ func TestChaosCorpusReplay(t *testing.T) {
 				if st.RetryGiveups != 0 || st.DegradedObjects != 0 {
 					t.Errorf("recoverable schedule gave up: %+v", st)
 				}
-				if st.RacesDetected != 0 {
+				rec, err := ctx.FinishOpLog(sched.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep := gmac.AnalyzeRaces(rec); rep.Count != 0 {
 					t.Errorf("race detector flagged %d false positive(s) under %s:\n%v",
-						st.RacesDetected, sched.name, mgr.Races())
+						rep.Count, sched.name, rep.Races)
 				}
 				injected += inj.Total()
 				retried += st.Retries

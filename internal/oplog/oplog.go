@@ -244,9 +244,9 @@ const (
 	// coalescing off, a knob that no longer exists. The bit keeps its place
 	// so the flags after it keep their values and old streams decode.
 	HdrNoCoalesce
-	// HdrRaceDetect marks a stream recorded with the online race detector
-	// enabled (core.Config.RaceDetect): a replayer re-enables detection so
-	// the RacesDetected counter stays replay-conformant.
+	// HdrRaceDetect is reserved: it marked streams recorded with an online
+	// race detector, which no longer exists (races are found offline, by
+	// racecheck.Analyze over the stream). Replayers ignore it.
 	HdrRaceDetect
 	// HdrNoFaultBatch mirrors core.Config.DisableFaultBatching: span-fault
 	// batching changes fault and transfer counts, so a replayer must run

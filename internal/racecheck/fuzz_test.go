@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzRaceCheck feeds arbitrary byte streams through the oplog decoder into
-// the offline analyser, seeded from the recorded workload corpus and the
+// the analyser, seeded from the recorded workload corpus and the
 // committed conflict fixtures (streams that actually race). Any input that
 // decodes must analyse without panicking, and analysing the same stream
 // twice must yield identical verdicts.

@@ -1,5 +1,6 @@
-// Package racecheck is a vector-clock data-race detector built on the
-// runtime's coherence event stream (internal/oplog).
+// Package racecheck is a vector-clock data-race detector over the
+// runtime's recorded coherence event stream (internal/oplog): Analyze
+// takes a complete recorded Log and returns its report.
 //
 // The ADSM runtime observes every host access (through the MMU), every
 // kernel launch, and every kernel's declared footprint (the §4.3 write-set
@@ -51,19 +52,17 @@ import (
 // adversarial inputs (fuzzed streams) from pinning memory.
 const maxRaces = 1024
 
-// Detector consumes coherence ops — online from core.Manager's record path
-// or offline from a decoded stream — and accumulates race reports. Feed
-// serialises internally, so any number of goroutines may feed concurrently;
-// all other methods are safe to call at any time.
+// Detector consumes the ops of a decoded stream, in order, and accumulates
+// race reports. Feed serialises internally, so any number of goroutines may
+// feed concurrently; all other methods are safe to call at any time.
 type Detector struct {
-	// raceMu is a leaf below the note-intern table: Feed runs under
-	// Object.mu/callMu (levels 10–30) and may resolve interned strings
-	// (oplogNotesMu, 60).
+	// raceMu is a leaf below the note-intern table: Feed holds it while it
+	// resolves interned strings (oplogNotesMu, 60), and no runtime lock is
+	// held when Feed is called.
 	//
 	//adsm:lock raceMu 55 nowait
 	mu        sync.Mutex
 	blockSize int64
-	onRace    func(Race)
 
 	lanes   map[uint32]*laneState
 	objs    map[uint32]*objState
@@ -77,8 +76,7 @@ type Detector struct {
 }
 
 // New builds a detector for streams recorded under the given configuration.
-// The header fixes the shadow granularity (BlockSize; 0 = whole object), so
-// online and offline detection over the same run see identical state.
+// The header fixes the shadow granularity (BlockSize; 0 = whole object).
 func New(h oplog.Header) *Detector {
 	return &Detector{
 		blockSize: h.BlockSize,
@@ -87,15 +85,6 @@ func New(h oplog.Header) *Detector {
 		mgrs:      make(map[uint16]*mgrState),
 		seen:      make(map[[2]uint64]bool),
 	}
-}
-
-// OnRace installs a callback invoked (under the detector's lock) for every
-// newly detected race. The online path uses it to bump counters and trigger
-// the flight dump.
-func (d *Detector) OnRace(fn func(Race)) {
-	d.mu.Lock()
-	d.onRace = fn
-	d.mu.Unlock()
 }
 
 // Count returns the number of races detected so far (including any beyond
@@ -162,9 +151,8 @@ type access struct {
 // including fuzzed ones — is safe input.
 //
 // Feed allocates shadow state lazily (per first-seen lane, manager and
-// object), which is fine: the online detector is wired up only in
-// race-checking runs, never in the measured configuration, so the whole
-// detector is //adsm:cold by design.
+// object), which is fine: it runs over recorded streams, never on the
+// runtime's paths, so the whole detector is //adsm:cold by design.
 //
 //adsm:cold
 func (d *Detector) Feed(op oplog.Op) {
@@ -376,12 +364,8 @@ func (d *Detector) report(kind string, obj uint32, blockAddr uint64, prior, cur 
 	}
 	d.seen[key] = true
 	d.count++
-	r := Race{Kind: kind, Obj: obj, Addr: blockAddr, Prior: prior.site, Access: cur.site}
 	if len(d.races) < maxRaces {
-		d.races = append(d.races, r)
-	}
-	if d.onRace != nil {
-		d.onRace(r)
+		d.races = append(d.races, Race{Kind: kind, Obj: obj, Addr: blockAddr, Prior: prior.site, Access: cur.site})
 	}
 }
 

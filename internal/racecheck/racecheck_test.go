@@ -1,7 +1,7 @@
-// These tests drive the detector both ways the runtime does: online
-// through a gmac session with Config.RaceDetect set, and offline over the
-// recorded op stream — and assert the two agree exactly, scenario by
-// scenario.
+// These tests drive the detector the way the runtime is used: a gmac
+// session records its op stream, and gmac.AnalyzeRaces judges the recorded
+// stream — scenario by scenario, on the committed fixtures, and on every
+// evaluation workload.
 package racecheck_test
 
 import (
@@ -173,15 +173,13 @@ var scenarios = []struct {
 }
 
 // recordScenario runs one scenario on a fresh small machine with the
-// online detector and the op-stream recorder both enabled, and returns the
-// finished context and its recorded stream.
-func recordScenario(t *testing.T, name string, run func(*testing.T, gmac.Session, gmac.Ptr)) (*gmac.Context, *gmac.OpLog) {
+// op-stream recorder enabled, and returns the recorded stream.
+func recordScenario(t *testing.T, name string, run func(*testing.T, gmac.Session, gmac.Ptr)) *gmac.OpLog {
 	t.Helper()
 	m := machine.SmallTestbed()
 	ctx, err := gmac.NewContext(m, gmac.Config{
-		Protocol:   gmac.RollingUpdate,
-		BlockSize:  blockSize,
-		RaceDetect: true,
+		Protocol:  gmac.RollingUpdate,
+		BlockSize: blockSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,29 +199,27 @@ func recordScenario(t *testing.T, name string, run func(*testing.T, gmac.Session
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ctx, l
+	return l
 }
 
-// TestConflictScenarios is the corpus gate: each seeded racy scenario is
-// flagged with exactly the expected kind and both access sites, the benign
-// orderings stay silent, and the offline analysis of the recorded stream
-// reproduces the online verdicts exactly.
+// TestConflictScenarios is the corpus gate: in the analysis of each
+// scenario's recorded stream, every seeded race is flagged with exactly the
+// expected kind and both access sites, the benign orderings stay silent,
+// and the stream's encoded form yields the same verdicts.
 func TestConflictScenarios(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			ctx, l := recordScenario(t, sc.name, sc.run)
-			online := ctx.Races()
-			st := ctx.Stats()
-			if int64(len(online)) != st.RacesDetected {
-				t.Fatalf("Stats.RacesDetected %d != %d retained races",
-					st.RacesDetected, len(online))
+			l := recordScenario(t, sc.name, sc.run)
+			rep := gmac.AnalyzeRaces(l)
+			if int64(len(rep.Races)) != rep.Count {
+				t.Fatalf("report counted %d races, retained %d", rep.Count, len(rep.Races))
 			}
-			if len(online) != len(sc.want) {
-				t.Fatalf("flagged %d race(s), want %d:\n%v", len(online), len(sc.want), online)
+			if len(rep.Races) != len(sc.want) {
+				t.Fatalf("flagged %d race(s), want %d:\n%v", len(rep.Races), len(sc.want), rep.Races)
 			}
 			for i, w := range sc.want {
-				r := online[i]
+				r := rep.Races[i]
 				if r.Kind != w.kind {
 					t.Errorf("race #%d kind %q, want %q", i, r.Kind, w.kind)
 				}
@@ -244,28 +240,72 @@ func TestConflictScenarios(t *testing.T) {
 				}
 			}
 
-			// Offline over the recorded stream: identical verdicts, race
-			// by race.
-			rep := gmac.AnalyzeRaces(l)
-			if rep.Count != st.RacesDetected || !reflect.DeepEqual(rep.Races, online) {
-				t.Fatalf("offline analysis diverged from online:\noffline (%d): %v\nonline  (%d): %v",
-					rep.Count, rep.Races, st.RacesDetected, online)
+			// The verdicts survive the wire: the decoded stream yields the
+			// same races, race by race.
+			dec, err := gmac.DecodeOpLog(l.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again := gmac.AnalyzeRaces(dec); again.Count != rep.Count || !reflect.DeepEqual(again.Races, rep.Races) {
+				t.Fatalf("decoded stream's analysis diverged:\ndecoded  (%d): %v\nrecorded (%d): %v",
+					again.Count, again.Races, rep.Count, rep.Races)
 			}
 		})
 	}
 }
 
-// TestScenarioReplayConformance: a stream recorded with detection on
-// carries HdrRaceDetect, so a replay context re-enables the detector and
-// must reproduce the recorded RacesDetected total along with every other
-// counter.
+// TestScenarioReplayConformance: a strict replay of each scenario's stream
+// reproduces every recorded counter, and the replay's own recorded stream
+// yields the original stream's race verdicts.
 func TestScenarioReplayConformance(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			_, l := recordScenario(t, sc.name, sc.run)
-			if l.Header.Flags&gmac.HdrRaceDetect == 0 {
-				t.Fatal("recorded header lost HdrRaceDetect")
+			l := recordScenario(t, sc.name, sc.run)
+			ctx, err := gmac.NewContext(machine.SmallTestbed(), gmac.ReplayConfig(l.Header))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.EnableRecorder(1 << 14)
+			report, err := ctx.Replay(l, gmac.ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Skipped != 0 || report.Errors != 0 {
+				t.Fatalf("replay skipped %d, errored %d", report.Skipped, report.Errors)
+			}
+			if err := gmac.CompareTotals(l.Totals, ctx.Stats().Counters()); err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := ctx.FinishOpLog("replay:" + sc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := gmac.AnalyzeRaces(replayed), gmac.AnalyzeRaces(l)
+			if got.Count != int64(len(sc.want)) || got.Count != want.Count ||
+				!reflect.DeepEqual(got.Races, want.Races) {
+				t.Fatalf("replay's verdict diverged:\nreplay   (%d): %v\nrecorded (%d): %v",
+					got.Count, got.Races, want.Count, want.Races)
+			}
+		})
+	}
+}
+
+// TestFixturesReplayStrictly: the committed fixtures were recorded with
+// the retired HdrRaceDetect header bit set (and the retired RacesDetected
+// counter in their totals); each must still decode and replay strictly
+// under ReplayConfig.
+func TestFixturesReplayStrictly(t *testing.T) {
+	for _, sc := range scenarios {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", sc.name+".oplog"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := gmac.DecodeOpLog(data)
+			if err != nil {
+				t.Fatal(err)
 			}
 			ctx, err := gmac.NewContext(machine.SmallTestbed(), gmac.ReplayConfig(l.Header))
 			if err != nil {
@@ -277,12 +317,6 @@ func TestScenarioReplayConformance(t *testing.T) {
 			}
 			if report.Skipped != 0 || report.Errors != 0 {
 				t.Fatalf("replay skipped %d, errored %d", report.Skipped, report.Errors)
-			}
-			if err := gmac.CompareTotals(l.Totals, ctx.Stats().Counters()); err != nil {
-				t.Fatal(err)
-			}
-			if got := ctx.Stats().RacesDetected; got != int64(len(sc.want)) {
-				t.Fatalf("replay re-detected %d race(s), want %d", got, len(sc.want))
 			}
 		})
 	}
@@ -299,7 +333,7 @@ func TestGoldenRaceReports(t *testing.T) {
 			opPath := filepath.Join("testdata", sc.name+".oplog")
 			goldPath := filepath.Join("testdata", sc.name+".golden")
 			if *update {
-				_, l := recordScenario(t, sc.name, sc.run)
+				l := recordScenario(t, sc.name, sc.run)
 				if err := os.WriteFile(opPath, l.Encode(), 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -374,33 +408,26 @@ func TestCorpusRaceFree(t *testing.T) {
 	}
 }
 
-// TestWorkloadsRaceFree runs every evaluation workload at unit-test scale
-// with the online detector enabled and analyses each recorded stream
-// offline: zero races both ways, on every benchmark.
+// TestWorkloadsRaceFree runs every evaluation workload at unit-test scale,
+// records it and analyses each stream: zero races on every benchmark.
 func TestWorkloadsRaceFree(t *testing.T) {
 	for _, b := range workloads.AllSmall() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			rep, err := workloads.RunGMAC(b, workloads.Options{
-				Protocol:   gmac.RollingUpdate,
-				RaceDetect: true,
-				Record:     -1,
+				Protocol: gmac.RollingUpdate,
+				Record:   1 << 16, // ops; far above any small run, so the ring cannot wrap
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.GMAC.RacesDetected != 0 {
-				t.Fatalf("online detector flagged %d race(s) on %s",
-					rep.GMAC.RacesDetected, b.Name())
-			}
 			if rep.OpLog == nil {
 				t.Fatal("no recorded stream")
 			}
-			offline := gmac.AnalyzeRaces(rep.OpLog)
-			if offline.Count != 0 {
+			if races := gmac.AnalyzeRaces(rep.OpLog); races.Count != 0 {
 				var buf bytes.Buffer
-				offline.WriteText(&buf)
-				t.Fatalf("offline analysis flagged races online detection missed:\n%s", buf.String())
+				races.WriteText(&buf)
+				t.Fatalf("analysis flagged races on %s:\n%s", b.Name(), buf.String())
 			}
 		})
 	}

@@ -61,7 +61,7 @@ func (r Race) String() string {
 		r.Kind, r.Obj, r.Addr, r.Prior, r.Access)
 }
 
-// Report is the result of one offline analysis.
+// Report is the result of one analysis.
 type Report struct {
 	// Label is the stream's header label; Ops the number of ops fed.
 	Label string `json:"label,omitempty"`
@@ -71,9 +71,9 @@ type Report struct {
 	Races []Race `json:"races"`
 }
 
-// Analyze runs the detector over a decoded stream and returns its report —
-// the offline entry point (adsmtrace -races). Deterministic: the same
-// stream always yields the same report.
+// Analyze runs the detector over a decoded stream and returns its report
+// (gmac.AnalyzeRaces, adsmtrace -races). Deterministic: the same stream
+// always yields the same report.
 func Analyze(l *oplog.Log) *Report {
 	d := New(l.Header)
 	for _, op := range l.Ops {

@@ -124,9 +124,9 @@ func TestBatchingReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchingRaceDetectorClean runs batched workloads with the online
-// vector-clock race detector enabled: span prefetch must not introduce any
-// host/device access-order violation.
+// TestBatchingRaceDetectorClean records batched workloads and runs the
+// vector-clock race detector over each stream: span prefetch must not
+// introduce any host/device access-order violation.
 func TestBatchingRaceDetectorClean(t *testing.T) {
 	for _, b := range []Benchmark{SmallStencil(), SmallCP(), SmallVecAdd()} {
 		b := b
@@ -134,13 +134,13 @@ func TestBatchingRaceDetectorClean(t *testing.T) {
 			t.Parallel()
 			opts := smallOpts()
 			opts.Protocol = gmac.RollingUpdate
-			opts.RaceDetect = true
+			opts.Record = 1 << 16 // ops; far above any small run, so the ring cannot wrap
 			rep, err := RunGMAC(b, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.GMAC.RacesDetected != 0 {
-				t.Fatalf("batched %s run flagged %d races", b.Name(), rep.GMAC.RacesDetected)
+			if races := gmac.AnalyzeRaces(rep.OpLog); races.Count != 0 {
+				t.Fatalf("batched %s run flagged %d races: %v", b.Name(), races.Count, races.Races)
 			}
 			if rep.GMAC.FaultBatches == 0 && rep.GMAC.ReadFaults > 8 {
 				t.Logf("note: %s produced no fault batches (access pattern not sequential)", b.Name())

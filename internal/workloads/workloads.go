@@ -109,9 +109,6 @@ type Options struct {
 	// the workload's own declarations unchanged; gmac.Auto lets the
 	// runtime pick per-object protocols online.
 	Mode gmac.AccessMode
-	// RaceDetect enables the online race detector for the GMAC variant;
-	// detected races land in Report.GMAC.RacesDetected.
-	RaceDetect bool
 	// DisableFaultBatching turns off span-fault batching for the GMAC
 	// variant (the batched/unbatched conformance comparison).
 	DisableFaultBatching bool
@@ -166,7 +163,6 @@ func RunGMAC(b Benchmark, opt Options) (Report, error) {
 		BlockSize:            opt.BlockSize,
 		FixedRolling:         opt.FixedRolling,
 		MaxRetries:           opt.MaxRetries,
-		RaceDetect:           opt.RaceDetect,
 		DisableFaultBatching: opt.DisableFaultBatching,
 	})
 	if err != nil {
