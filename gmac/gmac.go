@@ -66,9 +66,9 @@ const (
 )
 
 // AccessMode declares, at allocation time, how the host accesses a shared
-// object over its lifetime. The runtime lowers the mode into a per-object
-// coherence policy: the stronger the declaration, the more protocol work
-// it elides. Pass it with the Mode alloc option.
+// object over its lifetime. Every object runs the session's protocol; the
+// stronger the declaration, the more of that protocol's work it elides.
+// Pass it with the Mode alloc option.
 type AccessMode = core.AccessMode
 
 // The access modes. ReadWrite (the zero value) is the unconstrained
@@ -77,14 +77,11 @@ type AccessMode = core.AccessMode
 // invalidated — a host write after sealing fails with a mode violation.
 // WriteOnly objects are produced by the host and consumed by kernels only:
 // every device-to-host fetch is elided, and a host read of device-written
-// data is a mode violation. Auto objects start under the session protocol
-// and migrate online between lazy- and rolling-update as their observed
-// fault and eviction rates change.
+// data, through any entry point, is a mode violation.
 const (
 	ReadWrite = core.ModeReadWrite
 	ReadOnly  = core.ModeReadOnly
 	WriteOnly = core.ModeWriteOnly
-	Auto      = core.ModeAuto
 )
 
 // Config parameterises a Context.

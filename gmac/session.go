@@ -118,14 +118,13 @@ func OnDevice(dev int) AllocOption {
 	return func(o *allocOptions) { o.device = dev }
 }
 
-// Mode declares the host's access pattern for the allocation, selecting the
-// object's coherence behaviour for its whole lifetime: ReadOnly objects
-// replicate to the device once and are never re-fetched or invalidated,
-// WriteOnly objects skip every device-to-host fetch, and Auto objects watch
-// their own fault and eviction counters and migrate between protocols
-// online. The zero value ReadWrite is the unconstrained default. The
-// per-call ReadOnlyHint overrides the declared mode for one kernel call;
-// see docs/access-modes.md.
+// Mode declares the host's access pattern for the allocation's whole
+// lifetime, and the runtime elides the coherence work it proves
+// unnecessary under the session's protocol: ReadOnly objects replicate to
+// the device once and are never re-fetched or invalidated, and WriteOnly
+// objects skip every device-to-host fetch. The zero value ReadWrite is the
+// unconstrained default. The per-call ReadOnlyHint overrides the declared
+// mode for one kernel call; see docs/access-modes.md.
 func Mode(m AccessMode) AllocOption {
 	return func(o *allocOptions) { o.mode = m }
 }

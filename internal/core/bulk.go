@@ -33,6 +33,9 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 		o.mapping.Space.Read(addr, dst)
 		return nil
 	}
+	if err := m.checkModeRead(o, addr, int64(len(dst))); err != nil {
+		return err
+	}
 	for len(dst) > 0 {
 		b, n := o.chunk(addr, int64(len(dst)))
 		if b.state == StateInvalid {

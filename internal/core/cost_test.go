@@ -28,7 +28,7 @@ type cost struct {
 	Faults, FaultBatches, Prefetched int64
 	XfersH2D, BytesH2D               int64
 	XfersD2H, BytesD2H               int64
-	Evictions, Migrations            int64
+	Evictions                        int64
 	Virt                             sim.Time
 	// Mallocs is the window's raw runtime.MemStats.Mallocs delta. It is
 	// stricter than testing.AllocsPerRun, whose integer per-run average
@@ -41,8 +41,7 @@ func costOf(st Stats, virt sim.Time, mallocs int64) cost {
 		Faults: st.Faults, FaultBatches: st.FaultBatches, Prefetched: st.PrefetchedBlocks,
 		XfersH2D: st.TransfersH2D, BytesH2D: st.BytesH2D,
 		XfersD2H: st.TransfersD2H, BytesD2H: st.BytesD2H,
-		Evictions: st.Evictions, Migrations: st.ModeMigrations,
-		Virt: virt, Mallocs: mallocs,
+		Evictions: st.Evictions, Virt: virt, Mallocs: mallocs,
 	}
 }
 
@@ -94,15 +93,15 @@ var costCases = []costCase{
 	// Reads of a sealed read-only object: no fault, no transition, no DMA.
 	{name: "ReadOnlyFault", cfg: costCfg(0), ops: 1 << 10, setup: sealedReads,
 		want: cost{}},
-	// A ModeAuto object alternating 16 streaming-write calls with 16
-	// sparse-read calls, so the protocol votes cross the hysteresis and the
-	// object migrates online. The kernel boundary allocates, not the faults:
-	// per call four registry.snapshot copies (release and acquire walks),
-	// two in resolveHints and one in invoke, plus Mprotect's rollback spill
-	// on the 64-page object, migrate and the rolling-cache drain's copy.
-	{name: "ModeMigrate", cfg: costCfg(0), ops: 1 << 10, setup: modeChurn,
-		want: cost{Faults: 33280, FaultBatches: 3312, Prefetched: 28912, XfersH2D: 24576, BytesH2D: 128 << 20,
-			XfersD2H: 4608, BytesD2H: 137_297_920, Evictions: 15872, Migrations: 64, Virt: 452_196_448, Mallocs: 7872}},
+	// A 64-block object alternating 16 calls that dirty every block with 16
+	// that read one, each call annotated as writing it: the kernel boundary
+	// under a churning write set. The boundary allocates, not the faults:
+	// per call two registry.snapshot copies in the release walk, two in
+	// resolveHints and one in invoke, plus the rolling-cache drain's copy on
+	// each call of a writing phase, 5.5 a call.
+	{name: "KernelBoundary", cfg: costCfg(0), ops: 1 << 10, setup: boundaryChurn,
+		want: cost{Faults: 33280, FaultBatches: 3312, Prefetched: 28912, XfersH2D: 16384, BytesH2D: 128 << 20,
+			XfersD2H: 4608, BytesD2H: 137_297_920, Evictions: 31744, Virt: 282_279_008, Mallocs: 5632}},
 	// N lanes write-fault through their own objects at once. Every lane's
 	// 256 faults take 730 100 ns on its own timeline and the lanes overlap,
 	// so the window takes one lane's time and N lanes fault N times as fast.
@@ -272,13 +271,13 @@ func sealedReads(tb testing.TB, r *rig) (func(int), func()) {
 	return each(tb, func(i int) error { return r.mgr.HostRead(blockAt(p, i), dst) }), func() {}
 }
 
-// modeChurn alternates 16 operations that dirty every block of a 64-block
-// ModeAuto object with 16 that read one block, each followed by a kernel
+// boundaryChurn alternates 16 operations that dirty every block of a
+// 64-block object with 16 that read one block, each followed by a kernel
 // call annotated as writing the object.
-func modeChurn(tb testing.TB, r *rig) (func(int), func()) {
+func boundaryChurn(tb testing.TB, r *rig) (func(int), func()) {
 	const blocks = 64
 	r.registerNop(tb)
-	p := r.alloc(tb, AllocSpec{Size: blocks * testPage, Mode: ModeAuto})
+	p := r.alloc(tb, AllocSpec{Size: blocks * testPage})
 	src, dst := []byte{0x3C}, make([]byte, 1)
 	writes := CallHints{Writes: []mem.Addr{p}, Annotated: true}
 	return each(tb, func(i int) error {

@@ -103,8 +103,6 @@ func (c *statsCounters) apply(op oplog.Op, row *objCounters) {
 		c.DegradedObjects.Add(1)
 	case oplog.OpDeviceLost:
 		c.DeviceLostEvents.Add(1)
-	case oplog.OpModeMigrate:
-		c.ModeMigrations.Add(1)
 	}
 }
 
@@ -124,8 +122,7 @@ var unfoldedCounters = []string{
 // from emitTransition.
 const tracedKinds uint32 = 1<<oplog.OpAlloc | 1<<oplog.OpFree | 1<<oplog.OpFault |
 	1<<oplog.OpFetch | 1<<oplog.OpFlush | 1<<oplog.OpEvict | 1<<oplog.OpInvoke |
-	1<<oplog.OpSync | 1<<oplog.OpRetry | 1<<oplog.OpDegrade | 1<<oplog.OpDeviceLost |
-	1<<oplog.OpModeMigrate
+	1<<oplog.OpSync | 1<<oplog.OpRetry | 1<<oplog.OpDegrade | 1<<oplog.OpDeviceLost
 
 // renderOp is the trace rendering of an event op (a trace.Renderer,
 // installed by SetSpanTracer): its name, the from/to of a transition, and
@@ -153,9 +150,6 @@ func renderOp(op oplog.Op) (name, from, to, note string) {
 		note = oplog.NoteString(op.Note)
 	case oplog.OpTransition:
 		from, to = State(op.Arg>>8).String(), State(op.Arg&0xff).String()
-	case oplog.OpModeMigrate:
-		name, note = oplog.OpTransition.String(), "mode-migrate"
-		from, to = ProtocolKind(op.Arg>>8).String(), ProtocolKind(op.Arg&0xff).String()
 	}
 	return name, from, to, note
 }

@@ -155,7 +155,7 @@ var counterFamilyNames = []string{
 	"adsm_degraded_objects_total", "adsm_device_lost_total", "adsm_evictions_total",
 	"adsm_fault_batches_total", "adsm_faults_total", "adsm_fetch_elisions_total",
 	"adsm_frees_total", "adsm_invokes_total",
-	"adsm_mode_migrations_total", "adsm_prefetched_blocks_total",
+	"adsm_prefetched_blocks_total",
 	"adsm_read_faults_total", "adsm_retries_total",
 	"adsm_retry_giveups_total", "adsm_syncs_total", "adsm_transfers_d2h_total",
 	"adsm_transfers_h2d_total", "adsm_write_faults_total",
@@ -219,7 +219,7 @@ func TestMetricFamiliesTrackStats(t *testing.T) {
 var tracedKind = map[oplog.Kind]bool{
 	oplog.OpAlloc: true, oplog.OpFree: true, oplog.OpFault: true, oplog.OpFetch: true,
 	oplog.OpFlush: true, oplog.OpEvict: true, oplog.OpInvoke: true, oplog.OpSync: true,
-	oplog.OpRetry: true, oplog.OpDegrade: true, oplog.OpDeviceLost: true, oplog.OpModeMigrate: true,
+	oplog.OpRetry: true, oplog.OpDegrade: true, oplog.OpDeviceLost: true,
 }
 
 // TestTraceEventsAreRenderedOps: with a tracer and a recorder both on, the

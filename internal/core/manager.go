@@ -137,10 +137,6 @@ type Manager struct {
 	va    *mem.VASpace
 	dev   *accel.Device
 
-	// moded counts live objects with a non-default access mode; it gates
-	// the acquire sweep so default-mode runs skip the mode machinery
-	// entirely (protocol.go).
-	moded atomic.Int64
 	// reg is the sharded object/block registry (registry.go): per-shard
 	// sorted span sets that faulting lanes search without a lock.
 	reg     registry
@@ -213,8 +209,8 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 	if policies[cfg.Protocol].blocked && cfg.BlockSize <= 0 {
 		return nil, fmt.Errorf("core: %v requires a block size", cfg.Protocol)
 	}
-	// ModeAuto objects may migrate onto rolling-update under any configured
-	// protocol, so a non-zero block size must always be page-granular.
+	// Blocks are protected page by page, so a block size, even one the
+	// configured protocol ignores, must be page-granular.
 	if cfg.BlockSize != 0 && cfg.BlockSize%mmu.PageSize() != 0 {
 		return nil, fmt.Errorf("core: block size %d is not a multiple of the %d-byte page",
 			cfg.BlockSize, mmu.PageSize())
@@ -414,10 +410,7 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 	o.seq = m.objSeq.Add(1)
 	o.pol = policies[m.cfg.Protocol]
 	blockSize := int64(0) // one block spanning the object
-	if o.pol.blocked || o.mode == ModeAuto {
-		// Auto objects may migrate onto rolling-update, which needs block
-		// structure; carve it now — block geometry is immutable. A zero
-		// BlockSize (allowed off rolling-update) still means one block.
+	if o.pol.blocked {
 		blockSize = m.cfg.BlockSize
 	}
 	o.makeBlocks(blockSize, m.mmu.PageSize())
@@ -438,9 +431,6 @@ func (m *Manager) finishAlloc(o *Object) (mem.Addr, error) {
 		return 0, err
 	}
 
-	if o.mode != ModeReadWrite {
-		m.moded.Add(1)
-	}
 	var flags uint8
 	if o.safe {
 		flags = oplog.FlagSafe
@@ -480,9 +470,6 @@ func (m *Manager) Free(addr mem.Addr) error {
 	}
 	o.dead = true
 	o.mu.Unlock()
-	if o.mode != ModeReadWrite {
-		m.moded.Add(-1)
-	}
 
 	m.rolling.forget(o)
 	// Retire the introspection row first, so /adsm/objects never shows o as

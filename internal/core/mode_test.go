@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/accel"
-	"repro/internal/fault"
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
 )
@@ -190,88 +189,6 @@ func TestWriteOnlyElidesFetch(t *testing.T) {
 	}
 }
 
-// TestAutoMigratesWithHysteresis drives one ModeAuto object through a
-// streaming-write phase and a sparse-access phase and checks the protocol
-// follows — but only after the hysteresis threshold, never on the first
-// window. While the object rolls under the lazy-configured manager, every
-// kernel boundary must drain the blocks it queued: the rolling FIFO is not
-// the manager's, it is whichever objects roll.
-func TestAutoMigratesWithHysteresis(t *testing.T) {
-	r := newRig(t, defaultCfg(LazyUpdate))
-	r.registerNop(t)
-	const blocks = 16
-	ptr, err := r.mgr.AllocObject(AllocSpec{Size: blocks * (64 << 10), Mode: ModeAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := r.mgr.objectAt(ptr)
-	if got := o.Proto(); got != LazyUpdate {
-		t.Fatalf("auto object starts on %v, want configured lazy", got)
-	}
-	cycle := func(annotated bool) {
-		t.Helper()
-		var err error
-		if annotated {
-			err = r.mgr.InvokeAnnotated("nop", []mem.Addr{ptr})
-		} else {
-			err = r.mgr.Invoke("nop")
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.mgr.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if o.Proto() != RollingUpdate {
-			return
-		}
-		if err := r.mgr.CheckInvariants(); err != nil {
-			t.Fatalf("mid-migration: %v", err)
-		}
-		if n := r.mgr.RollingLen(); n != 0 {
-			t.Fatalf("rolling FIFO holds %d blocks after a kernel boundary", n)
-		}
-	}
-	// Streaming-write phase: every block dirtied between calls.
-	for i := 0; i < 2*autoWindow; i++ {
-		r.fillObject(t, ptr, blocks, byte(i))
-		cycle(true)
-		if i == autoWindow-1 && r.mgr.Stats().ModeMigrations != 0 {
-			t.Fatal("migrated on the first window: hysteresis not applied")
-		}
-	}
-	if got := r.mgr.Stats().ModeMigrations; got != 1 {
-		t.Fatalf("after streaming phase: %d migrations, want 1", got)
-	}
-	if got := o.Proto(); got != RollingUpdate {
-		t.Fatalf("streaming writes migrated to %v, want rolling", got)
-	}
-	// Sparse phase: one read fault and one write fault per call, far below
-	// the streaming rate. The write queues its block while the object rolls.
-	for i := 0; i < 2*autoWindow; i++ {
-		addr := ptr + mem.Addr(int64(i%blocks)*(64<<10))
-		if err := r.mgr.HostRead(addr, make([]byte, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.mgr.HostWrite(addr, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if o.Proto() == RollingUpdate && r.mgr.RollingLen() != 1 {
-			t.Fatalf("rolling FIFO holds %d blocks after one write, want 1", r.mgr.RollingLen())
-		}
-		cycle(false)
-	}
-	if got := r.mgr.Stats().ModeMigrations; got != 2 {
-		t.Fatalf("after sparse phase: %d migrations, want 2", got)
-	}
-	if got := o.Proto(); got != LazyUpdate {
-		t.Fatalf("sparse accesses migrated to %v, want lazy", got)
-	}
-	if err := r.mgr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestReadOnlyHintKeepsHostCopy pins §4.3's per-call narrowing: across an
 // unannotated call, an object hinted read-only keeps its host copy valid,
 // so the next read takes no fault and no D2H transfer, while an unhinted
@@ -347,142 +264,184 @@ func TestWritesAndReadOnlyHintContradict(t *testing.T) {
 	}
 }
 
-// TestReplayAutoMigrationDeterminism records a run whose Auto object
-// migrates, replays the stream on a fresh rig, and
-// requires the replay to reproduce the counter totals exactly — including
-// the migration count.
-func TestReplayAutoMigrationDeterminism(t *testing.T) {
-	rec := newRig(t, defaultCfg(LazyUpdate))
-	rec.registerNop(t)
-	rec.mgr.EnableRecorder(1 << 16)
-	drive := func(t *testing.T, r *rig) {
-		t.Helper()
-		const blocks = 16
-		ptr, err := r.mgr.AllocObject(AllocSpec{Size: blocks * (64 << 10), Mode: ModeAuto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ro, err := r.mgr.AllocObject(AllocSpec{Size: 64 << 10, Mode: ModeReadOnly})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.fillObject(t, ro, 1, 0x7A)
-		for i := 0; i < 2*autoWindow; i++ {
-			r.fillObject(t, ptr, blocks, byte(i))
-			if err := r.mgr.InvokeAnnotated("nop", []mem.Addr{ptr}); err != nil {
-				t.Fatal(err)
+// mixSize is the size of each object modeSequence mixes.
+const mixSize = 128 << 10
+
+// registerMix registers "mix", which sets every word of out to the sum of
+// the table's and the frame's word plus a salt. args: table, frame, out,
+// salt.
+func (r *rig) registerMix() {
+	r.dev.Register(&accel.Kernel{
+		Name: "mix",
+		Run: func(dev *mem.Space, args []uint64) {
+			table, frame, out := mem.Addr(args[0]), mem.Addr(args[1]), mem.Addr(args[2])
+			salt := uint32(args[3])
+			for w := int64(0); w < mixSize/4; w++ {
+				v := dev.Uint32(table+mem.Addr(w*4)) + dev.Uint32(frame+mem.Addr(w*4)) + salt
+				dev.SetUint32(out+mem.Addr(w*4), v)
 			}
-			if err := r.mgr.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	drive(t, rec)
-	l, err := rec.mgr.FinishOpLog("auto-migration")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Totals["ModeMigrations"] == 0 {
-		t.Fatal("recorded run did not migrate; the test is vacuous")
-	}
-	rep := newRig(t, defaultCfg(LazyUpdate))
-	report, err := rep.mgr.Replay(l, ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Skipped != 0 || report.Errors != 0 {
-		t.Fatalf("strict replay skipped %d, errored %d", report.Skipped, report.Errors)
-	}
-	if err := CompareTotals(l.Totals, rep.mgr.Stats().Counters()); err != nil {
-		t.Fatal(err)
-	}
+		},
+	})
 }
 
-// TestModeConformance is the mode-vs-oracle conformance check: one
-// deterministic produce/consume sequence runs twice under every protocol —
-// once with everything ModeReadWrite (the oracle) and once with the
-// natural declarations (read-only table, write-only frame, auto state) —
-// and the outputs must be byte-identical. Mode declarations may elide
-// coherence work, never change results.
+// modeSequence is a deterministic produce/consume sequence on r: a table
+// written once, then six rounds that rewrite the frame, call mix and read
+// out back. With moded the table is declared ModeReadOnly and the frame
+// ModeWriteOnly; otherwise every object is ModeReadWrite. fill writes the
+// bytes of the n-th host write into buf (n is 0 for the table). It returns
+// the outputs of every round, concatenated, and out's address.
+func modeSequence(t *testing.T, r *rig, moded bool, fill func(n int, buf []byte)) ([]byte, mem.Addr) {
+	t.Helper()
+	r.registerMix()
+	mode := func(m AccessMode) AccessMode {
+		if moded {
+			return m
+		}
+		return ModeReadWrite
+	}
+	table := r.alloc(t, AllocSpec{Size: mixSize, Mode: mode(ModeReadOnly)})
+	frame := r.alloc(t, AllocSpec{Size: mixSize, Mode: mode(ModeWriteOnly)})
+	out := r.alloc(t, AllocSpec{Size: mixSize})
+	buf := make([]byte, mixSize)
+	fill(0, buf)
+	if err := r.mgr.HostWrite(table, buf); err != nil {
+		t.Fatal(err)
+	}
+	var digest []byte
+	got := make([]byte, mixSize)
+	for i := 0; i < 6; i++ {
+		fill(i+1, buf)
+		if err := r.mgr.HostWrite(frame, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mgr.Invoke("mix", uint64(table), uint64(frame), uint64(out), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mgr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.mgr.HostRead(out, got); err != nil {
+			t.Fatal(err)
+		}
+		digest = append(digest, got...)
+	}
+	if err := r.mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return digest, out
+}
+
+// TestModeConformance is the mode-vs-oracle conformance check: modeSequence
+// runs twice under every protocol — once with everything ModeReadWrite (the
+// oracle) and once with the natural declarations (read-only table,
+// write-only frame) — and the outputs must be byte-identical. Mode
+// declarations may elide coherence work, never change results.
 func TestModeConformance(t *testing.T) {
-	const (
-		size  = 128 << 10
-		words = size / 4
-		iters = 6
-	)
-	run := func(t *testing.T, kind ProtocolKind, moded bool) []byte {
-		t.Helper()
-		r := newRig(t, defaultCfg(kind))
-		r.dev.Register(&accel.Kernel{
-			Name: "mix",
-			// args: table, frame, out, salt.
-			Run: func(dev *mem.Space, args []uint64) {
-				table, frame, out := mem.Addr(args[0]), mem.Addr(args[1]), mem.Addr(args[2])
-				salt := uint32(args[3])
-				for w := int64(0); w < words; w++ {
-					v := dev.Uint32(table+mem.Addr(w*4)) + dev.Uint32(frame+mem.Addr(w*4)) + salt
-					dev.SetUint32(out+mem.Addr(w*4), v)
-				}
-			},
-		})
-		mode := func(m AccessMode) AccessMode {
-			if moded {
-				return m
+	fill := func(n int, buf []byte) {
+		for j := range buf {
+			if n == 0 {
+				buf[j] = byte(j * 7)
+			} else {
+				buf[j] = byte(j*3 + (n-1)*11)
 			}
-			return ModeReadWrite
 		}
-		table, err := r.mgr.AllocObject(AllocSpec{Size: size, Mode: mode(ModeReadOnly)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame, err := r.mgr.AllocObject(AllocSpec{Size: size, Mode: mode(ModeWriteOnly)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := r.mgr.AllocObject(AllocSpec{Size: size, Mode: mode(ModeAuto)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, size)
-		for i := range buf {
-			buf[i] = byte(i * 7)
-		}
-		if err := r.mgr.HostWrite(table, buf); err != nil {
-			t.Fatal(err)
-		}
-		var digest []byte
-		got := make([]byte, size)
-		for i := 0; i < iters; i++ {
-			for j := range buf {
-				buf[j] = byte(j*3 + i*11)
-			}
-			if err := r.mgr.HostWrite(frame, buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.mgr.Invoke("mix", uint64(table), uint64(frame), uint64(out), uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.mgr.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.mgr.HostRead(out, got); err != nil {
-				t.Fatal(err)
-			}
-			digest = append(digest, got...)
-		}
-		if err := r.mgr.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return digest
 	}
 	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
 		t.Run(kind.String(), func(t *testing.T) {
-			oracle := run(t, kind, false)
-			moded := run(t, kind, true)
+			oracle, _ := modeSequence(t, newRig(t, defaultCfg(kind)), false, fill)
+			moded, _ := modeSequence(t, newRig(t, defaultCfg(kind)), true, fill)
 			if !bytes.Equal(oracle, moded) {
 				t.Fatal("mode declarations changed the computed bytes")
 			}
 		})
+	}
+}
+
+// TestReplayKeepsDeclaredModes records modeSequence with its declarations
+// under every protocol and strict-replays the stream on a fresh rig: the
+// replay must reproduce every counter total, FetchElisions included, and
+// leave the same bytes in out. The recorded writes carry the replayer's
+// own byte pattern, so both runs compute on the same inputs.
+func TestReplayKeepsDeclaredModes(t *testing.T) {
+	pattern := func(_ int, buf []byte) {
+		for j := range buf {
+			buf[j] = byte(j)
+		}
+	}
+	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
+		t.Run(kind.String(), func(t *testing.T) {
+			rec := newRig(t, defaultCfg(kind))
+			rec.mgr.EnableRecorder(1 << 16)
+			digest, out := modeSequence(t, rec, true, pattern)
+			l, err := rec.mgr.FinishOpLog("modes:" + kind.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Totals["FetchElisions"] == 0 {
+				t.Fatal("recorded run elided no fetch; the test is vacuous")
+			}
+			rep := newRig(t, defaultCfg(kind))
+			rep.registerMix()
+			report, err := rep.mgr.Replay(l, ReplayOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Skipped != 0 || report.Errors != 0 {
+				t.Fatalf("strict replay skipped %d, errored %d", report.Skipped, report.Errors)
+			}
+			if err := CompareTotals(l.Totals, rep.mgr.Stats().Counters()); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, mixSize)
+			if err := rep.mgr.HostRead(out, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, digest[len(digest)-mixSize:]) {
+				t.Fatal("replayed run left different bytes in out")
+			}
+		})
+	}
+}
+
+// TestWriteOnlyReadOfInvalidFails: once a call has invalidated a
+// ModeWriteOnly object, every host read path refuses its Invalid data with
+// ErrModeViolation before it moves a byte: the faulting read, a readable
+// view, the interposed memcpy and peer DMA alike. Batch-update is left out:
+// its objects are host-authoritative, so a read never sees Invalid data.
+func TestWriteOnlyReadOfInvalidFails(t *testing.T) {
+	reads := []struct {
+		name string
+		read func(m *Manager, p mem.Addr, dst []byte) error
+	}{
+		{"HostRead", (*Manager).HostRead},
+		{"HostBytes", func(m *Manager, p mem.Addr, dst []byte) error {
+			_, err := m.HostBytes(p, int64(len(dst)), hostmmu.AccessRead)
+			return err
+		}},
+		{"BulkRead", (*Manager).BulkRead},
+		{"PeerRead", (*Manager).PeerRead},
+	}
+	for _, kind := range []ProtocolKind{LazyUpdate, RollingUpdate} {
+		for _, rd := range reads {
+			t.Run(kind.String()+"/"+rd.name, func(t *testing.T) {
+				r := newRig(t, defaultCfg(kind))
+				r.registerNop(t)
+				const blocks = 2
+				ptr := r.alloc(t, AllocSpec{Size: blocks * (64 << 10), Mode: ModeWriteOnly})
+				r.fillObject(t, ptr, blocks, 0xA1)
+				r.call(t, CallHints{}) // unannotated: the object is invalidated
+				base := r.mgr.Stats()
+				if err := rd.read(r.mgr, ptr, make([]byte, 16)); !errors.Is(err, ErrModeViolation) {
+					t.Fatalf("%s of Invalid write-only data: got %v, want ErrModeViolation", rd.name, err)
+				}
+				if d := r.mgr.Stats().Sub(base); d.BytesD2H != 0 || d.PeerBytesOut != 0 {
+					t.Fatalf("refused %s moved %d B D2H and %d B over the peer path", rd.name, d.BytesD2H, d.PeerBytesOut)
+				}
+				if err := r.mgr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -551,115 +510,4 @@ func TestReadOnlyReplicaStress(t *testing.T) {
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestAutoOffBatchFollowsObjectProtocol: an Auto object on a batch-update
-// manager probes out to lazy-update, and from then on the bulk, peer and
-// degrade paths must ask the object — not the manager — which protocol
-// governs it. Each case starts from the same state: the object migrated, a
-// kernel wrote 0xBB over it, so every block is Invalid over stale 0xAA host
-// bytes.
-func TestAutoOffBatchFollowsObjectProtocol(t *testing.T) {
-	const blocks, bs = 4, 64 << 10
-	setup := func(t *testing.T) (*rig, mem.Addr) {
-		t.Helper()
-		r := newRig(t, defaultCfg(BatchUpdate))
-		r.registerNop(t)
-		r.dev.Register(&accel.Kernel{Name: "fill-bb", Run: func(dev *mem.Space, args []uint64) {
-			dev.Memset(mem.Addr(args[0]), 0xBB, int64(args[1]))
-		}})
-		ptr, err := r.mgr.AllocObject(AllocSpec{Size: blocks * bs, Mode: ModeAuto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.mgr.HostWrite(ptr, bytes.Repeat([]byte{0xAA}, blocks*bs)); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < autoWindow*autoHysteresis; i++ {
-			if err := r.mgr.Invoke("nop"); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.mgr.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := r.mgr.objectAt(ptr).Proto(); got != LazyUpdate {
-			t.Fatalf("after %d boundaries the object runs %v, want lazy-update", autoWindow*autoHysteresis, got)
-		}
-		if err := r.mgr.Invoke("fill-bb", uint64(ptr), blocks*bs); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.mgr.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return r, ptr
-	}
-	// wantBlock reads one whole block through the faulting path.
-	wantBlock := func(t *testing.T, r *rig, ptr mem.Addr, block int, want []byte) {
-		t.Helper()
-		got := make([]byte, bs)
-		if err := r.mgr.HostRead(ptr+mem.Addr(block*bs), got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("block %d reads %#x…%#x, want %#x…%#x", block, got[0], got[bs-1], want[0], want[bs-1])
-		}
-	}
-	half := func(lo, hi byte) []byte {
-		return append(bytes.Repeat([]byte{lo}, bs/2), bytes.Repeat([]byte{hi}, bs/2)...)
-	}
-
-	t.Run("BulkWrite", func(t *testing.T) {
-		r, ptr := setup(t)
-		// One whole block and the leading half of the next.
-		if err := r.mgr.BulkWrite(ptr+bs, bytes.Repeat([]byte{0xCC}, bs+bs/2)); err != nil {
-			t.Fatal(err)
-		}
-		wantBlock(t, r, ptr, 1, half(0xCC, 0xCC))
-		wantBlock(t, r, ptr, 2, half(0xCC, 0xBB))
-		wantBlock(t, r, ptr, 3, half(0xBB, 0xBB))
-	})
-	t.Run("BulkSet", func(t *testing.T) {
-		r, ptr := setup(t)
-		if err := r.mgr.BulkSet(ptr+bs, 0xDD, bs+bs/2); err != nil {
-			t.Fatal(err)
-		}
-		wantBlock(t, r, ptr, 1, half(0xDD, 0xDD))
-		wantBlock(t, r, ptr, 2, half(0xDD, 0xBB))
-	})
-	t.Run("BulkRead", func(t *testing.T) {
-		r, ptr := setup(t)
-		got := make([]byte, bs)
-		if err := r.mgr.BulkRead(ptr+bs, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, half(0xBB, 0xBB)) {
-			t.Fatalf("BulkRead returned stale host bytes %#x, want the kernel's 0xBB", got[0])
-		}
-	})
-	t.Run("PeerRead", func(t *testing.T) {
-		r, ptr := setup(t)
-		got := make([]byte, bs)
-		if err := r.mgr.PeerRead(ptr+bs, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, half(0xBB, 0xBB)) {
-			t.Fatalf("PeerRead returned stale host bytes %#x, want the kernel's 0xBB", got[0])
-		}
-	})
-	t.Run("degrade", func(t *testing.T) {
-		r, ptr := setup(t)
-		r.dev.SetFaultInjector(fault.NewInjector(1, r.clock,
-			fault.After(fault.OpLaunch, 1, fault.KindDeviceLost)))
-		if err := r.mgr.Invoke("nop"); !errors.Is(err, fault.ErrDeviceLost) {
-			t.Fatalf("Invoke on the dying device: %v, want ErrDeviceLost", err)
-		}
-		// The degraded object is host-resident: its pages must be writable.
-		if err := r.mgr.HostWrite(ptr+bs, []byte("still-writable")); err != nil {
-			t.Fatalf("post-loss HostWrite: %v", err)
-		}
-		if err := r.mgr.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

@@ -40,8 +40,8 @@ func (s State) String() string {
 }
 
 // Block is the unit of coherence bookkeeping. An object has exactly one
-// block spanning it, unless its policy (or ModeAuto) carves it into
-// fixed-size blocks (the last one may be short).
+// block spanning it, unless its policy carves it into fixed-size blocks
+// (the last one may be short).
 type Block struct {
 	obj   *Object
 	index int
@@ -168,16 +168,9 @@ type Object struct {
 	// publication; ModeReadWrite (the zero value) is the paper's default.
 	mode AccessMode
 	// pol is the coherence policy governing this object (protocol.go): the
-	// manager's configured protocol, until a ModeAuto object migrates or a
-	// ModeReadOnly object seals. Guarded by mu.
+	// manager's configured protocol, sealed once a ModeReadOnly object
+	// seals. Guarded by mu.
 	pol policy
-	// Auto-migration decision state (mode.go), guarded by mu: the acquire
-	// boundaries seen, the counter snapshots at the last closed window,
-	// and the pending vote with its consecutive-window streak.
-	autoSyncs                          int
-	autoFaults, autoWrites, autoEvicts int64
-	autoVote                           ProtocolKind
-	autoStreak                         int
 	// Span-fault batching state (protocol.go), guarded by mu: nextFaultIdx
 	// is the block index the current sequential-fault streak predicts next
 	// (-1 before the first fault), fetchSpan the current adaptive fetch
@@ -210,14 +203,6 @@ func (o *Object) Stats() ObjStats {
 
 // Mode returns the object's declared access mode.
 func (o *Object) Mode() AccessMode { return o.mode }
-
-// Proto returns the coherence protocol currently governing the object
-// (the manager's protocol, unless ModeAuto migrated it).
-func (o *Object) Proto() ProtocolKind {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pol.kind
-}
 
 // Sealed reports whether a ModeReadOnly object has been replicated and
 // sealed (no coherence traffic for the rest of its life).

@@ -52,7 +52,6 @@ func newMetricSet(r *metrics.Registry, proto ProtocolKind, c *statsCounters) *me
 	c.RetryGiveups.family = r.Counter(lbl("adsm_retry_giveups_total"))
 	c.DegradedObjects.family = r.Counter(lbl("adsm_degraded_objects_total"))
 	c.DeviceLostEvents.family = r.Counter(lbl("adsm_device_lost_total"))
-	c.ModeMigrations.family = r.Counter(lbl("adsm_mode_migrations_total"))
 	c.FetchElisions.family = r.Counter(lbl("adsm_fetch_elisions_total"))
 	c.FaultBatches.family = r.Counter(lbl("adsm_fault_batches_total"))
 	c.PrefetchedBlocks.family = r.Counter(lbl("adsm_prefetched_blocks_total"))

@@ -12,9 +12,9 @@ import (
 // are one machine (§4.3): rolling-update is lazy-update with fixed-size
 // blocks and a bounded FIFO of dirty blocks, and batch-update is the same
 // object with access detection off. So a protocol is not a branch but a
-// per-object policy value (Object.pol) read on one path: most objects run
-// the manager's configured protocol, ModeAuto objects swap policies online
-// (mode.go), and sealing a ModeReadOnly object swaps in a sealed policy.
+// per-object policy value (Object.pol) read on one path: every object runs
+// the manager's configured protocol, and sealing a ModeReadOnly object
+// swaps in a sealed copy of it.
 // All actions run on the CPU timeline; the accelerator performs no
 // coherence work.
 //
@@ -27,10 +27,9 @@ import (
 
 // policy is a coherence protocol as a value: the choices its edges read.
 type policy struct {
-	kind    ProtocolKind // user-facing name: Proto, metrics labels, OpModeMigrate
-	detects bool         // page protections track block states (protFor)
-	blocked bool         // carved into Config.BlockSize blocks, not one block
-	rolls   bool         // a newly dirty block joins the bounded rolling FIFO
+	detects bool // page protections track block states (protFor)
+	blocked bool // carved into Config.BlockSize blocks, not one block
+	rolls   bool // a newly dirty block joins the bounded rolling FIFO
 	// hostAuth: with no access detection, the host copy is current between
 	// kernel calls. The object starts Dirty, a flush is synchronous and
 	// leaves it Dirty, every acquire fetches all of it back Dirty, and bulk
@@ -41,9 +40,9 @@ type policy struct {
 
 // policies maps each protocol kind to its policy.
 var policies = [...]policy{
-	BatchUpdate:   {kind: BatchUpdate, hostAuth: true},
-	LazyUpdate:    {kind: LazyUpdate, detects: true},
-	RollingUpdate: {kind: RollingUpdate, detects: true, blocked: true, rolls: true},
+	BatchUpdate:   {hostAuth: true},
+	LazyUpdate:    {detects: true},
+	RollingUpdate: {detects: true, blocked: true, rolls: true},
 }
 
 // protFor is the page protection each Figure 6 state sits behind, on the
@@ -231,15 +230,14 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 // acquireAll runs the acquire actions after kernel completion, on the
 // objects used by any kernel launched since the previous Sync: several
 // asynchronous calls may share one Sync, and a Sync with nothing launched
-// before it must not re-fetch objects over the host's writes. Under the
-// default modes only host-authoritative objects have acquire work, so the
-// sweep is skipped entirely — with zero allocations — unless the configured
-// policy is host-authoritative or some object carries a non-default access
-// mode. The caller holds callMu.
+// before it must not re-fetch objects over the host's writes. Only
+// host-authoritative objects have acquire work, so the sweep is skipped
+// entirely — with zero allocations — unless the configured policy is
+// host-authoritative. The caller holds callMu.
 func (m *Manager) acquireAll() error {
 	launched := m.launched
 	m.launched = m.launched[:0]
-	if len(launched) == 0 || (!policies[m.cfg.Protocol].hostAuth && m.moded.Load() == 0) {
+	if len(launched) == 0 || !policies[m.cfg.Protocol].hostAuth {
 		return nil
 	}
 	var err error
@@ -253,8 +251,8 @@ func (m *Manager) acquireAll() error {
 }
 
 // acquireObject performs one object's acquire actions: the policy's
-// Figure 6 return edge, narrowed by the access mode, then the auto-mode
-// migration step. The caller holds o.mu; o is live and not degraded.
+// Figure 6 return edge, narrowed by the access mode. The caller holds o.mu;
+// o is live and not degraded.
 func (m *Manager) acquireObject(o *Object) error {
 	if o.pol.sealed {
 		// Replicated once: both copies are identical forever, so nothing
@@ -285,9 +283,6 @@ func (m *Manager) acquireObject(o *Object) error {
 			}
 			m.setState(b, 1, StateDirty)
 		}
-	}
-	if o.mode == ModeAuto {
-		return m.autoStep(o)
 	}
 	return nil
 }
@@ -322,7 +317,7 @@ func (m *Manager) sealReadOnly(o *Object) error {
 	}
 	// Seal first: from here on the object detects accesses under every
 	// protocol, so the transition protects a host-authoritative replica too.
-	// The sealed policy keeps its kind, geometry and host authority.
+	// The sealed policy keeps its geometry and host authority.
 	o.pol.detects, o.pol.rolls, o.pol.sealed = true, false, true
 	m.setState(o.blocks[0], len(o.blocks), StateReadOnly)
 	return nil

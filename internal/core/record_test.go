@@ -287,10 +287,11 @@ func TestReplayLenientSkipsUnknownObjects(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesRetiredOps: a stream holding a region-scope kind or a
-// write-only hint, whose numbers stay reserved, still decodes, but Replay
-// fails on it in strict and lenient mode alike, with an error naming the
-// retired op rather than skipping it or blaming a missing allocation.
+// TestReplayRefusesRetiredOps: a stream holding a region-scope kind, a
+// write-only hint, a mode migration or an Auto-mode allocation, whose
+// numbers stay reserved, still decodes, but Replay fails on it in strict
+// and lenient mode alike, with an error naming the retired op rather than
+// skipping it or blaming a missing allocation.
 func TestReplayRefusesRetiredOps(t *testing.T) {
 	rec := newRig(t, defaultCfg(LazyUpdate))
 	rec.mgr.EnableRecorder(1 << 16)
@@ -312,6 +313,8 @@ func TestReplayRefusesRetiredOps(t *testing.T) {
 		{"region-acquire", oplog.Op{Kind: oplog.OpRegionAcquire, Arg: 1}},
 		{"region-release", oplog.Op{Kind: oplog.OpRegionRelease, Arg: 1}},
 		{"write-only hint", oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintWriteOnly, Obj: obj, Addr: addr}},
+		{"mode-migrate", oplog.Op{Kind: oplog.OpModeMigrate, Obj: obj, Addr: addr, Arg: int64(LazyUpdate)<<8 | int64(RollingUpdate)}},
+		{"auto-mode alloc", oplog.Op{Kind: oplog.OpAlloc, Obj: obj + 1, Size: 64 << 10, Arg: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := *l

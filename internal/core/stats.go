@@ -47,10 +47,9 @@ type Stats struct {
 	Retries, RetryGiveups             int64
 	DegradedObjects, DeviceLostEvents int64
 
-	// Access-mode activity (mode.go): auto-mode protocol migrations and
-	// block fetches elided by read-only/write-only declarations.
-	ModeMigrations int64
-	FetchElisions  int64
+	// Access-mode activity (mode.go): block fetches elided by
+	// read-only/write-only declarations.
+	FetchElisions int64
 
 	// Span-fault batching activity (protocol.go): multi-block fault-service
 	// DMAs (FaultBatches), blocks brought in by them beyond the faulting one
@@ -109,8 +108,7 @@ type statsCounters struct {
 	Retries, RetryGiveups             counter
 	DegradedObjects, DeviceLostEvents counter
 
-	ModeMigrations counter
-	FetchElisions  counter
+	FetchElisions counter
 
 	FaultBatches, PrefetchedBlocks counter
 	SpanPromotions, SpanDemotions  counter

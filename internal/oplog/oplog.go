@@ -69,7 +69,11 @@ const (
 	// Format v1 appends only, so later input kinds land after the derived
 	// block; Input() enumerates them explicitly.
 
-	OpModeMigrate // derived: auto-mode protocol migration; Arg = from<<8|to
+	// OpModeMigrate is reserved: it recorded an online protocol migration
+	// of an object allocated in the Auto access mode (OpAlloc Arg 3),
+	// which no longer exists. Retired names both and core's replayer
+	// refuses them.
+	OpModeMigrate
 
 	// OpRegionPtr, OpRegionAcquire and OpRegionRelease are reserved: they
 	// recorded region scopes, which no longer exist. The kinds keep their
@@ -133,16 +137,21 @@ const (
 	FlagHintWriteOnly
 )
 
-// Retired names the reserved kind or flag op carries, or returns "" if it
-// carries none. A stream holding one was recorded by a runtime with region
-// scopes or write-only hints, and no replay of it can be faithful.
+// Retired names the reserved kind, flag or access mode op carries, or
+// returns "" if it carries none. A stream holding one was recorded by a
+// runtime with region scopes, write-only hints or the Auto access mode,
+// and no replay of it can be faithful.
 func (op Op) Retired() string {
 	switch op.Kind {
-	case OpRegionPtr, OpRegionAcquire, OpRegionRelease:
+	case OpModeMigrate, OpRegionPtr, OpRegionAcquire, OpRegionRelease:
 		return op.Kind.String()
 	case OpAnnotate:
 		if op.Flags&FlagHintWriteOnly != 0 {
 			return "write-only hint"
+		}
+	case OpAlloc:
+		if op.Arg == 3 { // the access mode Auto
+			return "auto-mode alloc"
 		}
 	}
 	return ""

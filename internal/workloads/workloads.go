@@ -104,11 +104,6 @@ type Options struct {
 	// (ops; the oplog default if negative, off if 0). The stream lands in
 	// Report.OpLog for corpus recording and replay conformance.
 	Record int
-	// Mode overrides the access mode of every allocation the workload
-	// makes (the modes ablation). The zero value (gmac.ReadWrite) leaves
-	// the workload's own declarations unchanged; gmac.Auto lets the
-	// runtime pick per-object protocols online.
-	Mode gmac.AccessMode
 	// DisableFaultBatching turns off span-fault batching for the GMAC
 	// variant (the batched/unbatched conformance comparison).
 	DisableFaultBatching bool
@@ -178,12 +173,8 @@ func RunGMAC(b Benchmark, opt Options) (Report, error) {
 	if opt.Record != 0 {
 		ctx.EnableRecorder(opt.Record)
 	}
-	var s gmac.Session = ctx
-	if opt.Mode != gmac.ReadWrite {
-		s = &modeSession{Session: ctx, mode: opt.Mode}
-	}
 	start := m.Elapsed()
-	sum, err := b.RunGMAC(s)
+	sum, err := b.RunGMAC(ctx)
 	if err != nil {
 		return Report{}, fmt.Errorf("%s/%v: %w", b.Name(), opt.Protocol, err)
 	}
@@ -217,18 +208,6 @@ func RunGMAC(b Benchmark, opt Options) (Report, error) {
 		FaultP99Ns: faultDelta.Quantile(0.99),
 		OpLog:      oplogRec,
 	}, nil
-}
-
-// modeSession forces an access mode onto every allocation of a wrapped
-// session. The override is appended after the workload's own options, so
-// it wins even where a workload declares a mode itself.
-type modeSession struct {
-	gmac.Session
-	mode gmac.AccessMode
-}
-
-func (s *modeSession) Alloc(size int64, opts ...gmac.AllocOption) (gmac.Ptr, error) {
-	return s.Session.Alloc(size, append(append([]gmac.AllocOption(nil), opts...), gmac.Mode(s.mode))...)
 }
 
 // RunAllVariants runs b under the CUDA baseline and all three protocols.
