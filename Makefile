@@ -75,12 +75,14 @@ bench-contended:
 
 # The conformance suite under the race detector: batched runs byte-identical
 # to the unbatched oracle on every workload, replay round trip, the sharded
-# registry/MMU lane stress, and the MMU's lock-free access check.
+# registry/MMU lane stress, the MMU's lock-free access check, the registry's
+# writer-side publish, and recycled host memory (whose page bitmap is
+# written on the access path).
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
-		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching' \
-		./internal/core ./internal/hostmmu
+		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros' \
+		./internal/core ./internal/hostmmu ./internal/mem ./gmac
 
 # Interleaved contract pairs of the harness at BASE against the working
 # tree: per-pair values, wins, medians and quartiles, and whether a claimed

@@ -3,7 +3,9 @@ package gmac
 import (
 	"math"
 	"testing"
+	"unsafe"
 
+	"repro/internal/hostmmu"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/machine"
@@ -544,5 +546,81 @@ func TestAsyncKernelsShareOneSync(t *testing.T) {
 		if got := v.At(0); got != 7 {
 			t.Fatalf("object %d = %d after an idle Sync, want the host's 7", i, got)
 		}
+	}
+}
+
+// TestFreedObjectViewsReadZeros: typed views of an object allocated over a
+// freed one's host memory read zeros, element by element and in bulk.
+func TestFreedObjectViewsReadZeros(t *testing.T) {
+	const n = 16 << 10 // float32s: 64 KiB, sixteen pages
+	for _, p := range []Protocol{BatchUpdate, LazyUpdate, RollingUpdate} {
+		t.Run(p.String(), func(t *testing.T) {
+			ctx := newCtx(t, p)
+			// The freed backing is pooled only while little next to the
+			// bytes still mapped.
+			if _, err := ctx.Alloc(64 * n); err != nil {
+				t.Fatal(err)
+			}
+			old, err := ctx.Alloc(4 * n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := ctx.Float32s(old, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Fill(-1.5); err != nil {
+				t.Fatal(err)
+			}
+			backing, err := ctx.hostBytes(old, 4*n, hostmmu.AccessRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.Free(old); err != nil {
+				t.Fatal(err)
+			}
+			q, err := ctx.Alloc(4 * n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := ctx.Float32s(q, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := ctx.Uint32s(q, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const perPage = 1024
+			if x := f.At(0*perPage + 5); x != 0 {
+				t.Errorf("Float32View.At = %v", x)
+			}
+			if x := u.At(1*perPage + 7); x != 0 {
+				t.Errorf("Uint32View.At = %#x", x)
+			}
+			out := make([]float32, perPage)
+			if err := f.CopyOut(2*perPage, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range out {
+				if x != 0 {
+					t.Fatalf("CopyOut element %d = %v", i, x)
+				}
+			}
+			f.Set(3*perPage, 2)
+			if x := f.At(3*perPage + 1); x != 0 {
+				t.Errorf("the element after a Set = %v", x)
+			}
+			if sum, err := f.Sum(); err != nil || sum != 2 {
+				t.Errorf("Sum = %v, %v; want only the Set's 2", sum, err)
+			}
+			now, err := ctx.hostBytes(q, 4*n, hostmmu.AccessRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if unsafe.SliceData(now) != unsafe.SliceData(backing) {
+				t.Fatal("the new object got a fresh backing: nothing here tested a recycled one")
+			}
+		})
 	}
 }

@@ -20,6 +20,10 @@ import (
 //
 // Views work over any Session: a view built from a MultiContext routes its
 // accesses to the device hosting the object.
+//
+// A view is invalid after its object is freed: it holds the address, not
+// the object, and a later allocation may reuse both the address and the
+// host memory behind it, which the stale view would then read and write.
 type Float32View struct {
 	s    *sessionCore
 	addr Ptr
@@ -133,7 +137,8 @@ func (v Float32View) Sum() (float64, error) {
 	return s, nil
 }
 
-// Uint32View is a typed CPU-side window onto a shared uint32 array.
+// Uint32View is a typed CPU-side window onto a shared uint32 array. Like a
+// Float32View, it is invalid after its object is freed.
 type Uint32View struct {
 	s    *sessionCore
 	addr Ptr

@@ -78,7 +78,7 @@ func FuzzSpanSet(f *testing.F) {
 			case 0: // insert
 				o := &Object{addr: addr, size: size}
 				var err error
-				edit(func() { err = set.insert(span{addr: addr, end: addr + mem.Addr(size), obj: o}) })
+				edit(func() { err = set.insert(&sh, span{addr: addr, end: addr + mem.Addr(size), obj: o}) })
 				if wantErr := overlaps(addr, size); (err != nil) != wantErr {
 					t.Fatalf("insert(%#x,+%d) err=%v, overlap oracle says %v", uint64(addr), size, err, wantErr)
 				}
@@ -87,7 +87,7 @@ func FuzzSpanSet(f *testing.F) {
 				}
 			case 1: // remove (exact start address)
 				var got int
-				edit(func() { got = set.remove(addr, addr+1) })
+				edit(func() { got = set.remove(&sh, addr, addr+1) })
 				_, ok := oracle[addr]
 				if ok != (got == 1) {
 					t.Fatalf("remove(%#x) removed %d spans, oracle has-entry %v", uint64(addr), got, ok)
@@ -208,20 +208,22 @@ func fuzzRig(t *testing.T, cfg Config) *rig {
 // first byte selects the protocol; each following 4-byte group encodes one
 // operation (opcode, 16-bit offset selector, payload byte). The opcodes
 // reach every host entry point: HostRead/Write, Bulk*, PeerRead/Write,
-// HostBytes, and an unannotated, a write-annotated and a read-only-hinted
-// kernel call.
+// HostBytes, an unannotated, a write-annotated and a read-only-hinted
+// kernel call, and a Free followed by an Alloc of the same size.
 func FuzzManagerOps(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 1, 5, 0, 16, 255, 1, 0, 32, 7})
 	f.Add([]byte{0, 2, 0, 0, 9, 3, 255, 255, 1, 5, 10, 0, 128})
 	f.Add(bytes.Repeat([]byte{1, 6, 0, 4, 2, 4, 0, 8, 170}, 12))
 	// One seed per later arm, each after a host write so it has dirty data
 	// to see: PeerRead, HostBytes read, HostBytes write, write-annotated
-	// call, read-only-hinted call.
+	// call, read-only-hinted call, Free+Alloc.
 	f.Add([]byte{1, 0, 0, 16, 200, 7, 0, 16, 255})
 	f.Add([]byte{2, 0, 0, 16, 200, 8, 0, 16, 255})
 	f.Add([]byte{0, 0, 0, 16, 200, 9, 0, 16, 255, 1, 0, 16, 255})
 	f.Add([]byte{2, 0, 0, 16, 200, 10, 0, 16, 255, 1, 0, 16, 255})
 	f.Add([]byte{1, 0, 0, 16, 200, 11, 0, 16, 255, 1, 0, 16, 255})
+	// Free+Alloc after a host write, then a HostRead of the same range.
+	f.Add([]byte{1, 0, 0, 16, 200, 12, 0, 16, 255, 1, 0, 16, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -268,10 +270,11 @@ func FuzzManagerOps(f *testing.F) {
 			}
 			return b
 		}
+		var ballast mem.Addr // keeps enough mapped for the VA pool to keep ptr's backing
 		ops := 0
 		for i := 1; i+4 <= len(data) && ops < 64; i += 4 {
 			ops++
-			op := data[i] % 12
+			op := data[i] % 13
 			off := int64(uint16(data[i+1])|uint16(data[i+2])<<8) % objSize
 			n := int64(data[i+3])%(objSize-off) + 1
 			pat := data[i+3]
@@ -370,6 +373,41 @@ func FuzzManagerOps(f *testing.F) {
 				if !bytes.Equal(seen, ref[off:off+n]) {
 					t.Fatalf("op %d: read-only-hinted kernel saw stale device bytes at off %d len %d", ops, off, n)
 				}
+			case 12:
+				// Free the object and allocate one of the same size, which
+				// takes its host backing from the VA pool and, first fit,
+				// its device range. The host side must read zeros. The
+				// device side still holds the freed bytes under lazy- and
+				// rolling-update (ROADMAP item 1, out of scope here), so
+				// BulkSet re-zeroes both sides before the model goes on.
+				if ballast == 0 {
+					if ballast, err = r.mgr.Alloc(8 * objSize); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := r.mgr.Free(ptr); err != nil {
+					t.Fatal(err)
+				}
+				if ptr, err = r.mgr.Alloc(objSize); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, n)
+				if err := r.mgr.HostRead(ptr+mem.Addr(off), got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, make([]byte, n)) {
+					t.Fatalf("op %d: HostRead of a reallocated object saw the freed bytes at off %d len %d", ops, off, n)
+				}
+				if err := r.mgr.BulkRead(ptr+mem.Addr(off), got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, make([]byte, n)) {
+					t.Fatalf("op %d: BulkRead of a reallocated object saw the freed bytes at off %d len %d", ops, off, n)
+				}
+				if err := r.mgr.BulkSet(ptr, 0, objSize); err != nil {
+					t.Fatal(err)
+				}
+				clear(ref)
 			}
 			if err := checkCleanPages(r.mgr); err != nil {
 				t.Fatalf("after op %d: %v", ops, err)

@@ -225,6 +225,10 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.FixedRolling > 0),
 	}
 	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
+	// A flight dump replays under the protocol of the run that filled the
+	// ring, recorder or not. The ring is process-wide, so the last manager
+	// built names it.
+	oplog.Flight().SetHeader(m.OpLogHeader())
 	mmu.SetHandler(m.handleFault)
 	registerManager(m)
 	return m, nil
@@ -495,8 +499,9 @@ func (m *Manager) Free(addr mem.Addr) error {
 }
 
 // objectAt returns the shared object containing addr, or nil: a lock-free
-// binary search of the owning shard's published object spans, which the
-// first lookup after an Alloc or Free re-clones (IndexRebuilds counts them).
+// binary search of the owning shard's published object spans, which an
+// Alloc or Free re-clones if lookups are using them, and otherwise the
+// first lookup after it (IndexRebuilds counts both).
 //
 //adsm:noalloc
 func (m *Manager) objectAt(addr mem.Addr) *Object {
@@ -854,7 +859,9 @@ func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
 // safe within a single coherence block: resolving a multi-block write walk
 // up front can evict an earlier block before the caller writes it — use
 // HostWrite for multi-block stores. The returned slice is live memory: the
-// caller must not use it concurrently with other accessors of the object.
+// caller must not use it concurrently with other accessors of the object,
+// and it is invalid after the object's Free, when its bytes may back a
+// later object.
 func (m *Manager) HostBytes(addr mem.Addr, n int64, access hostmmu.Access) ([]byte, error) {
 	op := oplog.Op{Kind: oplog.OpHostAccess, Addr: addr, Size: n}
 	if access == hostmmu.AccessWrite {

@@ -150,6 +150,28 @@ func TestReplayTwiceIsStable(t *testing.T) {
 
 // TestFinishOpLogWrapped: an undersized capture ring must be reported, not
 // silently truncated.
+// TestFlightHeaderWithoutRecorder: a flight dump names the protocol and
+// block size of the run that filled the ring, although no recorder was
+// ever installed, so adsmtrace -replay replays it under that protocol. The
+// ring is process-wide, so this test must not run in parallel.
+func TestFlightHeaderWithoutRecorder(t *testing.T) {
+	cfg := defaultCfg(LazyUpdate)
+	cfg.BlockSize = 16 << 10
+	r := newRig(t, cfg)
+	p, err := r.mgr.Alloc(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.mgr.HostWrite(p, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	h := oplog.FlightLog("").Header
+	if ProtocolKind(h.Protocol) != LazyUpdate || h.BlockSize != cfg.BlockSize {
+		t.Fatalf("flight header says %v with %d-byte blocks, want %v with %d",
+			ProtocolKind(h.Protocol), h.BlockSize, LazyUpdate, cfg.BlockSize)
+	}
+}
+
 func TestFinishOpLogWrapped(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	r.mgr.EnableRecorder(4)

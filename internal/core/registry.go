@@ -78,9 +78,12 @@ type span struct {
 }
 
 // spanSet is a set of non-overlapping object intervals in address order.
-// Writers edit spans in place under the owning shard's mutex and drop pub;
-// readers binary-search pub, an immutable clone of spans, without a lock.
-// The first reader to find no clone publishes one (republish). A published
+// Readers binary-search pub, an immutable clone of spans, without a lock.
+// Writers edit spans in place under the owning shard's mutex. If a clone is
+// published, readers are using the set, so the writer publishes a fresh
+// one before it unlocks and no lookup pays for the clone; if none is, pub
+// stays nil and the first reader publishes one (republish), so a run of
+// Allocs before any lookup costs one clone, not one per insert. A published
 // clone is never written again, so a reader still holding an older one sees
 // the registry as of that clone — Object.dead under Object.mu is what
 // fences a freed object, not the registry.
@@ -116,9 +119,9 @@ func (s *spanSet) find(sh *regShard, addr mem.Addr) (spans []span, i int, hit bo
 	return spans, lo, false
 }
 
-// republish publishes a clone of spans, with each span's before and the end
-// span, unless a racing reader already has. The allocation is amortised over
-// every lookup until the next Alloc or Free touching the shard.
+// republish publishes a clone of spans unless a racing reader or a writer
+// already has. The allocation is amortised over every lookup until the next
+// Alloc or Free touching the shard, which republishes in turn.
 //
 //adsm:cold
 func (s *spanSet) republish(sh *regShard) *[]span {
@@ -127,6 +130,12 @@ func (s *spanSet) republish(sh *regShard) *[]span {
 	if pub := s.pub.Load(); pub != nil {
 		return pub
 	}
+	return s.publish(sh)
+}
+
+// publish stores a clone of spans, with each span's before and the end
+// span, as pub and counts it on sh. The caller holds sh.mu.
+func (s *spanSet) publish(sh *regShard) *[]span {
 	clone := slices.Concat(s.spans, []span{{addr: ^mem.Addr(0), end: ^mem.Addr(0)}})
 	n := 0
 	for i := range clone {
@@ -138,14 +147,22 @@ func (s *spanSet) republish(sh *regShard) *[]span {
 	return &clone
 }
 
+// edited keeps pub in step with an edit of spans: a fresh clone if readers
+// hold one, else none. The caller holds sh.mu.
+func (s *spanSet) edited(sh *regShard) {
+	if s.pub.Load() != nil {
+		s.publish(sh)
+	}
+}
+
 // lowerBound returns the index of the first span starting at or after addr.
 func (s *spanSet) lowerBound(addr mem.Addr) int {
 	return sort.Search(len(s.spans), func(i int) bool { return s.spans[i].addr >= addr })
 }
 
 // insert adds sp to the set. Nothing already in the set may overlap it:
-// shared objects never overlap. The caller holds the shard mutex.
-func (s *spanSet) insert(sp span) error {
+// shared objects never overlap. The caller holds sh.mu.
+func (s *spanSet) insert(sh *regShard, sp span) error {
 	if sp.end <= sp.addr {
 		return fmt.Errorf("core: invalid interval [%#x,%#x)", uint64(sp.addr), uint64(sp.end))
 	}
@@ -157,19 +174,19 @@ func (s *spanSet) insert(sp span) error {
 		}
 	}
 	s.spans = slices.Insert(s.spans, i, sp)
-	s.pub.Store(nil)
+	s.edited(sh)
 	return nil
 }
 
 // remove deletes every span starting inside [addr, end) and returns how
-// many there were. The caller holds the shard mutex.
-func (s *spanSet) remove(addr, end mem.Addr) int {
+// many there were. The caller holds sh.mu.
+func (s *spanSet) remove(sh *regShard, addr, end mem.Addr) int {
 	i, j := s.lowerBound(addr), s.lowerBound(end)
 	if i == j {
 		return 0
 	}
 	s.spans = slices.Delete(s.spans, i, j)
-	s.pub.Store(nil)
+	s.edited(sh)
 	return j - i
 }
 
@@ -206,7 +223,7 @@ func (r *registry) insertObject(o *Object) error {
 		}
 		sh := &r.shards[s]
 		sh.mu.Lock()
-		err := sh.objects.insert(span{addr: o.addr, end: o.addr + mem.Addr(o.size), obj: o, blocks: blocks[s]})
+		err := sh.objects.insert(sh, span{addr: o.addr, end: o.addr + mem.Addr(o.size), obj: o, blocks: blocks[s]})
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -226,7 +243,7 @@ func (r *registry) removeObject(o *Object) {
 		}
 		sh := &r.shards[s]
 		sh.mu.Lock()
-		sh.objects.remove(o.addr, end)
+		sh.objects.remove(sh, o.addr, end)
 		sh.mu.Unlock()
 	}
 	r.nobjects.Add(-1)

@@ -125,13 +125,13 @@ func TestSpanSet(t *testing.T) {
 				case 'i':
 					for j := range max(st.n, 1) {
 						start := st.addr + mem.Addr(int64(j)*st.size)
-						err := set.insert(span{addr: start, end: start + mem.Addr(st.size), obj: &Object{addr: start}})
+						err := set.insert(&sh, span{addr: start, end: start + mem.Addr(st.size), obj: &Object{addr: start}})
 						if last := j == max(st.n, 1)-1; (err != nil) != (last && st.want == 1) {
 							t.Fatalf("step %d: insert [%#x,+%d) #%d: err = %v", i, uint64(st.addr), st.size, j, err)
 						}
 					}
 				case 'r':
-					if got := set.remove(st.addr, st.addr+mem.Addr(st.size)); int64(got) != st.want {
+					if got := set.remove(&sh, st.addr, st.addr+mem.Addr(st.size)); int64(got) != st.want {
 						t.Fatalf("step %d: remove [%#x,+%d) removed %d spans, want %d", i, uint64(st.addr), st.size, got, st.want)
 					}
 				case 'f':

@@ -10,13 +10,21 @@
 // it is demand-paged: an anonymous private OS mapping whose pages cost
 // nothing until they are first touched, as on the paper's testbed, and
 // which Close (or, for callers that never close, a finalizer) hands back.
-// Host mappings (NewSpace, through VASpace.MapFixed/MapAnywhere) are small,
+// Host mappings (through VASpace.MapFixed/MapAnywhere) are small,
 // short-lived and made by the thousand, where a system call and a
-// first-touch fault per page cost more than zeroing does; they are Go heap
-// slices and the garbage collector owns them. Platforms without such
-// mappings and -race builds (the race detector does not instrument
-// addresses outside the Go heap) back both kinds with make; lazy_heap.go
-// is that one fallback.
+// first-touch fault per page cost more than zeroing does. They are Go heap
+// slices, and VASpace.Unmap keeps a bounded pool of them by size for the
+// next mapping of that size. A mapping built on a pooled backing still
+// reads as zeros, like a fresh anonymous mmap: each 4 KiB page of it is
+// stale until first touched, Read returns zeros for a stale page, and
+// every other accessor clears the page before it exposes it (or, for a
+// Write or Memset covering the whole page, just marks it live). So a
+// recycled Space writes its page bitmap on access, reads included, and,
+// unlike a fresh one, must not be accessed concurrently: its owner
+// serialises every access (internal/core holds the object's lock).
+// Platforms without anonymous mappings and -race builds (the race detector
+// does not instrument addresses outside the Go heap) back device memory
+// with make as well; lazy_heap.go is that one fallback.
 package mem
 
 import (
@@ -50,7 +58,20 @@ type Space struct {
 	// release returns data to the operating system; nil when the garbage
 	// collector owns it.
 	release func([]byte) error
+	// stale has a bit per stalePage of a recycled backing (newRecycledSpace)
+	// that still holds a freed mapping's bytes, and nstale counts the bits
+	// set. The bitmap is dropped when the last page goes live, so a fresh
+	// space and a fully touched one pay a single nstale == 0 test per access.
+	stale  []uint64
+	nstale int64
 }
+
+// stalePage is the granule of a recycled space's stale bitmap, the smallest
+// host page size.
+const (
+	stalePageShift = 12
+	stalePage      = 1 << stalePageShift
+)
 
 // NewSpace allocates a zeroed memory space of the given size at base on
 // the Go heap.
@@ -59,6 +80,21 @@ func NewSpace(name string, base Addr, size int64) *Space {
 		panic(fmt.Sprintf("mem: negative space size %d", size))
 	}
 	return &Space{name: name, base: base, data: make([]byte, size)}
+}
+
+// newRecycledSpace returns a space of len(data) bytes at base over data, a
+// backing a freed mapping left behind, that reads as zeros: every page
+// starts stale.
+func newRecycledSpace(name string, base Addr, data []byte) *Space {
+	pages := (int64(len(data)) + stalePage - 1) >> stalePageShift
+	stale := make([]uint64, (pages+63)>>6)
+	for i := range stale {
+		stale[i] = ^uint64(0)
+	}
+	if r := pages & 63; r != 0 {
+		stale[len(stale)-1] = 1<<r - 1
+	}
+	return &Space{name: name, base: base, data: data, stale: stale, nstale: pages}
 }
 
 // NewLazySpace returns a zeroed memory space of the given size at base
@@ -87,6 +123,7 @@ func NewLazySpace(name string, base Addr, size int64) *Space {
 func (s *Space) Close() {
 	data, release := s.data, s.release
 	s.data, s.release = nil, nil
+	s.stale, s.nstale = nil, 0
 	if release == nil {
 		return
 	}
@@ -139,24 +176,95 @@ func panicOutOfRange(s *Space, addr Addr, n int64) {
 		uint64(addr), n, s.name, uint64(s.base), s.Size()))
 }
 
-// Bytes returns the live backing slice for [addr, addr+n). Writes through
-// the returned slice mutate the space. It panics on out-of-range access,
-// mirroring a machine check.
+// Bytes returns the live backing slice for [addr, addr+n), clearing the
+// stale pages of a recycled space first. Writes through the returned slice
+// mutate the space. It panics on out-of-range access, mirroring a machine
+// check.
 func (s *Space) Bytes(addr Addr, n int64) []byte {
 	off := s.offset(addr, n)
+	if s.nstale != 0 {
+		s.freshen(off, n, false)
+	}
 	return s.data[off : off+n : off+n]
 }
 
-// Read copies len(dst) bytes starting at addr into dst. Reads of a few MiB
-// and more run on every core (copy.go).
+// Read copies len(dst) bytes starting at addr into dst; a stale page reads
+// as zeros and stays stale. Reads of a few MiB and more run on every core
+// (copy.go).
 func (s *Space) Read(addr Addr, dst []byte) {
-	copyBytes(dst, s.Bytes(addr, int64(len(dst))))
+	n := int64(len(dst))
+	off := s.offset(addr, n)
+	if s.nstale != 0 {
+		s.readStale(off, dst)
+		return
+	}
+	copyBytes(dst, s.data[off:off+n])
 }
 
 // Write copies src into the space starting at addr. Like Read, large
 // writes run on every core.
 func (s *Space) Write(addr Addr, src []byte) {
-	copyBytes(s.Bytes(addr, int64(len(src))), src)
+	n := int64(len(src))
+	off := s.offset(addr, n)
+	if s.nstale != 0 {
+		s.freshen(off, n, true)
+	}
+	copyBytes(s.data[off:off+n], src)
+}
+
+// isStale reports whether page p of the space is stale.
+func (s *Space) isStale(p int64) bool {
+	return s.stale[p>>6]&(1<<(p&63)) != 0
+}
+
+// freshen makes live every stale page overlapping [off, off+n), clearing
+// it first unless overwrite is set and the range covers the whole page:
+// the caller is about to store every byte of such a page.
+func (s *Space) freshen(off, n int64, overwrite bool) {
+	if n <= 0 {
+		return
+	}
+	end := off + n
+	for p, last := off>>stalePageShift, (end-1)>>stalePageShift; p <= last; p++ {
+		if s.stale[p>>6] == 0 {
+			p |= 63 // no stale page in this word
+			continue
+		}
+		if !s.isStale(p) {
+			continue
+		}
+		lo := p << stalePageShift
+		hi := min(lo+stalePage, int64(len(s.data)))
+		if !overwrite || lo < off || hi > end {
+			clear(s.data[lo:hi])
+		}
+		s.stale[p>>6] &^= 1 << (p & 63)
+		s.nstale--
+	}
+	if s.nstale == 0 {
+		s.stale = nil
+	}
+}
+
+// readStale is Read over a recycled space: runs of live pages are copied,
+// runs of stale pages read as zeros without being cleared.
+func (s *Space) readStale(off int64, dst []byte) {
+	end := off + int64(len(dst))
+	for off < end {
+		stale := s.isStale(off >> stalePageShift)
+		hi := off
+		for hi < end && s.isStale(hi>>stalePageShift) == stale {
+			hi = (hi>>stalePageShift + 1) << stalePageShift
+		}
+		hi = min(hi, end)
+		if stale {
+			fillBytes(dst[:hi-off], 0)
+		} else {
+			copyBytes(dst[:hi-off], s.data[off:hi])
+		}
+		dst = dst[hi-off:]
+		off = hi
+	}
 }
 
 // Copy copies n bytes from src to dst inside the space. The two ranges may
@@ -197,5 +305,9 @@ func (s *Space) SetUint64(addr Addr, v uint64) {
 
 // Memset fills [addr, addr+n) with b.
 func (s *Space) Memset(addr Addr, b byte, n int64) {
-	fillBytes(s.Bytes(addr, n), b)
+	off := s.offset(addr, n)
+	if s.nstale != 0 {
+		s.freshen(off, n, true)
+	}
+	fillBytes(s.data[off:off+n], b)
 }

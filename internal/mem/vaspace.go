@@ -14,7 +14,9 @@ import (
 // fallback.
 var ErrAddrInUse = errors.New("mem: requested virtual address range in use")
 
-// Mapping is one live virtual memory mapping of the host process.
+// Mapping is one live virtual memory mapping of the host process. Unmap
+// closes its Space: an access through a Mapping kept past Unmap is a
+// machine check, never a read of whatever later mapping reuses the bytes.
 type Mapping struct {
 	Addr  Addr
 	Size  int64
@@ -28,13 +30,24 @@ type Mapping struct {
 // Like the kernel's mmap path, it is safe for concurrent use.
 type VASpace struct {
 	lo, hi   Addr       // allocatable window for MapAnywhere
-	mu       sync.Mutex // guards mappings, nextHint, reserved
+	mu       sync.Mutex // guards every field below
 	mappings []*Mapping
 	nextHint Addr
 	// reserved ranges simulate program sections (ELF text/data, stacks,
 	// shared libraries) that fixed mappings may collide with.
 	reserved []span
+	// pool holds the backings of unmapped mappings by exact size, for the
+	// next mapping of that size; pooled is their total and live the bytes
+	// currently mapped. pooled stays within live/poolShare.
+	pool         map[int64][][]byte
+	pooled, live int64
 }
+
+// poolShare bounds the pool of freed backings to 1/poolShare of the bytes
+// mapped: enough that an Unmap followed by a Map of the same size, the
+// shape of alloc/free churn, recycles, while a space whose mappings are all
+// gone keeps no freed memory at all.
+const poolShare = 8
 
 // NewVASpace returns a virtual address space whose anywhere-allocations are
 // placed in [lo, hi).
@@ -88,7 +101,7 @@ func (v *VASpace) MapFixed(addr Addr, size int64) (*Mapping, error) {
 	if v.overlaps(addr, size) {
 		return nil, fmt.Errorf("%w: [%#x,+%d)", ErrAddrInUse, uint64(addr), size)
 	}
-	m := &Mapping{Addr: addr, Size: size, Space: NewSpace("anon", addr, size)}
+	m := &Mapping{Addr: addr, Size: size, Space: v.backing(addr, size)}
 	v.insert(m)
 	return m, nil
 }
@@ -109,7 +122,7 @@ func (v *VASpace) MapAnywhere(size int64) (*Mapping, error) {
 		}
 		for addr+Addr(size) <= v.hi {
 			if !v.overlaps(addr, size) {
-				m := &Mapping{Addr: addr, Size: size, Space: NewSpace("anon", addr, size)}
+				m := &Mapping{Addr: addr, Size: size, Space: v.backing(addr, size)}
 				v.insert(m)
 				v.nextHint = addr + Addr(size)
 				return m, nil
@@ -148,12 +161,51 @@ func (v *VASpace) nextObstacleEnd(addr Addr, size int64) Addr {
 	return best
 }
 
+// backing returns the zero-reading Space of a new mapping at addr: a pooled
+// backing of the same size if there is one, else a fresh one. The caller
+// holds v.mu.
+func (v *VASpace) backing(addr Addr, size int64) *Space {
+	v.live += size
+	free := v.pool[size]
+	if len(free) == 0 {
+		return NewSpace("anon", addr, size)
+	}
+	data := free[len(free)-1]
+	free[len(free)-1] = nil
+	v.pool[size] = free[:len(free)-1]
+	v.pooled -= size
+	return newRecycledSpace("anon", addr, data)
+}
+
+// recycle closes the Space of a mapping being unmapped and pools its
+// backing if the bound allows, then trims the pool back under the bound
+// the unmap lowered. The caller holds v.mu.
+func (v *VASpace) recycle(m *Mapping) {
+	data := m.Space.data
+	m.Space.Close()
+	v.live -= m.Size
+	if size := int64(len(data)); size > 0 && v.pooled+size <= v.live/poolShare {
+		if v.pool == nil {
+			v.pool = make(map[int64][][]byte)
+		}
+		v.pool[size] = append(v.pool[size], data)
+		v.pooled += size
+	}
+	for size, free := range v.pool {
+		if v.pooled <= v.live/poolShare {
+			break
+		}
+		v.pooled -= size * int64(len(free))
+		delete(v.pool, size)
+	}
+}
+
 func (v *VASpace) insert(m *Mapping) {
 	i := sort.Search(len(v.mappings), func(i int) bool { return v.mappings[i].Addr > m.Addr })
 	v.mappings = slices.Insert(v.mappings, i, m)
 }
 
-// Unmap removes the mapping that begins at addr.
+// Unmap removes the mapping that begins at addr and closes its Space.
 func (v *VASpace) Unmap(addr Addr) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -161,7 +213,8 @@ func (v *VASpace) Unmap(addr Addr) error {
 	if i == len(v.mappings) || v.mappings[i].Addr != addr {
 		return fmt.Errorf("mem: unmap of unmapped address %#x", uint64(addr))
 	}
-	v.mappings = slices.Delete(v.mappings, i, i+1) // clears the vacated slot, which would pin the mapping's bytes
+	v.recycle(v.mappings[i])
+	v.mappings = slices.Delete(v.mappings, i, i+1) // clears the vacated slot, which would pin the mapping
 	return nil
 }
 
