@@ -148,8 +148,6 @@ func TestReplayTwiceIsStable(t *testing.T) {
 	}
 }
 
-// TestFinishOpLogWrapped: an undersized capture ring must be reported, not
-// silently truncated.
 // TestFlightHeaderWithoutRecorder: a flight dump names the protocol and
 // block size of the run that filled the ring, although no recorder was
 // ever installed, so adsmtrace -replay replays it under that protocol. The
@@ -172,6 +170,8 @@ func TestFlightHeaderWithoutRecorder(t *testing.T) {
 	}
 }
 
+// TestFinishOpLogWrapped: an undersized capture ring must be reported, not
+// silently truncated.
 func TestFinishOpLogWrapped(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	r.mgr.EnableRecorder(4)

@@ -97,8 +97,7 @@ func TestRecycledSpaceReadsZeros(t *testing.T) {
 	}
 	wantZeros(t, "a Read of the whole space", all)
 
-	// A Write of whole pages needs no clearing; once no page is stale the
-	// bitmap goes.
+	// A Write of whole pages lands; once no page is stale the bitmap goes.
 	fill := bytes.Repeat([]byte{0x3c}, 2*stalePage)
 	s.Write(page(12), fill)
 	if got := s.Bytes(page(12), 2*stalePage); !bytes.Equal(got, fill) {
@@ -147,6 +146,9 @@ func TestPoolBound(t *testing.T) {
 			mapped += m.Size
 		}
 		for size, free := range v.pool {
+			if len(free) == 0 {
+				t.Fatalf("step %d: the pool keeps an empty list for size %d", step, size)
+			}
 			pooled += size * int64(len(free))
 		}
 		if v.live != mapped || v.pooled != pooled || pooled > mapped/poolShare {

@@ -17,8 +17,7 @@
 // next mapping of that size. A mapping built on a pooled backing still
 // reads as zeros, like a fresh anonymous mmap: each 4 KiB page of it is
 // stale until first touched, Read returns zeros for a stale page, and
-// every other accessor clears the page before it exposes it (or, for a
-// Write or Memset covering the whole page, just marks it live). So a
+// every other accessor clears the page before it exposes it. So a
 // recycled Space writes its page bitmap on access, reads included, and,
 // unlike a fresh one, must not be accessed concurrently: its owner
 // serialises every access (internal/core holds the object's lock).
@@ -183,7 +182,7 @@ func panicOutOfRange(s *Space, addr Addr, n int64) {
 func (s *Space) Bytes(addr Addr, n int64) []byte {
 	off := s.offset(addr, n)
 	if s.nstale != 0 {
-		s.freshen(off, n, false)
+		s.freshen(off, n)
 	}
 	return s.data[off : off+n : off+n]
 }
@@ -204,12 +203,7 @@ func (s *Space) Read(addr Addr, dst []byte) {
 // Write copies src into the space starting at addr. Like Read, large
 // writes run on every core.
 func (s *Space) Write(addr Addr, src []byte) {
-	n := int64(len(src))
-	off := s.offset(addr, n)
-	if s.nstale != 0 {
-		s.freshen(off, n, true)
-	}
-	copyBytes(s.data[off:off+n], src)
+	copyBytes(s.Bytes(addr, int64(len(src))), src)
 }
 
 // isStale reports whether page p of the space is stale.
@@ -217,10 +211,9 @@ func (s *Space) isStale(p int64) bool {
 	return s.stale[p>>6]&(1<<(p&63)) != 0
 }
 
-// freshen makes live every stale page overlapping [off, off+n), clearing
-// it first unless overwrite is set and the range covers the whole page:
-// the caller is about to store every byte of such a page.
-func (s *Space) freshen(off, n int64, overwrite bool) {
+// freshen clears every stale page overlapping [off, off+n) and makes it
+// live.
+func (s *Space) freshen(off, n int64) {
 	if n <= 0 {
 		return
 	}
@@ -234,10 +227,7 @@ func (s *Space) freshen(off, n int64, overwrite bool) {
 			continue
 		}
 		lo := p << stalePageShift
-		hi := min(lo+stalePage, int64(len(s.data)))
-		if !overwrite || lo < off || hi > end {
-			clear(s.data[lo:hi])
-		}
+		clear(s.data[lo:min(lo+stalePage, int64(len(s.data)))])
 		s.stale[p>>6] &^= 1 << (p & 63)
 		s.nstale--
 	}
@@ -305,9 +295,5 @@ func (s *Space) SetUint64(addr Addr, v uint64) {
 
 // Memset fills [addr, addr+n) with b.
 func (s *Space) Memset(addr Addr, b byte, n int64) {
-	off := s.offset(addr, n)
-	if s.nstale != 0 {
-		s.freshen(off, n, true)
-	}
-	fillBytes(s.data[off:off+n], b)
+	fillBytes(s.Bytes(addr, n), b)
 }

@@ -171,8 +171,12 @@ func (v *VASpace) backing(addr Addr, size int64) *Space {
 		return NewSpace("anon", addr, size)
 	}
 	data := free[len(free)-1]
-	free[len(free)-1] = nil
-	v.pool[size] = free[:len(free)-1]
+	if len(free) == 1 {
+		delete(v.pool, size)
+	} else {
+		free[len(free)-1] = nil
+		v.pool[size] = free[:len(free)-1]
+	}
 	v.pooled -= size
 	return newRecycledSpace("anon", addr, data)
 }
