@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs loc smoke fuzz chaos record-corpus clean FORCE
+.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs loc profile smoke fuzz chaos record-corpus corpus-diff clean FORCE
 
 all: check
 
@@ -97,6 +97,17 @@ METRIC ?= wall_s
 bench-pairs:
 	bash scripts/benchpairs.sh $(BASE) $(N) $(WORKLOAD) $(SECONDS) $(SEED) $(METRIC)
 
+# A CPU profile of `gmacbench EXP` at evaluation scale (EXP=all, or one
+# experiment: fig8 is the Parboil evaluation sweep), printed as a pprof
+# table; PPROF picks the table (e.g. PPROF='-top -cum'). The binary and
+# the profile stay in bin/.
+EXP ?= all
+PPROF ?= -top -nodecount=30
+profile:
+	$(GO) build -o bin/gmacbench ./cmd/gmacbench
+	./bin/gmacbench -cpuprofile bin/cpu.prof $(EXP) >/dev/null
+	$(GO) tool pprof $(PPROF) bin/gmacbench bin/cpu.prof
+
 # Go line counts per package at BASE and in the working tree (non-test,
 # test and testdata), with the net non-test difference (scripts/loc.sh).
 loc:
@@ -131,6 +142,12 @@ fuzz:
 # and commit the result.
 record-corpus:
 	$(GO) run ./cmd/gmacbench -small -record testdata/corpus
+
+# Record the corpus at BASE and from the working tree into temporary
+# directories and cmp them stream by stream (scripts/corpusdiff.sh); the
+# committed corpus is only compared, never written.
+corpus-diff:
+	bash scripts/corpusdiff.sh $(BASE)
 
 # The chaos conformance suite under the race detector: fault-schedule
 # matrix, replay determinism, degraded-mode recovery, I/O fault paths.

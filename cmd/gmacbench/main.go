@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gmacbench [-small] [-json FILE] [-debug.addr ADDR [-debug.hold]] <experiment>...
+//	gmacbench [-small] [-json FILE] [-cpuprofile FILE] [-debug.addr ADDR [-debug.hold]] <experiment>...
 //	gmacbench [-small] [-hostthreads N] [-faults [-faults.seed N]] [-record DIR] [<experiment>...]
 //
 // where experiment is one of: fig2, table2, porting, fig7, fig8, fig10,
@@ -16,6 +16,10 @@
 // (workload, protocol, virtual time, key counters) so the performance
 // trajectory can be tracked across changes; if no evaluation experiment
 // was requested, the evaluation sweep is run for the summary alone.
+//
+// -cpuprofile FILE writes a CPU profile of the whole run for go tool pprof
+// (`make profile EXP=all` runs the evaluation-scale sweep under it and
+// prints the top table).
 //
 // -debug.addr ADDR starts the live introspection endpoint (see
 // docs/observability.md): curl ADDR/adsm/stats while the run is in
@@ -33,7 +37,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
+	"sync"
 
 	"repro/gmac"
 	"repro/internal/figures"
@@ -49,16 +55,28 @@ func main() {
 	recordDir := flag.String("record", "", "record the workloads' op streams as .oplog files into `dir` (the chaos-replay corpus; honours -small)")
 	debugAddr := flag.String("debug.addr", "", "serve live introspection endpoints on `addr` (e.g. localhost:6060)")
 	debugHold := flag.Bool("debug.hold", false, "with -debug.addr: keep serving after the run finishes")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to `file` (go tool pprof)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gmacbench [-small] [-json file] [-debug.addr addr [-debug.hold]] [-hostthreads N] [-faults [-faults.seed N]] [-record dir] <fig2|table2|porting|fig7|fig8|fig10|fig9|fig11|fig12|ablations|modes|all>...\n")
+		fmt.Fprintf(os.Stderr, "usage: gmacbench [-small] [-json file] [-cpuprofile file] [-debug.addr addr [-debug.hold]] [-hostthreads N] [-faults [-faults.seed N]] [-record dir] <fig2|table2|porting|fig7|fig8|fig10|fig9|fig11|fig12|ablations|modes|all>...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	args := flag.Args()
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gmacbench:", err)
+		os.Exit(1)
+	}
+	defer stopProfile()
+	// exit ends the process with code, after flushing the CPU profile.
+	exit := func(code int) {
+		stopProfile()
+		os.Exit(code)
+	}
 	if *recordDir != "" {
 		if err := runRecord(*recordDir, *small); err != nil {
 			fmt.Fprintln(os.Stderr, "gmacbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if len(args) == 0 {
 			return
@@ -67,7 +85,7 @@ func main() {
 	if *faults {
 		if err := runFaults(*small, *faultSeed); err != nil {
 			fmt.Fprintln(os.Stderr, "gmacbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if len(args) == 0 && *hostThreads == 0 {
 			return
@@ -76,7 +94,7 @@ func main() {
 	if *hostThreads > 0 {
 		if err := runHostThreads(*hostThreads, *small); err != nil {
 			fmt.Fprintln(os.Stderr, "gmacbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if len(args) == 0 {
 			return
@@ -84,7 +102,7 @@ func main() {
 	}
 	if len(args) == 0 {
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 	want := map[string]bool{}
 	for _, a := range args {
@@ -103,7 +121,7 @@ func main() {
 		srv, err := gmac.EnableDebugServer(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gmacbench:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "gmacbench: introspection at http://%s/adsm/stats\n", srv.Addr())
@@ -111,13 +129,35 @@ func main() {
 
 	if err := run(os.Stdout, want, *small, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "gmacbench:", err)
-		os.Exit(1)
+		exit(1)
 	}
 
+	stopProfile()
 	if *debugAddr != "" && *debugHold {
 		fmt.Fprintf(os.Stderr, "gmacbench: experiments done; holding introspection endpoint (interrupt to exit)\n")
 		select {}
 	}
+}
+
+// startCPUProfile starts a CPU profile into path (none if path is empty)
+// and returns the function that stops and flushes it; calls after the
+// first do nothing.
+func startCPUProfile(path string) (stop func(), err error) {
+	if path == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return sync.OnceFunc(func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}), nil
 }
 
 // benchEntry is one row of the -json summary: a BENCH_*.json-compatible

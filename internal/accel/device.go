@@ -53,8 +53,9 @@ type Config struct {
 // safe for concurrent use — several host goroutines may issue DMAs and
 // launches against one device, just as several CPU threads share one GPU
 // through the driver. Kernel bodies execute serially per device (one
-// compute engine), while DMAs on distinct devices proceed fully in
-// parallel.
+// compute engine): launches run one at a time under mu, though a body may
+// spread its own work over the host's cores (the Parboil kernels do, with
+// mem.Split). DMAs on distinct devices proceed fully in parallel.
 type Device struct {
 	cfg    Config
 	clock  *sim.Clock
@@ -556,7 +557,9 @@ func (d *Device) Lookup(name string) (*Kernel, bool) {
 // virtual completion accounts for queueing behind earlier work in the
 // default stream. The host is charged only the launch overhead. Concurrent
 // launches serialise on the device — one compute engine — while launches on
-// different devices run in parallel.
+// different devices run in parallel. The body runs on the calling goroutine
+// and may fan its own work out over the host's cores; it returns before
+// Launch does, and its virtual cost does not depend on how it ran.
 func (d *Device) Launch(name string, args ...uint64) (sim.Completion, error) {
 	k, ok := d.Lookup(name)
 	if !ok {

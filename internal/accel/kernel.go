@@ -13,7 +13,9 @@ import (
 type Kernel struct {
 	// Name identifies the kernel in Launch calls and reports.
 	Name string
-	// Run executes the kernel against device memory.
+	// Run executes the kernel against device memory. It may spread its
+	// work over several goroutines (mem.Split), but all of it is done
+	// when Run returns.
 	Run func(dev *mem.Space, args []uint64)
 	// Cost estimates the kernel's resource demands for the launch. If nil,
 	// a fixed nominal duration is charged.

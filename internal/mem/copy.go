@@ -1,11 +1,6 @@
 package mem
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"unsafe"
-)
+import "unsafe"
 
 // Every byte of simulated memory that moves — a DMA in either direction, a
 // device-to-device copy, a bulk access, a memset — goes through copyBytes
@@ -74,48 +69,18 @@ func copyLarge(dst, src []byte) {
 		copy(dst, src) // a memmove; chunks copied in any order are not
 		return
 	}
-	split(len(src), func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
+	Split(len(src), splitChunk, func(_, lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
 }
 
 // fillLarge is fillBytes from splitMin up; see copyLarge.
 //
 //adsm:cold
 func fillLarge(buf []byte, b byte) {
-	split(len(buf), func(lo, hi int) { fill(buf[lo:hi], b) })
+	Split(len(buf), splitChunk, func(_, lo, hi int) { fill(buf[lo:hi], b) })
 }
 
 // overlap reports whether a and b share any byte of memory.
 func overlap(a, b []byte) bool {
 	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
-}
-
-// split runs do over [0, n) in splitChunk pieces on up to GOMAXPROCS
-// cores. The caller works too, and waits only for pieces a helper has
-// already claimed, never for a helper to be scheduled: a helper that starts
-// after the cursor ran out claims nothing. So on a host with no idle core
-// the cost is a serial copy plus starting the helpers.
-func split(n int, do func(lo, hi int)) {
-	chunks := (n + splitChunk - 1) / splitChunk
-	var next, done atomic.Int64
-	var last sync.WaitGroup // released by whoever finishes the last piece
-	last.Add(1)
-	work := func() {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= chunks {
-				return
-			}
-			lo := i * splitChunk
-			do(lo, min(lo+splitChunk, n))
-			if done.Add(1) == int64(chunks) {
-				last.Done()
-			}
-		}
-	}
-	for range min(runtime.GOMAXPROCS(0), chunks) - 1 {
-		go work()
-	}
-	work()
-	last.Wait()
 }

@@ -50,6 +50,10 @@ func (c *CP) atomData() []float32 {
 	return atoms
 }
 
+// cpRows is the number of grid rows a cp.potential piece computes: 6
+// pieces at evaluation scale, one in SmallCP.
+const cpRows = 16
+
 // Register implements Benchmark.
 func (c *CP) Register(dev *accel.Device) {
 	dev.Register(&accel.Kernel{
@@ -61,20 +65,22 @@ func (c *CP) Register(dev *accel.Device) {
 			z := math.Float32frombits(uint32(args[5]))
 			ab := devmem.Bytes(atoms, natoms*16)
 			gb := devmem.Bytes(grid, gx*gy*4)
-			for y := int64(0); y < gy; y++ {
-				for x := int64(0); x < gx; x++ {
-					var pot float32
-					for a := int64(0); a < natoms; a++ {
-						dx := getF32(ab[a*16:]) - float32(x)
-						dy := getF32(ab[a*16+4:]) - float32(y)
-						dz := getF32(ab[a*16+8:]) - z
-						q := getF32(ab[a*16+12:])
-						r2 := dx*dx + dy*dy + dz*dz + 0.5
-						pot += q / sqrt32(r2)
+			splitKernel("cp.potential", gy, cpRows, func(_ int, lo, hi int64) {
+				for y := lo; y < hi; y++ {
+					for x := int64(0); x < gx; x++ {
+						var pot float32
+						for a := int64(0); a < natoms; a++ {
+							dx := getF32(ab[a*16:]) - float32(x)
+							dy := getF32(ab[a*16+4:]) - float32(y)
+							dz := getF32(ab[a*16+8:]) - z
+							q := getF32(ab[a*16+12:])
+							r2 := dx*dx + dy*dy + dz*dz + 0.5
+							pot += q / sqrt32(r2)
+						}
+						putF32(gb[(y*gx+x)*4:], pot)
 					}
-					putF32(gb[(y*gx+x)*4:], pot)
 				}
-			}
+			})
 		},
 		// The body samples the charge set; the cost model charges the
 		// cionize-scale atom count of the real benchmark input.

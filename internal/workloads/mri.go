@@ -52,6 +52,10 @@ func (b *MRI) Description() string {
 	return "Computes the scanner-configuration matrix Q used in 3D MRI reconstruction in non-Cartesian k-space."
 }
 
+// mriPiece is the number of voxels an accumulate piece computes: 8 pieces
+// at evaluation scale, one in the small configurations.
+const mriPiece = 256
+
 func (b *MRI) prefix() string { return b.Name() + "/" }
 
 // Prepare implements Benchmark: it writes the k-space samples and voxel
@@ -113,8 +117,9 @@ func (b *MRI) Register(dev *accel.Device) {
 			return 3 * float64(k), 4 * k * 4
 		},
 	})
+	name := b.Name() + ".accumulate"
 	dev.Register(&accel.Kernel{
-		Name: b.Name() + ".accumulate",
+		Name: name,
 		// args: kdataPtr, voxelPtr, outPtr, K, X
 		Run: func(devmem *mem.Space, args []uint64) {
 			kd, vox, out := mem.Addr(args[0]), mem.Addr(args[1]), mem.Addr(args[2])
@@ -122,28 +127,30 @@ func (b *MRI) Register(dev *accel.Device) {
 			kb := devmem.Bytes(kd, k*5*4)
 			vb := devmem.Bytes(vox, x*3*4)
 			ob := devmem.Bytes(out, x*2*4)
-			for i := int64(0); i < x; i++ {
-				xi := getF32(vb[i*4:])
-				yi := getF32(vb[(x+i)*4:])
-				zi := getF32(vb[(2*x+i)*4:])
-				var re, im float32
-				for s := int64(0); s < k; s++ {
-					arg := float64(2 * math.Pi * (getF32(kb[s*4:])*xi +
-						getF32(kb[(k+s)*4:])*yi + getF32(kb[(2*k+s)*4:])*zi))
-					c, sn := float32(math.Cos(arg)), float32(math.Sin(arg))
-					w0 := getF32(kb[(3*k+s)*4:])
-					w1 := getF32(kb[(4*k+s)*4:])
-					if fhd {
-						re += w0*c + w1*sn
-						im += w1*c - w0*sn
-					} else {
-						re += w0 * c
-						im += w0 * sn
+			splitKernel(name, x, mriPiece, func(_ int, lo, hi int64) {
+				for i := lo; i < hi; i++ {
+					xi := getF32(vb[i*4:])
+					yi := getF32(vb[(x+i)*4:])
+					zi := getF32(vb[(2*x+i)*4:])
+					var re, im float32
+					for s := int64(0); s < k; s++ {
+						arg := float64(2 * math.Pi * (getF32(kb[s*4:])*xi +
+							getF32(kb[(k+s)*4:])*yi + getF32(kb[(2*k+s)*4:])*zi))
+						c, sn := float32(math.Cos(arg)), float32(math.Sin(arg))
+						w0 := getF32(kb[(3*k+s)*4:])
+						w1 := getF32(kb[(4*k+s)*4:])
+						if fhd {
+							re += w0*c + w1*sn
+							im += w1*c - w0*sn
+						} else {
+							re += w0 * c
+							im += w0 * sn
+						}
 					}
+					putF32(ob[i*4:], re)
+					putF32(ob[(x+i)*4:], im)
 				}
-				putF32(ob[i*4:], re)
-				putF32(ob[(x+i)*4:], im)
-			}
+			})
 		},
 		// The body reconstructs a sampled voxel grid; the cost model
 		// charges the benchmark's full grid (512x the sample).

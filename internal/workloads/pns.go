@@ -41,6 +41,10 @@ func SmallPNS() *PNS {
 
 const pnsStatsWords = 1024 // statistics buffer: 4 KB
 
+// pnsPiece is the number of transitions a pns.step piece fires: 12 pieces
+// at evaluation scale, one in SmallPNS.
+const pnsPiece = 4096
+
 // Name implements Benchmark.
 func (*PNS) Name() string { return "pns" }
 
@@ -77,17 +81,39 @@ func (p *PNS) Register(dev *accel.Device) {
 			state, stats := mem.Addr(args[0]), mem.Addr(args[1])
 			places, step := int64(args[2]), int64(args[3])
 			sb := devmem.Bytes(state, places*4)
-			var fired, tokens uint32
-			for i := (step * 17) % stride; i < places; i += stride {
-				src := i
-				dst := (i + 13) % places
-				sv := leU32(sb[src*4:])
-				if sv > 0 {
-					putLeU32(sb[src*4:], sv-1)
-					putLeU32(sb[dst*4:], leU32(sb[dst*4:])+1)
-					fired++
+			// Transition k moves a token from place first+k·stride to
+			// the place 13 further on (mod places). Transitions in
+			// different pieces are independent when no target is
+			// another's source. Every source is first mod stride; when
+			// places is a multiple of stride, every target is first+13
+			// mod stride, so that holds unless stride divides 13.
+			// Otherwise the body runs as one piece.
+			first := (step * 17) % stride
+			fires := max(0, (places-first+stride-1)/stride)
+			piece := int64(pnsPiece)
+			if places%stride != 0 || 13%stride == 0 {
+				piece = max(fires, 1)
+			}
+			parts := make([][2]uint32, mem.Pieces(int(fires), int(piece)))
+			splitKernel("pns.step", fires, piece, func(p int, lo, hi int64) {
+				var fired, tokens uint32
+				for i := first + lo*stride; i < first+hi*stride; i += stride {
+					src := i
+					dst := (i + 13) % places
+					sv := leU32(sb[src*4:])
+					if sv > 0 {
+						putLeU32(sb[src*4:], sv-1)
+						putLeU32(sb[dst*4:], leU32(sb[dst*4:])+1)
+						fired++
+					}
+					tokens += leU32(sb[dst*4:])
 				}
-				tokens += leU32(sb[dst*4:])
+				parts[p] = [2]uint32{fired, tokens}
+			})
+			var fired, tokens uint32
+			for _, part := range parts {
+				fired += part[0]
+				tokens += part[1]
 			}
 			slot := mem.Addr((step % (pnsStatsWords / 2)) * 8)
 			devmem.SetUint32(stats+slot, fired)

@@ -55,6 +55,10 @@ func (s *SAD) Prepare(m *machine.Machine) error {
 // blocks4 returns the number of 4x4 blocks.
 func (s *SAD) blocks4() int64 { return (s.W / 4) * (s.H / 4) }
 
+// sadRows is the number of 4x4-block rows an sad.mb4 piece computes: 6
+// pieces at evaluation scale, one in SmallSAD.
+const sadRows = 8
+
 // Register implements Benchmark.
 func (s *SAD) Register(dev *accel.Device) {
 	w, h, rng := s.W, s.H, s.Range
@@ -67,34 +71,35 @@ func (s *SAD) Register(dev *accel.Device) {
 			cur := devmem.Bytes(mem.Addr(args[0]), w*h)
 			ref := devmem.Bytes(mem.Addr(args[1]), w*h)
 			out := devmem.Bytes(mem.Addr(args[2]), (w/4)*(h/4)*pos*4)
-			bi := int64(0)
-			for by := int64(0); by < h; by += 4 {
-				for bx := int64(0); bx < w; bx += 4 {
-					pi := int64(0)
-					for dy := -rng; dy <= rng; dy++ {
-						for dx := -rng; dx <= rng; dx++ {
-							var sad uint32
-							for y := int64(0); y < 4; y++ {
-								for x := int64(0); x < 4; x++ {
-									cy, cx := by+y, bx+x
-									ry := (cy + dy + h) % h
-									rx := (cx + dx + w) % w
-									c := int32(cur[cy*w+cx])
-									r := int32(ref[ry*w+rx])
-									d := c - r
-									if d < 0 {
-										d = -d
+			splitKernel("sad.mb4", h/4, sadRows, func(_ int, lo, hi int64) {
+				for by := lo * 4; by < hi*4; by += 4 {
+					for bx := int64(0); bx < w; bx += 4 {
+						bi := by/4*(w/4) + bx/4
+						pi := int64(0)
+						for dy := -rng; dy <= rng; dy++ {
+							for dx := -rng; dx <= rng; dx++ {
+								var sad uint32
+								for y := int64(0); y < 4; y++ {
+									for x := int64(0); x < 4; x++ {
+										cy, cx := by+y, bx+x
+										ry := (cy + dy + h) % h
+										rx := (cx + dx + w) % w
+										c := int32(cur[cy*w+cx])
+										r := int32(ref[ry*w+rx])
+										d := c - r
+										if d < 0 {
+											d = -d
+										}
+										sad += uint32(d)
 									}
-									sad += uint32(d)
 								}
+								putLeU32(out[(bi*pos+pi)*4:], sad)
+								pi++
 							}
-							putLeU32(out[(bi*pos+pi)*4:], sad)
-							pi++
 						}
 					}
-					bi++
 				}
-			}
+			})
 		},
 		// The body runs a reduced frame and search range; the cost model
 		// charges the JM reference configuration (704x480 frames, +/-16

@@ -84,6 +84,10 @@ func (t *TPACF) streamChunk(buf []byte, set, stream int, off int64) {
 	}
 }
 
+// tpacfPiece is the number of points a histogram piece correlates: 11
+// pieces at evaluation scale, one in SmallTPACF.
+const tpacfPiece = 32 << 10
+
 // Register implements Benchmark.
 func (t *TPACF) Register(dev *accel.Device) {
 	npoints, bins := t.Points, t.Bins
@@ -103,19 +107,31 @@ func (t *TPACF) Register(dev *accel.Device) {
 				hist := devmem.Bytes(mem.Addr(args[2]), bins*4)
 				seed := int64(args[3])
 				n := npoints
-				for i := int64(0); i < n; i++ {
-					j := (i*7 + seed) % n
-					dot := getF32(a[i*4:])*getF32(b[j*4:]) +
-						getF32(a[(n+i)*4:])*getF32(b[(n+j)*4:]) +
-						getF32(a[(2*n+i)*4:])*getF32(b[(2*n+j)*4:])
-					if dot < -1 {
-						dot = -1
+				// Each piece counts into its own histogram; the pieces'
+				// counts are added into hist in piece order.
+				parts := make([]uint32, int64(mem.Pieces(int(n), tpacfPiece))*bins)
+				splitKernel(name, n, tpacfPiece, func(p int, lo, hi int64) {
+					part := parts[int64(p)*bins : int64(p+1)*bins]
+					for i := lo; i < hi; i++ {
+						j := (i*7 + seed) % n
+						dot := getF32(a[i*4:])*getF32(b[j*4:]) +
+							getF32(a[(n+i)*4:])*getF32(b[(n+j)*4:]) +
+							getF32(a[(2*n+i)*4:])*getF32(b[(2*n+j)*4:])
+						if dot < -1 {
+							dot = -1
+						}
+						if dot > 1 {
+							dot = 1
+						}
+						part[int64((dot+1)/2*float32(bins-1))]++
 					}
-					if dot > 1 {
-						dot = 1
+				})
+				for bin := int64(0); bin < bins; bin++ {
+					sum := leU32(hist[bin*4:])
+					for p := bin; p < int64(len(parts)); p += bins {
+						sum += parts[p]
 					}
-					bin := int64((dot + 1) / 2 * float32(bins-1))
-					putLeU32(hist[bin*4:], leU32(hist[bin*4:])+1)
+					putLeU32(hist[bin*4:], sum)
 				}
 			},
 			// The real tpacf correlates all point pairs; the simulated

@@ -23,6 +23,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/cudart"
+	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/oplog"
 	"repro/internal/sim"
@@ -297,11 +298,96 @@ func checksum(xs []float32) float64 {
 	return math.Round(s*1e3) / 1e3
 }
 
-// checksumBytes folds raw bytes (integer outputs).
+// checksumBytes folds raw bytes (integer outputs) into
+// s = Σ (b[i] + i mod 13)·31^(n-1-i) mod 2^64 and keeps its low 52 bits.
+// The sum is exact in any cut of bs, so the pieces fold on the host's
+// cores and combine in order: s = s·31^len(piece) + s(piece).
 func checksumBytes(bs []byte) float64 {
+	n := len(bs)
+	parts := make([]uint64, mem.Pieces(n, sumPiece))
+	mem.Split(n, sumPiece, func(p, lo, hi int) { parts[p] = horner31(bs[lo:hi], lo%13) })
 	var s uint64
-	for i, b := range bs {
-		s = s*31 + uint64(b) + uint64(i%13)
+	for p, v := range parts {
+		s = s*pow31(min(sumPiece, n-p*sumPiece)) + v
 	}
 	return float64(s % (1 << 52))
+}
+
+// sumPiece is the byte length of one checksumBytes piece: only pns's
+// marking (48 MiB at evaluation scale) is longer.
+const sumPiece = 1 << 20
+
+// horner31 is Σ (bs[i] + (r+i) mod 13)·31^(len-1-i) mod 2^64, for r < 13.
+// It takes eight bytes a step, s·31^8 + Σ bs[k]·31^(7-k) + Σ ((r+k) mod
+// 13)·31^(7-k): the eight products are independent, and the index terms
+// sum to a value that depends on r alone (index8).
+func horner31(bs []byte, r int) uint64 {
+	var s uint64
+	for ; len(bs) >= 8; bs = bs[8:] {
+		s = s*pow31x8 + uint64(bs[0])*pow31x7 + uint64(bs[1])*pow31x6 +
+			uint64(bs[2])*pow31x5 + uint64(bs[3])*pow31x4 + uint64(bs[4])*pow31x3 +
+			uint64(bs[5])*pow31x2 + uint64(bs[6])*31 + uint64(bs[7]) + index8[r]
+		if r += 8; r >= 13 {
+			r -= 13
+		}
+	}
+	for _, b := range bs {
+		s = s*31 + uint64(b) + uint64(r)
+		if r++; r == 13 {
+			r = 0
+		}
+	}
+	return s
+}
+
+// Powers of 31 for horner31's eight-byte step.
+const (
+	pow31x2 = 31 * 31
+	pow31x3 = pow31x2 * 31
+	pow31x4 = pow31x3 * 31
+	pow31x5 = pow31x4 * 31
+	pow31x6 = pow31x5 * 31
+	pow31x7 = pow31x6 * 31
+	pow31x8 = pow31x7 * 31
+)
+
+// index8[r] is Σ ((r+k) mod 13)·31^(7-k) over k < 8: the index terms of
+// an eight-byte step that starts at index r mod 13.
+var index8 = func() (t [13]uint64) {
+	for r := range t {
+		for k := range 8 {
+			t[r] = t[r]*31 + uint64((r+k)%13)
+		}
+	}
+	return t
+}()
+
+// pow31 is 31^k mod 2^64.
+func pow31(k int) uint64 {
+	p, b := uint64(1), uint64(31)
+	for ; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			p *= b
+		}
+		b *= b
+	}
+	return p
+}
+
+// pieceHook, when set, is told how many pieces each split kernel body ran.
+// Tests set it; nothing else does.
+var pieceHook func(kernel string, pieces int)
+
+// splitKernel runs a kernel body's do over the output elements [0, n) in
+// pieces of the given size on the host's cores (mem.Split): one piece runs
+// on the caller. A body whose elements share an accumulator keeps one
+// partial per piece and combines them in piece order after splitKernel
+// returns; a float accumulation is never cut, each element keeps its
+// serial inner loop, so every result is bit-identical to the serial body.
+// Launches still run one at a time under the device's lock.
+func splitKernel(kernel string, n, piece int64, do func(p int, lo, hi int64)) {
+	pieces := mem.Split(int(n), int(piece), func(p, lo, hi int) { do(p, int64(lo), int64(hi)) })
+	if pieceHook != nil {
+		pieceHook(kernel, pieces)
+	}
 }
