@@ -21,9 +21,6 @@ import (
 // Chrome trace_event JSON.
 type Tracer = trace.Tracer
 
-// Span is one completed timed operation recorded by a Tracer.
-type Span = trace.Span
-
 // ObjectSnapshot is one row of a snapshot's per-object table.
 type ObjectSnapshot = core.ObjectSnapshot
 

@@ -1,6 +1,7 @@
 package gmac_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 
@@ -85,9 +86,12 @@ func ExampleContext_Call() {
 	})
 	table, _ := ctx.Alloc(1024)
 	out, _ := ctx.Alloc(4)
-	tv, _ := ctx.Uint32s(table, 256)
-	for i := int64(0); i < 256; i++ {
-		tv.Set(i, 1)
+	ones := make([]byte, 1024)
+	for i := 0; i < len(ones); i += 4 {
+		binary.LittleEndian.PutUint32(ones[i:], 1)
+	}
+	if err := ctx.HostWrite(table, ones); err != nil {
+		log.Fatal(err)
 	}
 	before := ctx.Stats().BytesD2H
 	if err := ctx.Call("sum", []uint64{uint64(table), uint64(out)}, gmac.Writes(out)); err != nil {
@@ -96,9 +100,15 @@ func ExampleContext_Call() {
 	if err := ctx.Sync(); err != nil {
 		log.Fatal(err)
 	}
-	_ = tv.At(0) // reading the table costs nothing: it was not written
-	ov, _ := ctx.Uint32s(out, 1)
-	fmt.Println("sum =", ov.At(0))
+	// Reading the table costs nothing: it was not written.
+	if err := ctx.HostRead(table, ones); err != nil {
+		log.Fatal(err)
+	}
+	sum := make([]byte, 4)
+	if err := ctx.HostRead(out, sum); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("sum =", binary.LittleEndian.Uint32(sum))
 	fmt.Println("table re-fetched:", ctx.Stats().BytesD2H-before > 4096)
 	// Output:
 	// sum = 256

@@ -158,18 +158,6 @@ func NewContext(m *machine.Machine, cfg Config) (*Context, error) {
 // Stats returns the runtime's activity counters.
 func (c *Context) Stats() Stats { return c.mgr.Stats() }
 
-// LostDevices returns how many of the session's accelerators have been
-// declared lost (0 or 1 for a single-device context).
-func (c *Context) LostDevices() int {
-	if c.mgr.DeviceLost() {
-		return 1
-	}
-	return 0
-}
-
-// Protocol returns the active coherence protocol.
-func (c *Context) Protocol() Protocol { return c.mgr.Protocol() }
-
 // Manager exposes the shared-memory manager for experiment harnesses.
 func (c *Context) Manager() *core.Manager { return c.mgr }
 

@@ -1,7 +1,9 @@
 package gmac
 
 import (
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -145,9 +147,6 @@ func TestViewBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Len() != 16 || v.Ptr() != p {
-		t.Fatalf("view metadata wrong: %d %#x", v.Len(), uint64(v.Ptr()))
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -156,12 +155,6 @@ func TestViewBounds(t *testing.T) {
 		}()
 		v.At(16)
 	}()
-	if err := v.CopyIn(10, make([]float32, 7)); err == nil {
-		t.Fatal("CopyIn overflow accepted")
-	}
-	if err := v.CopyOut(-1, make([]float32, 2)); err == nil {
-		t.Fatal("CopyOut negative offset accepted")
-	}
 }
 
 func TestCopyInOutSum(t *testing.T) {
@@ -169,20 +162,16 @@ func TestCopyInOutSum(t *testing.T) {
 	const n = 1000
 	p, _ := ctx.Alloc(n * 4)
 	v, _ := ctx.Float32s(p, n)
-	src := make([]float32, n)
-	for i := range src {
-		src[i] = float32(i % 10)
+	src := make([]byte, n*4)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(src[i*4:], math.Float32bits(float32(i%10)))
 	}
-	if err := v.CopyIn(0, src); err != nil {
+	if err := ctx.HostWrite(p, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float32, n)
-	if err := v.CopyOut(0, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i := range dst {
-		if dst[i] != src[i] {
-			t.Fatalf("element %d: %v != %v", i, dst[i], src[i])
+	for i := int64(0); i < n; i++ {
+		if got, want := v.At(i), float32(i%10); got != want {
+			t.Fatalf("element %d: %v != %v", i, got, want)
 		}
 	}
 	sum, err := v.Sum()
@@ -194,19 +183,25 @@ func TestCopyInOutSum(t *testing.T) {
 	}
 }
 
-func TestUint32View(t *testing.T) {
-	ctx := newCtx(t, RollingUpdate)
-	p, _ := ctx.Alloc(4096)
-	v, err := ctx.Uint32s(p, 1024)
-	if err != nil {
+// readU32 reads one little-endian uint32 of shared memory through the
+// faulting host path.
+func readU32(t *testing.T, s Session, p Ptr) uint32 {
+	t.Helper()
+	var b [4]byte
+	if err := s.HostRead(p, b[:]); err != nil {
 		t.Fatal(err)
 	}
-	v.Set(10, 0xcafebabe)
-	if got := v.At(10); got != 0xcafebabe {
-		t.Fatalf("At(10) = %#x", got)
-	}
-	if _, err := ctx.Uint32s(p, 1025); err == nil {
-		t.Fatal("oversized uint32 view accepted")
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+// writeU32 stores one little-endian uint32 into shared memory through the
+// faulting host path.
+func writeU32(t *testing.T, s Session, p Ptr, x uint32) {
+	t.Helper()
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], x)
+	if err := s.HostWrite(p, b[:]); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -314,6 +309,44 @@ func TestMemcpySharedToShared(t *testing.T) {
 	}
 }
 
+// TestMemcpySharedBounds: MemcpyShared answers a negative length, or a
+// range past either object's end, with an error and stages nothing, on
+// both session types.
+func TestMemcpySharedBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    Session
+	}{
+		{"Context", newCtx(t, RollingUpdate)},
+		{"MultiContext", newMulti(t, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := tc.s.Alloc(4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := tc.s.Alloc(8192)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				dst, src Ptr
+				n        int64
+			}{
+				{b, a, -1},
+				{b, a, 4097},       // past the source's end
+				{a, b, 4097},       // past the destination's end
+				{b, a + 4000, 100}, // from inside the source, past its end
+				{b + 8100, a, 100}, // from inside the destination, past its end
+			} {
+				if err := tc.s.MemcpyShared(c.dst, c.src, c.n); err == nil {
+					t.Errorf("MemcpyShared(%#x, %#x, %d) succeeded", uint64(c.dst), uint64(c.src), c.n)
+				}
+			}
+		})
+	}
+}
+
 func TestReadWriteFileSharedObject(t *testing.T) {
 	// The §4.4 scenario: fread into a shared object, kernel, write output
 	// to disk — no explicit transfers anywhere.
@@ -412,7 +445,7 @@ func TestSafeAllocTranslation(t *testing.T) {
 
 func TestContextString(t *testing.T) {
 	ctx := newCtx(t, RollingUpdate)
-	if ctx.String() == "" || ctx.Protocol() != RollingUpdate {
+	if !strings.Contains(ctx.String(), RollingUpdate.String()) {
 		t.Fatal("context metadata wrong")
 	}
 	if ctx.Machine() == nil {
@@ -516,14 +549,10 @@ func TestSessionAPIPipeline(t *testing.T) {
 func TestAsyncKernelsShareOneSync(t *testing.T) {
 	ctx := newCtx(t, BatchUpdate)
 	var objs [2]Ptr
-	var views [2]Uint32View
 	for i, k := range []string{"bumpA", "bumpB"} {
 		registerBump(ctx, k)
 		var err error
 		if objs[i], err = ctx.Alloc(4096, ForKernels(k)); err != nil {
-			t.Fatal(err)
-		}
-		if views[i], err = ctx.Uint32s(objs[i], 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := ctx.Call(k, []uint64{uint64(objs[i]), 1, 4096}, Async()); err != nil {
@@ -533,17 +562,17 @@ func TestAsyncKernelsShareOneSync(t *testing.T) {
 	if err := ctx.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range views {
-		if got := v.At(0); got != 1 {
+	for i, p := range objs {
+		if got := readU32(t, ctx, p); got != 1 {
 			t.Fatalf("object %d counter = %d after the shared Sync, want 1", i, got)
 		}
-		v.Set(0, 7)
+		writeU32(t, ctx, p, 7)
 	}
 	if err := ctx.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range views {
-		if got := v.At(0); got != 7 {
+	for i, p := range objs {
+		if got := readU32(t, ctx, p); got != 7 {
 			t.Fatalf("object %d = %d after an idle Sync, want the host's 7", i, got)
 		}
 	}
@@ -587,25 +616,9 @@ func TestFreedObjectViewsReadZeros(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := ctx.Uint32s(q, n)
-			if err != nil {
-				t.Fatal(err)
-			}
 			const perPage = 1024
 			if x := f.At(0*perPage + 5); x != 0 {
 				t.Errorf("Float32View.At = %v", x)
-			}
-			if x := u.At(1*perPage + 7); x != 0 {
-				t.Errorf("Uint32View.At = %#x", x)
-			}
-			out := make([]float32, perPage)
-			if err := f.CopyOut(2*perPage, out); err != nil {
-				t.Fatal(err)
-			}
-			for i, x := range out {
-				if x != 0 {
-					t.Fatalf("CopyOut element %d = %v", i, x)
-				}
 			}
 			f.Set(3*perPage, 2)
 			if x := f.At(3*perPage + 1); x != 0 {

@@ -191,15 +191,3 @@ func (mc *MultiContext) Stats() Stats {
 	}
 	return total
 }
-
-// LostDevices returns how many of the session's accelerators have been
-// declared lost.
-func (mc *MultiContext) LostDevices() int {
-	n := 0
-	for _, mgr := range mc.mgrs {
-		if mgr.DeviceLost() {
-			n++
-		}
-	}
-	return n
-}

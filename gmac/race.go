@@ -11,15 +11,10 @@ import (
 // AnalyzeRaces, or run `adsmtrace -races` on .oplog files. See
 // docs/race-detection.md for the model.
 
-// Race is one detected data race: two accesses to the same coherence
-// block, at least one a write, unordered by any happens-before edge
-// (program order, kernel launch, Sync).
-type Race = racecheck.Race
-
-// RaceSite is one of the two access sites of a race.
-type RaceSite = racecheck.Site
-
-// RaceReport is a race analysis over one op stream.
+// RaceReport is a race analysis over one op stream: its Races are the
+// detected data races, each two accesses to the same coherence block, at
+// least one a write, unordered by any happens-before edge (program order,
+// kernel launch, Sync).
 type RaceReport = racecheck.Report
 
 // AnalyzeRaces runs the race detector over a recorded stream. It is

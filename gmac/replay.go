@@ -29,9 +29,6 @@ const (
 	HdrNoFaultBatch = oplog.HdrNoFaultBatch
 )
 
-// Op is one recorded operation.
-type Op = oplog.Op
-
 // DecodeOpLog parses a stream serialised with OpLog.Encode (an .oplog
 // file). It never panics on corrupt input.
 func DecodeOpLog(data []byte) (*OpLog, error) { return oplog.Decode(data) }

@@ -49,8 +49,6 @@ type Session interface {
 	Sync() error
 	// Safe implements adsmSafe: the accelerator address of a shared byte.
 	Safe(p Ptr) (Ptr, error)
-	// IsShared reports whether p points into a live shared object.
-	IsShared(p Ptr) bool
 	// HostRead reads shared memory through the normal faulting CPU path.
 	HostRead(p Ptr, dst []byte) error
 	// HostWrite writes shared memory through the normal faulting CPU path.
@@ -62,22 +60,17 @@ type Session interface {
 	MemcpyToShared(dst Ptr, src []byte) error
 	// MemcpyFromShared copies shared memory into a host buffer.
 	MemcpyFromShared(dst []byte, src Ptr) error
+	// MemcpyShared copies between two shared objects, possibly on
+	// different accelerators (§4.4).
+	MemcpyShared(dst, src Ptr, n int64) error
 	// ReadFile is the interposed read(2) into shared memory (§4.4).
 	ReadFile(f *osabs.File, p Ptr, n int64) (int64, error)
 	// WriteFile is the interposed write(2) from shared memory (§4.4).
 	WriteFile(f *osabs.File, p Ptr, n int64) (int64, error)
 	// Float32s returns a typed CPU-side view of shared memory.
 	Float32s(p Ptr, n int64) (Float32View, error)
-	// Uint32s returns a typed CPU-side view of shared memory.
-	Uint32s(p Ptr, n int64) (Uint32View, error)
 	// Stats returns the aggregated activity counters.
 	Stats() Stats
-	// Degraded reports whether the object containing p has fallen back to
-	// host-resident semantics after its device was lost (chaos recovery).
-	Degraded(p Ptr) bool
-	// LostDevices returns how many of the session's accelerators have been
-	// declared lost.
-	LostDevices() int
 }
 
 // Compile-time checks that both session types implement Session.
@@ -195,13 +188,6 @@ type sessionCore struct {
 // Machine returns the underlying simulated machine.
 func (s *sessionCore) Machine() *machine.Machine { return s.m }
 
-// IsShared reports whether p points into a live shared object, as the
-// interposed libc entry points must decide (§4.4).
-func (s *sessionCore) IsShared(p Ptr) bool {
-	mgr := s.owner(p)
-	return mgr != nil && mgr.IsShared(p)
-}
-
 // Safe implements adsmSafe: it translates a CPU pointer into the
 // accelerator address of the same shared byte.
 func (s *sessionCore) Safe(p Ptr) (Ptr, error) {
@@ -263,17 +249,23 @@ func (s *sessionCore) MemcpyFromShared(dst []byte, src Ptr) error {
 }
 
 // MemcpyShared copies between two shared objects, possibly hosted by
-// different accelerators.
+// different accelerators. Both ranges are checked before anything is
+// staged.
 func (s *sessionCore) MemcpyShared(dst, src Ptr, n int64) error {
-	srcMgr, dstMgr := s.owner(src), s.owner(dst)
-	if srcMgr == nil || dstMgr == nil {
-		return fmt.Errorf("gmac: memcpy between unshared pointers")
+	if n < 0 {
+		return fmt.Errorf("gmac: negative memcpy size %d", n)
 	}
-	buf := make([]byte, n)
-	if err := srcMgr.BulkRead(src, buf); err != nil {
+	if err := s.inObject(src, n); err != nil {
 		return err
 	}
-	return dstMgr.BulkWrite(dst, buf)
+	if err := s.inObject(dst, n); err != nil {
+		return err
+	}
+	buf := make([]byte, n)
+	if err := s.owner(src).BulkRead(src, buf); err != nil {
+		return err
+	}
+	return s.owner(dst).BulkWrite(dst, buf)
 }
 
 // Memset fills shared memory, using the accelerator's memset engine for
@@ -286,15 +278,6 @@ func (s *sessionCore) Memset(p Ptr, b byte, n int64) error {
 	return mgr.BulkSet(p, b, n)
 }
 
-// Degraded reports whether the object containing p is running in
-// host-resident degraded mode after a device loss. Reads and writes of a
-// degraded object keep working against the host copy; kernel calls fail
-// with ErrDeviceLost.
-func (s *sessionCore) Degraded(p Ptr) bool {
-	mgr := s.owner(p)
-	return mgr != nil && mgr.Degraded(p)
-}
-
 // hostBytes exposes the live backing slice for the typed views.
 func (s *sessionCore) hostBytes(p Ptr, n int64, access hostmmu.Access) ([]byte, error) {
 	mgr := s.owner(p)
@@ -304,8 +287,8 @@ func (s *sessionCore) hostBytes(p Ptr, n int64, access hostmmu.Access) ([]byte, 
 	return mgr.HostBytes(p, n, access)
 }
 
-// viewBounds verifies that [p, p+bytes) lies inside one shared object.
-func (s *sessionCore) viewBounds(p Ptr, bytes int64) error {
+// inObject verifies that [p, p+bytes) lies inside one shared object.
+func (s *sessionCore) inObject(p Ptr, bytes int64) error {
 	mgr := s.owner(p)
 	if mgr == nil {
 		return fmt.Errorf("gmac: %#x is not shared memory", uint64(p))
@@ -315,7 +298,7 @@ func (s *sessionCore) viewBounds(p Ptr, bytes int64) error {
 		return fmt.Errorf("gmac: %#x is not shared memory", uint64(p))
 	}
 	if p+Ptr(bytes) > obj.Addr()+Ptr(obj.Size()) {
-		return fmt.Errorf("gmac: view of %d bytes at %#x exceeds object", bytes, uint64(p))
+		return fmt.Errorf("gmac: %d bytes at %#x exceed the object", bytes, uint64(p))
 	}
 	return nil
 }

@@ -69,9 +69,9 @@ func stormWorker(s Session, kernel string, p Ptr, seed int64, rounds int, objByt
 		// Occasionally mix in view traffic and a full acquire.
 		switch rng.Intn(4) {
 		case 0:
-			v, err := s.Uint32s(p, objBytes/4)
+			v, err := s.Float32s(p, objBytes/4)
 			if err != nil {
-				return fmt.Errorf("Uint32s: %w", err)
+				return fmt.Errorf("Float32s: %w", err)
 			}
 			v.At(int64(rng.Intn(int(objBytes / 4))))
 		case 1:
@@ -81,8 +81,8 @@ func stormWorker(s Session, kernel string, p Ptr, seed int64, rounds int, objByt
 				}
 			}
 		}
-		if !s.IsShared(p) {
-			return fmt.Errorf("IsShared(%#x) = false mid-storm", uint64(p))
+		if _, err := s.Safe(p); err != nil {
+			return fmt.Errorf("object freed mid-storm: %w", err)
 		}
 	}
 	return nil
@@ -151,11 +151,7 @@ func TestConcurrentStormContext(t *testing.T) {
 			for i, p := range objs {
 				// Every round bumped block 0's counter exactly once,
 				// regardless of interleaving.
-				v, err := ctx.Uint32s(p, objBytes/4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := v.At(0); got < rounds {
+				if got := readU32(t, ctx, p); got < rounds {
 					t.Errorf("object %d block 0 counter = %d, want >= %d", i, got, rounds)
 				}
 				if err := ctx.Free(p); err != nil {

@@ -14,7 +14,7 @@ import (
 // Invalid data and the first write to ReadOnly data.
 //
 // Element accessors (At/Set) fault per touched block, like scalar code;
-// bulk accessors (CopyIn/CopyOut/Fill) also use the faulting path — use the
+// the bulk accessors (Fill/Sum) also use the faulting path — use the
 // session's Memcpy*/Memset interposition to take the accelerator-copy
 // shortcut instead.
 //
@@ -36,17 +36,11 @@ func (s *sessionCore) Float32s(p Ptr, n int64) (Float32View, error) {
 	if n < 0 {
 		return Float32View{}, fmt.Errorf("gmac: negative view length %d", n)
 	}
-	if err := s.viewBounds(p, n*4); err != nil {
+	if err := s.inObject(p, n*4); err != nil {
 		return Float32View{}, err
 	}
 	return Float32View{s: s, addr: p, n: n}, nil
 }
-
-// Len returns the number of elements in the view.
-func (v Float32View) Len() int64 { return v.n }
-
-// Ptr returns the shared address of the view's first element.
-func (v Float32View) Ptr() Ptr { return v.addr }
 
 func (v Float32View) elemAddr(i int64) Ptr {
 	if i < 0 || i >= v.n {
@@ -73,39 +67,6 @@ func (v Float32View) Set(i int64, x float32) {
 		panic(fmt.Sprintf("gmac: write of shared element failed: %v", err))
 	}
 	binary.LittleEndian.PutUint32(b, math.Float32bits(x))
-}
-
-// CopyIn stores src into the view starting at element off, charging the
-// CPU's streaming bandwidth for the touched bytes.
-func (v Float32View) CopyIn(off int64, src []float32) error {
-	if off < 0 || off+int64(len(src)) > v.n {
-		return fmt.Errorf("gmac: CopyIn [%d,+%d) out of range [0,%d)", off, len(src), v.n)
-	}
-	buf := make([]byte, len(src)*4)
-	for i, x := range src {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(x))
-	}
-	if err := v.s.HostWrite(v.addr+Ptr(off*4), buf); err != nil {
-		return err
-	}
-	v.s.m.CPUTouch(int64(len(src)) * 4)
-	return nil
-}
-
-// CopyOut loads elements [off, off+len(dst)) into dst.
-func (v Float32View) CopyOut(off int64, dst []float32) error {
-	if off < 0 || off+int64(len(dst)) > v.n {
-		return fmt.Errorf("gmac: CopyOut [%d,+%d) out of range [0,%d)", off, len(dst), v.n)
-	}
-	b, err := v.s.hostBytes(v.addr+Ptr(off*4), int64(len(dst))*4, hostmmu.AccessRead)
-	if err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	v.s.m.CPUTouch(int64(len(dst)) * 4)
-	return nil
 }
 
 // Fill sets every element to x.
@@ -135,53 +96,4 @@ func (v Float32View) Sum() (float64, error) {
 	}
 	v.s.m.CPUTouch(v.n * 4)
 	return s, nil
-}
-
-// Uint32View is a typed CPU-side window onto a shared uint32 array. Like a
-// Float32View, it is invalid after its object is freed.
-type Uint32View struct {
-	s    *sessionCore
-	addr Ptr
-	n    int64
-}
-
-// Uint32s returns a view of n uint32 elements starting at p.
-func (s *sessionCore) Uint32s(p Ptr, n int64) (Uint32View, error) {
-	if n < 0 {
-		return Uint32View{}, fmt.Errorf("gmac: negative view length %d", n)
-	}
-	if err := s.viewBounds(p, n*4); err != nil {
-		return Uint32View{}, err
-	}
-	return Uint32View{s: s, addr: p, n: n}, nil
-}
-
-// Len returns the number of elements in the view.
-func (v Uint32View) Len() int64 { return v.n }
-
-// Ptr returns the shared address of the view's first element.
-func (v Uint32View) Ptr() Ptr { return v.addr }
-
-// At returns element i.
-func (v Uint32View) At(i int64) uint32 {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("gmac: index %d out of range [0,%d)", i, v.n))
-	}
-	b, err := v.s.hostBytes(v.addr+Ptr(i*4), 4, hostmmu.AccessRead)
-	if err != nil {
-		panic(fmt.Sprintf("gmac: read of shared element failed: %v", err))
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// Set stores x into element i.
-func (v Uint32View) Set(i int64, x uint32) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("gmac: index %d out of range [0,%d)", i, v.n))
-	}
-	b, err := v.s.hostBytes(v.addr+Ptr(i*4), 4, hostmmu.AccessWrite)
-	if err != nil {
-		panic(fmt.Sprintf("gmac: write of shared element failed: %v", err))
-	}
-	binary.LittleEndian.PutUint32(b, x)
 }

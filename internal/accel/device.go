@@ -173,13 +173,6 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// ResetStats zeroes the activity counters (between experiment runs).
-func (d *Device) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-}
-
 // Malloc allocates device memory, charging the host-side overhead.
 func (d *Device) Malloc(size int64) (mem.Addr, error) {
 	d.clock.Advance(d.cfg.AllocOverhead)
@@ -204,10 +197,6 @@ func (d *Device) Free(addr mem.Addr) error {
 	d.mu.Unlock()
 	return nil
 }
-
-// AllocSize returns the rounded size of the live allocation at addr (0 if
-// none). The shared-memory manager uses it for bookkeeping checks.
-func (d *Device) AllocSize(addr mem.Addr) int64 { return d.alloc.SizeOf(addr) }
 
 // LiveAllocs returns the number of live device allocations.
 func (d *Device) LiveAllocs() int { return d.alloc.Live() }
@@ -483,18 +472,6 @@ func (d *Device) errD2HCopy(ferr error) error {
 func (d *Device) MemcpyD2H(dst []byte, src mem.Addr) sim.Time {
 	done := d.MemcpyD2HAsync(dst, src)
 	return done.Wait(d.clock)
-}
-
-// MemcpyD2D copies within device memory (cudaMemcpyDeviceToDevice). The
-// ranges may overlap; the result is that of memmove.
-func (d *Device) MemcpyD2D(dst, src mem.Addr, n int64) sim.Completion {
-	dur := d.cfg.MemLink.TransferTime(2 * n) // read + write of on-board memory
-	d.mu.Lock()
-	d.memory.Copy(dst, src, n)
-	done := d.engine.SubmitNow(dur)
-	d.pending = sim.MaxCompletion(d.pending, done)
-	d.mu.Unlock()
-	return done
 }
 
 // Memset fills device memory (cudaMemset) asynchronously.

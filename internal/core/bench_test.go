@@ -70,7 +70,7 @@ func BenchmarkInvokeSyncLoop(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.mgr.Invoke("nop"); err != nil {
+		if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.mgr.Sync(); err != nil {

@@ -104,7 +104,7 @@ func TestChaosCoherenceMatrix(t *testing.T) {
 				if inj.Total() == 0 {
 					t.Fatal("schedule injected nothing; the matrix is vacuous")
 				}
-				if r.mgr.DeviceLost() {
+				if r.mgr.lost.Load() {
 					t.Fatalf("recoverable schedule escalated to device loss after %d injections", inj.Total())
 				}
 				if err := r.mgr.CheckInvariants(); err != nil {
@@ -209,7 +209,7 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 			calls := 0
 			for i := 0; i < 32 && callErr == nil; i++ {
 				pat := byte(i + 1)
-				callErr = r.mgr.Invoke("lost.xor", uint64(ptr), uint64(size), uint64(pat))
+				callErr = r.mgr.InvokeHinted("lost.xor", CallHints{}, uint64(ptr), uint64(size), uint64(pat))
 				if callErr == nil {
 					callErr = r.mgr.Sync()
 				}
@@ -237,7 +237,7 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 			if calls == 0 {
 				t.Fatal("device died before any successful call; schedule too aggressive")
 			}
-			if !r.mgr.DeviceLost() {
+			if !r.mgr.lost.Load() {
 				t.Fatal("DeviceLost() is false after a device-lost error")
 			}
 
@@ -250,7 +250,7 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 			if !bytes.Equal(got, ref) {
 				t.Fatal("post-loss read lost the last synced data")
 			}
-			if !r.mgr.Degraded(ptr) {
+			if o := r.mgr.objectAt(ptr); o == nil || !o.degraded.Load() {
 				t.Fatal("object did not degrade after a post-loss access")
 			}
 			patch := []byte("still-writable")
@@ -269,7 +269,7 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 			}
 
 			// The device-facing surface fails fast.
-			if err := r.mgr.Invoke("lost.xor", uint64(ptr), 16, 1); !errors.Is(err, fault.ErrDeviceLost) {
+			if err := r.mgr.InvokeHinted("lost.xor", CallHints{}, uint64(ptr), 16, 1); !errors.Is(err, fault.ErrDeviceLost) {
 				t.Fatalf("post-loss Invoke: %v", err)
 			}
 			if _, err := r.mgr.Alloc(4096); !errors.Is(err, fault.ErrDeviceLost) {
@@ -354,7 +354,7 @@ func TestDeviceLostMidWriteWalk(t *testing.T) {
 				p, err := r.mgr.Alloc(size)
 				must(t, err)
 				must(t, r.mgr.HostWrite(p, bytes.Repeat([]byte{0x11}, size)))
-				must(t, r.mgr.Invoke("nop", uint64(p)))
+				must(t, r.mgr.InvokeHinted("nop", CallHints{}, uint64(p)))
 				must(t, r.mgr.Sync())
 				if tc.dirty {
 					must(t, r.mgr.HostWrite(p+64<<10, []byte{0x22}))
@@ -367,7 +367,7 @@ func TestDeviceLostMidWriteWalk(t *testing.T) {
 				// Only rolling-update walks several blocks on the device:
 				// batch-update writes its host-authoritative copy, and a
 				// lazy-update object is one block.
-				if kind == RollingUpdate && !r.mgr.DeviceLost() {
+				if kind == RollingUpdate && !r.mgr.lost.Load() {
 					t.Fatal("the schedule did not lose the device")
 				}
 				got := make([]byte, size)

@@ -47,11 +47,11 @@ func recordChaos(t *testing.T) *oplog.Log {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 128<<10)
-	for i := 0; i < 4 && !r.mgr.DeviceLost(); i++ {
+	for i := 0; i < 4 && !r.mgr.lost.Load(); i++ {
 		// Errors are the point of the schedule; the counters below say
 		// whether it did what it is for.
 		_ = r.mgr.HostWrite(a, buf)
-		_ = r.mgr.Invoke("fill", uint64(a), 16, uint64(i))
+		_ = r.mgr.InvokeHinted("fill", CallHints{}, uint64(a), 16, uint64(i))
 		_ = r.mgr.Sync()
 		_ = r.mgr.HostRead(a, buf)
 	}

@@ -184,7 +184,7 @@ func TestVirtualMemoryAllocNeverConflicts(t *testing.T) {
 	if err := r.mgr.HostWrite(ptr, []byte{1, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mgr.Invoke("fill", uint64(ptr), 16, 0x42); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), 16, 0x42); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -380,7 +380,7 @@ func TestTraceRecordsProtocolLifecycle(t *testing.T) {
 	if err := r.mgr.HostWrite(ptr, make([]byte, 128<<10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mgr.Invoke("fill", uint64(ptr), 4, 9); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), 4, 9); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -467,7 +467,7 @@ func TestAllocForScopesInvocations(t *testing.T) {
 			// A call to an unrelated kernel moves the unbound object but
 			// leaves the bound one alone in both directions.
 			base := r.mgr.Stats()
-			if err := r.mgr.Invoke("other"); err != nil {
+			if err := r.mgr.InvokeHinted("other", CallHints{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.mgr.Sync(); err != nil {
@@ -491,7 +491,7 @@ func TestAllocForScopesInvocations(t *testing.T) {
 			}
 			// A call to the bound kernel moves it as usual.
 			base = r.mgr.Stats()
-			if err := r.mgr.Invoke("fill", uint64(bound), 4, 1); err != nil {
+			if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(bound), 4, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.mgr.Sync(); err != nil {
@@ -526,7 +526,7 @@ func TestAllocForDrainedBlockStillFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unrelated call drains the rolling cache (flushing the bound block).
-	if err := r.mgr.Invoke("other"); err != nil {
+	if err := r.mgr.InvokeHinted("other", CallHints{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -541,7 +541,7 @@ func TestAllocForDrainedBlockStillFaults(t *testing.T) {
 	if d := r.mgr.Stats().Sub(base); d.WriteFaults != 1 {
 		t.Fatalf("rewrite after drain did not fault: %+v", d)
 	}
-	if err := r.mgr.Invoke("reader", uint64(bound)); err != nil {
+	if err := r.mgr.InvokeHinted("reader", CallHints{}, uint64(bound)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {

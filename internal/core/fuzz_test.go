@@ -313,7 +313,7 @@ func FuzzManagerOps(f *testing.F) {
 					ref[k] = pat
 				}
 			case 5:
-				if err := r.mgr.Invoke("fuzz.xor", uint64(ptr), uint64(off), uint64(n), uint64(pat)); err != nil {
+				if err := r.mgr.InvokeHinted("fuzz.xor", CallHints{}, uint64(ptr), uint64(off), uint64(n), uint64(pat)); err != nil {
 					t.Fatal(err)
 				}
 				if err := r.mgr.Sync(); err != nil {

@@ -615,26 +615,21 @@ func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 	return ih, nil
 }
 
-// Invoke implements adsmCall: it runs the protocol's release actions
-// (flushing dirty data to the accelerator, invalidating host copies) and
-// dispatches the kernel. The kernel is ordered behind in-flight transfers
-// by the device's stream semantics.
-func (m *Manager) Invoke(kernel string, args ...uint64) error {
-	return m.invoke(kernel, CallHints{}, args)
-}
-
-// InvokeAnnotated is Invoke with a kernel write-set annotation (§4.3:
-// "programmers can annotate each kernel call with the objects that the
-// kernel will write to, then the objects can remain in read-only or dirty
-// state at accelerator kernel invocation"). Objects not listed keep their
+// InvokeAnnotated is InvokeHinted with only a kernel write-set annotation
+// (§4.3: "programmers can annotate each kernel call with the objects that
+// the kernel will write to, then the objects can remain in read-only or
+// dirty state at accelerator kernel invocation"). Objects not listed keep their
 // host-valid state across the call, so reading them afterwards costs no
 // transfer. writes lists any address inside each written object.
 func (m *Manager) InvokeAnnotated(kernel string, writes []mem.Addr, args ...uint64) error {
 	return m.invoke(kernel, CallHints{Writes: writes, Annotated: true}, args)
 }
 
-// InvokeHinted is Invoke with the full per-call hint set: write-set
-// annotation plus read-only hints.
+// InvokeHinted implements adsmCall: it runs the protocol's release actions
+// (flushing dirty data to the accelerator, invalidating host copies) and
+// dispatches the kernel, ordered behind in-flight transfers by the
+// device's queue. h carries the per-call hints: the write-set annotation
+// and the read-only hints; the zero CallHints is an unannotated call.
 func (m *Manager) InvokeHinted(kernel string, h CallHints, args ...uint64) error {
 	return m.invoke(kernel, h, args)
 }

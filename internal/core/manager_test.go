@@ -197,7 +197,7 @@ func TestAllocConflictFallsBackToSafeAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.dev.Register(&accel.Kernel{Name: "nop", Run: func(*mem.Space, []uint64) {}})
-	if err := r.mgr.Invoke("nop"); err != nil {
+	if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -264,7 +264,7 @@ func runKernelRoundTrip(t *testing.T, kind ProtocolKind) *rig {
 	}
 	// Accelerator fills with 2.0.
 	two := uint64(0x40000000)
-	if err := r.mgr.Invoke("fill", uint64(ptr), n, two); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), n, two); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -336,7 +336,7 @@ func TestCoherenceRoundTripRolling(t *testing.T) {
 // way a written-hinted invocation does: kernel fill + sync.
 func invalidateAll(t *testing.T, r *rig, ptr mem.Addr, n uint64) {
 	t.Helper()
-	if err := r.mgr.Invoke("fill", uint64(ptr), n, 0x40000000); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), n, 0x40000000); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -499,7 +499,7 @@ func TestLazySkipsUntouchedObjects(t *testing.T) {
 	}
 	base := r.mgr.Stats()
 	for iter := 0; iter < 10; iter++ {
-		if err := r.mgr.Invoke("fill", uint64(out), 16, 7); err != nil {
+		if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(out), 16, 7); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.mgr.Sync(); err != nil {
@@ -525,7 +525,7 @@ func TestBatchTransfersEverythingEveryIteration(t *testing.T) {
 	base := r.mgr.Stats()
 	const iters = 5
 	for i := 0; i < iters; i++ {
-		if err := r.mgr.Invoke("fill", uint64(out), 16, 7); err != nil {
+		if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(out), 16, 7); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.mgr.Sync(); err != nil {
@@ -543,7 +543,7 @@ func TestRollingFetchesOnlyTouchedBlocks(t *testing.T) {
 	r := newRig(t, defaultCfg(RollingUpdate))
 	r.registerFill(t)
 	ptr, _ := r.mgr.Alloc(1 << 20) // 16 blocks of 64KB
-	if err := r.mgr.Invoke("fill", uint64(ptr), 8, 3); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), 8, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -625,7 +625,7 @@ func TestInvokeFlushesRollingCache(t *testing.T) {
 	if r.mgr.RollingLen() == 0 {
 		t.Fatal("no blocks queued after writes")
 	}
-	if err := r.mgr.Invoke("fill", uint64(ptr), 4, 1); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), 4, 1); err != nil {
 		t.Fatal(err)
 	}
 	if r.mgr.RollingLen() != 0 {
@@ -675,7 +675,7 @@ func TestStateMachineEdges(t *testing.T) {
 		t.Fatal("write to Dirty block faulted")
 	}
 	// Invoke: -> Invalid.
-	if err := r.mgr.Invoke("fill", uint64(ptr), 4, 5); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), 4, 5); err != nil {
 		t.Fatal(err)
 	}
 	if b.State() != StateInvalid {
@@ -692,7 +692,7 @@ func TestStateMachineEdges(t *testing.T) {
 		t.Fatalf("after invalid read: %v", b.State())
 	}
 	// Invoke (nothing dirty) then write of Invalid: fetch -> Dirty.
-	if err := r.mgr.Invoke("fill", uint64(ptr), 4, 6); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(ptr), 4, 6); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -848,10 +848,13 @@ func TestSetStateTransition(t *testing.T) {
 				o := r.mgr.objectAt(ptr)
 				if tc.sealed {
 					r.registerNop(t)
-					if err := r.mgr.Invoke("nop"); err != nil {
+					if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 						t.Fatal(err)
 					}
-					if !o.Sealed() {
+					o.mu.Lock()
+					sealed := o.pol.sealed
+					o.mu.Unlock()
+					if !sealed {
 						t.Fatal("read-only object not sealed by its first release")
 					}
 				}

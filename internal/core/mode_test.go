@@ -42,7 +42,7 @@ func TestReadOnlySealZeroDMA(t *testing.T) {
 			}
 			r.fillObject(t, ptr, blocks, 0x5E)
 			// First kernel release: flush and seal.
-			if err := r.mgr.Invoke("nop"); err != nil {
+			if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.mgr.Sync(); err != nil {
@@ -51,7 +51,7 @@ func TestReadOnlySealZeroDMA(t *testing.T) {
 			base := r.mgr.Stats()
 			buf := make([]byte, 1)
 			for i := 0; i < 5; i++ {
-				if err := r.mgr.Invoke("nop"); err != nil {
+				if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 					t.Fatal(err)
 				}
 				if err := r.mgr.Sync(); err != nil {
@@ -118,7 +118,7 @@ func TestSealRejectsEveryHostWrite(t *testing.T) {
 				if err := r.mgr.HostWrite(ptr, sealed); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.mgr.Invoke("nop"); err != nil { // first release: flush and seal
+				if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil { // first release: flush and seal
 					t.Fatal(err)
 				}
 				if err := r.mgr.Sync(); err != nil {
@@ -162,7 +162,7 @@ func TestWriteOnlyElidesFetch(t *testing.T) {
 	}
 	r.fillObject(t, ptr, blocks, 0xA1)
 	// Unannotated call: the object is invalidated at release.
-	if err := r.mgr.Invoke("nop"); err != nil {
+	if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -314,7 +314,7 @@ func modeSequence(t *testing.T, r *rig, moded bool, fill func(n int, buf []byte)
 		if err := r.mgr.HostWrite(frame, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.mgr.Invoke("mix", uint64(table), uint64(frame), uint64(out), uint64(i)); err != nil {
+		if err := r.mgr.InvokeHinted("mix", CallHints{}, uint64(table), uint64(frame), uint64(out), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.mgr.Sync(); err != nil {
@@ -458,7 +458,7 @@ func TestReadOnlyReplicaStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.fillObject(t, ptr, blocks, 0xC4)
-	if err := r.mgr.Invoke("nop"); err != nil {
+	if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {
@@ -489,7 +489,7 @@ func TestReadOnlyReplicaStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if err := r.mgr.Invoke("nop"); err != nil {
+			if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {
 				errc <- err
 				return
 			}

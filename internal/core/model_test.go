@@ -169,7 +169,7 @@ func runModelOn(r *rig, seed int64, objSize int64) error {
 		case 7: // kernel call + sync
 			off, n := span()
 			pat := byte(rng.Intn(255) + 1)
-			if err := r.mgr.Invoke("model.xor", uint64(ptr), uint64(off), uint64(n), uint64(pat)); err != nil {
+			if err := r.mgr.InvokeHinted("model.xor", CallHints{}, uint64(ptr), uint64(off), uint64(n), uint64(pat)); err != nil {
 				return err
 			}
 			if err := r.mgr.Sync(); err != nil {
@@ -270,7 +270,7 @@ func TestCoherenceModelMultiObject(t *testing.T) {
 			}
 		case 2:
 			pat := byte(rng.Intn(255) + 1)
-			if err := r.mgr.Invoke("model.xor", uint64(ptrs[i]), uint64(off), 16, uint64(pat)); err != nil {
+			if err := r.mgr.InvokeHinted("model.xor", CallHints{}, uint64(ptrs[i]), uint64(off), 16, uint64(pat)); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.mgr.Sync(); err != nil {

@@ -204,18 +204,6 @@ func (o *Object) Stats() ObjStats {
 // Mode returns the object's declared access mode.
 func (o *Object) Mode() AccessMode { return o.mode }
 
-// Sealed reports whether a ModeReadOnly object has been replicated and
-// sealed (no coherence traffic for the rest of its life).
-func (o *Object) Sealed() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.pol.sealed
-}
-
-// Degraded reports whether the object has fallen back to host-resident
-// semantics after a device loss.
-func (o *Object) Degraded() bool { return o.degraded.Load() }
-
 // Addr returns the object's host virtual address.
 func (o *Object) Addr() mem.Addr { return o.addr }
 

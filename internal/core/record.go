@@ -2,7 +2,7 @@
 //
 // Every manager records unconditionally into the process-wide flight
 // recorder (oplog.Flight) — the always-on black box — and optionally into a
-// per-manager capture ring installed with SetRecorder, sized to hold a
+// per-manager capture ring installed with EnableRecorder, sized to hold a
 // whole run for the record/replay workflow (cmd/adsmtrace -record,
 // gmacbench -record, the replay conformance tests).
 //
@@ -33,25 +33,15 @@ func init() {
 	})
 }
 
-// SetRecorder installs (or removes, with nil) a capture ring receiving
-// every op this manager emits. The caller sizes the ring to the expected
-// run length; FinishOpLog fails if it wrapped.
-func (m *Manager) SetRecorder(r *oplog.Ring) {
-	if r != nil {
-		r.SetHeader(m.OpLogHeader())
-		oplog.Flight().SetHeader(m.OpLogHeader())
-	}
-	m.rec.Store(r)
-}
-
-// Recorder returns the installed capture ring, or nil.
-func (m *Manager) Recorder() *oplog.Ring { return m.rec.Load() }
-
 // EnableRecorder installs a fresh capture ring of the given capacity
-// (DefaultRingCapacity if <= 0) and returns it.
+// (DefaultRingCapacity if <= 0), receiving every op this manager emits,
+// and returns it. The caller sizes the ring to the expected run length;
+// FinishOpLog fails if it wrapped.
 func (m *Manager) EnableRecorder(capacity int) *oplog.Ring {
 	r := oplog.NewRing(capacity)
-	m.SetRecorder(r)
+	r.SetHeader(m.OpLogHeader())
+	oplog.Flight().SetHeader(m.OpLogHeader())
+	m.rec.Store(r)
 	return r
 }
 

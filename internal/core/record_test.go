@@ -35,7 +35,7 @@ func driveWorkload(t *testing.T, r *rig) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.mgr.Invoke("fill", uint64(a), size/4, 0x3f800000); err != nil {
+	if err := r.mgr.InvokeHinted("fill", CallHints{}, uint64(a), size/4, 0x3f800000); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mgr.Sync(); err != nil {

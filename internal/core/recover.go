@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/mem"
 	"repro/internal/oplog"
 	"repro/internal/sim"
 )
@@ -180,15 +179,4 @@ func (m *Manager) checkDeviceLost(what string) error {
 		return nil
 	}
 	return fmt.Errorf("core: %s: %w", what, fault.ErrDeviceLost)
-}
-
-// DeviceLost reports whether the managed accelerator has been declared
-// lost.
-func (m *Manager) DeviceLost() bool { return m.lost.Load() }
-
-// Degraded reports whether the object containing addr is running in
-// host-resident degraded mode.
-func (m *Manager) Degraded(addr mem.Addr) bool {
-	o := m.objectAt(addr)
-	return o != nil && o.degraded.Load()
 }

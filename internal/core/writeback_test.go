@@ -73,7 +73,7 @@ func TestWriteBackSeesHostBytes(t *testing.T) {
 		if err := r.mgr.HostWrite(p, ref); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.mgr.Invoke("wb.xor", uint64(p), size); err != nil {
+		if err := r.mgr.InvokeHinted("wb.xor", CallHints{}, uint64(p), size); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.mgr.Sync(); err != nil {
@@ -221,7 +221,7 @@ func TestWriteBackSeesHostBytes(t *testing.T) {
 				}})
 				out := tc.run(t, r)
 				at := out.p + mem.Addr(out.off)
-				err := r.mgr.Invoke("wb.snap", uint64(at), uint64(len(out.want)))
+				err := r.mgr.InvokeHinted("wb.snap", CallHints{}, uint64(at), uint64(len(out.want)))
 				if out.lost {
 					if !errors.Is(err, fault.ErrDeviceLost) {
 						t.Fatalf("Invoke on a lost device: %v", err)

@@ -89,14 +89,13 @@ func TestChaosCorpusReplay(t *testing.T) {
 				if report.Skipped != 0 || report.Errors != 0 {
 					t.Fatalf("replay skipped %d, errored %d", report.Skipped, report.Errors)
 				}
-				mgr := ctx.Manager()
-				if mgr.DeviceLost() {
+				st := ctx.Stats()
+				if st.DeviceLostEvents != 0 {
 					t.Fatalf("recoverable schedule escalated to device loss after %d injections", inj.Total())
 				}
-				if err := mgr.CheckInvariants(); err != nil {
+				if err := ctx.Manager().CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				st := ctx.Stats()
 				if st.RetryGiveups != 0 || st.DegradedObjects != 0 {
 					t.Errorf("recoverable schedule gave up: %+v", st)
 				}

@@ -115,18 +115,6 @@ func Fig9PlotFrom(rows []Fig9Row, blocks []int64) *Plot {
 	return p
 }
 
-// Fig9 runs the sweep and renders the table (compatibility wrapper).
-func Fig9(sizes []int64, blocks []int64) (*Table, error) {
-	rows, err := Fig9Rows(sizes, blocks)
-	if err != nil {
-		return nil, err
-	}
-	if blocks == nil {
-		blocks = Fig9Blocks
-	}
-	return Fig9TableFrom(rows, blocks), nil
-}
-
 func humanBytes(n int64) string {
 	switch {
 	case n >= 1<<20 && n%(1<<20) == 0:

@@ -82,10 +82,12 @@ func TestEvaluationSmallScale(t *testing.T) {
 }
 
 func TestFig9SmallScale(t *testing.T) {
-	tab, err := Fig9([]int64{16, 24}, []int64{4 << 10, 64 << 10})
+	blocks := []int64{4 << 10, 64 << 10}
+	rows, err := Fig9Rows([]int64{16, 24}, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := Fig9TableFrom(rows, blocks)
 	if len(tab.Rows) != 2 || len(tab.Columns) != 4 {
 		t.Fatalf("fig9 table shape %dx%d", len(tab.Rows), len(tab.Columns))
 	}

@@ -98,8 +98,7 @@ func RequiredBps(ipc, clockHz, bytesPerInstr float64) float64 {
 }
 
 const (
-	// KB, MB, GB are binary byte multiples used throughout the models.
-	KB = 1 << 10
+	// MB and GB are binary byte multiples used throughout the models.
 	MB = 1 << 20
 	GB = 1 << 30
 )

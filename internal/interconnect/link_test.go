@@ -33,7 +33,7 @@ func TestEffectiveBandwidthMonotone(t *testing.T) {
 	// transfer size and never exceeds peak.
 	l := PCIe2x16H2D()
 	prev := 0.0
-	for size := int64(4 * KB); size <= 32*MB; size *= 2 {
+	for size := int64(4 << 10); size <= 32*MB; size *= 2 {
 		eff := l.EffectiveBps(size)
 		if eff < prev {
 			t.Fatalf("effective bandwidth decreased at %d bytes: %v < %v", size, eff, prev)
@@ -48,7 +48,7 @@ func TestEffectiveBandwidthMonotone(t *testing.T) {
 		t.Fatalf("512MB transfer achieves only %v of peak %v", eff, l.PeakBps)
 	}
 	// Small transfers are latency-bound: far below peak.
-	if eff := l.EffectiveBps(4 * KB); eff > 0.2*l.PeakBps {
+	if eff := l.EffectiveBps(4 << 10); eff > 0.2*l.PeakBps {
 		t.Fatalf("4KB transfer achieves %v, expected latency-bound (<20%% of peak)", eff)
 	}
 }

@@ -120,30 +120,11 @@ func (a *Allocator) insertFree(s span) {
 	}
 }
 
-// SizeOf returns the (alignment-rounded) size of the live allocation at
-// addr, or 0 if addr is not a live allocation start.
-func (a *Allocator) SizeOf(addr Addr) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.live[addr]
-}
-
 // Live returns the number of live allocations.
 func (a *Allocator) Live() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.live)
-}
-
-// FreeBytes returns the total free capacity.
-func (a *Allocator) FreeBytes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n int64
-	for _, s := range a.free {
-		n += s.size
-	}
-	return n
 }
 
 // CheckInvariants verifies the internal consistency of the allocator: free

@@ -3,12 +3,12 @@ package mem
 import "unsafe"
 
 // Every byte of simulated memory that moves — a DMA in either direction, a
-// device-to-device copy, a bulk access, a memset — goes through copyBytes
-// or fillBytes. Below splitMin they are copy and fill on the caller: one
-// length compare more, no allocation, so the 4 KiB transfers of the fault
-// path cost what they always did. From splitMin up (batch-update's MiB-sized
-// call-boundary DMAs) the work is cut into splitChunk pieces that every
-// core pulls from a shared cursor, the caller among them.
+// bulk access, a memset — goes through copyBytes or fillBytes. Below
+// splitMin they are copy and fill on the caller: one length compare more,
+// no allocation, so the 4 KiB transfers of the fault path cost what they
+// always did. From splitMin up (batch-update's MiB-sized call-boundary
+// DMAs) the work is cut into splitChunk pieces that every core pulls from
+// a shared cursor, the caller among them.
 const (
 	// splitMin is the smallest length worth a second core. Up to about
 	// 1 MiB a copy runs from the caches at ~30 GB/s and splitting it is
@@ -65,6 +65,8 @@ func fill(buf []byte, b byte) {
 //
 //adsm:cold
 func copyLarge(dst, src []byte) {
+	// Read and Write take caller buffers, and a caller's buffer may alias
+	// the space itself (core.Manager.HostBytes hands out its slices).
 	if overlap(dst, src) {
 		copy(dst, src) // a memmove; chunks copied in any order are not
 		return

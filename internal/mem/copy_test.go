@@ -49,7 +49,8 @@ func TestSpaceCopySerial(t *testing.T) {
 	testReadWrite(t)
 }
 
-// TestSpaceCopyOverlap: Copy inside one space is memmove for every overlap
+// TestSpaceCopyOverlap: a Write whose source aliases the space itself (as
+// a core.Manager.HostBytes slice can) is memmove for every overlap
 // direction and distance, above and below the split threshold.
 func TestSpaceCopyOverlap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -66,9 +67,9 @@ func TestSpaceCopyOverlap(t *testing.T) {
 				want := bytes.Clone(init)
 				copy(want[dst:dst+n], want[src:src+n])
 				copy(s.Bytes(0, int64(size)), init)
-				s.Copy(Addr(dst), Addr(src), int64(n))
+				s.Write(Addr(dst), s.Bytes(Addr(src), int64(n)))
 				if !bytes.Equal(s.Bytes(0, int64(size)), want) {
-					t.Fatalf("Copy(%d, %d, %d) differs from copy", dst, src, n)
+					t.Fatalf("Write(%d, Bytes(%d, %d)) differs from copy", dst, src, n)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func TestSpaceScalars(t *testing.T) {
 	if v := s.Uint32(4); v != 0xdeadbeef {
 		t.Fatalf("Uint32 = %#x", v)
 	}
-	s.SetUint64(8, 1<<40)
+	binary.LittleEndian.PutUint64(s.Bytes(8, 8), 1<<40)
 	if v := s.Uint64(8); v != 1<<40 {
 		t.Fatalf("Uint64 = %#x", v)
 	}
@@ -159,8 +160,8 @@ func TestAllocatorBasic(t *testing.T) {
 	if p1 != 0x1000 {
 		t.Fatalf("first alloc at %#x", uint64(p1))
 	}
-	if a.SizeOf(p1) != 256 {
-		t.Fatalf("rounded size %d, want 256", a.SizeOf(p1))
+	if a.live[p1] != 256 {
+		t.Fatalf("rounded size %d, want 256", a.live[p1])
 	}
 	p2, err := a.Alloc(256)
 	if err != nil {
@@ -195,8 +196,8 @@ func TestAllocatorExhaustion(t *testing.T) {
 	if _, err := a.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("expected ErrOutOfMemory, got %v", err)
 	}
-	if a.FreeBytes() != 0 {
-		t.Fatalf("free bytes %d, want 0", a.FreeBytes())
+	if len(a.free) != 0 {
+		t.Fatalf("free spans %v, want none", a.free)
 	}
 }
 
@@ -277,8 +278,8 @@ func TestAllocatorRandomisedProperty(t *testing.T) {
 		// No two live allocations overlap.
 		for i := 0; i < len(live); i++ {
 			for j := i + 1; j < len(live); j++ {
-				ai, si := live[i], a.SizeOf(live[i])
-				aj, sj := live[j], a.SizeOf(live[j])
+				ai, si := live[i], a.live[live[i]]
+				aj, sj := live[j], a.live[live[j]]
 				if ai < aj+Addr(sj) && aj < ai+Addr(si) {
 					return false
 				}

@@ -257,12 +257,6 @@ func (s *Space) readStale(off int64, dst []byte) {
 	}
 }
 
-// Copy copies n bytes from src to dst inside the space. The two ranges may
-// overlap: the result is that of memmove.
-func (s *Space) Copy(dst, src Addr, n int64) {
-	copyBytes(s.Bytes(dst, n), s.Bytes(src, n))
-}
-
 // Float32 reads a little-endian float32 at addr.
 func (s *Space) Float32(addr Addr) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(s.Bytes(addr, 4)))
@@ -286,11 +280,6 @@ func (s *Space) SetUint32(addr Addr, v uint32) {
 // Uint64 reads a little-endian uint64 at addr.
 func (s *Space) Uint64(addr Addr) uint64 {
 	return binary.LittleEndian.Uint64(s.Bytes(addr, 8))
-}
-
-// SetUint64 writes a little-endian uint64 at addr.
-func (s *Space) SetUint64(addr Addr, v uint64) {
-	binary.LittleEndian.PutUint64(s.Bytes(addr, 8), v)
 }
 
 // Memset fills [addr, addr+n) with b.

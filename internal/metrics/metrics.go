@@ -104,13 +104,6 @@ func (h *Histogram) load(dst []int64) ([]int64, int64) {
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []int64 {
-	out := make([]int64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
 // Bucket is one histogram bucket in a snapshot. Le is the inclusive upper
 // bound rendered as a decimal string, or "+inf" for the overflow bucket.
 type Bucket struct {
@@ -415,25 +408,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// Reset zeroes every registered metric in place. Handles held by callers
-// stay valid. Experiment harnesses use it between runs.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.sum.Store(0)
-	}
 }
 
 // WriteJSON writes the registry snapshot as indented JSON.

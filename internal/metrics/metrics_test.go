@@ -91,7 +91,7 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSONAndReset(t *testing.T) {
+func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Label("adsm_faults_total", "protocol", "rolling-update")).Add(3)
 	r.Histogram("accel_h2d_bytes", SizeBuckets).Observe(64 << 10)
@@ -117,13 +117,5 @@ func TestSnapshotJSONAndReset(t *testing.T) {
 	}
 	if !strings.Contains(txt.String(), "adsm_faults_total") {
 		t.Fatalf("text report missing counter:\n%s", txt.String())
-	}
-
-	r.Reset()
-	if got := r.Counter(Label("adsm_faults_total", "protocol", "rolling-update")).Value(); got != 0 {
-		t.Fatalf("counter after Reset = %d, want 0", got)
-	}
-	if got := r.Histogram("accel_h2d_bytes", SizeBuckets).Count(); got != 0 {
-		t.Fatalf("histogram count after Reset = %d, want 0", got)
 	}
 }

@@ -56,19 +56,6 @@ const maxAutoDumps = 16
 
 var autoDumps atomic.Int64
 
-// lastDump records the most recent automatic dump path for tests and the
-// introspection endpoint.
-var lastDump atomic.Pointer[string]
-
-// LastDump returns the path of the most recent automatic flight dump this
-// process wrote ("" if none).
-func LastDump() string {
-	if p := lastDump.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // DumpFlight writes the current flight-recorder contents to path.
 func DumpFlight(path, reason string) error {
 	return os.WriteFile(path, FlightLog(reason).Encode(), 0o644)
@@ -105,7 +92,6 @@ func AutoDump(reason string) string {
 	if err := DumpFlight(path, reason); err != nil {
 		return ""
 	}
-	lastDump.Store(&path)
 	return path
 }
 

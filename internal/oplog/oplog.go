@@ -9,7 +9,7 @@
 // coherence behaviour exactly (internal/core.Replay). Three consumers are
 // built on the same Op type:
 //
-//   - a capture recorder (Ring installed via core.(*Manager).SetRecorder)
+//   - a capture recorder (Ring installed via core.(*Manager).EnableRecorder)
 //     that turns any application run into a reusable benchmark and chaos
 //     corpus, serialised by Encode/Decode;
 //   - the always-on flight recorder (Flight), a fixed-size mutex-guarded ring

@@ -121,15 +121,6 @@ func (fs *FS) Contents(name string) ([]byte, error) {
 	return append([]byte(nil), ino.data...), nil
 }
 
-// Remove deletes a file.
-func (fs *FS) Remove(name string) error {
-	if _, ok := fs.files[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, name)
-	}
-	delete(fs.files, name)
-	return nil
-}
-
 // List returns the names of all files, sorted.
 func (fs *FS) List() []string {
 	names := make([]string, 0, len(fs.files))

@@ -50,9 +50,6 @@ func TestOpenMissing(t *testing.T) {
 	if _, err := fs.Size("nope"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("Size err = %v", err)
 	}
-	if err := fs.Remove("nope"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Remove err = %v", err)
-	}
 }
 
 func TestCreateWithAndContents(t *testing.T) {
@@ -145,10 +142,6 @@ func TestList(t *testing.T) {
 	got := fs.List()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("List = %v", got)
-	}
-	fs.Remove("a")
-	if got := fs.List(); len(got) != 1 {
-		t.Fatalf("List after remove = %v", got)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/gmac"
+	"repro/internal/racecheck"
 	"repro/internal/workloads"
 	"repro/machine"
 )
@@ -227,7 +228,7 @@ func TestConflictScenarios(t *testing.T) {
 					t.Errorf("race #%d sites %q/%q, want %q/%q",
 						i, r.Prior.Op, r.Access.Op, w.prior, w.racing)
 				}
-				for _, site := range []gmac.RaceSite{r.Prior, r.Access} {
+				for _, site := range []racecheck.Site{r.Prior, r.Access} {
 					if site.OpIndex == 0 || site.Obj == 0 {
 						t.Errorf("race #%d site not anchored to the stream: %+v", i, site)
 					}

@@ -142,13 +142,6 @@ func (b *Breakdown) Clone() *Breakdown {
 	return c
 }
 
-// Reset clears all buckets.
-func (b *Breakdown) Reset() {
-	for i := range b.counts {
-		b.counts[i].Store(0)
-	}
-}
-
 // String renders the non-zero buckets, largest first.
 func (b *Breakdown) String() string {
 	type kv struct {

@@ -44,9 +44,6 @@ func (t Time) String() string {
 	}
 }
 
-// DurationFromSeconds converts floating-point seconds to a Time duration.
-func DurationFromSeconds(s float64) Time { return Time(s * 1e9) }
-
 // Clock is the logical CPU timeline. The zero value is a clock at time 0.
 //
 // The clock is safe for concurrent use: with several host goroutines in
@@ -110,6 +107,3 @@ func (c *Clock) AdvanceTo(t Time) {
 		}
 	}
 }
-
-// Reset rewinds the clock to zero. Only experiment harnesses use this.
-func (c *Clock) Reset() { c.now.Store(0) }

@@ -17,8 +17,6 @@ type Resource struct {
 	name   string
 	clock  *Clock
 	freeAt Time // the resource is idle from this time on
-	busy   Time // cumulative busy time, for utilisation reporting
-	jobs   int64
 }
 
 // NewResource returns an idle resource bound to clock.
@@ -47,8 +45,6 @@ func (r *Resource) Submit(earliest, d Time) Completion {
 	}
 	end := start + d
 	r.freeAt = end
-	r.busy += d
-	r.jobs++
 	return Completion{At: end}
 }
 
@@ -66,19 +62,6 @@ func (r *Resource) SubmitNow(d Time) Completion {
 
 // FreeAt reports the time at which all currently queued work completes.
 func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// BusyTime reports the cumulative time the resource has spent executing.
-func (r *Resource) BusyTime() Time { return r.busy }
-
-// Jobs reports how many work items have been submitted.
-func (r *Resource) Jobs() int64 { return r.jobs }
-
-// Reset returns the resource to idle at time zero.
-func (r *Resource) Reset() {
-	r.freeAt = 0
-	r.busy = 0
-	r.jobs = 0
-}
 
 // Completion is a handle on an asynchronous work item.
 type Completion struct {

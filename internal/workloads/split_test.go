@@ -11,12 +11,13 @@ import (
 // splitKernels names, per benchmark, the kernels whose bodies run in
 // pieces on the host's cores.
 var splitKernels = map[string][]string{
-	"cp":      {"cp.potential"},
-	"mri-fhd": {"mri-fhd.accumulate"},
-	"mri-q":   {"mri-q.accumulate"},
-	"pns":     {"pns.step"},
-	"sad":     {"sad.mb4"},
-	"tpacf":   {"tpacf.dd", "tpacf.dr", "tpacf.rr"},
+	"cp":        {"cp.potential"},
+	"mri-fhd":   {"mri-fhd.accumulate"},
+	"mri-q":     {"mri-q.accumulate"},
+	"pns":       {"pns.step"},
+	"sad":       {"sad.mb4"},
+	"stencil3d": {"stencil.step"},
+	"tpacf":     {"tpacf.dd", "tpacf.dr", "tpacf.rr"},
 }
 
 // checkSplitChecksums runs each benchmark's CUDA variant, at one P and at
@@ -63,15 +64,17 @@ func TestMidScaleChecksumsPinned(t *testing.T) {
 		&MRI{K: 32, X: 600},
 		&PNS{Places: 288 << 10, Steps: 4, Stride: 16, CheckEvery: 2},
 		&SAD{W: 32, H: 96, Range: 1},
+		&Stencil3D{N: 20, Iters: 8, OutEvery: 4, SourceElems: 8},
 		&TPACF{Points: 80000, Sets: 1, Bins: 64, InitChunk: 4 << 10},
 	}
 	checkSplitChecksums(t, suite, smallOpts(), map[string]float64{
-		"cp":      36916,
-		"mri-fhd": -45.147,
-		"mri-q":   1987.173,
-		"pns":     5.245289244765605e+15,
-		"sad":     9.02707125676055e+14,
-		"tpacf":   3.161413850929098e+15,
+		"cp":        36916,
+		"mri-fhd":   -45.147,
+		"mri-q":     1987.173,
+		"pns":       5.245289244765605e+15,
+		"sad":       9.02707125676055e+14,
+		"stencil3d": 10613,
+		"tpacf":     3.161413850929098e+15,
 	})
 }
 
