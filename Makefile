@@ -76,12 +76,13 @@ bench-contended:
 # The conformance suite under the race detector: batched runs byte-identical
 # to the unbatched oracle on every workload, replay round trip, the sharded
 # registry/MMU lane stress, the MMU's lock-free access check, the registry's
-# writer-side publish, and recycled host memory (whose page bitmap is
-# written on the access path).
+# writer-side publish, recycled host memory (whose page bitmap is written on
+# the access path), and the owed pages a batch-update acquire leaves for
+# the host to copy on first touch (device memory is a heap slice here).
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
-		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros' \
+		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros|TestOwedPagesMatchFlatModel|TestBatchDeviceLostKeepsAcquiredBytes|TestPullAfterClose' \
 		./internal/core ./internal/hostmmu ./internal/mem ./gmac
 
 # Interleaved contract pairs of the harness at BASE against the working

@@ -204,10 +204,16 @@ func (d *Device) LiveAllocs() int { return d.alloc.Live() }
 // SetFaultInjector arms the device with a fault injector (chaos tests,
 // gmacbench -faults). Only the fault-aware entry points — TryMemcpy* and
 // Launch — consult it; the interconnect links are pure cost models and
-// may be shared with other devices. Install before the run starts.
+// may be shared with other devices. Install before the run starts: a
+// batch-update acquire on an unarmed device leaves host pages for the host
+// to copy later, which a failed transfer could lose.
 func (d *Device) SetFaultInjector(in *fault.Injector) {
 	d.inj = in
 }
+
+// Armed reports whether a fault injector is installed: whether a DMA or
+// launch of this device can fail other than on a lost device.
+func (d *Device) Armed() bool { return d.inj != nil }
 
 // Lost reports whether the device has been declared lost by a permanent
 // injected fault. Once lost, every fault-aware operation fails fast.
@@ -412,24 +418,28 @@ func (d *Device) MemcpyH2D(dst mem.Addr, src []byte) sim.Time {
 	return done.Wait(d.clock)
 }
 
-// memcpyD2HAsyncAt lands a D2H copy whose link duration has already been
-// computed (and booked) by the caller.
-func (d *Device) memcpyD2HAsyncAt(dst []byte, src mem.Addr, dur sim.Time) sim.Completion {
+// memcpyD2HAsyncAt lands a D2H copy of n bytes into dst, or none of them
+// when dst is nil, whose link duration has already been computed (and
+// booked) by the caller.
+func (d *Device) memcpyD2HAsyncAt(dst []byte, src mem.Addr, n int64, dur sim.Time) sim.Completion {
 	d.mu.Lock()
-	d.memory.Read(src, dst)
+	if dst != nil {
+		d.memory.Read(src, dst)
+	}
 	done := d.dmaD2H.SubmitNow(dur)
-	d.stats.BytesD2H += int64(len(dst))
+	d.stats.BytesD2H += n
 	d.stats.CopiesD2H++
 	d.pending = sim.MaxCompletion(d.pending, done)
 	d.mu.Unlock()
 	d.met.d2hNs.Observe(int64(dur))
-	d.met.d2hBytes.Observe(int64(len(dst)))
+	d.met.d2hBytes.Observe(n)
 	return done
 }
 
 // MemcpyD2HAsync copies device memory at src into dst without blocking.
 func (d *Device) MemcpyD2HAsync(dst []byte, src mem.Addr) sim.Completion {
-	return d.memcpyD2HAsyncAt(dst, src, d.cfg.D2H.TransferTime(int64(len(dst))))
+	n := int64(len(dst))
+	return d.memcpyD2HAsyncAt(dst, src, n, d.cfg.D2H.TransferTime(n))
 }
 
 // TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync; see
@@ -440,12 +450,30 @@ func (d *Device) MemcpyD2HAsync(dst []byte, src mem.Addr) sim.Completion {
 //
 //adsm:noalloc
 func (d *Device) TryMemcpyD2HAsync(dst []byte, src mem.Addr) (sim.Completion, error) {
+	return d.tryMemcpyD2H(dst, src, int64(len(dst)))
+}
+
+// TryTransferD2H is TryMemcpyD2HAsync of n bytes that lands none of them:
+// the attempt is timed, injected, counted and observed in full, and the
+// caller copies the bytes it needs later with ReadBytes (the caller
+// vouches that nobody reads its host copy of the others before then).
+//
+//adsm:noalloc
+func (d *Device) TryTransferD2H(src mem.Addr, n int64) (sim.Completion, error) {
+	return d.tryMemcpyD2H(nil, src, n)
+}
+
+// tryMemcpyD2H is the one fault-aware D2H attempt: n bytes from src, landed
+// in dst unless dst is nil.
+//
+//adsm:noalloc
+func (d *Device) tryMemcpyD2H(dst []byte, src mem.Addr, n int64) (sim.Completion, error) {
 	if err := d.checkLost(); err != nil {
 		return sim.Completion{At: d.clock.Now()}, err
 	}
-	dur, ferr := d.dmaAttempt(d.cfg.D2H, fault.OpDMAD2H, int64(len(dst)))
+	dur, ferr := d.dmaAttempt(d.cfg.D2H, fault.OpDMAD2H, n)
 	if ferr == nil {
-		return d.memcpyD2HAsyncAt(dst, src, dur), nil
+		return d.memcpyD2HAsyncAt(dst, src, n, dur), nil
 	}
 	d.noteFault(ferr, true)
 	var fe *fault.Error

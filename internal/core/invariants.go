@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/oplog"
@@ -19,6 +20,9 @@ import (
 //     and the cache never exceeds its capacity.
 //  3. The block tree and the per-object block lists agree.
 //  4. Block coverage is exact: blocks tile their object with no gaps.
+//  5. Owed pages (pull) are never dirty, sit only on host-authoritative
+//     objects that are not degraded, and never while a fault injector is
+//     armed (checkOwed).
 //
 // Each object is checked under its own lock, so the check may run while
 // other goroutines are active — though the cache-occupancy comparison is
@@ -47,6 +51,9 @@ func (m *Manager) checkInvariants() error {
 			return
 		}
 		degraded := o.degraded.Load()
+		if err = m.checkOwed(o, degraded); err != nil {
+			return
+		}
 		var off int64
 		for _, b := range o.blocks {
 			if int64(b.addr) != int64(o.addr)+off {
@@ -101,6 +108,42 @@ func (m *Manager) checkInvariants() error {
 	}
 	if m.rolling.Len() > m.rolling.Capacity() {
 		return fmt.Errorf("core: rolling cache %d over capacity %d", m.rolling.Len(), m.rolling.Capacity())
+	}
+	return nil
+}
+
+// checkOwed verifies o's owed pages: none is also dirty and owedPages
+// counts them; they sit only on a host-authoritative object that is not
+// degraded, while no fault injector is armed; and only on blocks that are
+// current or Invalid, since a Dirty block that is not current writes back
+// whole, stale owed pages included. The caller holds o.mu.
+func (m *Manager) checkOwed(o *Object, degraded bool) error {
+	n := 0
+	for w, owed := range o.owed {
+		if owed&o.dirty[w] != 0 {
+			return fmt.Errorf("core: object %#x has pages both owed and dirty", uint64(o.addr))
+		}
+		n += bits.OnesCount64(owed)
+	}
+	switch {
+	case n != o.owedPages:
+		return fmt.Errorf("core: object %#x owes %d pages but counts %d", uint64(o.addr), n, o.owedPages)
+	case n == 0:
+		return nil
+	case !o.pol.hostAuth || degraded:
+		return fmt.Errorf("core: object %#x owes pages but its host copy is not authoritative", uint64(o.addr))
+	case m.dev.Armed():
+		return fmt.Errorf("core: object %#x owes pages while a fault injector is armed", uint64(o.addr))
+	}
+	for _, b := range o.blocks {
+		if b.current || b.state == StateInvalid {
+			continue
+		}
+		for p, hi := o.pages(b.addr, b.size); p <= hi; p++ {
+			if o.owes(p) {
+				return fmt.Errorf("core: %v block %#x owes pages but is not current", b.state, uint64(b.addr))
+			}
+		}
 	}
 	return nil
 }

@@ -763,8 +763,10 @@ func errUnsharedFault(addr mem.Addr) error {
 // enter is the one prologue of the host-side entry points: it checks
 // [op.Addr, op.Addr+op.Size) against the shared object containing op.Addr,
 // takes that object's lock, rejects an object freed since the lookup and a
-// host write to a sealed ReadOnly object, and emits op. On success the
-// caller holds o.mu and must finish with leave.
+// host write to a sealed ReadOnly object, copies the range's owed pages
+// from the device when the access writes or exposes host memory (pull),
+// and emits op. On success the caller holds o.mu and must finish with
+// leave.
 func (m *Manager) enter(op oplog.Op) (*Object, error) {
 	if op.Size < 0 {
 		return nil, fmt.Errorf("core: negative access size %d", op.Size)
@@ -788,8 +790,91 @@ func (m *Manager) enter(op oplog.Op) (*Object, error) {
 			return nil, errModeViolation(ModeReadOnly, hostmmu.AccessWrite, op.Addr)
 		}
 	}
+	if o.owedPages != 0 {
+		// A read that copies out takes owed pages from the device itself
+		// (readHost); a write, or a HostBytes slice, needs the host copy.
+		if _, write := op.HostAccess(); write || op.Kind == oplog.OpHostAccess {
+			if err := m.pull(o, op.Addr, op.Size); err != nil {
+				o.mu.Unlock()
+				return nil, err
+			}
+		}
+	}
 	m.emit(op, o)
 	return o, nil
+}
+
+// pull copies the owed pages of [addr, addr+n) from the device into the
+// host copy, one ReadBytes per maximal run of owed pages, and clears their
+// bits. The acquire that owed them has already paid for the transfer, so
+// the copy costs no virtual time. A closed device's memory is gone: the
+// access then fails with an error matching fault.ErrDeviceLost. The caller
+// holds o.mu.
+func (m *Manager) pull(o *Object, addr mem.Addr, n int64) error {
+	if n <= 0 {
+		return nil
+	}
+	lo, hi := o.pages(addr, n)
+	for p := lo; p <= hi; {
+		q, owed := o.owedRun(p, hi)
+		if owed {
+			if m.dev.Lost() {
+				return errPullLost(addr)
+			}
+			off, end := int64(p)<<o.pageShift, min(int64(q)<<o.pageShift, o.size)
+			m.dev.ReadBytes(o.devAddr+mem.Addr(off), o.mapping.Space.Bytes(o.addr+mem.Addr(off), end-off))
+			o.owedPages -= int(q - p)
+			for i := p; i < q; i++ {
+				o.owed[i>>6] &^= 1 << (i & 63)
+			}
+		}
+		p = q
+	}
+	return nil
+}
+
+// readHost copies [addr, addr+len(dst)) of an object whose host copy is
+// authoritative into dst: owed pages straight from the device, the rest
+// from host memory. Owed pages stay owed: the read copies their bytes
+// once, into dst, where a pull would copy them twice. It fails like pull
+// once the device is closed. The caller holds o.mu.
+func (m *Manager) readHost(o *Object, addr mem.Addr, dst []byte) error {
+	if o.owedPages != 0 {
+		return m.readOwed(o, addr, dst)
+	}
+	o.mapping.Space.Read(addr, dst)
+	return nil
+}
+
+// readOwed is readHost over an object that owes pages.
+func (m *Manager) readOwed(o *Object, addr mem.Addr, dst []byte) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	off, end := int64(addr-o.addr), int64(addr-o.addr)+int64(len(dst))
+	lo, hi := o.pages(addr, int64(len(dst)))
+	for p := lo; p <= hi; {
+		q, owed := o.owedRun(p, hi)
+		next := min(int64(q)<<o.pageShift, end)
+		seg := dst[:next-off]
+		if !owed {
+			o.mapping.Space.Read(o.addr+mem.Addr(off), seg)
+		} else if m.dev.Lost() {
+			return errPullLost(addr)
+		} else {
+			m.dev.ReadBytes(o.devAddr+mem.Addr(off), seg)
+		}
+		dst, off, p = dst[len(seg):], next, q
+	}
+	return nil
+}
+
+// errPullLost formats the error of a host access that needs bytes only a
+// closed device held.
+//
+//adsm:cold
+func errPullLost(addr mem.Addr) error {
+	return fmt.Errorf("core: host access at %#x needs device bytes: %w", uint64(addr), fault.ErrDeviceLost)
 }
 
 // leave is the one epilogue: it releases the lock enter took, then settles
@@ -810,7 +895,11 @@ func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
 		return err
 	}
 	err = m.mmu.CheckRead(addr, int64(len(dst)))
-	if err == nil {
+	switch {
+	case err != nil:
+	case o.owedPages != 0:
+		err = m.readOwed(o, addr, dst)
+	default:
 		o.mapping.Space.Read(addr, dst)
 	}
 	m.leave(o)
@@ -951,14 +1040,15 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 			return m.escalateLocked(o, "flush", ferr)
 		}
 	}
-	o.settle(first, n)
+	o.settle(first, n, false)
 	m.emit(oplog.Op{Kind: oplog.OpFlush, Addr: first.addr, Size: size}, o)
 	return nil
 }
 
 // dmaSync is the one stalling DMA: it moves buf between host memory and
 // devAddr — host to device for an OpFlush, of which only the pages mask
-// selects are copied, device to host for an OpFetch — and stalls the CPU
+// selects are copied, device to host for an OpFetch, which lands nothing
+// when buf is nil (the op's Size bytes are owed, settle) — and stalls the CPU
 // until the transfer completes, booking the stall as copy time. Injected
 // faults are retried inline with a full copy (a corrupt attempt scribbles
 // its destination, so the retry must overwrite all of it); op is emitted
@@ -973,7 +1063,11 @@ func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, 
 		var terr error
 		wait := &m.stats.H2DWait
 		if op.Kind == oplog.OpFetch {
-			done, terr = m.dev.TryMemcpyD2HAsync(buf, devAddr)
+			if buf == nil {
+				done, terr = m.dev.TryTransferD2H(devAddr, op.Size)
+			} else {
+				done, terr = m.dev.TryMemcpyD2HAsync(buf, devAddr)
+			}
 			wait = &m.stats.D2HWait
 		} else {
 			done, terr = m.dev.TryMemcpyH2DAsync(devAddr, buf, mask)
@@ -1005,7 +1099,7 @@ func (m *Manager) flushBlockSync(b *Block) error {
 	if err := m.dmaSync(b.obj, op, b.devAddr(), b.hostBytes(), b.obj.writeBackMask(b, 1), "flush"); err != nil {
 		return m.escalateLocked(b.obj, "flush", err)
 	}
-	b.obj.settle(b, 1)
+	b.obj.settle(b, 1, false)
 	return nil
 }
 
@@ -1014,12 +1108,14 @@ func (m *Manager) flushBlockSync(b *Block) error {
 // needs the data now): one block for a plain fault, the whole run for the
 // span-fault service that mirrors eviction coalescing on the fetch side.
 // One stall, one OpFetch of the run's total bytes, carrying the block count
-// in Arg when it is a batch (n > 1). An unrecoverable failure escalates
-// like flushRunEager. The caller holds first.obj.mu and, for a batch, has
-// verified every block of the run is StateInvalid.
+// in Arg when it is a batch (n > 1). With owe the transfer is made and
+// charged alike but lands no byte: the run's pages are owed to the host
+// (Object.owed). An unrecoverable failure
+// escalates like flushRunEager. The caller holds first.obj.mu and, for a
+// batch, has verified every block of the run is StateInvalid.
 //
 //adsm:noalloc
-func (m *Manager) fetchRunSync(first *Block, n int) error {
+func (m *Manager) fetchRunSync(first *Block, n int, owe bool) error {
 	o := first.obj
 	op := oplog.Op{Kind: oplog.OpFetch, Addr: first.addr, Size: runSize(first, n)}
 	note := ""
@@ -1028,10 +1124,14 @@ func (m *Manager) fetchRunSync(first *Block, n int) error {
 	}
 	sp := m.beginSpan("fetch", note)
 	defer m.endSpan(sp)
-	if err := m.dmaSync(o, op, first.devAddr(), o.mapping.Space.Bytes(first.addr, op.Size), accel.PageMask{}, "fetch"); err != nil {
+	var buf []byte
+	if !owe {
+		buf = o.mapping.Space.Bytes(first.addr, op.Size)
+	}
+	if err := m.dmaSync(o, op, first.devAddr(), buf, accel.PageMask{}, "fetch"); err != nil {
 		return m.escalateLocked(o, "fetch", err)
 	}
-	o.settle(first, n)
+	o.settle(first, n, owe)
 	return nil
 }
 

@@ -50,8 +50,9 @@ type Block struct {
 	// state is guarded by obj.mu.
 	state State
 	// current means the device copy equals the host copy on every page of
-	// the block whose bit in obj.dirty is clear, so a write-back need only
-	// move the set ones. A completed fetch or flush sets it (settle);
+	// the block whose bit in obj.dirty is clear, or holds the newer bytes of
+	// a page owed to the host (obj.owed), so a write-back need only move the
+	// dirty pages. A completed fetch or flush sets it (settle);
 	// StateInvalid, which every kernel call that may write the block sets,
 	// and a fresh block leave it clear. Guarded by obj.mu.
 	current bool
@@ -184,6 +185,17 @@ type Object struct {
 	// guarded by mu.
 	dirty     []uint64
 	pageShift uint8
+	// owed has one bit per host page, like dirty, set on the pages whose
+	// current bytes the device holds and the host has not copied yet: a
+	// host-authoritative acquire pays for the whole D2H transfer but lands
+	// nothing (acquireObject). A read takes an owed page from the device
+	// (readHost); the first write or HostBytes view of one copies it into
+	// host memory (pull). No page is both owed and dirty. owedPages counts
+	// the set bits: the one test on the paths that owe nothing. Allocated
+	// with dirty for host-authoritative objects only (nil otherwise) and
+	// guarded by mu.
+	owed      []uint64
+	owedPages int
 	// degraded marks an object that fell back to host-resident batch-update
 	// semantics after its device was lost: all blocks Dirty and writable,
 	// never transferred again. Set under mu; atomic because introspection
@@ -302,12 +314,17 @@ func (o *Object) chunk(addr mem.Addr, n int64) (*Block, int64) {
 }
 
 // makeBlocks divides the object into blocks of at most blockSize bytes, a
-// multiple of pageSize, and allocates the dirty-page bitmap.
+// multiple of pageSize, and allocates the page bitmaps: dirty, and owed
+// when the object's policy is host-authoritative.
 func (o *Object) makeBlocks(blockSize, pageSize int64) {
 	o.nextFaultIdx = -1 // no streak until the first fault lands
 	o.fetchSpan = 1
 	o.pageShift = uint8(bits.TrailingZeros64(uint64(pageSize)))
-	o.dirty = make([]uint64, ((o.size+pageSize-1)/pageSize+63)/64)
+	words := ((o.size+pageSize-1)/pageSize + 63) / 64
+	o.dirty = make([]uint64, words)
+	if o.pol.hostAuth {
+		o.owed = make([]uint64, words)
+	}
 	if blockSize <= 0 || blockSize > o.size {
 		blockSize = o.size
 	}
@@ -351,17 +368,39 @@ func (o *Object) markWritten(addr mem.Addr, n int64) {
 
 // settle records that a fetch or flush of the n blocks from first has
 // completed: host and device hold the same bytes on every page of the run,
-// so its blocks are current and its pages clean. The caller holds o.mu.
+// or, after a fetch that landed nothing (owe), the host owes every page the
+// device's. Either way its blocks are current and its pages clean. The
+// caller holds o.mu.
 //
 //adsm:noalloc
-func (o *Object) settle(first *Block, n int) {
+func (o *Object) settle(first *Block, n int, owe bool) {
 	lo, hi := o.pages(first.addr, runSize(first, n))
 	for p := lo; p <= hi; p++ {
-		o.dirty[p>>6] &^= 1 << (p & 63)
+		w, bit := p>>6, uint64(1)<<(p&63)
+		o.dirty[w] &^= bit
+		if owe && o.owed[w]&bit == 0 {
+			o.owed[w] |= bit
+			o.owedPages++
+		}
 	}
 	for _, b := range o.blocks[first.index : first.index+n] {
 		b.current = true
 	}
+}
+
+// owes reports whether host page p of the object is owed. The caller holds
+// o.mu.
+func (o *Object) owes(p uint64) bool {
+	return o.owed[p>>6]&(1<<(p&63)) != 0
+}
+
+// owedRun returns the end q of the run of pages [p, q), q <= hi+1, that
+// are all owed or all not, and which of the two. The caller holds o.mu.
+func (o *Object) owedRun(p, hi uint64) (q uint64, owed bool) {
+	owed = o.owes(p)
+	for q = p + 1; q <= hi && o.owes(q) == owed; q++ {
+	}
+	return q, owed
 }
 
 // writeBackMask selects what a write-back of the n blocks from first must

@@ -68,8 +68,7 @@ func (m *Manager) PeerRead(addr mem.Addr, dst []byte) error {
 	}
 	defer m.leave(o)
 	if m.hostAuthoritative(o) {
-		o.mapping.Space.Read(addr, dst)
-		return nil
+		return m.readHost(o, addr, dst)
 	}
 	if err := m.checkModeRead(o, addr, int64(len(dst))); err != nil {
 		return err

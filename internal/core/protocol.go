@@ -277,8 +277,17 @@ func (m *Manager) acquireObject(o *Object) error {
 		// implicitly invalidating the accelerator copy. Objects bound to
 		// other kernels never went to the device for this call, so fetching
 		// them would clobber the host's authoritative copy.
+		//
+		// The transfer is charged in full either way, but unless a fault
+		// injector is armed no byte lands now: the pages are owed, reads
+		// take them from the device and a write or view copies one in
+		// first (Object.owed), and most are never touched. With an
+		// injector a transfer can fail, and a degraded object must keep
+		// the bytes of its last successful acquire (recover.go), so the
+		// bytes land at once.
+		owe := !m.dev.Armed()
 		for _, b := range o.blocks {
-			if err := m.fetchRunSync(b, 1); err != nil {
+			if err := m.fetchRunSync(b, 1, owe); err != nil {
 				return err
 			}
 			m.setState(b, 1, StateDirty)
@@ -309,7 +318,7 @@ func (m *Manager) sealReadOnly(o *Object) error {
 		case StateInvalid:
 			// Unreachable today — read-only objects are never invalidated —
 			// but fetch defensively so the seal never publishes stale bytes.
-			if err := m.fetchRunSync(b, 1); err != nil {
+			if err := m.fetchRunSync(b, 1, false); err != nil {
 				return err
 			}
 		case StateReadOnly:
@@ -393,7 +402,7 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		// copies match, and the next CPU write still faults — while the
 		// faulting block itself transitions by access kind.
 		n := m.faultRunLen(b)
-		if err := m.fetchRunSync(b, n); err != nil {
+		if err := m.fetchRunSync(b, n, false); err != nil {
 			m.emitTransition(b, before)
 			return err
 		}

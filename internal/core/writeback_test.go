@@ -14,7 +14,8 @@ import (
 
 // checkCleanPages is the write-back invariant the page mask rests on: on
 // every live, non-degraded block that is current, device bytes equal host
-// bytes on every page whose dirty bit is clear. It is a test helper, not
+// bytes on every page whose dirty bit is clear, but for the pages the host
+// owes (their host bytes are not a copy yet). It is a test helper, not
 // part of CheckInvariants, because it reads every clean page of both
 // copies.
 func checkCleanPages(m *Manager) error {
@@ -33,7 +34,7 @@ func checkCleanPages(m *Manager) error {
 			}
 			for off := int64(0); off < b.size; off += ps {
 				addr := b.addr + mem.Addr(off)
-				if p, _ := o.pages(addr, 1); o.dirty[p>>6]&(1<<(p&63)) != 0 {
+				if p, _ := o.pages(addr, 1); o.dirty[p>>6]&(1<<(p&63)) != 0 || o.owed != nil && o.owes(p) {
 					continue
 				}
 				n := min(ps, b.size-off)
@@ -198,6 +199,12 @@ func TestWriteBackSeesHostBytes(t *testing.T) {
 			data := wbPattern(300, 7)
 			must(t, r.mgr.HostWrite(p+mid, data))
 			copy(ref[mid:], data)
+			// An injector may be armed only while the host owes no page
+			// (CheckInvariants): a batch-update acquire without one left
+			// them all owed, and the scribbled device range would lose
+			// them. A HostBytes slice copies them to the host.
+			_, err := r.mgr.HostBytes(p, size, hostmmu.AccessRead)
+			must(t, err)
 			r.dev.SetFaultInjector(fault.NewInjector(1, r.clock,
 				fault.Nth(fault.OpDMAH2D, 1, fault.KindCorrupt)))
 			return outcome{p: p, want: ref}
