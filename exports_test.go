@@ -43,6 +43,7 @@ var deadExportAllow = map[string]string{
 	"internal/accel.Device.Memory":     "raw device memory: TestClose and the kernel-output checks of internal/core and gmac",
 	"internal/accel.Device.VAMappings": "leak check: TestDeviceVirtualMemory, TestVirtualMemoryAllocMapVAFailureReleases",
 	"internal/mem.VASpace.Mappings":    "leak check: TestVASpaceMapFixed, TestVirtualMemoryAllocNeverConflicts",
+	"internal/accel.Device.Lost":       "loss check: TestClose, TestFaultInjectorArmsOnlyItsDevice, TestUseAfterClose",
 	"internal/osabs.FS.Contents":       "file check: TestWriteFileFetchesFromDevice, TestWriteFileUnderInjectedIOErrors",
 	"internal/oplog.Ring.Reset":        "isolates the process-wide flight ring: TestFlightLog, TestAutoDump",
 	"internal/workloads.AllSmall":      "every workload at test scale: TestBatchingConformanceAllWorkloads, TestWorkloadsRaceFree",

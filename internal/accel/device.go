@@ -85,6 +85,9 @@ type Device struct {
 	// lost flips once a KindDeviceLost fault fires; from then on every
 	// fault-aware operation fails fast with fault.ErrDeviceLost.
 	lost atomic.Bool
+	// closed flips at Close, once the device memory is given back; a lost
+	// device that is not closed still holds its bytes.
+	closed atomic.Bool
 }
 
 // devMetrics caches the transfer latency/size histogram handles. Devices
@@ -153,6 +156,7 @@ func New(cfg Config, clock *sim.Clock) *Device {
 // lets a machine check raised under the device lock reach the top.
 func (d *Device) Close() {
 	d.lost.Store(true)
+	d.closed.Store(true)
 	d.memory.Close()
 }
 
@@ -204,9 +208,7 @@ func (d *Device) LiveAllocs() int { return d.alloc.Live() }
 // SetFaultInjector arms the device with a fault injector (chaos tests,
 // gmacbench -faults). Only the fault-aware entry points — TryMemcpy* and
 // Launch — consult it; the interconnect links are pure cost models and
-// may be shared with other devices. Install before the run starts: a
-// batch-update acquire on an unarmed device leaves host pages for the host
-// to copy later, which a failed transfer could lose.
+// may be shared with other devices. Install before the run starts.
 func (d *Device) SetFaultInjector(in *fault.Injector) {
 	d.inj = in
 }
@@ -218,6 +220,10 @@ func (d *Device) Armed() bool { return d.inj != nil }
 // Lost reports whether the device has been declared lost by a permanent
 // injected fault. Once lost, every fault-aware operation fails fast.
 func (d *Device) Lost() bool { return d.lost.Load() }
+
+// Closed reports whether Close has given the device memory back, so that
+// no byte of it can be read again.
+func (d *Device) Closed() bool { return d.closed.Load() }
 
 // checkLost fails fast when the device is gone.
 //
@@ -442,32 +448,17 @@ func (d *Device) MemcpyD2HAsync(dst []byte, src mem.Addr) sim.Completion {
 	return d.memcpyD2HAsyncAt(dst, src, n, d.cfg.D2H.TransferTime(n))
 }
 
-// TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync; see
-// TryMemcpyH2DAsync for the failure semantics (here KindCorrupt scribbles
-// the host destination buffer). It is on the demand-fetch hot path
-// (fetchRunSync, and dmaSync, which waits on it for a synchronous copy),
-// so the fault-only branches format through cold helpers.
-//
-//adsm:noalloc
-func (d *Device) TryMemcpyD2HAsync(dst []byte, src mem.Addr) (sim.Completion, error) {
-	return d.tryMemcpyD2H(dst, src, int64(len(dst)))
-}
-
-// TryTransferD2H is TryMemcpyD2HAsync of n bytes that lands none of them:
+// TryMemcpyD2HAsync is the fault-aware MemcpyD2HAsync of the n bytes at
+// src; see TryMemcpyH2DAsync for the failure semantics (here KindCorrupt
+// scribbles the host destination buffer). A nil dst lands none of them:
 // the attempt is timed, injected, counted and observed in full, and the
-// caller copies the bytes it needs later with ReadBytes (the caller
-// vouches that nobody reads its host copy of the others before then).
+// caller reads the bytes it needs later with ReadBytes. It is on the
+// demand-fetch hot path (fetchRunSync, and dmaSync, which waits on it for
+// a synchronous copy), so the fault-only branches format through cold
+// helpers.
 //
 //adsm:noalloc
-func (d *Device) TryTransferD2H(src mem.Addr, n int64) (sim.Completion, error) {
-	return d.tryMemcpyD2H(nil, src, n)
-}
-
-// tryMemcpyD2H is the one fault-aware D2H attempt: n bytes from src, landed
-// in dst unless dst is nil.
-//
-//adsm:noalloc
-func (d *Device) tryMemcpyD2H(dst []byte, src mem.Addr, n int64) (sim.Completion, error) {
+func (d *Device) TryMemcpyD2HAsync(dst []byte, src mem.Addr, n int64) (sim.Completion, error) {
 	if err := d.checkLost(); err != nil {
 		return sim.Completion{At: d.clock.Now()}, err
 	}

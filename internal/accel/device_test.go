@@ -417,7 +417,7 @@ func TestUseAfterClose(t *testing.T) {
 	if _, err := d.TryMemcpyH2DAsync(p, buf, PageMask{}); !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("TryMemcpyH2DAsync on a closed device: %v, want ErrDeviceLost", err)
 	}
-	if _, err := d.TryMemcpyD2HAsync(buf, p); !errors.Is(err, fault.ErrDeviceLost) {
+	if _, err := d.TryMemcpyD2HAsync(buf, p, int64(len(buf))); !errors.Is(err, fault.ErrDeviceLost) {
 		t.Fatalf("TryMemcpyD2HAsync on a closed device: %v, want ErrDeviceLost", err)
 	}
 	if _, err := d.Launch("touch", uint64(p)); !errors.Is(err, fault.ErrDeviceLost) {
@@ -462,7 +462,7 @@ func TestDMAFaultChargesDelayAndLink(t *testing.T) {
 		try  func() (sim.Completion, error)
 	}{
 		{d.Config().H2D, func() (sim.Completion, error) { return d.TryMemcpyH2DAsync(p, buf, PageMask{}) }},
-		{d.Config().D2H, func() (sim.Completion, error) { return d.TryMemcpyD2HAsync(buf, p) }},
+		{d.Config().D2H, func() (sim.Completion, error) { return d.TryMemcpyD2HAsync(buf, p, int64(len(buf))) }},
 	} {
 		faults := metrics.Default().Counter(metrics.Label("link_faults_total", "link", c.link.Name))
 		before := faults.Value()

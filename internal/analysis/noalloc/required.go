@@ -37,8 +37,6 @@ var requiredAnnotations = map[string][]string{
 	"repro/internal/accel": {
 		"(*Device).TryMemcpyH2DAsync",
 		"(*Device).TryMemcpyD2HAsync",
-		"(*Device).TryTransferD2H",
-		"(*Device).tryMemcpyD2H",
 		"(*Device).dmaAttempt",
 	},
 	"repro/internal/sim": {

@@ -21,8 +21,8 @@ import (
 //  3. The block tree and the per-object block lists agree.
 //  4. Block coverage is exact: blocks tile their object with no gaps.
 //  5. Owed pages (pull) are never dirty, sit only on host-authoritative
-//     objects that are not degraded, and never while a fault injector is
-//     armed (checkOwed).
+//     objects that are not degraded (unless the device is closed), and
+//     never while a fault injector is armed (checkOwed).
 //
 // Each object is checked under its own lock, so the check may run while
 // other goroutines are active — though the cache-occupancy comparison is
@@ -114,9 +114,13 @@ func (m *Manager) checkInvariants() error {
 
 // checkOwed verifies o's owed pages: none is also dirty and owedPages
 // counts them; they sit only on a host-authoritative object that is not
-// degraded, while no fault injector is armed; and only on blocks that are
-// current or Invalid, since a Dirty block that is not current writes back
-// whole, stale owed pages included. The caller holds o.mu.
+// degraded, or was degraded by a closed device, which took their bytes
+// with it; never while a fault injector is armed (SetFaultInjector asks
+// for one before the run; one armed after an acquire leaves its pages
+// owed until the object's next release pulls them, releaseObject); and
+// only on blocks that are current or Invalid, since a Dirty block that is
+// not current writes back whole, stale owed pages included. The caller
+// holds o.mu.
 func (m *Manager) checkOwed(o *Object, degraded bool) error {
 	n := 0
 	for w, owed := range o.owed {
@@ -129,6 +133,9 @@ func (m *Manager) checkOwed(o *Object, degraded bool) error {
 	case n != o.owedPages:
 		return fmt.Errorf("core: object %#x owes %d pages but counts %d", uint64(o.addr), n, o.owedPages)
 	case n == 0:
+		return nil
+	case degraded && m.dev.Closed():
+		// The device took their bytes with it; accesses to them fail.
 		return nil
 	case !o.pol.hostAuth || degraded:
 		return fmt.Errorf("core: object %#x owes pages but its host copy is not authoritative", uint64(o.addr))

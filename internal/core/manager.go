@@ -818,7 +818,7 @@ func (m *Manager) pull(o *Object, addr mem.Addr, n int64) error {
 	for p := lo; p <= hi; {
 		q, owed := o.owedRun(p, hi)
 		if owed {
-			if m.dev.Lost() {
+			if m.dev.Closed() {
 				return errPullLost(addr)
 			}
 			off, end := int64(p)<<o.pageShift, min(int64(q)<<o.pageShift, o.size)
@@ -833,22 +833,14 @@ func (m *Manager) pull(o *Object, addr mem.Addr, n int64) error {
 	return nil
 }
 
-// readHost copies [addr, addr+len(dst)) of an object whose host copy is
-// authoritative into dst: owed pages straight from the device, the rest
+// readHost copies the host copy of [addr, addr+len(dst)) into dst, once
+// the access may read it: owed pages straight from the device, the rest
 // from host memory. Owed pages stay owed: the read copies their bytes
 // once, into dst, where a pull would copy them twice. It fails like pull
 // once the device is closed. The caller holds o.mu.
 func (m *Manager) readHost(o *Object, addr mem.Addr, dst []byte) error {
-	if o.owedPages != 0 {
-		return m.readOwed(o, addr, dst)
-	}
-	o.mapping.Space.Read(addr, dst)
-	return nil
-}
-
-// readOwed is readHost over an object that owes pages.
-func (m *Manager) readOwed(o *Object, addr mem.Addr, dst []byte) error {
-	if len(dst) == 0 {
+	if o.owedPages == 0 || len(dst) == 0 {
+		o.mapping.Space.Read(addr, dst)
 		return nil
 	}
 	off, end := int64(addr-o.addr), int64(addr-o.addr)+int64(len(dst))
@@ -859,7 +851,7 @@ func (m *Manager) readOwed(o *Object, addr mem.Addr, dst []byte) error {
 		seg := dst[:next-off]
 		if !owed {
 			o.mapping.Space.Read(o.addr+mem.Addr(off), seg)
-		} else if m.dev.Lost() {
+		} else if m.dev.Closed() {
 			return errPullLost(addr)
 		} else {
 			m.dev.ReadBytes(o.devAddr+mem.Addr(off), seg)
@@ -895,12 +887,8 @@ func (m *Manager) HostRead(addr mem.Addr, dst []byte) error {
 		return err
 	}
 	err = m.mmu.CheckRead(addr, int64(len(dst)))
-	switch {
-	case err != nil:
-	case o.owedPages != 0:
-		err = m.readOwed(o, addr, dst)
-	default:
-		o.mapping.Space.Read(addr, dst)
+	if err == nil {
+		err = m.readHost(o, addr, dst)
 	}
 	m.leave(o)
 	return err
@@ -1063,11 +1051,7 @@ func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, 
 		var terr error
 		wait := &m.stats.H2DWait
 		if op.Kind == oplog.OpFetch {
-			if buf == nil {
-				done, terr = m.dev.TryTransferD2H(devAddr, op.Size)
-			} else {
-				done, terr = m.dev.TryMemcpyD2HAsync(buf, devAddr)
-			}
+			done, terr = m.dev.TryMemcpyD2HAsync(buf, devAddr, op.Size)
 			wait = &m.stats.D2HWait
 		} else {
 			done, terr = m.dev.TryMemcpyH2DAsync(devAddr, buf, mask)

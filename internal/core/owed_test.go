@@ -195,11 +195,48 @@ func TestBatchDeviceLostKeepsAcquiredBytes(t *testing.T) {
 	must(t, r.mgr.CheckInvariants())
 }
 
+// TestBatchInjectedLossPullsOwedPages: an injector armed after a
+// batch-update acquire that owed its pages, and a loss injected into
+// another object's write-back, degrade the owing object while the device
+// memory is still there, so the object keeps the kernel's bytes.
+func TestBatchInjectedLossPullsOwedPages(t *testing.T) {
+	const size = 6*testPage + 100
+	r := newRig(t, defaultCfg(BatchUpdate))
+	registerOwedXor(r)
+	r.dev.Register(&accel.Kernel{Name: "owed.nop", Run: func(*mem.Space, []uint64) {}})
+	a, err := r.mgr.AllocObject(AllocSpec{Size: size, Kernels: []string{"owed.xor"}})
+	must(t, err)
+	c, err := r.mgr.AllocObject(AllocSpec{Size: testPage, Kernels: []string{"owed.nop"}})
+	must(t, err)
+	ref := wbPattern(size, 4)
+	must(t, r.mgr.HostWrite(a, ref))
+	must(t, r.mgr.InvokeHinted("owed.xor", CallHints{}, 3, uint64(a), size))
+	must(t, r.mgr.Sync())
+	owedXor(ref, 3)
+	if o := r.mgr.objectAt(a); o.owedPages == 0 {
+		t.Fatal("the unarmed acquire owes no page")
+	}
+	r.dev.SetFaultInjector(fault.NewInjector(1, r.clock, fault.Nth(fault.OpDMAH2D, 1, fault.KindDeviceLost)))
+	if err := r.mgr.InvokeHinted("owed.nop", CallHints{}, uint64(c)); !errors.Is(err, fault.ErrDeviceLost) {
+		t.Fatalf("call on the lost device: %v, want ErrDeviceLost", err)
+	}
+	got := make([]byte, size)
+	must(t, r.mgr.HostRead(a, got))
+	if i := diffAt(got, ref); i >= 0 {
+		t.Fatalf("byte %d reads %#x, the kernel wrote %#x", i, got[i], ref[i])
+	}
+	if o := r.mgr.objectAt(a); !o.degraded.Load() || o.owedPages != 0 {
+		t.Fatalf("after the loss: degraded %v, %d pages owed", o.degraded.Load(), o.owedPages)
+	}
+	must(t, r.mgr.CheckInvariants())
+}
+
 // TestPullAfterClose: once the device is closed its memory is gone, so a
 // host access that needs device bytes fails with an error matching
 // fault.ErrDeviceLost instead of a machine check. Under batch-update a page
 // the host copied before the close (through a HostBytes slice) stays
-// readable.
+// readable, and an owed page keeps failing after a failed call degrades
+// the object: it never reads the bytes from before the kernel.
 func TestPullAfterClose(t *testing.T) {
 	const size = 4 * testPage
 	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
@@ -230,11 +267,28 @@ func TestPullAfterClose(t *testing.T) {
 			if err := r.mgr.HostRead(p+2*testPage, page); !errors.Is(err, fault.ErrDeviceLost) {
 				t.Fatalf("HostRead of device bytes after Close: %v, want ErrDeviceLost", err)
 			}
-			if kind == BatchUpdate {
-				if _, err := r.mgr.HostBytes(p+3*testPage, 8, hostmmu.AccessWrite); !errors.Is(err, fault.ErrDeviceLost) {
-					t.Fatalf("HostBytes of device bytes after Close: %v, want ErrDeviceLost", err)
+			if kind != BatchUpdate {
+				return
+			}
+			if _, err := r.mgr.HostBytes(p+3*testPage, 8, hostmmu.AccessWrite); !errors.Is(err, fault.ErrDeviceLost) {
+				t.Fatalf("HostBytes of device bytes after Close: %v, want ErrDeviceLost", err)
+			}
+			if err := r.mgr.InvokeHinted("owed.xor", CallHints{}, 5, uint64(p), size); !errors.Is(err, fault.ErrDeviceLost) {
+				t.Fatalf("call after Close: %v, want ErrDeviceLost", err)
+			}
+			for i := range 2 {
+				if err := r.mgr.HostRead(p+2*testPage, page); !errors.Is(err, fault.ErrDeviceLost) {
+					t.Fatalf("HostRead %d of device bytes after a failed call: %v, want ErrDeviceLost", i+1, err)
 				}
 			}
+			if o := r.mgr.objectAt(p); !o.degraded.Load() {
+				t.Fatal("the failed call left the object not degraded")
+			}
+			must(t, r.mgr.HostRead(p, page))
+			if i := diffAt(page, ref[:testPage]); i >= 0 {
+				t.Fatalf("pulled byte %d reads %#x after a failed call, want %#x", i, page[i], ref[i])
+			}
+			must(t, r.mgr.CheckInvariants())
 		})
 	}
 }

@@ -200,6 +200,13 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 	// drain has already flushed the queued blocks) and, both copies now
 	// matching, downgrades the block to catch the next CPU write.
 	written := ih.written(o)
+	if o.owedPages != 0 && m.dev.Armed() {
+		// An injector armed since the acquire that owed these pages: a
+		// corrupt write-back attempt scribbles the whole device range and
+		// its retry re-sends the host copy, so the owed bytes come home
+		// before anything is sent.
+		_ = m.pull(o, o.addr, o.size) // fails only on a closed device, whose flush fails too
+	}
 	for _, b := range o.blocks {
 		if b.state != StateDirty {
 			continue

@@ -115,16 +115,14 @@ func (m *Manager) degradeObjectLocked(o *Object) {
 	}
 	m.rolling.forget(o)
 	m.setState(o.blocks[0], len(o.blocks), StateDirty)
-	// Owed pages come home while the device memory is still there (a loss
-	// the manager declared on its own). On a closed device they keep the
-	// bytes the host holds: like an Invalid block's, their only current
-	// copy is gone. No page is owed while an injector is armed, so no
-	// injected loss gets here with owed pages.
-	if o.owedPages != 0 && !m.dev.Lost() {
-		_ = m.pull(o, o.addr, o.size) // fails only on a lost device
+	// Owed pages come home while the device memory is still there, however
+	// the device was lost: they hold the last successful acquire's bytes.
+	// On a closed device they stay owed, so a host access to one keeps
+	// failing (readHost, pull) instead of reading the bytes from before
+	// that acquire.
+	if o.owedPages != 0 && !m.dev.Closed() {
+		_ = m.pull(o, o.addr, o.size) // fails only on a closed device
 	}
-	clear(o.owed)
-	o.owedPages = 0
 	o.degraded.Store(true)
 	m.emit(oplog.Op{Kind: oplog.OpDegrade, Addr: o.addr, Size: o.size}, o)
 }

@@ -199,12 +199,6 @@ func TestWriteBackSeesHostBytes(t *testing.T) {
 			data := wbPattern(300, 7)
 			must(t, r.mgr.HostWrite(p+mid, data))
 			copy(ref[mid:], data)
-			// An injector may be armed only while the host owes no page
-			// (CheckInvariants): a batch-update acquire without one left
-			// them all owed, and the scribbled device range would lose
-			// them. A HostBytes slice copies them to the host.
-			_, err := r.mgr.HostBytes(p, size, hostmmu.AccessRead)
-			must(t, err)
 			r.dev.SetFaultInjector(fault.NewInjector(1, r.clock,
 				fault.Nth(fault.OpDMAH2D, 1, fault.KindCorrupt)))
 			return outcome{p: p, want: ref}
