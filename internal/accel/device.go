@@ -82,6 +82,10 @@ type Device struct {
 	// CUDA-baseline workloads use them and model a programmer who ignores
 	// errors.
 	inj *fault.Injector
+	// arms counts the injectors SetFaultInjector has installed, so a
+	// caller can tell state it built before the current arming from state
+	// it built since (Arms).
+	arms uint64
 	// lost flips once a KindDeviceLost fault fires; from then on every
 	// fault-aware operation fails fast with fault.ErrDeviceLost.
 	lost atomic.Bool
@@ -211,11 +215,20 @@ func (d *Device) LiveAllocs() int { return d.alloc.Live() }
 // may be shared with other devices. Install before the run starts.
 func (d *Device) SetFaultInjector(in *fault.Injector) {
 	d.inj = in
+	if in != nil {
+		d.arms++
+	}
 }
 
 // Armed reports whether a fault injector is installed: whether a DMA or
 // launch of this device can fail other than on a lost device.
 func (d *Device) Armed() bool { return d.inj != nil }
+
+// Arms returns how many injectors SetFaultInjector has installed so far.
+// A caller that notes it when it relies on an unarmed device (the manager
+// owing pages, core.Object.owed) can later tell whether an injector was
+// armed since.
+func (d *Device) Arms() uint64 { return d.arms }
 
 // Lost reports whether the device has been declared lost by a permanent
 // injected fault. Once lost, every fault-aware operation fails fast.

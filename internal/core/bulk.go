@@ -18,11 +18,11 @@ import (
 // atomic with respect to concurrent host accesses of the same object.
 
 // BulkRead copies [addr, addr+len(dst)) of a shared object into dst,
-// taking each block from wherever its current version lives: host memory
-// for ReadOnly/Dirty blocks, device memory (a DMA transfer) for Invalid
-// blocks. Block states are left untouched — bulk reads do not "warm" the
-// CPU copy, mirroring GMAC's overloaded memcpy which bypasses the fault
-// path entirely.
+// taking each block from wherever its current version lives: the host copy
+// for ReadOnly/Dirty blocks (readHost: owed pages straight from device
+// memory), device memory (a DMA transfer) for Invalid blocks. Block states
+// are left untouched — bulk reads do not "warm" the CPU copy, mirroring
+// GMAC's overloaded memcpy which bypasses the fault path entirely.
 func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 	o, err := m.enter(oplog.Op{Kind: oplog.OpBulkRead, Addr: addr, Size: int64(len(dst))})
 	if err != nil {
@@ -44,8 +44,9 @@ func (m *Manager) BulkRead(addr mem.Addr, dst []byte) error {
 				// cannot be satisfied.
 				return m.escalateLocked(o, "bulk read", err)
 			}
-		} else {
-			o.mapping.Space.Read(addr, dst[:n])
+			o.copies.landed += n
+		} else if err := m.readHost(o, addr, dst[:n]); err != nil {
+			return err
 		}
 		addr += mem.Addr(n)
 		dst = dst[n:]
@@ -65,9 +66,7 @@ func (m *Manager) BulkWrite(addr mem.Addr, src []byte) error {
 	}
 	defer m.leave(o)
 	if m.hostAuthoritative(o) {
-		o.mapping.Space.Write(addr, src)
-		o.markWritten(addr, int64(len(src)))
-		return nil
+		return m.hostWriteLocked(o, addr, src)
 	}
 	for a, s := addr, src; len(s) > 0; {
 		b, n := o.chunk(a, int64(len(s)))
@@ -104,6 +103,11 @@ func (m *Manager) BulkSet(addr mem.Addr, val byte, n int64) error {
 	}
 	defer m.leave(o)
 	if m.hostAuthoritative(o) {
+		if o.owedPages != 0 && n > 0 {
+			if err := m.pullForWrite(o, o.BlockAt(addr), addr, n); err != nil {
+				return err
+			}
+		}
 		o.mapping.Space.Memset(addr, val, n)
 		o.markWritten(addr, n)
 		return nil

@@ -86,7 +86,9 @@ func chaosConfigs() []struct {
 // pair with the device armed with a deterministic injector. Because every
 // schedule is recoverable, the oracle's byte-for-byte comparison against
 // the fault-free flat model must still hold, and the manager's invariants
-// must hold after recovery.
+// must hold after recovery. Each pair runs twice: armed from the start,
+// and armed late, once the ops before have owed pages (the "late" rows
+// check the invariants after every op).
 func TestChaosCoherenceMatrix(t *testing.T) {
 	const objSize = 128 << 10
 	seed := testutil.Seed(t, 3)
@@ -94,30 +96,38 @@ func TestChaosCoherenceMatrix(t *testing.T) {
 		pc := pc
 		for _, sched := range recoverableSchedules() {
 			sched := sched
-			t.Run(pc.name+"/"+sched.name, func(t *testing.T) {
-				r := newRig(t, pc.cfg)
-				inj := fault.NewInjector(seed, r.clock, sched.rules...)
-				r.dev.SetFaultInjector(inj)
-				if err := runModelOn(r, seed, objSize); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+			for _, armAt := range []int{-1, 30} {
+				name := pc.name + "/" + sched.name
+				if armAt >= 0 {
+					name += "/late"
 				}
-				if inj.Total() == 0 {
-					t.Fatal("schedule injected nothing; the matrix is vacuous")
-				}
-				if r.mgr.lost.Load() {
-					t.Fatalf("recoverable schedule escalated to device loss after %d injections", inj.Total())
-				}
-				if err := r.mgr.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				st := r.mgr.Stats()
-				if st.Retries == 0 {
-					t.Errorf("%d injections but no retries recorded", inj.Total())
-				}
-				if st.RetryGiveups != 0 || st.DegradedObjects != 0 {
-					t.Errorf("recoverable schedule gave up: %+v", st)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					r := newRig(t, pc.cfg)
+					inj := fault.NewInjector(seed, r.clock, sched.rules...)
+					if armAt < 0 {
+						r.dev.SetFaultInjector(inj)
+					}
+					if err := runModelArming(r, seed, objSize, armAt, inj); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if inj.Total() == 0 {
+						t.Fatal("schedule injected nothing; the matrix is vacuous")
+					}
+					if r.mgr.lost.Load() {
+						t.Fatalf("recoverable schedule escalated to device loss after %d injections", inj.Total())
+					}
+					if err := r.mgr.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					st := r.mgr.Stats()
+					if st.Retries == 0 {
+						t.Errorf("%d injections but no retries recorded", inj.Total())
+					}
+					if st.RetryGiveups != 0 || st.DegradedObjects != 0 {
+						t.Errorf("recoverable schedule gave up: %+v", st)
+					}
+				})
+			}
 		}
 	}
 }

@@ -20,9 +20,10 @@ import (
 //     and the cache never exceeds its capacity.
 //  3. The block tree and the per-object block lists agree.
 //  4. Block coverage is exact: blocks tile their object with no gaps.
-//  5. Owed pages (pull) are never dirty, sit only on host-authoritative
-//     objects that are not degraded (unless the device is closed), and
-//     never while a fault injector is armed (checkOwed).
+//  5. Owed pages (pull) are never dirty, sit only on current or Invalid
+//     blocks of objects that are not degraded (unless the device is
+//     closed), and none was owed since the current fault injector was
+//     armed (checkOwed).
 //
 // Each object is checked under its own lock, so the check may run while
 // other goroutines are active — though the cache-occupancy comparison is
@@ -113,14 +114,14 @@ func (m *Manager) checkInvariants() error {
 }
 
 // checkOwed verifies o's owed pages: none is also dirty and owedPages
-// counts them; they sit only on a host-authoritative object that is not
-// degraded, or was degraded by a closed device, which took their bytes
-// with it; never while a fault injector is armed (SetFaultInjector asks
-// for one before the run; one armed after an acquire leaves its pages
-// owed until the object's next release pulls them, releaseObject); and
-// only on blocks that are current or Invalid, since a Dirty block that is
-// not current writes back whole, stale owed pages included. The caller
-// holds o.mu.
+// counts them. They sit only on an object that is not degraded, or was
+// degraded by a closed device, which took their bytes with it. None was
+// owed since the current fault injector was armed: an armed fetch lands
+// its bytes, since a failed transfer must leave them with the host
+// (recover.go). Pages owed before the arming stay owed until a write-back
+// of their run pulls them (pullArmed). And they sit only on blocks that
+// are current or Invalid, since a Dirty block that is not current writes
+// back whole, stale owed pages included. The caller holds o.mu.
 func (m *Manager) checkOwed(o *Object, degraded bool) error {
 	n := 0
 	for w, owed := range o.owed {
@@ -137,10 +138,10 @@ func (m *Manager) checkOwed(o *Object, degraded bool) error {
 	case degraded && m.dev.Closed():
 		// The device took their bytes with it; accesses to them fail.
 		return nil
-	case !o.pol.hostAuth || degraded:
-		return fmt.Errorf("core: object %#x owes pages but its host copy is not authoritative", uint64(o.addr))
-	case m.dev.Armed():
-		return fmt.Errorf("core: object %#x owes pages while a fault injector is armed", uint64(o.addr))
+	case degraded:
+		return fmt.Errorf("core: degraded object %#x owes pages", uint64(o.addr))
+	case m.dev.Armed() && o.owedArms == m.dev.Arms():
+		return fmt.Errorf("core: object %#x owes pages it fetched while a fault injector was armed", uint64(o.addr))
 	}
 	for _, b := range o.blocks {
 		if b.current || b.state == StateInvalid {

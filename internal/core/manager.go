@@ -176,12 +176,14 @@ type Manager struct {
 	// retired is a ring of the final introspection rows of the last
 	// maxRetiredObjects freed objects, retiredN how many were ever retired;
 	// both guarded by introMu because HTTP handlers read them from other
-	// goroutines.
+	// goroutines. freedCopies sums the copy ruler rows of freed objects
+	// (copyCounts), under the same lock.
 	//
 	//adsm:lock introMu 46 nowait
-	introMu  sync.Mutex
-	retired  [maxRetiredObjects]ObjectSnapshot
-	retiredN int
+	introMu     sync.Mutex
+	retired     [maxRetiredObjects]ObjectSnapshot
+	retiredN    int
+	freedCopies copyCounts
 	// invokeKernel is the kernel currently being dispatched; the release
 	// sweep uses it to honour §3.3 object-to-kernel bindings. launched are
 	// the distinct kernels invoked since the last Sync, whose objects that
@@ -763,10 +765,10 @@ func errUnsharedFault(addr mem.Addr) error {
 // enter is the one prologue of the host-side entry points: it checks
 // [op.Addr, op.Addr+op.Size) against the shared object containing op.Addr,
 // takes that object's lock, rejects an object freed since the lookup and a
-// host write to a sealed ReadOnly object, copies the range's owed pages
-// from the device when the access writes or exposes host memory (pull),
-// and emits op. On success the caller holds o.mu and must finish with
-// leave.
+// host write to a sealed ReadOnly object, and emits op. On success the
+// caller holds o.mu and must finish with leave. Owed pages are pulled by
+// the access itself once the MMU check has resolved its faults: a fault's
+// fetch may owe the very pages a pull here would have copied.
 func (m *Manager) enter(op oplog.Op) (*Object, error) {
 	if op.Size < 0 {
 		return nil, fmt.Errorf("core: negative access size %d", op.Size)
@@ -790,28 +792,20 @@ func (m *Manager) enter(op oplog.Op) (*Object, error) {
 			return nil, errModeViolation(ModeReadOnly, hostmmu.AccessWrite, op.Addr)
 		}
 	}
-	if o.owedPages != 0 {
-		// A read that copies out takes owed pages from the device itself
-		// (readHost); a write, or a HostBytes slice, needs the host copy.
-		if _, write := op.HostAccess(); write || op.Kind == oplog.OpHostAccess {
-			if err := m.pull(o, op.Addr, op.Size); err != nil {
-				o.mu.Unlock()
-				return nil, err
-			}
-		}
-	}
 	m.emit(op, o)
 	return o, nil
 }
 
 // pull copies the owed pages of [addr, addr+n) from the device into the
 // host copy, one ReadBytes per maximal run of owed pages, and clears their
-// bits. The acquire that owed them has already paid for the transfer, so
+// bits. The fetch that owed them has already paid for the transfer, so
 // the copy costs no virtual time. A closed device's memory is gone: the
 // access then fails with an error matching fault.ErrDeviceLost. The caller
 // holds o.mu.
+//
+//adsm:noalloc
 func (m *Manager) pull(o *Object, addr mem.Addr, n int64) error {
-	if n <= 0 {
+	if n <= 0 || o.owedPages == 0 {
 		return nil
 	}
 	lo, hi := o.pages(addr, n)
@@ -823,14 +817,58 @@ func (m *Manager) pull(o *Object, addr mem.Addr, n int64) error {
 			}
 			off, end := int64(p)<<o.pageShift, min(int64(q)<<o.pageShift, o.size)
 			m.dev.ReadBytes(o.devAddr+mem.Addr(off), o.mapping.Space.Bytes(o.addr+mem.Addr(off), end-off))
-			o.owedPages -= int(q - p)
-			for i := p; i < q; i++ {
-				o.owed[i>>6] &^= 1 << (i & 63)
-			}
+			o.copies.pulled += end - off
+			o.disown(p, q-1)
 		}
 		p = q
 	}
 	return nil
+}
+
+// pullForWrite readies [addr, addr+n), n > 0, inside block b, for a write
+// of every one of its bytes. On a detecting object that is not degraded,
+// a write of a page or more pulls all of b's owed pages: such a writer
+// streams through the block (Parboil's tpacf fills its random set 4 KiB
+// at a time), and copying the block at its first write, as the fetch did
+// before pages were owed, keeps the writes after it on cache-warm host
+// pages instead of putting a cache miss on each of them. Otherwise the
+// owed pages the range covers whole are disowned without a copy, since
+// the write replaces all of them, and the one or two it covers in part
+// are pulled. It fails like pull. The caller holds o.mu.
+//
+//adsm:noalloc
+func (m *Manager) pullForWrite(o *Object, b *Block, addr mem.Addr, n int64) error {
+	ps := int64(1) << o.pageShift
+	if n >= ps && o.detects() && !o.degraded.Load() {
+		return m.pull(o, b.addr, b.size)
+	}
+	off, end := int64(addr-o.addr), int64(addr-o.addr)+n
+	if off%ps != 0 {
+		if err := m.pull(o, addr, 1); err != nil {
+			return err
+		}
+	}
+	if end%ps != 0 && end != o.size {
+		if err := m.pull(o, o.addr+mem.Addr(end-1), 1); err != nil {
+			return err
+		}
+	}
+	o.disown(o.pages(addr, n))
+	return nil
+}
+
+// pullArmed copies the owed pages of [addr, addr+n) into host memory
+// before a write-back of that run on a device with an injector armed: a
+// corrupt attempt scribbles the run's device range and its retry re-sends
+// the whole host copy, owed pages included. The pages were owed before
+// the arming, since a fetch on an armed device lands its bytes. The caller
+// holds o.mu.
+//
+//adsm:noalloc
+func (m *Manager) pullArmed(o *Object, addr mem.Addr, n int64) {
+	if m.dev.Armed() {
+		_ = m.pull(o, addr, n) // fails only on a closed device, whose write-back fails too
+	}
 }
 
 // readHost copies the host copy of [addr, addr+len(dst)) into dst, once
@@ -855,6 +893,7 @@ func (m *Manager) readHost(o *Object, addr mem.Addr, dst []byte) error {
 			return errPullLost(addr)
 		} else {
 			m.dev.ReadBytes(o.devAddr+mem.Addr(off), seg)
+			o.copies.readThrough += int64(len(seg))
 		}
 		dst, off, p = dst[len(seg):], next, q
 	}
@@ -910,12 +949,19 @@ func (m *Manager) HostWrite(addr mem.Addr, src []byte) error {
 	return err
 }
 
-// hostWriteLocked is HostWrite's block-by-block walk; the caller holds o.mu.
+// hostWriteLocked is HostWrite's block-by-block walk: each block's write
+// fault is resolved, then the owed pages the write needs are copied in
+// (pullForWrite), then the bytes land. The caller holds o.mu.
 func (m *Manager) hostWriteLocked(o *Object, addr mem.Addr, src []byte) error {
 	for len(src) > 0 {
-		_, n := o.chunk(addr, int64(len(src)))
+		b, n := o.chunk(addr, int64(len(src)))
 		if err := m.mmu.CheckWrite(addr, n); err != nil {
 			return err
+		}
+		if o.owedPages != 0 {
+			if err := m.pullForWrite(o, b, addr, n); err != nil {
+				return err
+			}
 		}
 		o.mapping.Space.Write(addr, src[:n])
 		o.markWritten(addr, n)
@@ -944,14 +990,19 @@ func (m *Manager) HostBytes(addr mem.Addr, n int64, access hostmmu.Access) ([]by
 		return nil, err
 	}
 	if access == hostmmu.AccessWrite {
-		if err = m.mmu.CheckWrite(addr, n); err == nil {
-			o.markWritten(addr, n)
-		}
+		err = m.mmu.CheckWrite(addr, n)
 	} else {
 		err = m.mmu.CheckRead(addr, n)
 	}
+	if err == nil && o.owedPages != 0 {
+		// The slice exposes host memory: its owed pages come home first.
+		err = m.pull(o, addr, n)
+	}
 	var bytes []byte
 	if err == nil {
+		if access == hostmmu.AccessWrite {
+			o.markWritten(addr, n)
+		}
 		bytes = o.mapping.Space.Bytes(addr, n)
 	}
 	m.leave(o)
@@ -1013,6 +1064,7 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 	defer m.endSpan(sp)
 	o := first.obj
 	size := runSize(first, n)
+	m.pullArmed(o, first.addr, size)
 	mask := o.writeBackMask(first, n)
 	for attempt := 0; ; attempt++ {
 		m.waitH2DSlot()
@@ -1028,7 +1080,7 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 			return m.escalateLocked(o, "flush", ferr)
 		}
 	}
-	o.settle(first, n, false)
+	o.clean(first, n)
 	m.emit(oplog.Op{Kind: oplog.OpFlush, Addr: first.addr, Size: size}, o)
 	return nil
 }
@@ -1080,10 +1132,11 @@ func (m *Manager) flushBlockSync(b *Block) error {
 	sp := m.beginSpan("flush", "sync")
 	defer m.endSpan(sp)
 	op := oplog.Op{Kind: oplog.OpFlush, Flags: oplog.FlagSync, Addr: b.addr, Size: b.size}
+	m.pullArmed(b.obj, b.addr, b.size)
 	if err := m.dmaSync(b.obj, op, b.devAddr(), b.hostBytes(), b.obj.writeBackMask(b, 1), "flush"); err != nil {
 		return m.escalateLocked(b.obj, "flush", err)
 	}
-	b.obj.settle(b, 1, false)
+	b.obj.clean(b, 1)
 	return nil
 }
 
@@ -1094,9 +1147,9 @@ func (m *Manager) flushBlockSync(b *Block) error {
 // One stall, one OpFetch of the run's total bytes, carrying the block count
 // in Arg when it is a batch (n > 1). With owe the transfer is made and
 // charged alike but lands no byte: the run's pages are owed to the host
-// (Object.owed). An unrecoverable failure
-// escalates like flushRunEager. The caller holds first.obj.mu and, for a
-// batch, has verified every block of the run is StateInvalid.
+// (Object.owed). An unrecoverable failure escalates like flushRunEager.
+// The caller holds first.obj.mu and, for a batch, has verified every block
+// of the run is StateInvalid.
 //
 //adsm:noalloc
 func (m *Manager) fetchRunSync(first *Block, n int, owe bool) error {
@@ -1116,6 +1169,11 @@ func (m *Manager) fetchRunSync(first *Block, n int, owe bool) error {
 		return m.escalateLocked(o, "fetch", err)
 	}
 	o.settle(first, n, owe)
+	if owe {
+		o.owedArms = m.dev.Arms()
+	} else {
+		o.copies.landed += op.Size
+	}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/testutil"
 )
@@ -57,6 +58,15 @@ func TestCoherenceAgainstReferenceModel(t *testing.T) {
 // flat reference model is fault-free by construction: a run under a
 // recoverable fault schedule must still match it byte for byte.
 func runModelOn(r *rig, seed int64, objSize int64) error {
+	return runModelArming(r, seed, objSize, -1, nil)
+}
+
+// runModelArming is runModelOn that arms the rig's device with inj at the
+// first op from armAt on at which the object owes pages (never when armAt
+// is negative), and then checks the invariants after every op: the ops
+// before it owe pages unarmed, and the armed ones must keep them safe. It
+// fails if the object never owes a page.
+func runModelArming(r *rig, seed int64, objSize int64, armAt int, inj *fault.Injector) error {
 	rng := rand.New(rand.NewSource(seed))
 
 	// The device kernel XORs a pattern over a range of the object:
@@ -108,6 +118,9 @@ func runModelOn(r *rig, seed int64, objSize int64) error {
 	}
 
 	for op := 0; op < 120; op++ {
+		if armAt >= 0 && op >= armAt && !r.dev.Armed() && r.mgr.objectAt(ptr).owedPages != 0 {
+			r.dev.SetFaultInjector(inj)
+		}
 		switch rng.Intn(9) {
 		case 0: // faulting CPU write
 			off, n := span()
@@ -195,11 +208,14 @@ func runModelOn(r *rig, seed int64, objSize int64) error {
 		if err := checkCleanPages(r.mgr); err != nil {
 			return fmt.Errorf("after op %d: %w", op, err)
 		}
-		if op%10 == 9 {
+		if op%10 == 9 || armAt >= 0 {
 			if err := r.mgr.CheckInvariants(); err != nil {
 				return fmt.Errorf("after op %d: %w", op, err)
 			}
 		}
+	}
+	if armAt >= 0 && !r.dev.Armed() {
+		return fmt.Errorf("the object owed no page from op %d on: nothing armed", armAt)
 	}
 	// Final full read through the faulting path must match exactly.
 	if err := r.mgr.CheckInvariants(); err != nil {

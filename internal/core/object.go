@@ -125,6 +125,25 @@ func (c *objCounters) load() ObjStats {
 	}
 }
 
+// copyCounts is the copy ruler: the bytes of simulated memory the manager
+// copies, as opposed to the bytes the cost model charges (Stats.BytesD2H).
+// landed counts the bytes a D2H transfer copied (a fetch that owes
+// nothing, or a bulk read of an Invalid block), pulled the owed bytes
+// copied into host memory (pull), and readThrough the owed bytes a read
+// took straight from device memory (readHost). They are plain integers:
+// an object's row is guarded by its mu, and Free folds it into the
+// manager's freedCopies under introMu. Neither is in Stats or the metrics.
+type copyCounts struct {
+	landed, pulled, readThrough int64
+}
+
+// add folds c into t.
+func (t *copyCounts) add(c copyCounts) {
+	t.landed += c.landed
+	t.pulled += c.pulled
+	t.readThrough += c.readThrough
+}
+
 // Object is one shared data structure allocated through adsmAlloc. It owns
 // a host mapping and a device allocation; in the common case both live at
 // the same numeric address (the shared-address-space trick of §4.2), while
@@ -187,15 +206,23 @@ type Object struct {
 	pageShift uint8
 	// owed has one bit per host page, like dirty, set on the pages whose
 	// current bytes the device holds and the host has not copied yet: a
-	// host-authoritative acquire pays for the whole D2H transfer but lands
-	// nothing (acquireObject). A read takes an owed page from the device
-	// (readHost); the first write or HostBytes view of one copies it into
-	// host memory (pull). No page is both owed and dirty. owedPages counts
-	// the set bits: the one test on the paths that owe nothing. Allocated
-	// with dirty for host-authoritative objects only (nil otherwise) and
-	// guarded by mu.
+	// fetch (a detecting object's fault, resolveFault, or a
+	// host-authoritative acquire, acquireObject) pays for the whole D2H
+	// transfer but lands nothing unless a fault injector is armed. A read
+	// takes an owed page from the device (readHost); a write or HostBytes
+	// view copies the pages it touches into host memory once the MMU check
+	// has resolved its faults (pull), and so does a write-back on a device
+	// armed since (pullArmed). No page is both owed and dirty,
+	// and only a current or Invalid block owes pages (checkOwed). owedPages
+	// counts the set bits: the one test on the paths that owe nothing.
+	// owedArms is the device's Arms count at the last fetch that owed
+	// pages. Both bitmaps are one allocation, guarded by mu.
 	owed      []uint64
 	owedPages int
+	owedArms  uint64
+	// copies is the object's row of the copy ruler (copyCounts), guarded
+	// by mu.
+	copies copyCounts
 	// degraded marks an object that fell back to host-resident batch-update
 	// semantics after its device was lost: all blocks Dirty and writable,
 	// never transferred again. Set under mu; atomic because introspection
@@ -314,17 +341,15 @@ func (o *Object) chunk(addr mem.Addr, n int64) (*Block, int64) {
 }
 
 // makeBlocks divides the object into blocks of at most blockSize bytes, a
-// multiple of pageSize, and allocates the page bitmaps: dirty, and owed
-// when the object's policy is host-authoritative.
+// multiple of pageSize, and allocates the page bitmaps, dirty and owed, in
+// one slice.
 func (o *Object) makeBlocks(blockSize, pageSize int64) {
 	o.nextFaultIdx = -1 // no streak until the first fault lands
 	o.fetchSpan = 1
 	o.pageShift = uint8(bits.TrailingZeros64(uint64(pageSize)))
 	words := ((o.size+pageSize-1)/pageSize + 63) / 64
-	o.dirty = make([]uint64, words)
-	if o.pol.hostAuth {
-		o.owed = make([]uint64, words)
-	}
+	bitmaps := make([]uint64, 2*words)
+	o.dirty, o.owed = bitmaps[:words:words], bitmaps[words:]
 	if blockSize <= 0 || blockSize > o.size {
 		blockSize = o.size
 	}
@@ -366,25 +391,47 @@ func (o *Object) markWritten(addr mem.Addr, n int64) {
 	}
 }
 
-// settle records that a fetch or flush of the n blocks from first has
-// completed: host and device hold the same bytes on every page of the run,
-// or, after a fetch that landed nothing (owe), the host owes every page the
-// device's. Either way its blocks are current and its pages clean. The
-// caller holds o.mu.
+// clean records that a flush of the n blocks from first has completed:
+// the device holds the host's bytes on every page of the run, so its
+// blocks are current and its pages clean. The pages a flush sends never
+// owe (flushRunEager and flushBlockSync pull first on an armed device, and
+// an unarmed one sends whole only a block that owes nothing), and the
+// pages it does not send keep their owed bits. The caller holds o.mu.
 //
 //adsm:noalloc
-func (o *Object) settle(first *Block, n int, owe bool) {
+func (o *Object) clean(first *Block, n int) {
 	lo, hi := o.pages(first.addr, runSize(first, n))
 	for p := lo; p <= hi; p++ {
-		w, bit := p>>6, uint64(1)<<(p&63)
-		o.dirty[w] &^= bit
-		if owe && o.owed[w]&bit == 0 {
-			o.owed[w] |= bit
-			o.owedPages++
-		}
+		o.dirty[p>>6] &^= 1 << (p & 63)
 	}
 	for _, b := range o.blocks[first.index : first.index+n] {
 		b.current = true
+	}
+}
+
+// settle records that a fetch of the n blocks from first has completed:
+// the run is clean and current, and either the fetch landed every page,
+// whose owed bits it clears, or, with owe, it landed none and the host
+// owes every page the device's bytes. The caller holds o.mu.
+//
+//adsm:noalloc
+func (o *Object) settle(first *Block, n int, owe bool) {
+	o.clean(first, n)
+	if !owe && o.owedPages == 0 {
+		return
+	}
+	lo, hi := o.pages(first.addr, runSize(first, n))
+	for p := lo; p <= hi; p++ {
+		w, bit := p>>6, uint64(1)<<(p&63)
+		if owe == (o.owed[w]&bit != 0) {
+			continue
+		}
+		o.owed[w] ^= bit
+		if owe {
+			o.owedPages++
+		} else {
+			o.owedPages--
+		}
 	}
 }
 
@@ -392,6 +439,17 @@ func (o *Object) settle(first *Block, n int, owe bool) {
 // o.mu.
 func (o *Object) owes(p uint64) bool {
 	return o.owed[p>>6]&(1<<(p&63)) != 0
+}
+
+// disown clears the owed bits of pages [lo, hi]: the host copy of each is
+// about to hold its current bytes. The caller holds o.mu.
+func (o *Object) disown(lo, hi uint64) {
+	for p := lo; p <= hi; p++ {
+		if w, bit := p>>6, uint64(1)<<(p&63); o.owed[w]&bit != 0 {
+			o.owed[w] &^= bit
+			o.owedPages--
+		}
+	}
 }
 
 // owedRun returns the end q of the run of pages [p, q), q <= hi+1, that

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/accel"
@@ -43,10 +44,13 @@ func owedXor(ref []byte, k uint64) {
 // (which under batch-update copies it into dst and leaves it owed), writes
 // across a page boundary, bulk-reads across owed and pulled pages,
 // peer-reads an owed page and sums a typed view (Float32View.Sum's
-// HostBytes read, which pulls its pages), then two more calls follow. Every byte must match a
-// flat model under each protocol, and under batch-update the object the
-// host never touched after the acquire must never have been copied: its
-// host backing still holds the bytes from before the kernel. Under
+// HostBytes read, which pulls its pages), then two more calls follow.
+// Every byte must match a flat model under each protocol. A page fetched
+// but never written or viewed must never have been copied: its host
+// backing still holds the bytes from before the kernel. Under
+// batch-update that holds for all of the object the host never touched
+// after the acquire; under lazy- and rolling-update for the pages of the
+// first object that its faults fetched and the host only read. Under
 // batch-update the second call's window also takes a host write, which the
 // acquire overwrites with the kernel's bytes (it owes the page, and the
 // write must not stay dirty to be sent at the third call).
@@ -66,7 +70,7 @@ func TestOwedPagesMatchFlatModel(t *testing.T) {
 			ref, uref := wbPattern(size, 1), wbPattern(usize, 2)
 			must(t, r.mgr.HostWrite(a, ref))
 			must(t, r.mgr.HostWrite(u, uref))
-			before := append([]byte(nil), uref...)
+			before, abefore := append([]byte(nil), uref...), append([]byte(nil), ref...)
 
 			call := func(k uint64) {
 				t.Helper()
@@ -99,18 +103,50 @@ func TestOwedPagesMatchFlatModel(t *testing.T) {
 				}
 			}
 
+			// neverCopied checks that a's owed pages are exactly want and
+			// that each still holds its bytes from before the first kernel.
+			neverCopied := func(what string, want ...uint64) {
+				t.Helper()
+				o := r.mgr.objectAt(a)
+				var got []uint64
+				for p := uint64(0); p*testPage < size; p++ {
+					if !o.owes(p) {
+						continue
+					}
+					got = append(got, p)
+					off, end := int64(p)*testPage, min(int64(p+1)*testPage, size)
+					if i := diffAt(o.mapping.Space.Bytes(a+mem.Addr(off), end-off), abefore[off:end]); i >= 0 {
+						t.Fatalf("%s: owed page %d was copied: host byte %d differs from before the kernel", what, p, off+int64(i))
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: the object owes pages %v, want %v", what, got, want)
+				}
+			}
+			pageRange := func(lo, hi uint64) []uint64 {
+				var ps []uint64
+				for p := lo; p < hi; p++ {
+					ps = append(ps, p)
+				}
+				return ps
+			}
+
 			call(3)
 			untouched()
-			if o := r.mgr.objectAt(a); kind == BatchUpdate && o.owedPages != 13 {
-				t.Fatalf("acquired object owes %d pages, want 13", o.owedPages)
+			if kind == BatchUpdate {
+				neverCopied("after the acquire", pageRange(0, 13)...)
 			}
 
 			// One page: a read copies it from the device into dst alone.
+			// Under lazy-update its fault fetched the whole object, under
+			// rolling-update block 0, and neither landed a byte.
 			page := make([]byte, testPage)
 			must(t, r.mgr.HostRead(a+testPage, page))
 			check("HostRead", testPage, page)
-			if o := r.mgr.objectAt(a); kind == BatchUpdate && o.owedPages != 13 {
-				t.Fatalf("a read pulled pages: the object owes %d, want 13", o.owedPages)
+			if kind == RollingUpdate {
+				neverCopied("after a read fault", pageRange(0, 4)...)
+			} else {
+				neverCopied("after a read", pageRange(0, 13)...)
 			}
 
 			// A write across the boundary of pages 2 and 3.
@@ -142,6 +178,14 @@ func TestOwedPagesMatchFlatModel(t *testing.T) {
 			}
 			check("HostBytes", 8*testPage, view)
 			untouched()
+			// The write pulled pages 2 and 3, the view 8 and 9; under
+			// rolling-update the view's fault fetched block 2 alone, and
+			// BulkRead and PeerRead took Invalid block 1 from the device.
+			if kind == RollingUpdate {
+				neverCopied("after the view", 0, 1, 10, 11)
+			} else {
+				neverCopied("after the view", 0, 1, 4, 5, 6, 7, 10, 11, 12)
+			}
 
 			must(t, r.mgr.InvokeHinted("owed.xor", CallHints{}, 5, uint64(a), size, uint64(u), usize))
 			if kind == BatchUpdate {
@@ -233,10 +277,12 @@ func TestBatchInjectedLossPullsOwedPages(t *testing.T) {
 
 // TestPullAfterClose: once the device is closed its memory is gone, so a
 // host access that needs device bytes fails with an error matching
-// fault.ErrDeviceLost instead of a machine check. Under batch-update a page
-// the host copied before the close (through a HostBytes slice) stays
-// readable, and an owed page keeps failing after a failed call degrades
-// the object: it never reads the bytes from before the kernel.
+// fault.ErrDeviceLost instead of a machine check. A page the host copied
+// before the close (through a HostBytes slice) stays readable; a page a
+// fetch brought over but the host never touched is owed under every
+// protocol, so reading it fails too. Under batch-update an owed page keeps
+// failing after a failed call degrades the object: it never reads the
+// bytes from before the kernel.
 func TestPullAfterClose(t *testing.T) {
 	const size = 4 * testPage
 	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
@@ -253,21 +299,27 @@ func TestPullAfterClose(t *testing.T) {
 			must(t, r.mgr.Sync())
 			owedXor(ref, 3)
 			page := make([]byte, testPage)
-			if kind == BatchUpdate {
-				_, err := r.mgr.HostBytes(p, testPage, hostmmu.AccessRead)
-				must(t, err)
+			_, err = r.mgr.HostBytes(p, testPage, hostmmu.AccessRead)
+			must(t, err)
+			if kind == RollingUpdate {
+				// A sequential read fault: blocks 1 and 2 come over in one
+				// run, and the host reads only block 1.
+				must(t, r.mgr.HostRead(p+testPage, page[:8]))
 			}
 			r.dev.Close()
-			if kind == BatchUpdate {
-				must(t, r.mgr.HostRead(p, page))
-				if i := diffAt(page, ref[:testPage]); i >= 0 {
-					t.Fatalf("pulled byte %d reads %#x after Close, want %#x", i, page[i], ref[i])
-				}
+			must(t, r.mgr.HostRead(p, page))
+			if i := diffAt(page, ref[:testPage]); i >= 0 {
+				t.Fatalf("pulled byte %d reads %#x after Close, want %#x", i, page[i], ref[i])
 			}
 			if err := r.mgr.HostRead(p+2*testPage, page); !errors.Is(err, fault.ErrDeviceLost) {
 				t.Fatalf("HostRead of device bytes after Close: %v, want ErrDeviceLost", err)
 			}
 			if kind != BatchUpdate {
+				if kind == RollingUpdate {
+					if err := r.mgr.HostRead(p+3*testPage, page); !errors.Is(err, fault.ErrDeviceLost) {
+						t.Fatalf("HostRead of an Invalid block after Close: %v, want ErrDeviceLost", err)
+					}
+				}
 				return
 			}
 			if _, err := r.mgr.HostBytes(p+3*testPage, 8, hostmmu.AccessWrite); !errors.Is(err, fault.ErrDeviceLost) {
@@ -290,5 +342,137 @@ func TestPullAfterClose(t *testing.T) {
 			}
 			must(t, r.mgr.CheckInvariants())
 		})
+	}
+}
+
+// oweBlock0 builds the state the owed-page tests start from: an object of
+// size bytes written with a pattern, a kernel call that changes every
+// byte on the device, and then, for a detecting protocol, a one-byte read
+// of block 0, whose fault fetches it without landing a byte. It returns
+// the object and the flat model of its bytes.
+func oweBlock0(t *testing.T, r *rig, size int64) (mem.Addr, []byte) {
+	t.Helper()
+	registerOwedXor(r)
+	p, err := r.mgr.Alloc(size)
+	must(t, err)
+	ref := wbPattern(int(size), 4)
+	must(t, r.mgr.HostWrite(p, ref))
+	must(t, r.mgr.InvokeHinted("owed.xor", CallHints{}, 3, uint64(p), uint64(size)))
+	must(t, r.mgr.Sync())
+	owedXor(ref, 3)
+	must(t, r.mgr.HostRead(p, make([]byte, 1)))
+	if o := r.mgr.objectAt(p); o.owedPages == 0 {
+		t.Fatal("the unarmed fetch owes no page")
+	}
+	return p, ref
+}
+
+// TestOwedBeforeArming: pages owed while the device was unarmed are safe
+// once an injector is armed, since a write-back of their run copies them
+// in first, so CheckInvariants accepts them, under every protocol. Then a
+// corrupt write-back attempt, whose retry re-sends the whole host copy,
+// must not lose them.
+func TestOwedBeforeArming(t *testing.T) {
+	const size = 8 * testPage
+	for _, kind := range []ProtocolKind{BatchUpdate, LazyUpdate, RollingUpdate} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := defaultCfg(kind)
+			cfg.BlockSize = 4 * testPage
+			r := newRig(t, cfg)
+			p, ref := oweBlock0(t, r, size)
+			r.dev.SetFaultInjector(fault.NewInjector(1, r.clock))
+			must(t, r.mgr.CheckInvariants())
+			r.dev.SetFaultInjector(fault.NewInjector(1, r.clock, fault.Nth(fault.OpDMAH2D, 1, fault.KindCorrupt)))
+			must(t, r.mgr.CheckInvariants())
+			w := wbPattern(10, 7)
+			must(t, r.mgr.HostWrite(p+testPage+5, w))
+			copy(ref[testPage+5:], w)
+			must(t, r.mgr.InvokeHinted("owed.xor", CallHints{}, 5, uint64(p), size))
+			must(t, r.mgr.Sync())
+			owedXor(ref, 5)
+			must(t, r.mgr.CheckInvariants())
+			got := make([]byte, size)
+			must(t, r.mgr.HostRead(p, got))
+			if i := diffAt(got, ref); i >= 0 {
+				t.Fatalf("byte %d reads %#x, the model holds %#x", i, got[i], ref[i])
+			}
+		})
+	}
+}
+
+// TestArmedEvictionPullsOwedPages: under rolling-update a fault owes its
+// block's pages; an injector armed since corrupts the first write-back.
+// A write to the block and a write to the next one evict it (a rolling
+// cache of one block), and the eviction's retry re-sends the whole block,
+// so its owed pages must have come home before the first attempt.
+func TestArmedEvictionPullsOwedPages(t *testing.T) {
+	const size = 8 * testPage
+	cfg := defaultCfg(RollingUpdate)
+	cfg.BlockSize = 4 * testPage
+	cfg.FixedRolling = 1
+	r := newRig(t, cfg)
+	p, ref := oweBlock0(t, r, size)
+	before := r.mgr.Stats()
+	r.dev.SetFaultInjector(fault.NewInjector(1, r.clock, fault.Nth(fault.OpDMAH2D, 1, fault.KindCorrupt)))
+	for _, off := range []int64{testPage + 5, 4*testPage + 9} {
+		w := wbPattern(10, byte(off))
+		must(t, r.mgr.HostWrite(p+mem.Addr(off), w))
+		copy(ref[off:], w)
+	}
+	if st := r.mgr.Stats().Sub(before); st.Evictions != 1 || st.Retries != 1 {
+		t.Fatalf("%d evictions and %d retries, want one of each", st.Evictions, st.Retries)
+	}
+	must(t, r.mgr.CheckInvariants())
+	must(t, checkCleanPages(r.mgr))
+	got := make([]byte, size)
+	must(t, r.mgr.PeerRead(p, got))
+	if i := diffAt(got, ref); i >= 0 {
+		t.Fatalf("device byte %d reads %#x after the eviction, the model holds %#x", i, got[i], ref[i])
+	}
+}
+
+// TestBulkAndPeerReadOwedBlocks: BulkRead and PeerRead of a detecting
+// object's ReadOnly and Dirty blocks read owed pages through from the
+// device, copying nothing into host memory.
+func TestBulkAndPeerReadOwedBlocks(t *testing.T) {
+	const size = 8 * testPage
+	for _, kind := range []ProtocolKind{LazyUpdate, RollingUpdate} {
+		for _, dirty := range []bool{false, true} {
+			name := kind.String() + "/ReadOnly"
+			if dirty {
+				name = kind.String() + "/Dirty"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := defaultCfg(kind)
+				cfg.BlockSize = 4 * testPage
+				r := newRig(t, cfg)
+				p, ref := oweBlock0(t, r, size)
+				if dirty {
+					w := wbPattern(10, 7)
+					must(t, r.mgr.HostWrite(p+testPage+5, w))
+					copy(ref[testPage+5:], w)
+				}
+				o := r.mgr.objectAt(p)
+				if want := map[bool]State{false: StateReadOnly, true: StateDirty}[dirty]; o.blocks[0].state != want {
+					t.Fatalf("block 0 is %v, want %v", o.blocks[0].state, want)
+				}
+				owed, pulled := o.owedPages, o.copies.pulled
+				for _, read := range []struct {
+					name string
+					f    func(mem.Addr, []byte) error
+				}{{"BulkRead", r.mgr.BulkRead}, {"PeerRead", r.mgr.PeerRead}} {
+					got := make([]byte, 4*testPage-3)
+					must(t, read.f(p+3, got))
+					if i := diffAt(got, ref[3:3+len(got)]); i >= 0 {
+						t.Fatalf("%s: byte %d reads %#x, the model holds %#x", read.name, 3+i, got[i], ref[3+i])
+					}
+				}
+				if o.owedPages != owed || o.copies.pulled != pulled {
+					t.Fatalf("the reads pulled pages: %d owed, %d bytes pulled; before them %d and %d",
+						o.owedPages, o.copies.pulled, owed, pulled)
+				}
+				must(t, r.mgr.CheckInvariants())
+			})
+		}
 	}
 }

@@ -24,9 +24,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 	defer m.leave(o)
 	if m.hostAuthoritative(o) {
 		// Peer DMA cannot help: the bytes belong in the host copy.
-		o.mapping.Space.Write(addr, src)
-		o.markWritten(addr, int64(len(src)))
-		return nil
+		return m.hostWriteLocked(o, addr, src)
 	}
 	for a, s := addr, src; len(s) > 0; {
 		b, n := o.chunk(a, int64(len(s)))
@@ -37,9 +35,7 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 			// blocks already written on the lost device degraded to their
 			// old host copies.
 			if err := m.flushRunEager(b, 1); err != nil {
-				o.mapping.Space.Write(addr, src)
-				o.markWritten(addr, int64(len(src)))
-				return nil
+				return m.hostWriteLocked(o, addr, src)
 			}
 			m.rolling.forgetBlock(b)
 		}
@@ -58,9 +54,9 @@ func (m *Manager) PeerWrite(addr mem.Addr, src []byte) error {
 
 // PeerRead fills dst directly from the accelerator copy of
 // [addr, addr+len(dst)), except for blocks whose current version lives on
-// the host (Dirty), which are read from host memory. Host block states are
-// untouched: like the interposed memcpy, peer I/O does not warm the CPU
-// copy.
+// the host (Dirty), which are read from the host copy (readHost: owed
+// pages from device memory). Host block states are untouched: like the
+// interposed memcpy, peer I/O does not warm the CPU copy.
 func (m *Manager) PeerRead(addr mem.Addr, dst []byte) error {
 	o, err := m.enter(oplog.Op{Kind: oplog.OpIORead, Addr: addr, Size: int64(len(dst))})
 	if err != nil {
@@ -76,7 +72,9 @@ func (m *Manager) PeerRead(addr mem.Addr, dst []byte) error {
 	for len(dst) > 0 {
 		b, n := o.chunk(addr, int64(len(dst)))
 		if b.state == StateDirty {
-			o.mapping.Space.Read(addr, dst[:n])
+			if err := m.readHost(o, addr, dst[:n]); err != nil {
+				return err
+			}
 		} else {
 			m.dev.ReadBytes(o.devAddr+(addr-o.addr), dst[:n])
 			m.stats.PeerBytesOut.Add(n)

@@ -200,13 +200,6 @@ func (m *Manager) releaseObject(o *Object, ih *invokeHints) error {
 	// drain has already flushed the queued blocks) and, both copies now
 	// matching, downgrades the block to catch the next CPU write.
 	written := ih.written(o)
-	if o.owedPages != 0 && m.dev.Armed() {
-		// An injector armed since the acquire that owed these pages: a
-		// corrupt write-back attempt scribbles the whole device range and
-		// its retry re-sends the host copy, so the owed bytes come home
-		// before anything is sent.
-		_ = m.pull(o, o.addr, o.size) // fails only on a closed device, whose flush fails too
-	}
 	for _, b := range o.blocks {
 		if b.state != StateDirty {
 			continue
@@ -384,7 +377,11 @@ func (m *Manager) faultRunLen(b *Block) int {
 // policy: Invalid data is fetched from the accelerator; the block
 // lands in ReadOnly after a read fault or Dirty after a write fault.
 // Write-only objects skip the fetch on a write fault — the host promised to
-// overwrite the block, so Invalid bytes never DMA host-ward.
+// overwrite the block, so Invalid bytes never DMA host-ward — and pull
+// nothing either: no fetch ever reads a WriteOnly object (checkModeFault,
+// checkModeRead, acquireObject), so it owes no page, and the Dirty block
+// the elision leaves, which is not current and writes back whole, sends
+// no stale owed byte.
 //
 //adsm:noalloc
 func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
@@ -407,9 +404,12 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		// Fetch the Invalid run the streak detector sized (one block, or a
 		// span batch) in one DMA. Prefetched blocks land ReadOnly — both
 		// copies match, and the next CPU write still faults — while the
-		// faulting block itself transitions by access kind.
+		// faulting block itself transitions by access kind. The transfer
+		// is charged in full, but unless a fault injector is armed no byte
+		// lands: the run's pages are owed (Object.owed), as in
+		// acquireObject.
 		n := m.faultRunLen(b)
-		if err := m.fetchRunSync(b, n, false); err != nil {
+		if err := m.fetchRunSync(b, n, !m.dev.Armed()); err != nil {
 			m.emitTransition(b, before)
 			return err
 		}
