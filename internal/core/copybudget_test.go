@@ -10,14 +10,14 @@ import (
 )
 
 // copiesOf is the copy ruler's test accessor: the manager's copy counts,
-// live objects' rows plus the freed ones'.
+// the sum of its live objects' rows.
 func copiesOf(m *Manager) copyCounts {
-	m.introMu.Lock()
-	c := m.freedCopies
-	m.introMu.Unlock()
+	var c copyCounts
 	m.eachObject(func(o *Object) {
 		o.mu.Lock()
-		c.add(o.copies)
+		c.landed += o.copies.landed
+		c.pulled += o.copies.pulled
+		c.readThrough += o.copies.readThrough
 		o.mu.Unlock()
 	})
 	return c
@@ -33,8 +33,7 @@ type copyBudget struct {
 // loopRig is kernel-loop's shape at test scale (bench/workloads.go): a
 // state object only the kernel touches, params the host writes four words
 // of before every call, and out the host reads four words of after it;
-// one warm-up iteration and three measured ones, all objects freed at the
-// end so the freed rows count too.
+// one warm-up iteration and three measured ones.
 func loopRig(t *testing.T, kind ProtocolKind) copyBudget {
 	const stateBytes, paramsBytes, outBytes = 32 * testPage, 16 * testPage, 8 * testPage
 	cfg := defaultCfg(kind)
@@ -62,11 +61,7 @@ func loopRig(t *testing.T, kind ProtocolKind) copyBudget {
 		}
 	}
 	must(t, r.mgr.CheckInvariants())
-	charged := r.mgr.Stats().BytesD2H
-	for _, p := range objs {
-		must(t, r.mgr.Free(p))
-	}
-	return copyBudget{copiesOf(r.mgr), charged}
+	return copyBudget{copiesOf(r.mgr), r.mgr.Stats().BytesD2H}
 }
 
 // stormRig is fault-storm's shape at test scale: one object of 32
@@ -114,7 +109,8 @@ func stormRig(t *testing.T, kind ProtocolKind) copyBudget {
 
 // pageRig is tpacf's initialisation shape: after a kernel call the host
 // rewrites an object page by page in whole 4 KiB chunks, and after a
-// second call it makes one write across a page boundary.
+// second call it makes one write across a page boundary and rewrites
+// page 9 whole.
 func pageRig(t *testing.T, kind ProtocolKind) copyBudget {
 	const size = 16 * testPage
 	cfg := defaultCfg(kind)
@@ -139,6 +135,9 @@ func pageRig(t *testing.T, kind ProtocolKind) copyBudget {
 	w := wbPattern(100, 5)
 	must(t, r.mgr.HostWrite(p+4*testPage-50, w))
 	copy(ref[4*testPage-50:], w)
+	page := wbPattern(testPage, 6)
+	must(t, r.mgr.HostWrite(p+9*testPage, page))
+	copy(ref[9*testPage:], page)
 	must(t, r.mgr.CheckInvariants())
 	budget := copyBudget{copiesOf(r.mgr), r.mgr.Stats().BytesD2H}
 	got := make([]byte, size)
@@ -154,12 +153,12 @@ func pageRig(t *testing.T, kind ProtocolKind) copyBudget {
 // read through into a caller's buffer) beside the D2H bytes the cost model
 // charges, for rigs shaped like kernel-loop and fault-storm under each
 // protocol, and one shaped like tpacf's page-by-page initialisation. A
-// fetch lands nothing unless an injector is armed, so only the pages the
-// host writes are pulled (16 KiB per kernel-loop iteration, one page per
-// fault-storm write; a writer of whole pages pulls its block once, and
-// under batch-update none) and reads copy only the bytes they return. A change that brings a copy back (landing fetches, pulling on
-// reads) moves these counts while every charged byte stays put. The counts
-// must not depend on GOMAXPROCS.
+// fetch of more than one page lands nothing unless an injector is armed,
+// so only the pages the host writes are pulled (a writer of whole pages
+// pulls its block once), reads copy only the bytes they return, and a
+// fault's one-page run lands whole. A change that brings a copy back
+// (landing whole fetches, pulling on reads) moves these counts while every
+// charged byte stays put. The counts must not depend on GOMAXPROCS.
 func TestCopyBudget(t *testing.T) {
 	cases := []struct {
 		name string
@@ -176,24 +175,33 @@ func TestCopyBudget(t *testing.T) {
 		{"kernel-loop/batch-update", loopRig, BatchUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4}, 4 * 56 * testPage}},
 		{"kernel-loop/lazy-update", loopRig, LazyUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4}, (4*8 + 3*16) * testPage}},
 		{"kernel-loop/rolling-update", loopRig, RollingUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4}, 72 * testPage}},
-		// fault-storm: every one of the 2×32 writes pulls its page, every
-		// one of the 2×2×32 one-byte reads reads through; each of the four
-		// bumps makes all 32 pages come over again.
+		// fault-storm: each of the four bumps makes all 32 pages come
+		// over again. Under batch- and lazy-update every one of the 2×32
+		// writes pulls its page and every one of the 2×2×32 one-byte
+		// reads reads through. Under rolling-update each pass's in-order
+		// reads fault in runs of 1, 2, 4, 8, 16 and 1 blocks: the two
+		// one-page runs land their page, and the other 30 reads read
+		// through. Its scattered reads fault on every block, one page
+		// each, so they land all 32 pages and the writes pull none.
 		{"fault-storm/batch-update", stormRig, BatchUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32}, 4 * 32 * testPage}},
 		{"fault-storm/lazy-update", stormRig, LazyUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32}, 4 * 32 * testPage}},
-		{"fault-storm/rolling-update", stormRig, RollingUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32}, 4 * 32 * testPage}},
-		// page-writes: under batch-update a write that covers an owed
-		// page whole copies nothing in, and only the two pages the last
-		// write covers in part are pulled. Under lazy- and rolling-update
+		{"fault-storm/rolling-update", stormRig, RollingUpdate, copyBudget{copyCounts{landed: 2 * (2 + 32) * testPage, readThrough: 2 * 30}, 4 * 32 * testPage}},
+		// page-writes: the 16 whole-page writes pull 16 pages in all,
+		// and the boundary write the two pages it covers in part. Under
+		// batch-update each write pulls the pages it touches, so the
+		// rewrite of page 9 pulls page 9. Under lazy- and rolling-update
 		// the first write of a whole page into an owed block pulls the
-		// block (16 pages, the object, under lazy-update; four 4-page
-		// blocks under rolling-update), and the last write its two pages.
-		// Each call makes all 16 pages come over again under batch- and
-		// lazy-update; under rolling-update the writes fault in blocks 0,
-		// 1–2 and 3 after the first call, and 0 and 1–2 after the second.
-		{"page-writes/batch-update", pageRig, BatchUpdate, copyBudget{copyCounts{pulled: 2 * testPage}, 2 * 16 * testPage}},
-		{"page-writes/lazy-update", pageRig, LazyUpdate, copyBudget{copyCounts{pulled: (16 + 2) * testPage}, 2 * 16 * testPage}},
-		{"page-writes/rolling-update", pageRig, RollingUpdate, copyBudget{copyCounts{pulled: (16 + 2) * testPage}, (16 + 12) * testPage}},
+		// block: after the first call the 16 writes pull the object
+		// (lazy-update) or its four 4-page blocks (rolling-update), and
+		// after the second the rewrite of page 9 pulls the 14 pages the
+		// boundary write left owed (lazy-update) or block 2's 4 (rolling-
+		// update). Each call makes all 16 pages come over again under
+		// batch- and lazy-update; under rolling-update the writes fault in
+		// blocks 0, 1–2 and 3 after the first call, and 0 and 1–2 after
+		// the second.
+		{"page-writes/batch-update", pageRig, BatchUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 1) * testPage}, 2 * 16 * testPage}},
+		{"page-writes/lazy-update", pageRig, LazyUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 14) * testPage}, 2 * 16 * testPage}},
+		{"page-writes/rolling-update", pageRig, RollingUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 4) * testPage}, (16 + 12) * testPage}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -176,14 +176,12 @@ type Manager struct {
 	// retired is a ring of the final introspection rows of the last
 	// maxRetiredObjects freed objects, retiredN how many were ever retired;
 	// both guarded by introMu because HTTP handlers read them from other
-	// goroutines. freedCopies sums the copy ruler rows of freed objects
-	// (copyCounts), under the same lock.
+	// goroutines.
 	//
 	//adsm:lock introMu 46 nowait
-	introMu     sync.Mutex
-	retired     [maxRetiredObjects]ObjectSnapshot
-	retiredN    int
-	freedCopies copyCounts
+	introMu  sync.Mutex
+	retired  [maxRetiredObjects]ObjectSnapshot
+	retiredN int
 	// invokeKernel is the kernel currently being dispatched; the release
 	// sweep uses it to honour §3.3 object-to-kernel bindings. launched are
 	// the distinct kernels invoked since the last Sync, whose objects that
@@ -825,36 +823,21 @@ func (m *Manager) pull(o *Object, addr mem.Addr, n int64) error {
 	return nil
 }
 
-// pullForWrite readies [addr, addr+n), n > 0, inside block b, for a write
-// of every one of its bytes. On a detecting object that is not degraded,
-// a write of a page or more pulls all of b's owed pages: such a writer
-// streams through the block (Parboil's tpacf fills its random set 4 KiB
-// at a time), and copying the block at its first write, as the fetch did
-// before pages were owed, keeps the writes after it on cache-warm host
-// pages instead of putting a cache miss on each of them. Otherwise the
-// owed pages the range covers whole are disowned without a copy, since
-// the write replaces all of them, and the one or two it covers in part
-// are pulled. It fails like pull. The caller holds o.mu.
+// pullForWrite readies [addr, addr+n), n > 0, inside block b, for a write.
+// On a detecting object that is not degraded, a write of a page or more
+// pulls all of b's owed pages: such a writer streams through the block
+// (Parboil's tpacf fills its random set 4 KiB at a time), and copying the
+// block at its first write, as the fetch did before pages were owed,
+// keeps the writes after it on cache-warm host pages instead of putting a
+// cache miss on each of them. Otherwise the write pulls the owed pages it
+// touches. It fails like pull. The caller holds o.mu.
 //
 //adsm:noalloc
 func (m *Manager) pullForWrite(o *Object, b *Block, addr mem.Addr, n int64) error {
-	ps := int64(1) << o.pageShift
-	if n >= ps && o.detects() && !o.degraded.Load() {
+	if n >= int64(1)<<o.pageShift && o.detects() && !o.degraded.Load() {
 		return m.pull(o, b.addr, b.size)
 	}
-	off, end := int64(addr-o.addr), int64(addr-o.addr)+n
-	if off%ps != 0 {
-		if err := m.pull(o, addr, 1); err != nil {
-			return err
-		}
-	}
-	if end%ps != 0 && end != o.size {
-		if err := m.pull(o, o.addr+mem.Addr(end-1), 1); err != nil {
-			return err
-		}
-	}
-	o.disown(o.pages(addr, n))
-	return nil
+	return m.pull(o, addr, n)
 }
 
 // pullArmed copies the owed pages of [addr, addr+n) into host memory

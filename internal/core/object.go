@@ -130,18 +130,11 @@ func (c *objCounters) load() ObjStats {
 // landed counts the bytes a D2H transfer copied (a fetch that owes
 // nothing, or a bulk read of an Invalid block), pulled the owed bytes
 // copied into host memory (pull), and readThrough the owed bytes a read
-// took straight from device memory (readHost). They are plain integers:
-// an object's row is guarded by its mu, and Free folds it into the
-// manager's freedCopies under introMu. Neither is in Stats or the metrics.
+// took straight from device memory (readHost). They are plain integers in
+// each object's row, guarded by its mu, and in neither Stats nor the
+// metrics.
 type copyCounts struct {
 	landed, pulled, readThrough int64
-}
-
-// add folds c into t.
-func (t *copyCounts) add(c copyCounts) {
-	t.landed += c.landed
-	t.pulled += c.pulled
-	t.readThrough += c.readThrough
 }
 
 // Object is one shared data structure allocated through adsmAlloc. It owns
@@ -208,7 +201,8 @@ type Object struct {
 	// current bytes the device holds and the host has not copied yet: a
 	// fetch (a detecting object's fault, resolveFault, or a
 	// host-authoritative acquire, acquireObject) pays for the whole D2H
-	// transfer but lands nothing unless a fault injector is armed. A read
+	// transfer but lands nothing unless a fault injector is armed or a
+	// fault's run is one page. A read
 	// takes an owed page from the device (readHost); a write or HostBytes
 	// view copies the pages it touches into host memory once the MMU check
 	// has resolved its faults (pull), and so does a write-back on a device

@@ -131,14 +131,13 @@ func (m *Manager) SnapshotObjects() []ObjectSnapshot {
 }
 
 // introRetire writes o's final row over the oldest slot of the retired
-// ring, and folds o's copy ruler row into the manager's.
+// ring.
 func (m *Manager) introRetire(o *Object) {
 	s := snapshotObject(o)
 	s.Freed = true
 	m.introMu.Lock()
 	m.retired[m.retiredN%maxRetiredObjects] = s
 	m.retiredN++
-	m.freedCopies.add(o.copies) // o is dead: no access changes its row now
 	m.introMu.Unlock()
 }
 

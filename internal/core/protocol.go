@@ -407,9 +407,12 @@ func resolveFault(m *Manager, b *Block, access hostmmu.Access) error {
 		// faulting block itself transitions by access kind. The transfer
 		// is charged in full, but unless a fault injector is armed no byte
 		// lands: the run's pages are owed (Object.owed), as in
-		// acquireObject.
+		// acquireObject. A run of one page is the page the access is about
+		// to touch, and owing it would only turn the access into a read
+		// through or a pull of the same page, so the transfer lands it.
 		n := m.faultRunLen(b)
-		if err := m.fetchRunSync(b, n, !m.dev.Armed()); err != nil {
+		owe := !m.dev.Armed() && runSize(b, n) > int64(1)<<b.obj.pageShift
+		if err := m.fetchRunSync(b, n, owe); err != nil {
 			m.emitTransition(b, before)
 			return err
 		}
