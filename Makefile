@@ -77,14 +77,16 @@ bench-contended:
 # to the unbatched oracle on every workload, replay round trip, the sharded
 # registry/MMU lane stress, the MMU's lock-free access check, the registry's
 # writer-side publish, recycled host memory (whose page bitmap is written on
-# the access path), and the owed pages every fetch leaves for the host to
-# copy on first touch, with the copy ruler that counts those copies
-# (device memory is a heap slice here).
+# the access path), the owed pages every fetch leaves for the host to
+# copy on first touch, with the copy ruler that counts those copies, and
+# the word-at-a-time page bitmaps, masked write-backs and protection fills
+# against their per-page references (device memory is a heap slice here,
+# so the huge-page advice test, which needs an OS mapping, is not run).
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
-		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros|TestOwedPagesMatchFlatModel|TestBatchDeviceLostKeepsAcquiredBytes|TestBatchInjectedLossPullsOwedPages|TestPullAfterClose|TestOwedBeforeArming|TestArmedEvictionPullsOwedPages|TestBulkAndPeerReadOwedBlocks|TestCopyBudget' \
-		./internal/core ./internal/hostmmu ./internal/mem ./gmac
+		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros|TestOwedPagesMatchFlatModel|TestBatchDeviceLostKeepsAcquiredBytes|TestBatchInjectedLossPullsOwedPages|TestPullAfterClose|TestOwedBeforeArming|TestArmedEvictionPullsOwedPages|TestBulkAndPeerReadOwedBlocks|TestCopyBudget|TestPageBitmapsAgainstPerBit|TestMaskedH2DLandsSelectedRuns|TestMprotectFillsExactRange' \
+		./internal/core ./internal/accel ./internal/hostmmu ./internal/mem ./gmac
 
 # Interleaved contract pairs of the harness at BASE against the working
 # tree: per-pair values, wins, medians and quartiles, and whether a claimed

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bitmap"
 	"repro/internal/fault"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
@@ -181,13 +182,17 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// Malloc allocates device memory, charging the host-side overhead.
+// Malloc allocates device memory, charging the host-side overhead. The
+// whole 2 MiB pages inside the allocation are backed by huge pages where
+// the host offers them (mem.Space.AdviseHuge), as a device MMU maps large
+// pages.
 func (d *Device) Malloc(size int64) (mem.Addr, error) {
 	d.clock.Advance(d.cfg.AllocOverhead)
 	addr, err := d.alloc.Alloc(size)
 	if err != nil {
 		return 0, fmt.Errorf("accel %s: %w", d.cfg.Name, err)
 	}
+	d.memory.AdviseHuge(addr, size)
 	d.mu.Lock()
 	d.stats.Allocs++
 	d.mu.Unlock()
@@ -341,10 +346,32 @@ type PageMask struct {
 	PageSize int64
 }
 
-// has reports whether page i of the transfer lands.
-func (p PageMask) has(i int64) bool {
-	b := p.First + int(i)
-	return p.Bits[b>>6]&(1<<uint(b&63)) != 0
+// run returns the end j of the run of pages [i, j), j <= n, of an n-page
+// transfer that all land or all do not, and which of the two.
+//
+//adsm:noalloc
+func (p PageMask) run(i, n int64) (int64, bool) {
+	first := uint64(p.First)
+	j, lands := bitmap.Run(p.Bits, first+uint64(i), first+uint64(n))
+	return int64(j - first), lands
+}
+
+// Sent returns how many bytes of a size-byte transfer under p land.
+//
+//adsm:noalloc
+func (p PageMask) Sent(size int64) int64 {
+	if p.Bits == nil {
+		return size
+	}
+	sent, n := int64(0), (size+p.PageSize-1)/p.PageSize
+	for i := int64(0); i < n; {
+		j, lands := p.run(i, n)
+		if lands {
+			sent += min(j*p.PageSize, size) - i*p.PageSize
+		}
+		i = j
+	}
+	return sent
 }
 
 // memcpyH2DAsyncAt lands the pages of an H2D copy that mask selects, one
@@ -357,16 +384,11 @@ func (d *Device) memcpyH2DAsyncAt(dst mem.Addr, src []byte, mask PageMask, dur s
 	} else {
 		n := (int64(len(src)) + mask.PageSize - 1) / mask.PageSize
 		for i := int64(0); i < n; {
-			if !mask.has(i) {
-				i++
-				continue
+			j, lands := mask.run(i, n)
+			if lands {
+				lo, hi := i*mask.PageSize, min(j*mask.PageSize, int64(len(src)))
+				d.memory.Write(dst+mem.Addr(lo), src[lo:hi])
 			}
-			j := i + 1
-			for j < n && mask.has(j) {
-				j++
-			}
-			lo, hi := i*mask.PageSize, min(j*mask.PageSize, int64(len(src)))
-			d.memory.Write(dst+mem.Addr(lo), src[lo:hi])
 			i = j
 		}
 	}

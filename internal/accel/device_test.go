@@ -3,6 +3,8 @@ package accel
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -117,6 +119,71 @@ func TestMaskedH2DTimesAllCopiesSelected(t *testing.T) {
 		if b != want {
 			t.Fatalf("byte %d (page %d) = %#x, want %#x", i, i/page, b, want)
 		}
+	}
+}
+
+// TestMaskedH2DLandsSelectedRuns: a masked write-back lands exactly the
+// pages whose bit is set, read one bit at a time, and Sent counts exactly
+// their bytes: runs that cross 64-bit words, a first page in the middle of
+// a word, a short last page that lands or does not, and random masks.
+func TestMaskedH2DLandsSelectedRuns(t *testing.T) {
+	const page = 64
+	cases := []struct {
+		name  string
+		bits  []uint64
+		first int
+		size  int64
+	}{
+		{"run across a word", []uint64{0xffff << 48, 0xffff}, 0, 128 * page},
+		{"first page mid-word", []uint64{0xf0f0_f0f0_f0f0_f0f0, 0xffff_ffff_0000_0000, 0x1}, 37, 100 * page},
+		{"every page across three words", []uint64{^uint64(0), ^uint64(0), ^uint64(0)}, 5, 150 * page},
+		{"run ends at a word end", []uint64{0xf << 60, 0}, 0, 64 * page},
+		{"short last page lands", []uint64{1 << 63, 1}, 63, 2*page - 10},
+		{"short last page stays", []uint64{1 << 63, 0}, 63, 2*page - 10},
+		{"no page", []uint64{0, 0}, 3, 70 * page},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range 20 {
+		bits := []uint64{rng.Uint64(), rng.Uint64() & rng.Uint64(), rng.Uint64() | rng.Uint64(), rng.Uint64()}
+		first := rng.Intn(64)
+		cases = append(cases, struct {
+			name  string
+			bits  []uint64
+			first int
+			size  int64
+		}{fmt.Sprintf("random %d", i), bits, first, rng.Int63n(int64(256-first)*page) + 1})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _ := testDevice(t)
+			p, err := d.Malloc(tc.size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := make([]byte, tc.size)
+			for i := range src {
+				src[i] = byte(i/page + 1)
+			}
+			mask := PageMask{Bits: tc.bits, First: tc.first, PageSize: page}
+			if _, err := d.TryMemcpyH2DAsync(p, src, mask); err != nil {
+				t.Fatal(err)
+			}
+			var sent int64
+			got := d.Memory().Bytes(p, tc.size)
+			for i := range got {
+				b := tc.first + i/page
+				want := byte(0)
+				if tc.bits[b>>6]>>(b&63)&1 != 0 {
+					want, sent = src[i], sent+1
+				}
+				if got[i] != want {
+					t.Fatalf("byte %d (page %d) = %#x, want %#x", i, i/page, got[i], want)
+				}
+			}
+			if got := mask.Sent(tc.size); got != sent {
+				t.Fatalf("Sent = %d, the selected pages hold %d bytes", got, sent)
+			}
+		})
 	}
 }
 

@@ -18,16 +18,23 @@ func copiesOf(m *Manager) copyCounts {
 		c.landed += o.copies.landed
 		c.pulled += o.copies.pulled
 		c.readThrough += o.copies.readThrough
+		c.sent += o.copies.sent
 		o.mu.Unlock()
 	})
 	return c
 }
 
-// copyBudget is one rig's copy counts next to the D2H bytes the cost
-// model charged for the same run.
+// copyBudget is one rig's copy counts next to the D2H and H2D bytes the
+// cost model charged for the same run.
 type copyBudget struct {
 	copyCounts
-	charged int64
+	d2h, h2d int64
+}
+
+// budgetOf reads m's copy ruler and charged bytes.
+func budgetOf(m *Manager) copyBudget {
+	st := m.Stats()
+	return copyBudget{copiesOf(m), st.BytesD2H, st.BytesH2D}
 }
 
 // loopRig is kernel-loop's shape at test scale (bench/workloads.go): a
@@ -61,7 +68,7 @@ func loopRig(t *testing.T, kind ProtocolKind) copyBudget {
 		}
 	}
 	must(t, r.mgr.CheckInvariants())
-	return copyBudget{copiesOf(r.mgr), r.mgr.Stats().BytesD2H}
+	return budgetOf(r.mgr)
 }
 
 // stormRig is fault-storm's shape at test scale: one object of 32
@@ -104,7 +111,7 @@ func stormRig(t *testing.T, kind ProtocolKind) copyBudget {
 		}
 	}
 	must(t, r.mgr.CheckInvariants())
-	return copyBudget{copiesOf(r.mgr), r.mgr.Stats().BytesD2H}
+	return budgetOf(r.mgr)
 }
 
 // pageRig is tpacf's initialisation shape: after a kernel call the host
@@ -139,7 +146,7 @@ func pageRig(t *testing.T, kind ProtocolKind) copyBudget {
 	must(t, r.mgr.HostWrite(p+9*testPage, page))
 	copy(ref[9*testPage:], page)
 	must(t, r.mgr.CheckInvariants())
-	budget := copyBudget{copiesOf(r.mgr), r.mgr.Stats().BytesD2H}
+	budget := budgetOf(r.mgr)
 	got := make([]byte, size)
 	must(t, r.mgr.HostRead(p, got))
 	if i := diffAt(got, ref); i >= 0 {
@@ -150,15 +157,17 @@ func pageRig(t *testing.T, kind ProtocolKind) copyBudget {
 
 // TestCopyBudget pins the copy ruler: how many bytes the simulator copies
 // out of device memory (landed by a D2H transfer, pulled into host memory,
-// read through into a caller's buffer) beside the D2H bytes the cost model
-// charges, for rigs shaped like kernel-loop and fault-storm under each
+// read through into a caller's buffer) and into it (sent by an H2D
+// write-back) beside the D2H and H2D bytes the cost model charges, for rigs shaped like kernel-loop and fault-storm under each
 // protocol, and one shaped like tpacf's page-by-page initialisation. A
 // fetch of more than one page lands nothing unless an injector is armed,
 // so only the pages the host writes are pulled (a writer of whole pages
 // pulls its block once), reads copy only the bytes they return, and a
 // fault's one-page run lands whole. A change that brings a copy back
 // (landing whole fetches, pulling on reads) moves these counts while every
-// charged byte stays put. The counts must not depend on GOMAXPROCS.
+// charged byte stays put; so does a write-back that sends a page its mask
+// does not select, or skips one it does. The counts must not depend on
+// GOMAXPROCS.
 func TestCopyBudget(t *testing.T) {
 	cases := []struct {
 		name string
@@ -171,10 +180,16 @@ func TestCopyBudget(t *testing.T) {
 		// and the sixteen 4-byte reads of out read through. Batch-update
 		// charges all 56 pages at each of the four acquires, lazy-update
 		// out's 8 pages per iteration and params' 16 per measured one,
-		// rolling-update the 4-page blocks the accesses fault on.
-		{"kernel-loop/batch-update", loopRig, BatchUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4}, 4 * 56 * testPage}},
-		{"kernel-loop/lazy-update", loopRig, LazyUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4}, (4*8 + 3*16) * testPage}},
-		{"kernel-loop/rolling-update", loopRig, RollingUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4}, 72 * testPage}},
+		// rolling-update the 4-page blocks the accesses fault on. On the
+		// H2D side, iteration 0's write-back sends whole (batch-update
+		// sends all 56 fresh pages, the others params' 16), and each
+		// later one sends only the four params pages written since
+		// (sent). Batch-update charges all 56 pages at every call,
+		// lazy-update params' 16, rolling-update the params blocks the
+		// writes touch: 4, then 3 per iteration.
+		{"kernel-loop/batch-update", loopRig, BatchUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4, sent: (56 + 3*4) * testPage}, 4 * 56 * testPage, 4 * 56 * testPage}},
+		{"kernel-loop/lazy-update", loopRig, LazyUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4, sent: (16 + 3*4) * testPage}, (4*8 + 3*16) * testPage, 4 * 16 * testPage}},
+		{"kernel-loop/rolling-update", loopRig, RollingUpdate, copyBudget{copyCounts{pulled: 3 * 4 * testPage, readThrough: 16 * 4, sent: (16 + 3*4) * testPage}, 72 * testPage, (16 + 3*12) * testPage}},
 		// fault-storm: each of the four bumps makes all 32 pages come
 		// over again. Under batch- and lazy-update every one of the 2×32
 		// writes pulls its page and every one of the 2×2×32 one-byte
@@ -183,9 +198,15 @@ func TestCopyBudget(t *testing.T) {
 		// one-page runs land their page, and the other 30 reads read
 		// through. Its scattered reads fault on every block, one page
 		// each, so they land all 32 pages and the writes pull none.
-		{"fault-storm/batch-update", stormRig, BatchUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32}, 4 * 32 * testPage}},
-		{"fault-storm/lazy-update", stormRig, LazyUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32}, 4 * 32 * testPage}},
-		{"fault-storm/rolling-update", stormRig, RollingUpdate, copyBudget{copyCounts{landed: 2 * (2 + 32) * testPage, readThrough: 2 * 30}, 4 * 32 * testPage}},
+		// Batch-update writes all 32 pages back at every bump, sending
+		// them whole at the first (the object is fresh) and the 32
+		// written pages at pass 1's first; lazy-update writes back only
+		// those. Under rolling-update each one-page block flushed sends
+		// its page: pass 0's 32 and the 30 of pass 1's that leave the
+		// rolling cache before the rig ends.
+		{"fault-storm/batch-update", stormRig, BatchUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32, sent: 2 * 32 * testPage}, 4 * 32 * testPage, 4 * 32 * testPage}},
+		{"fault-storm/lazy-update", stormRig, LazyUpdate, copyBudget{copyCounts{pulled: 2 * 32 * testPage, readThrough: 2 * 2 * 32, sent: 32 * testPage}, 4 * 32 * testPage, 32 * testPage}},
+		{"fault-storm/rolling-update", stormRig, RollingUpdate, copyBudget{copyCounts{landed: 2 * (2 + 32) * testPage, readThrough: 2 * 30, sent: (32 + 30) * testPage}, 4 * 32 * testPage, (32 + 30) * testPage}},
 		// page-writes: the 16 whole-page writes pull 16 pages in all,
 		// and the boundary write the two pages it covers in part. Under
 		// batch-update each write pulls the pages it touches, so the
@@ -198,10 +219,14 @@ func TestCopyBudget(t *testing.T) {
 		// update). Each call makes all 16 pages come over again under
 		// batch- and lazy-update; under rolling-update the writes fault in
 		// blocks 0, 1–2 and 3 after the first call, and 0 and 1–2 after
-		// the second.
-		{"page-writes/batch-update", pageRig, BatchUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 1) * testPage}, 2 * 16 * testPage}},
-		{"page-writes/lazy-update", pageRig, LazyUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 14) * testPage}, 2 * 16 * testPage}},
-		{"page-writes/rolling-update", pageRig, RollingUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 4) * testPage}, (16 + 12) * testPage}},
+		// the second. The second call writes back the 16 written pages
+		// (batch-update also sends the fresh object whole at the
+		// first), and under rolling-update the writes after it evict
+		// two blocks, charging their 8 pages and sending the boundary
+		// write's 2.
+		{"page-writes/batch-update", pageRig, BatchUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 1) * testPage, sent: 2 * 16 * testPage}, 2 * 16 * testPage, 2 * 16 * testPage}},
+		{"page-writes/lazy-update", pageRig, LazyUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 14) * testPage, sent: 16 * testPage}, 2 * 16 * testPage, 16 * testPage}},
+		{"page-writes/rolling-update", pageRig, RollingUpdate, copyBudget{copyCounts{pulled: (16 + 2 + 4) * testPage, sent: (16 + 2) * testPage}, (16 + 12) * testPage, (16 + 8) * testPage}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

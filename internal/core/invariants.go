@@ -147,10 +147,8 @@ func (m *Manager) checkOwed(o *Object, degraded bool) error {
 		if b.current || b.state == StateInvalid {
 			continue
 		}
-		for p, hi := o.pages(b.addr, b.size); p <= hi; p++ {
-			if o.owes(p) {
-				return fmt.Errorf("core: %v block %#x owes pages but is not current", b.state, uint64(b.addr))
-			}
+		if lo, hi := o.pages(b.addr, b.size); o.owes(lo, hi) {
+			return fmt.Errorf("core: %v block %#x owes pages but is not current", b.state, uint64(b.addr))
 		}
 	}
 	return nil

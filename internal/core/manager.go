@@ -1053,6 +1053,7 @@ func (m *Manager) flushRunEager(first *Block, n int) error {
 		m.waitH2DSlot()
 		done, terr := m.dev.TryMemcpyH2DAsync(first.devAddr(), o.mapping.Space.Bytes(first.addr, size), mask)
 		if terr == nil {
+			o.copies.sent += mask.Sent(size)
 			m.noteFlushIssued(done.At)
 			break
 		}
@@ -1090,6 +1091,9 @@ func (m *Manager) dmaSync(o *Object, op oplog.Op, devAddr mem.Addr, buf []byte, 
 			wait = &m.stats.D2HWait
 		} else {
 			done, terr = m.dev.TryMemcpyH2DAsync(devAddr, buf, mask)
+			if terr == nil {
+				o.copies.sent += mask.Sent(int64(len(buf)))
+			}
 			mask = accel.PageMask{} // a retry copies everything
 		}
 		done.Wait(m.clock)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accel"
+	"repro/internal/bitmap"
 	"repro/internal/mem"
 )
 
@@ -126,15 +127,16 @@ func (c *objCounters) load() ObjStats {
 }
 
 // copyCounts is the copy ruler: the bytes of simulated memory the manager
-// copies, as opposed to the bytes the cost model charges (Stats.BytesD2H).
-// landed counts the bytes a D2H transfer copied (a fetch that owes
-// nothing, or a bulk read of an Invalid block), pulled the owed bytes
-// copied into host memory (pull), and readThrough the owed bytes a read
-// took straight from device memory (readHost). They are plain integers in
-// each object's row, guarded by its mu, and in neither Stats nor the
-// metrics.
+// copies, as opposed to the bytes the cost model charges (Stats.BytesD2H,
+// Stats.BytesH2D). landed counts the bytes a D2H transfer copied (a fetch
+// that owes nothing, or a bulk read of an Invalid block), pulled the owed
+// bytes copied into host memory (pull), readThrough the owed bytes a read
+// took straight from device memory (readHost), and sent the bytes an H2D
+// write-back copied into device memory (the pages its mask selects). They
+// are plain integers in each object's row, guarded by its mu, and in
+// neither Stats nor the metrics.
 type copyCounts struct {
-	landed, pulled, readThrough int64
+	landed, pulled, readThrough, sent int64
 }
 
 // Object is one shared data structure allocated through adsmAlloc. It owns
@@ -380,9 +382,7 @@ func (o *Object) markWritten(addr mem.Addr, n int64) {
 		return
 	}
 	lo, hi := o.pages(addr, n)
-	for p := lo; p <= hi; p++ {
-		o.dirty[p>>6] |= 1 << (p & 63)
-	}
+	bitmap.Set(o.dirty, lo, hi+1)
 }
 
 // clean records that a flush of the n blocks from first has completed:
@@ -395,9 +395,7 @@ func (o *Object) markWritten(addr mem.Addr, n int64) {
 //adsm:noalloc
 func (o *Object) clean(first *Block, n int) {
 	lo, hi := o.pages(first.addr, runSize(first, n))
-	for p := lo; p <= hi; p++ {
-		o.dirty[p>>6] &^= 1 << (p & 63)
-	}
+	bitmap.Clear(o.dirty, lo, hi+1)
 	for _, b := range o.blocks[first.index : first.index+n] {
 		b.current = true
 	}
@@ -415,44 +413,34 @@ func (o *Object) settle(first *Block, n int, owe bool) {
 		return
 	}
 	lo, hi := o.pages(first.addr, runSize(first, n))
-	for p := lo; p <= hi; p++ {
-		w, bit := p>>6, uint64(1)<<(p&63)
-		if owe == (o.owed[w]&bit != 0) {
-			continue
-		}
-		o.owed[w] ^= bit
-		if owe {
-			o.owedPages++
-		} else {
-			o.owedPages--
-		}
+	if owe {
+		o.owedPages += bitmap.Set(o.owed, lo, hi+1)
+	} else {
+		o.disown(lo, hi)
 	}
-}
-
-// owes reports whether host page p of the object is owed. The caller holds
-// o.mu.
-func (o *Object) owes(p uint64) bool {
-	return o.owed[p>>6]&(1<<(p&63)) != 0
 }
 
 // disown clears the owed bits of pages [lo, hi]: the host copy of each is
 // about to hold its current bytes. The caller holds o.mu.
+//
+//adsm:noalloc
 func (o *Object) disown(lo, hi uint64) {
-	for p := lo; p <= hi; p++ {
-		if w, bit := p>>6, uint64(1)<<(p&63); o.owed[w]&bit != 0 {
-			o.owed[w] &^= bit
-			o.owedPages--
-		}
-	}
+	o.owedPages -= bitmap.Clear(o.owed, lo, hi+1)
+}
+
+// owes reports whether any of host pages [lo, hi] of the object is owed.
+// The caller holds o.mu.
+func (o *Object) owes(lo, hi uint64) bool {
+	q, owed := o.owedRun(lo, hi)
+	return owed || q <= hi
 }
 
 // owedRun returns the end q of the run of pages [p, q), q <= hi+1, that
 // are all owed or all not, and which of the two. The caller holds o.mu.
+//
+//adsm:noalloc
 func (o *Object) owedRun(p, hi uint64) (q uint64, owed bool) {
-	owed = o.owes(p)
-	for q = p + 1; q <= hi && o.owes(q) == owed; q++ {
-	}
-	return q, owed
+	return bitmap.Run(o.owed, p, hi+1)
 }
 
 // writeBackMask selects what a write-back of the n blocks from first must

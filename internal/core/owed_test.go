@@ -110,7 +110,7 @@ func TestOwedPagesMatchFlatModel(t *testing.T) {
 				o := r.mgr.objectAt(a)
 				var got []uint64
 				for p := uint64(0); p*testPage < size; p++ {
-					if !o.owes(p) {
+					if !o.owes(p, p) {
 						continue
 					}
 					got = append(got, p)

@@ -34,7 +34,7 @@ func checkCleanPages(m *Manager) error {
 			}
 			for off := int64(0); off < b.size; off += ps {
 				addr := b.addr + mem.Addr(off)
-				if p, _ := o.pages(addr, 1); o.dirty[p>>6]&(1<<(p&63)) != 0 || o.owed != nil && o.owes(p) {
+				if p, _ := o.pages(addr, 1); o.dirty[p>>6]&(1<<(p&63)) != 0 || o.owed != nil && o.owes(p, p) {
 					continue
 				}
 				n := min(ps, b.size-off)

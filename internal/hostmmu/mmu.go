@@ -322,8 +322,8 @@ func (m *MMU) Mprotect(addr mem.Addr, size int64, prot Prot) error {
 			sh.mu.Lock()
 			g := sh.granules[gb]
 			ok := g.mapped(lo, hi)
-			for i := lo; ok && write && i < hi; i++ {
-				g.prot[i] = prot
+			if ok && write {
+				fill(g.prot[lo:hi], prot)
 			}
 			sh.mu.Unlock()
 			if !ok {
@@ -337,6 +337,20 @@ func (m *MMU) Mprotect(addr mem.Addr, size int64, prot Prot) error {
 	}
 	m.mprotects.Add(1)
 	return nil
+}
+
+// fill sets every page of s to prot, doubling the filled prefix with each
+// copy: a range of n pages takes log2(n) memmoves, not n stores.
+//
+//adsm:noalloc
+func fill(s []Prot, prot Prot) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = prot
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
 }
 
 // errMprotectUnmapped formats the failed Mprotect error off the hot path.

@@ -174,6 +174,35 @@ func TestMprotectPartialRange(t *testing.T) {
 	}
 }
 
+// TestMprotectFillsExactRange: an Mprotect of pages [lo, hi) sets exactly
+// those pages, for ranges of every length the doubling fill treats apart
+// (one page, a power of two and one past it) and ranges over several
+// 1 MiB granules, starting and ending inside a granule.
+func TestMprotectFillsExactRange(t *testing.T) {
+	const page, base, pages = 4096, 0xf_c000, 4 << 20 / 4096
+	for _, r := range []struct{ lo, n int }{
+		{0, 1}, {7, 2}, {9, 3}, {100, 64}, {100, 65}, {200, 255},
+		{4, 256}, {250, 257}, {10, pages - 20}, {0, pages},
+	} {
+		t.Run(fmt.Sprintf("pages %d+%d", r.lo, r.n), func(t *testing.T) {
+			m, _, _ := newMMU(t)
+			m.Map(base, pages*page, ProtRead)
+			if err := m.Mprotect(base+mem.Addr(r.lo*page), int64(r.n*page), ProtReadWrite); err != nil {
+				t.Fatal(err)
+			}
+			for i := range pages {
+				want := ProtRead
+				if i >= r.lo && i < r.lo+r.n {
+					want = ProtReadWrite
+				}
+				if got, ok := m.Protection(base + mem.Addr(i*page)); !ok || got != want {
+					t.Fatalf("page %d: %v (mapped %v), want %v", i, got, ok, want)
+				}
+			}
+		})
+	}
+}
+
 func TestUnmap(t *testing.T) {
 	m, _, _ := newMMU(t)
 	m.Map(0x1000, 8192, ProtReadWrite)

@@ -10,6 +10,11 @@
 // it is demand-paged: an anonymous private OS mapping whose pages cost
 // nothing until they are first touched, as on the paper's testbed, and
 // which Close (or, for callers that never close, a finalizer) hands back.
+// Its pages are 4 KiB, except in the 2 MiB-aligned interior of each
+// device allocation, which the device advises for transparent huge pages
+// (Space.AdviseHuge): a kernel sweeping an allocation of 2 MiB or more
+// then takes one TLB entry per 2 MiB, as under a device MMU's large
+// pages, instead of one per 4 KiB page.
 // Host mappings (through VASpace.MapFixed/MapAnywhere) are small,
 // short-lived and made by the thousand, where a system call and a
 // first-touch fault per page cost more than zeroing does. They are Go heap
@@ -97,9 +102,11 @@ func newRecycledSpace(name string, base Addr, data []byte) *Space {
 }
 
 // NewLazySpace returns a zeroed memory space of the given size at base
-// that pays only for the pages it touches (see the package comment). The
-// owner should Close it; a space dropped unclosed is closed by a
-// finalizer, which a slice obtained from Bytes does not hold off.
+// that pays only for the pages it touches, demand-paged in 4 KiB pages,
+// or in huge pages inside the ranges its owner advises (AdviseHuge; see
+// the package comment). The owner should Close it; a space dropped
+// unclosed is closed by a finalizer, which a slice obtained from Bytes
+// does not hold off.
 func NewLazySpace(name string, base Addr, size int64) *Space {
 	if size < 0 {
 		panic(fmt.Sprintf("mem: negative space size %d", size))
@@ -129,6 +136,19 @@ func (s *Space) Close() {
 	runtime.SetFinalizer(s, nil)
 	if err := release(data); err != nil {
 		panic(fmt.Sprintf("mem: releasing space %s: %v", s.name, err)) // the mapping is ours, so only a bug gets here
+	}
+}
+
+// AdviseHuge asks for huge pages behind [addr, addr+n), a physical range
+// of a space from NewLazySpace: only its 2 MiB-aligned interior is
+// advised, so an allocation under 2 MiB and the edges of a larger one
+// stay on 4 KiB pages and cost no memory they do not touch. It does
+// nothing on a heap-backed or closed space, for a range outside the
+// space, or where the operating system has no transparent huge pages.
+func (s *Space) AdviseHuge(addr Addr, n int64) {
+	if s.release != nil && s.Contains(addr, n) {
+		off := int64(addr - s.base)
+		adviseHuge(s.data[off : off+n])
 	}
 }
 
