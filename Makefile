@@ -81,12 +81,15 @@ bench-contended:
 # copy on first touch, with the copy ruler that counts those copies, and
 # the word-at-a-time page bitmaps, masked write-backs and protection fills
 # against their per-page references (device memory is a heap slice here,
-# so the huge-page advice test, which needs an OS mapping, is not run).
+# so the huge-page advice test, which needs an OS mapping, is not run),
+# and the per-manager op rings: one manager's flight dump, the refusal of
+# a mixed stream, the process-wide op count, and the endpoints that serve
+# one manager's window.
 bench-conformance:
 	$(GO) test -race -count=1 -run 'Batching' ./internal/workloads
 	$(GO) test -race -count=1 \
-		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros|TestOwedPagesMatchFlatModel|TestBatchDeviceLostKeepsAcquiredBytes|TestBatchInjectedLossPullsOwedPages|TestPullAfterClose|TestOwedBeforeArming|TestArmedEvictionPullsOwedPages|TestBulkAndPeerReadOwedBlocks|TestCopyBudget|TestPageBitmapsAgainstPerBit|TestMaskedH2DLandsSelectedRuns|TestMprotectFillsExactRange' \
-		./internal/core ./internal/accel ./internal/hostmmu ./internal/mem ./gmac
+		-run 'TestRegistryConcurrentLanes|TestIndexRebuildStorm|TestRegShardMask|TestMMUConcurrentLanes|TestCheckTakesNoShardLock|TestCheckBesideNeighbourMaps|SpanFaultBatching|TestLookupAfterChurnBuildsNoClone|TestFreedBytesNeverReappear|TestConcurrentChurnReadsZeros|TestRecycledSpaceReadsZeros|TestUnmapClosesSpace|TestPoolBound|TestFreedObjectViewsReadZeros|TestOwedPagesMatchFlatModel|TestBatchDeviceLostKeepsAcquiredBytes|TestBatchInjectedLossPullsOwedPages|TestPullAfterClose|TestOwedBeforeArming|TestArmedEvictionPullsOwedPages|TestBulkAndPeerReadOwedBlocks|TestCopyBudget|TestPageBitmapsAgainstPerBit|TestMaskedH2DLandsSelectedRuns|TestMprotectFillsExactRange|TestFlightLogIsOneManagers|TestReplayRefusesMixedManagers|TestFlightCountSumsManagers|TestFlightCountNeverDecreases|TestOpLogEndpoint|TestFlightDumpEndpoint' \
+		./internal/core ./internal/accel ./internal/hostmmu ./internal/mem ./internal/introspect ./gmac
 
 # Interleaved contract pairs of the harness at BASE against the working
 # tree: per-pair values, wins, medians and quartiles, and whether a claimed

@@ -45,7 +45,6 @@ var deadExportAllow = map[string]string{
 	"internal/mem.VASpace.Mappings":    "leak check: TestVASpaceMapFixed, TestVirtualMemoryAllocNeverConflicts",
 	"internal/accel.Device.Lost":       "loss check: TestClose, TestFaultInjectorArmsOnlyItsDevice, TestUseAfterClose",
 	"internal/osabs.FS.Contents":       "file check: TestWriteFileFetchesFromDevice, TestWriteFileUnderInjectedIOErrors",
-	"internal/oplog.Ring.Reset":        "isolates the process-wide flight ring: TestFlightLog, TestAutoDump",
 	"internal/workloads.AllSmall":      "every workload at test scale: TestBatchingConformanceAllWorkloads, TestWorkloadsRaceFree",
 	"machine.SmallTestbed":             "the fast test machine of the gmac, racecheck and introspect tests",
 }

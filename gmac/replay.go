@@ -8,8 +8,8 @@ import (
 // This file is the public face of the op-stream layer (internal/oplog):
 // recording a session's complete operation stream and replaying a recorded
 // stream against a fresh session. The always-on flight recorder needs no
-// enabling — every manager feeds it; see oplog.Flight and the
-// /adsm/flight-dump introspection endpoint.
+// enabling: each context's manager records every op into its own ring;
+// see core.(*Manager).FlightLog and the /adsm/flight-dump endpoint.
 
 // OpLog is a recorded op stream: configuration header, ops, and the
 // recorded run's final counter totals.
@@ -34,14 +34,14 @@ const (
 func DecodeOpLog(data []byte) (*OpLog, error) { return oplog.Decode(data) }
 
 // EnableRecorder starts capturing this context's op stream into a ring of
-// the given capacity (the default capacity if <= 0). The ring must hold
-// the whole run: FinishOpLog fails if it wrapped. Recording is
-// allocation-free and adds one mutex-guarded ring write per operation.
+// the given capacity (the default capacity if <= 0) in place of its flight
+// ring. It must hold the whole run: FinishOpLog fails if it wrapped.
+// Recording is allocation-free and adds no ring write per operation.
 func (c *Context) EnableRecorder(capacity int) { c.mgr.EnableRecorder(capacity) }
 
 // FinishOpLog stops capturing and returns the recorded stream, labelled
 // and carrying the session's final counter totals for replay conformance
-// checks.
+// checks; the ring stays on as the flight window.
 func (c *Context) FinishOpLog(label string) (*OpLog, error) {
 	return c.mgr.FinishOpLog(label)
 }

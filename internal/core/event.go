@@ -11,9 +11,9 @@ import "repro/internal/oplog"
 
 // emit stamps op with the current virtual time, this manager's id, the
 // calling goroutine's host lane and o's sequence number (o is the object
-// the op concerns, nil for none), appends it to the flight ring, the
-// capture ring (if capturing) and, for the traced kinds, the tracer (if
-// installed), and folds it into every derived view.
+// the op concerns, nil for none), records it into the manager's ring and,
+// for the traced kinds, the tracer (if installed), and folds it into
+// every derived view.
 //
 //adsm:noalloc
 func (m *Manager) emit(op oplog.Op, o *Object) {
@@ -25,10 +25,7 @@ func (m *Manager) emit(op oplog.Op, o *Object) {
 		op.Obj = o.seq
 		row = &o.counters
 	}
-	oplog.Flight().Record(op)
-	if r := m.rec.Load(); r != nil {
-		r.Record(op)
-	}
+	m.ring.Load().Record(op)
 	m.stats.apply(op, row)
 	if t := m.tracer; t != nil && tracedKinds&(1<<op.Kind) != 0 {
 		t.Record(op)

@@ -33,7 +33,7 @@ func (m *Manager) CheckInvariants() error {
 	if err != nil {
 		// A tripped invariant is a flight-recorder trigger: dump the op
 		// stream leading up to it (best-effort, gated by ADSM_FLIGHT_DIR).
-		oplog.AutoDump("invariants")
+		oplog.AutoDump(m.FlightLog("invariants"))
 	}
 	return err
 }

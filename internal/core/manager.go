@@ -191,11 +191,12 @@ type Manager struct {
 	// lost latches once the accelerator is declared lost (fault escalation,
 	// recover.go); objects then degrade to host-resident semantics.
 	lost atomic.Bool
-	// rec is the optional capture recorder (record.go); the process-wide
-	// flight recorder is always on regardless. objSeq numbers objects so
-	// recorded streams identify them stably across record and replay.
-	rec    atomic.Pointer[oplog.Ring]
-	objSeq atomic.Uint32
+	// ring is the op ring emit records into (record.go), a capture while
+	// capturing is set. objSeq numbers objects so recorded streams
+	// identify them stably across record and replay.
+	ring      atomic.Pointer[oplog.Ring]
+	capturing atomic.Bool
+	objSeq    atomic.Uint32
 }
 
 // NewManager wires a manager to the host MMU, the host virtual address
@@ -225,10 +226,9 @@ func NewManager(cfg Config, clock *sim.Clock, bd *sim.Breakdown,
 		rolling: newRollingCache(cfg.FixedRolling, cfg.FixedRolling > 0),
 	}
 	m.mets = newMetricSet(metrics.Default(), cfg.Protocol, &m.stats)
-	// A flight dump replays under the protocol of the run that filled the
-	// ring, recorder or not. The ring is process-wide, so the last manager
-	// built names it.
-	oplog.Flight().SetHeader(m.OpLogHeader())
+	// A flight dump replays under this manager's configuration, recorder
+	// or not.
+	m.ring.Store(oplog.NewFlightRing(oplog.DefaultFlightCapacity, m.OpLogHeader()))
 	mmu.SetHandler(m.handleFault)
 	registerManager(m)
 	return m, nil

@@ -1,48 +1,33 @@
 // Op-stream recording: the manager's side of internal/oplog.
 //
-// Every manager records unconditionally into the process-wide flight
-// recorder (oplog.Flight) — the always-on black box — and optionally into a
-// per-manager capture ring installed with EnableRecorder, sized to hold a
+// Every manager records each op once, into its own ring: the always-on
+// black box (FlightLog). EnableRecorder swaps in a ring sized to hold a
 // whole run for the record/replay workflow (cmd/adsmtrace -record,
-// gmacbench -record, the replay conformance tests).
+// gmacbench -record, the replay conformance tests), which stays on as
+// the flight window after FinishOpLog.
 //
 // The record path (emit, event.go) runs inside the fault handler and the
 // host-access fast paths, so it is allocation-free: an op is a plain value,
-// a ring stores it with one slot copy under its mutex, and all string
+// the ring stores it with one slot copy under its mutex, and all string
 // context is interned ahead of time (oplog.NoteID) on cold paths.
 
 package core
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/metrics"
 	"repro/internal/oplog"
 )
 
-func init() {
-	// Flight dumps carry a metrics snapshot; installed here (not in oplog)
-	// to keep oplog free of a metrics dependency.
-	oplog.SetMetricsSnapshot(func() []byte {
-		var buf bytes.Buffer
-		if err := metrics.Default().WriteJSON(&buf); err != nil {
-			return nil
-		}
-		return buf.Bytes()
-	})
-}
-
-// EnableRecorder installs a fresh capture ring of the given capacity
-// (DefaultRingCapacity if <= 0), receiving every op this manager emits,
-// and returns it. The caller sizes the ring to the expected run length;
-// FinishOpLog fails if it wrapped.
-func (m *Manager) EnableRecorder(capacity int) *oplog.Ring {
-	r := oplog.NewRing(capacity)
-	r.SetHeader(m.OpLogHeader())
-	oplog.Flight().SetHeader(m.OpLogHeader())
-	m.rec.Store(r)
-	return r
+// EnableRecorder starts a capture: it swaps in a fresh ring of the given
+// capacity (DefaultRingCapacity if <= 0) carrying this manager's header,
+// so the ring receives every op from here on. The caller sizes it to the
+// expected run length; FinishOpLog fails if it wrapped.
+func (m *Manager) EnableRecorder(capacity int) {
+	m.ring.Store(oplog.NewFlightRing(capacity, m.OpLogHeader()))
+	m.capturing.Store(true)
 }
 
 // OpLogHeader describes this manager's configuration for a recorded
@@ -61,21 +46,32 @@ func (m *Manager) OpLogHeader() oplog.Header {
 	return h
 }
 
-// FinishOpLog detaches the capture ring and packages its contents as a
+// FinishOpLog ends the capture and packages the ring's contents as a
 // complete Log with this manager's final counter totals. It fails if no
-// recorder was installed or if the ring wrapped (the stream would be
+// capture was started or if the ring wrapped (the stream would be
 // incomplete — record again with a larger capacity).
 func (m *Manager) FinishOpLog(label string) (*oplog.Log, error) {
-	r := m.rec.Swap(nil)
-	if r == nil {
+	if !m.capturing.Swap(false) {
 		return nil, fmt.Errorf("core: no recorder installed")
 	}
+	r := m.ring.Load()
 	if r.Wrapped() {
 		return nil, fmt.Errorf("core: op log wrapped: %d ops recorded into a %d-op ring; raise the capture capacity",
 			r.Total(), r.Capacity())
 	}
-	l := r.Snapshot()
-	l.Header.Label = label
+	l := r.Snapshot(label, 0)
 	l.Totals = m.Stats().Counters()
 	return l, nil
+}
+
+// OpRing returns the ring this manager records into.
+func (m *Manager) OpRing() *oplog.Ring { return m.ring.Load() }
+
+// FlightLog is this manager's flight dump: its ring's window, marked
+// HdrFlight and labelled reason, with a JSON snapshot of the metrics
+// registry.
+func (m *Manager) FlightLog(reason string) *oplog.Log {
+	l := m.ring.Load().Snapshot(reason, oplog.HdrFlight)
+	l.Metrics, _ = json.Marshal(metrics.Default().Snapshot())
+	return l
 }

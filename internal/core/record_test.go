@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hostmmu"
 	"repro/internal/mem"
@@ -148,10 +150,9 @@ func TestReplayTwiceIsStable(t *testing.T) {
 	}
 }
 
-// TestFlightHeaderWithoutRecorder: a flight dump names the protocol and
-// block size of the run that filled the ring, although no recorder was
-// ever installed, so adsmtrace -replay replays it under that protocol. The
-// ring is process-wide, so this test must not run in parallel.
+// TestFlightHeaderWithoutRecorder: a manager's flight dump names its
+// protocol and block size, although no recorder was ever installed, so
+// adsmtrace -replay replays it under that protocol.
 func TestFlightHeaderWithoutRecorder(t *testing.T) {
 	cfg := defaultCfg(LazyUpdate)
 	cfg.BlockSize = 16 << 10
@@ -163,10 +164,160 @@ func TestFlightHeaderWithoutRecorder(t *testing.T) {
 	if err := r.mgr.HostWrite(p, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	h := oplog.FlightLog("").Header
+	newRig(t, defaultCfg(BatchUpdate)) // a later manager names no one else's dump
+	h := r.mgr.FlightLog("").Header
 	if ProtocolKind(h.Protocol) != LazyUpdate || h.BlockSize != cfg.BlockSize {
 		t.Fatalf("flight header says %v with %d-byte blocks, want %v with %d",
 			ProtocolKind(h.Protocol), h.BlockSize, LazyUpdate, cfg.BlockSize)
+	}
+}
+
+// TestFlightLogIsOneManagers: two managers driven in turn each keep their
+// own flight window. A's dump holds only A's ops, under A's header, and
+// replays leniently on a fresh manager of that configuration to A's
+// counters; B's ops (whose first object is also sequence number 1) stay
+// out of it.
+func TestFlightLogIsOneManagers(t *testing.T) {
+	a := newRig(t, defaultCfg(BatchUpdate))
+	b := newRig(t, defaultCfg(RollingUpdate))
+	a.registerFill(t)
+	b.registerFill(t)
+	const size = 256 << 10
+	var pa, pb mem.Addr
+	for _, step := range []func() error{
+		func() (err error) { pa, err = a.mgr.Alloc(size); return err },
+		func() (err error) { pb, err = b.mgr.Alloc(size); return err },
+		func() error { return a.mgr.HostWrite(pa+4096, make([]byte, 8192)) },
+		func() error { return b.mgr.HostWrite(pb+64<<10, make([]byte, 8192)) },
+		func() error { return a.mgr.InvokeHinted("fill", CallHints{}, uint64(pa), size/4, 7) },
+		func() error { return b.mgr.InvokeHinted("fill", CallHints{}, uint64(pb), size/4, 9) },
+		a.mgr.Sync,
+		b.mgr.Sync,
+		func() error { return b.mgr.HostRead(pb, make([]byte, 4096)) },
+		func() error { return a.mgr.HostRead(pa+128<<10, make([]byte, 4096)) },
+		func() error { return a.mgr.HostWrite(pa, []byte{1}) },
+		func() error { return b.mgr.Free(pb) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l := a.mgr.FlightLog("pin")
+	if len(l.Ops) == 0 {
+		t.Fatal("A's flight log is empty")
+	}
+	for i, op := range l.Ops {
+		if op.Mgr != uint16(a.mgr.ID()) {
+			t.Fatalf("A's flight log op %d (%v) is manager %d's; A is %d", i, op.Kind, op.Mgr, a.mgr.ID())
+		}
+	}
+	if h := l.Header; h.Flags&oplog.HdrFlight == 0 || ProtocolKind(h.Protocol) != BatchUpdate || h.BlockSize != a.mgr.cfg.BlockSize {
+		t.Fatalf("A's flight header %+v, want a flight dump of %v with %d-byte blocks",
+			h, BatchUpdate, a.mgr.cfg.BlockSize)
+	}
+
+	h := l.Header
+	cfg := defaultCfg(ProtocolKind(h.Protocol))
+	cfg.BlockSize, cfg.FixedRolling, cfg.MaxRetries = h.BlockSize, int(h.FixedRolling), int(h.MaxRetries)
+	cfg.DisableFaultBatching = h.Flags&oplog.HdrNoFaultBatch != 0
+	rep := newRig(t, cfg)
+	report, err := rep.mgr.Replay(l, ReplayOptions{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Skipped != 0 || report.Errors != 0 {
+		t.Fatalf("lenient replay of A's dump skipped %d, errored %d", report.Skipped, report.Errors)
+	}
+	if err := CompareTotals(a.mgr.Stats().Counters(), rep.mgr.Stats().Counters()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayRefusesMixedManagers: a stream whose ops name two managers (a
+// hand-merged log, or a process-wide flight dump) fails to replay, strict
+// or lenient, before it replays anything.
+func TestReplayRefusesMixedManagers(t *testing.T) {
+	var logs []*oplog.Log
+	for _, kind := range []ProtocolKind{LazyUpdate, LazyUpdate} {
+		r := newRig(t, defaultCfg(kind))
+		r.mgr.EnableRecorder(1 << 16)
+		driveWorkload(t, r)
+		l, err := r.mgr.FinishOpLog("mixed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs = append(logs, l)
+	}
+	mixed := *logs[0]
+	half := len(mixed.Ops) / 2
+	mixed.Ops = slices.Concat(logs[0].Ops[:half], logs[1].Ops, logs[0].Ops[half:])
+	for _, lenient := range []bool{false, true} {
+		rep := newRig(t, defaultCfg(LazyUpdate))
+		_, err := rep.mgr.Replay(&mixed, ReplayOptions{Lenient: lenient})
+		if err == nil || !strings.Contains(err.Error(), "stream mixes managers") {
+			t.Fatalf("lenient=%v: got %v, want an error naming the mixed managers", lenient, err)
+		}
+		if n := rep.mgr.Stats().Allocs; n != 0 {
+			t.Fatalf("lenient=%v: the refused stream replayed %d allocations", lenient, n)
+		}
+	}
+}
+
+// TestFlightCountSumsManagers: the process-wide op count grows by exactly
+// the ops of the managers' rings.
+func TestFlightCountSumsManagers(t *testing.T) {
+	before := oplog.Flight().Total()
+	a := newRig(t, defaultCfg(BatchUpdate))
+	b := newRig(t, defaultCfg(RollingUpdate))
+	driveWorkload(t, a)
+	driveWorkload(t, b)
+	got := oplog.Flight().Total() - before
+	want := a.mgr.OpRing().Total() + b.mgr.OpRing().Total()
+	if got != want || want == 0 {
+		t.Fatalf("flight count grew by %d, the two managers' rings hold %d", got, want)
+	}
+}
+
+// TestFlightCountNeverDecreases: the process-wide op count keeps the ops
+// of a ring EnableRecorder swapped out and of a dropped manager's ring,
+// before and after the collector reclaims them (which it must: the count
+// pins no ring).
+func TestFlightCountNeverDecreases(t *testing.T) {
+	gone := make(chan struct{}, 2)
+	onCollect := func(*oplog.Ring) { gone <- struct{}{} }
+	r := newRig(t, defaultCfg(RollingUpdate))
+	driveWorkload(t, r)
+	runtime.SetFinalizer(r.mgr.OpRing(), onCollect)
+	func() {
+		d := newRig(t, defaultCfg(BatchUpdate))
+		driveWorkload(t, d)
+		runtime.SetFinalizer(d.mgr.OpRing(), onCollect)
+	}()
+	before := oplog.Flight().Total()
+	r.mgr.EnableRecorder(1 << 12)
+	if got := oplog.Flight().Total(); got < before {
+		t.Fatalf("flight count fell from %d to %d when the recorder swapped the ring out", before, got)
+	}
+	// A ring's count is retired by a finalizer a cycle after the ring is
+	// collected: run a few cycles past the second collection.
+	collected := 0
+	for round, settled := 0, 0; settled < 4; round++ {
+		if round == 100 {
+			t.Fatalf("%d of 2 dropped rings collected after 100 cycles", collected)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		for len(gone) > 0 {
+			<-gone
+			collected++
+		}
+		if got := oplog.Flight().Total(); got < before {
+			t.Fatalf("flight count fell from %d to %d after a collection", before, got)
+		}
+		if collected == 2 {
+			settled++
+		}
 	}
 }
 

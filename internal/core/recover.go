@@ -83,7 +83,7 @@ func (m *Manager) retryStep(cat sim.Category, what string, attempt int, err erro
 	if attempt >= m.maxRetries() {
 		m.emit(oplog.Op{Kind: oplog.OpRetry, Flags: oplog.FlagGiveup,
 			Arg: int64(attempt), Note: oplog.NoteID(what)}, nil)
-		oplog.AutoDump("retry-giveup")
+		oplog.AutoDump(m.FlightLog("retry-giveup"))
 		return false, fmt.Errorf("core: %s failed after %d retries: %w", what, attempt, err)
 	}
 	backoff := DefaultRetryBase << uint(attempt)
@@ -100,7 +100,7 @@ func (m *Manager) markDeviceLost(cause error) {
 	// The cause is interned as the op's note — once per manager, and the
 	// note table is bounded — so the flight dump names it.
 	m.emit(oplog.Op{Kind: oplog.OpDeviceLost, Note: oplog.NoteID(cause.Error())}, nil)
-	oplog.AutoDump("device-lost")
+	oplog.AutoDump(m.FlightLog("device-lost"))
 }
 
 // degradeObjectLocked switches o to host-resident batch-update semantics:

@@ -31,8 +31,6 @@ type ReplayOptions struct {
 	// can always be driven as far as it goes. Strict mode (the default)
 	// aborts on the first divergence — right for complete capture logs.
 	Lenient bool
-	// MaxOps bounds the number of input ops re-executed (0 = all).
-	MaxOps int
 }
 
 // ReplayReport summarises one replay.
@@ -42,8 +40,6 @@ type ReplayReport struct {
 	Input, Replayed, Skipped int
 	// Errors counts tolerated op failures (lenient mode only).
 	Errors int
-	// Objects is the number of distinct objects allocated during replay.
-	Objects int
 }
 
 // replayer carries the state threaded through one replay.
@@ -71,9 +67,18 @@ type replayer struct {
 // builds one). Kernels named by the stream that are not registered on m's
 // device are stub-registered with a zero-cost body — the coherence
 // counters do not depend on what kernels compute, only on when they run.
-// A stream holding a retired op (oplog.Op.Retired) fails, lenient or not:
-// skipping it would replay a different program.
+// A stream holding a retired op (oplog.Op.Retired), or whose ops name two
+// managers (Op.Mgr: object sequence numbers are per manager), fails before
+// anything is replayed, lenient or not: it would replay another program.
 func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) {
+	for i, op := range l.Ops {
+		if name := op.Retired(); name != "" {
+			return ReplayReport{}, fmt.Errorf("core: replay op %d: retired %s op; this runtime cannot replay it", i, name)
+		}
+		if op.Mgr != l.Ops[0].Mgr {
+			return ReplayReport{}, fmt.Errorf("core: replay op %d: stream mixes managers %d and %d", i, l.Ops[0].Mgr, op.Mgr)
+		}
+	}
 	r := &replayer{
 		m:       m,
 		opt:     opt,
@@ -81,17 +86,11 @@ func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) 
 		objAddr: make(map[uint32]mem.Addr),
 	}
 	r.registerStubs(l)
-	for i, op := range l.Ops {
-		if name := op.Retired(); name != "" {
-			return r.rep, fmt.Errorf("core: replay op %d: retired %s op; this runtime cannot replay it", i, name)
-		}
+	for _, op := range l.Ops {
 		if !op.Kind.Input() {
 			continue
 		}
 		r.rep.Input++
-		if opt.MaxOps > 0 && r.rep.Replayed >= opt.MaxOps {
-			break
-		}
 		if err := r.step(op); err != nil {
 			if !opt.Lenient {
 				return r.rep, fmt.Errorf("core: replay op %d (%v): %w", r.rep.Input-1, op.Kind, err)
@@ -99,7 +98,6 @@ func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) 
 			r.rep.Errors++
 		}
 	}
-	r.rep.Objects = len(r.objAddr)
 	return r.rep, nil
 }
 

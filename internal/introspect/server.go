@@ -12,8 +12,9 @@
 //	/adsm/statsz   human-readable text report of the metrics registry
 //	               (histogram lines carry p50/p95/p99 estimates)
 //	/adsm/metrics  Prometheus/OpenMetrics text exposition of the registry
-//	/adsm/oplog    flight-recorder ring contents (JSON view of recent ops)
-//	/adsm/flight-dump  flight-recorder dump as a binary .oplog download,
+//	/adsm/oplog    a manager's flight ring (JSON view of recent ops;
+//	               ?mgr=<id> selects one; default: latest)
+//	/adsm/flight-dump  the same as a binary .oplog download,
 //	               replayable with `adsmtrace -replay`
 //
 // Everything served here is read from atomic counters, mutex-guarded
@@ -82,33 +83,37 @@ func handleObjects(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, managerViews())
 }
 
-func handleTrace(w http.ResponseWriter, r *http.Request) {
-	mgrs := core.RecentManagers()
-	wantID := 0
-	if s := r.URL.Query().Get("mgr"); s != "" {
-		id, err := strconv.Atoi(s)
-		if err != nil {
-			http.Error(w, "bad mgr id", http.StatusBadRequest)
-			return
+// perManager serves h with the retained manager a request names with
+// ?mgr=<id>, or without one with the newest retained manager for which
+// has holds (nil: any). It answers 400 to an id that is not a number and
+// 404, saying none, when no manager fits.
+func perManager(has func(*core.Manager) bool, none string, h func(http.ResponseWriter, *core.Manager)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		wantID := 0
+		if s := r.URL.Query().Get("mgr"); s != "" {
+			id, err := strconv.Atoi(s)
+			if err != nil {
+				http.Error(w, "bad mgr id", http.StatusBadRequest)
+				return
+			}
+			wantID = id
 		}
-		wantID = id
+		mgrs := core.RecentManagers()
+		for i := len(mgrs) - 1; i >= 0; i-- {
+			if m := mgrs[i]; (wantID == 0 || m.ID() == wantID) && (has == nil || has(m)) {
+				h(w, m)
+				return
+			}
+		}
+		http.Error(w, none, http.StatusNotFound)
 	}
-	for i := len(mgrs) - 1; i >= 0; i-- {
-		m := mgrs[i]
-		if wantID != 0 && m.ID() != wantID {
-			continue
-		}
-		t := m.SpanTracer()
-		if t == nil {
-			continue
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := t.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
+}
+
+func handleTrace(w http.ResponseWriter, m *core.Manager) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := m.SpanTracer().WriteJSON(w); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-	http.Error(w, "no traced manager (enable tracing or core.SetAutoTrace)", http.StatusNotFound)
 }
 
 func handleStatsz(w http.ResponseWriter, _ *http.Request) {
@@ -121,8 +126,8 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = metrics.Default().WriteOpenMetrics(w)
 }
 
-// oplogDoc is the /adsm/oplog response body: the flight recorder's current
-// window rendered readably (kinds and notes resolved to strings).
+// oplogDoc is the /adsm/oplog response body: one manager's flight window
+// rendered readably (kinds and notes resolved to strings).
 type oplogDoc struct {
 	Capacity int       `json:"capacity"`
 	Total    uint64    `json:"total"`
@@ -142,8 +147,8 @@ type oplogOp struct {
 	Note  string `json:"note,omitempty"`
 }
 
-func handleOpLog(w http.ResponseWriter, _ *http.Request) {
-	f := oplog.Flight()
+func handleOpLog(w http.ResponseWriter, m *core.Manager) {
+	f := m.OpRing()
 	ops := f.Ops()
 	doc := oplogDoc{
 		Capacity: f.Capacity(),
@@ -167,8 +172,8 @@ func handleOpLog(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, doc)
 }
 
-func handleFlightDump(w http.ResponseWriter, _ *http.Request) {
-	data := oplog.FlightLog("introspect").Encode()
+func handleFlightDump(w http.ResponseWriter, m *core.Manager) {
+	data := m.FlightLog("introspect").Encode()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="adsm-flight.oplog"`)
 	_, _ = w.Write(data)
@@ -186,23 +191,25 @@ func handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /adsm/trace    Chrome trace_event JSON (?mgr=<id>)")
 	fmt.Fprintln(w, "  /adsm/statsz   text metrics report (p50/p95/p99 per histogram)")
 	fmt.Fprintln(w, "  /adsm/metrics  Prometheus/OpenMetrics exposition")
-	fmt.Fprintln(w, "  /adsm/oplog    flight-recorder window (JSON)")
-	fmt.Fprintln(w, "  /adsm/flight-dump  flight-recorder dump (.oplog download)")
+	fmt.Fprintln(w, "  /adsm/oplog    a manager's flight window (JSON, ?mgr=<id>)")
+	fmt.Fprintln(w, "  /adsm/flight-dump  a manager's flight dump (.oplog download, ?mgr=<id>)")
 }
 
 // NewHandler returns the introspection handler, for embedding into an
 // existing server. The embedder brackets its serving with
-// core.RetainManagers, as Start and Close do, or the object tables and
-// /adsm/trace stay empty.
+// core.RetainManagers, as Start and Close do, or only the registry's
+// endpoints have data.
 func NewHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/adsm/stats", handleStats)
 	mux.HandleFunc("/adsm/objects", handleObjects)
-	mux.HandleFunc("/adsm/trace", handleTrace)
+	mux.HandleFunc("/adsm/trace", perManager(func(m *core.Manager) bool { return m.SpanTracer() != nil },
+		"no traced manager (enable tracing or core.SetAutoTrace)", handleTrace))
 	mux.HandleFunc("/adsm/statsz", handleStatsz)
 	mux.HandleFunc("/adsm/metrics", handleMetrics)
-	mux.HandleFunc("/adsm/oplog", handleOpLog)
-	mux.HandleFunc("/adsm/flight-dump", handleFlightDump)
+	const none = "no retained manager (start the endpoint before the contexts)"
+	mux.HandleFunc("/adsm/oplog", perManager(nil, none, handleOpLog))
+	mux.HandleFunc("/adsm/flight-dump", perManager(nil, none, handleFlightDump))
 	mux.HandleFunc("/", handleIndex)
 	return mux
 }
@@ -216,8 +223,8 @@ type Server struct {
 
 // Start listens on addr (e.g. "localhost:6060", ":0" for an ephemeral
 // port) and serves the introspection endpoints until Close. Managers built
-// while it serves are retained (core.RetainManagers) for the object tables
-// and /adsm/trace; ones built before Start are not visible.
+// while it serves are retained (core.RetainManagers) for every endpoint
+// but the registry's; ones built before Start are not visible.
 func Start(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

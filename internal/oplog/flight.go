@@ -4,46 +4,62 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// DefaultFlightCapacity sizes the process-wide flight ring: large enough
-// to hold the full lead-up to a failure in the small workloads, small
-// enough (~1 MiB) to stay resident in every process.
+// DefaultFlightCapacity sizes a manager's flight ring: large enough to
+// hold the full lead-up to a failure in the small workloads, small enough
+// (768 KiB) to stay resident beside every manager.
 const DefaultFlightCapacity = 1 << 14
 
-// flight is the process-wide flight recorder: always on, always bounded.
-// Managers record into it unconditionally (core wires every manager to it
-// at construction).
-var flight = NewRing(DefaultFlightCapacity)
+// flightCount is the process-wide op count: the counts of the live flight
+// rings, and retired, the final counts of the collected ones.
+type flightCount struct {
+	mu      sync.Mutex
+	live    map[*ringCount]struct{}
+	retired uint64
+}
 
-// Flight returns the process-wide flight-recorder ring.
-func Flight() *Ring { return flight }
+var flight = &flightCount{live: make(map[*ringCount]struct{})}
 
-// metricsSnapshot is installed by internal/core (avoiding an import cycle:
-// metrics must stay importable from oplog consumers). It returns a JSON
-// snapshot of the default metrics registry.
-var metricsSnapshot atomic.Pointer[func() []byte]
+// liveRing is referenced by its flight ring alone, so its finalizer runs
+// once the ring is collected (one on the ring would hold the slots longer).
+type liveRing struct{ n *ringCount }
 
-// SetMetricsSnapshot installs the provider used to attach a metrics
-// snapshot to flight dumps.
-func SetMetricsSnapshot(fn func() []byte) { metricsSnapshot.Store(&fn) }
+// NewFlightRing returns a ring like NewRing, carrying header h, whose ops
+// count toward Flight while it lives and after it is collected.
+func NewFlightRing(capacity int, h Header) *Ring {
+	r := NewRing(capacity)
+	r.header, r.live = h, &liveRing{r.ringCount}
+	flight.mu.Lock()
+	flight.live[r.ringCount] = struct{}{}
+	flight.mu.Unlock()
+	runtime.SetFinalizer(r.live, func(l *liveRing) {
+		flight.mu.Lock()
+		delete(flight.live, l.n)
+		flight.retired += l.n.Total()
+		flight.mu.Unlock()
+	})
+	return r
+}
 
-// FlightLog packages the flight ring's current contents as a Log: the ops,
-// the last-attached header marked HdrFlight, and a metrics snapshot if a
-// provider is installed. Used by DumpFlight and the /adsm/flight-dump
-// introspection endpoint.
-func FlightLog(reason string) *Log {
-	l := flight.Snapshot()
-	l.Header.Flags |= HdrFlight
-	if reason != "" {
-		l.Header.Label = reason
+// Flight returns the process-wide op count; no ring is process-wide.
+func Flight() *flightCount { return flight }
+
+// Total returns the number of ops ever recorded into a flight ring in
+// this process: the live rings' sum plus the final count of every
+// collected one. It never decreases.
+func (f *flightCount) Total() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	sum := f.retired
+	for n := range f.live {
+		sum += n.Total()
 	}
-	if fn := metricsSnapshot.Load(); fn != nil {
-		l.Metrics = (*fn)()
-	}
-	return l
+	return sum
 }
 
 // EnvFlightDir selects where automatic flight dumps are written; the value
@@ -56,20 +72,15 @@ const maxAutoDumps = 16
 
 var autoDumps atomic.Int64
 
-// DumpFlight writes the current flight-recorder contents to path.
-func DumpFlight(path, reason string) error {
-	return os.WriteFile(path, FlightLog(reason).Encode(), 0o644)
-}
-
-// AutoDump writes a flight dump in reaction to a runtime failure (retry
-// budget exhausted, device lost, invariant violation, conformance-check
-// failure). Dumps go to $ADSM_FLIGHT_DIR, or the OS temp directory when it
-// is unset — except under `go test`, where an unset variable suppresses
+// AutoDump writes l, the flight log of a manager that failed (retry budget
+// exhausted, device lost, invariant violation), to a file named after its
+// label. Dumps go to $ADSM_FLIGHT_DIR, or the OS temp directory when it is
+// unset — except under `go test`, where an unset variable suppresses
 // dumps so routine failure-path tests do not litter. Setting the variable
 // (as CI and the chaos tests do) always enables dumping; setting it to
 // "off" always disables it. At most maxAutoDumps are written per process.
 // Best-effort: returns the written path, or "" when suppressed or failed.
-func AutoDump(reason string) string {
+func AutoDump(l *Log) string {
 	dir := os.Getenv(EnvFlightDir)
 	switch {
 	case dir == "off":
@@ -88,8 +99,8 @@ func AutoDump(reason string) string {
 		return ""
 	}
 	path := filepath.Join(dir, fmt.Sprintf("adsm-flight-%d-%d-%s.oplog",
-		os.Getpid(), n, sanitizeReason(reason)))
-	if err := DumpFlight(path, reason); err != nil {
+		os.Getpid(), n, sanitizeReason(l.Header.Label)))
+	if err := os.WriteFile(path, l.Encode(), 0o644); err != nil {
 		return ""
 	}
 	return path

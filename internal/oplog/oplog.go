@@ -6,15 +6,15 @@
 // The paper's central observation — the runtime sees *every* host access
 // and kernel launch — means this stream is a complete description of a
 // run: replaying the input ops against a fresh manager reproduces the
-// coherence behaviour exactly (internal/core.Replay). Three consumers are
-// built on the same Op type:
+// coherence behaviour exactly (internal/core.Replay). Each manager records
+// every op once, into its own Ring, which three consumers read:
 //
-//   - a capture recorder (Ring installed via core.(*Manager).EnableRecorder)
-//     that turns any application run into a reusable benchmark and chaos
-//     corpus, serialised by Encode/Decode;
-//   - the always-on flight recorder (Flight), a fixed-size mutex-guarded ring
-//     of the most recent ops that is dumped to a file — ops, metrics
-//     snapshot and config — when something goes wrong (flight.go);
+//   - capture mode (core.(*Manager).EnableRecorder), a ring sized to hold
+//     a whole run, which turns any application run into a reusable
+//     benchmark and chaos corpus, serialised by Encode/Decode;
+//   - the always-on flight recorder: the ring's most recent ops, dumped to
+//     a file — ops, metrics snapshot and config — when something goes
+//     wrong (flight.go);
 //   - the introspection endpoint's /adsm/oplog view.
 //
 // The record path is allocation-free (//adsm:noalloc, enforced by adsmvet
@@ -166,8 +166,8 @@ type Op struct {
 	// Kind classifies it; Flags carry per-kind modifiers.
 	Kind  Kind
 	Flags uint8
-	// Mgr is the recording manager's process-wide id, distinguishing
-	// interleaved managers in the shared flight ring.
+	// Mgr is the recording manager's process-wide id: one per stream
+	// (core.Replay refuses a stream whose ops name two).
 	Mgr uint16
 	// Obj is the per-manager sequence number of the object involved
 	// (0 = none): stable across record and replay, unlike addresses.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -235,24 +236,12 @@ func TestRingCapacityRounding(t *testing.T) {
 }
 
 func TestRingHeader(t *testing.T) {
-	r := NewRing(8)
-	if h := r.Header(); h != (Header{}) {
+	if h := NewRing(8).Snapshot("", 0).Header; h != (Header{}) {
 		t.Fatalf("unset header = %+v", h)
 	}
-	r.SetHeader(Header{Protocol: 2, Label: "x"})
-	if h := r.Header(); h.Protocol != 2 || h.Label != "x" {
+	r := NewFlightRing(8, Header{Protocol: 2, BlockSize: 4096})
+	if h := r.Snapshot("x", 0).Header; h.Protocol != 2 || h.BlockSize != 4096 || h.Label != "x" {
 		t.Fatalf("header = %+v", h)
-	}
-}
-
-func TestRingReset(t *testing.T) {
-	r := NewRing(8)
-	for i := 0; i < 20; i++ {
-		r.Record(Op{Kind: OpSync})
-	}
-	r.Reset()
-	if len(r.Ops()) != 0 || r.Total() != 0 || r.Wrapped() {
-		t.Fatal("reset ring not empty")
 	}
 }
 
@@ -346,20 +335,21 @@ func BenchmarkEncode(b *testing.B) {
 // --- flight recorder tests ---
 
 func TestFlightLog(t *testing.T) {
-	flight.Reset()
-	t.Cleanup(flight.Reset)
-	flight.SetHeader(Header{Protocol: 1, Label: "orig"})
-	flight.Record(Op{Kind: OpAlloc, Obj: 1})
-	flight.Record(Op{Kind: OpFault, Obj: 1})
-	l := FlightLog("test-reason")
+	r := NewFlightRing(8, Header{Protocol: 1, Label: "orig"})
+	r.Record(Op{Kind: OpAlloc, Obj: 1})
+	r.Record(Op{Kind: OpFault, Obj: 1})
+	l := r.Snapshot("test-reason", HdrFlight)
 	if l.Header.Flags&HdrFlight == 0 {
 		t.Fatal("flight log missing HdrFlight")
 	}
-	if l.Header.Label != "test-reason" {
-		t.Fatalf("label = %q", l.Header.Label)
+	if l.Header.Protocol != 1 || l.Header.Label != "test-reason" {
+		t.Fatalf("header = %+v", l.Header)
 	}
 	if len(l.Ops) != 2 {
 		t.Fatalf("got %d ops", len(l.Ops))
+	}
+	if r.Snapshot("", 0).Header.Flags&HdrFlight != 0 {
+		t.Fatal("a flight snapshot marked the ring's own header")
 	}
 	// Must round-trip like any other log.
 	if _, err := Decode(l.Encode()); err != nil {
@@ -368,28 +358,31 @@ func TestFlightLog(t *testing.T) {
 }
 
 func TestAutoDump(t *testing.T) {
-	flight.Reset()
-	t.Cleanup(flight.Reset)
-	flight.Record(Op{Kind: OpDeviceLost})
+	r := NewRing(8)
+	r.Record(Op{Kind: OpDeviceLost})
+	l := r.Snapshot("unit test!", HdrFlight)
 
 	t.Run("disabled", func(t *testing.T) {
 		t.Setenv(EnvFlightDir, "off")
-		if p := AutoDump("x"); p != "" {
+		if p := AutoDump(l); p != "" {
 			t.Fatalf("dump written while disabled: %s", p)
 		}
 	})
 	t.Run("suppressed-under-test", func(t *testing.T) {
 		t.Setenv(EnvFlightDir, "")
-		if p := AutoDump("x"); p != "" {
+		if p := AutoDump(l); p != "" {
 			t.Fatalf("dump written with unset dir under go test: %s", p)
 		}
 	})
 	t.Run("enabled", func(t *testing.T) {
 		dir := t.TempDir()
 		t.Setenv(EnvFlightDir, dir)
-		p := AutoDump("unit test!")
+		p := AutoDump(l)
 		if p == "" {
 			t.Fatal("no dump written")
+		}
+		if !strings.HasSuffix(p, "-unit_test_.oplog") {
+			t.Fatalf("dump %s is not named after its label", p)
 		}
 		data, err := os.ReadFile(p)
 		if err != nil || len(data) == 0 {

@@ -1,11 +1,9 @@
 package oplog
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Ring is a fixed-size op ring. It serves both recorder roles:
+// Ring is a fixed-size op ring. Each manager records every op once into
+// its own (NewFlightRing), which serves both recorder roles:
 //
 //   - the always-on flight recorder, where concurrent host goroutines
 //     record while the ring silently keeps only the most recent ops;
@@ -18,11 +16,16 @@ import (
 // (Ops, the introspection endpoint, flight dumps) copy the slots out under
 // the same lock, so they never see a torn or dropped op.
 type Ring struct {
-	mu     sync.Mutex
-	slots  []Op
-	mask   uint64
-	pos    uint64 // ops ever recorded; guarded by mu
-	header atomic.Pointer[Header]
+	*ringCount // its own allocation, so Flight can read it without the slots
+	slots      []Op
+	mask       uint64
+	header     Header    // the replay header of the recorded configuration
+	live       *liveRing // flight rings only: retires the count when the ring is collected
+}
+
+type ringCount struct {
+	mu  sync.Mutex
+	pos uint64 // ops ever recorded; guarded by mu
 }
 
 // DefaultRingCapacity is used when NewRing is given a non-positive
@@ -39,7 +42,7 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Ring{slots: make([]Op, n), mask: uint64(n) - 1}
+	return &Ring{ringCount: new(ringCount), slots: make([]Op, n), mask: uint64(n) - 1}
 }
 
 // Record appends one op, overwriting the oldest once the ring is full.
@@ -57,37 +60,16 @@ func (r *Ring) Record(op Op) {
 func (r *Ring) Capacity() int { return len(r.slots) }
 
 // Total returns the number of ops ever recorded.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pos
+func (n *ringCount) Total() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.pos
 }
 
 // Wrapped reports whether the ring has overwritten old ops: in capture
 // mode this means the stream is incomplete and the capacity must be
 // raised.
 func (r *Ring) Wrapped() bool { return r.Total() > uint64(len(r.slots)) }
-
-// SetHeader attaches the replay header describing the recorded
-// configuration.
-func (r *Ring) SetHeader(h Header) { r.header.Store(&h) }
-
-// Header returns the attached replay header (zero value if none was set).
-func (r *Ring) Header() Header {
-	if h := r.header.Load(); h != nil {
-		return *h
-	}
-	return Header{}
-}
-
-// Reset discards all recorded ops; it exists for harnesses that reuse the
-// process-wide flight ring across isolated runs.
-func (r *Ring) Reset() {
-	r.mu.Lock()
-	r.pos = 0
-	clear(r.slots)
-	r.mu.Unlock()
-}
 
 // Ops returns a snapshot of the retained ops, oldest first.
 func (r *Ring) Ops() []Op {
@@ -101,8 +83,11 @@ func (r *Ring) Ops() []Op {
 	return out
 }
 
-// Snapshot packages the ring's current contents and header as a Log
-// (Totals and Metrics left for the caller).
-func (r *Ring) Snapshot() *Log {
-	return &Log{Header: r.Header(), Ops: r.Ops()}
+// Snapshot packages the ring's current ops as a Log under the ring's
+// header, labelled label and with flags added (HdrFlight for a flight
+// dump). Totals and Metrics are left for the caller.
+func (r *Ring) Snapshot(label string, flags uint32) *Log {
+	h := r.header
+	h.Label, h.Flags = label, h.Flags|flags
+	return &Log{Header: h, Ops: r.Ops()}
 }
