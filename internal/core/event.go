@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/oplog"
+import (
+	"repro/internal/oplog"
+	"repro/internal/trace"
+)
 
 // This file is the event spine. Every coherence event is emitted exactly
 // once, as an oplog.Op, through emit; the op log, Stats and the
@@ -149,4 +152,33 @@ func renderOp(op oplog.Op) (name, from, to, note string) {
 		from, to = State(op.Arg>>8).String(), State(op.Arg&0xff).String()
 	}
 	return name, from, to, note
+}
+
+// beginSpan opens a span at the current virtual time if span tracing is
+// enabled; the zero SpanID means disabled.
+func (m *Manager) beginSpan(name, note string) trace.SpanID {
+	if m.tracer == nil {
+		return 0
+	}
+	return m.tracer.Begin(name, note, m.clock.Now())
+}
+
+// endSpan closes a span opened by beginSpan.
+func (m *Manager) endSpan(id trace.SpanID) {
+	if m.tracer != nil && id != 0 {
+		m.tracer.End(id, m.clock.Now())
+	}
+}
+
+// emitTransition records a block state transition as an OpTransition into
+// the tracer, and nowhere else: no counter, capture or flight ring sees
+// it. The hot path (no tracer) pays a single nil check.
+func (m *Manager) emitTransition(b *Block, before State) {
+	t := m.tracer
+	if t == nil || b.state == before {
+		return
+	}
+	t.Record(oplog.Op{At: m.clock.Now(), Kind: oplog.OpTransition, Mgr: uint16(m.id),
+		Lane: m.clock.LaneID(), Obj: b.obj.seq, Addr: b.addr, Size: b.size,
+		Arg: int64(before)<<8 | int64(b.state)})
 }
