@@ -13,8 +13,6 @@ var requiredAnnotations = map[string][]string{
 	"repro/internal/core": {
 		"(*Manager).handleFault",
 		"(*Manager).protoFault",
-		"(*Manager).blockAt",
-		"(*Manager).objectAt",
 		"(*Manager).fetchRunSync",
 		"(*Manager).faultRunLen",
 		"(*Manager).setState",

@@ -24,7 +24,7 @@ func (m *Manager) enter(op oplog.Op) (*Object, error) {
 	if op.Size < 0 {
 		return nil, fmt.Errorf("core: negative access size %d", op.Size)
 	}
-	o := m.objectAt(op.Addr)
+	o := m.reg.objectAt(op.Addr)
 	if o == nil {
 		return nil, errDead(op.Addr)
 	}

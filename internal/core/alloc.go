@@ -170,7 +170,7 @@ func kernelNote(kernels map[string]bool) string {
 // Free implements adsmFree.
 func (m *Manager) Free(addr mem.Addr) error {
 	m.charge(sim.CatFree, m.cfg.FreeCost)
-	o := m.objectAt(addr)
+	o := m.reg.objectAt(addr)
 	if o == nil || o.addr != addr {
 		return fmt.Errorf("%w: free of %#x", ErrNotShared, uint64(addr))
 	}

@@ -73,7 +73,7 @@ func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 	if h.Annotated {
 		ih.writes = make(objectSet, len(h.Writes))
 		for _, addr := range h.Writes {
-			o := m.objectAt(addr)
+			o := m.reg.objectAt(addr)
 			if o == nil {
 				return ih, fmt.Errorf("%w: write annotation %#x", ErrNotShared, uint64(addr))
 			}
@@ -87,7 +87,7 @@ func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 	if len(h.ReadOnly) > 0 {
 		ih.ro = make(objectSet, len(h.ReadOnly))
 		for _, addr := range h.ReadOnly {
-			o := m.objectAt(addr)
+			o := m.reg.objectAt(addr)
 			if o == nil {
 				return ih, fmt.Errorf("%w: read-only hint %#x", ErrNotShared, uint64(addr))
 			}
@@ -108,21 +108,17 @@ func (m *Manager) resolveHints(h CallHints) (invokeHints, error) {
 // host-valid state across the call, so reading them afterwards costs no
 // transfer. writes lists any address inside each written object.
 func (m *Manager) InvokeAnnotated(kernel string, writes []mem.Addr, args ...uint64) error {
-	return m.invoke(kernel, CallHints{Writes: writes, Annotated: true}, args)
+	return m.InvokeHinted(kernel, CallHints{Writes: writes, Annotated: true}, args...)
 }
 
 // InvokeHinted implements adsmCall: it runs the protocol's release actions
 // (flushing dirty data to the accelerator, invalidating host copies) and
 // dispatches the kernel, ordered behind in-flight transfers by the
 // device's queue. h carries the per-call hints: the write-set annotation
-// and the read-only hints; the zero CallHints is an unannotated call.
+// and the read-only hints; the zero CallHints is an unannotated call. The
+// hint addresses are recorded in argument order — the resolved objectSet's
+// map order is not reproducible.
 func (m *Manager) InvokeHinted(kernel string, h CallHints, args ...uint64) error {
-	return m.invoke(kernel, h, args)
-}
-
-// invoke dispatches a kernel. The hint addresses are recorded in argument
-// order — the resolved objectSet's map order is not reproducible.
-func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 	m.callMu.Lock()
 	defer m.callMu.Unlock()
 	// Settle deferred cross-object evictions before the release sweep so the
@@ -141,11 +137,11 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 	if h.Annotated {
 		invokeFlags = oplog.FlagAnnotated
 		for _, addr := range h.Writes {
-			m.emit(oplog.Op{Kind: oplog.OpAnnotate, Addr: addr}, m.objectAt(addr))
+			m.emit(oplog.Op{Kind: oplog.OpAnnotate, Addr: addr}, m.reg.objectAt(addr))
 		}
 	}
 	for _, addr := range h.ReadOnly {
-		m.emit(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead, Addr: addr}, m.objectAt(addr))
+		m.emit(oplog.Op{Kind: oplog.OpAnnotate, Flags: oplog.FlagHintRead, Addr: addr}, m.reg.objectAt(addr))
 	}
 	for _, a := range args {
 		m.emit(oplog.Op{Kind: oplog.OpArg, Arg: int64(a)}, nil)
@@ -165,13 +161,20 @@ func (m *Manager) invoke(kernel string, h CallHints, args []uint64) error {
 		m.stats.H2DDrain.Add(int64(drain))
 	}
 	m.charge(sim.CatLaunch, m.cfg.LaunchCost)
-	err = m.retry(sim.CatLaunch, "launch "+kernel, func() error {
+	for attempt := 0; ; attempt++ {
 		t0 := m.clock.Now()
-		_, lerr := m.dev.Launch(kernel, args...)
+		_, err = m.dev.Launch(kernel, args...)
 		m.book(sim.CatCudaLaunch, m.clock.Now()-t0)
-		return lerr
-	})
-	if err != nil && errors.Is(err, fault.ErrInjected) {
+		if err == nil {
+			return nil
+		}
+		again, ferr := m.retryStep(sim.CatLaunch, "launch "+kernel, attempt, err)
+		if !again {
+			err = ferr
+			break
+		}
+	}
+	if errors.Is(err, fault.ErrInjected) {
 		// Retries exhausted or the launch fault was permanent: the device
 		// is gone. Objects degrade lazily at the next entry point.
 		err = m.escalateDevice("launch "+kernel, err)
@@ -405,11 +408,11 @@ func (m *Manager) sealReadOnly(o *Object) error {
 // all kernels). Each callback runs under the object's lock; objects freed
 // since the snapshot are skipped.
 func (m *Manager) eachInvokeObject(kernels []string, f func(o *Object)) {
-	m.eachObject(func(o *Object) {
+	for _, o := range m.reg.snapshot() {
 		o.mu.Lock()
 		if !o.dead && slices.ContainsFunc(kernels, o.UsedBy) {
 			f(o)
 		}
 		o.mu.Unlock()
-	})
+	}
 }

@@ -263,7 +263,7 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 			if !bytes.Equal(got, ref) {
 				t.Fatal("post-loss read lost the last synced data")
 			}
-			if o := r.mgr.objectAt(ptr); o == nil || !o.degraded.Load() {
+			if o := r.mgr.reg.objectAt(ptr); o == nil || !o.degraded.Load() {
 				t.Fatal("object did not degrade after a post-loss access")
 			}
 			patch := []byte("still-writable")

@@ -13,14 +13,14 @@ import (
 // the sum of its live objects' rows.
 func copiesOf(m *Manager) copyCounts {
 	var c copyCounts
-	m.eachObject(func(o *Object) {
+	for _, o := range m.reg.snapshot() {
 		o.mu.Lock()
 		c.landed += o.copies.landed
 		c.pulled += o.copies.pulled
 		c.readThrough += o.copies.readThrough
 		c.sent += o.copies.sent
 		o.mu.Unlock()
-	})
+	}
 	return c
 }
 

@@ -96,12 +96,13 @@ var costCases = []costCase{
 	// A 64-block object alternating 16 calls that dirty every block with 16
 	// that read one, each call annotated as writing it: the kernel boundary
 	// under a churning write set. The boundary allocates, not the faults:
-	// per call two registry.snapshot copies in the release walk, two in
-	// resolveHints and one in invoke, plus the rolling-cache drain's copy on
-	// each call of a writing phase, 5.5 a call.
+	// per call two registry.snapshot copies in the release walk and two in
+	// resolveHints, plus the rolling-cache drain's copy on each call of a
+	// writing phase, 4.5 a call. (The launch's retry closure made a fifth
+	// until the launch looped on retryStep inline.)
 	{name: "KernelBoundary", cfg: costCfg(0), ops: 1 << 10, setup: boundaryChurn,
 		want: cost{Faults: 33280, FaultBatches: 3312, Prefetched: 28912, XfersH2D: 16384, BytesH2D: 128 << 20,
-			XfersD2H: 4608, BytesD2H: 137_297_920, Evictions: 31744, Virt: 282_279_008, Mallocs: 5632}},
+			XfersD2H: 4608, BytesD2H: 137_297_920, Evictions: 31744, Virt: 282_279_008, Mallocs: 4608}},
 	// N lanes write-fault through their own objects at once. Every lane's
 	// 256 faults take 730 100 ns on its own timeline and the lanes overlap,
 	// so the window takes one lane's time and N lanes fault N times as fast.

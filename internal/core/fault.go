@@ -36,7 +36,7 @@ func (m *Manager) handleFault(f hostmmu.Fault) error {
 		m.mets.faultNs.Observe(int64(m.clock.Now() - t0))
 		m.endSpan(sp)
 	}()
-	b, visits := m.blockAt(f.Addr)
+	b, visits := m.reg.blockAt(f.Addr)
 	m.mets.searchDepth.Observe(visits)
 	search := sim.Time(visits) * m.cfg.TreeNodeCost
 	m.stats.SearchTime.Add(int64(search))

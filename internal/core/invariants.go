@@ -41,68 +41,14 @@ func (m *Manager) CheckInvariants() error {
 func (m *Manager) checkInvariants() error {
 	m.drainEvictions() // settle deferred cross-object victims first
 	dirty := 0
-	var err error
-	m.eachObject(func(o *Object) {
-		if err != nil {
-			return
-		}
+	for _, o := range m.reg.snapshot() {
 		o.mu.Lock()
-		defer o.mu.Unlock()
-		if o.dead {
-			return
+		n, err := m.checkObject(o)
+		o.mu.Unlock()
+		if err != nil {
+			return err
 		}
-		degraded := o.degraded.Load()
-		if err = m.checkOwed(o, degraded); err != nil {
-			return
-		}
-		var off int64
-		for _, b := range o.blocks {
-			if int64(b.addr) != int64(o.addr)+off {
-				err = fmt.Errorf("core: block %#x misplaced in object %#x", uint64(b.addr), uint64(o.addr))
-				return
-			}
-			off += b.size
-			if got, _ := m.reg.blockAt(b.addr); got != b {
-				err = fmt.Errorf("core: block registry disagrees at %#x", uint64(b.addr))
-				return
-			}
-			if e := m.checkBlockProt(b); e != nil {
-				err = e
-				return
-			}
-			if degraded {
-				// Degraded objects are host-resident: every block Dirty and
-				// writable, nothing in the rolling cache.
-				if b.state != StateDirty {
-					err = fmt.Errorf("core: degraded object %#x has %v block %#x",
-						uint64(o.addr), b.state, uint64(b.addr))
-					return
-				}
-				if m.rolling.isQueued(b) {
-					err = fmt.Errorf("core: degraded block %#x still queued", uint64(b.addr))
-					return
-				}
-				continue
-			}
-			if b.state == StateDirty {
-				if o.pol.rolls {
-					dirty++
-					if !m.rolling.isQueued(b) {
-						err = fmt.Errorf("core: dirty block %#x outside the rolling cache", uint64(b.addr))
-						return
-					}
-				}
-			} else if m.rolling.isQueued(b) {
-				err = fmt.Errorf("core: non-dirty block %#x still queued", uint64(b.addr))
-				return
-			}
-		}
-		if off != o.size {
-			err = fmt.Errorf("core: blocks cover %d of %d bytes in object %#x", off, o.size, uint64(o.addr))
-		}
-	})
-	if err != nil {
-		return err
+		dirty += n
 	}
 	if m.rolling.Len() != dirty {
 		return fmt.Errorf("core: rolling cache holds %d blocks but %d are dirty", m.rolling.Len(), dirty)
@@ -111,6 +57,57 @@ func (m *Manager) checkInvariants() error {
 		return fmt.Errorf("core: rolling cache %d over capacity %d", m.rolling.Len(), m.rolling.Capacity())
 	}
 	return nil
+}
+
+// checkObject checks one object's blocks and returns how many of them the
+// rolling cache should hold. A freed object passes. The caller holds o.mu.
+func (m *Manager) checkObject(o *Object) (dirty int, err error) {
+	if o.dead {
+		return 0, nil
+	}
+	degraded := o.degraded.Load()
+	if err := m.checkOwed(o, degraded); err != nil {
+		return 0, err
+	}
+	var off int64
+	for _, b := range o.blocks {
+		if int64(b.addr) != int64(o.addr)+off {
+			return 0, fmt.Errorf("core: block %#x misplaced in object %#x", uint64(b.addr), uint64(o.addr))
+		}
+		off += b.size
+		if got, _ := m.reg.blockAt(b.addr); got != b {
+			return 0, fmt.Errorf("core: block registry disagrees at %#x", uint64(b.addr))
+		}
+		if err := m.checkBlockProt(b); err != nil {
+			return 0, err
+		}
+		if degraded {
+			// Degraded objects are host-resident: every block Dirty and
+			// writable, nothing in the rolling cache.
+			if b.state != StateDirty {
+				return 0, fmt.Errorf("core: degraded object %#x has %v block %#x",
+					uint64(o.addr), b.state, uint64(b.addr))
+			}
+			if m.rolling.isQueued(b) {
+				return 0, fmt.Errorf("core: degraded block %#x still queued", uint64(b.addr))
+			}
+			continue
+		}
+		if b.state == StateDirty {
+			if o.pol.rolls {
+				dirty++
+				if !m.rolling.isQueued(b) {
+					return 0, fmt.Errorf("core: dirty block %#x outside the rolling cache", uint64(b.addr))
+				}
+			}
+		} else if m.rolling.isQueued(b) {
+			return 0, fmt.Errorf("core: non-dirty block %#x still queued", uint64(b.addr))
+		}
+	}
+	if off != o.size {
+		return 0, fmt.Errorf("core: blocks cover %d of %d bytes in object %#x", off, o.size, uint64(o.addr))
+	}
+	return dirty, nil
 }
 
 // checkOwed verifies o's owed pages: none is also dirty and owedPages

@@ -845,7 +845,7 @@ func TestSetStateTransition(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o := r.mgr.objectAt(ptr)
+				o := r.mgr.reg.objectAt(ptr)
 				if tc.sealed {
 					r.registerNop(t)
 					if err := r.mgr.InvokeHinted("nop", CallHints{}); err != nil {

@@ -118,7 +118,7 @@ func runModelArming(r *rig, seed int64, objSize int64, armAt int, inj *fault.Inj
 	}
 
 	for op := 0; op < 120; op++ {
-		if armAt >= 0 && op >= armAt && !r.dev.Armed() && r.mgr.objectAt(ptr).owedPages != 0 {
+		if armAt >= 0 && op >= armAt && !r.dev.Armed() && r.mgr.reg.objectAt(ptr).owedPages != 0 {
 			r.dev.SetFaultInjector(inj)
 		}
 		switch rng.Intn(9) {

@@ -93,7 +93,7 @@ func TestOwedPagesMatchFlatModel(t *testing.T) {
 				if kind != BatchUpdate {
 					return
 				}
-				o := r.mgr.objectAt(u)
+				o := r.mgr.reg.objectAt(u)
 				if pages := int(usize / testPage); o.owedPages != pages {
 					t.Fatalf("untouched object owes %d pages, want all %d", o.owedPages, pages)
 				}
@@ -107,7 +107,7 @@ func TestOwedPagesMatchFlatModel(t *testing.T) {
 			// that each still holds its bytes from before the first kernel.
 			neverCopied := func(what string, want ...uint64) {
 				t.Helper()
-				o := r.mgr.objectAt(a)
+				o := r.mgr.reg.objectAt(a)
 				var got []uint64
 				for p := uint64(0); p*testPage < size; p++ {
 					if !o.owes(p, p) {
@@ -257,7 +257,7 @@ func TestBatchInjectedLossPullsOwedPages(t *testing.T) {
 	must(t, r.mgr.InvokeHinted("owed.xor", CallHints{}, 3, uint64(a), size))
 	must(t, r.mgr.Sync())
 	owedXor(ref, 3)
-	if o := r.mgr.objectAt(a); o.owedPages == 0 {
+	if o := r.mgr.reg.objectAt(a); o.owedPages == 0 {
 		t.Fatal("the unarmed acquire owes no page")
 	}
 	r.dev.SetFaultInjector(fault.NewInjector(1, r.clock, fault.Nth(fault.OpDMAH2D, 1, fault.KindDeviceLost)))
@@ -269,7 +269,7 @@ func TestBatchInjectedLossPullsOwedPages(t *testing.T) {
 	if i := diffAt(got, ref); i >= 0 {
 		t.Fatalf("byte %d reads %#x, the kernel wrote %#x", i, got[i], ref[i])
 	}
-	if o := r.mgr.objectAt(a); !o.degraded.Load() || o.owedPages != 0 {
+	if o := r.mgr.reg.objectAt(a); !o.degraded.Load() || o.owedPages != 0 {
 		t.Fatalf("after the loss: degraded %v, %d pages owed", o.degraded.Load(), o.owedPages)
 	}
 	must(t, r.mgr.CheckInvariants())
@@ -333,7 +333,7 @@ func TestPullAfterClose(t *testing.T) {
 					t.Fatalf("HostRead %d of device bytes after a failed call: %v, want ErrDeviceLost", i+1, err)
 				}
 			}
-			if o := r.mgr.objectAt(p); !o.degraded.Load() {
+			if o := r.mgr.reg.objectAt(p); !o.degraded.Load() {
 				t.Fatal("the failed call left the object not degraded")
 			}
 			must(t, r.mgr.HostRead(p, page))
@@ -361,7 +361,7 @@ func oweBlock0(t *testing.T, r *rig, size int64) (mem.Addr, []byte) {
 	must(t, r.mgr.Sync())
 	owedXor(ref, 3)
 	must(t, r.mgr.HostRead(p, make([]byte, 1)))
-	if o := r.mgr.objectAt(p); o.owedPages == 0 {
+	if o := r.mgr.reg.objectAt(p); o.owedPages == 0 {
 		t.Fatal("the unarmed fetch owes no page")
 	}
 	return p, ref
@@ -452,7 +452,7 @@ func TestBulkAndPeerReadOwedBlocks(t *testing.T) {
 					must(t, r.mgr.HostWrite(p+testPage+5, w))
 					copy(ref[testPage+5:], w)
 				}
-				o := r.mgr.objectAt(p)
+				o := r.mgr.reg.objectAt(p)
 				if want := map[bool]State{false: StateReadOnly, true: StateDirty}[dirty]; o.blocks[0].state != want {
 					t.Fatalf("block 0 is %v, want %v", o.blocks[0].state, want)
 				}

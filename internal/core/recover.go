@@ -50,30 +50,14 @@ func (m *Manager) maxRetries() int {
 	}
 }
 
-// retry runs op, transparently retrying injected transient faults with
-// exponential backoff charged to cat in virtual time (attempt i waits
-// DefaultRetryBase<<i). Non-injected errors and device-lost faults pass
-// through immediately; an exhausted budget returns the last fault wrapped.
-func (m *Manager) retry(cat sim.Category, what string, op func() error) error {
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil {
-			return nil
-		}
-		again, ferr := m.retryStep(cat, what, attempt, err)
-		if !again {
-			return ferr
-		}
-	}
-}
-
-// retryStep books one failed attempt: it decides whether the caller's
-// inline retry loop should run another attempt (after charging the
-// backoff), or returns the error to propagate (wrapped when the budget is
-// exhausted). The transfer hot paths loop inline with retryStep instead of
-// passing a closure to retry, keeping the per-fault path free of func
-// values. Everything it does (charge, emit) runs only after an injected
-// fault, so the whole step is //adsm:cold.
+// retryStep books one failed attempt of a transfer or launch: it decides
+// whether the caller's retry loop should run another attempt (after
+// charging the backoff to cat, attempt i waiting DefaultRetryBase<<i), or
+// returns the error to propagate. Non-injected errors and device-lost
+// faults pass through at once; an exhausted budget returns the last fault
+// wrapped. Each caller loops inline, so no path takes a func value.
+// Everything it does (charge, emit) runs only after an injected fault, so
+// the whole step is //adsm:cold.
 //
 //adsm:cold
 func (m *Manager) retryStep(cat sim.Category, what string, attempt int, err error) (again bool, _ error) {
@@ -130,11 +114,11 @@ func (m *Manager) degradeObjectLocked(o *Object) {
 // degradeAll degrades every live object; called once the device is lost.
 // Objects are locked one at a time (the no-two-Object.mu discipline).
 func (m *Manager) degradeAll() {
-	m.eachObject(func(o *Object) {
+	for _, o := range m.reg.snapshot() {
 		o.mu.Lock()
 		m.degradeObjectLocked(o)
 		o.mu.Unlock()
-	})
+	}
 }
 
 // degradedLocked reports whether o must take the host-resident path,

@@ -195,7 +195,7 @@ func TestLookupAfterChurnBuildsNoClone(t *testing.T) {
 		ptrs = append(ptrs, p)
 	}
 	for _, p := range ptrs {
-		r.mgr.objectAt(p) // readers are using every shard the objects are on
+		r.mgr.reg.objectAt(p) // readers are using every shard the objects are on
 	}
 	before := r.mgr.IndexRebuilds()
 	if err := r.mgr.Free(ptrs[3]); err != nil {
@@ -219,7 +219,7 @@ func TestLookupAfterChurnBuildsNoClone(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
-	o := r.mgr.objectAt(p + 100)
+	o := r.mgr.reg.objectAt(p + 100)
 	runtime.ReadMemStats(&ms)
 	if o == nil || o.addr != p {
 		t.Fatalf("lookup after Free+Alloc found %v, want the new object at %#x", o, uint64(p))
@@ -230,7 +230,7 @@ func TestLookupAfterChurnBuildsNoClone(t *testing.T) {
 	if got := r.mgr.IndexRebuilds(); got != published {
 		t.Errorf("the first lookup after Free+Alloc built %d clones", got-published)
 	}
-	if n := testing.AllocsPerRun(100, func() { r.mgr.objectAt(p) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { r.mgr.reg.objectAt(p) }); n != 0 {
 		t.Errorf("steady-state lookup allocates %.1f times", n)
 	}
 }

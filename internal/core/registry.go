@@ -313,7 +313,7 @@ func searchDepth(n, i int, hit bool) int64 {
 // snapshot returns the live objects in address order. Each object is
 // collected from its home shard only (the shard of its start address), so
 // multi-shard objects appear exactly once; the final sort restores the
-// global address order.
+// global address order. The caller visits them holding no shard lock.
 func (r *registry) snapshot() []*Object {
 	objs := make([]*Object, 0, r.nobjects.Load())
 	for s := range r.shards {
@@ -340,44 +340,18 @@ func (r *registry) rebuilds() int64 {
 	return n
 }
 
-// objectAt returns the shared object containing addr, or nil: a lock-free
-// binary search of the owning shard's published object spans, which an
-// Alloc or Free re-clones if lookups are using them, and otherwise the
-// first lookup after it (IndexRebuilds counts both).
-//
-//adsm:noalloc
-func (m *Manager) objectAt(addr mem.Addr) *Object {
-	return m.reg.objectAt(addr)
-}
-
-// blockAt resolves the fault handler's block lookup: the block containing
-// addr (nil if unshared) and the probe count charged as §5.2 search cost.
-//
-//adsm:noalloc
-func (m *Manager) blockAt(addr mem.Addr) (*Block, int64) {
-	return m.reg.blockAt(addr)
-}
-
 // IsShared reports whether addr falls inside a live shared object.
-func (m *Manager) IsShared(addr mem.Addr) bool { return m.objectAt(addr) != nil }
+func (m *Manager) IsShared(addr mem.Addr) bool { return m.reg.objectAt(addr) != nil }
 
 // ObjectAt exposes the object lookup for the public API layer.
-func (m *Manager) ObjectAt(addr mem.Addr) *Object { return m.objectAt(addr) }
+func (m *Manager) ObjectAt(addr mem.Addr) *Object { return m.reg.objectAt(addr) }
 
 // Translate implements adsmSafe: it maps a host pointer into the
 // accelerator address of the same byte, for passing to kernels.
 func (m *Manager) Translate(addr mem.Addr) (mem.Addr, error) {
-	o := m.objectAt(addr)
+	o := m.reg.objectAt(addr)
 	if o == nil {
 		return 0, fmt.Errorf("%w: translate %#x", ErrNotShared, uint64(addr))
 	}
 	return o.devAddr + (addr - o.addr), nil
-}
-
-// eachObject visits live objects in address order. The registry is
-// snapshotted shard by shard so callbacks run holding no shard lock.
-func (m *Manager) eachObject(f func(o *Object)) {
-	for _, o := range m.reg.snapshot() {
-		f(o)
-	}
 }

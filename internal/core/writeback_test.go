@@ -19,35 +19,42 @@ import (
 // part of CheckInvariants, because it reads every clean page of both
 // copies.
 func checkCleanPages(m *Manager) error {
-	var err error
-	m.eachObject(func(o *Object) {
+	for _, o := range m.reg.snapshot() {
 		o.mu.Lock()
-		defer o.mu.Unlock()
-		if err != nil || o.dead || o.degraded.Load() {
-			return
+		err := checkCleanObject(m, o)
+		o.mu.Unlock()
+		if err != nil {
+			return err
 		}
-		ps := int64(1) << o.pageShift
-		dev := make([]byte, ps)
-		for _, b := range o.blocks {
-			if !b.current {
+	}
+	return nil
+}
+
+// checkCleanObject is checkCleanPages on one object. The caller holds o.mu.
+func checkCleanObject(m *Manager, o *Object) error {
+	if o.dead || o.degraded.Load() {
+		return nil
+	}
+	ps := int64(1) << o.pageShift
+	dev := make([]byte, ps)
+	for _, b := range o.blocks {
+		if !b.current {
+			continue
+		}
+		for off := int64(0); off < b.size; off += ps {
+			addr := b.addr + mem.Addr(off)
+			if p, _ := o.pages(addr, 1); o.dirty[p>>6]&(1<<(p&63)) != 0 || o.owed != nil && o.owes(p, p) {
 				continue
 			}
-			for off := int64(0); off < b.size; off += ps {
-				addr := b.addr + mem.Addr(off)
-				if p, _ := o.pages(addr, 1); o.dirty[p>>6]&(1<<(p&63)) != 0 || o.owed != nil && o.owes(p, p) {
-					continue
-				}
-				n := min(ps, b.size-off)
-				m.dev.ReadBytes(b.devAddr()+mem.Addr(off), dev[:n])
-				if !bytes.Equal(o.mapping.Space.Bytes(addr, n), dev[:n]) {
-					err = fmt.Errorf("core: current %v block %#x: clean page %#x differs on the device",
-						b.state, uint64(b.addr), uint64(addr))
-					return
-				}
+			n := min(ps, b.size-off)
+			m.dev.ReadBytes(b.devAddr()+mem.Addr(off), dev[:n])
+			if !bytes.Equal(o.mapping.Space.Bytes(addr, n), dev[:n]) {
+				return fmt.Errorf("core: current %v block %#x: clean page %#x differs on the device",
+					b.state, uint64(b.addr), uint64(addr))
 			}
 		}
-	})
-	return err
+	}
+	return nil
 }
 
 // TestWriteBackSeesHostBytes covers every way the host writes shared
@@ -99,7 +106,7 @@ func TestWriteBackSeesHostBytes(t *testing.T) {
 	// p+off: the cases that leave a block not current send it back whole,
 	// unwritten bytes included.
 	wholeBlock := func(r *rig, p mem.Addr, off int64) (int64, []byte) {
-		b := r.mgr.objectAt(p).BlockAt(p + mem.Addr(off))
+		b := r.mgr.reg.objectAt(p).BlockAt(p + mem.Addr(off))
 		return int64(b.addr - p), bytes.Clone(b.hostBytes())
 	}
 	lose := func(r *rig) { r.mgr.markDeviceLost(errors.New("test: device lost")) }
