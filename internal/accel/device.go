@@ -568,13 +568,6 @@ func (d *Device) Register(k *Kernel) {
 	d.kern[k.Name] = k
 }
 
-// Kernels returns the number of registered kernels.
-func (d *Device) Kernels() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.kern)
-}
-
 // Lookup returns the registered kernel with the given name.
 func (d *Device) Lookup(name string) (*Kernel, bool) {
 	d.mu.Lock()

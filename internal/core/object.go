@@ -62,17 +62,11 @@ type Block struct {
 	queued bool
 }
 
-// Addr returns the block's host virtual address.
-func (b *Block) Addr() mem.Addr { return b.addr }
-
 // Size returns the block length in bytes.
 func (b *Block) Size() int64 { return b.size }
 
 // State returns the block's coherence state.
 func (b *Block) State() State { return b.state }
-
-// Object returns the shared object the block belongs to.
-func (b *Block) Object() *Object { return b.obj }
 
 // devAddr returns the accelerator address corresponding to the block start.
 func (b *Block) devAddr() mem.Addr {
@@ -236,18 +230,8 @@ func (o *Object) Stats() ObjStats {
 	return o.counters.load()
 }
 
-// Mode returns the object's declared access mode.
-func (o *Object) Mode() AccessMode { return o.mode }
-
 // Addr returns the object's host virtual address.
 func (o *Object) Addr() mem.Addr { return o.addr }
-
-// Seq returns the manager-local allocation sequence number identifying
-// this object in recorded op streams.
-func (o *Object) Seq() uint32 { return o.seq }
-
-// DevAddr returns the object's accelerator address.
-func (o *Object) DevAddr() mem.Addr { return o.devAddr }
 
 // Size returns the object's length in bytes.
 func (o *Object) Size() int64 { return o.size }

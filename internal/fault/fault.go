@@ -187,7 +187,6 @@ type Injector struct {
 	mu    sync.Mutex
 	clock *sim.Clock
 	rng   *rand.Rand
-	seed  int64
 	rules []Rule
 	seq   [nOps]int64
 	log   []Injection
@@ -202,7 +201,6 @@ func NewInjector(seed int64, clock *sim.Clock, rules ...Rule) *Injector {
 	in := &Injector{
 		clock: clock,
 		rng:   rand.New(rand.NewSource(seed)),
-		seed:  seed,
 		rules: rules,
 	}
 	r := metrics.Default()
@@ -211,9 +209,6 @@ func NewInjector(seed int64, clock *sim.Clock, rules ...Rule) *Injector {
 	}
 	return in
 }
-
-// Seed returns the seed the injector was built with (for failure replay).
-func (in *Injector) Seed() int64 { return in.seed }
 
 // Decide advances the per-op sequence number and returns an *Error if the
 // schedule injects a fault for this operation, nil otherwise. The first
@@ -257,13 +252,6 @@ func (in *Injector) Decide(op Op) error {
 		return &Error{Op: op, Kind: r.Kind, Seq: seq, At: at, Delay: delay}
 	}
 	return nil
-}
-
-// Seq returns how many operations of the class have been decided.
-func (in *Injector) Seq(op Op) int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.seq[op]
 }
 
 // Count returns how many faults were injected for the class.

@@ -101,9 +101,6 @@ func (h *Histogram) load(dst []int64) ([]int64, int64) {
 	return dst, total
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Bucket is one histogram bucket in a snapshot. Le is the inclusive upper
 // bound rendered as a decimal string, or "+inf" for the overflow bucket.
 type Bucket struct {

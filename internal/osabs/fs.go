@@ -85,7 +85,7 @@ func (fs *FS) injectIO(op fault.Op) error {
 func (fs *FS) Create(name string) *File {
 	ino := &inode{}
 	fs.files[name] = ino
-	return &File{fs: fs, name: name, ino: ino}
+	return &File{fs: fs, ino: ino}
 }
 
 // CreateWith makes a file with the given contents (workload inputs).
@@ -99,7 +99,7 @@ func (fs *FS) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 	}
-	return &File{fs: fs, name: name, ino: ino}, nil
+	return &File{fs: fs, ino: ino}, nil
 }
 
 // Size returns a file's length without charging I/O time.
@@ -168,7 +168,6 @@ func (fs *FS) chargeWrite(n int64, seq bool) {
 // File is an open file handle with a seek position.
 type File struct {
 	fs     *FS
-	name   string
 	ino    *inode
 	off    int64
 	closed bool
@@ -177,9 +176,6 @@ type File struct {
 	seqNext int64
 	touched bool
 }
-
-// Name returns the file's path.
-func (f *File) Name() string { return f.name }
 
 // Read fills p from the current position, charging disk time. It returns
 // io.EOF at end of file like os.File.

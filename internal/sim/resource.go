@@ -27,9 +27,6 @@ func NewResource(name string, clock *Clock) *Resource {
 	return &Resource{name: name, clock: clock}
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Submit schedules a work item of duration d at the earliest opportunity
 // not before earliest (use the clock's Now for "now"). It returns the
 // completion of that work item without advancing the CPU clock.

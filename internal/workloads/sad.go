@@ -52,9 +52,6 @@ func (s *SAD) Prepare(m *machine.Machine) error {
 	return nil
 }
 
-// blocks4 returns the number of 4x4 blocks.
-func (s *SAD) blocks4() int64 { return (s.W / 4) * (s.H / 4) }
-
 // sadRows is the number of 4x4-block rows an sad.mb4 piece computes: 6
 // pieces at evaluation scale, one in SmallSAD.
 const sadRows = 8
