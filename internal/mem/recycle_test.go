@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"unsafe"
+
+	"repro/internal/bitmap"
 )
 
 // recycledVA returns a VA space holding a ballast mapping large enough for
@@ -59,7 +61,7 @@ func TestRecycledSpaceReadsZeros(t *testing.T) {
 	b := make([]byte, stalePage)
 	s.Read(page(0), b)
 	wantZeros(t, "Read", b)
-	if !s.isStale(0) {
+	if _, stale := bitmap.Run(s.stale, 0, 1); !stale {
 		t.Error("Read made its page live")
 	}
 	wantZeros(t, "Bytes", s.Bytes(page(1), stalePage))

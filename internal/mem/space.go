@@ -36,6 +36,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+
+	"repro/internal/bitmap"
 )
 
 // Addr is an address in the simulated machine. Device and host addresses
@@ -90,15 +92,10 @@ func NewSpace(name string, base Addr, size int64) *Space {
 // backing a freed mapping left behind, that reads as zeros: every page
 // starts stale.
 func newRecycledSpace(name string, base Addr, data []byte) *Space {
-	pages := (int64(len(data)) + stalePage - 1) >> stalePageShift
+	pages := (uint64(len(data)) + stalePage - 1) >> stalePageShift
 	stale := make([]uint64, (pages+63)>>6)
-	for i := range stale {
-		stale[i] = ^uint64(0)
-	}
-	if r := pages & 63; r != 0 {
-		stale[len(stale)-1] = 1<<r - 1
-	}
-	return &Space{name: name, base: base, data: data, stale: stale, nstale: pages}
+	bitmap.Set(stale, 0, pages)
+	return &Space{name: name, base: base, data: data, stale: stale, nstale: int64(pages)}
 }
 
 // NewLazySpace returns a zeroed memory space of the given size at base
@@ -226,32 +223,21 @@ func (s *Space) Write(addr Addr, src []byte) {
 	copyBytes(s.Bytes(addr, int64(len(src))), src)
 }
 
-// isStale reports whether page p of the space is stale.
-func (s *Space) isStale(p int64) bool {
-	return s.stale[p>>6]&(1<<(p&63)) != 0
-}
-
-// freshen clears every stale page overlapping [off, off+n) and makes it
-// live.
+// freshen clears every stale page overlapping [off, off+n), one clear per
+// run of stale pages, and makes them live.
 func (s *Space) freshen(off, n int64) {
 	if n <= 0 {
 		return
 	}
-	end := off + n
-	for p, last := off>>stalePageShift, (end-1)>>stalePageShift; p <= last; p++ {
-		if s.stale[p>>6] == 0 {
-			p |= 63 // no stale page in this word
-			continue
+	lo, end := uint64(off)>>stalePageShift, uint64(off+n-1)>>stalePageShift+1
+	for p := lo; p < end; {
+		q, stale := bitmap.Run(s.stale, p, end)
+		if stale {
+			clear(s.data[p<<stalePageShift : min(q<<stalePageShift, uint64(len(s.data)))])
 		}
-		if !s.isStale(p) {
-			continue
-		}
-		lo := p << stalePageShift
-		clear(s.data[lo:min(lo+stalePage, int64(len(s.data)))])
-		s.stale[p>>6] &^= 1 << (p & 63)
-		s.nstale--
+		p = q
 	}
-	if s.nstale == 0 {
+	if s.nstale -= int64(bitmap.Clear(s.stale, lo, end)); s.nstale == 0 {
 		s.stale = nil
 	}
 }
@@ -260,13 +246,10 @@ func (s *Space) freshen(off, n int64) {
 // runs of stale pages read as zeros without being cleared.
 func (s *Space) readStale(off int64, dst []byte) {
 	end := off + int64(len(dst))
+	pages := uint64(end-1)>>stalePageShift + 1
 	for off < end {
-		stale := s.isStale(off >> stalePageShift)
-		hi := off
-		for hi < end && s.isStale(hi>>stalePageShift) == stale {
-			hi = (hi>>stalePageShift + 1) << stalePageShift
-		}
-		hi = min(hi, end)
+		q, stale := bitmap.Run(s.stale, uint64(off)>>stalePageShift, pages)
+		hi := min(int64(q)<<stalePageShift, end)
 		if stale {
 			fillBytes(dst[:hi-off], 0)
 		} else {
