@@ -300,7 +300,7 @@ func replay(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	report, err := ctx.Replay(l, gmac.ReplayOptions{Lenient: flight})
+	report, err := ctx.Replay(l, gmac.ReplayOptions{})
 	if err != nil {
 		return err
 	}

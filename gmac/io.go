@@ -18,40 +18,18 @@ import (
 // peer DMA the staging copy is skipped and chunks land directly in
 // accelerator memory.
 
-// ioChunk returns the chunk size used for interposed I/O.
-func (s *sessionCore) ioChunk() int64 {
-	const staging = 256 << 10
-	return staging
-}
+// ioChunk is the chunk size of interposed I/O.
+const ioChunk = 256 << 10
 
 // ioBufPool recycles the chunk-sized staging buffers of ReadFile/WriteFile:
 // I/O-heavy workloads (the mri benchmarks stream their whole input through
-// here) would otherwise allocate 256 KiB per call.
+// here) would otherwise allocate 256 KiB per call. It holds pointers, so a
+// Put does not allocate.
 var ioBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 256<<10)
+		b := make([]byte, ioChunk)
 		return &b
 	},
-}
-
-// getIOBuf returns a staging buffer of n bytes plus the pool token to hand
-// back to putIOBuf (a closure here would itself allocate per call, defeating
-// the pool). Oversized requests fall back to a one-shot allocation with a
-// nil token so the pool only ever holds chunk-sized buffers.
-func getIOBuf(n int64) ([]byte, *[]byte) {
-	if n > 256<<10 {
-		return make([]byte, n), nil
-	}
-	bp := ioBufPool.Get().(*[]byte)
-	return (*bp)[:n], bp
-}
-
-// putIOBuf returns a pooled staging buffer. Safe on the nil token of an
-// oversized one-shot buffer.
-func putIOBuf(bp *[]byte) {
-	if bp != nil {
-		ioBufPool.Put(bp)
-	}
 }
 
 // ReadFile reads up to n bytes from f into shared memory at p, returning
@@ -62,15 +40,12 @@ func (s *sessionCore) ReadFile(f *osabs.File, p Ptr, n int64) (int64, error) {
 	if mgr == nil || !mgr.IsShared(p) {
 		return 0, fmt.Errorf("gmac: ReadFile target %#x is not shared (use f.Read directly)", uint64(p))
 	}
-	chunk := s.ioChunk()
-	buf, tok := getIOBuf(chunk)
-	defer putIOBuf(tok)
+	bp := ioBufPool.Get().(*[]byte)
+	defer ioBufPool.Put(bp)
+	buf := *bp
 	var total int64
 	for total < n {
-		want := chunk
-		if rem := n - total; rem < want {
-			want = rem
-		}
+		want := min(n-total, ioChunk)
 		got, err := f.Read(buf[:want])
 		if got == 0 && err == nil {
 			// A conforming reader never returns (0, nil) before EOF;
@@ -110,15 +85,12 @@ func (s *sessionCore) WriteFile(f *osabs.File, p Ptr, n int64) (int64, error) {
 	if mgr == nil || !mgr.IsShared(p) {
 		return 0, fmt.Errorf("gmac: WriteFile source %#x is not shared (use f.Write directly)", uint64(p))
 	}
-	chunk := s.ioChunk()
-	buf, tok := getIOBuf(chunk)
-	defer putIOBuf(tok)
+	bp := ioBufPool.Get().(*[]byte)
+	defer ioBufPool.Put(bp)
+	buf := *bp
 	var total int64
 	for total < n {
-		want := chunk
-		if rem := n - total; rem < want {
-			want = rem
-		}
+		want := min(n-total, ioChunk)
 		var rerr error
 		if s.m.Config().PeerDMA {
 			rerr = mgr.PeerRead(p+Ptr(total), buf[:want])

@@ -34,7 +34,7 @@ func ioRig(t *testing.T, size int64, rules ...fault.Rule) (*Context, *machine.Ma
 // the bytes that landed in shared memory, the error surfaces, and the
 // prefix that did land is intact.
 func TestReadFileUnderInjectedIOErrors(t *testing.T) {
-	const chunk = 256 << 10 // sessionCore.ioChunk
+	const chunk = ioChunk
 	const size = 3 * chunk
 	cases := []struct {
 		name      string
@@ -93,7 +93,7 @@ func TestReadFileUnderInjectedIOErrors(t *testing.T) {
 // interposed write(2) must report exactly the bytes that reached the file
 // before the injected fault, and those bytes must match shared memory.
 func TestWriteFileUnderInjectedIOErrors(t *testing.T) {
-	const chunk = 256 << 10
+	const chunk = ioChunk
 	const size = 2 * chunk
 	cases := []struct {
 		name      string

@@ -331,7 +331,7 @@ func TestDeviceLostDegradesToHostResident(t *testing.T) {
 				t.Error("flight dump does not contain the device-lost op")
 			}
 			fresh := newRig(t, defaultCfg(kind))
-			if _, err := fresh.mgr.Replay(dump, ReplayOptions{Lenient: true}); err != nil {
+			if _, err := fresh.mgr.Replay(dump, ReplayOptions{}); err != nil {
 				t.Fatalf("lenient replay of flight dump: %v", err)
 			}
 			if err := fresh.mgr.CheckInvariants(); err != nil {

@@ -222,7 +222,7 @@ func TestFlightLogIsOneManagers(t *testing.T) {
 	cfg.BlockSize, cfg.FixedRolling, cfg.MaxRetries = h.BlockSize, int(h.FixedRolling), int(h.MaxRetries)
 	cfg.DisableFaultBatching = h.Flags&oplog.HdrNoFaultBatch != 0
 	rep := newRig(t, cfg)
-	report, err := rep.mgr.Replay(l, ReplayOptions{Lenient: true})
+	report, err := rep.mgr.Replay(l, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func TestFlightLogIsOneManagers(t *testing.T) {
 }
 
 // TestReplayRefusesMixedManagers: a stream whose ops name two managers (a
-// hand-merged log, or a process-wide flight dump) fails to replay, strict
-// or lenient, before it replays anything.
+// hand-merged log, or a process-wide flight dump) fails to replay, as a
+// capture log or as a flight dump, before it replays anything.
 func TestReplayRefusesMixedManagers(t *testing.T) {
 	var logs []*oplog.Log
 	for _, kind := range []ProtocolKind{LazyUpdate, LazyUpdate} {
@@ -252,14 +252,15 @@ func TestReplayRefusesMixedManagers(t *testing.T) {
 	mixed := *logs[0]
 	half := len(mixed.Ops) / 2
 	mixed.Ops = slices.Concat(logs[0].Ops[:half], logs[1].Ops, logs[0].Ops[half:])
-	for _, lenient := range []bool{false, true} {
+	for _, flags := range []uint32{0, oplog.HdrFlight} {
+		mixed.Header.Flags = flags
 		rep := newRig(t, defaultCfg(LazyUpdate))
-		_, err := rep.mgr.Replay(&mixed, ReplayOptions{Lenient: lenient})
+		_, err := rep.mgr.Replay(&mixed, ReplayOptions{})
 		if err == nil || !strings.Contains(err.Error(), "stream mixes managers") {
-			t.Fatalf("lenient=%v: got %v, want an error naming the mixed managers", lenient, err)
+			t.Fatalf("header flags %#x: got %v, want an error naming the mixed managers", flags, err)
 		}
 		if n := rep.mgr.Stats().Allocs; n != 0 {
-			t.Fatalf("lenient=%v: the refused stream replayed %d allocations", lenient, n)
+			t.Fatalf("header flags %#x: the refused stream replayed %d allocations", flags, n)
 		}
 	}
 }
@@ -428,7 +429,8 @@ func TestRecordedStreamShape(t *testing.T) {
 }
 
 // TestReplayLenientSkipsUnknownObjects: a flight-style window missing its
-// allocations must replay as far as it can.
+// allocations must replay as far as it can, and the same ops under a
+// capture log's header must not.
 func TestReplayLenientSkipsUnknownObjects(t *testing.T) {
 	rec := newRig(t, defaultCfg(RollingUpdate))
 	rec.mgr.EnableRecorder(1 << 16)
@@ -442,7 +444,7 @@ func TestReplayLenientSkipsUnknownObjects(t *testing.T) {
 	l.Header.Flags |= oplog.HdrFlight
 
 	rep := newRig(t, defaultCfg(RollingUpdate))
-	report, err := rep.mgr.Replay(l, ReplayOptions{Lenient: true})
+	report, err := rep.mgr.Replay(l, ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,6 +456,7 @@ func TestReplayLenientSkipsUnknownObjects(t *testing.T) {
 	}
 
 	// Strict mode must refuse the same window.
+	l.Header.Flags &^= oplog.HdrFlight
 	rep2 := newRig(t, defaultCfg(RollingUpdate))
 	if _, err := rep2.mgr.Replay(l, ReplayOptions{}); err == nil {
 		t.Fatal("strict replay accepted a window with unknown objects")
@@ -462,8 +465,8 @@ func TestReplayLenientSkipsUnknownObjects(t *testing.T) {
 
 // TestReplayRefusesRetiredOps: a stream holding a region-scope kind, a
 // write-only hint, a mode migration or an Auto-mode allocation, whose
-// numbers stay reserved, still decodes, but Replay fails on it in strict
-// and lenient mode alike, with an error naming the retired op rather than
+// numbers stay reserved, still decodes, but Replay fails on it as a
+// capture log and as a flight dump alike, with an error naming the retired op rather than
 // skipping it or blaming a missing allocation.
 func TestReplayRefusesRetiredOps(t *testing.T) {
 	rec := newRig(t, defaultCfg(LazyUpdate))
@@ -496,11 +499,12 @@ func TestReplayRefusesRetiredOps(t *testing.T) {
 			if err != nil {
 				t.Fatalf("a stream with a reserved kind must still decode: %v", err)
 			}
-			for _, lenient := range []bool{false, true} {
+			for _, flags := range []uint32{0, oplog.HdrFlight} {
+				decoded.Header.Flags = flags
 				rep := newRig(t, defaultCfg(LazyUpdate))
-				_, err := rep.mgr.Replay(decoded, ReplayOptions{Lenient: lenient})
+				_, err := rep.mgr.Replay(decoded, ReplayOptions{})
 				if err == nil || !strings.Contains(err.Error(), "retired "+tc.name) {
-					t.Fatalf("lenient=%v: got %v, want an error naming the retired %s", lenient, err, tc.name)
+					t.Fatalf("header flags %#x: got %v, want an error naming the retired %s", flags, err, tc.name)
 				}
 			}
 		})

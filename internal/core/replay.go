@@ -22,31 +22,25 @@ import (
 	"repro/internal/oplog"
 )
 
-// ReplayOptions configures Replay.
-type ReplayOptions struct {
-	// Lenient tolerates the imperfections of flight-recorder dumps: a
-	// bounded window that may open mid-run, referencing objects whose
-	// allocation scrolled out of the ring. Ops against unknown objects are
-	// skipped and errors are counted instead of aborting, so a black box
-	// can always be driven as far as it goes. Strict mode (the default)
-	// aborts on the first divergence — right for complete capture logs.
-	Lenient bool
-}
+// ReplayOptions configures Replay. It has no fields: Replay takes its mode
+// from the stream's header. The type stays, empty, because callers pass
+// it, the benchmark harness's ladder (bench/ladder.go) among them.
+type ReplayOptions struct{}
 
 // ReplayReport summarises one replay.
 type ReplayReport struct {
 	// Input counts the input ops considered; Replayed the ones
-	// re-executed; Skipped the ones dropped (unknown object, lenient).
+	// re-executed; Skipped the ones dropped (unknown object, flight dump).
 	Input, Replayed, Skipped int
-	// Errors counts tolerated op failures (lenient mode only).
+	// Errors counts tolerated op failures (flight dumps only).
 	Errors int
 }
 
 // replayer carries the state threaded through one replay.
 type replayer struct {
-	m   *Manager
-	opt ReplayOptions
-	rep ReplayReport
+	m       *Manager
+	lenient bool
+	rep     ReplayReport
 	// objBase/objAddr map a recorded object seq to its recorded base
 	// address and its live replayed base address: recorded addresses are
 	// rebased object-relative, because a fresh manager's allocator will not
@@ -67,10 +61,17 @@ type replayer struct {
 // builds one). Kernels named by the stream that are not registered on m's
 // device are stub-registered with a zero-cost body — the coherence
 // counters do not depend on what kernels compute, only on when they run.
-// A stream holding a retired op (oplog.Op.Retired), or whose ops name two
+//
+// A flight-recorder dump (oplog.HdrFlight in l.Header.Flags) replays
+// leniently: it is a bounded window that may open mid-run, referencing
+// objects whose allocation scrolled out of the ring, so ops against
+// unknown objects are skipped and errors are counted instead of aborting,
+// and a black box can always be driven as far as it goes. Any other
+// stream, a complete capture log, replays strictly: the first divergence
+// aborts. A stream holding a retired op (oplog.Op.Retired), or whose ops name two
 // managers (Op.Mgr: object sequence numbers are per manager), fails before
 // anything is replayed, lenient or not: it would replay another program.
-func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) {
+func (m *Manager) Replay(l *oplog.Log, _ ReplayOptions) (ReplayReport, error) {
 	for i, op := range l.Ops {
 		if name := op.Retired(); name != "" {
 			return ReplayReport{}, fmt.Errorf("core: replay op %d: retired %s op; this runtime cannot replay it", i, name)
@@ -81,7 +82,7 @@ func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) 
 	}
 	r := &replayer{
 		m:       m,
-		opt:     opt,
+		lenient: l.Header.Flags&oplog.HdrFlight != 0,
 		objBase: make(map[uint32]mem.Addr),
 		objAddr: make(map[uint32]mem.Addr),
 	}
@@ -92,7 +93,7 @@ func (m *Manager) Replay(l *oplog.Log, opt ReplayOptions) (ReplayReport, error) 
 		}
 		r.rep.Input++
 		if err := r.step(op); err != nil {
-			if !opt.Lenient {
+			if !r.lenient {
 				return r.rep, fmt.Errorf("core: replay op %d (%v): %w", r.rep.Input-1, op.Kind, err)
 			}
 			r.rep.Errors++
@@ -260,7 +261,7 @@ func (r *replayer) invoke(op oplog.Op) error {
 // unknown handles an op against an object the replay never saw allocated:
 // fatal for capture logs, skipped for flight windows.
 func (r *replayer) unknown(op oplog.Op) error {
-	if r.opt.Lenient {
+	if r.lenient {
 		r.rep.Skipped++
 		return nil
 	}
