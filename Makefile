@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs loc profile smoke fuzz chaos record-corpus corpus-diff clean FORCE
+.PHONY: all check fmt vet vet-json build build-fallback test race bench-selftest bench bench-micro bench-contended bench-conformance bench-pairs layers loc profile smoke fuzz chaos record-corpus corpus-diff clean FORCE
 
 all: check
 
@@ -114,6 +114,15 @@ profile:
 	$(GO) build -o bin/gmacbench ./cmd/gmacbench
 	./bin/gmacbench -cpuprofile bin/cpu.prof $(EXP) >/dev/null
 	$(GO) tool pprof $(PPROF) bin/gmacbench bin/cpu.prof
+
+# Where BenchmarkCostModel's FaultRead, FaultWrite and RollingEvict spend
+# their wall time, by layer: each CPU profile sample is charged to the
+# innermost non-test repository file and mapped to a layer through
+# internal/core/layers.txt, the table TestLayerMap checks
+# (scripts/layers.sh; the profiles stay in bin/layers). About 15 s.
+BENCHTIME ?= 2s
+layers:
+	BENCHTIME=$(BENCHTIME) bash scripts/layers.sh
 
 # Go line counts per package at BASE and in the working tree (non-test,
 # test and testdata), with the net non-test difference (scripts/loc.sh).
