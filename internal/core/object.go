@@ -180,7 +180,7 @@ type Object struct {
 	// manager's configured protocol, sealed once a ModeReadOnly object
 	// seals. Guarded by mu.
 	pol policy
-	// Span-fault batching state (protocol.go), guarded by mu: nextFaultIdx
+	// Span-fault batching state (fault.go), guarded by mu: nextFaultIdx
 	// is the block index the current sequential-fault streak predicts next
 	// (-1 before the first fault), fetchSpan the current adaptive fetch
 	// granularity in blocks (doubled up to maxFaultRun while the streak

@@ -51,7 +51,7 @@ type Stats struct {
 	// read-only/write-only declarations.
 	FetchElisions int64
 
-	// Span-fault batching activity (protocol.go): multi-block fault-service
+	// Span-fault batching activity (fault.go): multi-block fault-service
 	// DMAs (FaultBatches), blocks brought in by them beyond the faulting one
 	// (PrefetchedBlocks), and the adaptive-granularity decisions that size
 	// the runs (SpanPromotions doubles the streak span, SpanDemotions resets
