@@ -119,10 +119,9 @@ profile:
 # their wall time, by layer: each CPU profile sample is charged to the
 # innermost non-test repository file and mapped to a layer through
 # internal/core/layers.txt, the table TestLayerMap checks
-# (scripts/layers.sh; the profiles stay in bin/layers). About 15 s.
-BENCHTIME ?= 2s
+# (scripts/layers.sh; the profiles stay in bin/layers). About 30 s.
 layers:
-	BENCHTIME=$(BENCHTIME) bash scripts/layers.sh
+	bash scripts/layers.sh
 
 # Go line counts per package at BASE and in the working tree (non-test,
 # test and testdata), with the net non-test difference (scripts/loc.sh).

@@ -218,7 +218,9 @@ func (r *rig) call(tb testing.TB, h CallHints) {
 // blocks back to ReadOnly and invalidates nothing.
 var writesNothing = CallHints{Writes: []mem.Addr{}, Annotated: true}
 
-// each turns a per-operation body into a window.
+// each turns a per-operation body into a window. scripts/layers.sh finds
+// the timed window's profile samples by this closure's name (each.funcN):
+// renaming each, or inlining its closure away, means updating the script.
 func each(tb testing.TB, op func(i int) error) func(n int) {
 	return func(n int) {
 		for i := range n {

@@ -9,27 +9,28 @@
 # A sample with no repository frame counts as runtime/GC.
 #
 # Only the benchmark's timed window is charged: the samples under the
-# window closure that `each` returns (cost_test.go), plus the samples with
+# window closure that `each` returns (cost_test.go; the awk below matches
+# its closure name, each.funcN), plus the samples with
 # no repository frame at all (the garbage collector's workers, the
 # scheduler). Setup and the resets between windows run off the benchmark's
 # clock; their share of all samples is printed and left out. The rows of
 # each table sum to 100.0 % (largest-remainder rounding), and the ns/op
-# column splits the benchmark's ns/op by the same shares.
+# column splits the benchmark's ns/op by the same shares. Each benchmark
+# runs for 5 s, the run the table in docs/performance.md was taken at.
 #
 #   scripts/layers.sh
-#   make layers [BENCHTIME=2s]
+#   make layers
 #
 # The test binary and the profiles stay in bin/layers/.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
 out=$root/bin/layers
-benchtime=${BENCHTIME:-2s}
 mkdir -p "$out"
 go test -c -o "$out/core.test" ./internal/core
 
 for bench in FaultRead FaultWrite RollingEvict; do
-	(cd internal/core && "$out/core.test" -test.run '^$' -test.benchtime "$benchtime" \
+	(cd internal/core && "$out/core.test" -test.run '^$' -test.benchtime 5s \
 		-test.bench "^BenchmarkCostModel/$bench\$" -test.cpuprofile "$out/$bench.prof") >"$out/$bench.txt"
 	nsop=$(awk '$1 ~ /^BenchmarkCostModel\// { for (i = 1; i < NF; i++) if ($(i+1) == "ns/op") print $i }' "$out/$bench.txt")
 	go tool pprof -traces -lines "$out/core.test" "$out/$bench.prof" 2>/dev/null |
